@@ -33,7 +33,6 @@ class Config:
     K: int = 8
     budget: int = 10_000
     precision: int = 60
-    json_out: bool = False
 
     def validate(self):
         if not (1 <= self.K <= k_max_cap()):
@@ -146,8 +145,7 @@ def cmd_verify(args, cfg):
     machine = table.machine
     cells = range(-args.support, args.support + 1)
     tapes = list(enumerate_tapes(cells))
-    report = verify_equivalence(machine, table, tapes, cfg.budget,
-                                workers=args.workers)
+    report = verify_equivalence(machine, table, tapes, cfg.budget)
     payload = {
         "passed": report.passed,
         "tapes": report.tapes_checked,
@@ -244,7 +242,6 @@ def build_parser():
     p.add_argument("machine")
     p.add_argument("--support", type=int, default=2,
                    help="check all tapes with support in [-N, N] (default 2)")
-    p.add_argument("--workers", type=int, default=1)
 
     sub.add_parser("audit", parents=[shared],
                    help="exact wall separation inequalities")
@@ -265,7 +262,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = Config(K=args.K, budget=args.budget,
-                     precision=args.precision, json_out=args.json).validate()
+                     precision=args.precision).validate()
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR

@@ -2,10 +2,11 @@
 
 Coordinates are Fractions throughout.  Walls are straight segments (any
 rational slope) or parabola arcs with a vertical axis; grid routing keeps
-every arc axis-aligned, so no other curve type is needed.  Reflection and
-intersection predicates on these primitives are exact; the numeric tracer
-in ``simulate`` re-derives everything in high-precision floats and is
-checked against the exact layer.
+every arc axis-aligned, so no other curve type is needed.  Segment
+intersection is decided exactly; pairs involving an arc fall back to a
+conservative bounding-box test (see ``walls_clash``).  The numeric tracer
+in ``simulate`` re-derives reflections in high-precision floats and is
+checked against the exact transfer maps.
 """
 
 from __future__ import annotations
@@ -115,15 +116,6 @@ class MarkedSegment:
         return (self.origin[0] + u * self.tangent[0],
                 self.origin[1] + u * self.tangent[1])
 
-    def chart_inverse(self, point):
-        dx = point[0] - self.origin[0]
-        dy = point[1] - self.origin[1]
-        u = dx * self.tangent[0] + dy * self.tangent[1]
-        off = dx * self.tangent[1] - dy * self.tangent[0]
-        if off != 0:
-            raise ValueError(f"point not on chart line of {self.name}")
-        return u
-
     def as_segment(self, lo=0, hi=1):
         return Segment(self.chart(lo), self.chart(hi), f"wall:{self.name}")
 
@@ -158,19 +150,6 @@ class Port:
         return replace(self, origin=(ox, 2 * axis - oy),
                        tangent=(self.tangent[0], -self.tangent[1]),
                        beam=(self.beam[0], -self.beam[1]))
-
-
-def reflect_direction(v, n):
-    """Specular law v' = v - 2 <v,n> n / <n,n>, exact (n need not be unit)."""
-    vx, vy = v
-    nx, ny = n
-    k = Fraction(2) * (vx * nx + vy * ny) / (nx * nx + ny * ny)
-    return (vx - k * nx, vy - k * ny)
-
-
-def segment_normal(seg):
-    (x0, y0), (x1, y1) = seg.p0, seg.p1
-    return (y0 - y1, x1 - x0)
 
 
 def _orient(a, b, c):

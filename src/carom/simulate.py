@@ -16,12 +16,14 @@ Two coupled modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
 
 from .encoding import decode, encode_state, head_of
+from .geometry import Port
 from .machine import ComputationState, run_machine, step
 from .table import OutOfRange
 from .ternary import TernaryRational
@@ -164,9 +166,12 @@ class NumericResult:
     precision: int
 
 
+def _mpf(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
 def _mpf_pt(p):
-    return (mpmath.mpf(p[0].numerator) / p[0].denominator,
-            mpmath.mpf(p[1].numerator) / p[1].denominator)
+    return (_mpf(p[0]), _mpf(p[1]))
 
 
 def _seg_intersect(data, origin, direction, t_min):
@@ -220,34 +225,29 @@ def _arc_intersect(data, origin, direction, t_min, sqrt):
 
 
 class _NumericWall:
-    __slots__ = ("wall", "kind", "data", "fdata")
+    """An exact wall converted once to working-precision (``data``) and
+    machine-float (``fdata``) tuples of the same layout."""
+
+    __slots__ = ("wall_id", "kind", "data", "fdata")
 
     def __init__(self, wall):
-        self.wall = wall
+        self.wall_id = wall.wall_id
         self.kind = wall.kind
+        self.data = self._convert(wall, _mpf)
+        self.fdata = self._convert(wall, float)
+
+    @staticmethod
+    def _convert(wall, num):
         if wall.kind == "segment":
-            self.data = (_mpf_pt(wall.p0), _mpf_pt(wall.p1))
-            self.fdata = (tuple(map(float, wall.p0)), tuple(map(float, wall.p1)))
-        else:
-            self.data = (mpmath.mpf(wall.axis_x.numerator) / wall.axis_x.denominator,
-                         mpmath.mpf(wall.apex_y.numerator) / wall.apex_y.denominator,
-                         mpmath.mpf(wall.p.numerator) / wall.p.denominator,
-                         wall.sign,
-                         mpmath.mpf(wall.x_lo.numerator) / wall.x_lo.denominator,
-                         mpmath.mpf(wall.x_hi.numerator) / wall.x_hi.denominator)
-            self.fdata = (float(wall.axis_x), float(wall.apex_y), float(wall.p),
-                          wall.sign, float(wall.x_lo), float(wall.x_hi))
+            return ((num(wall.p0[0]), num(wall.p0[1])),
+                    (num(wall.p1[0]), num(wall.p1[1])))
+        return (num(wall.axis_x), num(wall.apex_y), num(wall.p), wall.sign,
+                num(wall.x_lo), num(wall.x_hi))
 
-    def intersect(self, origin, direction, t_min):
+    def intersect(self, origin, direction, t_min, data, sqrt):
         if self.kind == "segment":
-            return _seg_intersect(self.data, origin, direction, t_min)
-        return _arc_intersect(self.data, origin, direction, t_min, mpmath.sqrt)
-
-    def intersect_float(self, origin, direction, t_min):
-        import math
-        if self.kind == "segment":
-            return _seg_intersect(self.fdata, origin, direction, t_min)
-        return _arc_intersect(self.fdata, origin, direction, t_min, math.sqrt)
+            return _seg_intersect(data, origin, direction, t_min)
+        return _arc_intersect(data, origin, direction, t_min, sqrt)
 
     def normal_at(self, point):
         if self.kind == "segment":
@@ -266,20 +266,23 @@ def _nearest_hit(walls, pos, direction, t_eps, exclude_id=None):
     """Two-pass nearest-intersection: a machine-float sweep shortlists
     candidate walls, then full-precision intersection decides among them.
 
-    Wall features are far coarser than double precision, so the float
-    pass cannot drop the true winner; ties finer than floats can resolve
-    land in the same shortlist and are separated (or flagged) at working
-    precision.  Returns (t, wall, runner_up_t).
+    The float pass cannot drop the true winner while wall features stay
+    far coarser than a double.  Split blocks have length 3^-(3k+2)
+    (1.5e-14 at k=9), so that holds up to head level k of about 9 and
+    no further.  Ties finer than floats can resolve land in the same
+    shortlist and are separated (or flagged) at working precision.
+    Returns (t, wall, runner_up_t).
     """
     fo = (float(pos[0]), float(pos[1]))
     fd = (float(direction[0]), float(direction[1]))
     scale = max(abs(fd[0]), abs(fd[1]))
+    tf_min = 1e-12 / scale if scale else 0.0
     best_f = None
     rough = []
     for w in walls:
-        if exclude_id is not None and w.wall.wall_id == exclude_id:
+        if exclude_id is not None and w.wall_id == exclude_id:
             continue
-        t_f = w.intersect_float(fo, fd, 1e-12 / scale if scale else 0.0)
+        t_f = w.intersect(fo, fd, tf_min, w.fdata, math.sqrt)
         if t_f is None:
             continue
         rough.append((t_f, w))
@@ -293,7 +296,7 @@ def _nearest_hit(walls, pos, direction, t_eps, exclude_id=None):
     for t_f, w in rough:
         if t_f > best_f + margin:
             continue
-        t = w.intersect(pos, direction, t_eps)
+        t = w.intersect(pos, direction, t_eps, w.data, mpmath.sqrt)
         if t is None:
             continue
         if best_t is None or t < best_t:
@@ -301,6 +304,72 @@ def _nearest_hit(walls, pos, direction, t_eps, exclude_id=None):
         elif second_t is None or t < second_t:
             second_t = t
     return best_t, best_wall, second_t
+
+
+def _chart_line(chart):
+    """(chart, origin, tangent, beam, u_lo, u_hi) at working precision.
+
+    A crossing counts when its coordinate is within 1/2 of the chart's
+    window: [0, 1] for a MarkedSegment, [lo, hi] for a Port.
+    """
+    lo, hi = (chart.lo, chart.hi) if isinstance(chart, Port) else (0, 1)
+    half = mpmath.mpf(1) / 2
+    return (chart, _mpf_pt(chart.origin), _mpf_pt(chart.tangent),
+            _mpf_pt(chart.beam), _mpf(lo) - half, _mpf(hi) + half)
+
+
+def _chart_u(point, origin, tangent):
+    return (point[0] - origin[0]) * tangent[0] + (point[1] - origin[1]) * tangent[1]
+
+
+def _trace(walls, pos, direction, charts, precision):
+    """Specular ray trace from ``pos`` along ``direction``: the one core
+    behind run_numeric and GadgetTracer.
+
+    Per leg, yields ``("cross", chart, point, u, direction)`` for every
+    forward crossing of a chart line, in flight order, then
+    ``("hit", wall, point, None, direction)`` for the wall that ends the
+    leg; resuming after a hit reflects there.  Raises TracingDegeneracy
+    when the runner-up wall is within 10^-(precision-5) of the winner or
+    a hit grazes, and TracingError when the ray escapes.  Consume it
+    under ``mpmath.workdps(precision)``.
+    """
+    lines = [_chart_line(c) for c in charts]
+    tie_tol = mpmath.mpf(10) ** (-precision + 5)
+    graze_tol = mpmath.mpf(10) ** (-12)
+    last_id = None
+    while True:
+        best_t, wall, second_t = _nearest_hit(walls, pos, direction, tie_tol,
+                                              exclude_id=last_id)
+        if second_t is not None and second_t - best_t < tie_tol:
+            raise TracingDegeneracy(
+                f"two walls within {tie_tol} of {wall.wall_id}: geometry bug")
+        crossings = []
+        for chart, co, ct, cb, u_lo, u_hi in lines:
+            den = direction[0] * cb[0] + direction[1] * cb[1]
+            if den <= 0:
+                continue
+            t = ((co[0] - pos[0]) * cb[0] + (co[1] - pos[1]) * cb[1]) / den
+            if t <= tie_tol or (best_t is not None and t >= best_t - tie_tol):
+                continue
+            point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
+            u = _chart_u(point, co, ct)
+            if u_lo <= u <= u_hi:
+                crossings.append((t, chart, point, u))
+        for t, chart, point, u in sorted(crossings, key=lambda c: c[0]):
+            yield "cross", chart, point, u, direction
+        if best_t is None:
+            raise TracingError("trajectory escaped the scene")
+        hit = (pos[0] + best_t * direction[0], pos[1] + best_t * direction[1])
+        yield "hit", wall, hit, None, direction
+        n = _unit(wall.normal_at(hit))
+        d_dot = direction[0] * n[0] + direction[1] * n[1]
+        if abs(d_dot) < graze_tol:
+            raise TracingDegeneracy(f"grazing hit on {wall.wall_id}")
+        direction = (direction[0] - 2 * d_dot * n[0],
+                     direction[1] - 2 * d_dot * n[1])
+        pos = hit
+        last_id = wall.wall_id
 
 
 def _levels_reached(outcome, K):
@@ -323,7 +392,7 @@ def run_numeric(table, tape, budget, precision=60):
     transverse deviation observed at checkpoint crossings.  Raises
     TracingDegeneracy when two wall hits are indistinguishable at this
     precision and PrecisionExhausted when the trace cannot match the
-    exact one.
+    exact one (an escaping ray included).
     """
     if precision < 8:
         raise ValueError("precision must be at least 8 digits")
@@ -332,21 +401,14 @@ def run_numeric(table, tape, budget, precision=60):
 
     with mpmath.workdps(precision):
         walls = [_NumericWall(w) for w in table.scene_walls(_levels_reached(symbolic, table.K))]
-        marks = []
-        for m in table.marked_segments():
-            marks.append((m, _mpf_pt(m.origin), _mpf_pt(m.tangent), _mpf_pt(m.beam)))
-
         start_state = table.machine.initial
-        v0 = expected[0].value
-        pos = _mpf_pt(table.checkpoint_point(start_state, v0))
+        pos = _mpf_pt(table.checkpoint_point(start_state, expected[0].value))
         direction = (mpmath.mpf(0), mpmath.mpf(1))
-        tie_tol = mpmath.mpf(10) ** (-precision + 5)
-        t_eps = tie_tol
+        ortho_tol = mpmath.mpf(10) ** (-precision // 2)
 
         deviations = []
         points = [pos]
         idx = 0
-        last_wall = None
 
         def fail(msg):
             raise PrecisionExhausted(
@@ -366,79 +428,53 @@ def run_numeric(table, tape, budget, precision=60):
             idx += 1
             return ev
 
-        def note_crossing(mark, mo, mt, point, d):
+        def u_at(mark, point):
+            return _chart_u(point, _mpf_pt(mark.origin), _mpf_pt(mark.tangent))
+
+        def note_crossing(mark, d, u_num):
+            mt = _mpf_pt(mark.tangent)
             # checkpoints are crossed orthogonally: no tangential drift
             tangential = abs(d[0] * mt[0] + d[1] * mt[1])
-            if tangential > mpmath.mpf(10) ** (-precision // 2):
+            if tangential > ortho_tol:
                 fail(f"non-orthogonal crossing of {mark.name}")
-            u_num = (point[0] - mo[0]) * mt[0] + (point[1] - mo[1]) * mt[1]
             ev = check_event("checkpoint", state=mark.name.split(":", 1)[1])
             u_exact = (mpmath.mpf(ev.value.num) / mpmath.mpf(3) ** ev.value.exp)
             deviations.append(abs(u_num - u_exact))
 
+        def flight_over():
+            """Budget spent or the head left the range: nothing more to trace."""
+            if idx < len(expected) and expected[idx].kind == "out-of-range":
+                check_event("out-of-range")
+            return idx == len(expected)
+
         # the trajectory starts on the initial checkpoint
         mark0 = table.stations[start_state].checkpoint
-        note_crossing(mark0, _mpf_pt(mark0.origin), _mpf_pt(mark0.tangent), pos,
-                      direction)
-
-        while idx < len(expected):
-            nxt = expected[idx]
-            if nxt.kind == "out-of-range":
-                check_event("out-of-range")
-                break
-            best_t, best_wall, second_t = _nearest_hit(
-                walls, pos, direction, t_eps, exclude_id=last_wall)
-            if best_t is None:
-                fail("trajectory escaped the scene")
-            if second_t is not None and second_t - best_t < tie_tol:
-                raise TracingDegeneracy(
-                    f"two walls within {tie_tol} at event {idx}: geometry bug")
-            hit = (pos[0] + best_t * direction[0], pos[1] + best_t * direction[1])
-
-            # marked segments crossed on the way, in flight order
-            crossings_on_leg = []
-            for mark, mo, mt, mb in marks:
-                den = direction[0] * mb[0] + direction[1] * mb[1]
-                if den == 0:
-                    continue
-                t = ((mo[0] - pos[0]) * mb[0] + (mo[1] - pos[1]) * mb[1]) / den
-                if t <= t_eps or t >= best_t - t_eps:
-                    continue
-                point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
-                u = (point[0] - mo[0]) * mt[0] + (point[1] - mo[1]) * mt[1]
-                if u < -0.5 or u > 1.5:
-                    continue
-                crossings_on_leg.append((t, mark, mo, mt, point))
-            for t, mark, mo, mt, point in sorted(crossings_on_leg, key=lambda c: c[0]):
-                note_crossing(mark, mo, mt, point, direction)
-            if idx == len(expected):
-                break  # budget exhausted mid-flight
-            if expected[idx].kind == "out-of-range":
-                check_event("out-of-range")
-                break
-
-            points.append(hit)
-            wall_id = best_wall.wall.wall_id
-            if wall_id.startswith("wall:chk:"):
-                # the halt checkpoint: orthogonal bounce ends the run
-                n = _unit(best_wall.normal_at(hit))
-                tangential = abs(direction[0] * n[1] - direction[1] * n[0])
-                if tangential > mpmath.mpf(10) ** (-precision // 2):
-                    fail(f"halt hit not orthogonal (tangential {tangential})")
-                mark = table.iota_chart(wall_id.split(":", 2)[2])
-                note_crossing(mark, _mpf_pt(mark.origin), _mpf_pt(mark.tangent),
-                              hit, direction)
-                check_event("halt-bounce")
-                break
-            check_event("reflection", wall_id=wall_id)
-            n = _unit(best_wall.normal_at(hit))
-            d_dot = direction[0] * n[0] + direction[1] * n[1]
-            if abs(d_dot) < mpmath.mpf(10) ** (-12):
-                raise TracingDegeneracy(f"grazing hit on {wall_id}")
-            direction = (direction[0] - 2 * d_dot * n[0],
-                         direction[1] - 2 * d_dot * n[1])
-            pos = hit
-            last_wall = wall_id
+        note_crossing(mark0, direction, u_at(mark0, pos))
+        if not flight_over():
+            try:
+                for kind, obj, point, u, d in _trace(
+                        walls, pos, direction, table.marked_segments(), precision):
+                    if kind == "cross":
+                        note_crossing(obj, d, u)
+                        continue
+                    if flight_over():
+                        break  # the run ended mid-flight
+                    points.append(point)
+                    if obj.wall_id.startswith("wall:chk:"):
+                        # the halt checkpoint: orthogonal bounce ends the run
+                        n = _unit(obj.normal_at(point))
+                        tangential = abs(d[0] * n[1] - d[1] * n[0])
+                        if tangential > ortho_tol:
+                            fail(f"halt hit not orthogonal (tangential {tangential})")
+                        mark = table.iota_chart(obj.wall_id.split(":", 2)[2])
+                        note_crossing(mark, d, u_at(mark, point))
+                        check_event("halt-bounce")
+                        break
+                    check_event("reflection", wall_id=obj.wall_id)
+            except (TracingDegeneracy, PrecisionExhausted):
+                raise
+            except TracingError as err:
+                fail(str(err))
 
         if idx != len(expected):
             fail("numeric trace ended early")
@@ -453,13 +489,17 @@ def run_numeric(table, tape, budget, precision=60):
                              precision=precision)
 
 
+#: A gadget chains a handful of mirrors; more bounces means a trapped ray.
+_GADGET_MAX_REFLECTIONS = 64
+
+
 class GadgetTracer:
     """Reusable ray tracer for one gadget at a fixed precision.
 
     Wall data is converted to working-precision floats once; ``trace``
     then launches from the in-port chart and returns the out-port
-    coordinate where the ray crosses the out-port plane with no wall in
-    between.
+    coordinate at the ray's first forward crossing of the out-port
+    window, with the same tie and grazing checks as run_numeric.
     """
 
     def __init__(self, gadget, precision=60, levels=()):
@@ -477,43 +517,15 @@ class GadgetTracer:
             o = _mpf_pt(pin.origin)
             tg = _mpf_pt(pin.tangent)
             pos = (o[0] + u * tg[0], o[1] + u * tg[1])
-            direction = (mpmath.mpf(int(pin.beam[0])), mpmath.mpf(int(pin.beam[1])))
-            t_eps = mpmath.mpf(10) ** (-self.precision + 5)
-            oo = _mpf_pt(pout.origin)
-            ob = _mpf_pt(pout.beam)
-            ot = _mpf_pt(pout.tangent)
             hits = []
-            last = None
-            for _ in range(64):
-                best_t, best_wall, _second = _nearest_hit(
-                    self.walls, pos, direction, t_eps, exclude_id=last)
-                den = direction[0] * ob[0] + direction[1] * ob[1]
-                if den > 0:
-                    t_exit = ((oo[0] - pos[0]) * ob[0] + (oo[1] - pos[1]) * ob[1]) / den
-                    if t_exit > t_eps and (best_t is None or t_exit < best_t):
-                        point = (pos[0] + t_exit * direction[0],
-                                 pos[1] + t_exit * direction[1])
-                        u_out = ((point[0] - oo[0]) * ot[0]
-                                 + (point[1] - oo[1]) * ot[1])
-                        return u_out, hits
-                if best_t is None:
+            for kind, obj, _point, u_out, _d in _trace(
+                    self.walls, pos, _mpf_pt(pin.beam), [pout], self.precision):
+                if kind == "cross":
+                    return u_out, hits
+                hits.append(obj.wall_id)
+                if len(hits) == _GADGET_MAX_REFLECTIONS:
                     raise TracingError(
-                        "ray left the gadget without reaching the out port")
-                hit = (pos[0] + best_t * direction[0], pos[1] + best_t * direction[1])
-                hits.append(best_wall.wall.wall_id)
-                last = best_wall.wall.wall_id
-                n = _unit(best_wall.normal_at(hit))
-                d_dot = direction[0] * n[0] + direction[1] * n[1]
-                direction = (direction[0] - 2 * d_dot * n[0],
-                             direction[1] - 2 * d_dot * n[1])
-                pos = hit
-            raise TracingError("gadget trace exceeded 64 reflections")
-
-
-def trace_gadget_numeric(gadget, u_in, precision=60, levels=(),
-                         in_port="in", out_port="out"):
-    """One-shot convenience wrapper around GadgetTracer."""
-    return GadgetTracer(gadget, precision, levels).trace(u_in, in_port, out_port)
+                        f"gadget trace exceeded {_GADGET_MAX_REFLECTIONS} reflections")
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +545,6 @@ class EquivalenceReport:
     tapes_checked: int
     verdicts: dict                 # verdict string -> count
     first_divergence: Optional[Divergence] = None
-
-
-def _check_one_tape(machine, table, tape, budget):
-    outcome = run_symbolic(table, tape, budget)
-    return outcome.verdict, _diverges(machine, table, tape, budget, outcome)
 
 
 def _diverges(machine, table, tape, budget, outcome):
@@ -570,7 +577,7 @@ def _diverges(machine, table, tape, budget, outcome):
     return None
 
 
-def verify_equivalence(machine, table, tapes, budget, workers=1):
+def verify_equivalence(machine, table, tapes, budget):
     """Lockstep comparison of the machine against the billiard.
 
     Every checkpoint crossing must equal the chart image of the machine
@@ -581,19 +588,10 @@ def verify_equivalence(machine, table, tapes, budget, workers=1):
     tapes = [frozenset(t) for t in tapes]
     verdicts = {}
     first = None
-
-    def job(tape):
-        return _check_one_tape(machine, table, tape, budget)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, tapes))
-    else:
-        results = [job(t) for t in tapes]
-
-    for verdict, div in results:
-        verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    for tape in tapes:
+        outcome = run_symbolic(table, tape, budget)
+        div = _diverges(machine, table, tape, budget, outcome)
+        verdicts[outcome.verdict] = verdicts.get(outcome.verdict, 0) + 1
         if div is not None and first is None:
             first = div
     return EquivalenceReport(passed=first is None, tapes_checked=len(tapes),

@@ -163,14 +163,6 @@ class Corridor:
             pieces.append(piece)
         return v, pieces
 
-    def wall_sequence(self, value):
-        """Wall ids a trajectory entering at ``value`` bounces on, in order."""
-        _, pieces = self.apply(value)
-        out = []
-        for p in pieces:
-            out.extend(p.wall_ids)
-        return out
-
     def apply_inverse(self, value_after):
         """Run the corridor's transfer chain backwards, piece by piece.
 

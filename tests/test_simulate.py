@@ -5,15 +5,18 @@ import pytest
 from carom.encoding import encode_state
 from carom.machine import enumerate_tapes, parse_tape, run_machine
 from carom.simulate import (
+    GadgetTracer,
+    PrecisionExhausted,
+    TracingDegeneracy,
+    TracingError,
     detect_periodicity,
     replay_reverse,
     run_numeric,
     run_symbolic,
-    trace_gadget_numeric,
     verify_equivalence,
     write_trace,
 )
-from carom.table import compile_table
+from carom.table import BilliardTable, compile_table
 from carom.ternary import T
 from carom.zoo import get_machine
 
@@ -131,16 +134,6 @@ def test_verify_equivalence_empty_tapes_vacuous():
     assert report.passed and report.tapes_checked == 0
 
 
-def test_verify_equivalence_threaded_matches():
-    m = get_machine("walker")
-    table = compile_table(m, 6)
-    tapes = list(enumerate_tapes([-1, 0, 1]))
-    r1 = verify_equivalence(m, table, tapes, 100, workers=1)
-    r4 = verify_equivalence(m, table, tapes, 100, workers=4)
-    assert r1.passed and r4.passed
-    assert r1.verdicts == r4.verdicts
-
-
 def test_trace_file_format():
     table = compile_table(get_machine("rev-move"), 4)
     out = run_symbolic(table, parse_tape("{2:1}"), 10)
@@ -229,7 +222,7 @@ def test_numeric_gadget_shift():
     from carom.gadgets import build_shift_gadget
     import mpmath
     g = build_shift_gadget("pos", +1)
-    u_out, hits = trace_gadget_numeric(g, T(1, 1), precision=60)
+    u_out, hits = GadgetTracer(g, 60).trace(T(1, 1))
     with mpmath.workdps(60):
         assert abs(u_out - mpmath.mpf(7) / 9) < mpmath.mpf(10) ** -30
     assert len(hits) == 2
@@ -239,3 +232,45 @@ def test_numeric_low_precision_rejected():
     table = compile_table(get_machine("rev-move"), 4)
     with pytest.raises(ValueError):
         run_numeric(table, parse_tape("{2:1}"), 10, precision=6)
+
+
+# --- tracer failure paths ----------------------------------------------------
+
+def test_gadget_trace_duplicated_mirror_is_degenerate():
+    from dataclasses import replace
+    from carom.gadgets import build_turn_gadget
+    turn = build_turn_gadget(+90)
+    mirror, = turn.static_walls
+    doubled = replace(turn, static_walls=(mirror, replace(mirror, wall_id="dup:mirror")))
+    with pytest.raises(TracingDegeneracy):
+        GadgetTracer(doubled, 60).trace(T(1, 1))
+
+
+def test_gadget_trace_without_walls_escapes():
+    from dataclasses import replace
+    from carom.gadgets import build_shift_stage
+    bare = replace(build_shift_stage(+1, K=3), static_walls=())
+    with pytest.raises(TracingError):
+        GadgetTracer(bare, 60).trace(T(1, 1))
+
+
+def test_numeric_missing_split_mirror_exhausts_precision(monkeypatch, tmp_path):
+    from carom.cli import main
+    from carom.zoo import MACHINE_TEXTS
+    table = compile_table(get_machine("rev-move"), 4)
+    tape = parse_tape("{2:1}")
+    dropped = next(ev.wall_id for ev in run_symbolic(table, tape, 10).trace
+                   if ev.kind == "reflection" and ev.wall_id.startswith("split:"))
+    scene_walls = BilliardTable.scene_walls
+
+    def without_mirror(self, levels=None):
+        return [w for w in scene_walls(self, levels) if w.wall_id != dropped]
+
+    monkeypatch.setattr(BilliardTable, "scene_walls", without_mirror)
+    with pytest.raises(PrecisionExhausted):
+        run_numeric(table, tape, 10, precision=60)
+    path = tmp_path / "rev-move.tm"
+    path.write_text(MACHINE_TEXTS["rev-move"])
+    argv = ["run", str(path), "--tape", "{2:1}", "--K", "4", "--budget", "10",
+            "--mode", "numeric"]
+    assert main(argv) == 3
