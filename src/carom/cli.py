@@ -130,6 +130,8 @@ def cmd_run(args, cfg):
         result = run_numeric(table, tape, cfg.budget, precision=cfg.precision)
         payload["max_deviation"] = result.max_deviation
         payload["precision"] = cfg.precision
+        payload["walls_built"] = result.walls_built
+        payload["max_candidates"] = result.max_candidates
         lines.append(f"numeric trace at {cfg.precision} digits matches; "
                      f"max checkpoint deviation {result.max_deviation:.3e}")
     if args.trace:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .ternary import T, TernaryRational
 
@@ -253,6 +254,60 @@ class CantorBlock:
         return self.hi - self.lo
 
 
+def cantor_walk(k, digit_pos, symbol, window=None, k_max=None):
+    """The blocks of ``cantor_blocks_at`` whose centres lie in ``window``,
+    an exact (lo, hi) pair of Fractions (None: all of them), left to right.
+
+    Works in integers scaled by 3**digit_pos, as block_of does: the block
+    whose pinned digits are d_1 .. d_digit_pos (each 0 or 2, the last one
+    2*symbol) is the integer B = sum(d_i * 3**(digit_pos - i)), and its
+    centre is tau_k((B + 1/2) / 3**digit_pos).  The window becomes a range
+    of B, and a descent over the free digits prunes every prefix whose
+    blocks all miss it: O(digit_pos) steps per block found, plus
+    O(digit_pos).
+    """
+    cap = k_max if k_max is not None else k_max_cap()
+    if abs(k) > cap or digit_pos - 1 > 2 * cap + 1:
+        raise KRangeExceeded(f"level {k}/digit {digit_pos} beyond K_max {cap}")
+    if digit_pos < 1:
+        raise ValueError("digit positions are 1-based")
+    n_free = digit_pos - 1
+    pow3 = [3 ** r for r in range(n_free + 1)]
+    # tau_k(B / 3**digit_pos) = (B + shift) / 3**exp, exactly
+    exp = digit_pos + 1 + abs(k)
+    shift = 3 * pow3[n_free] if k < 0 else 3 ** exp - 6 * pow3[n_free]
+    lo, hi = 0, pow3[n_free] - 1   # range of F, the free digits as an integer
+    if window is not None:
+        # centre(B) = (2*(B + shift) + 1) / (2 * 3**exp), with B = 3F + 2*symbol
+        w_lo, w_hi = Fraction(window[0]), Fraction(window[1])
+        den = 2 * 3 ** exp
+        b_lo = -((den * w_lo.numerator - w_lo.denominator * (2 * shift + 1))
+                 // (-2 * w_lo.denominator))
+        b_hi = ((den * w_hi.numerator - w_hi.denominator * (2 * shift + 1))
+                // (2 * w_hi.denominator))
+        lo = max(lo, -((2 * symbol - b_lo) // 3))
+        hi = min(hi, (b_hi - 2 * symbol) // 3)
+    blocks = []
+
+    def descend(r, value, bits):
+        # value: the free digits chosen so far; r digits are left to choose
+        span = pow3[r]
+        if value * span > hi or (value + 1) * span - 1 < lo:
+            return
+        if r:
+            descend(r - 1, 3 * value, 2 * bits)
+            descend(r - 1, 3 * value + 2, 2 * bits + 1)
+            return
+        prefix = tuple(bits >> (n_free - 1 - i) & 1 for i in range(n_free))
+        base = 3 * value + 2 * symbol + shift
+        blocks.append(CantorBlock(k, digit_pos, prefix, symbol,
+                                  T(base, exp), T(base + 1, exp)))
+
+    if lo <= hi:
+        descend(n_free, 0, 0)
+    return blocks
+
+
 def cantor_blocks_at(k, digit_pos, symbol, k_max=None):
     """All blocks of I_k pinning ternary digit ``digit_pos`` of the tape
     value to symbol, left to right, with exact endpoints.
@@ -260,24 +315,7 @@ def cantor_blocks_at(k, digit_pos, symbol, k_max=None):
     2**(digit_pos - 1) blocks, each of pre-embedding length 3**-digit_pos,
     hence length 3**-(digit_pos + 1 + |k|) inside I_k.
     """
-    cap = k_max if k_max is not None else k_max_cap()
-    if abs(k) > cap or digit_pos - 1 > 2 * cap + 1:
-        raise KRangeExceeded(f"level {k}/digit {digit_pos} beyond K_max {cap}")
-    if digit_pos < 1:
-        raise ValueError("digit positions are 1-based")
-    blocks = []
-    n_free = digit_pos - 1
-    for bits in range(1 << n_free):
-        prefix = tuple(bits >> (n_free - 1 - i) & 1 for i in range(n_free))
-        base = T(0)
-        for i, b in enumerate(prefix, start=1):
-            base = base + T(2 * b, i)
-        base = base + T(2 * symbol, digit_pos)
-        lo = tau(k, base)
-        hi = tau(k, base + T(1, digit_pos))
-        blocks.append(CantorBlock(k, digit_pos, prefix, symbol, lo, hi))
-    blocks.sort(key=lambda b: b.lo.as_fraction())
-    return blocks
+    return cantor_walk(k, digit_pos, symbol, k_max=k_max)
 
 
 def cantor_blocks(k, symbol, k_max=None):

@@ -32,6 +32,10 @@ walls (simulate.run_numeric) certifies that the geometry implements them.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -41,11 +45,13 @@ from .encoding import (
     NotACode,
     block_of,
     cantor_blocks_at,
+    cantor_walk,
     digit_position,
     head_interval,
     head_of,
     k_max_cap,
     rewrite_scale,
+    tau,
 )
 from .geometry import ParabolaArc, Port, Segment
 from .ternary import T, TernaryRational
@@ -108,7 +114,13 @@ class PiecewiseTransfer:
 
 @dataclass(frozen=True)
 class Gadget:
-    """Walls in a local frame plus the exact transfer between its ports."""
+    """Walls in a local frame plus the exact transfer between its ports.
+
+    Walls come in two kinds: ``static_walls`` (arcs, turn mirrors), and
+    ``level_walls``, the per-head-level Cantor-block mirrors of split and
+    merge gadgets, 2**(2k)-ish per level.  ``walls_in`` is the one way to
+    get them; it finds level walls by position instead of listing them.
+    """
 
     kind: str
     name: str
@@ -116,14 +128,24 @@ class Gadget:
     out_ports: dict
     transfer: PiecewiseTransfer
     static_walls: tuple = ()
-    level_walls: Optional[Callable] = None  # k -> [walls]
+    level_walls: Optional[Callable] = None  # (leg, levels, memo) -> [walls]
 
-    def walls(self, levels=()):
+    def walls_in(self, leg, levels, memo=None):
+        """The static walls, then every wall of the given head levels that
+        the Leg ``leg`` may meet (all of them when ``leg`` is None), in
+        the order ``walls(levels)`` lists them when levels ascend.
+
+        Sound, not tight: no wall the leg meets is left out, and a level
+        wall is returned only if the leg meets its bounding box.  ``memo``
+        (a dict) keeps built mirror pairs by id across calls.
+        """
         ws = list(self.static_walls)
         if self.level_walls is not None:
-            for k in levels:
-                ws.extend(self.level_walls(k))
+            ws += self.level_walls(leg, levels, memo)
         return ws
+
+    def walls(self, levels=()):
+        return self.walls_in(None, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +221,276 @@ def _block_walls(name, k, digit_pos, prefix_int, lo, hi, read_s, write_s, base_x
     return _BlockWalls(primary, returning, slope, disp)
 
 
+# one entry per (k, digit_pos, read_s, write_s) with |k| <= K_max: bounded
+@functools.lru_cache(maxsize=None)
+def _mirror_boxes(k, digit_pos, read_s, write_s):
+    """Bounding boxes of the mirror pair over every (k, digit_pos, read_s)
+    block, at base_x = 0.
+
+    In _block_walls a pair depends on its block only through the centre c:
+    its x range follows c and its band sits at height 8c + 1.  So the pair
+    over centre c is the pair over any other centre c' translated by
+    (c - c') * (1, 8), and each of its walls lies in the box
+    (ax + c +- rx, ay + 8c +- ry).  Returns ((ax, ay, rx, ry) of the
+    primary, the same for the return mirror), exact.
+    """
+    base = T(2 * read_s, digit_pos)
+    lo, hi = tau(k, base), tau(k, base + T(1, digit_pos))
+    c = (lo.as_fraction() + hi.as_fraction()) / 2
+    pair = _block_walls("", k, digit_pos, 0, lo, hi, read_s, write_s, F(0))
+    return tuple(((w.p0[0] + w.p1[0]) / 2 - c,
+                  (w.p0[1] + w.p1[1]) / 2 - _BAND_GAIN * c,
+                  abs(w.p1[0] - w.p0[0]) / 2, abs(w.p1[1] - w.p0[1]) / 2)
+                 for w in (pair.primary, pair.returning))
+
+
+class _MirrorLevel(NamedTuple):
+    k: int
+    digit_pos: int
+    lo: Fraction       # the hull I_k, which holds every block centre
+    hi: Fraction
+    boxes: tuple       # boxes[symbol][0 primary / 1 return], base_x included
+    fboxes: tuple      # the same in floats
+    flo: float         # the hull, rounded outward
+    fhi: float
+    reach: tuple       # per line of _LINES: float bound on box offset + radius
+
+
+#: The centre lines (base_x + dx + c, 1 + 8c) that the level boxes hug,
+#: each with the (symbol, wall) boxes it stands for: every primary mirror
+#: sits over its block, every return mirror two units to its branch side.
+_LINES = ((F(0), ((0, 0), (1, 0))), (SIGMA[0], ((0, 1),)), (SIGMA[1], ((1, 1),)))
+
+#: Relative error bounds of the float windows.  Each float bound takes a
+#: handful of operations on correctly rounded inputs, so its error stays
+#: below 1e-14 of the magnitudes it is scaled by (times 1 + |n| / |n.v|
+#: where it divides by n.v); these are 1e-9 and 1e-11 of them.
+_REJECT_SLACK = 1e-9
+_WINDOW_SLACK = 1e-11
+
+
+def _extent(p, d, t):
+    """(lo, hi) of p + s*d over 0 <= s <= t, in floats (t may be inf)."""
+    if not d:
+        return p, p
+    end = p + t * d
+    return (p, end) if d > 0 else (end, p)
+
+
+def _exact_window(leg, box, lo, hi):
+    """Exact centres c in [lo, hi] whose box (ax + c +- rx, ay + 8c +- ry)
+    meets the leg: separating axes x, y and the leg's normal, each a linear
+    condition on c.  None when there are none."""
+    (xl, xu), (yl, yu) = leg.extent(0), leg.extent(1)
+    nx, ny = -leg.direction[1], leg.direction[0]
+    ax, ay, rx, ry = box
+    if xl is not None:
+        lo = max(lo, xl - rx - ax)
+    if xu is not None:
+        hi = min(hi, xu + rx - ax)
+    if yl is not None:
+        lo = max(lo, (yl - ry - ay) / _BAND_GAIN)
+    if yu is not None:
+        hi = min(hi, (yu + ry - ay) / _BAND_GAIN)
+    # |n . (centre(c) - origin)| <= the box's reach along n
+    nv = nx + _BAND_GAIN * ny
+    m = nx * (ax - leg.origin[0]) + ny * (ay - leg.origin[1])
+    reach = abs(nx) * rx + abs(ny) * ry
+    if nv:
+        a, b = (-reach - m) / nv, (reach - m) / nv
+        lo, hi = max(lo, min(a, b)), min(hi, max(a, b))
+    elif abs(m) > reach:
+        return None
+    return (lo, hi) if lo <= hi else None
+
+
+class _BlockMirrors:
+    """The mirror pairs of a split gadget, one per Cantor block, found by
+    position.
+
+    A level's pairs are one pair translated by c * (1, 8) for the block
+    centres c (``_mirror_boxes``), so "the leg meets a wall's box" is a
+    linear condition on c: a window of centres O(h) wide for blocks of
+    length h.  A float pre-reject finds the one or two levels whose hull
+    I_k the window meets.  For those, ``cantor_walk`` lists the blocks of
+    the float window widened by its error bound, and each block is kept
+    when the float window shrunk by that bound holds its centre, or else
+    when the exact window does: the blocks kept are exactly those whose
+    centres lie in the exact window.  Level data is built on the first
+    positional query, never by the compiler.
+    """
+
+    def __init__(self, name, K, k_filter, cell_offset, rewrite_rule, base_x):
+        self.name, self.K, self.k_filter = name, K, k_filter
+        self.cell_offset, self.rewrite_rule, self.base_x = cell_offset, rewrite_rule, base_x
+        self._levels = None
+
+    def _pair(self, k, digit_pos, blk, s, memo):
+        prefix_int = _bits_int(blk.prefix) * 2 + s
+        key = (self.name, k, s, prefix_int)
+        pair = memo.get(key) if memo is not None else None
+        if pair is None:
+            pair = _block_walls(self.name, k, digit_pos, prefix_int, blk.lo, blk.hi,
+                                s, self.rewrite_rule(k, s), self.base_x)
+            if memo is not None:
+                memo[key] = pair
+        return pair
+
+    def _level_data(self):
+        """Levels sorted left to right (by k), per line of _LINES the
+        prefix and suffix maxima of their reaches, and a float box around
+        every level wall."""
+        if self._levels is not None:
+            return self._levels
+        levels = []
+        for k in range(-self.K, self.K + 1):
+            if not self.k_filter(k):
+                continue
+            digit_pos = digit_position(k + self.cell_offset)
+            iv = head_interval(k)
+            lo, hi = iv.lo.as_fraction(), iv.hi.as_fraction()
+            boxes = tuple(
+                tuple((ax + self.base_x, ay, rx, ry) for ax, ay, rx, ry in
+                      _mirror_boxes(k, digit_pos, s, self.rewrite_rule(k, s)))
+                for s in (0, 1))
+            reach = []
+            for dx, members in _LINES:
+                r = max(max(abs(boxes[s][w][0] - self.base_x - dx) + boxes[s][w][2],
+                            abs(boxes[s][w][1] - 1) + boxes[s][w][3])
+                        for s, w in members)
+                reach.append(float(r) * (1 + 1e-12))
+            fboxes = tuple(tuple(tuple(map(float, b)) for b in pair) for pair in boxes)
+            levels.append(_MirrorLevel(k, digit_pos, lo, hi, boxes, fboxes,
+                                       float(lo) - 1e-12, float(hi) + 1e-12,
+                                       tuple(reach)))
+        base = float(self.base_x)
+        bounds, reach_max = [], []
+        for line, (off, _) in enumerate(_LINES):
+            reach = [lv.reach[line] for lv in levels]
+            reach_max.append((list(itertools.accumulate(reach, max)),
+                              list(itertools.accumulate(reversed(reach), max))[::-1]))
+            bounds += [(base + float(off) + lv.flo - r, base + float(off) + lv.fhi + r,
+                        1 + 8 * lv.flo - r, 1 + 8 * lv.fhi + r)
+                       for lv, r in zip(levels, reach)]
+        region = (min(b[0] for b in bounds), max(b[1] for b in bounds),
+                  min(b[2] for b in bounds), max(b[3] for b in bounds))
+        region += (4 + max(map(abs, region)),)   # and its magnitude
+        self._levels = (levels, [lv.flo for lv in levels], region, reach_max)
+        return self._levels
+
+    def _near(self, line, c0, radius, slack):
+        """Indices of the levels whose hull lies within radius * (their
+        reach on ``line``) + slack of c0: outward from c0 until no level
+        further out can qualify."""
+        levels, starts, _, reach_max = self._level_data()
+        prefix, suffix = reach_max[line]
+        i = bisect.bisect_right(starts, c0)
+        for j in range(i, len(levels)):
+            if levels[j].flo - c0 > radius * suffix[j] + slack:
+                break
+            yield j
+        for j in range(i - 1, -1, -1):
+            if c0 - levels[j].fhi > radius * prefix[j] + slack:
+                break
+            yield j
+
+    def _blocks(self, leg, levels):
+        """(level, symbol, wall, block) for every block whose wall box
+        meets the leg."""
+        px, py, dx, dy, t = leg.floats
+        (xl, xu), (yl, yu) = _extent(px, dx, t), _extent(py, dy, t)
+        all_levels, _, region, _ = self._level_data()
+        size = abs(dx) + abs(dy)
+        slack = _REJECT_SLACK * (region[4] + abs(px) + abs(py)
+                                 + (t * size if t < math.inf else 0))
+        if (xu < region[0] - slack or xl > region[1] + slack
+                or yu < region[2] - slack or yl > region[3] + slack):
+            return
+        base = float(self.base_x)
+        mag = 4 + max(abs(v) for v in (px, py, base, xl, xu, yl, yu) if v - v == 0)
+        slack = _REJECT_SLACK * mag
+        nx, ny = -dy, dx
+        nv = nx + 8 * ny
+        # n.v far from 0: the float normal bounds are well conditioned
+        spread = size / abs(nv) if abs(nv) > 1e-2 * size else None
+        fleg = (xl, xu, yl, yu, px, py, nx, ny, nv, spread, mag)
+        for line, (off, members) in enumerate(_LINES):
+            x0 = base + float(off)
+            c_lo = max(xl - x0, (yl - 1) / 8) - slack
+            c_hi = min(xu - x0, (yu - 1) / 8) + slack
+            if spread is None:
+                near, c0 = range(len(all_levels)), None
+            else:
+                # the leg's line crosses the centre line at c0
+                c0 = (nx * (px - x0) + ny * (py - 1)) / nv
+                c0_slack = _REJECT_SLACK * (1 + abs(c0) + spread * mag)
+                near = self._near(line, c0, spread, c0_slack)
+            for j in near:
+                lv = all_levels[j]
+                rho = lv.reach[line]
+                lo, hi = max(lv.flo, c_lo - rho), min(lv.fhi, c_hi + rho)
+                if c0 is not None:
+                    r = spread * rho + c0_slack
+                    lo, hi = max(lo, c0 - r), min(hi, c0 + r)
+                if lo > hi or lv.k not in levels:
+                    continue
+                for s, w in members:
+                    for blk in self._window_blocks(leg, lv, s, w, fleg):
+                        yield lv, s, w, blk
+
+    def _window_blocks(self, leg, lv, s, w, fleg):
+        """Blocks of (lv, s) whose wall w's box meets the leg."""
+        xl, xu, yl, yu, px, py, nx, ny, nv, spread, mag = fleg
+        if spread is None:
+            window = _exact_window(leg, lv.boxes[s][w], lv.lo, lv.hi)
+            return cantor_walk(lv.k, lv.digit_pos, s, window) if window else []
+        ax, ay, rx, ry = lv.fboxes[s][w]
+        m = nx * (ax - px) + ny * (ay - py)
+        reach = abs(nx) * rx + abs(ny) * ry
+        a, b = (-reach - m) / nv, (reach - m) / nv
+        lo = max(xl - rx - ax, (yl - ry - ay) / 8, min(a, b))
+        hi = min(xu + rx - ax, (yu + ry - ay) / 8, max(a, b))
+        err = _WINDOW_SLACK * (1 + spread) * mag
+        if lo - err > hi + err:
+            return []
+        # the exact window lies between these two float windows
+        outer = cantor_walk(lv.k, lv.digit_pos, s, (lo - err, hi + err))
+        if not outer:
+            return outer
+        inner = cantor_walk(lv.k, lv.digit_pos, s, (lo + err, hi - err))
+        if len(inner) == len(outer):
+            return outer
+        window = _exact_window(leg, lv.boxes[s][w], lv.lo, lv.hi) or (1, 0)
+        return [blk for blk in outer
+                if window[0] <= (blk.lo.as_fraction() + blk.hi.as_fraction()) / 2 <= window[1]]
+
+    def walls_in(self, leg, levels, memo=None):
+        walls = []
+        if leg is None:
+            for k in levels:
+                if not self.k_filter(k):
+                    continue
+                digit_pos = digit_position(k + self.cell_offset)
+                for s in (0, 1):
+                    for blk in cantor_blocks_at(k, digit_pos, s):
+                        pair = self._pair(k, digit_pos, blk, s, memo)
+                        walls += [pair.primary, pair.returning]
+            return walls
+        found = {}    # (k, s, block lo) -> [level, block, primary?, return?]
+        for lv, s, w, blk in self._blocks(leg, levels):
+            entry = found.setdefault((lv.k, s, blk.lo.as_fraction()),
+                                     [lv, blk, False, False])
+            entry[2 + w] = True
+        for key in sorted(found):
+            lv, blk, primary, returning = found[key]
+            pair = self._pair(lv.k, lv.digit_pos, blk, key[1], memo)
+            if primary:
+                walls.append(pair.primary)
+            if returning:
+                walls.append(pair.returning)
+        return walls
+
+
 def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
                        name="split", k_filter=None):
     """A separating wall family for head levels |k| <= K.
@@ -238,19 +530,6 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
         return Piece(lo, hi, T(1), TernaryRational.from_fraction(disp),
                      (wid + ":W", wid + ":Wt"), f"branch{s}")
 
-    def level_walls(k):
-        if not k_filter(k):
-            return []
-        digit_pos = digit_position(k + cell_offset)
-        walls = []
-        for s in (0, 1):
-            write_s = rewrite_rule(k, s)
-            for blk in cantor_blocks_at(k, digit_pos, s):
-                pair = _block_walls(name, k, digit_pos, _bits_int(blk.prefix) * 2 + s,
-                                    blk.lo, blk.hi, s, write_s, base_x)
-                walls += [pair.primary, pair.returning]
-        return walls
-
     def enumerate_pieces(levels):
         pieces = []
         for k in levels:
@@ -278,7 +557,8 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
         in_ports={"in": Port((base_x, F(0)), (F(1), F(0)), (F(0), F(1)), F(0), F(1))},
         out_ports=ports_out,
         transfer=transfer,
-        level_walls=level_walls,
+        level_walls=_BlockMirrors(name, K, k_filter, cell_offset, rewrite_rule,
+                                  base_x).walls_in,
     )
 
 
@@ -327,8 +607,10 @@ def build_merge_gadget(split, *, name=None, validate_levels=(-1, 0, 1)):
         return Piece(img_lo, img_hi, T(1), -piece.b,
                      tuple(reversed(piece.wall_ids)), piece.tag)
 
-    def level_walls(k):
-        return [w.mirrored_y(axis) for w in split.walls([k])]
+    def level_walls(leg, levels, memo=None):
+        if leg is not None:
+            leg = leg.mirrored_y(axis)
+        return [w.mirrored_y(axis) for w in split.walls_in(leg, levels, memo)]
 
     def enumerate_pieces(levels):
         out = []

@@ -11,8 +11,10 @@ checked against the exact transfer maps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 
 def F(x):
@@ -119,6 +121,11 @@ class MarkedSegment:
     def as_segment(self, lo=0, hi=1):
         return Segment(self.chart(lo), self.chart(hi), f"wall:{self.name}")
 
+    @cached_property
+    def wall(self):
+        """The segment a hard mark bounces on."""
+        return self.as_segment()
+
     def translated(self, dx, dy):
         return replace(self, origin=(self.origin[0] + dx, self.origin[1] + dy))
 
@@ -150,6 +157,68 @@ class Port:
         return replace(self, origin=(ox, 2 * axis - oy),
                        tangent=(self.tangent[0], -self.tangent[1]),
                        beam=(self.beam[0], -self.beam[1]))
+
+
+class Leg:
+    """One straight flight of a ray: origin + t * direction for
+    0 <= t <= t_max, or the whole ray when t_max is None.
+
+    Exact, like the walls it is queried against (``Gadget.walls_in``).
+    ``floats`` is (x, y, dx, dy, t_max) in floats, t_max inf for a whole
+    ray, each within a few units in the last place of its exact value
+    relative to the coordinates involved: the input of float pre-rejects.
+    A moved leg computes its exact values only when they are read.
+    """
+
+    __slots__ = ("floats", "_exact", "_derive")
+
+    def __init__(self, origin, direction, t_max=None, floats=None):
+        self._exact, self._derive = (origin, direction, t_max), None
+        if floats is None:
+            floats = (float(origin[0]), float(origin[1]),
+                      float(direction[0]), float(direction[1]),
+                      math.inf if t_max is None else float(t_max))
+        self.floats = floats
+
+    @classmethod
+    def _moved(cls, floats, derive):
+        leg = cls.__new__(cls)
+        leg.floats, leg._exact, leg._derive = floats, None, derive
+        return leg
+
+    def _values(self):
+        if self._exact is None:
+            self._exact = self._derive()
+        return self._exact
+
+    origin = property(lambda self: self._values()[0])
+    direction = property(lambda self: self._values()[1])
+    t_max = property(lambda self: self._values()[2])
+
+    def translated(self, dx, dy):
+        def derive():
+            (x, y), d, t_max = self._values()
+            return (x + dx, y + dy), d, t_max
+
+        x, y, fdx, fdy, t = self.floats
+        return Leg._moved((x + float(dx), y + float(dy), fdx, fdy, t), derive)
+
+    def mirrored_y(self, axis):
+        """Reflect across the horizontal line y = axis."""
+        def derive():
+            (x, y), (dx, dy), t_max = self._values()
+            return (x, 2 * axis - y), (dx, -dy), t_max
+
+        x, y, fdx, fdy, t = self.floats
+        return Leg._moved((x, 2 * float(axis) - y, fdx, -fdy, t), derive)
+
+    def extent(self, i):
+        """(lo, hi) of coordinate i along the leg; None where unbounded."""
+        o, d, t_max = self.origin[i], self.direction[i], self.t_max
+        if t_max is None:
+            return (o, None) if d > 0 else (None, o) if d < 0 else (o, o)
+        end = o + t_max * d
+        return (o, end) if d >= 0 else (end, o)
 
 
 def _orient(a, b, c):

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import mpmath
 
-from .encoding import decode, encode_state, head_of
-from .geometry import Port
+from .encoding import decode, encode_state
+from .geometry import Leg, Port
 from .machine import ComputationState, run_machine, step
 from .table import OutOfRange
 from .ternary import TernaryRational
@@ -164,6 +165,8 @@ class NumericResult:
     deviations: list               # per checkpoint crossing
     points: list                   # polyline of traced positions (floats)
     precision: int
+    walls_built: int = 0           # distinct walls materialized
+    max_candidates: int = 0        # largest wall list one bounce weighed
 
 
 def _mpf(x):
@@ -172,6 +175,13 @@ def _mpf(x):
 
 def _mpf_pt(p):
     return (_mpf(p[0]), _mpf(p[1]))
+
+
+def _exact(x):
+    """The Fraction an mpf stands for: mpf values are dyadic, so exactly."""
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -v if sign else v
 
 
 def _seg_intersect(data, origin, direction, t_min):
@@ -262,9 +272,28 @@ def _unit(v):
     return (v[0] / n, v[1] / n)
 
 
-def _nearest_hit(walls, pos, direction, t_eps, exclude_id=None):
-    """Two-pass nearest-intersection: a machine-float sweep shortlists
-    candidate walls, then full-precision intersection decides among them.
+#: _nearest_hit weighs at working precision every wall whose float hit
+#: lies within this fraction of (1 + the nearest float hit).
+_SHORTLIST = 1e-5
+
+
+def _float_hits(walls, fo, fd, exclude_id):
+    """(t, wall) of every wall the float ray (fo, fd) hits ahead of it."""
+    scale = max(abs(fd[0]), abs(fd[1]))
+    tf_min = 1e-12 / scale if scale else 0.0
+    for w in walls:
+        if exclude_id is not None and w.wall_id == exclude_id:
+            continue
+        t_f = w.intersect(fo, fd, tf_min, w.fdata, math.sqrt)
+        if t_f is not None:
+            yield t_f, w
+
+
+def _nearest_hit(rough, pos, direction, t_eps):
+    """Two-pass nearest-intersection over the candidate walls of one leg
+    (see _Walls.candidates): ``rough`` holds the machine-float hits
+    (t, wall) of those walls; the hits within the shortlist margin of the
+    nearest one are decided by full-precision intersection.
 
     The float pass cannot drop the true winner while wall features stay
     far coarser than a double.  Split blocks have length 3^-(3k+2)
@@ -273,24 +302,10 @@ def _nearest_hit(walls, pos, direction, t_eps, exclude_id=None):
     shortlist and are separated (or flagged) at working precision.
     Returns (t, wall, runner_up_t).
     """
-    fo = (float(pos[0]), float(pos[1]))
-    fd = (float(direction[0]), float(direction[1]))
-    scale = max(abs(fd[0]), abs(fd[1]))
-    tf_min = 1e-12 / scale if scale else 0.0
-    best_f = None
-    rough = []
-    for w in walls:
-        if exclude_id is not None and w.wall_id == exclude_id:
-            continue
-        t_f = w.intersect(fo, fd, tf_min, w.fdata, math.sqrt)
-        if t_f is None:
-            continue
-        rough.append((t_f, w))
-        if best_f is None or t_f < best_f:
-            best_f = t_f
-    if best_f is None:
+    if not rough:
         return None, None, None
-    margin = 1e-5 * (1.0 + best_f)
+    best_f = min(t_f for t_f, _ in rough)
+    margin = _SHORTLIST * (1.0 + best_f)
     best_t = second_t = None
     best_wall = None
     for t_f, w in rough:
@@ -304,6 +319,53 @@ def _nearest_hit(walls, pos, direction, t_eps, exclude_id=None):
         elif second_t is None or t < second_t:
             second_t = t
     return best_t, best_wall, second_t
+
+
+class _Walls:
+    """The walls one trace sees, for a BilliardTable or a Gadget: every
+    level with |k| <= K of a table, the given levels of a gadget.
+
+    Static walls (arcs, turn mirrors, the launch pad, hard checkpoints)
+    are converted once.  On each leg the float ray is cut just past the
+    nearest static wall ahead (kept whole when there is none), with twice
+    _nearest_hit's shortlist margin to spare, and ``walls_in`` returns the
+    walls that cut leg may meet.  Those are the walls _nearest_hit weighs,
+    and they are chosen by position alone, never by the ids a symbolic
+    run predicts.  Walls are converted on first sight and kept by id.
+    """
+
+    def __init__(self, source, levels):
+        self.source, self.levels = source, levels
+        self.memo = {}       # exact mirror pairs, for walls_in
+        self.numeric = {}    # wall id -> _NumericWall
+        self.static = [self._numeric(w) for w in source.walls_in(None, ())]
+        self.static_ids = set(self.numeric)
+        self.max_candidates = 0
+
+    def _numeric(self, wall):
+        nw = self.numeric.get(wall.wall_id)
+        if nw is None:
+            nw = self.numeric[wall.wall_id] = _NumericWall(wall)
+        return nw
+
+    def candidates(self, pos, direction, exclude_id):
+        """Float hits (t, wall) of the candidate walls of the leg from
+        ``pos`` along ``direction``, the wall ``exclude_id`` left out."""
+        fo = (float(pos[0]), float(pos[1]))
+        fd = (float(direction[0]), float(direction[1]))
+        hits = list(_float_hits(self.static, fo, fd, exclude_id))
+        t_max = None
+        if hits:
+            t_static = min(t for t, _ in hits)
+            t_max = Fraction(t_static + 2 * _SHORTLIST * (1.0 + t_static))
+        leg = Leg((_exact(pos[0]), _exact(pos[1])),
+                  (_exact(direction[0]), _exact(direction[1])), t_max,
+                  fo + fd + (math.inf if t_max is None else float(t_max),))
+        found = self.source.walls_in(leg, self.levels, self.memo)
+        level = [self._numeric(w) for w in found if w.wall_id not in self.static_ids]
+        self.max_candidates = max(self.max_candidates, len(self.static) + len(level))
+        hits += _float_hits(level, fo, fd, exclude_id)
+        return hits
 
 
 def _chart_line(chart):
@@ -324,7 +386,9 @@ def _chart_u(point, origin, tangent):
 
 def _trace(walls, pos, direction, charts, precision):
     """Specular ray trace from ``pos`` along ``direction``: the one core
-    behind run_numeric and GadgetTracer.
+    behind run_numeric and GadgetTracer.  ``walls`` is a _Walls; each leg
+    weighs only the walls its position query returns, so the cost of a
+    bounce does not grow with the number of head levels.
 
     Per leg, yields ``("cross", chart, point, u, direction)`` for every
     forward crossing of a chart line, in flight order, then
@@ -339,8 +403,8 @@ def _trace(walls, pos, direction, charts, precision):
     graze_tol = mpmath.mpf(10) ** (-12)
     last_id = None
     while True:
-        best_t, wall, second_t = _nearest_hit(walls, pos, direction, tie_tol,
-                                              exclude_id=last_id)
+        best_t, wall, second_t = _nearest_hit(
+            walls.candidates(pos, direction, last_id), pos, direction, tie_tol)
         if second_t is not None and second_t - best_t < tie_tol:
             raise TracingDegeneracy(
                 f"two walls within {tie_tol} of {wall.wall_id}: geometry bug")
@@ -372,18 +436,6 @@ def _trace(walls, pos, direction, charts, precision):
         last_id = wall.wall_id
 
 
-def _levels_reached(outcome, K):
-    ks = [0]
-    for ev in outcome.crossings:
-        if ev.value is not None:
-            k = head_of(ev.value)
-            if k is not None:
-                ks.append(k)
-    reach = max(abs(k) for k in ks) + 1
-    reach = min(reach, K)
-    return range(-reach, reach + 1)
-
-
 def run_numeric(table, tape, budget, precision=60):
     """Trace the trajectory by true specular reflection at ``precision``
     working digits and verify it replays the symbolic event stream.
@@ -400,7 +452,7 @@ def run_numeric(table, tape, budget, precision=60):
     expected = list(symbolic.trace)
 
     with mpmath.workdps(precision):
-        walls = [_NumericWall(w) for w in table.scene_walls(_levels_reached(symbolic, table.K))]
+        walls = _Walls(table, range(-table.K, table.K + 1))
         start_state = table.machine.initial
         pos = _mpf_pt(table.checkpoint_point(start_state, expected[0].value))
         direction = (mpmath.mpf(0), mpmath.mpf(1))
@@ -486,7 +538,8 @@ def run_numeric(table, tape, budget, precision=60):
         return NumericResult(outcome=symbolic, max_deviation=max_dev,
                              deviations=[float(d) for d in deviations],
                              points=[(float(x), float(y)) for x, y in points],
-                             precision=precision)
+                             precision=precision, walls_built=len(walls.numeric),
+                             max_candidates=walls.max_candidates)
 
 
 #: A gadget chains a handful of mirrors; more bounces means a trapped ray.
@@ -496,17 +549,18 @@ _GADGET_MAX_REFLECTIONS = 64
 class GadgetTracer:
     """Reusable ray tracer for one gadget at a fixed precision.
 
-    Wall data is converted to working-precision floats once; ``trace``
-    then launches from the in-port chart and returns the out-port
-    coordinate at the ray's first forward crossing of the out-port
-    window, with the same tie and grazing checks as run_numeric.
+    Walls of the given head levels are queried by position, as in
+    run_numeric, and converted once; ``trace`` then launches from the
+    in-port chart and returns the out-port coordinate at the ray's first
+    forward crossing of the out-port window, with the same tie and grazing
+    checks as run_numeric.
     """
 
     def __init__(self, gadget, precision=60, levels=()):
         self.gadget = gadget
         self.precision = precision
         with mpmath.workdps(precision):
-            self.walls = [_NumericWall(w) for w in gadget.walls(levels)]
+            self.walls = _Walls(gadget, levels)
 
     def trace(self, u_in, in_port="in", out_port="out"):
         """Returns (u_out, wall_ids) with u_out an mpmath float."""

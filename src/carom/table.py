@@ -27,6 +27,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import gadgets
@@ -86,8 +87,18 @@ class Placed:
     gadget: Gadget
     dy: Fraction
 
-    def walls(self, levels):
-        return [w.translated(0, self.dy) for w in self.gadget.walls(levels)]
+    @cached_property
+    def static_walls(self):
+        return tuple(w.translated(0, self.dy) for w in self.gadget.static_walls)
+
+    def walls_in(self, leg, levels, memo=None):
+        """``Gadget.walls_in`` in the global frame."""
+        ws = list(self.static_walls)
+        if self.gadget.level_walls is not None:
+            local = leg.translated(0, -self.dy) if leg is not None else None
+            ws += [w.translated(0, self.dy)
+                   for w in self.gadget.level_walls(local, levels, memo)]
+        return ws
 
 
 @dataclass
@@ -100,14 +111,14 @@ class Station:
     merge_shift: Optional[int] = None  # shared shift of the incoming edges
     premerge: Optional[Gadget] = None  # virtual split the merge mirrors
 
-    def walls(self, levels):
+    def walls_in(self, leg, levels, memo=None):
         ws = []
         if self.checkpoint.hard:
-            ws.append(self.checkpoint.as_segment())
+            ws.append(self.checkpoint.wall)
         if self.split:
-            ws += self.split.walls(levels)
+            ws += self.split.walls_in(leg, levels, memo)
         if self.merge:
-            ws += self.merge.walls(levels)
+            ws += self.merge.walls_in(leg, levels, memo)
         return ws
 
 
@@ -188,10 +199,10 @@ class Corridor:
             raise DomainError(f"inverse corridor {self.edge}: not in image")
         return x
 
-    def walls(self, levels):
-        ws = list(self.stage.walls(levels))
+    def walls_in(self, leg, levels, memo=None):
+        ws = self.stage.walls_in(leg, levels, memo)
         for t in self.turns:
-            ws += t.walls(levels)
+            ws += t.walls_in(leg, levels, memo)
         return ws
 
 
@@ -230,12 +241,16 @@ class BilliardTable:
         """All placed walls for the given head levels, in a stable order."""
         if levels is None:
             levels = range(-self.scene_levels, self.scene_levels + 1)
-        levels = list(levels)
-        ws = [self.initial_pad.as_segment()]
+        return self.walls_in(None, list(levels))
+
+    def walls_in(self, leg, levels, memo=None):
+        """``Gadget.walls_in`` over the whole scene, in scene_walls order:
+        the launch pad, the stations, then the corridors."""
+        ws = [self.initial_pad.wall]
         for q in self.machine.states:
-            ws += self.stations[q].walls(levels)
+            ws += self.stations[q].walls_in(leg, levels, memo)
         for key in sorted(self.corridors):
-            ws += self.corridors[key].walls(levels)
+            ws += self.corridors[key].walls_in(leg, levels, memo)
         return ws
 
     def marked_segments(self):

@@ -84,6 +84,17 @@ def test_run_both_modes(rev_move_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "halted"
     assert doc["max_deviation"] < 1e-30
+    # walls are built only where the ray goes: far fewer than the scene's
+    assert 0 < doc["max_candidates"] <= doc["walls_built"] < 100
+
+
+def test_run_numeric_json_at_default_K(rev_move_file, capsys):
+    assert main(["run", rev_move_file, "--tape", "@00001", "--mode", "numeric",
+                 "--json", "--budget", "50"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "halted" and doc["head"] == 5
+    assert doc["max_deviation"] < 1e-30
+    assert doc["walls_built"] > 0 and doc["max_candidates"] > 0
 
 
 def test_run_trace_file(rev_move_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -218,6 +219,23 @@ def test_numeric_fixture_sweep_monotone():
         assert devs[2] <= devs[1] <= devs[0], (name, devs)
 
 
+def test_numeric_reaches_the_default_K():
+    # walls are queried by position over all |k| <= 8, so a run whose head
+    # walks to level 8 is certified like a shallow one
+    table = compile_table(get_machine("rev-move"), 8)
+    for literal, head in (("@00001", 5), ("@00000001", 8)):
+        t0 = time.perf_counter()
+        res = run_numeric(table, parse_tape(literal), 100, precision=60)
+        print(f"  rev-move {literal} (head {head}): {time.perf_counter() - t0:.3f} s, "
+              f"{res.walls_built} walls built")
+        assert res.outcome.verdict == "halted"
+        assert res.outcome.final_head == head
+        assert res.max_deviation <= 1e-30
+        # only walls near the ray are built: level 8 alone holds 2^18
+        # mirrors per split gadget
+        assert res.walls_built < 100
+
+
 def test_numeric_gadget_shift():
     from carom.gadgets import build_shift_gadget
     import mpmath
@@ -261,12 +279,13 @@ def test_numeric_missing_split_mirror_exhausts_precision(monkeypatch, tmp_path):
     tape = parse_tape("{2:1}")
     dropped = next(ev.wall_id for ev in run_symbolic(table, tape, 10).trace
                    if ev.kind == "reflection" and ev.wall_id.startswith("split:"))
-    scene_walls = BilliardTable.scene_walls
+    walls_in = BilliardTable.walls_in
 
-    def without_mirror(self, levels=None):
-        return [w for w in scene_walls(self, levels) if w.wall_id != dropped]
+    def without_mirror(self, leg, levels, memo=None):
+        return [w for w in walls_in(self, leg, levels, memo) if w.wall_id != dropped]
 
-    monkeypatch.setattr(BilliardTable, "scene_walls", without_mirror)
+    # the tracer gets its walls only through this query
+    monkeypatch.setattr(BilliardTable, "walls_in", without_mirror)
     with pytest.raises(PrecisionExhausted):
         run_numeric(table, tape, 10, precision=60)
     path = tmp_path / "rev-move.tm"

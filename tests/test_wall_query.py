@@ -1,0 +1,151 @@
+"""Soundness of the positional wall query, ``walls_in(leg, levels)``.
+
+Every wall of the full wall list that a leg meets must come back from the
+query: checked exactly with ``segments_intersect`` for segments and
+against the bounding box for parabola arcs, on seeded vertical,
+horizontal and tilted legs and on every leg of real numeric traces.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from carom.gadgets import build_merge_gadget, build_split_gadget
+from carom.geometry import Leg, Segment, segments_intersect
+from carom.machine import parse_machine, parse_tape
+from carom.simulate import run_numeric
+from carom.table import compile_table
+
+LEVELS = range(-3, 4)
+RAY_LENGTH = 10_000   # beyond every scene here: a ray checked as a segment
+
+TOGGLER = parse_machine(
+    "states: A B H\ninitial: A\nhalting: H\n"
+    "A 0 -> B 1 R\nA 1 -> B 0 R\nB 0 -> H 0 R\nB 1 -> H 1 R\n", name="toggler")
+
+
+def _split():
+    # rewriting (tilted) walls on odd levels, plain ones on even levels
+    return build_split_gadget(3, rewrite_rule=lambda k, s: 1 - s if k % 2 else s)
+
+
+def _merge():
+    # the mirrored split classifying on the cell behind the head (eps=+1)
+    virtual = build_split_gadget(3, cell_offset=-1, name="premerge",
+                                 k_filter=lambda k: abs(k) <= 3 and abs(k - 1) <= 3)
+    return build_merge_gadget(virtual, name="merge")
+
+
+def _table():
+    return compile_table(TOGGLER, 3)
+
+
+def _full(source):
+    return source.scene_walls(LEVELS) if hasattr(source, "scene_walls") else source.walls(LEVELS)
+
+
+def _segment(leg):
+    length = RAY_LENGTH if leg.t_max is None else leg.t_max
+    (x, y), (dx, dy) = leg.origin, leg.direction
+    return Segment((x, y), (x + length * dx, y + length * dy), "leg")
+
+
+def _meets(seg, wall):
+    if wall.kind == "segment":
+        return segments_intersect(seg, wall)
+    x0, y0, x1, y1 = wall.bbox()
+    if any(x0 <= p[0] <= x1 and y0 <= p[1] <= y1 for p in (seg.p0, seg.p1)):
+        return True
+    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    return any(segments_intersect(seg, Segment(a, b, "edge"))
+               for a, b in zip(corners, corners[1:] + corners[:1]))
+
+
+def _float_box(box, pad=1e-9):
+    return tuple(float(v) + (pad if i >= 2 else -pad) for i, v in enumerate(box))
+
+
+def _missed(source, full, boxes, leg):
+    """Walls of ``full`` that the leg meets but the query left out."""
+    got = {w.wall_id for w in source.walls_in(leg, LEVELS)}
+    seg = _segment(leg)
+    sx0, sy0, sx1, sy1 = _float_box(seg.bbox())
+    missed = []
+    for wall, (x0, y0, x1, y1) in zip(full, boxes):
+        if x1 < sx0 or sx1 < x0 or y1 < sy0 or sy1 < y0:
+            continue  # float boxes apart, padded well past rounding
+        if wall.wall_id not in got and _meets(seg, wall):
+            missed.append(wall.wall_id)
+    return missed
+
+
+def _seeded_legs(full, rng, count):
+    """Legs aimed at points of random walls: vertical, horizontal and
+    tilted, finite or whole rays, starting up to five units away."""
+    q = lambda v: Fraction(v).limit_denominator(10 ** 9)
+    legs = []
+    for _ in range(count):
+        wall = rng.choice(full)
+        x0, y0, x1, y1 = wall.bbox()
+        a = q(rng.random())
+        target = (x0 + a * (x1 - x0), y0 + a * (y1 - y0))
+        kind = rng.choice("vht")
+        if kind == "v":
+            d = (Fraction(0), Fraction(rng.choice((1, -1))))
+        elif kind == "h":
+            d = (Fraction(rng.choice((1, -1))), Fraction(0))
+        else:
+            d = (q(rng.uniform(-1, 1)), q(rng.uniform(-1, 1)))
+        back = q(rng.uniform(0.01, 5))
+        origin = (target[0] - back * d[0], target[1] - back * d[1])
+        t_max = back * q(rng.uniform(0.5, 2)) if rng.random() < 0.7 else None
+        legs.append(Leg(origin, d, t_max))
+    return legs
+
+
+def _trace_legs(table, tapes):
+    """Every leg of the numeric traces of ``tapes``, between consecutive
+    traced points (floats, so exact dyadic Fractions)."""
+    legs = []
+    for literal in tapes:
+        points = run_numeric(table, parse_tape(literal), 30, precision=60).points
+        for a, b in zip(points, points[1:]):
+            a, b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+            legs.append(Leg(a, (b[0] - a[0], b[1] - a[1]), Fraction(1)))
+    return legs
+
+
+@pytest.mark.parametrize("build", [_split, _merge, _table], ids=["split", "merge", "table"])
+def test_query_returns_every_wall_the_leg_meets(build):
+    source = build()
+    full = _full(source)
+    boxes = [_float_box(w.bbox()) for w in full]
+    legs = _seeded_legs(full, random.Random(7), 150)
+    if build is _table:
+        legs += _trace_legs(source, ("@", "@1", "@01", "{-1:1}"))
+    order = {w.wall_id: i for i, w in enumerate(full)}
+    memo = {}
+    for leg in legs:
+        assert _missed(source, full, boxes, leg) == []
+        got = source.walls_in(leg, LEVELS)
+        # a subsequence of the full list, whatever memo it shares
+        ranks = [order[w.wall_id] for w in got]
+        assert ranks == sorted(ranks)
+        assert source.walls_in(leg, LEVELS, memo) == got
+
+
+@pytest.mark.parametrize("build", [_split, _merge, _table], ids=["split", "merge", "table"])
+def test_unbounded_query_lists_every_wall(build):
+    source = build()
+    assert source.walls_in(None, LEVELS) == _full(source)
+
+
+def test_query_is_narrow():
+    # a vertical beam through a split meets one block's primary mirror,
+    # whatever the level count: the window is O(block length) wide
+    split = build_split_gadget(8)
+    x = Fraction(7, 9) + Fraction(1, 3 ** 6)   # inside I_1
+    got = split.walls_in(Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11)),
+                         range(-8, 9))
+    assert [w.wall_id.endswith(":W") for w in got] == [True]
