@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .encoding import encode_state, k_max_cap
+from .encoding import digit_position, encode_state, k_max_cap
 from .gadgets import check_separation
 from .machine import MachineError, check_reversible, parse_machine, parse_tape, format_tape
 from .simulate import (
@@ -169,18 +169,22 @@ def cmd_verify(args, cfg):
 def cmd_audit(args, cfg):
     reports = check_separation(cfg.K)
     bad = [r for r in reports if not r.passed]
-    slacks = [r.min_slack for r in reports if r.min_slack is not None]
+    tightest = min((r for r in reports if r.min_slack is not None),
+                   key=lambda r: r.min_slack, default=None)
     payload = {
         "pairs": sum(r.pair_count for r in reports),
         "passed": not bad,
-        "min_slack": str(min(slacks)) if slacks else None,
+        "min_slack": tightest and str(tightest.min_slack),
+        # level k has 2**(digit_position(k) - 1) blocks of each symbol
+        "blocks": sum(2 ** digit_position(k) for k in range(-cfg.K, cfg.K + 1)),
+        "tightest": tightest and [tightest.k, tightest.k_other],
     }
     if bad:
         _emit(args, payload, f"separation FAILED for {len(bad)} level pairs")
         return NEGATIVE
     _emit(args, payload,
-          f"all separation inequalities hold; min slack {min(slacks)}"
-          if slacks else "no pairs to check")
+          f"all separation inequalities hold; min slack {tightest.min_slack}"
+          if tightest else "no pairs to check")
     return OK
 
 

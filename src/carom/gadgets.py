@@ -892,9 +892,13 @@ class SeparationReport:
     """Exact evaluation of the wall-clearance inequality between the block
     families of head levels k and k_other.
 
-    For deflect-left (read-0) walls a trajectory leaving the left endpoint
-    of a block's mirror must clear the right endpoint of every mirror to
-    its left: gap > half-length sum.  Read-1 walls mirror the inequality.
+    A block [lo, hi] of length h carries a mirror that must stay clear of
+    [a, b] = [lo - h/2, hi + h/2].  For two same-symbol blocks L and R with
+    lo_L < lo_R, gap > half-length sum reads slack = a_R - b_L > 0, for
+    either symbol.  Read-0 trajectories travel left, so symbol 0 files the
+    pair under k = R's level, k_other = L's; read-1 walls mirror that, with
+    k = L's level and k_other = R's.  ``pair_count`` counts the pairs and
+    ``min_slack`` is the smallest slack among them (None: no pairs).
     """
 
     k: int
@@ -904,54 +908,61 @@ class SeparationReport:
     passed: bool
 
 
-def separation_reports(blocks_by_level, *, symbol):
-    """All ordered same-family pairs across the given levels.
-
-    ``blocks_by_level`` maps k -> [(lo, hi)] as Fractions.  For symbol 0
-    the moving trajectory travels left, so each block is checked against
-    every block left of it; symbol 1 is the mirror image.
-    """
-    reports = []
-    levels = sorted(blocks_by_level)
-    for k in levels:
-        for k2 in levels:
-            slacks = []
-            for lo, hi in blocks_by_level[k]:
-                for lo2, hi2 in blocks_by_level[k2]:
-                    if symbol == 0:
-                        if lo <= lo2:
-                            continue
-                        gap = lo - hi2
-                    else:
-                        if lo >= lo2:
-                            continue
-                        gap = lo2 - hi
-                    slacks.append(gap - (hi - lo) / 2 - (hi2 - lo2) / 2)
-            m = min(slacks) if slacks else None
-            reports.append(SeparationReport(k, k2, len(slacks), m,
-                                            m is None or m > 0))
-    return reports
-
-
 def check_separation(K, *, perturb=None):
     """Exact clearance audit of all head-cell blocks with |k|, |k'| <= K.
+
+    One sweep per symbol over the blocks sorted by lo.  The slack a_R - b_L
+    of a pair is a term of R minus a term of L, so R's smallest slack
+    against level j is a_R minus the largest b of the level-j blocks left
+    of R: a running max of b per level makes the sweep exact, with
+    n * (2K + 1) comparisons after an O(n log n) sort.  Blocks with equal lo
+    are never paired, so each such group is scored before it is inserted.
+    Endpoints are scaled to integers over their common denominator.
 
     ``perturb`` optionally maps (k, symbol, index, lo, hi) to a replacement
     (lo, hi) pair; the mutation tests shift one wall sideways and expect a
     negative slack.
     """
+    if K < 0:
+        raise ValueError(f"separation K={K} is negative")
     if K > k_max_cap():
         raise KRangeExceeded(f"separation K={K} beyond cap {k_max_cap()}")
+    levels = range(-K, K + 1)
     out = []
     for symbol in (0, 1):
-        table = {}
-        for k in range(-K, K + 1):
-            blks = []
+        ends = []   # (lo, hi, level index) of every block
+        for k in levels:
             for i, blk in enumerate(cantor_blocks_at(k, digit_position(k), symbol)):
                 lo, hi = blk.lo.as_fraction(), blk.hi.as_fraction()
                 if perturb is not None:
                     lo, hi = perturb(k, symbol, i, lo, hi)
-                blks.append((lo, hi))
-            table[k] = blks
-        out.extend(separation_reports(table, symbol=symbol))
+                ends.append((lo, hi, k + K))
+        den = math.lcm(*{x.denominator for lo, hi, _ in ends for x in (lo, hi)})
+        # per block: lo, 2a and 2b, all times den
+        rows = []
+        for lo, hi, j in ends:
+            lo = lo.numerator * (den // lo.denominator)
+            hi = hi.numerator * (den // hi.denominator)
+            rows.append((lo, 3 * lo - hi, 3 * hi - lo, j))
+        rows.sort()
+        count, max_b = [0] * len(levels), [0] * len(levels)
+        pairs = [[0] * len(levels) for _ in levels]       # [R's level][L's level]
+        least = [[math.inf] * len(levels) for _ in levels]
+        for _, group in itertools.groupby(rows, key=lambda row: row[0]):
+            group = list(group)
+            for _, a, _, r in group:
+                p, m = pairs[r], least[r]
+                for j, c in enumerate(count):
+                    if c:
+                        p[j] += c
+                        m[j] = min(m[j], a - max_b[j])
+            for _, _, b, j in group:
+                max_b[j] = max(max_b[j], b) if count[j] else b
+                count[j] += 1
+        for k in levels:
+            for k2 in levels:
+                r, l = (k + K, k2 + K) if symbol == 0 else (k2 + K, k + K)
+                m = Fraction(least[r][l], 2 * den) if pairs[r][l] else None
+                out.append(SeparationReport(k, k2, pairs[r][l], m,
+                                            m is None or m > 0))
     return out

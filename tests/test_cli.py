@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -113,11 +114,22 @@ def test_verify_cli(rev_move_file, capsys):
     assert doc["passed"] and doc["tapes"] == 8
 
 
-def test_audit_cli(capsys):
-    assert main(["audit", "--K", "3", "--json"]) == 0
+def check_audit_json(K, pairs, blocks, capsys):
+    assert main(["audit", "--K", str(K), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"]
-    assert doc["pairs"] > 0
+    assert doc["pairs"] == pairs
+    assert doc["min_slack"] == str(Fraction(4, 3 ** (3 * K + 2)))
+    assert doc["blocks"] == blocks
+    assert doc["tightest"] == [K, K]   # the deepest level's blocks sit closest
+
+
+def test_audit_cli(capsys):
+    check_audit_json(3, 16_002, 254, capsys)
+
+
+def test_audit_cli_K6(capsys):
+    check_audit_json(6, 67_084_290, 16_382, capsys)
 
 
 def test_svg_cli(rev_move_file, tmp_path, capsys):

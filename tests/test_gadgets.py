@@ -1,9 +1,13 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from carom.encoding import (
     cantor_blocks,
+    cantor_blocks_at,
+    digit_position,
     encode_state,
     read_digit,
     rewrite_point,
@@ -11,6 +15,7 @@ from carom.encoding import (
 )
 from carom.gadgets import (
     DomainError,
+    SeparationReport,
     build_merge_gadget,
     build_shift_gadget,
     build_shift_stage,
@@ -322,3 +327,107 @@ def test_separation_mutation_fails():
     reports = check_separation(1, perturb=perturb)
     assert any(not r.passed for r in reports)
     assert any(r.min_slack is not None and r.min_slack < 0 for r in reports)
+
+
+def test_separation_negative_K_rejected():
+    # an empty report list would read as "all inequalities hold"
+    with pytest.raises(ValueError, match="negative"):
+        check_separation(-1)
+
+
+def separation_reports(blocks_by_level, *, symbol):
+    """All ordered same-family pairs across the given levels.
+
+    ``blocks_by_level`` maps k -> [(lo, hi)] as Fractions.  For symbol 0
+    the moving trajectory travels left, so each block is checked against
+    every block left of it; symbol 1 is the mirror image.
+    """
+    reports = []
+    levels = sorted(blocks_by_level)
+    for k in levels:
+        for k2 in levels:
+            slacks = []
+            for lo, hi in blocks_by_level[k]:
+                for lo2, hi2 in blocks_by_level[k2]:
+                    if symbol == 0:
+                        if lo <= lo2:
+                            continue
+                        gap = lo - hi2
+                    else:
+                        if lo >= lo2:
+                            continue
+                        gap = lo2 - hi
+                    slacks.append(gap - (hi - lo) / 2 - (hi2 - lo2) / 2)
+            m = min(slacks) if slacks else None
+            reports.append(SeparationReport(k, k2, len(slacks), m,
+                                            m is None or m > 0))
+    return reports
+
+
+def reference_blocks(K, perturb, symbol):
+    """k -> [(lo, hi)] for |k| <= K, as check_separation audits them."""
+    table = {}
+    for k in range(-K, K + 1):
+        blks = []
+        for i, blk in enumerate(cantor_blocks_at(k, digit_position(k), symbol)):
+            lo, hi = blk.lo.as_fraction(), blk.hi.as_fraction()
+            if perturb is not None:
+                lo, hi = perturb(k, symbol, i, lo, hi)
+            blks.append((lo, hi))
+        table[k] = blks
+    return table
+
+
+def reference_separation(K, perturb=None):
+    """check_separation by comparing every same-symbol pair: O(n**2)."""
+    out = []
+    for symbol in (0, 1):
+        out.extend(separation_reports(reference_blocks(K, perturb, symbol),
+                                      symbol=symbol))
+    return out
+
+
+def shift_k0_read0_left(k, symbol, index, lo, hi):
+    if k == 0 and symbol == 0:
+        return lo - Fraction(1, 3), hi - Fraction(1, 3)
+    return lo, hi
+
+
+def scramble(k, symbol, index, lo, hi):
+    """Seeded per block: snaps some blocks to a 1/3 grid, so equal lo values
+    occur within and across levels, and stretches some so they overlap."""
+    rng = random.Random(f"scramble:{k}:{symbol}:{index}")
+    h = hi - lo
+    if rng.random() < 0.3:
+        lo = Fraction(math.floor(lo * 3), 3)
+    return lo, lo + h * rng.choice((1, 1, 5, 40))
+
+
+def test_scramble_makes_ties_across_levels_and_overlaps():
+    for symbol in (0, 1):
+        table = reference_blocks(3, scramble, symbol)
+        levels_at = {}
+        for k, blks in table.items():
+            for lo, _ in blks:
+                levels_at.setdefault(lo, set()).add(k)
+        assert any(len(ks) > 1 for ks in levels_at.values())
+    reports = check_separation(3, perturb=scramble)
+    assert any(r.min_slack is not None and r.min_slack < 0 for r in reports)
+    assert any(r.passed and r.pair_count for r in reports)
+
+
+@pytest.mark.parametrize("perturb", [None, shift_k0_read0_left, scramble],
+                         ids=["exact", "shift", "scramble"])
+@pytest.mark.parametrize("K", range(5))
+def test_separation_sweep_matches_all_pairs(K, perturb):
+    assert check_separation(K, perturb=perturb) == reference_separation(K, perturb)
+
+
+@pytest.mark.parametrize("K, pairs", [
+    (1, 42), (2, 930), (3, 16_002), (4, 260_610), (5, 4_188_162), (6, 67_084_290)])
+def test_separation_closed_form(K, pairs):
+    reports = check_separation(K)
+    assert all(r.passed for r in reports)
+    assert sum(r.pair_count for r in reports) == pairs
+    slacks = [r.min_slack for r in reports if r.min_slack is not None]
+    assert min(slacks) == Fraction(4, 3 ** (3 * K + 2))
