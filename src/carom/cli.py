@@ -269,6 +269,9 @@ def main(argv=None):
     try:
         cfg = Config(K=args.K, budget=args.budget,
                      precision=args.precision).validate()
+        for flag in ("support", "levels"):     # counts of verify / svg
+            if getattr(args, flag, 0) < 0:
+                raise ValueError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR

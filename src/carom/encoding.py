@@ -233,15 +233,16 @@ class CantorBlock:
     underlying tape value is constant.
 
     ``digit_pos`` is the 1-based digit index of x_t being pinned and
-    ``symbol`` its tape value (digit 2*symbol).  ``prefix`` lists the free
-    digits (as bits) before the pinned one.  Classifying on the head cell
-    uses digit_pos = digit_position(k); merge walls classify on the cell
-    behind the head.
+    ``symbol`` its tape value (digit 2*symbol).  ``bits`` holds the free
+    digits before the pinned one as the bits of an integer, first digit
+    most significant; ``prefix`` lists them as a tuple.  Classifying on the
+    head cell uses digit_pos = digit_position(k); merge walls classify on
+    the cell behind the head.
     """
 
     k: int
     digit_pos: int
-    prefix: tuple
+    bits: int
     symbol: int
     lo: TernaryRational
     hi: TernaryRational
@@ -252,6 +253,16 @@ class CantorBlock:
     @property
     def length(self):
         return self.hi - self.lo
+
+    @property
+    def prefix(self):
+        n = self.digit_pos - 1
+        return tuple(self.bits >> (n - 1 - i) & 1 for i in range(n))
+
+    @property
+    def centre(self):
+        """The exact centre, a Fraction."""
+        return (self.lo + self.hi).as_fraction() / 2
 
 
 def cantor_walk(k, digit_pos, symbol, window=None, k_max=None):
@@ -287,25 +298,18 @@ def cantor_walk(k, digit_pos, symbol, window=None, k_max=None):
                 // (2 * w_hi.denominator))
         lo = max(lo, -((2 * symbol - b_lo) // 3))
         hi = min(hi, (b_hi - 2 * symbol) // 3)
-    blocks = []
-
-    def descend(r, value, bits):
-        # value: the free digits chosen so far; r digits are left to choose
+    # (free digits chosen so far, their bits), refined one digit at a time;
+    # a prefix is dropped once every block under it misses [lo, hi]
+    found = [(0, 0)] if lo <= hi else []
+    for r in range(n_free - 1, -1, -1):
         span = pow3[r]
-        if value * span > hi or (value + 1) * span - 1 < lo:
-            return
-        if r:
-            descend(r - 1, 3 * value, 2 * bits)
-            descend(r - 1, 3 * value + 2, 2 * bits + 1)
-            return
-        prefix = tuple(bits >> (n_free - 1 - i) & 1 for i in range(n_free))
-        base = 3 * value + 2 * symbol + shift
-        blocks.append(CantorBlock(k, digit_pos, prefix, symbol,
-                                  T(base, exp), T(base + 1, exp)))
-
-    if lo <= hi:
-        descend(n_free, 0, 0)
-    return blocks
+        found = [(v, 2 * bits + bit) for value, bits in found
+                 for v, bit in ((3 * value, 0), (3 * value + 2, 1))
+                 if v * span <= hi and (v + 1) * span > lo]
+    base = 2 * symbol + shift
+    return [CantorBlock(k, digit_pos, bits, symbol, TernaryRational(3 * value + base, exp),
+                        TernaryRational(3 * value + base + 1, exp))
+            for value, bits in found]
 
 
 def cantor_blocks_at(k, digit_pos, symbol, k_max=None):

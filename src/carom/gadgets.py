@@ -128,7 +128,7 @@ class Gadget:
     out_ports: dict
     transfer: PiecewiseTransfer
     static_walls: tuple = ()
-    level_walls: Optional[Callable] = None  # (leg, levels, memo) -> [walls]
+    level_walls: Optional[Callable] = None  # (leg, levels, memo, frame) -> [walls]
 
     def walls_in(self, leg, levels, memo=None):
         """The static walls, then every wall of the given head levels that
@@ -137,11 +137,11 @@ class Gadget:
 
         Sound, not tight: no wall the leg meets is left out, and a level
         wall is returned only if the leg meets its bounding box.  ``memo``
-        (a dict) keeps built mirror pairs by id across calls.
+        (a dict) keeps built mirror pairs by id and frame across calls.
         """
         ws = list(self.static_walls)
         if self.level_walls is not None:
-            ws += self.level_walls(leg, levels, memo)
+            ws += self.level_walls(leg, levels, memo, (F(0), 1))
         return ws
 
     def walls(self, levels=()):
@@ -171,16 +171,9 @@ def _band_center(lo, hi):
     return _H_MID + _BAND_GAIN * (c - F(1, 2))
 
 
-class _BlockWalls(NamedTuple):
-    primary: Segment
-    returning: Segment
-    slope: Fraction
-    displacement: TernaryRational
-
-
-def _block_wall_params(k, lo, hi, read_s, write_s):
-    """Mirror pair realizing u -> u + sigma + rewrite displacement over a
-    block, as exact wall geometry in gadget-local coordinates."""
+def _block_wall_params(k, read_s, write_s):
+    """Slope and displacement of the mirror pairs realizing u -> u + sigma
+    + rewrite displacement over the (k, read_s) blocks."""
     u_k = rewrite_scale(k)
     disp = SIGMA[read_s] + (2 * (write_s - read_s) * u_k).as_fraction()
     if write_s == read_s:
@@ -192,7 +185,10 @@ def _block_wall_params(k, lo, hi, read_s, write_s):
 
 
 def _block_walls(name, k, digit_pos, prefix_int, lo, hi, read_s, write_s, base_x):
-    slope, disp = _block_wall_params(k, lo, hi, read_s, write_s)
+    """The (primary, return) mirror pair over the block [lo, hi], as exact
+    wall geometry in gadget-local coordinates: the explicit formula, which
+    builds each level's template (``_mirror_template``)."""
+    slope, disp = _block_wall_params(k, read_s, write_s)
     lo_f, hi_f = lo.as_fraction(), hi.as_fraction()
     h = hi_f - lo_f
     pad = h / 3
@@ -218,30 +214,40 @@ def _block_walls(name, k, digit_pos, prefix_int, lo, hi, read_s, write_s, base_x
         (base_x + lo_f + disp - pad, return_y(base_x + lo_f + disp - pad)),
         (base_x + hi_f + disp + pad, return_y(base_x + hi_f + disp + pad)),
         wid + ":Wt")
-    return _BlockWalls(primary, returning, slope, disp)
+    return primary, returning
 
 
-# one entry per (k, digit_pos, read_s, write_s) with |k| <= K_max: bounded
+# one entry per (k, digit_pos, read_s, write_s, sy) with |k| <= K_max: bounded
 @functools.lru_cache(maxsize=None)
-def _mirror_boxes(k, digit_pos, read_s, write_s):
-    """Bounding boxes of the mirror pair over every (k, digit_pos, read_s)
-    block, at base_x = 0.
+def _mirror_template(k, digit_pos, read_s, write_s, sy):
+    """The mirror pair of every (k, digit_pos, read_s) block, up to a
+    translation: ((p0, p1) of the primary, (p0, p1) of the return mirror),
+    exact, with y scaled by sy (+1 or -1).
 
     In _block_walls a pair depends on its block only through the centre c:
     its x range follows c and its band sits at height 8c + 1.  So the pair
-    over centre c is the pair over any other centre c' translated by
-    (c - c') * (1, 8), and each of its walls lies in the box
-    (ax + c +- rx, ay + 8c +- ry).  Returns ((ax, ay, rx, ry) of the
-    primary, the same for the return mirror), exact.
+    over centre c is the pair over any other centre translated by a
+    multiple of (1, 8).  The template is the pair over the first block
+    moved to centre 0 at base_x = 0; placed at y -> oy + sy*y, the pair
+    over centre c is the template plus (base_x + c, oy + 8c*sy).
     """
     base = T(2 * read_s, digit_pos)
     lo, hi = tau(k, base), tau(k, base + T(1, digit_pos))
     c = (lo.as_fraction() + hi.as_fraction()) / 2
-    pair = _block_walls("", k, digit_pos, 0, lo, hi, read_s, write_s, F(0))
-    return tuple(((w.p0[0] + w.p1[0]) / 2 - c,
-                  (w.p0[1] + w.p1[1]) / 2 - _BAND_GAIN * c,
-                  abs(w.p1[0] - w.p0[0]) / 2, abs(w.p1[1] - w.p0[1]) / 2)
-                 for w in (pair.primary, pair.returning))
+    return tuple(tuple((x - c, sy * (y - _BAND_GAIN * c)) for x, y in (w.p0, w.p1))
+                 for w in _block_walls("", k, digit_pos, 0, lo, hi, read_s, write_s, F(0)))
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_boxes(k, digit_pos, read_s, write_s):
+    """Bounding boxes of the mirror pair over every (k, digit_pos, read_s)
+    block, at base_x = 0: the template's, so the walls over centre c lie in
+    the boxes (ax + c +- rx, ay + 8c +- ry).  Returns ((ax, ay, rx, ry) of
+    the primary, the same for the return mirror), exact.
+    """
+    return tuple(((p0[0] + p1[0]) / 2, (p0[1] + p1[1]) / 2,
+                  abs(p1[0] - p0[0]) / 2, abs(p1[1] - p0[1]) / 2)
+                 for p0, p1 in _mirror_template(k, digit_pos, read_s, write_s, 1))
 
 
 class _MirrorLevel(NamedTuple):
@@ -306,18 +312,23 @@ def _exact_window(leg, box, lo, hi):
 
 class _BlockMirrors:
     """The mirror pairs of a split gadget, one per Cantor block, found by
-    position.
+    position and built in the frame they are placed in.
 
-    A level's pairs are one pair translated by c * (1, 8) for the block
-    centres c (``_mirror_boxes``), so "the leg meets a wall's box" is a
-    linear condition on c: a window of centres O(h) wide for blocks of
-    length h.  A float pre-reject finds the one or two levels whose hull
-    I_k the window meets.  For those, ``cantor_walk`` lists the blocks of
-    the float window widened by its error bound, and each block is kept
+    A level's pairs are one template pair translated by c * (1, 8) for the
+    block centres c (``_mirror_template``), so a pair costs a few exact
+    additions, and "the leg meets a wall's box" is a linear condition on
+    c: a window of centres O(h) wide for blocks of length h.  A float
+    pre-reject finds the one or two levels whose hull I_k the window
+    meets.  For those, ``cantor_walk`` lists the blocks of the float
+    window widened by its error bound, and each block is kept
     when the float window shrunk by that bound holds its centre, or else
     when the exact window does: the blocks kept are exactly those whose
     centres lie in the exact window.  Level data is built on the first
     positional query, never by the compiler.
+
+    ``walls_in`` takes a frame (oy, sy), the placement y -> oy + sy*y of
+    the gadget's local frame (sy = -1 for a merge's mirror image), and
+    returns the walls there; the leg is given in that frame too.
     """
 
     def __init__(self, name, K, k_filter, cell_offset, rewrite_rule, base_x):
@@ -325,13 +336,18 @@ class _BlockMirrors:
         self.cell_offset, self.rewrite_rule, self.base_x = cell_offset, rewrite_rule, base_x
         self._levels = None
 
-    def _pair(self, k, digit_pos, blk, s, memo):
-        prefix_int = _bits_int(blk.prefix) * 2 + s
-        key = (self.name, k, s, prefix_int)
+    def _pair(self, k, digit_pos, blk, frame, memo):
+        """The (primary, return) pair over ``blk``, placed by ``frame``."""
+        s = blk.symbol
+        key = (self.name, frame, k, s, blk.bits)
         pair = memo.get(key) if memo is not None else None
         if pair is None:
-            pair = _block_walls(self.name, k, digit_pos, prefix_int, blk.lo, blk.hi,
-                                s, self.rewrite_rule(k, s), self.base_x)
+            (oy, sy), c = frame, blk.centre
+            dx, dy = self.base_x + c, oy + sy * _BAND_GAIN * c
+            wid = f"{self.name}:k{k}:d{digit_pos}:s{s}:b{blk.bits * 2 + s}"
+            template = _mirror_template(k, digit_pos, s, self.rewrite_rule(k, s), sy)
+            pair = tuple(Segment((p0[0] + dx, p0[1] + dy), (p1[0] + dx, p1[1] + dy), wid + tag)
+                         for (p0, p1), tag in zip(template, (":W", ":Wt")))
             if memo is not None:
                 memo[key] = pair
         return pair
@@ -461,10 +477,9 @@ class _BlockMirrors:
         if len(inner) == len(outer):
             return outer
         window = _exact_window(leg, lv.boxes[s][w], lv.lo, lv.hi) or (1, 0)
-        return [blk for blk in outer
-                if window[0] <= (blk.lo.as_fraction() + blk.hi.as_fraction()) / 2 <= window[1]]
+        return [blk for blk in outer if window[0] <= blk.centre <= window[1]]
 
-    def walls_in(self, leg, levels, memo=None):
+    def walls_in(self, leg, levels, memo, frame):
         walls = []
         if leg is None:
             for k in levels:
@@ -473,21 +488,19 @@ class _BlockMirrors:
                 digit_pos = digit_position(k + self.cell_offset)
                 for s in (0, 1):
                     for blk in cantor_blocks_at(k, digit_pos, s):
-                        pair = self._pair(k, digit_pos, blk, s, memo)
-                        walls += [pair.primary, pair.returning]
+                        walls += self._pair(k, digit_pos, blk, frame, memo)
             return walls
-        found = {}    # (k, s, block lo) -> [level, block, primary?, return?]
+        oy, sy = frame
+        if oy or sy < 0:    # the leg in the local frame
+            leg = leg.translated(0, -oy) if sy > 0 else leg.mirrored_y(oy / 2)
+        found = {}    # (k, s, block bits) -> [level, block, primary?, return?]
         for lv, s, w, blk in self._blocks(leg, levels):
-            entry = found.setdefault((lv.k, s, blk.lo.as_fraction()),
-                                     [lv, blk, False, False])
+            entry = found.setdefault((lv.k, s, blk.bits), [lv, blk, False, False])
             entry[2 + w] = True
         for key in sorted(found):
-            lv, blk, primary, returning = found[key]
-            pair = self._pair(lv.k, lv.digit_pos, blk, key[1], memo)
-            if primary:
-                walls.append(pair.primary)
-            if returning:
-                walls.append(pair.returning)
+            lv, blk, *kept = found[key]
+            pair = self._pair(lv.k, lv.digit_pos, blk, frame, memo)
+            walls += [wall for wall, keep in zip(pair, kept) if keep]
         return walls
 
 
@@ -523,8 +536,7 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
             lo, hi, s = block_of(v, k, digit_pos)
         except NotACode as err:
             raise DomainError(f"{name}: {err}") from err
-        write_s = rewrite_rule(k, s)
-        slope, disp = _block_wall_params(k, lo, hi, s, write_s)
+        _, disp = _block_wall_params(k, s, rewrite_rule(k, s))
         prefix_int = _prefix_int(v, k, digit_pos)
         wid = f"{name}:k{k}:d{digit_pos}:s{s}:b{prefix_int}"
         return Piece(lo, hi, T(1), TernaryRational.from_fraction(disp),
@@ -537,13 +549,11 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
                 continue
             digit_pos = digit_position(k + cell_offset)
             for s in (0, 1):
-                write_s = rewrite_rule(k, s)
+                _, disp = _block_wall_params(k, s, rewrite_rule(k, s))
+                b = TernaryRational.from_fraction(disp)
                 for blk in cantor_blocks_at(k, digit_pos, s):
-                    _, disp = _block_wall_params(k, blk.lo, blk.hi, s, write_s)
-                    prefix_int = _bits_int(blk.prefix) * 2 + s
-                    wid = f"{name}:k{k}:d{digit_pos}:s{s}:b{prefix_int}"
-                    pieces.append(Piece(blk.lo, blk.hi, T(1),
-                                        TernaryRational.from_fraction(disp),
+                    wid = f"{name}:k{k}:d{digit_pos}:s{s}:b{blk.bits * 2 + s}"
+                    pieces.append(Piece(blk.lo, blk.hi, T(1), b,
                                         (wid + ":W", wid + ":Wt"), f"branch{s}"))
         return pieces
 
@@ -560,13 +570,6 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
         level_walls=_BlockMirrors(name, K, k_filter, cell_offset, rewrite_rule,
                                   base_x).walls_in,
     )
-
-
-def _bits_int(bits):
-    v = 0
-    for b in bits:
-        v = v * 2 + b
-    return v
 
 
 def _prefix_int(v, k, digit_pos):
@@ -607,10 +610,10 @@ def build_merge_gadget(split, *, name=None, validate_levels=(-1, 0, 1)):
         return Piece(img_lo, img_hi, T(1), -piece.b,
                      tuple(reversed(piece.wall_ids)), piece.tag)
 
-    def level_walls(leg, levels, memo=None):
-        if leg is not None:
-            leg = leg.mirrored_y(axis)
-        return [w.mirrored_y(axis) for w in split.walls_in(leg, levels, memo)]
+    def level_walls(leg, levels, memo, frame):
+        # the split's walls mirrored across y = axis, then placed by frame
+        oy, sy = frame
+        return split.level_walls(leg, levels, memo, (oy + 2 * axis * sy, -sy))
 
     def enumerate_pieces(levels):
         out = []
@@ -917,7 +920,8 @@ def check_separation(K, *, perturb=None):
     of R: a running max of b per level makes the sweep exact, with
     n * (2K + 1) comparisons after an O(n log n) sort.  Blocks with equal lo
     are never paired, so each such group is scored before it is inserted.
-    Endpoints are scaled to integers over their common denominator.
+    Endpoints are scaled to integers over their common denominator, a
+    power of three unless ``perturb`` says otherwise.
 
     ``perturb`` optionally maps (k, symbol, index, lo, hi) to a replacement
     (lo, hi) pair; the mutation tests shift one wall sideways and expect a
@@ -930,19 +934,19 @@ def check_separation(K, *, perturb=None):
     levels = range(-K, K + 1)
     out = []
     for symbol in (0, 1):
-        ends = []   # (lo, hi, level index) of every block
+        ends = []   # (lo, hi, level index), each end a (numerator, denominator)
         for k in levels:
             for i, blk in enumerate(cantor_blocks_at(k, digit_position(k), symbol)):
-                lo, hi = blk.lo.as_fraction(), blk.hi.as_fraction()
+                lo, hi = (blk.lo.num, 3 ** blk.lo.exp), (blk.hi.num, 3 ** blk.hi.exp)
                 if perturb is not None:
-                    lo, hi = perturb(k, symbol, i, lo, hi)
+                    lo, hi = ((f.numerator, f.denominator) for f in perturb(
+                        k, symbol, i, blk.lo.as_fraction(), blk.hi.as_fraction()))
                 ends.append((lo, hi, k + K))
-        den = math.lcm(*{x.denominator for lo, hi, _ in ends for x in (lo, hi)})
+        den = math.lcm(*{d for lo, hi, _ in ends for _, d in (lo, hi)})
         # per block: lo, 2a and 2b, all times den
         rows = []
-        for lo, hi, j in ends:
-            lo = lo.numerator * (den // lo.denominator)
-            hi = hi.numerator * (den // hi.denominator)
+        for (lo, lo_den), (hi, hi_den), j in ends:
+            lo, hi = lo * (den // lo_den), hi * (den // hi_den)
             rows.append((lo, 3 * lo - hi, 3 * hi - lo, j))
         rows.sort()
         count, max_b = [0] * len(levels), [0] * len(levels)

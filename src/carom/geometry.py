@@ -41,17 +41,16 @@ class Segment:
         return "segment"
 
     def bbox(self):
-        (x0, y0), (x1, y1) = self.p0, self.p1
-        return (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+        # kept on the wall: verify_layout asks for both boxes of every pair
+        box = self.__dict__.get("_box")
+        if box is None:
+            (x0, y0), (x1, y1) = self.p0, self.p1
+            box = self.__dict__["_box"] = (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+        return box
 
     def translated(self, dx, dy):
         return Segment((self.p0[0] + dx, self.p0[1] + dy),
                        (self.p1[0] + dx, self.p1[1] + dy), self.wall_id)
-
-    def mirrored_y(self, axis):
-        """Reflect across the horizontal line y = axis."""
-        return Segment((self.p0[0], 2 * axis - self.p0[1]),
-                       (self.p1[0], 2 * axis - self.p1[1]), self.wall_id)
 
 
 @dataclass(frozen=True)
@@ -86,17 +85,17 @@ class ParabolaArc:
         return self.apex_y + self.sign * (x - self.axis_x) ** 2 / (4 * self.p)
 
     def bbox(self):
-        ys = [self.y_at(self.x_lo), self.y_at(self.x_hi)]
-        if self.x_lo < self.axis_x < self.x_hi:
-            ys.append(self.apex_y)
-        return (self.x_lo, min(ys), self.x_hi, max(ys))
+        box = self.__dict__.get("_box")
+        if box is None:
+            ys = [self.y_at(self.x_lo), self.y_at(self.x_hi)]
+            if self.x_lo < self.axis_x < self.x_hi:
+                ys.append(self.apex_y)
+            box = self.__dict__["_box"] = (self.x_lo, min(ys), self.x_hi, max(ys))
+        return box
 
     def translated(self, dx, dy):
         return replace(self, axis_x=self.axis_x + dx, apex_y=self.apex_y + dy,
                        x_lo=self.x_lo + dx, x_hi=self.x_hi + dx)
-
-    def mirrored_y(self, axis):
-        return replace(self, apex_y=2 * axis - self.apex_y, sign=-self.sign)
 
 
 @dataclass(frozen=True)

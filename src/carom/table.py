@@ -92,12 +92,12 @@ class Placed:
         return tuple(w.translated(0, self.dy) for w in self.gadget.static_walls)
 
     def walls_in(self, leg, levels, memo=None):
-        """``Gadget.walls_in`` in the global frame."""
+        """``Gadget.walls_in`` in the global frame, for a leg in that frame.
+        Level walls are built there directly: the gadget gets the placement
+        y -> dy + y as its frame (dy, 1) and adds it to each template offset."""
         ws = list(self.static_walls)
         if self.gadget.level_walls is not None:
-            local = leg.translated(0, -self.dy) if leg is not None else None
-            ws += [w.translated(0, self.dy)
-                   for w in self.gadget.level_walls(local, levels, memo)]
+            ws += self.gadget.level_walls(leg, levels, memo, (self.dy, 1))
         return ws
 
 

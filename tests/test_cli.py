@@ -140,6 +140,15 @@ def test_svg_cli(rev_move_file, tmp_path, capsys):
     assert root.tag.endswith("svg")
 
 
+def test_negative_counts_rejected(rev_move_file, tmp_path, capsys):
+    assert main(["verify", rev_move_file, "--K", "2", "--support", "-3"]) == 2
+    assert "--support" in capsys.readouterr().err
+    out = tmp_path / "table.svg"
+    assert main(["svg", rev_move_file, "--K", "2", "--levels", "-2", "-o", str(out)]) == 2
+    assert "--levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_rejected(rev_move_file):
     assert main(["run", rev_move_file, "--K", "0", "--tape", "@"]) == 2
     assert main(["run", rev_move_file, "--precision", "10", "--tape", "@"]) == 2

@@ -16,6 +16,8 @@ from carom.encoding import (
 from carom.gadgets import (
     DomainError,
     SeparationReport,
+    _block_walls,
+    _mirror_boxes,
     build_merge_gadget,
     build_shift_gadget,
     build_shift_stage,
@@ -24,8 +26,9 @@ from carom.gadgets import (
     check_separation,
     make_turn,
 )
-from carom.geometry import Port, walls_clash
+from carom.geometry import Port, Segment, walls_clash
 from carom.machine import enumerate_tapes
+from carom.table import MERGE_DY, SPLIT_DY, Placed
 from carom.ternary import T
 
 
@@ -240,6 +243,63 @@ def test_merge_walls_mirror_split():
         twin = sw[w.wall_id]
         assert w.p0[0] == twin.p0[0]
         assert w.p0[1] == 10 - twin.p0[1]
+
+
+# --- mirror templates ----------------------------------------------------
+
+def explicit_pairs(name, levels, rule, base_x):
+    """Every split mirror pair by the explicit per-block formula, in the
+    order ``walls(levels)`` lists them."""
+    walls = []
+    for k in levels:
+        digit_pos = digit_position(k)
+        for s in (0, 1):
+            for blk in cantor_blocks_at(k, digit_pos, s):
+                walls += _block_walls(name, k, digit_pos, blk.bits * 2 + s,
+                                      blk.lo, blk.hi, s, rule(k, s), base_x)
+    return walls
+
+
+def placed(walls, oy, sy):
+    """The walls under y -> oy + sy*y, point by point."""
+    return [Segment(*((x, oy + sy * y) for x, y in (w.p0, w.p1)), w.wall_id)
+            for w in walls]
+
+
+@pytest.mark.parametrize("rewrite", [False, True], ids=["read-only", "rewriting"])
+@pytest.mark.parametrize("base_x", [Fraction(0), Fraction(48)], ids=["x0", "x48"])
+def test_template_pairs_equal_explicit_formula(rewrite, base_x):
+    # every block of levels -4..4, both symbols: the split, its mirror
+    # image as a merge, and both placed in the global frame
+    levels = range(-4, 5)
+    rule = (lambda k, s: 1 - s) if rewrite else (lambda k, s: s)
+    split = build_split_gadget(4, rewrite_rule=rule, base_x=base_x, name="split:A")
+    merge = build_merge_gadget(split, name="merge:A", validate_levels=())
+    want = explicit_pairs("split:A", levels, rule, base_x)
+    mirrored = placed(want, 10, -1)
+    memo = {}   # one memo for every frame: its keys must tell them apart
+    for source, walls in ((split, want), (merge, mirrored),
+                          (Placed(split, SPLIT_DY), placed(want, SPLIT_DY, 1)),
+                          (Placed(merge, MERGE_DY), placed(mirrored, MERGE_DY, 1))):
+        assert source.walls_in(None, levels) == walls
+        assert source.walls_in(None, levels, memo) == walls
+
+
+def test_mirror_boxes_match_explicit_pair():
+    # the boxes read off the template equal those derived from an explicit
+    # pair over another block, the last one of each level
+    for k in range(-4, 5):
+        digit_pos = digit_position(k)
+        for s in (0, 1):
+            blk = cantor_blocks_at(k, digit_pos, s)[-1]
+            c = blk.centre
+            for write in (s, 1 - s):
+                pair = _block_walls("", k, digit_pos, 0, blk.lo, blk.hi, s, write,
+                                    Fraction(0))
+                assert _mirror_boxes(k, digit_pos, s, write) == tuple(
+                    ((w.p0[0] + w.p1[0]) / 2 - c, (w.p0[1] + w.p1[1]) / 2 - 8 * c,
+                     abs(w.p1[0] - w.p0[0]) / 2, abs(w.p1[1] - w.p0[1]) / 2)
+                    for w in pair)
 
 
 # --- turns ---------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +167,34 @@ def test_serialize_roundtrip_and_stability():
     loaded = load_table(t1.to_json())
     assert loaded.to_json() == t1.to_json()
     assert loaded.machine_hash == t1.machine_hash
+
+
+#: SHA-256 and size of to_json() at K=8 and the pair count of
+#: verify_layout(), for each machine file in demos/machines, as the seed
+#: commit produced them.
+PINNED_TABLES = {
+    "rev-move": ("b1c103dbe4084b74344c2d8dbcbbdcaa8c010de36a5f31ef15f6b6b1ed55e654",
+                 159127, 1026),
+    "bit-flipper": ("2ac441baf7e7e082d34b47a0bd544226a6cad929ff0fcfe273325553db5e0c8e",
+                    173018, 1026),
+    "counter": ("efa31be2ffde147142653d3be698e056e2867b3b04c91c7873b8b2a0c3619c29",
+                173018, 1026),
+    "walker": ("ed5f476c67de5927a14c55d38b03232f3588c41afc9a103822bfa1fe8789bdf4",
+               595418, 6009),
+    "looper": ("c34852e04bb0e29ac44ef780ca06e1d07b707ff7b6bf271c8c9fef6b0362e12a",
+               304840, 3319),
+    "pacer": ("c30add169c6c3859b78b900ef7be6123bd31b7110fedd3b83b7321243d350911",
+              741727, 8302),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+def test_table_bytes_pinned(name):
+    path = Path(__file__).resolve().parent.parent / "demos" / "machines" / f"{name}.tm"
+    table = compile_table(parse_machine(path.read_text()), 8)
+    blob = table.to_json().encode()
+    got = (hashlib.sha256(blob).hexdigest(), len(blob), table.verify_layout())
+    assert got == PINNED_TABLES[name]
 
 
 def test_serialize_tamper_detected():
