@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ternary import T, TernaryRational
 
@@ -266,16 +265,14 @@ class CantorBlock:
 
 
 def cantor_walk(k, digit_pos, symbol, window=None, k_max=None):
-    """The blocks of ``cantor_blocks_at`` whose centres lie in ``window``,
-    an exact (lo, hi) pair of Fractions (None: all of them), left to right.
+    """The blocks of ``cantor_blocks_at`` with index F in ``window``, an
+    integer range (F_lo, F_hi) (None: all of them), left to right.
 
-    Works in integers scaled by 3**digit_pos, as block_of does: the block
-    whose pinned digits are d_1 .. d_digit_pos (each 0 or 2, the last one
-    2*symbol) is the integer B = sum(d_i * 3**(digit_pos - i)), and its
-    centre is tau_k((B + 1/2) / 3**digit_pos).  The window becomes a range
-    of B, and a descent over the free digits prunes every prefix whose
-    blocks all miss it: O(digit_pos) steps per block found, plus
-    O(digit_pos).
+    Block F has free digits (the digit_pos - 1 before the pinned one, each
+    0 or 2) reading F in base 3, so its centre lies 3F block lengths right
+    of block 0's; its lower end is tau_k(B / 3**digit_pos), B = 3F + 2*symbol.
+    A descent over the free digits prunes every prefix whose blocks all miss
+    the window: O(digit_pos) steps per block found, plus O(digit_pos).
     """
     cap = k_max if k_max is not None else k_max_cap()
     if abs(k) > cap or digit_pos - 1 > 2 * cap + 1:
@@ -287,17 +284,9 @@ def cantor_walk(k, digit_pos, symbol, window=None, k_max=None):
     # tau_k(B / 3**digit_pos) = (B + shift) / 3**exp, exactly
     exp = digit_pos + 1 + abs(k)
     shift = 3 * pow3[n_free] if k < 0 else 3 ** exp - 6 * pow3[n_free]
-    lo, hi = 0, pow3[n_free] - 1   # range of F, the free digits as an integer
+    lo, hi = 0, pow3[n_free] - 1
     if window is not None:
-        # centre(B) = (2*(B + shift) + 1) / (2 * 3**exp), with B = 3F + 2*symbol
-        w_lo, w_hi = Fraction(window[0]), Fraction(window[1])
-        den = 2 * 3 ** exp
-        b_lo = -((den * w_lo.numerator - w_lo.denominator * (2 * shift + 1))
-                 // (-2 * w_lo.denominator))
-        b_hi = ((den * w_hi.numerator - w_hi.denominator * (2 * shift + 1))
-                // (2 * w_hi.denominator))
-        lo = max(lo, -((2 * symbol - b_lo) // 3))
-        hi = min(hi, (b_hi - 2 * symbol) // 3)
+        lo, hi = max(lo, window[0]), min(hi, window[1])
     # (free digits chosen so far, their bits), refined one digit at a time;
     # a prefix is dropped once every block under it misses [lo, hi]
     found = [(0, 0)] if lo <= hi else []

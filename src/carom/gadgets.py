@@ -250,14 +250,26 @@ def _mirror_boxes(k, digit_pos, read_s, write_s):
                  for p0, p1 in _mirror_template(k, digit_pos, read_s, write_s, 1))
 
 
+# one entry per (k, digit_pos, read_s, write_s) with |k| <= K_max: bounded
+@functools.lru_cache(maxsize=None)
+def _block_boxes(k, digit_pos, read_s, write_s):
+    """_mirror_boxes moved onto block F = 0 of ``cantor_walk``, in integers
+    over one denominator: per wall (den, step, x, y, rx, ry), the wall over
+    block F lying in (x + F*step +- rx, y + 8*F*step +- ry) / den at base_x 0."""
+    first, = cantor_walk(k, digit_pos, read_s, (0, 0))
+    # block F + 1's centre lies three block lengths right of block F's
+    c, step = first.centre, 3 * first.length.as_fraction()
+    boxes = [(ax + c, ay + _BAND_GAIN * c, rx, ry)
+             for ax, ay, rx, ry in _mirror_boxes(k, digit_pos, read_s, write_s)]
+    den = math.lcm(step.denominator, *(v.denominator for box in boxes for v in box))
+    return tuple((den, int(step * den), *(int(v * den) for v in box)) for box in boxes)
+
+
 class _MirrorLevel(NamedTuple):
     k: int
     digit_pos: int
-    lo: Fraction       # the hull I_k, which holds every block centre
-    hi: Fraction
-    boxes: tuple       # boxes[symbol][0 primary / 1 return], base_x included
-    fboxes: tuple      # the same in floats
-    flo: float         # the hull, rounded outward
+    boxes: tuple       # boxes[symbol][wall], from _block_boxes
+    flo: float         # the hull I_k, rounded outward
     fhi: float
     reach: tuple       # per line of _LINES: float bound on box offset + radius
 
@@ -267,12 +279,11 @@ class _MirrorLevel(NamedTuple):
 #: sits over its block, every return mirror two units to its branch side.
 _LINES = ((F(0), ((0, 0), (1, 0))), (SIGMA[0], ((0, 1),)), (SIGMA[1], ((1, 1),)))
 
-#: Relative error bounds of the float windows.  Each float bound takes a
-#: handful of operations on correctly rounded inputs, so its error stays
-#: below 1e-14 of the magnitudes it is scaled by (times 1 + |n| / |n.v|
-#: where it divides by n.v); these are 1e-9 and 1e-11 of them.
+#: Relative error bound of the float level pre-reject.  Each float bound
+#: takes a handful of operations on correctly rounded inputs, so its error
+#: stays below 1e-14 of the magnitudes it is scaled by (times 1 + |n| / |n.v|
+#: where it divides by n.v); this is 1e-9 of them.
 _REJECT_SLACK = 1e-9
-_WINDOW_SLACK = 1e-11
 
 
 def _extent(p, d, t):
@@ -283,31 +294,49 @@ def _extent(p, d, t):
     return (p, end) if d > 0 else (end, p)
 
 
-def _exact_window(leg, box, lo, hi):
-    """Exact centres c in [lo, hi] whose box (ax + c +- rx, ay + 8c +- ry)
-    meets the leg: separating axes x, y and the leg's normal, each a linear
-    condition on c.  None when there are none."""
-    (xl, xu), (yl, yu) = leg.extent(0), leg.extent(1)
-    nx, ny = -leg.direction[1], leg.direction[0]
-    ax, ay, rx, ry = box
-    if xl is not None:
-        lo = max(lo, xl - rx - ax)
-    if xu is not None:
-        hi = min(hi, xu + rx - ax)
-    if yl is not None:
-        lo = max(lo, (yl - ry - ay) / _BAND_GAIN)
-    if yu is not None:
-        hi = min(hi, (yu + ry - ay) / _BAND_GAIN)
-    # |n . (centre(c) - origin)| <= the box's reach along n
-    nv = nx + _BAND_GAIN * ny
-    m = nx * (ax - leg.origin[0]) + ny * (ay - leg.origin[1])
-    reach = abs(nx) * rx + abs(ny) * ry
-    if nv:
-        a, b = (-reach - m) / nv, (reach - m) / nv
-        lo, hi = max(lo, min(a, b)), min(hi, max(a, b))
+def _exact_leg(leg, base_x):
+    """The leg for _window in integers, x counted from base_x: its x- and
+    y-extents as (numerator, denominator) pairs, None where unbounded, and
+    its line n . p = n0 / h, with n . (1, 8) >= 0 and h > 0."""
+    (ox, oy), (dx, dy), t = leg.origin, leg.direction, leg.t_max
+    ox -= base_x
+    extents = []
+    for o, d in ((ox, dx), (oy, dy)):
+        a, b = o.numerator, o.denominator
+        end = (a, b) if not d else None if t is None else (
+            a * t.denominator * d.denominator + b * t.numerator * d.numerator,
+            b * t.denominator * d.denominator)
+        extents.append(((a, b), end) if d >= 0 else (end, (a, b)))
+    nx, ny = -dy.numerator * dx.denominator, dx.numerator * dy.denominator
+    if nx + 8 * ny < 0:
+        nx, ny = -nx, -ny
+    n0 = nx * ox.numerator * oy.denominator + ny * oy.numerator * ox.denominator
+    return extents[0], extents[1], nx, ny, ox.denominator * oy.denominator, n0
+
+
+def _window(lv, s, w, exact):
+    """The range (F_lo, F_hi) of the blocks F of level ``lv`` and symbol s
+    whose wall w's box (_block_boxes) meets the leg ``exact`` (_exact_leg).
+    Each separating axis, x, y and the leg's normal n (|n . (box centre -
+    origin)| <= the box's reach along n), bounds F by a floor or ceiling."""
+    xs, ys, nx, ny, h, n0 = exact
+    den, step, x, y, rx, ry = lv.boxes[s][w]
+    lo, hi = 0, math.inf
+    for (end_lo, end_hi), c, r, gain in ((xs, x, rx, 1), (ys, y, ry, 8)):
+        if end_lo is not None:
+            a, b = end_lo
+            lo = max(lo, -((b * (c + r) - a * den) // (gain * step * b)))
+        if end_hi is not None:
+            a, b = end_hi
+            hi = min(hi, (a * den - b * (c - r)) // (gain * step * b))
+    slope = h * step * (nx + 8 * ny)
+    m = h * (nx * x + ny * y) - den * n0
+    reach = h * (abs(nx) * rx + abs(ny) * ry)
+    if slope:
+        lo, hi = max(lo, -((reach + m) // slope)), min(hi, (reach - m) // slope)
     elif abs(m) > reach:
-        return None
-    return (lo, hi) if lo <= hi else None
+        hi = -1
+    return lo, hi
 
 
 class _BlockMirrors:
@@ -316,15 +345,12 @@ class _BlockMirrors:
 
     A level's pairs are one template pair translated by c * (1, 8) for the
     block centres c (``_mirror_template``), so a pair costs a few exact
-    additions, and "the leg meets a wall's box" is a linear condition on
-    c: a window of centres O(h) wide for blocks of length h.  A float
-    pre-reject finds the one or two levels whose hull I_k the window
-    meets.  For those, ``cantor_walk`` lists the blocks of the float
-    window widened by its error bound, and each block is kept
-    when the float window shrunk by that bound holds its centre, or else
-    when the exact window does: the blocks kept are exactly those whose
-    centres lie in the exact window.  Level data is built on the first
-    positional query, never by the compiler.
+    additions, and block F of ``cantor_walk`` has its centre at c_0 + F *
+    step.  A float pre-reject finds the one or two levels whose hull I_k
+    the leg may reach; for those, ``_window`` bounds F exactly in integers,
+    and ``cantor_walk`` lists exactly the blocks whose wall boxes the leg
+    meets.  Level data is built on the first positional query, never by
+    the compiler.
 
     ``walls_in`` takes a frame (oy, sy), the placement y -> oy + sy*y of
     the gadget's local frame (sy = -1 for a merge's mirror image), and
@@ -364,21 +390,17 @@ class _BlockMirrors:
                 continue
             digit_pos = digit_position(k + self.cell_offset)
             iv = head_interval(k)
-            lo, hi = iv.lo.as_fraction(), iv.hi.as_fraction()
-            boxes = tuple(
-                tuple((ax + self.base_x, ay, rx, ry) for ax, ay, rx, ry in
-                      _mirror_boxes(k, digit_pos, s, self.rewrite_rule(k, s)))
-                for s in (0, 1))
+            keys = [(k, digit_pos, s, self.rewrite_rule(k, s)) for s in (0, 1)]
+            boxes = [_mirror_boxes(*key) for key in keys]
             reach = []
             for dx, members in _LINES:
-                r = max(max(abs(boxes[s][w][0] - self.base_x - dx) + boxes[s][w][2],
+                r = max(max(abs(boxes[s][w][0] - dx) + boxes[s][w][2],
                             abs(boxes[s][w][1] - 1) + boxes[s][w][3])
                         for s, w in members)
                 reach.append(float(r) * (1 + 1e-12))
-            fboxes = tuple(tuple(tuple(map(float, b)) for b in pair) for pair in boxes)
-            levels.append(_MirrorLevel(k, digit_pos, lo, hi, boxes, fboxes,
-                                       float(lo) - 1e-12, float(hi) + 1e-12,
-                                       tuple(reach)))
+            levels.append(_MirrorLevel(k, digit_pos, tuple(_block_boxes(*key) for key in keys),
+                                       float(iv.lo.as_fraction()) - 1e-12,
+                                       float(iv.hi.as_fraction()) + 1e-12, tuple(reach)))
         base = float(self.base_x)
         bounds, reach_max = [], []
         for line, (off, _) in enumerate(_LINES):
@@ -429,7 +451,7 @@ class _BlockMirrors:
         nv = nx + 8 * ny
         # n.v far from 0: the float normal bounds are well conditioned
         spread = size / abs(nv) if abs(nv) > 1e-2 * size else None
-        fleg = (xl, xu, yl, yu, px, py, nx, ny, nv, spread, mag)
+        exact = None
         for line, (off, members) in enumerate(_LINES):
             x0 = base + float(off)
             c_lo = max(xl - x0, (yl - 1) / 8) - slack
@@ -450,34 +472,10 @@ class _BlockMirrors:
                     lo, hi = max(lo, c0 - r), min(hi, c0 + r)
                 if lo > hi or lv.k not in levels:
                     continue
+                exact = exact or _exact_leg(leg, self.base_x)
                 for s, w in members:
-                    for blk in self._window_blocks(leg, lv, s, w, fleg):
+                    for blk in cantor_walk(lv.k, lv.digit_pos, s, _window(lv, s, w, exact)):
                         yield lv, s, w, blk
-
-    def _window_blocks(self, leg, lv, s, w, fleg):
-        """Blocks of (lv, s) whose wall w's box meets the leg."""
-        xl, xu, yl, yu, px, py, nx, ny, nv, spread, mag = fleg
-        if spread is None:
-            window = _exact_window(leg, lv.boxes[s][w], lv.lo, lv.hi)
-            return cantor_walk(lv.k, lv.digit_pos, s, window) if window else []
-        ax, ay, rx, ry = lv.fboxes[s][w]
-        m = nx * (ax - px) + ny * (ay - py)
-        reach = abs(nx) * rx + abs(ny) * ry
-        a, b = (-reach - m) / nv, (reach - m) / nv
-        lo = max(xl - rx - ax, (yl - ry - ay) / 8, min(a, b))
-        hi = min(xu + rx - ax, (yu + ry - ay) / 8, max(a, b))
-        err = _WINDOW_SLACK * (1 + spread) * mag
-        if lo - err > hi + err:
-            return []
-        # the exact window lies between these two float windows
-        outer = cantor_walk(lv.k, lv.digit_pos, s, (lo - err, hi + err))
-        if not outer:
-            return outer
-        inner = cantor_walk(lv.k, lv.digit_pos, s, (lo + err, hi - err))
-        if len(inner) == len(outer):
-            return outer
-        window = _exact_window(leg, lv.boxes[s][w], lv.lo, lv.hi) or (1, 0)
-        return [blk for blk in outer if window[0] <= blk.centre <= window[1]]
 
     def walls_in(self, leg, levels, memo, frame):
         walls = []

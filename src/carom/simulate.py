@@ -234,17 +234,31 @@ def _arc_intersect(data, origin, direction, t_min, sqrt):
     return best
 
 
+#: A segment shorter than this fraction of its largest coordinate is too
+#: short for floats: its float endpoints, each off by up to 2^-53 of that
+#: coordinate, would place a hit on it only to within 2^-12 of its length.
+#: Split mirrors (length about 3^-(3k+2)) fall below it from head levels 7
+#: to 9 on in the demo tables; every wall of levels |k| <= 4 stays far above.
+_FLOAT_RESOLVED = 2.0 ** -40
+
+
 class _NumericWall:
     """An exact wall converted once to working-precision (``data``) and
-    machine-float (``fdata``) tuples of the same layout."""
+    machine-float (``fdata``) tuples of the same layout; ``fine`` marks a
+    segment too short for floats (_FLOAT_RESOLVED)."""
 
-    __slots__ = ("wall_id", "kind", "data", "fdata")
+    __slots__ = ("wall_id", "kind", "data", "fdata", "fine")
 
     def __init__(self, wall):
         self.wall_id = wall.wall_id
         self.kind = wall.kind
         self.data = self._convert(wall, _mpf)
         self.fdata = self._convert(wall, float)
+        self.fine = False
+        if wall.kind == "segment":
+            (x0, y0), (x1, y1) = self.fdata
+            self.fine = (max(abs(x1 - x0), abs(y1 - y0))
+                         < _FLOAT_RESOLVED * max(abs(x0), abs(y0), abs(x1), abs(y1)))
 
     @staticmethod
     def _convert(wall, num):
@@ -277,16 +291,21 @@ def _unit(v):
 _SHORTLIST = 1e-5
 
 
-def _float_hits(walls, fo, fd, exclude_id):
-    """(t, wall) of every wall the float ray (fo, fd) hits ahead of it."""
+def _float_hits(walls, pos, direction, fo, fd, exclude_id):
+    """(t, wall) of every wall the ray from ``pos`` along ``direction``
+    hits ahead of it, t a float: found with the float ray (fo, fd), or for
+    a ``fine`` wall at working precision and then rounded."""
     scale = max(abs(fd[0]), abs(fd[1]))
     tf_min = 1e-12 / scale if scale else 0.0
     for w in walls:
         if exclude_id is not None and w.wall_id == exclude_id:
             continue
-        t_f = w.intersect(fo, fd, tf_min, w.fdata, math.sqrt)
-        if t_f is not None:
-            yield t_f, w
+        if w.fine:
+            t = w.intersect(pos, direction, tf_min, w.data, mpmath.sqrt)
+        else:
+            t = w.intersect(fo, fd, tf_min, w.fdata, math.sqrt)
+        if t is not None:
+            yield float(t), w
 
 
 def _nearest_hit(rough, pos, direction, t_eps):
@@ -295,10 +314,10 @@ def _nearest_hit(rough, pos, direction, t_eps):
     (t, wall) of those walls; the hits within the shortlist margin of the
     nearest one are decided by full-precision intersection.
 
-    The float pass cannot drop the true winner while wall features stay
-    far coarser than a double.  Split blocks have length 3^-(3k+2)
-    (1.5e-14 at k=9), so that holds up to head level k of about 9 and
-    no further.  Ties finer than floats can resolve land in the same
+    The float pass cannot drop the true winner: a wall too short for
+    floats to place its hits on (``fine``, such as a split mirror over a
+    block of length 3^-(3k+2) for large k) got its hit at working
+    precision.  Ties finer than floats can resolve land in the same
     shortlist and are separated (or flagged) at working precision.
     Returns (t, wall, runner_up_t).
     """
@@ -353,7 +372,7 @@ class _Walls:
         ``pos`` along ``direction``, the wall ``exclude_id`` left out."""
         fo = (float(pos[0]), float(pos[1]))
         fd = (float(direction[0]), float(direction[1]))
-        hits = list(_float_hits(self.static, fo, fd, exclude_id))
+        hits = list(_float_hits(self.static, pos, direction, fo, fd, exclude_id))
         t_max = None
         if hits:
             t_static = min(t for t, _ in hits)
@@ -364,7 +383,7 @@ class _Walls:
         found = self.source.walls_in(leg, self.levels, self.memo)
         level = [self._numeric(w) for w in found if w.wall_id not in self.static_ids]
         self.max_candidates = max(self.max_candidates, len(self.static) + len(level))
-        hits += _float_hits(level, fo, fd, exclude_id)
+        hits += _float_hits(level, pos, direction, fo, fd, exclude_id)
         return hits
 
 

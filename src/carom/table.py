@@ -281,6 +281,10 @@ class BilliardTable:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
+        return json.dumps(self._document(), indent=1, sort_keys=True)
+
+    def _document(self):
+        """The serialized table as a JSON-ready dict, which to_json dumps."""
         def frac(x):
             return f"{x.numerator}/{x.denominator}"
 
@@ -328,7 +332,7 @@ class BilliardTable:
                 },
                 "pieces": pieces,
             })
-        doc = {
+        return {
             "format": "carom-table/1",
             "meta": {
                 "machine": self.machine.canonical_text(),
@@ -341,7 +345,6 @@ class BilliardTable:
             "corridors": corridors,
             "scene": walls,
         }
-        return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def machine_hash(machine):
@@ -473,7 +476,9 @@ def load_table(text):
                           scene_levels=int(meta["scene_levels"]))
     if table.machine_hash != meta["machine_sha256"]:
         raise ValueError("machine hash mismatch")
-    if table.to_json() != json.dumps(doc, indent=1, sort_keys=True):
+    # compact encodings compare the same values and types as to_json's text
+    # (a dict == would take true for 1), and go through json's C encoder
+    if json.dumps(table._document(), sort_keys=True) != json.dumps(doc, sort_keys=True):
         raise ValueError("stored scene does not match deterministic recompilation")
     return table
 

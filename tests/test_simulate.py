@@ -1,5 +1,6 @@
 import io
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -234,6 +235,38 @@ def test_numeric_reaches_the_default_K():
         # only walls near the ray are built: level 8 alone holds 2^18
         # mirrors per split gadget
         assert res.walls_built < 100
+
+
+def test_numeric_certifies_past_double_resolution():
+    # from head level about 10 on, a split mirror (length about 3^-(3k+2)) is
+    # shorter than a double resolves at its coordinates; its hits are
+    # weighed at working precision, so the certificate still holds
+    table = compile_table(get_machine("rev-move"), 16)
+    for zeros in (9, 11, 13, 15):
+        t0 = time.process_time()
+        res = run_numeric(table, parse_tape("@" + "0" * zeros + "1"), 100, precision=60)
+        elapsed = time.process_time() - t0
+        assert res.outcome.verdict == "halted"
+        assert res.outcome.final_head == zeros + 1
+        assert res.max_deviation <= 1e-30
+        assert res.walls_built < 100
+        assert elapsed < 1.0, (zeros, elapsed)
+
+
+def test_walls_below_float_resolution_are_marked():
+    # the mark follows each wall's extent against its coordinates: no wall
+    # of levels |k| <= 4 of the tightest demo layouts carries it, a split
+    # mirror at level 10 does
+    from carom.gadgets import build_split_gadget
+    from carom.geometry import Leg
+    from carom.simulate import _NumericWall
+    for name in ("walker", "pacer"):
+        table = compile_table(get_machine(name), 4)
+        assert not any(_NumericWall(w).fine for w in table.scene_walls(range(-4, 5)))
+    x = 1 - Fraction(2, 3 ** 11) + Fraction(1, 3 ** 33)    # in I_10's first block
+    beam = Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
+    mirror, = build_split_gadget(12).walls_in(beam, range(-12, 13))
+    assert ":k10:" in mirror.wall_id and _NumericWall(mirror).fine
 
 
 def test_numeric_gadget_shift():

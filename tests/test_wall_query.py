@@ -3,15 +3,19 @@
 Every wall of the full wall list that a leg meets must come back from the
 query: checked exactly with ``segments_intersect`` for segments and
 against the bounding box for parabola arcs, on seeded vertical,
-horizontal and tilted legs and on every leg of real numeric traces.
+horizontal and tilted legs and on every leg of real numeric traces.  The
+blocks the query picks per (level, symbol, wall) must also be exactly
+those an exact rational window, the oracle here, picks.
 """
 
+import bisect
 import random
 from fractions import Fraction
 
 import pytest
 
-from carom.gadgets import build_merge_gadget, build_split_gadget
+from carom.encoding import cantor_blocks_at, digit_position, head_interval
+from carom.gadgets import _BAND_GAIN, _mirror_boxes, build_merge_gadget, build_split_gadget
 from carom.geometry import Leg, Segment, segments_intersect
 from carom.machine import parse_machine, parse_tape
 from carom.simulate import run_numeric
@@ -143,9 +147,110 @@ def test_unbounded_query_lists_every_wall(build):
 
 def test_query_is_narrow():
     # a vertical beam through a split meets one block's primary mirror,
-    # whatever the level count: the window is O(block length) wide
-    split = build_split_gadget(8)
-    x = Fraction(7, 9) + Fraction(1, 3 ** 6)   # inside I_1
-    got = split.walls_in(Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11)),
-                         range(-8, 9))
-    assert [w.wall_id.endswith(":W") for w in got] == [True]
+    # whatever the level count and however deep: the window is exact
+    split = build_split_gadget(14)
+    for k in (1, 10, 12):
+        # inside the first block of I_k, of length 3^-(3k+2)
+        x = head_interval(k).lo.as_fraction() + Fraction(1, 3 ** (3 * k + 3))
+        got = split.walls_in(Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11)),
+                             range(-14, 15))
+        assert [w.wall_id.endswith(":W") for w in got] == [True], k
+
+
+# --- the block window, against the exact oracle ---------------------------
+
+def _exact_window(leg, box, lo, hi):
+    """Exact centres c in [lo, hi] whose box (ax + c +- rx, ay + 8c +- ry)
+    meets the leg: separating axes x, y and the leg's normal, each a linear
+    condition on c.  None when there are none."""
+    (xl, xu), (yl, yu) = leg.extent(0), leg.extent(1)
+    nx, ny = -leg.direction[1], leg.direction[0]
+    ax, ay, rx, ry = box
+    if xl is not None:
+        lo = max(lo, xl - rx - ax)
+    if xu is not None:
+        hi = min(hi, xu + rx - ax)
+    if yl is not None:
+        lo = max(lo, (yl - ry - ay) / _BAND_GAIN)
+    if yu is not None:
+        hi = min(hi, (yu + ry - ay) / _BAND_GAIN)
+    # |n . (centre(c) - origin)| <= the box's reach along n
+    nv = nx + _BAND_GAIN * ny
+    m = nx * (ax - leg.origin[0]) + ny * (ay - leg.origin[1])
+    reach = abs(nx) * rx + abs(ny) * ry
+    if nv:
+        a, b = (-reach - m) / nv, (reach - m) / nv
+        lo, hi = max(lo, min(a, b)), min(hi, max(a, b))
+    elif abs(m) > reach:
+        return None
+    return (lo, hi) if lo <= hi else None
+
+
+WINDOW_LEVELS = range(-4, 5)
+
+
+def _window_split():
+    split = build_split_gadget(4, rewrite_rule=lambda k, s: 1 - s if k % 2 else s,
+                               base_x=Fraction(3, 2))
+    return split, split
+
+
+def _window_merge():
+    # (the merge, the split whose walls it mirrors across y = 5)
+    virtual = build_split_gadget(4, cell_offset=-1, name="premerge",
+                                 k_filter=lambda k: abs(k) <= 4 and abs(k - 1) <= 4)
+    return build_merge_gadget(virtual, name="merge", validate_levels=()), virtual
+
+
+def _dyadic_legs(walls, rng, count):
+    """Legs aimed at points of random walls, with dyadic origins and
+    directions: vertical, horizontal and tilted, finite or whole rays."""
+    legs = []
+    for _ in range(count):
+        x0, y0, x1, y1 = rng.choice(walls).bbox()
+        a = Fraction(rng.random())
+        target = (x0 + a * (x1 - x0), y0 + a * (y1 - y0))
+        d = rng.choice([(0, rng.choice((1, -1))), (rng.choice((1, -1)), 0),
+                        (rng.uniform(-1, 1), rng.uniform(-1, 1))])
+        d = tuple(map(Fraction, d))
+        back = Fraction(rng.uniform(0, 3) * rng.choice((1, 1e-3, 1e-6)))
+        origin = tuple(Fraction(float(t - back * v)) for t, v in zip(target, d))
+        t_max = back * Fraction(rng.uniform(0.5, 2)) if rng.random() < 0.7 else None
+        legs.append(Leg(origin, d, t_max))
+    return legs
+
+
+@pytest.mark.parametrize("build", [_window_split, _window_merge], ids=["split", "merge"])
+def test_window_blocks_equal_exact_oracle(build):
+    # per (level, symbol, wall): the blocks the integer window lists are
+    # those whose exact centre lies in the oracle's window
+    gadget, split = build()
+    mirrors = split.level_walls.__self__
+    legs = _dyadic_legs(gadget.walls(WINDOW_LEVELS), random.Random(11), 300)
+    if gadget is not split:     # into the split's frame, as the merge's query does
+        legs = [leg.mirrored_y(Fraction(5)) for leg in legs]
+    levels = [k for k in WINDOW_LEVELS if mirrors.k_filter(k)]
+    blocks, boxes = {}, {}
+    for k in levels:
+        digit_pos = digit_position(k + mirrors.cell_offset)
+        for s in (0, 1):
+            blks = cantor_blocks_at(k, digit_pos, s)
+            blocks[k, s] = (blks, [blk.centre for blk in blks])
+            for w, (ax, ay, rx, ry) in enumerate(
+                    _mirror_boxes(k, digit_pos, s, mirrors.rewrite_rule(k, s))):
+                boxes[k, s, w] = (ax + mirrors.base_x, ay, rx, ry)
+    hull = {k: (head_interval(k).lo.as_fraction(), head_interval(k).hi.as_fraction())
+            for k in levels}
+    met = 0
+    for leg in legs:
+        got = {}
+        for lv, s, w, blk in mirrors._blocks(leg, WINDOW_LEVELS):
+            got.setdefault((lv.k, s, w), []).append(blk)
+        for (k, s, w), box in boxes.items():
+            window = _exact_window(leg, box, *hull[k])
+            blks, centres = blocks[k, s]
+            want = [] if window is None else blks[bisect.bisect_left(centres, window[0]):
+                                                  bisect.bisect_right(centres, window[1])]
+            assert got.get((k, s, w), []) == want, (k, s, w)
+            met += len(want)
+    assert met >= len(legs) // 2     # the legs do meet walls
