@@ -22,7 +22,7 @@ from .simulate import (
     verify_equivalence,
     write_trace,
 )
-from .table import NotReversible, compile_table, load_table, to_svg
+from .table import CompileError, compile_table, load_table, to_svg
 from .machine import enumerate_tapes
 
 OK, NEGATIVE, INPUT_ERROR, INTERNAL = 0, 1, 2, 3
@@ -206,12 +206,12 @@ def cmd_svg(args, cfg):
 
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--K", type=int, default=8,
-                        help="head range bound (default 8)")
-    shared.add_argument("--budget", type=int, default=10_000,
-                        help="machine step budget (default 10000)")
-    shared.add_argument("--precision", type=int, default=60,
-                        help="numeric working digits (default 60)")
+    shared.add_argument("--K", type=int, default=Config.K,
+                        help=f"head range bound (default {Config.K})")
+    shared.add_argument("--budget", type=int, default=Config.budget,
+                        help=f"machine step budget (default {Config.budget})")
+    shared.add_argument("--precision", type=int, default=Config.precision,
+                        help=f"numeric working digits (default {Config.precision})")
     shared.add_argument("--json", action="store_true",
                         help="structured output")
 
@@ -291,7 +291,7 @@ def main(argv=None):
         if args.command == "svg":
             return cmd_svg(args, cfg)
         raise AssertionError(args.command)
-    except (MachineError, NotReversible, FileNotFoundError, ValueError) as err:
+    except (MachineError, CompileError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR
     except (TracingError, AssertionError) as err:

@@ -318,7 +318,7 @@ def cantor_blocks(k, symbol, k_max=None):
 
 
 def block_of(x, k, digit_pos):
-    """Exact (lo, hi, symbol) of the digit_pos block containing x in I_k.
+    """The CantorBlock of I_k pinning digit ``digit_pos`` that holds x.
 
     Cheaper than enumerating 2**(digit_pos-1) blocks: read the digits of
     the pre-image directly.
@@ -326,11 +326,13 @@ def block_of(x, k, digit_pos):
     y = tau_inverse(k, x)
     if y < T(0) or y >= T(1):
         raise NotACode(f"{x} not interior to I_{k}")
-    digits = y.ternary_digits()
+    digits = y.ternary_digits()[:digit_pos]
     digits += [0] * (digit_pos - len(digits))
-    if any(d == 1 for d in digits[:digit_pos]):
+    if 1 in digits:
         raise NotACode(f"{x} has a 1-digit in its pinned prefix")
-    base = T(0)
-    for i, d in enumerate(digits[:digit_pos], start=1):
-        base = base + T(d, i)
-    return tau(k, base), tau(k, base + T(1, digit_pos)), digits[digit_pos - 1] // 2
+    value = bits = 0
+    for d in digits:
+        value, bits = 3 * value + d, 2 * bits + d // 2
+    base = T(value, digit_pos)
+    return CantorBlock(k, digit_pos, bits >> 1, bits & 1, tau(k, base),
+                       tau(k, base + T(1, digit_pos)))

@@ -51,7 +51,6 @@ from .encoding import (
     head_of,
     k_max_cap,
     rewrite_scale,
-    tau,
 )
 from .geometry import ParabolaArc, Port, Segment
 from .ternary import T, TernaryRational
@@ -117,9 +116,10 @@ class Gadget:
     """Walls in a local frame plus the exact transfer between its ports.
 
     Walls come in two kinds: ``static_walls`` (arcs, turn mirrors), and
-    ``level_walls``, the per-head-level Cantor-block mirrors of split and
-    merge gadgets, 2**(2k)-ish per level.  ``walls_in`` is the one way to
-    get them; it finds level walls by position instead of listing them.
+    the per-head-level Cantor-block mirrors of split and merge gadgets,
+    2**(2k)-ish per level: ``mirrors``, a (_BlockMirrors, frame) pair,
+    the frame (oy, sy) placing them at y -> oy + sy*y.  A tracer reads
+    ``static_walls`` once and ``level_walls_in`` per leg, as for a table.
     """
 
     kind: str
@@ -128,21 +128,25 @@ class Gadget:
     out_ports: dict
     transfer: PiecewiseTransfer
     static_walls: tuple = ()
-    level_walls: Optional[Callable] = None  # (leg, levels, memo, frame) -> [walls]
+    mirrors: Optional[tuple] = None    # (_BlockMirrors, frame)
+
+    def level_walls_in(self, leg, levels, memo=None):
+        """Every mirror of the given head levels that the Leg ``leg`` may
+        meet (all of them when ``leg`` is None), in the order ``walls``
+        lists them when levels ascend.
+
+        Sound, not tight: no wall the leg meets is left out, and a wall is
+        returned only if the leg meets its bounding box.  ``memo`` (a dict)
+        keeps built mirror pairs by id and frame across calls.
+        """
+        if self.mirrors is None:
+            return []
+        mirrors, frame = self.mirrors
+        return mirrors.walls_in(leg, levels, memo, frame)
 
     def walls_in(self, leg, levels, memo=None):
-        """The static walls, then every wall of the given head levels that
-        the Leg ``leg`` may meet (all of them when ``leg`` is None), in
-        the order ``walls(levels)`` lists them when levels ascend.
-
-        Sound, not tight: no wall the leg meets is left out, and a level
-        wall is returned only if the leg meets its bounding box.  ``memo``
-        (a dict) keeps built mirror pairs by id and frame across calls.
-        """
-        ws = list(self.static_walls)
-        if self.level_walls is not None:
-            ws += self.level_walls(leg, levels, memo, (F(0), 1))
-        return ws
+        """The static walls, then ``level_walls_in``."""
+        return list(self.static_walls) + self.level_walls_in(leg, levels, memo)
 
     def walls(self, levels=()):
         return self.walls_in(None, levels)
@@ -184,17 +188,23 @@ def _block_wall_params(k, read_s, write_s):
     return slope, disp
 
 
-def _block_walls(name, k, digit_pos, prefix_int, lo, hi, read_s, write_s, base_x):
-    """The (primary, return) mirror pair over the block [lo, hi], as exact
-    wall geometry in gadget-local coordinates: the explicit formula, which
-    builds each level's template (``_mirror_template``)."""
-    slope, disp = _block_wall_params(k, read_s, write_s)
-    lo_f, hi_f = lo.as_fraction(), hi.as_fraction()
+def _wall_ids(name, blk):
+    """The ids of the (primary, return) mirror pair over the CantorBlock ``blk``."""
+    wid = f"{name}:k{blk.k}:d{blk.digit_pos}:s{blk.symbol}:b{blk.bits * 2 + blk.symbol}"
+    return wid + ":W", wid + ":Wt"
+
+
+def _block_walls(name, blk, write_s, base_x):
+    """The (primary, return) mirror pair over the CantorBlock ``blk``, as
+    exact wall geometry in gadget-local coordinates: the explicit formula,
+    which builds each level's template (``_mirror_template``)."""
+    slope, disp = _block_wall_params(blk.k, blk.symbol, write_s)
+    lo_f, hi_f = blk.lo.as_fraction(), blk.hi.as_fraction()
     h = hi_f - lo_f
     pad = h / 3
     center = (lo_f + hi_f) / 2
-    height = _band_center(lo, hi)
-    wid = f"{name}:k{k}:d{digit_pos}:s{read_s}:b{prefix_int}"
+    height = _band_center(blk.lo, blk.hi)
+    primary_id, return_id = _wall_ids(name, blk)
 
     def primary_y(x):
         return height + slope * (x - center - base_x)
@@ -202,7 +212,7 @@ def _block_walls(name, k, digit_pos, prefix_int, lo, hi, read_s, write_s, base_x
     primary = Segment(
         (base_x + lo_f - pad, primary_y(base_x + lo_f - pad)),
         (base_x + hi_f + pad, primary_y(base_x + hi_f + pad)),
-        wid + ":W")
+        primary_id)
     # parallel return mirror: two reflections across parallel lines
     # translate the beam by exactly `disp` horizontally
     shift = disp * (slope * slope + 1) / (2 * slope * slope)
@@ -213,7 +223,7 @@ def _block_walls(name, k, digit_pos, prefix_int, lo, hi, read_s, write_s, base_x
     returning = Segment(
         (base_x + lo_f + disp - pad, return_y(base_x + lo_f + disp - pad)),
         (base_x + hi_f + disp + pad, return_y(base_x + hi_f + disp + pad)),
-        wid + ":Wt")
+        return_id)
     return primary, returning
 
 
@@ -231,11 +241,10 @@ def _mirror_template(k, digit_pos, read_s, write_s, sy):
     moved to centre 0 at base_x = 0; placed at y -> oy + sy*y, the pair
     over centre c is the template plus (base_x + c, oy + 8c*sy).
     """
-    base = T(2 * read_s, digit_pos)
-    lo, hi = tau(k, base), tau(k, base + T(1, digit_pos))
-    c = (lo.as_fraction() + hi.as_fraction()) / 2
+    first, = cantor_walk(k, digit_pos, read_s, (0, 0))
+    c = first.centre
     return tuple(tuple((x - c, sy * (y - _BAND_GAIN * c)) for x, y in (w.p0, w.p1))
-                 for w in _block_walls("", k, digit_pos, 0, lo, hi, read_s, write_s, F(0)))
+                 for w in _block_walls("", first, write_s, F(0)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,12 +303,13 @@ def _extent(p, d, t):
     return (p, end) if d > 0 else (end, p)
 
 
-def _exact_leg(leg, base_x):
-    """The leg for _window in integers, x counted from base_x: its x- and
+def _exact_leg(leg, base_x, frame):
+    """The leg for _window in integers, in the local frame of a family
+    placed by ``frame`` (oy, sy) with x counted from base_x: its x- and
     y-extents as (numerator, denominator) pairs, None where unbounded, and
     its line n . p = n0 / h, with n . (1, 8) >= 0 and h > 0."""
     (ox, oy), (dx, dy), t = leg.origin, leg.direction, leg.t_max
-    ox -= base_x
+    ox, oy, dy = ox - base_x, frame[1] * (oy - frame[0]), frame[1] * dy
     extents = []
     for o, d in ((ox, dx), (oy, dy)):
         a, b = o.numerator, o.denominator
@@ -354,7 +364,9 @@ class _BlockMirrors:
 
     ``walls_in`` takes a frame (oy, sy), the placement y -> oy + sy*y of
     the gadget's local frame (sy = -1 for a merge's mirror image), and
-    returns the walls there; the leg is given in that frame too.
+    returns the walls there.  The leg is given in that placed frame:
+    ``_blocks`` takes it back to the local frame as it reads the leg's
+    floats, and ``_exact_leg`` as it reads its exact values.
     """
 
     def __init__(self, name, K, k_filter, cell_offset, rewrite_rule, base_x):
@@ -370,10 +382,9 @@ class _BlockMirrors:
         if pair is None:
             (oy, sy), c = frame, blk.centre
             dx, dy = self.base_x + c, oy + sy * _BAND_GAIN * c
-            wid = f"{self.name}:k{k}:d{digit_pos}:s{s}:b{blk.bits * 2 + s}"
             template = _mirror_template(k, digit_pos, s, self.rewrite_rule(k, s), sy)
-            pair = tuple(Segment((p0[0] + dx, p0[1] + dy), (p1[0] + dx, p1[1] + dy), wid + tag)
-                         for (p0, p1), tag in zip(template, (":W", ":Wt")))
+            pair = tuple(Segment((p0[0] + dx, p0[1] + dy), (p1[0] + dx, p1[1] + dy), wid)
+                         for (p0, p1), wid in zip(template, _wall_ids(self.name, blk)))
             if memo is not None:
                 memo[key] = pair
         return pair
@@ -432,10 +443,12 @@ class _BlockMirrors:
                 break
             yield j
 
-    def _blocks(self, leg, levels):
+    def _blocks(self, leg, levels, frame):
         """(level, symbol, wall, block) for every block whose wall box
-        meets the leg."""
+        meets the leg, the walls placed by ``frame``."""
         px, py, dx, dy, t = leg.floats
+        oy, sy = frame
+        py, dy = sy * (py - float(oy)), sy * dy     # the leg in the local frame
         (xl, xu), (yl, yu) = _extent(px, dx, t), _extent(py, dy, t)
         all_levels, _, region, _ = self._level_data()
         size = abs(dx) + abs(dy)
@@ -472,7 +485,7 @@ class _BlockMirrors:
                     lo, hi = max(lo, c0 - r), min(hi, c0 + r)
                 if lo > hi or lv.k not in levels:
                     continue
-                exact = exact or _exact_leg(leg, self.base_x)
+                exact = exact or _exact_leg(leg, self.base_x, frame)
                 for s, w in members:
                     for blk in cantor_walk(lv.k, lv.digit_pos, s, _window(lv, s, w, exact)):
                         yield lv, s, w, blk
@@ -488,11 +501,8 @@ class _BlockMirrors:
                     for blk in cantor_blocks_at(k, digit_pos, s):
                         walls += self._pair(k, digit_pos, blk, frame, memo)
             return walls
-        oy, sy = frame
-        if oy or sy < 0:    # the leg in the local frame
-            leg = leg.translated(0, -oy) if sy > 0 else leg.mirrored_y(oy / 2)
         found = {}    # (k, s, block bits) -> [level, block, primary?, return?]
-        for lv, s, w, blk in self._blocks(leg, levels):
+        for lv, s, w, blk in self._blocks(leg, levels, frame):
             entry = found.setdefault((lv.k, s, blk.bits), [lv, blk, False, False])
             entry[2 + w] = True
         for key in sorted(found):
@@ -529,16 +539,13 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
         k = head_of(v)
         if k is None or not k_filter(k):
             raise DomainError(f"{name}: {v} outside supported head intervals")
-        digit_pos = digit_position(k + cell_offset)
         try:
-            lo, hi, s = block_of(v, k, digit_pos)
+            blk = block_of(v, k, digit_position(k + cell_offset))
         except NotACode as err:
             raise DomainError(f"{name}: {err}") from err
-        _, disp = _block_wall_params(k, s, rewrite_rule(k, s))
-        prefix_int = _prefix_int(v, k, digit_pos)
-        wid = f"{name}:k{k}:d{digit_pos}:s{s}:b{prefix_int}"
-        return Piece(lo, hi, T(1), TernaryRational.from_fraction(disp),
-                     (wid + ":W", wid + ":Wt"), f"branch{s}")
+        _, disp = _block_wall_params(k, blk.symbol, rewrite_rule(k, blk.symbol))
+        return Piece(blk.lo, blk.hi, T(1), TernaryRational.from_fraction(disp),
+                     _wall_ids(name, blk), f"branch{blk.symbol}")
 
     def enumerate_pieces(levels):
         pieces = []
@@ -550,9 +557,8 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
                 _, disp = _block_wall_params(k, s, rewrite_rule(k, s))
                 b = TernaryRational.from_fraction(disp)
                 for blk in cantor_blocks_at(k, digit_pos, s):
-                    wid = f"{name}:k{k}:d{digit_pos}:s{s}:b{blk.bits * 2 + s}"
                     pieces.append(Piece(blk.lo, blk.hi, T(1), b,
-                                        (wid + ":W", wid + ":Wt"), f"branch{s}"))
+                                        _wall_ids(name, blk), f"branch{s}"))
         return pieces
 
     transfer = PiecewiseTransfer(locate, enumerate_pieces, label=name)
@@ -565,21 +571,9 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
         in_ports={"in": Port((base_x, F(0)), (F(1), F(0)), (F(0), F(1)), F(0), F(1))},
         out_ports=ports_out,
         transfer=transfer,
-        level_walls=_BlockMirrors(name, K, k_filter, cell_offset, rewrite_rule,
-                                  base_x).walls_in,
+        mirrors=(_BlockMirrors(name, K, k_filter, cell_offset, rewrite_rule, base_x),
+                 (F(0), 1)),
     )
-
-
-def _prefix_int(v, k, digit_pos):
-    """Stable block identifier from the pinned digits of v's pre-image."""
-    from .encoding import tau_inverse
-    y = tau_inverse(k, v)
-    digits = y.ternary_digits()
-    digits += [0] * (digit_pos - len(digits))
-    val = 0
-    for d in digits[:digit_pos]:
-        val = val * 2 + d // 2
-    return val
 
 
 def build_merge_gadget(split, *, name=None, validate_levels=(-1, 0, 1)):
@@ -608,11 +602,6 @@ def build_merge_gadget(split, *, name=None, validate_levels=(-1, 0, 1)):
         return Piece(img_lo, img_hi, T(1), -piece.b,
                      tuple(reversed(piece.wall_ids)), piece.tag)
 
-    def level_walls(leg, levels, memo, frame):
-        # the split's walls mirrored across y = axis, then placed by frame
-        oy, sy = frame
-        return split.level_walls(leg, levels, memo, (oy + 2 * axis * sy, -sy))
-
     def enumerate_pieces(levels):
         out = []
         for p in split.transfer.pieces(levels):
@@ -627,12 +616,14 @@ def build_merge_gadget(split, *, name=None, validate_levels=(-1, 0, 1)):
 
     in_ports = {key: flip_port(port) for key, port in split.out_ports.items()}
     out_port = flip_port(split.in_ports["in"])
+    # the split's mirrors, reflected across y = axis: y -> 2*axis - (oy + sy*y)
+    mirrors, (oy, sy) = split.mirrors
     return Gadget(
         kind="merge", name=name,
         in_ports=in_ports,
         out_ports={"out": out_port},
         transfer=PiecewiseTransfer(locate, enumerate_pieces, label=name),
-        level_walls=level_walls,
+        mirrors=(mirrors, (2 * axis - oy, -sy)),
     )
 
 

@@ -77,10 +77,6 @@ class ParabolaArc:
     def kind(self):
         return "parabola_arc"
 
-    @property
-    def focus(self):
-        return (self.axis_x, self.apex_y + self.sign * self.p)
-
     def y_at(self, x):
         return self.apex_y + self.sign * (x - self.axis_x) ** 2 / (4 * self.p)
 
@@ -117,16 +113,10 @@ class MarkedSegment:
         return (self.origin[0] + u * self.tangent[0],
                 self.origin[1] + u * self.tangent[1])
 
-    def as_segment(self, lo=0, hi=1):
-        return Segment(self.chart(lo), self.chart(hi), f"wall:{self.name}")
-
     @cached_property
     def wall(self):
         """The segment a hard mark bounces on."""
-        return self.as_segment()
-
-    def translated(self, dx, dy):
-        return replace(self, origin=(self.origin[0] + dx, self.origin[1] + dy))
+        return Segment(self.chart(0), self.chart(1), f"wall:{self.name}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +138,6 @@ class Port:
         return (self.origin[0] + u * self.tangent[0],
                 self.origin[1] + u * self.tangent[1])
 
-    def translated(self, dx, dy):
-        return replace(self, origin=(self.origin[0] + dx, self.origin[1] + dy))
-
     def mirrored_y(self, axis):
         ox, oy = self.origin
         return replace(self, origin=(ox, 2 * axis - oy),
@@ -162,62 +149,23 @@ class Leg:
     """One straight flight of a ray: origin + t * direction for
     0 <= t <= t_max, or the whole ray when t_max is None.
 
-    Exact, like the walls it is queried against (``Gadget.walls_in``).
+    Exact, like the walls it is queried against (``level_walls_in``).
     ``floats`` is (x, y, dx, dy, t_max) in floats, t_max inf for a whole
     ray, each within a few units in the last place of its exact value
     relative to the coordinates involved: the input of float pre-rejects.
-    A moved leg computes its exact values only when they are read.
+    A query places a leg in a gadget's frame where it reads it; the leg
+    itself is never moved.
     """
 
-    __slots__ = ("floats", "_exact", "_derive")
+    __slots__ = ("origin", "direction", "t_max", "floats")
 
     def __init__(self, origin, direction, t_max=None, floats=None):
-        self._exact, self._derive = (origin, direction, t_max), None
+        self.origin, self.direction, self.t_max = origin, direction, t_max
         if floats is None:
             floats = (float(origin[0]), float(origin[1]),
                       float(direction[0]), float(direction[1]),
                       math.inf if t_max is None else float(t_max))
         self.floats = floats
-
-    @classmethod
-    def _moved(cls, floats, derive):
-        leg = cls.__new__(cls)
-        leg.floats, leg._exact, leg._derive = floats, None, derive
-        return leg
-
-    def _values(self):
-        if self._exact is None:
-            self._exact = self._derive()
-        return self._exact
-
-    origin = property(lambda self: self._values()[0])
-    direction = property(lambda self: self._values()[1])
-    t_max = property(lambda self: self._values()[2])
-
-    def translated(self, dx, dy):
-        def derive():
-            (x, y), d, t_max = self._values()
-            return (x + dx, y + dy), d, t_max
-
-        x, y, fdx, fdy, t = self.floats
-        return Leg._moved((x + float(dx), y + float(dy), fdx, fdy, t), derive)
-
-    def mirrored_y(self, axis):
-        """Reflect across the horizontal line y = axis."""
-        def derive():
-            (x, y), (dx, dy), t_max = self._values()
-            return (x, 2 * axis - y), (dx, -dy), t_max
-
-        x, y, fdx, fdy, t = self.floats
-        return Leg._moved((x, 2 * float(axis) - y, fdx, -fdy, t), derive)
-
-    def extent(self, i):
-        """(lo, hi) of coordinate i along the leg; None where unbounded."""
-        o, d, t_max = self.origin[i], self.direction[i], self.t_max
-        if t_max is None:
-            return (o, None) if d > 0 else (None, o) if d < 0 else (o, o)
-        end = o + t_max * d
-        return (o, end) if d >= 0 else (end, o)
 
 
 def _orient(a, b, c):

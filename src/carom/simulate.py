@@ -344,21 +344,21 @@ class _Walls:
     """The walls one trace sees, for a BilliardTable or a Gadget: every
     level with |k| <= K of a table, the given levels of a gadget.
 
-    Static walls (arcs, turn mirrors, the launch pad, hard checkpoints)
-    are converted once.  On each leg the float ray is cut just past the
-    nearest static wall ahead (kept whole when there is none), with twice
-    _nearest_hit's shortlist margin to spare, and ``walls_in`` returns the
-    walls that cut leg may meet.  Those are the walls _nearest_hit weighs,
-    and they are chosen by position alone, never by the ids a symbolic
-    run predicts.  Walls are converted on first sight and kept by id.
+    The source's ``static_walls`` (arcs, turn mirrors, the launch pad,
+    hard checkpoints) are converted once and weighed on every leg.  The
+    float ray is cut just past the nearest one ahead (kept whole when there
+    is none), with twice _nearest_hit's shortlist margin to spare, and the
+    one per-leg query, ``level_walls_in``, returns the split and merge
+    mirrors that cut leg may meet.  The walls _nearest_hit weighs are thus
+    chosen by position alone, never by the ids a symbolic run predicts.
+    Mirrors are converted on first sight and kept by id.
     """
 
     def __init__(self, source, levels):
         self.source, self.levels = source, levels
-        self.memo = {}       # exact mirror pairs, for walls_in
+        self.memo = {}       # exact mirror pairs, for level_walls_in
         self.numeric = {}    # wall id -> _NumericWall
-        self.static = [self._numeric(w) for w in source.walls_in(None, ())]
-        self.static_ids = set(self.numeric)
+        self.static = [self._numeric(w) for w in source.static_walls]
         self.max_candidates = 0
 
     def _numeric(self, wall):
@@ -380,8 +380,8 @@ class _Walls:
         leg = Leg((_exact(pos[0]), _exact(pos[1])),
                   (_exact(direction[0]), _exact(direction[1])), t_max,
                   fo + fd + (math.inf if t_max is None else float(t_max),))
-        found = self.source.walls_in(leg, self.levels, self.memo)
-        level = [self._numeric(w) for w in found if w.wall_id not in self.static_ids]
+        level = [self._numeric(w)
+                 for w in self.source.level_walls_in(leg, self.levels, self.memo)]
         self.max_candidates = max(self.max_candidates, len(self.static) + len(level))
         hits += _float_hits(level, pos, direction, fo, fd, exclude_id)
         return hits

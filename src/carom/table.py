@@ -80,46 +80,14 @@ class OutOfRange(Exception):
         self.k = k
 
 
-@dataclass(frozen=True)
-class Placed:
-    """A gadget plus its vertical offset in the global frame."""
-
-    gadget: Gadget
-    dy: Fraction
-
-    @cached_property
-    def static_walls(self):
-        return tuple(w.translated(0, self.dy) for w in self.gadget.static_walls)
-
-    def walls_in(self, leg, levels, memo=None):
-        """``Gadget.walls_in`` in the global frame, for a leg in that frame.
-        Level walls are built there directly: the gadget gets the placement
-        y -> dy + y as its frame (dy, 1) and adds it to each template offset."""
-        ws = list(self.static_walls)
-        if self.gadget.level_walls is not None:
-            ws += self.gadget.level_walls(leg, levels, memo, (self.dy, 1))
-        return ws
-
-
 @dataclass
 class Station:
     state: str
     x: Fraction
     checkpoint: MarkedSegment
-    split: Optional[Placed] = None
-    merge: Optional[Placed] = None
-    merge_shift: Optional[int] = None  # shared shift of the incoming edges
+    split: Optional[Gadget] = None     # placed at SPLIT_DY
+    merge: Optional[Gadget] = None     # placed at MERGE_DY
     premerge: Optional[Gadget] = None  # virtual split the merge mirrors
-
-    def walls_in(self, leg, levels, memo=None):
-        ws = []
-        if self.checkpoint.hard:
-            ws.append(self.checkpoint.wall)
-        if self.split:
-            ws += self.split.walls_in(leg, levels, memo)
-        if self.merge:
-            ws += self.merge.walls_in(leg, levels, memo)
-        return ws
 
 
 @dataclass
@@ -132,8 +100,8 @@ class Corridor:
     sigma_in: int        # lane offset after the split (-2 or +2)
     sigma_out: int       # lane offset expected by the target (0 if merge-free)
     split: Gadget
-    stage: Placed
-    turns: tuple         # four Placed turn gadgets (dy already folded in)
+    stage: Gadget        # placed at STAGE_DY
+    turns: tuple         # four turn gadgets, placed at dy = 0
     merge: Optional[Gadget]
     K: int = 8
     premerge: Optional[PiecewiseTransfer] = None   # virtual split behind merge
@@ -160,10 +128,10 @@ class Corridor:
             raise DomainError(
                 f"corridor {self.edge}: value {value} belongs to {piece.tag}")
         pieces.append(piece)
-        v, piece = self.stage.gadget.transfer.apply(v)
+        v, piece = self.stage.transfer.apply(v)
         pieces.append(piece)
-        for placed in self.turns:
-            v, piece = placed.gadget.transfer.apply(v)
+        for turn in self.turns:
+            v, piece = turn.transfer.apply(v)
             pieces.append(piece)
         rebase = self.sigma_out - self.sigma_in
         if rebase:
@@ -199,12 +167,6 @@ class Corridor:
             raise DomainError(f"inverse corridor {self.edge}: not in image")
         return x
 
-    def walls_in(self, leg, levels, memo=None):
-        ws = self.stage.walls_in(leg, levels, memo)
-        for t in self.turns:
-            ws += t.walls_in(leg, levels, memo)
-        return ws
-
 
 @dataclass
 class BilliardTable:
@@ -237,20 +199,65 @@ class BilliardTable:
 
     # -- scene -------------------------------------------------------------
 
+    @cached_property
+    def scene(self):
+        """The scene as one flat tuple in scene_walls order: the launch pad,
+        the stations, then the corridors.  Each static wall (pad, hard
+        checkpoint, stage arc, turn mirror) is an entry, and so is each split
+        and merge: its gadget's (mirrors, frame), the frame moved up by dy."""
+        scene = [self.initial_pad.wall]
+
+        def place(gadget, dy):
+            scene.extend(w.translated(0, dy) for w in gadget.static_walls)
+            if gadget.mirrors is not None:
+                mirrors, (oy, sy) = gadget.mirrors
+                scene.append((mirrors, (oy + dy, sy)))
+
+        for q in self.machine.states:
+            st = self.stations[q]
+            if st.checkpoint.hard:
+                scene.append(st.checkpoint.wall)
+            for gadget, dy in ((st.split, SPLIT_DY), (st.merge, MERGE_DY)):
+                if gadget is not None:
+                    place(gadget, dy)
+        for key in sorted(self.corridors):
+            corridor = self.corridors[key]
+            place(corridor.stage, STAGE_DY)
+            for turn in corridor.turns:
+                scene.extend(turn.static_walls)
+        return tuple(scene)
+
+    @cached_property
+    def static_walls(self):
+        return tuple(entry for entry in self.scene if not isinstance(entry, tuple))
+
+    @cached_property
+    def mirror_families(self):
+        return tuple(entry for entry in self.scene if isinstance(entry, tuple))
+
     def scene_walls(self, levels=None):
         """All placed walls for the given head levels, in a stable order."""
         if levels is None:
             levels = range(-self.scene_levels, self.scene_levels + 1)
         return self.walls_in(None, list(levels))
 
+    def level_walls_in(self, leg, levels, memo=None):
+        """``Gadget.level_walls_in`` over every mirror family of the scene,
+        in scene order: the one per-leg query a tracer makes."""
+        ws = []
+        for mirrors, frame in self.mirror_families:
+            ws += mirrors.walls_in(leg, levels, memo, frame)
+        return ws
+
     def walls_in(self, leg, levels, memo=None):
-        """``Gadget.walls_in`` over the whole scene, in scene_walls order:
-        the launch pad, the stations, then the corridors."""
-        ws = [self.initial_pad.wall]
-        for q in self.machine.states:
-            ws += self.stations[q].walls_in(leg, levels, memo)
-        for key in sorted(self.corridors):
-            ws += self.corridors[key].walls_in(leg, levels, memo)
+        """The static walls and ``level_walls_in``'s, in scene_walls order."""
+        ws = []
+        for entry in self.scene:
+            if isinstance(entry, tuple):
+                mirrors, frame = entry
+                ws += mirrors.walls_in(leg, levels, memo, frame)
+            else:
+                ws.append(entry)
         return ws
 
     def marked_segments(self):
@@ -311,7 +318,7 @@ class BilliardTable:
         for (q, a), c in sorted(self.corridors.items()):
             pieces = []
             for stage_name, transfer in (("split", c.split.transfer),
-                                         ("shift", c.stage.gadget.transfer)):
+                                         ("shift", c.stage.transfer)):
                 for p in transfer.pieces(levels):
                     if stage_name == "split" and p.tag != f"branch{a}":
                         continue
@@ -384,7 +391,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         rule = (lambda q: lambda k, s: writes[(q, s)])(q)
         split = build_split_gadget(K, rewrite_rule=rule, base_x=st.x,
                                    name=f"split:{q}")
-        st.split = Placed(split, SPLIT_DY)
+        st.split = split
 
     # merges: states entered by two edges; the walls classify on the tape
     # cell behind the head, which reversibility makes branch-disjoint
@@ -398,8 +405,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         virtual = build_split_gadget(
             K, cell_offset=-eps, base_x=st.x, name=f"premerge:{q}",
             k_filter=lambda k, eps=eps: abs(k) <= K and abs(k - eps) <= K)
-        st.merge = Placed(build_merge_gadget(virtual, name=f"merge:{q}"), MERGE_DY)
-        st.merge_shift = eps
+        st.merge = build_merge_gadget(virtual, name=f"merge:{q}")
         st.premerge = virtual
 
     # corridors
@@ -415,7 +421,6 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         sigma_out = int(SIGMA[edge.write]) if merged else 0
         stage = build_shift_stage(edge.shift, base_x=src.x, sigma=sigma_in,
                                   K=K, name=f"stage:{edge.state}.r{a}")
-        stage_placed = Placed(stage, STAGE_DY)
 
         row = ROW0 + ROW_PITCH * idx
         brow = BROW0 - ROW_PITCH * idx
@@ -440,9 +445,9 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
                                       K=K, name=f"stage-inv:{edge.state}.r{a}")
         corridors[(edge.state, a)] = Corridor(
             edge=edge, index=idx, branch=a, sigma_in=sigma_in,
-            sigma_out=sigma_out, split=src.split.gadget, stage=stage_placed,
-            turns=tuple(Placed(t, F(0)) for t in (t1, t2, t3, t4)),
-            merge=tgt.merge.gadget if merged else None, K=K,
+            sigma_out=sigma_out, split=src.split, stage=stage,
+            turns=(t1, t2, t3, t4),
+            merge=tgt.merge, K=K,
             premerge=tgt.premerge.transfer if merged else None,
             stage_inverse=stage_inv.transfer)
 
@@ -468,13 +473,17 @@ def load_table(text):
     from .machine import parse_machine
 
     doc = json.loads(text)
-    if doc.get("format") != "carom-table/1":
+    if not isinstance(doc, dict) or doc.get("format") != "carom-table/1":
         raise ValueError("not a carom table file")
-    meta = doc["meta"]
-    machine = parse_machine(meta["machine"])
-    table = compile_table(machine, int(meta["K"]),
-                          scene_levels=int(meta["scene_levels"]))
-    if table.machine_hash != meta["machine_sha256"]:
+    try:
+        meta = doc["meta"]
+        machine = parse_machine(meta["machine"])
+        K, levels = int(meta["K"]), int(meta["scene_levels"])
+        sha = meta["machine_sha256"]
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError(f"not a carom table file: {err!r}") from None
+    table = compile_table(machine, K, scene_levels=levels)
+    if table.machine_hash != sha:
         raise ValueError("machine hash mismatch")
     # compact encodings compare the same values and types as to_json's text
     # (a dict == would take true for 1), and go through json's C encoder

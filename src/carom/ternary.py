@@ -152,10 +152,6 @@ class TernaryRational:
     def __float__(self):
         return self.num / 3 ** self.exp
 
-    @property
-    def sign(self):
-        return (self.num > 0) - (self.num < 0)
-
     def ternary_digits(self):
         """Fractional ternary digits of a value in [0, 1).
 
@@ -196,6 +192,3 @@ def _coerce(value):
 def T(num, exp=0):
     return TernaryRational(num, exp)
 
-
-ZERO = T(0)
-ONE = T(1)

@@ -152,3 +152,20 @@ def test_negative_counts_rejected(rev_move_file, tmp_path, capsys):
 def test_bad_config_rejected(rev_move_file):
     assert main(["run", rev_move_file, "--K", "0", "--tape", "@"]) == 2
     assert main(["run", rev_move_file, "--precision", "10", "--tape", "@"]) == 2
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda doc: doc["meta"].pop("scene_levels") and doc, "not a carom table file"),
+    (lambda doc: [], "not a carom table file"),
+    (lambda doc: {**doc, "meta": None}, "not a carom table file"),
+    (lambda doc: {**doc, "meta": {**doc["meta"], "K": 0}}, "K must be >= 1"),
+], ids=["no-scene-levels", "top-level-list", "null-meta", "zero-K"])
+def test_malformed_table_file_is_input_error(rev_move_file, tmp_path, capsys, mangle,
+                                             message):
+    # a wrong-shaped table document is an input error (exit 2), not a crash
+    table_file = tmp_path / "table.json"
+    assert main(["compile", rev_move_file, "-o", str(table_file), "--K", "2"]) == 0
+    table_file.write_text(json.dumps(mangle(json.loads(table_file.read_text()))))
+    capsys.readouterr()
+    assert main(["run", str(table_file), "--tape", "@"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err

@@ -193,8 +193,8 @@ def test_block_membership():
         assert len(hits) == 1
         misses = [b for b in cantor_blocks(k, 1 - s) if p.value in b]
         assert not misses
-        lo, hi, sym = block_of(p.value, k, digit_position(k))
-        assert (lo, hi, sym) == (hits[0].lo, hits[0].hi, s)
+        assert block_of(p.value, k, digit_position(k)) == hits[0]
+        assert hits[0].symbol == s
         # the block's free prefix bits are the interleaved tape digits
         # before the head digit
         from carom.encoding import cell_of_digit

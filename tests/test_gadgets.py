@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -28,7 +29,7 @@ from carom.gadgets import (
 )
 from carom.geometry import Port, Segment, walls_clash
 from carom.machine import enumerate_tapes
-from carom.table import MERGE_DY, SPLIT_DY, Placed
+from carom.table import MERGE_DY, SPLIT_DY
 from carom.ternary import T
 
 
@@ -227,7 +228,6 @@ def test_merge_rejects_noninjective():
             from carom.gadgets import PiecewiseTransfer
             PiecewiseTransfer(None, self.pieces, self.label).check_injective(levels)
 
-    import dataclasses
     fake = dataclasses.replace(bad, transfer=Clashing())
     with pytest.raises(ValueError):
         build_merge_gadget(fake, validate_levels=(0,))
@@ -255,8 +255,7 @@ def explicit_pairs(name, levels, rule, base_x):
         digit_pos = digit_position(k)
         for s in (0, 1):
             for blk in cantor_blocks_at(k, digit_pos, s):
-                walls += _block_walls(name, k, digit_pos, blk.bits * 2 + s,
-                                      blk.lo, blk.hi, s, rule(k, s), base_x)
+                walls += _block_walls(name, blk, rule(k, s), base_x)
     return walls
 
 
@@ -270,19 +269,25 @@ def placed(walls, oy, sy):
 @pytest.mark.parametrize("base_x", [Fraction(0), Fraction(48)], ids=["x0", "x48"])
 def test_template_pairs_equal_explicit_formula(rewrite, base_x):
     # every block of levels -4..4, both symbols: the split, its mirror
-    # image as a merge, and both placed in the global frame
+    # image as a merge, and both placed in the global frame the way a table
+    # places them, each frame moved up by the placement's dy
     levels = range(-4, 5)
     rule = (lambda k, s: 1 - s) if rewrite else (lambda k, s: s)
     split = build_split_gadget(4, rewrite_rule=rule, base_x=base_x, name="split:A")
     merge = build_merge_gadget(split, name="merge:A", validate_levels=())
     want = explicit_pairs("split:A", levels, rule, base_x)
     mirrored = placed(want, 10, -1)
+
+    def placed_at(gadget, dy):
+        mirrors, (oy, sy) = gadget.mirrors
+        return dataclasses.replace(gadget, mirrors=(mirrors, (oy + dy, sy)))
+
     memo = {}   # one memo for every frame: its keys must tell them apart
     for source, walls in ((split, want), (merge, mirrored),
-                          (Placed(split, SPLIT_DY), placed(want, SPLIT_DY, 1)),
-                          (Placed(merge, MERGE_DY), placed(mirrored, MERGE_DY, 1))):
-        assert source.walls_in(None, levels) == walls
-        assert source.walls_in(None, levels, memo) == walls
+                          (placed_at(split, SPLIT_DY), placed(want, SPLIT_DY, 1)),
+                          (placed_at(merge, MERGE_DY), placed(mirrored, MERGE_DY, 1))):
+        assert source.level_walls_in(None, levels) == walls
+        assert source.level_walls_in(None, levels, memo) == walls
 
 
 def test_mirror_boxes_match_explicit_pair():
@@ -294,8 +299,7 @@ def test_mirror_boxes_match_explicit_pair():
             blk = cantor_blocks_at(k, digit_pos, s)[-1]
             c = blk.centre
             for write in (s, 1 - s):
-                pair = _block_walls("", k, digit_pos, 0, blk.lo, blk.hi, s, write,
-                                    Fraction(0))
+                pair = _block_walls("", blk, write, Fraction(0))
                 assert _mirror_boxes(k, digit_pos, s, write) == tuple(
                     ((w.p0[0] + w.p1[0]) / 2 - c, (w.p0[1] + w.p1[1]) / 2 - 8 * c,
                      abs(w.p1[0] - w.p0[0]) / 2, abs(w.p1[1] - w.p0[1]) / 2)

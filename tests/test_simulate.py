@@ -312,13 +312,13 @@ def test_numeric_missing_split_mirror_exhausts_precision(monkeypatch, tmp_path):
     tape = parse_tape("{2:1}")
     dropped = next(ev.wall_id for ev in run_symbolic(table, tape, 10).trace
                    if ev.kind == "reflection" and ev.wall_id.startswith("split:"))
-    walls_in = BilliardTable.walls_in
+    level_walls_in = BilliardTable.level_walls_in
 
     def without_mirror(self, leg, levels, memo=None):
-        return [w for w in walls_in(self, leg, levels, memo) if w.wall_id != dropped]
+        return [w for w in level_walls_in(self, leg, levels, memo) if w.wall_id != dropped]
 
-    # the tracer gets its walls only through this query
-    monkeypatch.setattr(BilliardTable, "walls_in", without_mirror)
+    # the tracer gets its split mirrors only through this per-leg query
+    monkeypatch.setattr(BilliardTable, "level_walls_in", without_mirror)
     with pytest.raises(PrecisionExhausted):
         run_numeric(table, tape, 10, precision=60)
     path = tmp_path / "rev-move.tm"

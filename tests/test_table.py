@@ -230,11 +230,11 @@ def test_parallel_corridors_one_row_apart():
     from carom.table import ROW_PITCH, LANE_PITCH
     table = compile_table(get_machine("looper"), 2)
     c0, c1 = table.corridors[("L", 0)], table.corridors[("L", 1)]
-    y0 = c0.turns[0].gadget.static_walls[0].p0[1]
-    y1 = c1.turns[0].gadget.static_walls[0].p0[1]
+    y0 = c0.turns[0].static_walls[0].p0[1]
+    y1 = c1.turns[0].static_walls[0].p0[1]
     assert abs(y1 - y0) == ROW_PITCH
-    x0 = c0.turns[2].gadget.static_walls[0].p0[0]
-    x1 = c1.turns[2].gadget.static_walls[0].p0[0]
+    x0 = c0.turns[2].static_walls[0].p0[0]
+    x1 = c1.turns[2].static_walls[0].p0[0]
     assert abs(x1 - x0) == LANE_PITCH
 
 

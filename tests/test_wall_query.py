@@ -20,6 +20,7 @@ from carom.geometry import Leg, Segment, segments_intersect
 from carom.machine import parse_machine, parse_tape
 from carom.simulate import run_numeric
 from carom.table import compile_table
+from carom.zoo import MACHINE_TEXTS, get_machine
 
 LEVELS = range(-3, 4)
 RAY_LENGTH = 10_000   # beyond every scene here: a ray checked as a segment
@@ -145,6 +146,27 @@ def test_unbounded_query_lists_every_wall(build):
     assert source.walls_in(None, LEVELS) == _full(source)
 
 
+@pytest.mark.parametrize("name", sorted(MACHINE_TEXTS))
+def test_scene_entries_list_the_scene(name):
+    # the flat scene, walked in order with every mirror family queried
+    # unbounded, is scene_walls; the per-leg query never returns a static wall
+    table = compile_table(get_machine(name), 4)
+    walls = []
+    for entry in table.scene:
+        if isinstance(entry, tuple):
+            mirrors, frame = entry
+            walls += mirrors.walls_in(None, LEVELS, None, frame)
+        else:
+            walls.append(entry)
+    full = table.scene_walls(LEVELS)
+    assert [w.wall_id for w in walls] == [w.wall_id for w in full]
+    assert walls == full
+    static = {w.wall_id for w in table.static_walls}
+    assert len(table.mirror_families) == sum(isinstance(e, tuple) for e in table.scene) > 0
+    for leg in [None] + _seeded_legs(full, random.Random(5), 60):
+        assert not static & {w.wall_id for w in table.level_walls_in(leg, LEVELS)}
+
+
 def test_query_is_narrow():
     # a vertical beam through a split meets one block's primary mirror,
     # whatever the level count and however deep: the window is exact
@@ -159,11 +181,26 @@ def test_query_is_narrow():
 
 # --- the block window, against the exact oracle ---------------------------
 
+def _extent(leg, i):
+    """(lo, hi) of coordinate i along the leg; None where unbounded."""
+    o, d, t_max = leg.origin[i], leg.direction[i], leg.t_max
+    if t_max is None:
+        return (o, None) if d > 0 else (None, o) if d < 0 else (o, o)
+    end = o + t_max * d
+    return (o, end) if d >= 0 else (end, o)
+
+
+def _mirrored(leg, axis):
+    """The leg reflected across the horizontal line y = axis."""
+    (x, y), (dx, dy) = leg.origin, leg.direction
+    return Leg((x, 2 * axis - y), (dx, -dy), leg.t_max)
+
+
 def _exact_window(leg, box, lo, hi):
     """Exact centres c in [lo, hi] whose box (ax + c +- rx, ay + 8c +- ry)
     meets the leg: separating axes x, y and the leg's normal, each a linear
     condition on c.  None when there are none."""
-    (xl, xu), (yl, yu) = leg.extent(0), leg.extent(1)
+    (xl, xu), (yl, yu) = _extent(leg, 0), _extent(leg, 1)
     nx, ny = -leg.direction[1], leg.direction[0]
     ax, ay, rx, ry = box
     if xl is not None:
@@ -225,10 +262,8 @@ def test_window_blocks_equal_exact_oracle(build):
     # per (level, symbol, wall): the blocks the integer window lists are
     # those whose exact centre lies in the oracle's window
     gadget, split = build()
-    mirrors = split.level_walls.__self__
+    mirrors, frame = gadget.mirrors
     legs = _dyadic_legs(gadget.walls(WINDOW_LEVELS), random.Random(11), 300)
-    if gadget is not split:     # into the split's frame, as the merge's query does
-        legs = [leg.mirrored_y(Fraction(5)) for leg in legs]
     levels = [k for k in WINDOW_LEVELS if mirrors.k_filter(k)]
     blocks, boxes = {}, {}
     for k in levels:
@@ -244,10 +279,13 @@ def test_window_blocks_equal_exact_oracle(build):
     met = 0
     for leg in legs:
         got = {}
-        for lv, s, w, blk in mirrors._blocks(leg, WINDOW_LEVELS):
+        for lv, s, w, blk in mirrors._blocks(leg, WINDOW_LEVELS, frame):
             got.setdefault((lv.k, s, w), []).append(blk)
+        # the oracle reads the leg in the split's frame, as the merge's walls
+        # are the split's mirrored across y = 5
+        local = leg if gadget is split else _mirrored(leg, Fraction(5))
         for (k, s, w), box in boxes.items():
-            window = _exact_window(leg, box, *hull[k])
+            window = _exact_window(local, box, *hull[k])
             blks, centres = blocks[k, s]
             want = [] if window is None else blks[bisect.bisect_left(centres, window[0]):
                                                   bisect.bisect_right(centres, window[1])]
