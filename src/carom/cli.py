@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from .encoding import digit_position, encode_state, k_max_cap
 from .gadgets import check_separation
 from .machine import MachineError, check_reversible, parse_machine, parse_tape, format_tape
-from .simulate import (
-    TracingError,
-    run_numeric,
-    run_symbolic,
-    verify_equivalence,
-    write_trace,
-)
+from .simulate import TracingError, run_symbolic, verify_equivalence, write_trace
 from .table import CompileError, compile_table, load_table, to_svg
 from .machine import enumerate_tapes
 
@@ -127,6 +121,7 @@ def cmd_run(args, cfg):
         payload["out_of_range_k"] = outcome.out_of_range_k
         lines.append(f"head would reach {outcome.out_of_range_k}, beyond K={table.K}")
     if args.mode in ("numeric", "both"):
+        from .numeric import run_numeric   # loads mpmath, which symbolic runs skip
         result = run_numeric(table, tape, cfg.budget, precision=cfg.precision)
         payload["max_deviation"] = result.max_deviation
         payload["precision"] = cfg.precision
@@ -192,6 +187,7 @@ def cmd_svg(args, cfg):
     table = _load_or_compile(args, cfg)
     trace_points = None
     if args.tape:
+        from .numeric import run_numeric
         result = run_numeric(table, parse_tape(args.tape), cfg.budget,
                              precision=cfg.precision)
         trace_points = result.points

@@ -280,10 +280,22 @@ def cantor_walk(k, digit_pos, symbol, window=None, k_max=None):
     if digit_pos < 1:
         raise ValueError("digit positions are 1-based")
     n_free = digit_pos - 1
-    pow3 = [3 ** r for r in range(n_free + 1)]
     # tau_k(B / 3**digit_pos) = (B + shift) / 3**exp, exactly
     exp = digit_pos + 1 + abs(k)
-    shift = 3 * pow3[n_free] if k < 0 else 3 ** exp - 6 * pow3[n_free]
+    shift = 3 ** digit_pos if k < 0 else 3 ** exp - 2 * 3 ** digit_pos
+    base = 2 * symbol + shift
+    return [CantorBlock(k, digit_pos, bits, symbol, TernaryRational(3 * value + base, exp),
+                        TernaryRational(3 * value + base + 1, exp))
+            for value, bits in block_indices(n_free, window)]
+
+
+def block_indices(n_free, window=None):
+    """(F, bits) of every block index F in ``window`` (None: all of them),
+    ascending: F reads ``n_free`` free digits, each 0 or 2, in base 3, and
+    ``bits`` holds them as the bits of an integer, first digit most
+    significant.  A descent over the digits prunes every prefix whose
+    blocks all miss the window."""
+    pow3 = [3 ** r for r in range(n_free + 1)]
     lo, hi = 0, pow3[n_free] - 1
     if window is not None:
         lo, hi = max(lo, window[0]), min(hi, window[1])
@@ -295,10 +307,7 @@ def cantor_walk(k, digit_pos, symbol, window=None, k_max=None):
         found = [(v, 2 * bits + bit) for value, bits in found
                  for v, bit in ((3 * value, 0), (3 * value + 2, 1))
                  if v * span <= hi and (v + 1) * span > lo]
-    base = 2 * symbol + shift
-    return [CantorBlock(k, digit_pos, bits, symbol, TernaryRational(3 * value + base, exp),
-                        TernaryRational(3 * value + base + 1, exp))
-            for value, bits in found]
+    return found
 
 
 def cantor_blocks_at(k, digit_pos, symbol, k_max=None):

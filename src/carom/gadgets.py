@@ -27,7 +27,7 @@ Three families realize the machine operations on the encoded coordinate:
   ports face beam-up and corridors stack them directly.
 
 The transfer maps are the exact source of truth; ray tracing through the
-walls (simulate.run_numeric) certifies that the geometry implements them.
+walls (numeric.run_numeric) certifies that the geometry implements them.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from typing import Callable, NamedTuple, Optional
 from .encoding import (
     KRangeExceeded,
     NotACode,
+    block_indices,
     block_of,
     cantor_blocks_at,
     cantor_walk,
@@ -188,9 +189,10 @@ def _block_wall_params(k, read_s, write_s):
     return slope, disp
 
 
-def _wall_ids(name, blk):
-    """The ids of the (primary, return) mirror pair over the CantorBlock ``blk``."""
-    wid = f"{name}:k{blk.k}:d{blk.digit_pos}:s{blk.symbol}:b{blk.bits * 2 + blk.symbol}"
+def _wall_ids(name, k, digit_pos, symbol, bits):
+    """The ids of the (primary, return) mirror pair over the CantorBlock
+    with these fields."""
+    wid = f"{name}:k{k}:d{digit_pos}:s{symbol}:b{bits * 2 + symbol}"
     return wid + ":W", wid + ":Wt"
 
 
@@ -204,7 +206,7 @@ def _block_walls(name, blk, write_s, base_x):
     pad = h / 3
     center = (lo_f + hi_f) / 2
     height = _band_center(blk.lo, blk.hi)
-    primary_id, return_id = _wall_ids(name, blk)
+    primary_id, return_id = _wall_ids(name, blk.k, blk.digit_pos, blk.symbol, blk.bits)
 
     def primary_y(x):
         return height + slope * (x - center - base_x)
@@ -227,23 +229,22 @@ def _block_walls(name, blk, write_s, base_x):
     return primary, returning
 
 
-# one entry per (k, digit_pos, read_s, write_s, sy) with |k| <= K_max: bounded
-@functools.lru_cache(maxsize=None)
-def _mirror_template(k, digit_pos, read_s, write_s, sy):
+def _mirror_template(k, digit_pos, read_s, write_s):
     """The mirror pair of every (k, digit_pos, read_s) block, up to a
     translation: ((p0, p1) of the primary, (p0, p1) of the return mirror),
-    exact, with y scaled by sy (+1 or -1).
+    exact.
 
     In _block_walls a pair depends on its block only through the centre c:
     its x range follows c and its band sits at height 8c + 1.  So the pair
     over centre c is the pair over any other centre translated by a
     multiple of (1, 8).  The template is the pair over the first block
     moved to centre 0 at base_x = 0; placed at y -> oy + sy*y, the pair
-    over centre c is the template plus (base_x + c, oy + 8c*sy).
+    over centre c is the template, y scaled by sy, plus (base_x + c,
+    oy + 8c*sy).
     """
     first, = cantor_walk(k, digit_pos, read_s, (0, 0))
     c = first.centre
-    return tuple(tuple((x - c, sy * (y - _BAND_GAIN * c)) for x, y in (w.p0, w.p1))
+    return tuple(tuple((x - c, y - _BAND_GAIN * c) for x, y in (w.p0, w.p1))
                  for w in _block_walls("", first, write_s, F(0)))
 
 
@@ -256,22 +257,32 @@ def _mirror_boxes(k, digit_pos, read_s, write_s):
     """
     return tuple(((p0[0] + p1[0]) / 2, (p0[1] + p1[1]) / 2,
                   abs(p1[0] - p0[0]) / 2, abs(p1[1] - p0[1]) / 2)
-                 for p0, p1 in _mirror_template(k, digit_pos, read_s, write_s, 1))
+                 for p0, p1 in _mirror_template(k, digit_pos, read_s, write_s))
 
 
 # one entry per (k, digit_pos, read_s, write_s) with |k| <= K_max: bounded
 @functools.lru_cache(maxsize=None)
-def _block_boxes(k, digit_pos, read_s, write_s):
-    """_mirror_boxes moved onto block F = 0 of ``cantor_walk``, in integers
-    over one denominator: per wall (den, step, x, y, rx, ry), the wall over
-    block F lying in (x + F*step +- rx, y + 8*F*step +- ry) / den at base_x 0."""
+def _pair_template(k, digit_pos, read_s, write_s):
+    """The mirror pair over block F = 0 of ``cantor_walk`` at base_x = 0,
+    in integers over one denominator: (den, step, walls), walls holding
+    (x0, y0, x1, y1) per wall, so that the pair over block F (centre F*step
+    / den further right, and 8 times that higher, see _mirror_template) has
+    endpoints ((x + F*step) / den, (y + 8*F*step) / den)."""
     first, = cantor_walk(k, digit_pos, read_s, (0, 0))
     # block F + 1's centre lies three block lengths right of block F's
-    c, step = first.centre, 3 * first.length.as_fraction()
-    boxes = [(ax + c, ay + _BAND_GAIN * c, rx, ry)
-             for ax, ay, rx, ry in _mirror_boxes(k, digit_pos, read_s, write_s)]
-    den = math.lcm(step.denominator, *(v.denominator for box in boxes for v in box))
-    return tuple((den, int(step * den), *(int(v * den) for v in box)) for box in boxes)
+    step = 3 * first.length.as_fraction()
+    walls = [w.p0 + w.p1 for w in _block_walls("", first, write_s, F(0))]
+    den = math.lcm(step.denominator, *(v.denominator for w in walls for v in w))
+    return den, int(step * den), tuple(tuple(int(v * den) for v in w) for w in walls)
+
+
+def _block_boxes(k, digit_pos, read_s, write_s):
+    """The bounding boxes of _pair_template's walls: per wall (den, step,
+    x, y, rx, ry), the wall over block F lying in (x + F*step +- rx,
+    y + 8*F*step +- ry) / den at base_x 0."""
+    den, step, walls = _pair_template(k, digit_pos, read_s, write_s)
+    return tuple((2 * den, 2 * step, x0 + x1, y0 + y1, abs(x1 - x0), abs(y1 - y0))
+                 for x0, y0, x1, y1 in walls)
 
 
 class _MirrorLevel(NamedTuple):
@@ -354,13 +365,15 @@ class _BlockMirrors:
     position and built in the frame they are placed in.
 
     A level's pairs are one template pair translated by c * (1, 8) for the
-    block centres c (``_mirror_template``), so a pair costs a few exact
-    additions, and block F of ``cantor_walk`` has its centre at c_0 + F *
-    step.  A float pre-reject finds the one or two levels whose hull I_k
-    the leg may reach; for those, ``_window`` bounds F exactly in integers,
-    and ``cantor_walk`` lists exactly the blocks whose wall boxes the leg
-    meets.  Level data is built on the first positional query, never by
-    the compiler.
+    block centres c (``_mirror_template``), and block F of ``cantor_walk``
+    has its centre at c_0 + F * step.  So ``_placed`` scales the placed
+    pair over block 0 and the step to integers over one denominator, once
+    per level and symbol a query lists, and ``_pair`` builds the pair over
+    block F from them with no Fraction additions.  A float pre-reject finds the one or two
+    levels whose hull I_k the leg may reach; for those, ``_window`` bounds
+    F exactly in integers, and ``block_indices`` lists exactly the blocks
+    whose wall boxes the leg meets.  Level data is built on the first
+    positional query, never by the compiler.
 
     ``walls_in`` takes a frame (oy, sy), the placement y -> oy + sy*y of
     the gadget's local frame (sy = -1 for a merge's mirror image), and
@@ -374,20 +387,29 @@ class _BlockMirrors:
         self.cell_offset, self.rewrite_rule, self.base_x = cell_offset, rewrite_rule, base_x
         self._levels = None
 
-    def _pair(self, k, digit_pos, blk, frame, memo):
-        """The (primary, return) pair over ``blk``, placed by ``frame``."""
-        s = blk.symbol
-        key = (self.name, frame, k, s, blk.bits)
-        pair = memo.get(key) if memo is not None else None
-        if pair is None:
-            (oy, sy), c = frame, blk.centre
-            dx, dy = self.base_x + c, oy + sy * _BAND_GAIN * c
-            template = _mirror_template(k, digit_pos, s, self.rewrite_rule(k, s), sy)
-            pair = tuple(Segment((p0[0] + dx, p0[1] + dy), (p1[0] + dx, p1[1] + dy), wid)
-                         for (p0, p1), wid in zip(template, _wall_ids(self.name, blk)))
-            if memo is not None:
-                memo[key] = pair
-        return pair
+    def _placed(self, k, digit_pos, s, frame):
+        """_pair_template of level k and symbol s placed by ``frame``, x
+        counted from base_x, over one denominator: (den, step_x, step_y,
+        walls), the pair over block F having the endpoints ((x + F*step_x)
+        / den, (y + F*step_y) / den) for (x0, y0, x1, y1) in walls."""
+        den, step, walls = _pair_template(k, digit_pos, s, self.rewrite_rule(k, s))
+        (oy, sy), bx = frame, self.base_x
+        d = math.lcm(den, bx.denominator, oy.denominator)
+        m = d // den
+        dx, dy = bx.numerator * (d // bx.denominator), oy.numerator * (d // oy.denominator)
+        return d, m * step, 8 * sy * m * step, tuple(
+            (m * x0 + dx, sy * m * y0 + dy, m * x1 + dx, sy * m * y1 + dy)
+            for x0, y0, x1, y1 in walls)
+
+    def _pair(self, placed, k, digit_pos, s, index, bits):
+        """The (primary, return) pair over block ``index`` of level k and
+        symbol s, whose free digits are ``bits``, from ``_placed``."""
+        den, step_x, step_y, walls = placed
+        dx, dy = index * step_x, index * step_y
+        return tuple(Segment((Fraction(x0 + dx, den), Fraction(y0 + dy, den)),
+                             (Fraction(x1 + dx, den), Fraction(y1 + dy, den)), wid)
+                     for (x0, y0, x1, y1), wid
+                     in zip(walls, _wall_ids(self.name, k, digit_pos, s, bits)))
 
     def _level_data(self):
         """Levels sorted left to right (by k), per line of _LINES the
@@ -444,7 +466,7 @@ class _BlockMirrors:
             yield j
 
     def _blocks(self, leg, levels, frame):
-        """(level, symbol, wall, block) for every block whose wall box
+        """(level, symbol, wall, F, bits) for every block F whose wall box
         meets the leg, the walls placed by ``frame``."""
         px, py, dx, dy, t = leg.floats
         oy, sy = frame
@@ -487,28 +509,37 @@ class _BlockMirrors:
                     continue
                 exact = exact or _exact_leg(leg, self.base_x, frame)
                 for s, w in members:
-                    for blk in cantor_walk(lv.k, lv.digit_pos, s, _window(lv, s, w, exact)):
-                        yield lv, s, w, blk
+                    for index, bits in block_indices(lv.digit_pos - 1,
+                                                     _window(lv, s, w, exact)):
+                        yield lv, s, w, index, bits
 
     def walls_in(self, leg, levels, memo, frame):
-        walls = []
+        """The mirrors of ``levels`` whose boxes the leg meets (every one
+        when ``leg`` is None), placed by ``frame``, ordered by level (as
+        given, or ascending), symbol and block; ``memo`` keeps built pairs."""
         if leg is None:
-            for k in levels:
-                if not self.k_filter(k):
-                    continue
-                digit_pos = digit_position(k + self.cell_offset)
-                for s in (0, 1):
-                    for blk in cantor_blocks_at(k, digit_pos, s):
-                        walls += self._pair(k, digit_pos, blk, frame, memo)
-            return walls
-        found = {}    # (k, s, block bits) -> [level, block, primary?, return?]
-        for lv, s, w, blk in self._blocks(leg, levels, frame):
-            entry = found.setdefault((lv.k, s, blk.bits), [lv, blk, False, False])
-            entry[2 + w] = True
-        for key in sorted(found):
-            lv, blk, *kept = found[key]
-            pair = self._pair(lv.k, lv.digit_pos, blk, frame, memo)
-            walls += [wall for wall, keep in zip(pair, kept) if keep]
+            blocks = [(k, digit_pos, s, index, bits, None)
+                      for k in levels if self.k_filter(k)
+                      for digit_pos in (digit_position(k + self.cell_offset),)
+                      for s in (0, 1) for index, bits in block_indices(digit_pos - 1)]
+        else:
+            found = {}    # (k, s, F) -> [digit_pos, bits, primary?, return?]
+            for lv, s, w, index, bits in self._blocks(leg, levels, frame):
+                entry = found.setdefault((lv.k, s, index), [lv.digit_pos, bits, False, False])
+                entry[2 + w] = True
+            blocks = [(k, digit_pos, s, index, bits, kept)
+                      for (k, s, index), (digit_pos, bits, *kept) in sorted(found.items())]
+        walls, placed, group = [], None, None
+        for k, digit_pos, s, index, bits, kept in blocks:
+            key = (self.name, frame, k, s, bits)
+            pair = memo.get(key) if memo is not None else None
+            if pair is None:
+                if group != (k, s):
+                    group, placed = (k, s), self._placed(k, digit_pos, s, frame)
+                pair = self._pair(placed, k, digit_pos, s, index, bits)
+                if memo is not None:
+                    memo[key] = pair
+            walls += pair if kept is None else [w for w, keep in zip(pair, kept) if keep]
         return walls
 
 
@@ -545,7 +576,8 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
             raise DomainError(f"{name}: {err}") from err
         _, disp = _block_wall_params(k, blk.symbol, rewrite_rule(k, blk.symbol))
         return Piece(blk.lo, blk.hi, T(1), TernaryRational.from_fraction(disp),
-                     _wall_ids(name, blk), f"branch{blk.symbol}")
+                     _wall_ids(name, k, blk.digit_pos, blk.symbol, blk.bits),
+                     f"branch{blk.symbol}")
 
     def enumerate_pieces(levels):
         pieces = []
@@ -558,7 +590,8 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
                 b = TernaryRational.from_fraction(disp)
                 for blk in cantor_blocks_at(k, digit_pos, s):
                     pieces.append(Piece(blk.lo, blk.hi, T(1), b,
-                                        _wall_ids(name, blk), f"branch{s}"))
+                                        _wall_ids(name, k, digit_pos, s, blk.bits),
+                                        f"branch{s}"))
         return pieces
 
     transfer = PiecewiseTransfer(locate, enumerate_pieces, label=name)

@@ -5,7 +5,7 @@ rational slope) or parabola arcs with a vertical axis; grid routing keeps
 every arc axis-aligned, so no other curve type is needed.  Segment
 intersection is decided exactly; pairs involving an arc fall back to a
 conservative bounding-box test (see ``walls_clash``).  The numeric tracer
-in ``simulate`` re-derives reflections in high-precision floats and is
+in ``numeric`` re-derives reflections in high-precision floats and is
 checked against the exact transfer maps.
 """
 

@@ -23,8 +23,10 @@ to the machine edge acting on the encoded value.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -269,20 +271,32 @@ class BilliardTable:
     def verify_layout(self, levels=None):
         """Exact pairwise non-intersection of all walls.
 
-        Segment pairs are checked exactly; pairs involving parabola arcs
-        conservatively by bounding boxes.  Returns the number of pairs
+        The walls' bounding boxes, scaled to integers over their common
+        denominator, are swept in x order.  Every pair whose x ranges meet
+        is inspected; a pair whose boxes also meet in y is decided by
+        ``walls_clash``: segment pairs exactly, pairs involving a parabola
+        arc conservatively by bounding boxes.  Returns the number of pairs
         inspected; raises CompileError with the offending ids otherwise.
         """
         walls = self.scene_walls(levels)
-        boxes = sorted(((w.bbox(), w) for w in walls), key=lambda t: t[0][0])
+        # a segment's box spans its endpoints; an arc's is its bbox corners
+        corners = [w.p0 + w.p1 if w.kind == "segment" else w.bbox() for w in walls]
+        den = math.lcm(*{v.denominator for c in corners for v in c})
+        boxes = []
+        for i, c in enumerate(corners):
+            x0, y0, x1, y1 = (v.numerator * (den // v.denominator) for v in c)
+            boxes.append((min(x0, x1), i, max(x0, x1), min(y0, y1), max(y0, y1)))
+        boxes.sort()
+        x_los = [box[0] for box in boxes]
         checked = 0
-        for i, (b1, w1) in enumerate(boxes):
-            for b2, w2 in boxes[i + 1:]:
-                if b2[0] > b1[2]:
-                    break
-                checked += 1
-                if walls_clash(w1, w2):
-                    raise CompileError(f"walls intersect: {w1.wall_id} / {w2.wall_id}")
+        for n, (_, i, x_hi, y_lo, y_hi) in enumerate(boxes):
+            # the boxes after this one in x order that start inside its x range
+            end = bisect.bisect_right(x_los, x_hi, n + 1)
+            checked += end - n - 1
+            for _, j, _, y_lo2, y_hi2 in boxes[n + 1:end]:
+                if y_lo2 <= y_hi and y_lo <= y_hi2 and walls_clash(walls[i], walls[j]):
+                    raise CompileError(
+                        f"walls intersect: {walls[i].wall_id} / {walls[j].wall_id}")
         return checked
 
     # -- serialization -----------------------------------------------------
@@ -296,7 +310,7 @@ class BilliardTable:
             return f"{x.numerator}/{x.denominator}"
 
         def pt(p):
-            return [frac(F(p[0])), frac(F(p[1]))]
+            return [frac(p[0]), frac(p[1])]
 
         walls = []
         for w in self.scene_walls():

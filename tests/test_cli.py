@@ -169,3 +169,30 @@ def test_malformed_table_file_is_input_error(rev_move_file, tmp_path, capsys, ma
     capsys.readouterr()
     assert main(["run", str(table_file), "--tape", "@"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_symbolic_commands_do_not_load_mpmath(rev_move_file, tmp_path):
+    # a fresh interpreter: compile, audit and verify stay symbolic, so the
+    # tracer (and mpmath) is loaded only once a numeric run asks for it
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    table = tmp_path / "rev-move.json"
+    script = f"""
+import contextlib, io, sys
+import carom.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [carom.cli.main(["compile", {rev_move_file!r}, "-o", {str(table)!r}, "--K", "3"]),
+             carom.cli.main(["audit", "--K", "2"]),
+             carom.cli.main(["verify", {str(table)!r}, "--support", "1"])]
+print(codes, "mpmath" in sys.modules)
+from carom.simulate import run_numeric
+from carom.table import load_table
+result = run_numeric(load_table(open({str(table)!r}).read()), frozenset({{1}}), 20)
+print(result.outcome.verdict, "mpmath" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)}, check=True).stdout
+    assert out.splitlines() == ["[0, 0, 0] False", "halted True"]

@@ -259,7 +259,7 @@ def test_walls_below_float_resolution_are_marked():
     # mirror at level 10 does
     from carom.gadgets import build_split_gadget
     from carom.geometry import Leg
-    from carom.simulate import _NumericWall
+    from carom.numeric import _NumericWall
     for name in ("walker", "pacer"):
         table = compile_table(get_machine(name), 4)
         assert not any(_NumericWall(w).fine for w in table.scene_walls(range(-4, 5)))

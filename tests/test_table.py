@@ -1,13 +1,17 @@
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from carom.encoding import encode_state
 from carom.machine import enumerate_tapes, parse_machine, step, ComputationState
+from carom.geometry import Segment, walls_clash
 from carom.table import (
+    BilliardTable,
+    CompileError,
     NotReversible,
     OutOfRange,
     compile_table,
@@ -132,6 +136,63 @@ def test_layout_exact_disjointness():
 def test_layout_rev_move_k3():
     table = compile_table(get_machine("rev-move"), 3)
     table.verify_layout(levels=range(-3, 4))
+
+
+def fraction_sweep(table, levels):
+    """verify_layout's pair count by the earlier Fraction sweep: the boxes
+    sorted by their left edge, each paired with every later box that
+    starts inside its x range."""
+    boxes = sorted(((w.bbox(), w) for w in table.scene_walls(levels)), key=lambda t: t[0][0])
+    checked = 0
+    for i, (b1, w1) in enumerate(boxes):
+        for b2, w2 in boxes[i + 1:]:
+            if b2[0] > b1[2]:
+                break
+            checked += 1
+            assert not walls_clash(w1, w2), (w1.wall_id, w2.wall_id)
+    return checked
+
+
+@pytest.mark.parametrize("K, levels", [(2, 2), (4, 3)])
+def test_layout_sweep_matches_fraction_sweep(K, levels):
+    for name, m in fixture_machines().items():
+        table = compile_table(m, K)
+        span = range(-levels, levels + 1)
+        assert table.verify_layout(span) == fraction_sweep(table, span), name
+
+
+def _layout_of(monkeypatch, *walls):
+    """A table whose scene is ``walls`` plus rev-move's own, far below."""
+    table = compile_table(get_machine("rev-move"), 2)
+    own = table.walls_in(None, range(-1, 2))
+    monkeypatch.setattr(BilliardTable, "scene_walls",
+                        lambda self, levels=None: own + list(walls))
+    return table
+
+
+def test_layout_rejects_crossing_walls(monkeypatch):
+    F = Fraction
+    a = Segment((F(-100), F(-100)), (F(-98), F(-98)), "probe:a")
+    b = Segment((F(-100), F(-98)), (F(-98), F(-100)), "probe:b")
+    table = _layout_of(monkeypatch, a, b)
+    with pytest.raises(CompileError, match="probe:a / probe:b"):
+        table.verify_layout()
+
+
+def test_layout_counts_and_checks_touching_boxes(monkeypatch):
+    F = Fraction
+    base = compile_table(get_machine("rev-move"), 2)
+    pairs = base.verify_layout(range(-1, 2))
+    a = Segment((F(-100), F(-100)), (F(-99), F(-99)), "probe:a")
+    # boxes meeting at x = -99 only: counted, disjoint in y, no clash
+    apart = Segment((F(-99), F(-97)), (F(-98), F(-96)), "probe:apart")
+    table = _layout_of(monkeypatch, a, apart)
+    assert table.verify_layout() == pairs + 1
+    # boxes meeting in the one point (-99, -99), the walls' shared end
+    touching = Segment((F(-99), F(-99)), (F(-98), F(-98)), "probe:touch")
+    table = _layout_of(monkeypatch, a, touching)
+    with pytest.raises(CompileError, match="probe:a / probe:touch"):
+        table.verify_layout()
 
 
 def test_iota_charts():

@@ -279,8 +279,8 @@ def test_window_blocks_equal_exact_oracle(build):
     met = 0
     for leg in legs:
         got = {}
-        for lv, s, w, blk in mirrors._blocks(leg, WINDOW_LEVELS, frame):
-            got.setdefault((lv.k, s, w), []).append(blk)
+        for lv, s, w, _, bits in mirrors._blocks(leg, WINDOW_LEVELS, frame):
+            got.setdefault((lv.k, s, w), []).append(bits)
         # the oracle reads the leg in the split's frame, as the merge's walls
         # are the split's mirrored across y = 5
         local = leg if gadget is split else _mirrored(leg, Fraction(5))
@@ -289,6 +289,6 @@ def test_window_blocks_equal_exact_oracle(build):
             blks, centres = blocks[k, s]
             want = [] if window is None else blks[bisect.bisect_left(centres, window[0]):
                                                   bisect.bisect_right(centres, window[1])]
-            assert got.get((k, s, w), []) == want, (k, s, w)
+            assert got.get((k, s, w), []) == [blk.bits for blk in want], (k, s, w)
             met += len(want)
     assert met >= len(legs) // 2     # the legs do meet walls
