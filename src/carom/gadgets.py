@@ -360,6 +360,13 @@ def _window(lv, s, w, exact):
     return lo, hi
 
 
+def row_segment(row):
+    """The Segment a mirror row (den, x0, y0, x1, y1, id) stands for."""
+    den, x0, y0, x1, y1, wid = row
+    return Segment((Fraction(x0, den), Fraction(y0, den)),
+                   (Fraction(x1, den), Fraction(y1, den)), wid)
+
+
 class _BlockMirrors:
     """The mirror pairs of a split gadget, one per Cantor block, found by
     position and built in the frame they are placed in.
@@ -368,8 +375,12 @@ class _BlockMirrors:
     block centres c (``_mirror_template``), and block F of ``cantor_walk``
     has its centre at c_0 + F * step.  So ``_placed`` scales the placed
     pair over block 0 and the step to integers over one denominator, once
-    per level and symbol a query lists, and ``_pair`` builds the pair over
-    block F from them with no Fraction additions.  A float pre-reject finds the one or two
+    per level and symbol a query lists, and ``_rows`` lists the pair over
+    block F from them as integer rows (den, x0, y0, x1, y1, id), with no
+    Fraction arithmetic.  Rows are the one pair builder: ``rows`` lists
+    every mirror of some levels for serialization and the layout check, and
+    ``walls_in`` wraps them in Segments (``row_segment``) for a tracer or a
+    full wall listing.  A float pre-reject finds the one or two
     levels whose hull I_k the leg may reach; for those, ``_window`` bounds
     F exactly in integers, and ``block_indices`` lists exactly the blocks
     whose wall boxes the leg meets.  Level data is built on the first
@@ -401,15 +412,30 @@ class _BlockMirrors:
             (m * x0 + dx, sy * m * y0 + dy, m * x1 + dx, sy * m * y1 + dy)
             for x0, y0, x1, y1 in walls)
 
-    def _pair(self, placed, k, digit_pos, s, index, bits):
+    def _rows(self, placed, k, digit_pos, s, index, bits):
         """The (primary, return) pair over block ``index`` of level k and
-        symbol s, whose free digits are ``bits``, from ``_placed``."""
+        symbol s, whose free digits are ``bits``, from ``_placed``: rows
+        (den, x0, y0, x1, y1, id), the wall from (x0, y0) / den to
+        (x1, y1) / den."""
         den, step_x, step_y, walls = placed
         dx, dy = index * step_x, index * step_y
-        return tuple(Segment((Fraction(x0 + dx, den), Fraction(y0 + dy, den)),
-                             (Fraction(x1 + dx, den), Fraction(y1 + dy, den)), wid)
+        return tuple((den, x0 + dx, y0 + dy, x1 + dx, y1 + dy, wid)
                      for (x0, y0, x1, y1), wid
                      in zip(walls, _wall_ids(self.name, k, digit_pos, s, bits)))
+
+    def rows(self, levels, frame):
+        """Every mirror of ``levels`` placed by ``frame`` as a row (see
+        ``_rows``), ordered by level as given, symbol and block."""
+        rows = []
+        for k in levels:
+            if not self.k_filter(k):
+                continue
+            digit_pos = digit_position(k + self.cell_offset)
+            for s in (0, 1):
+                placed = self._placed(k, digit_pos, s, frame)
+                for index, bits in block_indices(digit_pos - 1):
+                    rows += self._rows(placed, k, digit_pos, s, index, bits)
+        return rows
 
     def _level_data(self):
         """Levels sorted left to right (by k), per line of _LINES the
@@ -514,32 +540,27 @@ class _BlockMirrors:
                         yield lv, s, w, index, bits
 
     def walls_in(self, leg, levels, memo, frame):
-        """The mirrors of ``levels`` whose boxes the leg meets (every one
-        when ``leg`` is None), placed by ``frame``, ordered by level (as
-        given, or ascending), symbol and block; ``memo`` keeps built pairs."""
+        """The mirrors of ``levels`` whose boxes the leg meets, placed by
+        ``frame``, ordered by level ascending, symbol and block; ``memo``
+        keeps built pairs.  With ``leg`` None: every mirror, in ``rows``
+        order."""
         if leg is None:
-            blocks = [(k, digit_pos, s, index, bits, None)
-                      for k in levels if self.k_filter(k)
-                      for digit_pos in (digit_position(k + self.cell_offset),)
-                      for s in (0, 1) for index, bits in block_indices(digit_pos - 1)]
-        else:
-            found = {}    # (k, s, F) -> [digit_pos, bits, primary?, return?]
-            for lv, s, w, index, bits in self._blocks(leg, levels, frame):
-                entry = found.setdefault((lv.k, s, index), [lv.digit_pos, bits, False, False])
-                entry[2 + w] = True
-            blocks = [(k, digit_pos, s, index, bits, kept)
-                      for (k, s, index), (digit_pos, bits, *kept) in sorted(found.items())]
+            return [row_segment(row) for row in self.rows(levels, frame)]
+        found = {}    # (k, s, F) -> [digit_pos, bits, primary?, return?]
+        for lv, s, w, index, bits in self._blocks(leg, levels, frame):
+            entry = found.setdefault((lv.k, s, index), [lv.digit_pos, bits, False, False])
+            entry[2 + w] = True
         walls, placed, group = [], None, None
-        for k, digit_pos, s, index, bits, kept in blocks:
+        for (k, s, index), (digit_pos, bits, *kept) in sorted(found.items()):
             key = (self.name, frame, k, s, bits)
             pair = memo.get(key) if memo is not None else None
             if pair is None:
                 if group != (k, s):
                     group, placed = (k, s), self._placed(k, digit_pos, s, frame)
-                pair = self._pair(placed, k, digit_pos, s, index, bits)
+                pair = tuple(map(row_segment, self._rows(placed, k, digit_pos, s, index, bits)))
                 if memo is not None:
                     memo[key] = pair
-            walls += pair if kept is None else [w for w, keep in zip(pair, kept) if keep]
+            walls += [w for w, keep in zip(pair, kept) if keep]
         return walls
 
 

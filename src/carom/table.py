@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import gadgets
@@ -44,6 +45,7 @@ from .gadgets import (
     build_shift_stage,
     build_split_gadget,
     make_turn,
+    row_segment,
 )
 from .geometry import MarkedSegment, Port, walls_clash
 from .machine import build_graph, check_reversible
@@ -237,11 +239,29 @@ class BilliardTable:
     def mirror_families(self):
         return tuple(entry for entry in self.scene if isinstance(entry, tuple))
 
-    def scene_walls(self, levels=None):
-        """All placed walls for the given head levels, in a stable order."""
+    def scene_rows(self, levels=None):
+        """The scene's walls for the given head levels (default: the
+        ``scene_levels`` around 0), in scene order: each static wall as
+        itself, each split/merge mirror as its integer row (den, x0, y0,
+        x1, y1, id).  The one wall listing that to_json, verify_layout and
+        scene_walls read."""
         if levels is None:
             levels = range(-self.scene_levels, self.scene_levels + 1)
-        return self.walls_in(None, list(levels))
+        levels = list(levels)
+        rows = []
+        for entry in self.scene:
+            if isinstance(entry, tuple):
+                mirrors, frame = entry
+                rows += mirrors.rows(levels, frame)
+            else:
+                rows.append(entry)
+        return rows
+
+    def scene_walls(self, levels=None):
+        """All placed walls for the given head levels, in a stable order:
+        ``scene_rows`` with every row as its Segment."""
+        return [row_segment(w) if isinstance(w, tuple) else w
+                for w in self.scene_rows(levels)]
 
     def level_walls_in(self, leg, levels, memo=None):
         """``Gadget.level_walls_in`` over every mirror family of the scene,
@@ -271,57 +291,72 @@ class BilliardTable:
     def verify_layout(self, levels=None):
         """Exact pairwise non-intersection of all walls.
 
-        The walls' bounding boxes, scaled to integers over their common
-        denominator, are swept in x order.  Every pair whose x ranges meet
-        is inspected; a pair whose boxes also meet in y is decided by
-        ``walls_clash``: segment pairs exactly, pairs involving a parabola
-        arc conservatively by bounding boxes.  Returns the number of pairs
-        inspected; raises CompileError with the offending ids otherwise.
+        Reads ``scene_rows``: the walls' bounding boxes, a mirror row's from
+        its integer endpoints and a static wall's from its Fractions, are
+        scaled to integers over their common denominator and swept in x
+        order.  Every pair whose x ranges meet is inspected; only a pair
+        whose boxes also meet in y becomes walls (a row its Segment) and is
+        decided by ``walls_clash``: segment pairs exactly, pairs involving a
+        parabola arc conservatively by bounding boxes.  Returns the number
+        of pairs inspected; raises CompileError with the offending ids
+        otherwise.
         """
-        walls = self.scene_walls(levels)
-        # a segment's box spans its endpoints; an arc's is its bbox corners
-        corners = [w.p0 + w.p1 if w.kind == "segment" else w.bbox() for w in walls]
-        den = math.lcm(*{v.denominator for c in corners for v in c})
+        walls = self.scene_rows(levels)
+        corners = [w[:5] if isinstance(w, tuple) else _box_row(w) for w in walls]
+        den = math.lcm(*{c[0] for c in corners})
         boxes = []
-        for i, c in enumerate(corners):
-            x0, y0, x1, y1 = (v.numerator * (den // v.denominator) for v in c)
+        for i, (d, *c) in enumerate(corners):
+            x0, y0, x1, y1 = (v * (den // d) for v in c)
             boxes.append((min(x0, x1), i, max(x0, x1), min(y0, y1), max(y0, y1)))
         boxes.sort()
         x_los = [box[0] for box in boxes]
+
+        def wall(i):
+            return row_segment(walls[i]) if isinstance(walls[i], tuple) else walls[i]
+
         checked = 0
         for n, (_, i, x_hi, y_lo, y_hi) in enumerate(boxes):
             # the boxes after this one in x order that start inside its x range
             end = bisect.bisect_right(x_los, x_hi, n + 1)
             checked += end - n - 1
             for _, j, _, y_lo2, y_hi2 in boxes[n + 1:end]:
-                if y_lo2 <= y_hi and y_lo <= y_hi2 and walls_clash(walls[i], walls[j]):
+                if y_lo2 <= y_hi and y_lo <= y_hi2 and walls_clash(wall(i), wall(j)):
                     raise CompileError(
-                        f"walls intersect: {walls[i].wall_id} / {walls[j].wall_id}")
+                        f"walls intersect: {wall(i).wall_id} / {wall(j).wall_id}")
         return checked
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        return json.dumps(self._document(), indent=1, sort_keys=True)
+        """The table file: ``_document`` as json.dumps(indent=1,
+        sort_keys=True) writes it, with the walls of ``scene_rows`` added
+        as its last key, "scene" (it sorts after every other key).  Each
+        wall is written from one fixed text per kind, the bytes json would
+        write: values as reduced n/d strings, ids escaped as ensure_ascii
+        does."""
+        head = json.dumps(self._document(), indent=1, sort_keys=True)
+        gcd, walls = math.gcd, []
+        for w in self.scene_rows():
+            if not isinstance(w, tuple) and w.kind == "segment":
+                w = _box_row(w) + (w.wall_id,)   # a segment's box corners are its ends
+            if isinstance(w, tuple):
+                den, x0, y0, x1, y1, wid = w
+                a, b, c, d = gcd(x0, den), gcd(y0, den), gcd(x1, den), gcd(y1, den)
+                walls.append(_SEGMENT_TEXT % (
+                    encode_basestring_ascii(wid), x0 // a, den // a, y0 // b, den // b,
+                    x1 // c, den // c, y1 // d, den // d))
+            else:
+                walls.append(_ARC_TEXT % (
+                    _frac(w.apex_y), _frac(w.axis_x), encode_basestring_ascii(w.wall_id),
+                    _frac(w.p), w.sign, _frac(w.x_hi), _frac(w.x_lo)))
+        # the scene always holds the launch pad, so the list is never empty
+        return head[:-2] + ',\n "scene": [\n' + ",\n".join(walls) + "\n ]\n}"
 
     def _document(self):
-        """The serialized table as a JSON-ready dict, which to_json dumps."""
-        def frac(x):
-            return f"{x.numerator}/{x.denominator}"
-
+        """The serialized table but its scene, as a JSON-ready dict."""
         def pt(p):
-            return [frac(p[0]), frac(p[1])]
+            return [_frac(p[0]), _frac(p[1])]
 
-        walls = []
-        for w in self.scene_walls():
-            if w.kind == "segment":
-                walls.append({"kind": "segment", "id": w.wall_id,
-                              "p0": pt(w.p0), "p1": pt(w.p1)})
-            else:
-                walls.append({"kind": "parabola_arc", "id": w.wall_id,
-                              "axis_x": frac(w.axis_x), "apex_y": frac(w.apex_y),
-                              "p": frac(w.p), "sign": w.sign,
-                              "x_lo": frac(w.x_lo), "x_hi": frac(w.x_hi)})
         marks = []
         for m in self.marked_segments():
             marks.append({"name": m.name, "origin": pt(m.origin),
@@ -364,8 +399,47 @@ class BilliardTable:
             },
             "checkpoints": marks,
             "corridors": corridors,
-            "scene": walls,
         }
+
+
+def _frac(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _box_row(wall):
+    """A static wall's box corners as a row (den, x0, y0, x1, y1): a
+    segment's endpoints, an arc's bbox corners."""
+    corners = wall.p0 + wall.p1 if wall.kind == "segment" else wall.bbox()
+    den = math.lcm(*(v.denominator for v in corners))
+    return (den, *(v.numerator * (den // v.denominator) for v in corners))
+
+
+# one wall of the scene list as json.dumps(indent=1, sort_keys=True) writes
+# it: the id json-escaped, each value a reduced "n/d" string, a sign an int
+_SEGMENT_TEXT = """\
+  {
+   "id": %s,
+   "kind": "segment",
+   "p0": [
+    "%d/%d",
+    "%d/%d"
+   ],
+   "p1": [
+    "%d/%d",
+    "%d/%d"
+   ]
+  }"""
+_ARC_TEXT = """\
+  {
+   "apex_y": "%s",
+   "axis_x": "%s",
+   "id": %s,
+   "kind": "parabola_arc",
+   "p": "%s",
+   "sign": %d,
+   "x_hi": "%s",
+   "x_lo": "%s"
+  }"""
 
 
 def machine_hash(machine):
@@ -480,9 +554,11 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
 def load_table(text):
     """Rebuild a table from its serialized form.
 
-    The file pins the machine, K and the explicit scene; the table is
-    recompiled deterministically and the regenerated scene is required to
-    match the stored one byte for byte.
+    The file's ``meta`` pins the machine, K and the scene levels; the table
+    is recompiled deterministically and its to_json() must equal the text
+    byte for byte.  A file formatted otherwise (re-dumped compactly, or
+    with another indent) is compared by the compact encodings of both
+    documents instead, which see the same values and types.
     """
     from .machine import parse_machine
 
@@ -496,12 +572,15 @@ def load_table(text):
         sha = meta["machine_sha256"]
     except (AttributeError, KeyError, TypeError) as err:
         raise ValueError(f"not a carom table file: {err!r}") from None
+    del doc, meta    # the text itself is compared, so the document goes now
     table = compile_table(machine, K, scene_levels=levels)
     if table.machine_hash != sha:
         raise ValueError("machine hash mismatch")
-    # compact encodings compare the same values and types as to_json's text
-    # (a dict == would take true for 1), and go through json's C encoder
-    if json.dumps(table._document(), sort_keys=True) != json.dumps(doc, sort_keys=True):
+    expected = table.to_json()
+    # compact encodings go through json's C encoder and, unlike a dict ==,
+    # tell 1 from true
+    if text != expected and (json.dumps(json.loads(text), sort_keys=True)
+                             != json.dumps(json.loads(expected), sort_keys=True)):
         raise ValueError("stored scene does not match deterministic recompilation")
     return table
 

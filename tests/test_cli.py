@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from carom.cli import main
+from carom.table import load_table
 from carom.zoo import MACHINE_TEXTS
 
 NONREV = """\
@@ -169,6 +170,24 @@ def test_malformed_table_file_is_input_error(rev_move_file, tmp_path, capsys, ma
     capsys.readouterr()
     assert main(["run", str(table_file), "--tape", "@"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent-2"])
+def test_reformatted_table_file_is_compared_by_value(rev_move_file, tmp_path, indent):
+    # a table file json re-dumped in another format still loads and gives
+    # the same table; the same file with one mirror coordinate moved does not
+    table_file = tmp_path / "table.json"
+    assert main(["compile", rev_move_file, "-o", str(table_file), "--K", "3"]) == 0
+    text = table_file.read_text()
+    doc = json.loads(text)
+    table_file.write_text(json.dumps(doc, indent=indent))
+    assert main(["run", str(table_file), "--tape", "@01"]) == 0
+    assert load_table(table_file.read_text()).to_json() == text
+    mirror = next(w for w in doc["scene"] if w["id"].startswith("split:A:k1:"))
+    n, d = map(int, mirror["p1"][1].split("/"))
+    mirror["p1"][1] = str(Fraction(n + 1, d))
+    table_file.write_text(json.dumps(doc, indent=indent))
+    assert main(["run", str(table_file), "--tape", "@01"]) == 2
 
 
 def test_symbolic_commands_do_not_load_mpmath(rev_move_file, tmp_path):

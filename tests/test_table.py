@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from carom import gadgets
+from carom import table as table_module
 from carom.encoding import encode_state
 from carom.machine import enumerate_tapes, parse_machine, step, ComputationState
 from carom.geometry import Segment, walls_clash
@@ -161,12 +164,23 @@ def test_layout_sweep_matches_fraction_sweep(K, levels):
         assert table.verify_layout(span) == fraction_sweep(table, span), name
 
 
-def _layout_of(monkeypatch, *walls):
-    """A table whose scene is ``walls`` plus rev-move's own, far below."""
+def _row(segment):
+    """A probe segment with integer endpoints as a mirror row."""
+    (x0, y0), (x1, y1) = segment.p0, segment.p1
+    return (1, int(x0), int(y0), int(x1), int(y1), segment.wall_id)
+
+
+_scene_rows = BilliardTable.scene_rows     # unpatched, for _layout_of
+
+
+def _layout_of(monkeypatch, as_rows, *walls):
+    """A table whose scene listing is rev-move's own plus ``walls``, far
+    below it, as static walls or as mirror rows."""
     table = compile_table(get_machine("rev-move"), 2)
-    own = table.walls_in(None, range(-1, 2))
-    monkeypatch.setattr(BilliardTable, "scene_walls",
-                        lambda self, levels=None: own + list(walls))
+    own = _scene_rows(table, range(-1, 2))
+    probes = [_row(w) for w in walls] if as_rows else list(walls)
+    monkeypatch.setattr(BilliardTable, "scene_rows",
+                        lambda self, levels=None: own + probes)
     return table
 
 
@@ -174,9 +188,10 @@ def test_layout_rejects_crossing_walls(monkeypatch):
     F = Fraction
     a = Segment((F(-100), F(-100)), (F(-98), F(-98)), "probe:a")
     b = Segment((F(-100), F(-98)), (F(-98), F(-100)), "probe:b")
-    table = _layout_of(monkeypatch, a, b)
-    with pytest.raises(CompileError, match="probe:a / probe:b"):
-        table.verify_layout()
+    for as_rows in (False, True):
+        table = _layout_of(monkeypatch, as_rows, a, b)
+        with pytest.raises(CompileError, match="probe:a / probe:b"):
+            table.verify_layout()
 
 
 def test_layout_counts_and_checks_touching_boxes(monkeypatch):
@@ -186,13 +201,48 @@ def test_layout_counts_and_checks_touching_boxes(monkeypatch):
     a = Segment((F(-100), F(-100)), (F(-99), F(-99)), "probe:a")
     # boxes meeting at x = -99 only: counted, disjoint in y, no clash
     apart = Segment((F(-99), F(-97)), (F(-98), F(-96)), "probe:apart")
-    table = _layout_of(monkeypatch, a, apart)
-    assert table.verify_layout() == pairs + 1
     # boxes meeting in the one point (-99, -99), the walls' shared end
     touching = Segment((F(-99), F(-99)), (F(-98), F(-98)), "probe:touch")
-    table = _layout_of(monkeypatch, a, touching)
-    with pytest.raises(CompileError, match="probe:a / probe:touch"):
+    for as_rows in (False, True):
+        table = _layout_of(monkeypatch, as_rows, a, apart)
+        assert table.verify_layout() == pairs + 1
+        table = _layout_of(monkeypatch, as_rows, a, touching)
+        with pytest.raises(CompileError, match="probe:a / probe:touch"):
+            table.verify_layout()
+
+
+def test_layout_rejects_mirror_across_its_neighbour(monkeypatch):
+    # the level-0 read-0 primary mirror of every split, lengthened from its
+    # first end through the midpoint of the level's read-1 primary, its
+    # neighbour on the band diagonal; level 0 has one block per symbol
+    template = gadgets._pair_template
+
+    def stretched(k, digit_pos, read_s, write_s):
+        den, step, walls = template(k, digit_pos, read_s, write_s)
+        if (k, digit_pos, read_s) != (0, 1, 0):
+            return den, step, walls
+        # a primary's midpoint is its block's (centre, band height), whatever
+        # the slope, so the read-only read-1 pair has the neighbour's
+        other_den, _, ((u0, v0, u1, v1), _) = template(k, digit_pos, 1, 1)
+        (x0, y0, _, _), back = walls
+        end_x = Fraction(x0, den) + Fraction(9, 8) * (Fraction(u0 + u1, 2 * other_den)
+                                                      - Fraction(x0, den))
+        end_y = Fraction(y0, den) + Fraction(9, 8) * (Fraction(v0 + v1, 2 * other_den)
+                                                      - Fraction(y0, den))
+        d = math.lcm(den, end_x.denominator, end_y.denominator)
+        m = d // den
+        return d, step * m, ((x0 * m, y0 * m, int(end_x * d), int(end_y * d)),
+                             tuple(v * m for v in back))
+
+    monkeypatch.setattr(gadgets, "_pair_template", stretched)
+    table = compile_table(get_machine("rev-move"), 2)
+    with pytest.raises(CompileError) as err:
         table.verify_layout()
+    assert str(err.value) == ("walls intersect: split:A:k0:d1:s0:b0:W"
+                              " / split:A:k0:d1:s1:b1:W")
+    # unpatched, the same table passes
+    monkeypatch.undo()
+    assert compile_table(get_machine("rev-move"), 2).verify_layout() > 0
 
 
 def test_iota_charts():
@@ -256,6 +306,88 @@ def test_table_bytes_pinned(name):
     blob = table.to_json().encode()
     got = (hashlib.sha256(blob).hexdigest(), len(blob), table.verify_layout())
     assert got == PINNED_TABLES[name]
+    assert load_table(blob.decode()).to_json().encode() == blob
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "machines"
+
+#: walker with state ids that json must escape: ids are whitespace-split
+#: tokens, so they may hold quotes, backslashes and non-ASCII letters
+ODD_IDS = """\
+states: P"q Q\\r Hé
+initial: P"q
+halting: Hé
+P"q 1 -> P"q 1 R
+P"q 0 -> Q\\r 0 L
+Q\\r 1 -> Q\\r 1 L
+Q\\r 0 -> Hé 0 L
+"""
+
+
+def writer_machines():
+    """The fixture and demo machines, once each, and ODD_IDS."""
+    machines = [*fixture_machines().values(),
+                *(parse_machine(p.read_text(), name=p.stem) for p in sorted(DEMOS.glob("*.tm"))),
+                parse_machine(ODD_IDS, name="odd-ids")]
+    return list({m.canonical_text(): m for m in machines}.values())
+
+
+def scene_oracle(table):
+    """The "scene" list as a dict per wall of scene_walls, the way the
+    table document was built before the scene got its own writer."""
+    def frac(x):
+        return f"{x.numerator}/{x.denominator}"
+
+    def pt(p):
+        return [frac(p[0]), frac(p[1])]
+
+    walls = []
+    for w in table.scene_walls():
+        if w.kind == "segment":
+            walls.append({"kind": "segment", "id": w.wall_id,
+                          "p0": pt(w.p0), "p1": pt(w.p1)})
+        else:
+            walls.append({"kind": "parabola_arc", "id": w.wall_id,
+                          "axis_x": frac(w.axis_x), "apex_y": frac(w.apex_y),
+                          "p": frac(w.p), "sign": w.sign,
+                          "x_lo": frac(w.x_lo), "x_hi": frac(w.x_hi)})
+    return walls
+
+
+@pytest.mark.parametrize("scene_levels", range(4))
+@pytest.mark.parametrize("K", [2, 8])
+def test_writer_equals_json(K, scene_levels):
+    # to_json writes the scene itself; json must write the same bytes, and
+    # the scene must be the dict-built one
+    for m in writer_machines():
+        table = compile_table(m, K, scene_levels=scene_levels)
+        text = table.to_json()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=1, sort_keys=True), m.name
+        assert doc["scene"] == scene_oracle(table), m.name
+
+
+def test_table_file_builds_no_mirror_segments(monkeypatch):
+    # writing, reloading and layout-checking a table read integer rows:
+    # no mirror becomes a Segment, and scene_walls is never asked
+    def fail(*args, **kwargs):
+        raise AssertionError("a Fraction wall listing was built")
+
+    for owner in (table_module, gadgets):
+        monkeypatch.setattr(owner, "row_segment", fail)
+    monkeypatch.setattr(BilliardTable, "scene_walls", fail)
+    text = compile_table(get_machine("walker"), 8).to_json()
+    assert load_table(text).verify_layout() == PINNED_TABLES["walker"][2]
+
+
+def test_odd_state_ids_escaped():
+    table = compile_table(parse_machine(ODD_IDS), 2, scene_levels=1)
+    text = table.to_json()
+    for escaped in ('split:P\\"q:k', 'split:Q\\\\r:k', 'premerge:Q\\\\r:k',
+                    '"stage:Q\\\\r.r0:'):
+        assert escaped in text, escaped
+    assert "é" not in text and "H\\u00e9" in text
+    assert load_table(text).to_json() == text
 
 
 def test_serialize_tamper_detected():
