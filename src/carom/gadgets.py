@@ -145,12 +145,9 @@ class Gadget:
         mirrors, frame = self.mirrors
         return mirrors.walls_in(leg, levels, memo, frame)
 
-    def walls_in(self, leg, levels, memo=None):
-        """The static walls, then ``level_walls_in``."""
-        return list(self.static_walls) + self.level_walls_in(leg, levels, memo)
-
     def walls(self, levels=()):
-        return self.walls_in(None, levels)
+        """The static walls, then every mirror of ``levels``."""
+        return list(self.static_walls) + self.level_walls_in(None, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +196,7 @@ def _wall_ids(name, k, digit_pos, symbol, bits):
 def _block_walls(name, blk, write_s, base_x):
     """The (primary, return) mirror pair over the CantorBlock ``blk``, as
     exact wall geometry in gadget-local coordinates: the explicit formula,
-    which builds each level's template (``_mirror_template``)."""
+    which builds each level's template (``_pair_template``)."""
     slope, disp = _block_wall_params(blk.k, blk.symbol, write_s)
     lo_f, hi_f = blk.lo.as_fraction(), blk.hi.as_fraction()
     h = hi_f - lo_f
@@ -229,66 +226,46 @@ def _block_walls(name, blk, write_s, base_x):
     return primary, returning
 
 
-def _mirror_template(k, digit_pos, read_s, write_s):
-    """The mirror pair of every (k, digit_pos, read_s) block, up to a
-    translation: ((p0, p1) of the primary, (p0, p1) of the return mirror),
-    exact.
+class _Template(NamedTuple):
+    """The mirror pairs of one level and symbol, in integers at base_x = 0
+    (see _pair_template)."""
 
-    In _block_walls a pair depends on its block only through the centre c:
-    its x range follows c and its band sits at height 8c + 1.  So the pair
-    over centre c is the pair over any other centre translated by a
-    multiple of (1, 8).  The template is the pair over the first block
-    moved to centre 0 at base_x = 0; placed at y -> oy + sy*y, the pair
-    over centre c is the template, y scaled by sy, plus (base_x + c,
-    oy + 8c*sy).
-    """
-    first, = cantor_walk(k, digit_pos, read_s, (0, 0))
-    c = first.centre
-    return tuple(tuple((x - c, y - _BAND_GAIN * c) for x, y in (w.p0, w.p1))
-                 for w in _block_walls("", first, write_s, F(0)))
-
-
-@functools.lru_cache(maxsize=None)
-def _mirror_boxes(k, digit_pos, read_s, write_s):
-    """Bounding boxes of the mirror pair over every (k, digit_pos, read_s)
-    block, at base_x = 0: the template's, so the walls over centre c lie in
-    the boxes (ax + c +- rx, ay + 8c +- ry).  Returns ((ax, ay, rx, ry) of
-    the primary, the same for the return mirror), exact.
-    """
-    return tuple(((p0[0] + p1[0]) / 2, (p0[1] + p1[1]) / 2,
-                  abs(p1[0] - p0[0]) / 2, abs(p1[1] - p0[1]) / 2)
-                 for p0, p1 in _mirror_template(k, digit_pos, read_s, write_s))
+    den: int
+    step: int          # centre of block F + 1 minus that of block F, over den
+    walls: tuple       # (x0, y0, x1, y1) per wall of the pair over block 0, over den
+    boxes: tuple       # (2den, 2step, x, y, rx, ry) per wall
+    centre: int        # block 0's centre, over 2den
 
 
 # one entry per (k, digit_pos, read_s, write_s) with |k| <= K_max: bounded
 @functools.lru_cache(maxsize=None)
 def _pair_template(k, digit_pos, read_s, write_s):
-    """The mirror pair over block F = 0 of ``cantor_walk`` at base_x = 0,
-    in integers over one denominator: (den, step, walls), walls holding
-    (x0, y0, x1, y1) per wall, so that the pair over block F (centre F*step
-    / den further right, and 8 times that higher, see _mirror_template) has
-    endpoints ((x + F*step) / den, (y + 8*F*step) / den)."""
+    """The one description of a level's mirror pairs, which the wall
+    listing, the positional query and its float reach all read: the pair
+    over block F = 0 of ``cantor_walk`` at base_x = 0, in integers.
+
+    In _block_walls a pair depends on its block only through the centre c:
+    its x range follows c and its band sits at height 8c + 1.  So the pair
+    over block F, centre F*step / den further right, is the pair over block
+    0 translated by F*step * (1, 8) / den: it has the endpoints ((x +
+    F*step) / den, (y + 8*F*step) / den) for (x0, y0, x1, y1) in walls, and
+    lies in the box (x + F*2step +- rx, y + 8*F*2step +- ry) / 2den, for
+    (2den, 2step, x, y, rx, ry) in boxes."""
     first, = cantor_walk(k, digit_pos, read_s, (0, 0))
     # block F + 1's centre lies three block lengths right of block F's
     step = 3 * first.length.as_fraction()
     walls = [w.p0 + w.p1 for w in _block_walls("", first, write_s, F(0))]
     den = math.lcm(step.denominator, *(v.denominator for w in walls for v in w))
-    return den, int(step * den), tuple(tuple(int(v * den) for v in w) for w in walls)
-
-
-def _block_boxes(k, digit_pos, read_s, write_s):
-    """The bounding boxes of _pair_template's walls: per wall (den, step,
-    x, y, rx, ry), the wall over block F lying in (x + F*step +- rx,
-    y + 8*F*step +- ry) / den at base_x 0."""
-    den, step, walls = _pair_template(k, digit_pos, read_s, write_s)
-    return tuple((2 * den, 2 * step, x0 + x1, y0 + y1, abs(x1 - x0), abs(y1 - y0))
-                 for x0, y0, x1, y1 in walls)
+    step, walls = int(step * den), tuple(tuple(int(v * den) for v in w) for w in walls)
+    boxes = tuple((2 * den, 2 * step, x0 + x1, y0 + y1, abs(x1 - x0), abs(y1 - y0))
+                  for x0, y0, x1, y1 in walls)
+    return _Template(den, step, walls, boxes, int(2 * den * first.centre))
 
 
 class _MirrorLevel(NamedTuple):
     k: int
     digit_pos: int
-    boxes: tuple       # boxes[symbol][wall], from _block_boxes
+    boxes: tuple       # boxes[symbol][wall], from _pair_template
     flo: float         # the hull I_k, rounded outward
     fhi: float
     reach: tuple       # per line of _LINES: float bound on box offset + radius
@@ -297,7 +274,7 @@ class _MirrorLevel(NamedTuple):
 #: The centre lines (base_x + dx + c, 1 + 8c) that the level boxes hug,
 #: each with the (symbol, wall) boxes it stands for: every primary mirror
 #: sits over its block, every return mirror two units to its branch side.
-_LINES = ((F(0), ((0, 0), (1, 0))), (SIGMA[0], ((0, 1),)), (SIGMA[1], ((1, 1),)))
+_LINES = ((0, ((0, 0), (1, 0))), (int(SIGMA[0]), ((0, 1),)), (int(SIGMA[1]), ((1, 1),)))
 
 #: Relative error bound of the float level pre-reject.  Each float bound
 #: takes a handful of operations on correctly rounded inputs, so its error
@@ -337,7 +314,7 @@ def _exact_leg(leg, base_x, frame):
 
 def _window(lv, s, w, exact):
     """The range (F_lo, F_hi) of the blocks F of level ``lv`` and symbol s
-    whose wall w's box (_block_boxes) meets the leg ``exact`` (_exact_leg).
+    whose wall w's box (_pair_template) meets the leg ``exact`` (_exact_leg).
     Each separating axis, x, y and the leg's normal n (|n . (box centre -
     origin)| <= the box's reach along n), bounds F by a floor or ceiling."""
     xs, ys, nx, ny, h, n0 = exact
@@ -372,10 +349,10 @@ class _BlockMirrors:
     position and built in the frame they are placed in.
 
     A level's pairs are one template pair translated by c * (1, 8) for the
-    block centres c (``_mirror_template``), and block F of ``cantor_walk``
-    has its centre at c_0 + F * step.  So ``_placed`` scales the placed
-    pair over block 0 and the step to integers over one denominator, once
-    per level and symbol a query lists, and ``_rows`` lists the pair over
+    block centres c, and block F of ``cantor_walk`` has its centre at c_0 +
+    F * step (``_pair_template``).  So ``_placed`` places the pair over
+    block 0 and the step in integers over one denominator, once per level
+    and symbol a query lists, and ``_rows`` lists the pair over
     block F from them as integer rows (den, x0, y0, x1, y1, id), with no
     Fraction arithmetic.  Rows are the one pair builder: ``rows`` lists
     every mirror of some levels for serialization and the layout check, and
@@ -403,7 +380,7 @@ class _BlockMirrors:
         counted from base_x, over one denominator: (den, step_x, step_y,
         walls), the pair over block F having the endpoints ((x + F*step_x)
         / den, (y + F*step_y) / den) for (x0, y0, x1, y1) in walls."""
-        den, step, walls = _pair_template(k, digit_pos, s, self.rewrite_rule(k, s))
+        den, step, walls, _, _ = _pair_template(k, digit_pos, s, self.rewrite_rule(k, s))
         (oy, sy), bx = frame, self.base_x
         d = math.lcm(den, bx.denominator, oy.denominator)
         m = d // den
@@ -449,15 +426,18 @@ class _BlockMirrors:
                 continue
             digit_pos = digit_position(k + self.cell_offset)
             iv = head_interval(k)
-            keys = [(k, digit_pos, s, self.rewrite_rule(k, s)) for s in (0, 1)]
-            boxes = [_mirror_boxes(*key) for key in keys]
+            templates = [_pair_template(k, digit_pos, s, self.rewrite_rule(k, s))
+                         for s in (0, 1)]
             reach = []
             for dx, members in _LINES:
-                r = max(max(abs(boxes[s][w][0] - dx) + boxes[s][w][2],
-                            abs(boxes[s][w][1] - 1) + boxes[s][w][3])
-                        for s, w in members)
-                reach.append(float(r) * (1 + 1e-12))
-            levels.append(_MirrorLevel(k, digit_pos, tuple(_block_boxes(*key) for key in keys),
+                # per box: its offset from (dx + c, 1 + 8c), c its block's
+                # centre, plus its radius, over 2den; an int quotient is
+                # correctly rounded, so the float max is the exact max's
+                r = max(max(abs(x - c - dx * den) + rx, abs(y - 8 * c - den) + ry) / den
+                        for (den, _, x, y, rx, ry), c
+                        in ((templates[s].boxes[w], templates[s].centre) for s, w in members))
+                reach.append(r * (1 + 1e-12))
+            levels.append(_MirrorLevel(k, digit_pos, tuple(t.boxes for t in templates),
                                        float(iv.lo.as_fraction()) - 1e-12,
                                        float(iv.hi.as_fraction()) + 1e-12, tuple(reach)))
         base = float(self.base_x)

@@ -17,10 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 
 
-def F(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 Point = tuple  # (Fraction, Fraction)
 
 
@@ -41,12 +37,8 @@ class Segment:
         return "segment"
 
     def bbox(self):
-        # kept on the wall: verify_layout asks for both boxes of every pair
-        box = self.__dict__.get("_box")
-        if box is None:
-            (x0, y0), (x1, y1) = self.p0, self.p1
-            box = self.__dict__["_box"] = (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
-        return box
+        (x0, y0), (x1, y1) = self.p0, self.p1
+        return (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
 
     def translated(self, dx, dy):
         return Segment((self.p0[0] + dx, self.p0[1] + dy),
@@ -81,13 +73,10 @@ class ParabolaArc:
         return self.apex_y + self.sign * (x - self.axis_x) ** 2 / (4 * self.p)
 
     def bbox(self):
-        box = self.__dict__.get("_box")
-        if box is None:
-            ys = [self.y_at(self.x_lo), self.y_at(self.x_hi)]
-            if self.x_lo < self.axis_x < self.x_hi:
-                ys.append(self.apex_y)
-            box = self.__dict__["_box"] = (self.x_lo, min(ys), self.x_hi, max(ys))
-        return box
+        ys = [self.y_at(self.x_lo), self.y_at(self.x_hi)]
+        if self.x_lo < self.axis_x < self.x_hi:
+            ys.append(self.apex_y)
+        return (self.x_lo, min(ys), self.x_hi, max(ys))
 
     def translated(self, dx, dy):
         return replace(self, axis_x=self.axis_x + dx, apex_y=self.apex_y + dy,

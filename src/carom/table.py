@@ -109,7 +109,6 @@ class Corridor:
     merge: Optional[Gadget]
     K: int = 8
     premerge: Optional[PiecewiseTransfer] = None   # virtual split behind merge
-    stage_inverse: Optional[PiecewiseTransfer] = None
 
     def apply(self, value):
         """Exact corridor transfer; returns (new value, ordered pieces).
@@ -150,8 +149,10 @@ class Corridor:
         """Run the corridor's transfer chain backwards, piece by piece.
 
         Inverts each stage: merge via its virtual-split piece, the shift
-        via the opposite-move stage, the split via the rewrite
-        displacement; used by the time-reversed periodicity replay.
+        via its own piece, the split via the rewrite displacement; used by
+        the time-reversed periodicity replay.  The shift's piece for head
+        level k maps I_k onto I_(k + shift) (in lane coordinates), so the
+        value's level after the shift picks it: u -> a*u + b, a = 3 or 1/3.
         """
         w = value_after
         if self.merge is not None:
@@ -160,14 +161,16 @@ class Corridor:
         rebase = self.sigma_out - self.sigma_in
         if rebase:
             w = w - rebase
-        w, _ = self.stage_inverse.apply(w)
-        xprime = w - self.sigma_in
-        k = head_of(xprime)
-        if k is None:
-            raise DomainError(f"inverse corridor {self.edge}: {w} is not a code")
-        x = xprime - (self.edge.write - self.edge.read) * 2 * rewrite_scale(k)
+        k = head_of(w - self.sigma_in)
+        if k is None or abs(k) > self.K or abs(k - self.edge.shift) > self.K:
+            raise DomainError(f"inverse corridor {self.edge}: {w} outside the shift's image")
+        k -= self.edge.shift
+        piece, = self.stage.transfer.pieces([k])
+        u = w - piece.b
+        u = u * 3 if piece.a < 1 else u.div3()
+        x = u - self.sigma_in - (self.edge.write - self.edge.read) * 2 * rewrite_scale(k)
         forward, piece = self.split.transfer.apply(x)
-        if forward != w or piece.tag != f"branch{self.branch}":
+        if forward != u or piece.tag != f"branch{self.branch}":
             raise DomainError(f"inverse corridor {self.edge}: not in image")
         return x
 
@@ -269,17 +272,6 @@ class BilliardTable:
         ws = []
         for mirrors, frame in self.mirror_families:
             ws += mirrors.walls_in(leg, levels, memo, frame)
-        return ws
-
-    def walls_in(self, leg, levels, memo=None):
-        """The static walls and ``level_walls_in``'s, in scene_walls order."""
-        ws = []
-        for entry in self.scene:
-            if isinstance(entry, tuple):
-                mirrors, frame = entry
-                ws += mirrors.walls_in(leg, levels, memo, frame)
-            else:
-                ws.append(entry)
         return ws
 
     def marked_segments(self):
@@ -528,16 +520,12 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         p4 = t4.out_ports["out"]
         assert p4.beam == (F(0), F(1)) and p4.tangent == (F(1), F(0))
         assert p4.chart(lo)[0] == exit_x, (p4.chart(lo), exit_x)
-
-        stage_inv = build_shift_stage(-edge.shift, base_x=src.x, sigma=sigma_in,
-                                      K=K, name=f"stage-inv:{edge.state}.r{a}")
         corridors[(edge.state, a)] = Corridor(
             edge=edge, index=idx, branch=a, sigma_in=sigma_in,
             sigma_out=sigma_out, split=src.split, stage=stage,
             turns=(t1, t2, t3, t4),
             merge=tgt.merge, K=K,
-            premerge=tgt.premerge.transfer if merged else None,
-            stage_inverse=stage_inv.transfer)
+            premerge=tgt.premerge.transfer if merged else None)
 
     q0 = machine.initial
     pad_x = stations[q0].x if graph.in_degree(q0) == 0 else stations[q0].x - 4

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from carom.encoding import (
     cantor_blocks,
     cantor_blocks_at,
+    cantor_walk,
     digit_position,
     encode_state,
     read_digit,
@@ -15,10 +17,12 @@ from carom.encoding import (
     shift_point,
 )
 from carom.gadgets import (
+    _BAND_GAIN,
+    _LINES,
     DomainError,
     SeparationReport,
     _block_walls,
-    _mirror_boxes,
+    _pair_template,
     build_merge_gadget,
     build_shift_gadget,
     build_shift_stage,
@@ -302,20 +306,75 @@ def test_template_pairs_equal_explicit_formula(rewrite, base_x):
             assert got == [by_id[w.wall_id] for w in got]
 
 
+def _mirror_template(k, digit_pos, read_s, write_s):
+    """The mirror pair of every (k, digit_pos, read_s) block, up to a
+    translation: ((p0, p1) of the primary, (p0, p1) of the return mirror),
+    exact.
+
+    In _block_walls a pair depends on its block only through the centre c:
+    its x range follows c and its band sits at height 8c + 1.  So the pair
+    over centre c is the pair over any other centre translated by a
+    multiple of (1, 8).  The template is the pair over the first block
+    moved to centre 0 at base_x = 0; placed at y -> oy + sy*y, the pair
+    over centre c is the template, y scaled by sy, plus (base_x + c,
+    oy + 8c*sy).
+    """
+    first, = cantor_walk(k, digit_pos, read_s, (0, 0))
+    c = first.centre
+    return tuple(tuple((x - c, y - _BAND_GAIN * c) for x, y in (w.p0, w.p1))
+                 for w in _block_walls("", first, write_s, Fraction(0)))
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_boxes(k, digit_pos, read_s, write_s):
+    """Bounding boxes of the mirror pair over every (k, digit_pos, read_s)
+    block, at base_x = 0: the template's, so the walls over centre c lie in
+    the boxes (ax + c +- rx, ay + 8c +- ry).  Returns ((ax, ay, rx, ry) of
+    the primary, the same for the return mirror), exact.
+    """
+    return tuple(((p0[0] + p1[0]) / 2, (p0[1] + p1[1]) / 2,
+                  abs(p1[0] - p0[0]) / 2, abs(p1[1] - p0[1]) / 2)
+                 for p0, p1 in _mirror_template(k, digit_pos, read_s, write_s))
+
+
 def test_mirror_boxes_match_explicit_pair():
-    # the boxes read off the template equal those derived from an explicit
-    # pair over another block, the last one of each level
-    for k in range(-4, 5):
-        digit_pos = digit_position(k)
-        for s in (0, 1):
-            blk = cantor_blocks_at(k, digit_pos, s)[-1]
-            c = blk.centre
-            for write in (s, 1 - s):
-                pair = _block_walls("", blk, write, Fraction(0))
-                assert _mirror_boxes(k, digit_pos, s, write) == tuple(
-                    ((w.p0[0] + w.p1[0]) / 2 - c, (w.p0[1] + w.p1[1]) / 2 - 8 * c,
-                     abs(w.p1[0] - w.p0[0]) / 2, abs(w.p1[1] - w.p0[1]) / 2)
-                    for w in pair)
+    # the level record of every level |k| <= 8, both symbols, read-only and
+    # rewriting, against the explicit pair over the last block of the
+    # level: its boxes, moved to that block, are the pair's boxes; centred
+    # on their block they are the Fraction oracle's (_mirror_boxes); and
+    # the float reach _level_data reads off them is the oracle's, bit for bit
+    for rule in (lambda k, s: s, lambda k, s: 1 - s):
+        mirrors, _ = build_split_gadget(8, rewrite_rule=rule).mirrors
+        levels = mirrors._level_data()[0]
+        assert [lv.k for lv in levels] == list(range(-8, 9))
+        for lv in levels:
+            k, digit_pos = lv.k, lv.digit_pos
+            last = 3 ** (digit_pos - 1) - 1
+            oracle = []
+            for s in (0, 1):
+                blk, = cantor_walk(k, digit_pos, s, (last, last))
+                c = blk.centre
+                pair = _block_walls("", blk, rule(k, s), Fraction(0))
+                boxes = [((w.p0[0] + w.p1[0]) / 2, (w.p0[1] + w.p1[1]) / 2,
+                          abs(w.p1[0] - w.p0[0]) / 2, abs(w.p1[1] - w.p0[1]) / 2)
+                         for w in pair]
+                assert _mirror_boxes(k, digit_pos, s, rule(k, s)) == tuple(
+                    (ax - c, ay - 8 * c, rx, ry) for ax, ay, rx, ry in boxes)
+                record = _pair_template(k, digit_pos, s, rule(k, s))
+                assert lv.boxes[s] == record.boxes
+                assert [tuple(Fraction(v, den) for v in (x + last * step, y + 8 * last * step,
+                                                         rx, ry))
+                        for den, step, x, y, rx, ry in record.boxes] == boxes
+                centred = tuple(tuple(Fraction(v, den) for v in (x - record.centre,
+                                                                 y - 8 * record.centre, rx, ry))
+                                for den, _, x, y, rx, ry in record.boxes)
+                assert centred == _mirror_boxes(k, digit_pos, s, rule(k, s))
+                oracle.append(centred)
+            assert lv.reach == tuple(
+                float(max(max(abs(oracle[s][w][0] - dx) + oracle[s][w][2],
+                              abs(oracle[s][w][1] - 1) + oracle[s][w][3])
+                          for s, w in members)) * (1 + 1e-12)
+                for dx, members in _LINES)
 
 
 # --- turns ---------------------------------------------------------------

@@ -265,7 +265,7 @@ def test_walls_below_float_resolution_are_marked():
         assert not any(_NumericWall(w).fine for w in table.scene_walls(range(-4, 5)))
     x = 1 - Fraction(2, 3 ** 11) + Fraction(1, 3 ** 33)    # in I_10's first block
     beam = Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
-    mirror, = build_split_gadget(12).walls_in(beam, range(-12, 13))
+    mirror, = build_split_gadget(12).level_walls_in(beam, range(-12, 13))
     assert ":k10:" in mirror.wall_id and _NumericWall(mirror).fine
 
 

@@ -10,8 +10,9 @@ import pytest
 from carom import gadgets
 from carom import table as table_module
 from carom.encoding import encode_state
+from carom.gadgets import DomainError
 from carom.machine import enumerate_tapes, parse_machine, step, ComputationState
-from carom.geometry import Segment, walls_clash
+from carom.geometry import ParabolaArc, Segment, walls_clash
 from carom.table import (
     BilliardTable,
     CompileError,
@@ -21,6 +22,7 @@ from carom.table import (
     load_table,
     to_svg,
 )
+from carom.ternary import T
 from carom.zoo import fixture_machines, get_machine
 
 NONREV = """\
@@ -92,19 +94,45 @@ def test_corridor_out_of_range():
 
 
 def test_corridor_inverse():
-    for name in ("rev-move", "walker", "looper", "bit-flipper"):
-        m = get_machine(name)
-        table = compile_table(m, 3)
+    # every corridor of the demo machines at K=8 and every head level it
+    # covers: the inverse undoes the transfer, on tapes around the head
+    K = 8
+    for name, m in fixture_machines().items():
+        table = compile_table(m, K)
         for (q, a), corridor in table.corridors.items():
-            for tape in enumerate_tapes(range(-1, 2)):
-                for k in (-1, 0, 1):
+            shift = corridor.edge.shift
+            for k in range(-K, K + 1):
+                if abs(k + shift) > K:
+                    continue
+                for tape in enumerate_tapes(range(k - 1, k + 2)):
                     if (1 if k in tape else 0) != a:
-                        continue
-                    if abs(k + corridor.edge.shift) > 3:
                         continue
                     v = encode_state(tape, k).value
                     out, _ = corridor.apply(v)
-                    assert corridor.apply_inverse(out) == v
+                    assert corridor.apply_inverse(out) == v, (name, q, a, k)
+            # outside the image: head level -shift*K, reached only from
+            # beyond K, level shift*(K + 1) beyond it, and 8/27, between
+            # I_-1 and I_0
+            for bad in (encode_state(frozenset(), -shift * K).value,
+                        encode_state(frozenset(), shift * (K + 1)).value, T(8, 3)):
+                with pytest.raises(DomainError):
+                    corridor.apply_inverse(bad)
+
+
+def test_compile_builds_only_placed_walls(monkeypatch):
+    # every wall compile_table builds is a wall of the table's scene
+    built = []
+    for cls in (Segment, ParabolaArc):
+        def record(self, check=cls.__post_init__):
+            built.append(self.wall_id)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", record)
+    for name, m in fixture_machines().items():
+        built.clear()
+        table = compile_table(m, 8)
+        ids = list(built)
+        assert ids, name
+        assert set(ids) <= {w.wall_id for w in table.static_walls}, name
 
 
 def test_wall_sequence_reports_all_bounces():
@@ -218,21 +246,22 @@ def test_layout_rejects_mirror_across_its_neighbour(monkeypatch):
     template = gadgets._pair_template
 
     def stretched(k, digit_pos, read_s, write_s):
-        den, step, walls = template(k, digit_pos, read_s, write_s)
+        record = template(k, digit_pos, read_s, write_s)
         if (k, digit_pos, read_s) != (0, 1, 0):
-            return den, step, walls
+            return record
+        den, step, ((x0, y0, _, _), back), _, _ = record
         # a primary's midpoint is its block's (centre, band height), whatever
         # the slope, so the read-only read-1 pair has the neighbour's
-        other_den, _, ((u0, v0, u1, v1), _) = template(k, digit_pos, 1, 1)
-        (x0, y0, _, _), back = walls
+        other_den, _, ((u0, v0, u1, v1), _), _, _ = template(k, digit_pos, 1, 1)
         end_x = Fraction(x0, den) + Fraction(9, 8) * (Fraction(u0 + u1, 2 * other_den)
                                                       - Fraction(x0, den))
         end_y = Fraction(y0, den) + Fraction(9, 8) * (Fraction(v0 + v1, 2 * other_den)
                                                       - Fraction(y0, den))
         d = math.lcm(den, end_x.denominator, end_y.denominator)
         m = d // den
-        return d, step * m, ((x0 * m, y0 * m, int(end_x * d), int(end_y * d)),
-                             tuple(v * m for v in back))
+        # the layout check reads the walls only, not the boxes of the query
+        return record._replace(den=d, step=step * m, walls=(
+            (x0 * m, y0 * m, int(end_x * d), int(end_y * d)), tuple(v * m for v in back)))
 
     monkeypatch.setattr(gadgets, "_pair_template", stretched)
     table = compile_table(get_machine("rev-move"), 2)

@@ -1,4 +1,4 @@
-"""Soundness of the positional wall query, ``walls_in(leg, levels)``.
+"""Soundness of the positional wall query, ``level_walls_in(leg, levels)``.
 
 Every wall of the full wall list that a leg meets must come back from the
 query: checked exactly with ``segments_intersect`` for segments and
@@ -15,12 +15,13 @@ from fractions import Fraction
 import pytest
 
 from carom.encoding import cantor_blocks_at, digit_position, head_interval
-from carom.gadgets import _BAND_GAIN, _mirror_boxes, build_merge_gadget, build_split_gadget
+from carom.gadgets import _BAND_GAIN, build_merge_gadget, build_split_gadget
 from carom.geometry import Leg, Segment, segments_intersect
 from carom.machine import parse_machine, parse_tape
 from carom.simulate import run_numeric
 from carom.table import compile_table
 from carom.zoo import MACHINE_TEXTS, get_machine
+from test_gadgets import _mirror_boxes
 
 LEVELS = range(-3, 4)
 RAY_LENGTH = 10_000   # beyond every scene here: a ray checked as a segment
@@ -50,6 +51,21 @@ def _full(source):
     return source.scene_walls(LEVELS) if hasattr(source, "scene_walls") else source.walls(LEVELS)
 
 
+def _walls_in(source, leg, levels, memo=None):
+    """The static walls and the mirrors ``level_walls_in`` returns for the
+    leg, in ``_full`` order: for a table, walking its scene."""
+    if not hasattr(source, "scene"):
+        return list(source.static_walls) + source.level_walls_in(leg, levels, memo)
+    walls = []
+    for entry in source.scene:
+        if isinstance(entry, tuple):
+            mirrors, frame = entry
+            walls += mirrors.walls_in(leg, levels, memo, frame)
+        else:
+            walls.append(entry)
+    return walls
+
+
 def _segment(leg):
     length = RAY_LENGTH if leg.t_max is None else leg.t_max
     (x, y), (dx, dy) = leg.origin, leg.direction
@@ -73,7 +89,7 @@ def _float_box(box, pad=1e-9):
 
 def _missed(source, full, boxes, leg):
     """Walls of ``full`` that the leg meets but the query left out."""
-    got = {w.wall_id for w in source.walls_in(leg, LEVELS)}
+    got = {w.wall_id for w in _walls_in(source, leg, LEVELS)}
     seg = _segment(leg)
     sx0, sy0, sx1, sy1 = _float_box(seg.bbox())
     missed = []
@@ -133,17 +149,17 @@ def test_query_returns_every_wall_the_leg_meets(build):
     memo = {}
     for leg in legs:
         assert _missed(source, full, boxes, leg) == []
-        got = source.walls_in(leg, LEVELS)
+        got = _walls_in(source, leg, LEVELS)
         # a subsequence of the full list, whatever memo it shares
         ranks = [order[w.wall_id] for w in got]
         assert ranks == sorted(ranks)
-        assert source.walls_in(leg, LEVELS, memo) == got
+        assert _walls_in(source, leg, LEVELS, memo) == got
 
 
 @pytest.mark.parametrize("build", [_split, _merge, _table], ids=["split", "merge", "table"])
 def test_unbounded_query_lists_every_wall(build):
     source = build()
-    assert source.walls_in(None, LEVELS) == _full(source)
+    assert _walls_in(source, None, LEVELS) == _full(source)
 
 
 @pytest.mark.parametrize("name", sorted(MACHINE_TEXTS))
@@ -174,8 +190,8 @@ def test_query_is_narrow():
     for k in (1, 10, 12):
         # inside the first block of I_k, of length 3^-(3k+2)
         x = head_interval(k).lo.as_fraction() + Fraction(1, 3 ** (3 * k + 3))
-        got = split.walls_in(Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11)),
-                             range(-14, 15))
+        got = _walls_in(split, Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11)),
+                        range(-14, 15))
         assert [w.wall_id.endswith(":W") for w in got] == [True], k
 
 
