@@ -264,7 +264,7 @@ class CantorBlock:
         return (self.lo + self.hi).as_fraction() / 2
 
 
-def cantor_walk(k, digit_pos, symbol, window=None, k_max=None):
+def cantor_walk(k, digit_pos, symbol, window=None):
     """The blocks of ``cantor_blocks_at`` with index F in ``window``, an
     integer range (F_lo, F_hi) (None: all of them), left to right.
 
@@ -274,7 +274,7 @@ def cantor_walk(k, digit_pos, symbol, window=None, k_max=None):
     A descent over the free digits prunes every prefix whose blocks all miss
     the window: O(digit_pos) steps per block found, plus O(digit_pos).
     """
-    cap = k_max if k_max is not None else k_max_cap()
+    cap = k_max_cap()
     if abs(k) > cap or digit_pos - 1 > 2 * cap + 1:
         raise KRangeExceeded(f"level {k}/digit {digit_pos} beyond K_max {cap}")
     if digit_pos < 1:
@@ -310,20 +310,20 @@ def block_indices(n_free, window=None):
     return found
 
 
-def cantor_blocks_at(k, digit_pos, symbol, k_max=None):
+def cantor_blocks_at(k, digit_pos, symbol):
     """All blocks of I_k pinning ternary digit ``digit_pos`` of the tape
     value to symbol, left to right, with exact endpoints.
 
     2**(digit_pos - 1) blocks, each of pre-embedding length 3**-digit_pos,
     hence length 3**-(digit_pos + 1 + |k|) inside I_k.
     """
-    return cantor_walk(k, digit_pos, symbol, k_max=k_max)
+    return cantor_walk(k, digit_pos, symbol)
 
 
-def cantor_blocks(k, symbol, k_max=None):
+def cantor_blocks(k, symbol):
     """Head-cell blocks of I_k: the states with tape symbol ``symbol``
     under the head."""
-    return cantor_blocks_at(k, digit_position(k), symbol, k_max=k_max)
+    return cantor_blocks_at(k, digit_position(k), symbol)
 
 
 def block_of(x, k, digit_pos):

@@ -610,16 +610,17 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
     )
 
 
-def build_merge_gadget(split, *, name=None, validate_levels=(-1, 0, 1)):
+def build_merge_gadget(split, *, name=None):
     """Time reversal of a split: mirrored walls, inverted transfer.
 
     The two incoming beams (windows [-2,-1] and [2,3]) are funnelled onto
     the single [0,1] window.  Requires the split's transfer to be
     injective; overlapping images mean the machine was not reversible and
-    merging would glue distinct histories.
+    merging would glue distinct histories; it is checked on head levels
+    -1, 0 and 1.
     """
     name = name or split.name + ":merged"
-    split.transfer.check_injective(validate_levels)
+    split.transfer.check_injective((-1, 0, 1))
     axis = SPLIT_HEIGHT / 2
 
     def locate(u):
@@ -783,102 +784,49 @@ def build_shift_stage(eps, *, base_x=F(0), sigma=0, K=None, name="shift"):
     )
 
 
-def build_shift_gadget(regime, eps, *, name=None):
-    """Single-regime confocal pair, the unit the proofs reason about.
-
-    ``regime`` is 'neg' (head levels k < 0 side) or 'pos' (k >= 0 side);
-    transfer is 3x / x/3 + 2/3 for eps=+1 and the exact inverses for
-    eps=-1, restricted to the union of head intervals the move touches.
-    """
-    if regime not in ("neg", "pos"):
-        raise ValueError("regime must be 'neg' or 'pos'")
-    name = name or f"shift[{regime},{eps:+d}]"
-    stage = build_shift_stage(eps, name=name)
-    wanted = [r for r in _shift_regimes(eps) if r.tag == regime][0]
-
-    def locate(u):
-        piece = stage.transfer.locate(u)
-        if not piece.tag.startswith(regime):
-            raise DomainError(f"{name}: {u} belongs to the other regime")
-        return piece
-
-    def enumerate_pieces(levels):
-        return [p for p in stage.transfer.pieces(levels)
-                if p.tag.startswith(regime)]
-
-    walls = tuple(w for w in stage.static_walls if f":{regime}:" in w.wall_id)
-    return Gadget(
-        kind=f"shift({eps:+d})", name=name,
-        in_ports=stage.in_ports, out_ports=stage.out_ports,
-        transfer=PiecewiseTransfer(locate, enumerate_pieces, label=name),
-        static_walls=walls,
-    )
-
-
 # ---------------------------------------------------------------------------
 # turns
 # ---------------------------------------------------------------------------
 
-_TURN_SLOPES = {
-    ((0, 1), (1, 0)): 1, ((0, 1), (-1, 0)): -1,
-    ((1, 0), (0, -1)): -1, ((1, 0), (0, 1)): 1,
-    ((0, -1), (-1, 0)): 1, ((0, -1), (1, 0)): -1,
-    ((-1, 0), (0, 1)): -1, ((-1, 0), (0, -1)): 1,
-}
 _TURN_PAD = F(1, 2)
+#: The widest window build_turn_gadget accepts: its mirror, padded, spans
+#: at most 10 units along the beam's tangent.
+_TURN_MAX_WIDTH = F(9)
 
 
-def make_turn(in_port, out_beam, along, name, max_extent=None):
-    """One flat mirror turning ``in_port``'s beam into ``out_beam``.
+def turn_mirror(corner, v, width, name):
+    """The flat mirror of a quarter turn, for a beam window [lo, lo + width].
 
-    ``along`` positions the mirror: the distance from the in-port plane to
-    where the beam at coordinate lo meets the mirror.  The out-port chart
-    is the mirror image of the in-chart, which makes the transfer the
-    identity on [lo, hi].
+    ``v`` is a diagonal such as (1, 1) whose component along the window's
+    tangent is 1: the beam at lo + s meets the mirror at corner + s*v.  The
+    mirror runs from s = -1/2 to s = width + 1/2, half a unit past each end
+    of the window.
     """
-    bx, by = int(in_port.beam[0]), int(in_port.beam[1])
-    ox, oy = int(out_beam[0]), int(out_beam[1])
-    slope = _TURN_SLOPES.get(((bx, by), (ox, oy)))
-    if slope is None:
-        raise ValueError(f"turn {name}: {in_port.beam} -> {out_beam} is not a quarter turn")
-    lo, hi = in_port.lo, in_port.hi
-    if max_extent is not None and hi - lo + 2 * _TURN_PAD > max_extent:
+    (cx, cy), (vx, vy) = corner, v
+    lo, hi = -_TURN_PAD, width + _TURN_PAD
+    return Segment((cx + lo * vx, cy + lo * vy), (cx + hi * vx, cy + hi * vy),
+                   f"{name}:mirror")
+
+
+def build_turn_gadget(direction_change, window=(F(-4), F(4))):
+    """Stand-alone quarter-turn mirror for an upward beam.
+
+    +90 turns the beam right (+x), -90 left (-x); the identity transfer
+    covers the full window, which must fit the wall extent guard.  The
+    beam at u meets the mirror at height rise + d*(u - lo), d = +-1 the
+    turn's side, and leaves along that height past the mirror's far end.
+    """
+    if direction_change not in (+90, -90):
+        raise ValueError("direction_change must be +-90")
+    lo, hi = F(window[0]), F(window[1])
+    name = f"turn[{direction_change:+d}]"
+    if hi - lo > _TURN_MAX_WIDTH:
         raise ValueError(f"turn {name}: beam window wider than wall extent")
-    p_lo = in_port.chart(lo)
-    anchor = (p_lo[0] + in_port.beam[0] * along, p_lo[1] + in_port.beam[1] * along)
-    # mirror line y = slope*x + c through the anchor
-    c = anchor[1] - slope * anchor[0]
-
-    def reflect_point(pt):
-        x, y = pt
-        if slope == 1:
-            return (y - c, x + c)
-        return (c - y, c - x)
-
-    def reflect_vec(v):
-        if slope == 1:
-            return (v[1], v[0])
-        return (-v[1], -v[0])
-
-    # mirror segment must cover every beam offset in [lo, hi] plus padding
-    hits = []
-    for u in (lo - _TURN_PAD, hi + _TURN_PAD):
-        p = in_port.chart(u)
-        # solve p + t*beam on the mirror line
-        t = (slope * p[0] + c - p[1]) / (in_port.beam[1] - slope * in_port.beam[0])
-        hits.append((p[0] + t * in_port.beam[0], p[1] + t * in_port.beam[1]))
-    wall = Segment(hits[0], hits[1], f"{name}:mirror")
-
-    # the reflected chart line sits upstream of the mirror; sliding the
-    # origin along the outgoing beam leaves every ray's coordinate intact
-    # and puts the port plane safely past the wall
-    margin = abs(along) + (hi - lo) + 2 * _TURN_PAD + 2
-    rp = reflect_point(in_port.origin)
-    out_port = Port((rp[0] + F(ox) * margin, rp[1] + F(oy) * margin),
-                    reflect_vec(in_port.tangent), (F(ox), F(oy)), lo, hi)
-    # corridor windows have integer bounds, so the piece record stays exact
-    piece = Piece(TernaryRational.from_fraction(F(lo)),
-                  TernaryRational.from_fraction(F(hi)),
+    d = F(1 if direction_change == +90 else -1)
+    rise = hi - lo + 2
+    wall = turn_mirror((lo, rise), (F(1), d), hi - lo, name)
+    out_port = Port((lo + d * (hi - lo + 3), rise - d * lo), (F(0), d), (d, F(0)), lo, hi)
+    piece = Piece(TernaryRational.from_fraction(lo), TernaryRational.from_fraction(hi),
                   T(1), T(0), (wall.wall_id,), "turn")
 
     def locate(u):
@@ -888,25 +836,11 @@ def make_turn(in_port, out_beam, along, name, max_extent=None):
 
     return Gadget(
         kind="turn", name=name,
-        in_ports={"in": in_port}, out_ports={"out": out_port},
+        in_ports={"in": Port((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), lo, hi)},
+        out_ports={"out": out_port},
         transfer=PiecewiseTransfer(locate, lambda levels: [piece], label=name),
         static_walls=(wall,),
     )
-
-
-def build_turn_gadget(direction_change, window=(F(-4), F(4))):
-    """Stand-alone quarter-turn mirror for an upward beam.
-
-    +90 turns the beam right (+x), -90 left (-x); the identity transfer
-    covers the full window, which must fit the wall extent guard.
-    """
-    if direction_change not in (+90, -90):
-        raise ValueError("direction_change must be +-90")
-    lo, hi = F(window[0]), F(window[1])
-    port = Port((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), lo, hi)
-    out_beam = (1, 0) if direction_change == +90 else (-1, 0)
-    return make_turn(port, out_beam, hi - lo + 2, f"turn[{direction_change:+d}]",
-                     max_extent=F(8) + 2 * _TURN_PAD + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ Layout scheme (all coordinates exact Fractions):
   mirror cells are disjoint by construction and verified exactly; beams
   may cross beams freely, only walls must never intersect.
 
-Turn mirrors keep the transverse coordinate rigid, so a corridor's
-transfer is split o shift o rebase o merge, which per head level reduces
-to the machine edge acting on the encoded value.
+The four turn mirrors of a corridor sit at the corners of its route and
+keep the transverse coordinate rigid, so a corridor's transfer is split o
+shift o rebase o merge, which per head level reduces to the machine edge
+acting on the encoded value.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from . import gadgets
 from .encoding import head_of, rewrite_scale
 from .gadgets import (
     SIGMA,
@@ -44,10 +44,10 @@ from .gadgets import (
     build_merge_gadget,
     build_shift_stage,
     build_split_gadget,
-    make_turn,
     row_segment,
+    turn_mirror,
 )
-from .geometry import MarkedSegment, Port, walls_clash
+from .geometry import MarkedSegment, walls_clash
 from .machine import build_graph, check_reversible
 from .ternary import T
 
@@ -91,12 +91,12 @@ class Station:
     checkpoint: MarkedSegment
     split: Optional[Gadget] = None     # placed at SPLIT_DY
     merge: Optional[Gadget] = None     # placed at MERGE_DY
-    premerge: Optional[Gadget] = None  # virtual split the merge mirrors
 
 
 @dataclass
 class Corridor:
-    """One graph edge realized as a gadget chain with a composed transfer."""
+    """One graph edge: split, shift stage, four turn mirrors and merge, with
+    their composed transfer."""
 
     edge: object  # machine.Transition
     index: int
@@ -105,7 +105,7 @@ class Corridor:
     sigma_out: int       # lane offset expected by the target (0 if merge-free)
     split: Gadget
     stage: Gadget        # placed at STAGE_DY
-    turns: tuple         # four turn gadgets, placed at dy = 0
+    turns: tuple         # four turn mirrors (Segments), at the route's corners
     merge: Optional[Gadget]
     K: int = 8
     premerge: Optional[PiecewiseTransfer] = None   # virtual split behind merge
@@ -133,9 +133,9 @@ class Corridor:
         pieces.append(piece)
         v, piece = self.stage.transfer.apply(v)
         pieces.append(piece)
-        for turn in self.turns:
-            v, piece = turn.transfer.apply(v)
-            pieces.append(piece)
+        if not (T(self.sigma_in) <= v <= T(self.sigma_in + 1)):
+            raise DomainError(f"corridor {self.edge}: {v} outside its lane window")
+        pieces += self.turn_pieces
         rebase = self.sigma_out - self.sigma_in
         if rebase:
             v = v + rebase
@@ -144,6 +144,13 @@ class Corridor:
             v, piece = self.merge.transfer.apply(v)
             pieces.append(piece)
         return v, pieces
+
+    @cached_property
+    def turn_pieces(self):
+        """The turns' transfer: the identity on the lane window, one piece
+        per mirror."""
+        lo, hi = T(self.sigma_in), T(self.sigma_in + 1)
+        return tuple(Piece(lo, hi, T(1), T(0), (w.wall_id,), "turn") for w in self.turns)
 
     def apply_inverse(self, value_after):
         """Run the corridor's transfer chain backwards, piece by piece.
@@ -230,8 +237,7 @@ class BilliardTable:
         for key in sorted(self.corridors):
             corridor = self.corridors[key]
             place(corridor.stage, STAGE_DY)
-            for turn in corridor.turns:
-                scene.extend(turn.static_walls)
+            scene.extend(corridor.turns)
         return tuple(scene)
 
     @cached_property
@@ -474,7 +480,9 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         st.split = split
 
     # merges: states entered by two edges; the walls classify on the tape
-    # cell behind the head, which reversibility makes branch-disjoint
+    # cell behind the head, which reversibility makes branch-disjoint.
+    # premerge[q] is the transfer of the virtual split a merge mirrors
+    premerge = {}
     for q in machine.states:
         incoming = graph.in_edges(q)
         if len(incoming) < 2:
@@ -486,7 +494,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
             K, cell_offset=-eps, base_x=st.x, name=f"premerge:{q}",
             k_filter=lambda k, eps=eps: abs(k) <= K and abs(k - eps) <= K)
         st.merge = build_merge_gadget(virtual, name=f"merge:{q}")
-        st.premerge = virtual
+        premerge[q] = virtual.transfer
 
     # corridors
     edges = list(graph.edges)
@@ -502,30 +510,22 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         stage = build_shift_stage(edge.shift, base_x=src.x, sigma=sigma_in,
                                   K=K, name=f"stage:{edge.state}.r{a}")
 
+        # the beam window [sigma_in, sigma_in + 1] leaves the stage going
+        # up; its lo edge turns at four corners, right along a private row,
+        # down a private lane, left along a private bottom row and up into
+        # the target's lane.  Each turn mirror meets the beam at lo + s at
+        # corner + s*v: the route keeps the transverse coordinate rigid
         row = ROW0 + ROW_PITCH * idx
         brow = BROW0 - ROW_PITCH * idx
-        lane_right = lane0 + LANE_PITCH * idx
-
-        lo, hi = F(sigma_in), F(sigma_in) + 1
-        p0 = Port((src.x + 2, STAGE_DY + gadgets.STAGE_HEIGHT),
-                  (F(1), F(0)), (F(0), F(1)), lo, hi)
-        t1 = make_turn(p0, (1, 0), row - p0.origin[1], f"c{idx}:t1")
-        p1 = t1.out_ports["out"]
-        t2 = make_turn(p1, (0, -1), lane_right - p1.chart(lo)[0], f"c{idx}:t2")
-        p2 = t2.out_ports["out"]
-        t3 = make_turn(p2, (-1, 0), p2.chart(lo)[1] - brow, f"c{idx}:t3")
-        p3 = t3.out_ports["out"]
-        exit_x = tgt.x + sigma_out
-        t4 = make_turn(p3, (0, 1), p3.chart(lo)[0] - exit_x, f"c{idx}:t4")
-        p4 = t4.out_ports["out"]
-        assert p4.beam == (F(0), F(1)) and p4.tangent == (F(1), F(0))
-        assert p4.chart(lo)[0] == exit_x, (p4.chart(lo), exit_x)
+        lane = lane0 + LANE_PITCH * idx
+        corners = (((src.x + 2 + sigma_in, row), (1, 1)), ((lane, row), (-1, 1)),
+                   ((lane, brow), (-1, -1)), ((tgt.x + sigma_out, brow), (1, -1)))
+        turns = tuple(turn_mirror(corner, v, 1, f"c{idx}:t{i}")
+                      for i, (corner, v) in enumerate(corners, 1))
         corridors[(edge.state, a)] = Corridor(
             edge=edge, index=idx, branch=a, sigma_in=sigma_in,
-            sigma_out=sigma_out, split=src.split, stage=stage,
-            turns=(t1, t2, t3, t4),
-            merge=tgt.merge, K=K,
-            premerge=tgt.premerge.transfer if merged else None)
+            sigma_out=sigma_out, split=src.split, stage=stage, turns=turns,
+            merge=tgt.merge, K=K, premerge=premerge.get(edge.target))
 
     q0 = machine.initial
     pad_x = stations[q0].x if graph.in_degree(q0) == 0 else stations[q0].x - 4

@@ -1,6 +1,6 @@
 """Hand-built reversible machines used across the test and demo suites.
 
-All five pass the reversibility criterion: into any state, incoming
+All six pass the reversibility criterion: into any state, incoming
 transitions share one shift and write distinct symbols.
 """
 
@@ -78,7 +78,7 @@ MACHINE_TEXTS = {
 
 
 def fixture_machines():
-    """The five named machines, parsed and validated."""
+    """The six named machines, parsed and validated."""
     return {name: parse_machine(text, name=name)
             for name, text in MACHINE_TEXTS.items()}
 

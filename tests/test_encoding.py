@@ -215,8 +215,9 @@ def test_blocks_at_other_cells():
     assert q.value not in blocks[0]
 
 
-def test_k_range_guard():
+def test_k_range_guard(monkeypatch):
     with pytest.raises(KRangeExceeded):
         cantor_blocks(80, 0)
+    monkeypatch.setenv("BILLIARD_KMAX", "4")
     with pytest.raises(KRangeExceeded):
-        cantor_blocks(5, 0, k_max=4)
+        cantor_blocks(5, 0)

@@ -24,14 +24,12 @@ from carom.gadgets import (
     _block_walls,
     _pair_template,
     build_merge_gadget,
-    build_shift_gadget,
     build_shift_stage,
     build_split_gadget,
     build_turn_gadget,
     check_separation,
-    make_turn,
 )
-from carom.geometry import Leg, Port, Segment, walls_clash
+from carom.geometry import Leg, Segment, walls_clash
 from carom.machine import enumerate_tapes
 from carom.table import MERGE_DY, SPLIT_DY
 from carom.ternary import T
@@ -48,25 +46,25 @@ def sample_points(k_range=3, cells=3):
 # --- shift ---------------------------------------------------------------
 
 def test_shift_gadget_examples():
-    pos = build_shift_gadget("pos", +1)
-    assert pos.transfer.apply(T(1, 1))[0] == T(7, 2)
-    neg = build_shift_gadget("neg", +1)
-    assert neg.transfer.apply(T(1, 2))[0] == T(1, 1)
-    pos_inv = build_shift_gadget("pos", -1)
-    assert pos_inv.transfer.apply(T(7, 2))[0] == T(1, 1)
-    neg_inv = build_shift_gadget("neg", -1)
-    assert neg_inv.transfer.apply(T(1, 1))[0] == T(1, 2)
+    # each head move, in each head-sign regime, on one point
+    for eps, u, want, regime in ((+1, T(1, 1), T(7, 2), "pos:"),
+                                 (+1, T(1, 2), T(1, 1), "neg:"),
+                                 (-1, T(7, 2), T(1, 1), "pos:"),
+                                 (-1, T(1, 1), T(1, 2), "neg:")):
+        got, piece = build_shift_stage(eps).transfer.apply(u)
+        assert got == want and piece.tag.startswith(regime), (eps, u)
 
 
 def test_shift_gadget_inverse_composition():
-    fwd = build_shift_gadget("pos", +1)
-    bwd = build_shift_gadget("pos", -1)
+    fwd = build_shift_stage(+1)
+    bwd = build_shift_stage(-1)
     for p in sample_points(2, 2):
         if p.head < 0:
             continue
-        out, _ = fwd.transfer.apply(p.value)
-        back, _ = bwd.transfer.apply(out)
+        out, piece = fwd.transfer.apply(p.value)
+        back, back_piece = bwd.transfer.apply(out)
         assert back == p.value
+        assert piece.tag.startswith("pos:") and back_piece.tag.startswith("pos:")
 
 
 def test_shift_stage_matches_shift_point():
@@ -94,12 +92,6 @@ def test_shift_stage_domain_error():
     deep = encode_state(frozenset(), 5)
     with pytest.raises(DomainError):
         bounded.transfer.apply(deep.value)
-
-
-def test_shift_gadget_wrong_regime_rejected():
-    pos = build_shift_gadget("pos", +1)
-    with pytest.raises(DomainError):
-        pos.transfer.apply(T(1, 2))  # k = -1 point
 
 
 def test_shift_stage_walls_are_four_arcs():
@@ -234,7 +226,7 @@ def test_merge_rejects_noninjective():
 
     fake = dataclasses.replace(bad, transfer=Clashing())
     with pytest.raises(ValueError):
-        build_merge_gadget(fake, validate_levels=(0,))
+        build_merge_gadget(fake)
     # the honest split merges fine
     build_merge_gadget(split)
 
@@ -280,7 +272,7 @@ def test_template_pairs_equal_explicit_formula(rewrite, base_x):
     levels = range(-4, 5)
     rule = (lambda k, s: 1 - s) if rewrite else (lambda k, s: s)
     split = build_split_gadget(4, rewrite_rule=rule, base_x=base_x, name="split:A")
-    merge = build_merge_gadget(split, name="merge:A", validate_levels=())
+    merge = build_merge_gadget(split, name="merge:A")
     want = explicit_pairs("split:A", levels, rule, base_x)
     mirrored = placed(want, 10, -1)
 
@@ -391,45 +383,9 @@ def test_turn_gadget_basics():
     assert left.out_ports["out"].beam == (-1, 0)
 
 
-def test_turn_chain_roundtrip_orientation():
-    # up -> right -> down -> left -> up: charts compose to the identity
-    port = Port((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                (Fraction(0), Fraction(1)), Fraction(0), Fraction(1))
-    t1 = make_turn(port, (1, 0), Fraction(4), "t1")
-    p1 = t1.out_ports["out"]
-    t2 = make_turn(p1, (0, -1), Fraction(6), "t2")
-    p2 = t2.out_ports["out"]
-    t3 = make_turn(p2, (-1, 0), Fraction(8), "t3")
-    p3 = t3.out_ports["out"]
-    t4 = make_turn(p3, (0, 1), Fraction(3), "t4")
-    p4 = t4.out_ports["out"]
-    assert p4.beam == (Fraction(0), Fraction(1))
-    assert p4.tangent == (Fraction(1), Fraction(0))
-    # net transfer is the identity; the net chart is a rigid translation
-    for u in (Fraction(0), Fraction(1, 3), Fraction(1)):
-        d0 = (port.chart(u)[0] - port.chart(0)[0],
-              port.chart(u)[1] - port.chart(0)[1])
-        d4 = (p4.chart(u)[0] - p4.chart(0)[0],
-              p4.chart(u)[1] - p4.chart(0)[1])
-        assert d0 == d4
-
-
-def test_two_opposite_turns_restore_direction():
-    port = Port((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                (Fraction(0), Fraction(1)), Fraction(0), Fraction(1))
-    right = make_turn(port, (1, 0), Fraction(5), "r")
-    back_up = make_turn(right.out_ports["out"], (0, 1), Fraction(5), "u")
-    out = back_up.out_ports["out"]
-    assert out.beam == (Fraction(0), Fraction(1))
-    got, _ = back_up.transfer.apply(T(5, 2))
-    assert got == T(5, 2)
-
-
 def test_turn_window_guard():
-    port = Port((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                (Fraction(0), Fraction(1)), Fraction(-9), Fraction(9))
     with pytest.raises(ValueError):
-        make_turn(port, (1, 0), Fraction(4), "wide", max_extent=Fraction(8))
+        build_turn_gadget(+90, window=(-9, 9))
 
 
 # --- separation ----------------------------------------------------------

@@ -270,13 +270,13 @@ def test_walls_below_float_resolution_are_marked():
 
 
 def test_numeric_gadget_shift():
-    from carom.gadgets import build_shift_gadget
+    from carom.gadgets import build_shift_stage
     import mpmath
-    g = build_shift_gadget("pos", +1)
+    g = build_shift_stage(+1)
     u_out, hits = GadgetTracer(g, 60).trace(T(1, 1))
     with mpmath.workdps(60):
         assert abs(u_out - mpmath.mpf(7) / 9) < mpmath.mpf(10) ** -30
-    assert len(hits) == 2
+    assert hits == ["shift:pos:in", "shift:pos:out"]
 
 
 def test_numeric_low_precision_rejected():

@@ -452,12 +452,51 @@ def test_parallel_corridors_one_row_apart():
     from carom.table import ROW_PITCH, LANE_PITCH
     table = compile_table(get_machine("looper"), 2)
     c0, c1 = table.corridors[("L", 0)], table.corridors[("L", 1)]
-    y0 = c0.turns[0].static_walls[0].p0[1]
-    y1 = c1.turns[0].static_walls[0].p0[1]
+    y0 = c0.turns[0].p0[1]
+    y1 = c1.turns[0].p0[1]
     assert abs(y1 - y0) == ROW_PITCH
-    x0 = c0.turns[2].static_walls[0].p0[0]
-    x1 = c1.turns[2].static_walls[0].p0[0]
+    x0 = c0.turns[2].p0[0]
+    x1 = c1.turns[2].p0[0]
     assert abs(x1 - x0) == LANE_PITCH
+
+
+def _reflect_off(mirror, pos, d):
+    """Where the ray pos + t*d (t > 0) meets the segment ``mirror``, and its
+    direction after reflecting there, in exact arithmetic; the hit must lie
+    inside the mirror."""
+    (ax, ay), (bx, by) = mirror.p0, mirror.p1
+    ex, ey = bx - ax, by - ay
+    cross = d[0] * ey - d[1] * ex
+    assert cross != 0, mirror.wall_id
+    wx, wy = ax - pos[0], ay - pos[1]
+    t = (wx * ey - wy * ex) / cross
+    lam = (wx * d[1] - wy * d[0]) / cross
+    assert t > 0 and 0 < lam < 1, (mirror.wall_id, t, lam)
+    # reflection across the mirror's line: d -> 2 (d.e / e.e) e - d
+    k = 2 * (d[0] * ex + d[1] * ey) / (ex * ex + ey * ey)
+    return (pos[0] + t * d[0], pos[1] + t * d[1]), (k * ex - d[0], k * ey - d[1])
+
+
+@pytest.mark.parametrize("K", [2, 8])
+def test_corridor_route_carries_beams(K):
+    # beams across the lane window leave the shift stage going up and
+    # reflect exactly off the corridor's four turn mirrors in order; they
+    # leave the last one going up in the target's lane, at the same offset
+    from carom.table import STAGE_DY
+    for name, m in fixture_machines().items():
+        table = compile_table(m, K)
+        for key, corridor in table.corridors.items():
+            src = table.stations[corridor.edge.state]
+            tgt = table.stations[corridor.edge.target]
+            port = corridor.stage.out_ports["out"]
+            for du in (Fraction(0), Fraction(1, 2), Fraction(1)):
+                x, y = port.chart(corridor.sigma_in + du)
+                assert x == src.x + 2 + corridor.sigma_in + du
+                pos, d = (x, y + STAGE_DY), (Fraction(0), Fraction(1))
+                for mirror in corridor.turns:
+                    pos, d = _reflect_off(mirror, pos, d)
+                assert d == (0, 1), (name, key)
+                assert pos[0] == tgt.x + corridor.sigma_out + du, (name, key, du)
 
 
 def test_serialized_pieces_cover_transfers():

@@ -252,7 +252,7 @@ def _window_merge():
     # (the merge, the split whose walls it mirrors across y = 5)
     virtual = build_split_gadget(4, cell_offset=-1, name="premerge",
                                  k_filter=lambda k: abs(k) <= 4 and abs(k - 1) <= 4)
-    return build_merge_gadget(virtual, name="merge", validate_levels=()), virtual
+    return build_merge_gadget(virtual, name="merge"), virtual
 
 
 def _dyadic_legs(walls, rng, count):
