@@ -803,8 +803,8 @@ def turn_mirror(corner, v, width, name):
     of the window.
     """
     (cx, cy), (vx, vy) = corner, v
-    lo, hi = -_TURN_PAD, width + _TURN_PAD
-    return Segment((cx + lo * vx, cy + lo * vy), (cx + hi * vx, cy + hi * vy),
+    s_lo, s_hi = -_TURN_PAD, width + _TURN_PAD
+    return Segment((cx + s_lo * vx, cy + s_lo * vy), (cx + s_hi * vx, cy + s_hi * vy),
                    f"{name}:mirror")
 
 
