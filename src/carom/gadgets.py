@@ -105,7 +105,7 @@ class PiecewiseTransfer:
     def check_injective(self, levels):
         """Verify piece images are pairwise disjoint (needed to invert)."""
         images = sorted(((p.apply(p.lo), p.apply(p.hi), p) for p in self.pieces(levels)),
-                        key=lambda t: t[0].as_fraction())
+                        key=lambda t: t[0])
         for (lo1, hi1, p1), (lo2, hi2, p2) in zip(images, images[1:]):
             if hi1 > lo2:
                 raise ValueError(
@@ -120,7 +120,8 @@ class Gadget:
     the per-head-level Cantor-block mirrors of split and merge gadgets,
     2**(2k)-ish per level: ``mirrors``, a (_BlockMirrors, frame) pair,
     the frame (oy, sy) placing them at y -> oy + sy*y.  A tracer reads
-    ``static_walls`` once and ``level_walls_in`` per leg, as for a table.
+    ``static_walls`` once and asks the family ``walls_in(leg, frame)`` per
+    leg, as for a table.
     """
 
     kind: str
@@ -131,23 +132,13 @@ class Gadget:
     static_walls: tuple = ()
     mirrors: Optional[tuple] = None    # (_BlockMirrors, frame)
 
-    def level_walls_in(self, leg, levels, memo=None):
-        """Every mirror of the given head levels that the Leg ``leg`` may
-        meet (all of them when ``leg`` is None), in the order ``walls``
-        lists them when levels ascend.
-
-        Sound, not tight: no wall the leg meets is left out, and a wall is
-        returned only if the leg meets its bounding box.  ``memo`` (a dict)
-        keeps built mirror pairs by id and frame across calls.
-        """
-        if self.mirrors is None:
-            return []
-        mirrors, frame = self.mirrors
-        return mirrors.walls_in(leg, levels, memo, frame)
-
     def walls(self, levels=()):
         """The static walls, then every mirror of ``levels``."""
-        return list(self.static_walls) + self.level_walls_in(None, levels)
+        walls = list(self.static_walls)
+        if self.mirrors is not None:
+            mirrors, frame = self.mirrors
+            walls += map(row_segment, mirrors.rows(levels, frame))
+        return walls
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +339,10 @@ class _BlockMirrors:
     """The mirror pairs of a split gadget, one per Cantor block, found by
     position and built in the frame they are placed in.
 
+    ``levels`` is the family's level set, the one definition the walls and
+    the split's transfer read: the head levels |k| <= K whose classified
+    cell k + cell_offset also has |k + cell_offset| <= K.
+
     A level's pairs are one template pair translated by c * (1, 8) for the
     block centres c, and block F of ``cantor_walk`` has its centre at c_0 +
     F * step (``_pair_template``).  So ``_placed`` places the pair over
@@ -355,25 +350,27 @@ class _BlockMirrors:
     and symbol a query lists, and ``_rows`` lists the pair over
     block F from them as integer rows (den, x0, y0, x1, y1, id), with no
     Fraction arithmetic.  Rows are the one pair builder: ``rows`` lists
-    every mirror of some levels for serialization and the layout check, and
-    ``walls_in`` wraps them in Segments (``row_segment``) for a tracer or a
-    full wall listing.  A float pre-reject finds the one or two
-    levels whose hull I_k the leg may reach; for those, ``_window`` bounds
-    F exactly in integers, and ``block_indices`` lists exactly the blocks
-    whose wall boxes the leg meets.  Level data is built on the first
-    positional query, never by the compiler.
+    every mirror of some levels for serialization, the layout check and a
+    full wall listing, and ``walls_in`` returns the rows a leg may meet; a
+    caller wraps a row in its Segment (``row_segment``) where it needs one.
+    A float pre-reject finds the one or two levels whose hull I_k the leg
+    may reach; for those, ``_window`` bounds F exactly in integers, and
+    ``block_indices`` lists exactly the blocks whose wall boxes the leg
+    meets.  Level data is built on the first positional query, never by
+    the compiler.
 
-    ``walls_in`` takes a frame (oy, sy), the placement y -> oy + sy*y of
-    the gadget's local frame (sy = -1 for a merge's mirror image), and
-    returns the walls there.  The leg is given in that placed frame:
-    ``_blocks`` takes it back to the local frame as it reads the leg's
-    floats, and ``_exact_leg`` as it reads its exact values.
+    ``rows`` and ``walls_in`` take a frame (oy, sy), the placement y -> oy
+    + sy*y of the gadget's local frame (sy = -1 for a merge's mirror
+    image), and list the walls there.  The leg is given in that placed
+    frame: ``_blocks`` takes it back to the local frame as it reads the
+    leg's floats, and ``_exact_leg`` as it reads its exact values.
     """
 
-    def __init__(self, name, K, k_filter, cell_offset, rewrite_rule, base_x):
-        self.name, self.K, self.k_filter = name, K, k_filter
-        self.cell_offset, self.rewrite_rule, self.base_x = cell_offset, rewrite_rule, base_x
-        self._levels = None
+    def __init__(self, name, K, cell_offset, rewrite_rule, base_x):
+        self.name, self.cell_offset = name, cell_offset
+        self.rewrite_rule, self.base_x = rewrite_rule, base_x
+        self.levels = range(max(-K, -K - cell_offset), min(K, K - cell_offset) + 1)
+        self._data = None
 
     def _placed(self, k, digit_pos, s, frame):
         """_pair_template of level k and symbol s placed by ``frame``, x
@@ -405,7 +402,7 @@ class _BlockMirrors:
         ``_rows``), ordered by level as given, symbol and block."""
         rows = []
         for k in levels:
-            if not self.k_filter(k):
+            if k not in self.levels:
                 continue
             digit_pos = digit_position(k + self.cell_offset)
             for s in (0, 1):
@@ -418,12 +415,10 @@ class _BlockMirrors:
         """Levels sorted left to right (by k), per line of _LINES the
         prefix and suffix maxima of their reaches, and a float box around
         every level wall."""
-        if self._levels is not None:
-            return self._levels
+        if self._data is not None:
+            return self._data
         levels = []
-        for k in range(-self.K, self.K + 1):
-            if not self.k_filter(k):
-                continue
+        for k in self.levels:
             digit_pos = digit_position(k + self.cell_offset)
             iv = head_interval(k)
             templates = [_pair_template(k, digit_pos, s, self.rewrite_rule(k, s))
@@ -452,8 +447,8 @@ class _BlockMirrors:
         region = (min(b[0] for b in bounds), max(b[1] for b in bounds),
                   min(b[2] for b in bounds), max(b[3] for b in bounds))
         region += (4 + max(map(abs, region)),)   # and its magnitude
-        self._levels = (levels, [lv.flo for lv in levels], region, reach_max)
-        return self._levels
+        self._data = (levels, [lv.flo for lv in levels], region, reach_max)
+        return self._data
 
     def _near(self, line, c0, radius, slack):
         """Indices of the levels whose hull lies within radius * (their
@@ -471,7 +466,7 @@ class _BlockMirrors:
                 break
             yield j
 
-    def _blocks(self, leg, levels, frame):
+    def _blocks(self, leg, frame):
         """(level, symbol, wall, F, bits) for every block F whose wall box
         meets the leg, the walls placed by ``frame``."""
         px, py, dx, dy, t = leg.floats
@@ -511,7 +506,7 @@ class _BlockMirrors:
                 if c0 is not None:
                     r = spread * rho + c0_slack
                     lo, hi = max(lo, c0 - r), min(hi, c0 + r)
-                if lo > hi or lv.k not in levels:
+                if lo > hi:
                     continue
                 exact = exact or _exact_leg(leg, self.base_x, frame)
                 for s, w in members:
@@ -519,40 +514,36 @@ class _BlockMirrors:
                                                      _window(lv, s, w, exact)):
                         yield lv, s, w, index, bits
 
-    def walls_in(self, leg, levels, memo, frame):
-        """The mirrors of ``levels`` whose boxes the leg meets, placed by
-        ``frame``, ordered by level ascending, symbol and block; ``memo``
-        keeps built pairs.  With ``leg`` None: every mirror, in ``rows``
-        order."""
-        if leg is None:
-            return [row_segment(row) for row in self.rows(levels, frame)]
+    def walls_in(self, leg, frame):
+        """The mirrors whose boxes the Leg ``leg`` meets, placed by
+        ``frame``, as rows (see ``_rows``), ordered by level ascending,
+        symbol and block: the one per-leg query a tracer makes.
+
+        Sound, not tight: no wall the leg meets is left out, and a wall is
+        returned only if the leg meets its bounding box."""
         found = {}    # (k, s, F) -> [digit_pos, bits, primary?, return?]
-        for lv, s, w, index, bits in self._blocks(leg, levels, frame):
+        for lv, s, w, index, bits in self._blocks(leg, frame):
             entry = found.setdefault((lv.k, s, index), [lv.digit_pos, bits, False, False])
             entry[2 + w] = True
-        walls, placed, group = [], None, None
+        rows, group = [], None
         for (k, s, index), (digit_pos, bits, *kept) in sorted(found.items()):
-            key = (self.name, frame, k, s, bits)
-            pair = memo.get(key) if memo is not None else None
-            if pair is None:
-                if group != (k, s):
-                    group, placed = (k, s), self._placed(k, digit_pos, s, frame)
-                pair = tuple(map(row_segment, self._rows(placed, k, digit_pos, s, index, bits)))
-                if memo is not None:
-                    memo[key] = pair
-            walls += [w for w, keep in zip(pair, kept) if keep]
-        return walls
+            if group != (k, s):
+                group, placed = (k, s), self._placed(k, digit_pos, s, frame)
+            pair = self._rows(placed, k, digit_pos, s, index, bits)
+            rows += [row for row, keep in zip(pair, kept) if keep]
+        return rows
 
 
 def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
-                       name="split", k_filter=None):
+                       name="split"):
     """A separating wall family for head levels |k| <= K.
 
     ``rewrite_rule`` maps (k, read symbol) to the written symbol (None
     means read-only).  ``cell_offset`` selects which tape cell the walls
     classify on, relative to the head: 0 is the ordinary read split;
-    merges use the cell behind the head.  ``k_filter`` limits the valid
-    levels (a compiled corridor only supports heads its table covers).
+    merges use the cell behind the head.  Walls and transfer cover the
+    mirror family's levels: those |k| <= K whose classified cell also lies
+    within K (``_BlockMirrors``).
 
     Transfer: u -> u + sigma_s (+ rewrite displacement) where s is the
     classified symbol, on every Cantor block; in-port window [0, 1],
@@ -562,14 +553,14 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
         raise KRangeExceeded(f"split K={K} beyond cap {k_max_cap()}")
     if rewrite_rule is None:
         rewrite_rule = lambda k, s: s
-    if k_filter is None:
-        k_filter = lambda k: abs(k) <= K
     base_x = F(base_x)
+    mirrors = _BlockMirrors(name, K, cell_offset, rewrite_rule, base_x)
+    levels = mirrors.levels
 
     def locate(u):
         v = u  # in-port coordinate equals the encoded value
         k = head_of(v)
-        if k is None or not k_filter(k):
+        if k is None or k not in levels:
             raise DomainError(f"{name}: {v} outside supported head intervals")
         try:
             blk = block_of(v, k, digit_position(k + cell_offset))
@@ -580,10 +571,10 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
                      _wall_ids(name, k, blk.digit_pos, blk.symbol, blk.bits),
                      f"branch{blk.symbol}")
 
-    def enumerate_pieces(levels):
+    def enumerate_pieces(chosen):
         pieces = []
-        for k in levels:
-            if not k_filter(k):
+        for k in chosen:
+            if k not in levels:
                 continue
             digit_pos = digit_position(k + cell_offset)
             for s in (0, 1):
@@ -605,8 +596,7 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
         in_ports={"in": Port((base_x, F(0)), (F(1), F(0)), (F(0), F(1)), F(0), F(1))},
         out_ports=ports_out,
         transfer=transfer,
-        mirrors=(_BlockMirrors(name, K, k_filter, cell_offset, rewrite_rule, base_x),
-                 (F(0), 1)),
+        mirrors=(mirrors, (F(0), 1)),
     )
 
 

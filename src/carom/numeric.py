@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
+from .gadgets import row_segment
 from .geometry import Leg, Port
 from .simulate import (
     PrecisionExhausted,
@@ -209,31 +210,26 @@ def _nearest_hit(rough, pos, direction, t_eps):
 
 
 class _Walls:
-    """The walls one trace sees, for a BilliardTable or a Gadget: every
-    level with |k| <= K of a table, the given levels of a gadget.
+    """The walls one trace sees: a table's or a gadget's static walls and
+    mirror families, every family over its own levels.
 
-    The source's ``static_walls`` (arcs, turn mirrors, the launch pad,
-    hard checkpoints) are converted once and weighed on every leg.  The
-    float ray is cut just past the nearest one ahead (kept whole when there
-    is none), with twice _nearest_hit's shortlist margin to spare, and the
-    one per-leg query, ``level_walls_in``, returns the split and merge
-    mirrors that cut leg may meet.  The walls _nearest_hit weighs are thus
-    chosen by position alone, never by the ids a symbolic run predicts.
-    Mirrors are converted on first sight and kept by id.
+    The ``static`` walls (arcs, turn mirrors, the launch pad, hard
+    checkpoints) are converted once and weighed on every leg.  The float
+    ray is cut just past the nearest one ahead (kept whole when there is
+    none), with twice _nearest_hit's shortlist margin to spare, and each
+    family's one per-leg query, ``walls_in(leg, frame)``, returns the rows
+    of the split and merge mirrors that cut leg may meet.  The walls
+    _nearest_hit weighs are thus chosen by position alone, never by the
+    ids a symbolic run predicts.  A row is converted (``row_segment``) the
+    first time its id is seen and kept by id: the trace's only cache.
     """
 
-    def __init__(self, source, levels):
-        self.source, self.levels = source, levels
-        self.memo = {}       # exact mirror pairs, for level_walls_in
-        self.numeric = {}    # wall id -> _NumericWall
-        self.static = [self._numeric(w) for w in source.static_walls]
+    def __init__(self, static_walls, families):
+        self.families = families     # (_BlockMirrors, frame) pairs
+        self.numeric = {}            # wall id -> _NumericWall
+        self.static = [self.numeric.setdefault(w.wall_id, _NumericWall(w))
+                       for w in static_walls]
         self.max_candidates = 0
-
-    def _numeric(self, wall):
-        nw = self.numeric.get(wall.wall_id)
-        if nw is None:
-            nw = self.numeric[wall.wall_id] = _NumericWall(wall)
-        return nw
 
     def candidates(self, pos, direction, exclude_id):
         """Float hits (t, wall) of the candidate walls of the leg from
@@ -248,8 +244,13 @@ class _Walls:
         leg = Leg((_exact(pos[0]), _exact(pos[1])),
                   (_exact(direction[0]), _exact(direction[1])), t_max,
                   fo + fd + (math.inf if t_max is None else float(t_max),))
-        level = [self._numeric(w)
-                 for w in self.source.level_walls_in(leg, self.levels, self.memo)]
+        level = []
+        for mirrors, frame in self.families:
+            for row in mirrors.walls_in(leg, frame):
+                nw = self.numeric.get(row[5])
+                if nw is None:
+                    nw = self.numeric[row[5]] = _NumericWall(row_segment(row))
+                level.append(nw)
         self.max_candidates = max(self.max_candidates, len(self.static) + len(level))
         hits += _float_hits(level, pos, direction, fo, fd, exclude_id)
         return hits
@@ -339,7 +340,7 @@ def run_numeric(table, tape, budget, precision=60):
     expected = list(symbolic.trace)
 
     with mpmath.workdps(precision):
-        walls = _Walls(table, range(-table.K, table.K + 1))
+        walls = _Walls(table.static_walls, table.mirror_families)
         start_state = table.machine.initial
         pos = _mpf_pt(table.checkpoint_point(start_state, expected[0].value))
         direction = (mpmath.mpf(0), mpmath.mpf(1))
@@ -436,18 +437,19 @@ _GADGET_MAX_REFLECTIONS = 64
 class GadgetTracer:
     """Reusable ray tracer for one gadget at a fixed precision.
 
-    Walls of the given head levels are queried by position, as in
-    run_numeric, and converted once; ``trace`` then launches from the
-    in-port chart and returns the out-port coordinate at the ray's first
-    forward crossing of the out-port window, with the same tie and grazing
-    checks as run_numeric.
+    Walls are queried by position, as in run_numeric: the static walls and
+    the gadget's mirror family over its own levels, each converted once;
+    ``trace`` then launches from the in-port chart and returns the out-port
+    coordinate at the ray's first forward crossing of the out-port window,
+    with the same tie and grazing checks as run_numeric.
     """
 
-    def __init__(self, gadget, precision=60, levels=()):
+    def __init__(self, gadget, precision=60):
         self.gadget = gadget
         self.precision = precision
         with mpmath.workdps(precision):
-            self.walls = _Walls(gadget, levels)
+            self.walls = _Walls(gadget.static_walls,
+                                () if gadget.mirrors is None else (gadget.mirrors,))
 
     def trace(self, u_in, in_port="in", out_port="out"):
         """Returns (u_out, wall_ids) with u_out an mpmath float."""

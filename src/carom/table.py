@@ -34,7 +34,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .encoding import head_of, rewrite_scale
+from .encoding import digit_position, head_of, rewrite_scale
 from .gadgets import (
     SIGMA,
     DomainError,
@@ -272,14 +272,6 @@ class BilliardTable:
         return [row_segment(w) if isinstance(w, tuple) else w
                 for w in self.scene_rows(levels)]
 
-    def level_walls_in(self, leg, levels, memo=None):
-        """``Gadget.level_walls_in`` over every mirror family of the scene,
-        in scene order: the one per-leg query a tracer makes."""
-        ws = []
-        for mirrors, frame in self.mirror_families:
-            ws += mirrors.walls_in(leg, levels, memo, frame)
-        return ws
-
     def marked_segments(self):
         marks = [self.initial_pad]
         for q in self.machine.states:
@@ -455,6 +447,8 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         raise NotReversible(witness)
     if K < 1:
         raise CompileError("K must be >= 1")
+    if scene_levels < 0:
+        raise CompileError("scene_levels must be >= 0")
     graph = build_graph(machine)
 
     stations = {}
@@ -490,9 +484,8 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         st = stations[q]
         eps = incoming[0].shift
         assert all(e.shift == eps for e in incoming), "reversibility broken"
-        virtual = build_split_gadget(
-            K, cell_offset=-eps, base_x=st.x, name=f"premerge:{q}",
-            k_filter=lambda k, eps=eps: abs(k) <= K and abs(k - eps) <= K)
+        virtual = build_split_gadget(K, cell_offset=-eps, base_x=st.x,
+                                     name=f"premerge:{q}")
         st.merge = build_merge_gadget(virtual, name=f"merge:{q}")
         premerge[q] = virtual.transfer
 
@@ -543,10 +536,11 @@ def load_table(text):
     """Rebuild a table from its serialized form.
 
     The file's ``meta`` pins the machine, K and the scene levels; the table
-    is recompiled deterministically and its to_json() must equal the text
-    byte for byte.  A file formatted otherwise (re-dumped compactly, or
-    with another indent) is compared by the compact encodings of both
-    documents instead, which see the same values and types.
+    is recompiled deterministically, its scene must hold as many walls as
+    the file lists, and its to_json() must equal the text byte for byte.
+    A file formatted otherwise (re-dumped compactly, or with another
+    indent) is compared by the compact encodings of both documents
+    instead, which see the same values and types.
     """
     from .machine import parse_machine
 
@@ -558,12 +552,20 @@ def load_table(text):
         machine = parse_machine(meta["machine"])
         K, levels = int(meta["K"]), int(meta["scene_levels"])
         sha = meta["machine_sha256"]
+        n_walls = len(doc["scene"])
     except (AttributeError, KeyError, TypeError) as err:
         raise ValueError(f"not a carom table file: {err!r}") from None
     del doc, meta    # the text itself is compared, so the document goes now
     table = compile_table(machine, K, scene_levels=levels)
     if table.machine_hash != sha:
         raise ValueError("machine hash mismatch")
+    # the number of walls to_json() would list, counted in O(K) before
+    # anything is listed: a level holds 2^(digit_pos + 1) mirrors a family
+    count = len(table.static_walls) + sum(
+        2 ** (digit_position(k + mirrors.cell_offset) + 1)
+        for mirrors, _ in table.mirror_families for k in mirrors.levels if abs(k) <= levels)
+    if n_walls != count:
+        raise ValueError(f"stored scene lists {n_walls} walls, the recompilation {count}")
     expected = table.to_json()
     # compact encodings go through json's C encoder and, unlike a dict ==,
     # tell 1 from true

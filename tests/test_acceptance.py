@@ -115,7 +115,6 @@ def _soundness_samples():
 def test_criterion_3_gadget_soundness():
     t0 = time.time()
     samples = _soundness_samples()
-    levels = range(-3, 4)
     split = build_split_gadget(3)
     resplit = build_split_gadget(3, rewrite_rule=lambda k, s: 1 - s,
                                  name="resplit")
@@ -128,9 +127,9 @@ def test_criterion_3_gadget_soundness():
     for precision in (60, 80):
         worst = mpmath.mpf(0)
         tracers = {
-            "split": GadgetTracer(split, precision, levels),
-            "resplit": GadgetTracer(resplit, precision, levels),
-            "merge": GadgetTracer(merge, precision, levels),
+            "split": GadgetTracer(split, precision),
+            "resplit": GadgetTracer(resplit, precision),
+            "merge": GadgetTracer(merge, precision),
             "stage+1": GadgetTracer(stage_fwd, precision),
             "stage-1": GadgetTracer(stage_bwd, precision),
             "turn": GadgetTracer(turn, precision),

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -155,20 +156,30 @@ def test_bad_config_rejected(rev_move_file):
     assert main(["run", rev_move_file, "--precision", "10", "--tape", "@"]) == 2
 
 
-@pytest.mark.parametrize("mangle, message", [
-    (lambda doc: doc["meta"].pop("scene_levels") and doc, "not a carom table file"),
-    (lambda doc: [], "not a carom table file"),
-    (lambda doc: {**doc, "meta": None}, "not a carom table file"),
-    (lambda doc: {**doc, "meta": {**doc["meta"], "K": 0}}, "K must be >= 1"),
-], ids=["no-scene-levels", "top-level-list", "null-meta", "zero-K"])
-def test_malformed_table_file_is_input_error(rev_move_file, tmp_path, capsys, mangle,
+@pytest.mark.parametrize("K, mangle, message", [
+    (2, lambda doc: doc["meta"].pop("scene_levels") and doc, "not a carom table file"),
+    (2, lambda doc: [], "not a carom table file"),
+    (2, lambda doc: {**doc, "meta": None}, "not a carom table file"),
+    (2, lambda doc: {**doc, "meta": {**doc["meta"], "K": 0}}, "K must be >= 1"),
+    (2, lambda doc: {**doc, "meta": {**doc["meta"], "scene_levels": -1}},
+     "scene_levels must be >= 0"),
+    # a recompile would list about 4^10 walls a mirror family: refused on
+    # the count of walls before any is listed
+    (10, lambda doc: {**doc, "meta": {**doc["meta"], "scene_levels": 10}},
+     "stored scene lists"),
+], ids=["no-scene-levels", "top-level-list", "null-meta", "zero-K",
+        "negative-scene-levels", "deep-scene-levels"])
+def test_malformed_table_file_is_input_error(rev_move_file, tmp_path, capsys, K, mangle,
                                              message):
     # a wrong-shaped table document is an input error (exit 2), not a crash
+    # or a hang
     table_file = tmp_path / "table.json"
-    assert main(["compile", rev_move_file, "-o", str(table_file), "--K", "2"]) == 0
+    assert main(["compile", rev_move_file, "-o", str(table_file), "--K", str(K)]) == 0
     table_file.write_text(json.dumps(mangle(json.loads(table_file.read_text()))))
     capsys.readouterr()
+    t0 = time.perf_counter()
     assert main(["run", str(table_file), "--tape", "@"]) == 2
+    assert time.perf_counter() - t0 < 1
     assert f"error: {message}" in capsys.readouterr().err
 
 

@@ -28,6 +28,7 @@ from carom.gadgets import (
     build_split_gadget,
     build_turn_gadget,
     check_separation,
+    row_segment,
 )
 from carom.geometry import Leg, Segment, walls_clash
 from carom.machine import enumerate_tapes
@@ -266,9 +267,9 @@ def placed(walls, oy, sy):
 def test_template_pairs_equal_explicit_formula(rewrite, base_x):
     # every block of levels -4..4, both symbols: the split, its mirror
     # image as a merge, and both placed in the global frame the way a table
-    # places them, each frame moved up by the placement's dy.  The unbounded
+    # places them, each frame moved up by the placement's dy.  The full
     # listing equals the explicit formula pair for pair, and so does every
-    # wall a positional query returns (both build pairs with _pair)
+    # wall a positional query returns (both build pairs with _rows)
     levels = range(-4, 5)
     rule = (lambda k, s: 1 - s) if rewrite else (lambda k, s: s)
     split = build_split_gadget(4, rewrite_rule=rule, base_x=base_x, name="split:A")
@@ -280,20 +281,19 @@ def test_template_pairs_equal_explicit_formula(rewrite, base_x):
         mirrors, (oy, sy) = gadget.mirrors
         return dataclasses.replace(gadget, mirrors=(mirrors, (oy + dy, sy)))
 
-    memo = {}   # one memo for every frame: its keys must tell them apart
     rng = random.Random(7)
     for source, walls in ((split, want), (merge, mirrored),
                           (placed_at(split, SPLIT_DY), placed(want, SPLIT_DY, 1)),
                           (placed_at(merge, MERGE_DY), placed(mirrored, MERGE_DY, 1))):
-        assert source.level_walls_in(None, levels) == walls
-        assert source.level_walls_in(None, levels, memo) == walls
+        assert source.walls(levels) == walls
+        mirrors, frame = source.mirrors
         by_id = {w.wall_id: w for w in walls}
         for wall in rng.sample(walls, 40):
             # a short vertical leg through the wall's midpoint
             x, y = ((a + b) / 2 for a, b in zip(wall.p0, wall.p1))
             leg = Leg((x, y - Fraction(1, 3 ** 12)), (Fraction(0), Fraction(1)),
                       Fraction(2, 3 ** 12))
-            got = source.level_walls_in(leg, levels)
+            got = [row_segment(row) for row in mirrors.walls_in(leg, frame)]
             assert wall in got
             assert got == [by_id[w.wall_id] for w in got]
 

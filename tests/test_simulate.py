@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from carom.encoding import encode_state
+from carom.gadgets import _BlockMirrors
 from carom.machine import enumerate_tapes, parse_tape, run_machine
 from carom.simulate import (
     GadgetTracer,
@@ -18,7 +19,7 @@ from carom.simulate import (
     verify_equivalence,
     write_trace,
 )
-from carom.table import BilliardTable, compile_table
+from carom.table import compile_table
 from carom.ternary import T
 from carom.zoo import get_machine
 
@@ -257,7 +258,7 @@ def test_walls_below_float_resolution_are_marked():
     # the mark follows each wall's extent against its coordinates: no wall
     # of levels |k| <= 4 of the tightest demo layouts carries it, a split
     # mirror at level 10 does
-    from carom.gadgets import build_split_gadget
+    from carom.gadgets import build_split_gadget, row_segment
     from carom.geometry import Leg
     from carom.numeric import _NumericWall
     for name in ("walker", "pacer"):
@@ -265,7 +266,9 @@ def test_walls_below_float_resolution_are_marked():
         assert not any(_NumericWall(w).fine for w in table.scene_walls(range(-4, 5)))
     x = 1 - Fraction(2, 3 ** 11) + Fraction(1, 3 ** 33)    # in I_10's first block
     beam = Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
-    mirror, = build_split_gadget(12).level_walls_in(beam, range(-12, 13))
+    mirrors, frame = build_split_gadget(12).mirrors
+    row, = mirrors.walls_in(beam, frame)
+    mirror = row_segment(row)
     assert ":k10:" in mirror.wall_id and _NumericWall(mirror).fine
 
 
@@ -277,6 +280,25 @@ def test_numeric_gadget_shift():
     with mpmath.workdps(60):
         assert abs(u_out - mpmath.mpf(7) / 9) < mpmath.mpf(10) ** -30
     assert hits == ["shift:pos:in", "shift:pos:out"]
+
+
+def test_gadget_tracer_sees_the_split_levels():
+    # a split gadget's tracer needs no level list: its mirror family
+    # covers its own levels, and each branch lands on transfer.apply
+    import mpmath
+    from carom.encoding import read_digit
+    from carom.gadgets import build_split_gadget
+    split = build_split_gadget(3)
+    tracer = GadgetTracer(split, 60)
+    with mpmath.workdps(60):
+        for tape in enumerate_tapes(range(-1, 2)):
+            for k in range(-3, 4):
+                p = encode_state(tape, k)
+                want, piece = split.transfer.apply(p.value)
+                u_out, hits = tracer.trace(p.value, out_port=f"b{read_digit(p)}")
+                exact = mpmath.mpf(want.num) / mpmath.mpf(3) ** want.exp
+                assert abs(u_out - exact) < mpmath.mpf(10) ** -30
+                assert hits == list(piece.wall_ids)
 
 
 def test_numeric_low_precision_rejected():
@@ -312,13 +334,13 @@ def test_numeric_missing_split_mirror_exhausts_precision(monkeypatch, tmp_path):
     tape = parse_tape("{2:1}")
     dropped = next(ev.wall_id for ev in run_symbolic(table, tape, 10).trace
                    if ev.kind == "reflection" and ev.wall_id.startswith("split:"))
-    level_walls_in = BilliardTable.level_walls_in
+    walls_in = _BlockMirrors.walls_in
 
-    def without_mirror(self, leg, levels, memo=None):
-        return [w for w in level_walls_in(self, leg, levels, memo) if w.wall_id != dropped]
+    def without_mirror(self, leg, frame):
+        return [row for row in walls_in(self, leg, frame) if row[5] != dropped]
 
     # the tracer gets its split mirrors only through this per-leg query
-    monkeypatch.setattr(BilliardTable, "level_walls_in", without_mirror)
+    monkeypatch.setattr(_BlockMirrors, "walls_in", without_mirror)
     with pytest.raises(PrecisionExhausted):
         run_numeric(table, tape, 10, precision=60)
     path = tmp_path / "rev-move.tm"

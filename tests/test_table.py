@@ -23,7 +23,7 @@ from carom.table import (
     to_svg,
 )
 from carom.ternary import T
-from carom.zoo import fixture_machines, get_machine
+from carom.zoo import MACHINE_TEXTS, fixture_machines, get_machine
 
 NONREV = """\
 states: A B H
@@ -57,6 +57,44 @@ def test_compile_merge_only_at_indegree_two():
     assert walker.stations["Q"].merge is not None
     assert walker.stations["P"].merge is None
     assert walker.stations["H"].merge is None
+
+
+def test_mirror_families_own_their_levels():
+    # each family derives its levels from K and the cell it classifies:
+    # |k| <= K for a split, |k| <= K and |k - eps| <= K for a merge's
+    # virtual split, whose transfer refuses the levels left out
+    K, full = 8, set(range(-8, 9))
+    for name in sorted(MACHINE_TEXTS):
+        table = compile_table(get_machine(name), K)
+        seen = set()
+        for q, st in table.stations.items():
+            if st.split is not None:
+                assert set(st.split.mirrors[0].levels) == full, (name, q)
+                seen.add(id(st.split.mirrors[0]))
+            if st.merge is not None:
+                eps = table.graph.in_edges(q)[0].shift
+                mirrors = st.merge.mirrors[0]
+                assert set(mirrors.levels) == {k for k in full if abs(k - eps) <= K}, (name, q)
+                seen.add(id(mirrors))
+                premerge = next(c.premerge for c in table.corridors.values()
+                                if c.edge.target == q)
+                with pytest.raises(DomainError):
+                    premerge.locate(encode_state(frozenset(), -K * eps).value)
+        assert seen == {id(mirrors) for mirrors, _ in table.mirror_families}, name
+
+
+@pytest.mark.parametrize("scene_levels", [0, 3])
+def test_load_table_counts_the_scene(scene_levels):
+    # load_table counts the recompiled scene before listing it: the count
+    # agrees with every valid file, scene_levels beyond K included, and a
+    # file with one wall too many is refused on the count
+    for name in sorted(MACHINE_TEXTS):
+        text = compile_table(get_machine(name), 2, scene_levels=scene_levels).to_json()
+        assert load_table(text).to_json() == text, name
+        doc = json.loads(text)
+        doc["scene"].append(doc["scene"][0])
+        with pytest.raises(ValueError, match="stored scene lists"):
+            load_table(json.dumps(doc))
 
 
 def test_compile_rejects_nonreversible():

@@ -60,8 +60,8 @@ def gadget_digest():
     split = build_split_gadget(3)
     merge = build_merge_gadget(build_split_gadget(3, name="m"), name="merge")
     tracers = {
-        "split": GadgetTracer(split, 60, levels),
-        "merge": GadgetTracer(merge, 60, levels),
+        "split": GadgetTracer(split, 60),
+        "merge": GadgetTracer(merge, 60),
         "stage": GadgetTracer(build_shift_stage(+1, K=3), 60),
         "turn": GadgetTracer(build_turn_gadget(+90), 60),
     }

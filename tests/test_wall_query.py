@@ -1,11 +1,13 @@
-"""Soundness of the positional wall query, ``level_walls_in(leg, levels)``.
+"""Soundness of the positional wall query, ``_BlockMirrors.walls_in(leg, frame)``.
 
 Every wall of the full wall list that a leg meets must come back from the
 query: checked exactly with ``segments_intersect`` for segments and
 against the bounding box for parabola arcs, on seeded vertical,
 horizontal and tilted legs and on every leg of real numeric traces.  The
 blocks the query picks per (level, symbol, wall) must also be exactly
-those an exact rational window, the oracle here, picks.
+those an exact rational window, the oracle here, picks.  The query reads
+each mirror family's own levels and returns integer rows, wrapped here in
+their Segments.
 """
 
 import bisect
@@ -15,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from carom.encoding import cantor_blocks_at, digit_position, head_interval
-from carom.gadgets import _BAND_GAIN, build_merge_gadget, build_split_gadget
+from carom.gadgets import _BAND_GAIN, build_merge_gadget, build_split_gadget, row_segment
 from carom.geometry import Leg, Segment, segments_intersect
 from carom.machine import parse_machine, parse_tape
 from carom.simulate import run_numeric
@@ -38,8 +40,7 @@ def _split():
 
 def _merge():
     # the mirrored split classifying on the cell behind the head (eps=+1)
-    virtual = build_split_gadget(3, cell_offset=-1, name="premerge",
-                                 k_filter=lambda k: abs(k) <= 3 and abs(k - 1) <= 3)
+    virtual = build_split_gadget(3, cell_offset=-1, name="premerge")
     return build_merge_gadget(virtual, name="merge")
 
 
@@ -51,19 +52,25 @@ def _full(source):
     return source.scene_walls(LEVELS) if hasattr(source, "scene_walls") else source.walls(LEVELS)
 
 
-def _walls_in(source, leg, levels, memo=None):
-    """The static walls and the mirrors ``level_walls_in`` returns for the
-    leg, in ``_full`` order: for a table, walking its scene."""
-    if not hasattr(source, "scene"):
-        return list(source.static_walls) + source.level_walls_in(leg, levels, memo)
+def _listing(source, query):
+    """A table's flat scene, or a gadget's static walls then its mirrors,
+    in order, each mirror family's entry given as the Segments of the rows
+    ``query(mirrors, frame)`` returns."""
+    scene = source.scene if hasattr(source, "scene") else (
+        source.static_walls + ((source.mirrors,) if source.mirrors else ()))
     walls = []
-    for entry in source.scene:
+    for entry in scene:
         if isinstance(entry, tuple):
-            mirrors, frame = entry
-            walls += mirrors.walls_in(leg, levels, memo, frame)
+            walls += map(row_segment, query(*entry))
         else:
             walls.append(entry)
     return walls
+
+
+def _walls_in(source, leg):
+    """The static walls and the mirrors ``walls_in`` returns for the leg,
+    in ``_full`` order."""
+    return _listing(source, lambda mirrors, frame: mirrors.walls_in(leg, frame))
 
 
 def _segment(leg):
@@ -89,7 +96,7 @@ def _float_box(box, pad=1e-9):
 
 def _missed(source, full, boxes, leg):
     """Walls of ``full`` that the leg meets but the query left out."""
-    got = {w.wall_id for w in _walls_in(source, leg, LEVELS)}
+    got = {w.wall_id for w in _walls_in(source, leg)}
     seg = _segment(leg)
     sx0, sy0, sx1, sy1 = _float_box(seg.bbox())
     missed = []
@@ -146,41 +153,40 @@ def test_query_returns_every_wall_the_leg_meets(build):
     if build is _table:
         legs += _trace_legs(source, ("@", "@1", "@01", "{-1:1}"))
     order = {w.wall_id: i for i, w in enumerate(full)}
-    memo = {}
     for leg in legs:
         assert _missed(source, full, boxes, leg) == []
-        got = _walls_in(source, leg, LEVELS)
-        # a subsequence of the full list, whatever memo it shares
-        ranks = [order[w.wall_id] for w in got]
+        # a subsequence of the full list
+        ranks = [order[w.wall_id] for w in _walls_in(source, leg)]
         assert ranks == sorted(ranks)
-        assert _walls_in(source, leg, LEVELS, memo) == got
 
 
 @pytest.mark.parametrize("build", [_split, _merge, _table], ids=["split", "merge", "table"])
 def test_unbounded_query_lists_every_wall(build):
+    # the full listing, each family's rows walked in scene order, is the
+    # wall list; levels past a family's own list nothing more
     source = build()
-    assert _walls_in(source, None, LEVELS) == _full(source)
+
+    def rows(mirrors, frame):
+        assert mirrors.rows(range(-9, 10), frame) == mirrors.rows(mirrors.levels, frame)
+        return mirrors.rows(LEVELS, frame)
+
+    assert _listing(source, rows) == _full(source)
 
 
 @pytest.mark.parametrize("name", sorted(MACHINE_TEXTS))
 def test_scene_entries_list_the_scene(name):
-    # the flat scene, walked in order with every mirror family queried
-    # unbounded, is scene_walls; the per-leg query never returns a static wall
+    # the flat scene, walked in order with every mirror family listed in
+    # full, is scene_walls; the per-leg query never returns a static wall
     table = compile_table(get_machine(name), 4)
-    walls = []
-    for entry in table.scene:
-        if isinstance(entry, tuple):
-            mirrors, frame = entry
-            walls += mirrors.walls_in(None, LEVELS, None, frame)
-        else:
-            walls.append(entry)
+    walls = _listing(table, lambda mirrors, frame: mirrors.rows(LEVELS, frame))
     full = table.scene_walls(LEVELS)
     assert [w.wall_id for w in walls] == [w.wall_id for w in full]
     assert walls == full
     static = {w.wall_id for w in table.static_walls}
     assert len(table.mirror_families) == sum(isinstance(e, tuple) for e in table.scene) > 0
-    for leg in [None] + _seeded_legs(full, random.Random(5), 60):
-        assert not static & {w.wall_id for w in table.level_walls_in(leg, LEVELS)}
+    for leg in _seeded_legs(full, random.Random(5), 60):
+        assert not static & {row[5] for mirrors, frame in table.mirror_families
+                             for row in mirrors.walls_in(leg, frame)}
 
 
 def test_query_is_narrow():
@@ -190,8 +196,7 @@ def test_query_is_narrow():
     for k in (1, 10, 12):
         # inside the first block of I_k, of length 3^-(3k+2)
         x = head_interval(k).lo.as_fraction() + Fraction(1, 3 ** (3 * k + 3))
-        got = _walls_in(split, Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11)),
-                        range(-14, 15))
+        got = _walls_in(split, Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11)))
         assert [w.wall_id.endswith(":W") for w in got] == [True], k
 
 
@@ -250,8 +255,7 @@ def _window_split():
 
 def _window_merge():
     # (the merge, the split whose walls it mirrors across y = 5)
-    virtual = build_split_gadget(4, cell_offset=-1, name="premerge",
-                                 k_filter=lambda k: abs(k) <= 4 and abs(k - 1) <= 4)
+    virtual = build_split_gadget(4, cell_offset=-1, name="premerge")
     return build_merge_gadget(virtual, name="merge"), virtual
 
 
@@ -280,7 +284,7 @@ def test_window_blocks_equal_exact_oracle(build):
     gadget, split = build()
     mirrors, frame = gadget.mirrors
     legs = _dyadic_legs(gadget.walls(WINDOW_LEVELS), random.Random(11), 300)
-    levels = [k for k in WINDOW_LEVELS if mirrors.k_filter(k)]
+    levels = [k for k in WINDOW_LEVELS if k in mirrors.levels]
     blocks, boxes = {}, {}
     for k in levels:
         digit_pos = digit_position(k + mirrors.cell_offset)
@@ -295,7 +299,7 @@ def test_window_blocks_equal_exact_oracle(build):
     met = 0
     for leg in legs:
         got = {}
-        for lv, s, w, _, bits in mirrors._blocks(leg, WINDOW_LEVELS, frame):
+        for lv, s, w, _, bits in mirrors._blocks(leg, frame):
             got.setdefault((lv.k, s, w), []).append(bits)
         # the oracle reads the leg in the split's frame, as the merge's walls
         # are the split's mirrored across y = 5
