@@ -268,6 +268,8 @@ def main(argv=None):
         for flag in ("support", "levels"):     # counts of verify / svg
             if getattr(args, flag, 0) < 0:
                 raise ValueError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
+        if abs(getattr(args, "k", 0)) > k_max_cap():   # encode's head position
+            raise ValueError(f"--k must be in [-{k_max_cap()}, {k_max_cap()}], got {args.k}")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR

@@ -23,8 +23,11 @@ Three families realize the machine operations on the encoded coordinate:
   entering the bowl of the first parabola leaves the second one vertical
   again with its transverse offset scaled by the focal-parameter ratio
   (exactly 3 or 1/3); the regime's affine constant is absorbed by where
-  the pair sits.  Scaling pairs preserve the vertical sense, so both
-  ports face beam-up and corridors stack them directly.
+  the pair sits.  Each regime's pair is built once, with its in-window at
+  x = 0 (``_REGIMES``), and every stage places it by translation, which
+  keeps each arc's latus-rectum bound.  Scaling pairs preserve the
+  vertical sense, so both ports face beam-up and corridors stack them
+  directly.
 
 The transfer maps are the exact source of truth; ray tracing through the
 walls (numeric.run_numeric) certifies that the geometry implements them.
@@ -36,9 +39,9 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .encoding import (
     KRangeExceeded,
@@ -53,7 +56,7 @@ from .encoding import (
     k_max_cap,
     rewrite_scale,
 )
-from .geometry import ParabolaArc, Port, Segment
+from .geometry import Chart, ParabolaArc, Segment
 from .ternary import T, TernaryRational
 
 F = Fraction
@@ -588,12 +591,12 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
 
     transfer = PiecewiseTransfer(locate, enumerate_pieces, label=name)
     ports_out = {
-        "b0": Port((base_x, SPLIT_HEIGHT), (F(1), F(0)), (F(0), F(1)), F(-2), F(-1)),
-        "b1": Port((base_x, SPLIT_HEIGHT), (F(1), F(0)), (F(0), F(1)), F(2), F(3)),
+        "b0": Chart((base_x, SPLIT_HEIGHT), (F(1), F(0)), (F(0), F(1)), F(-2), F(-1)),
+        "b1": Chart((base_x, SPLIT_HEIGHT), (F(1), F(0)), (F(0), F(1)), F(2), F(3)),
     }
     return Gadget(
         kind="split", name=name,
-        in_ports={"in": Port((base_x, F(0)), (F(1), F(0)), (F(0), F(1)), F(0), F(1))},
+        in_ports={"in": Chart((base_x, F(0)), (F(1), F(0)), (F(0), F(1)), F(0), F(1))},
         out_ports=ports_out,
         transfer=transfer,
         mirrors=(mirrors, (F(0), 1)),
@@ -635,9 +638,10 @@ def build_merge_gadget(split, *, name=None):
         return out
 
     def flip_port(p):
-        # mirroring flips the beam; time reversal flips it back to +y
-        q = p.mirrored_y(axis)
-        return Port(q.origin, q.tangent, (F(0), F(1)), q.lo, q.hi)
+        # mirrored across y = axis; mirroring flips the beam and time
+        # reversal flips it back, so it keeps its +y beam
+        return replace(p, origin=(p.origin[0], 2 * axis - p.origin[1]),
+                       tangent=(p.tangent[0], -p.tangent[1]))
 
     in_ports = {key: flip_port(port) for key, port in split.out_ports.items()}
     out_port = flip_port(split.in_ports["in"])
@@ -667,58 +671,58 @@ _ARC_PAD = F(1, 24)
 
 
 class _Regime(NamedTuple):
+    """One head-sign regime of a head move: u -> a*u + b on the head levels
+    k_lo <= k <= k_hi, realized by ``arcs``, its confocal pair with the
+    in-window at x = 0 (``_confocal_pair``)."""
+
     tag: str
     a: TernaryRational
     b: TernaryRational
-    d_lo: Fraction          # coordinate hull of the regime's head intervals
-    d_hi: Fraction
-    k_pred: Callable        # does head level k belong to this regime
+    k_lo: float
+    k_hi: float
+    arcs: tuple
 
 
-def _shift_regimes(eps):
-    if eps == +1:
-        return (
-            _Regime("neg", T(3), T(0), F(0), F(2, 9), lambda k: k < 0),
-            _Regime("pos", T(1, 1), T(2, 1), F(1, 3), F(1), lambda k: k >= 0),
-        )
-    return (
-        _Regime("pos", T(3), T(-2), F(7, 9), F(1), lambda k: k >= 1),
-        _Regime("neg", T(1, 1), T(0), F(0), F(2, 3), lambda k: k <= 0),
-    )
-
-
-def _confocal_pair(name, regime, base_x, sigma):
-    """Two confocal arcs realizing u -> a*u + b' on the regime window.
+def _confocal_pair(tag, a, b, d_lo, d_hi):
+    """Two confocal arcs realizing u -> a*u + b on the coordinates [d_lo,
+    d_hi] of the regime's head intervals, in-window at x = 0.
 
     With the out-port chart two units right of the in-port chart, the
-    parabola axis must sit at base + sigma + (b+2)/(1-a); the focal
-    parameters 1 and 3 give the scaling ratio.  Expansions use an upward
-    pair entered at the small arc; contractions a downward pair entered
-    at the big arc.
+    parabola axis must sit at (b+2)/(1-a); the focal parameters 1 and 3
+    give the scaling ratio.  Expansions use an upward pair entered at the
+    small arc; contractions a downward pair entered at the big arc.  Every
+    beam meets an arc within its latus rectum, |x - axis| < 2p, which a
+    translated pair keeps: translation moves the axis and both ends alike.
     """
-    a = regime.a.as_fraction()
-    b = regime.b.as_fraction()
-    f_x = base_x + sigma + (b + 2) / (1 - a)
+    a, b = a.as_fraction(), b.as_fraction()
+    f_x = (b + 2) / (1 - a)
     expanding = a > 1
     sign = 1 if expanding else -1
     focus_y = _FOCUS_EXPAND if expanding else _FOCUS_FUNNEL
     p_in = _P_SMALL if expanding else _P_BIG
     p_out = _P_BIG if expanding else _P_SMALL
 
-    in_lo = base_x + sigma + regime.d_lo
-    in_hi = base_x + sigma + regime.d_hi
-    out_lo = base_x + 2 + sigma + a * regime.d_lo + b
-    out_hi = base_x + 2 + sigma + a * regime.d_hi + b
-
     def arc(p, x_lo, x_hi, suffix):
-        apex = focus_y - sign * p
         for x in (x_lo - f_x, x_hi - f_x):
-            assert abs(x) < 2 * p, f"{name}: offset {x} beyond latus rectum of p={p}"
-        return ParabolaArc(f_x, apex, p, sign,
-                           x_lo - _ARC_PAD, x_hi + _ARC_PAD,
-                           f"{name}:{regime.tag}:{suffix}")
+            assert abs(x) < 2 * p, f"{tag}: offset {x} beyond latus rectum of p={p}"
+        return ParabolaArc(f_x, focus_y - sign * p, p, sign,
+                           x_lo - _ARC_PAD, x_hi + _ARC_PAD, f"{tag}:{suffix}")
 
-    return (arc(p_in, in_lo, in_hi, "in"), arc(p_out, out_lo, out_hi, "out"))
+    return (arc(p_in, d_lo, d_hi, "in"), arc(p_out, 2 + a * d_lo + b, 2 + a * d_hi + b, "out"))
+
+
+def _regime(tag, a, b, d_lo, d_hi, k_lo, k_hi):
+    return _Regime(tag, a, b, k_lo, k_hi, _confocal_pair(tag, a, b, d_lo, d_hi))
+
+
+#: The two regimes of each head move eps, in wall order, each built once.
+#: [d_lo, d_hi] is the coordinate hull of the regime's head intervals.
+_REGIMES = {
+    +1: (_regime("neg", T(3), T(0), F(0), F(2, 9), -math.inf, -1),
+         _regime("pos", T(1, 1), T(2, 1), F(1, 3), F(1), 0, math.inf)),
+    -1: (_regime("pos", T(3), T(-2), F(7, 9), F(1), 1, math.inf),
+         _regime("neg", T(1, 1), T(0), F(0), F(2, 3), -math.inf, 0)),
+}
 
 
 def build_shift_stage(eps, *, base_x=F(0), sigma=0, K=None, name="shift"):
@@ -727,50 +731,44 @@ def build_shift_stage(eps, *, base_x=F(0), sigma=0, K=None, name="shift"):
     In-port window [sigma, sigma+1] (lane coordinate = value + sigma,
     sigma an integer lane offset), out-port window identical but two
     units to the right; transfer u -> sigma + shift(u - sigma) piecewise
-    over the head intervals.
+    over the head intervals.  The walls are the ``_REGIMES[eps]`` pairs
+    moved right by base_x + sigma, each id prefixed with ``name``.
     """
     base_x = F(base_x)
     sigma = int(sigma)
-    regimes = _shift_regimes(eps)
-    walls = []
-    arc_ids = {}
-    for regime in regimes:
-        arcs = _confocal_pair(name, regime, base_x, F(sigma))
-        walls += arcs
-        arc_ids[regime.tag] = (arcs[0].wall_id, arcs[1].wall_id)
+    regimes = _REGIMES[eps]
+    dx = base_x + sigma
+    walls = tuple(ParabolaArc(w.axis_x + dx, w.apex_y, w.p, w.sign, w.x_lo + dx,
+                              w.x_hi + dx, f"{name}:{w.wall_id}")
+                  for regime in regimes for w in regime.arcs)
     k_cap = K if K is not None else k_max_cap()
 
     def piece_for_level(k):
-        for regime in regimes:
-            if regime.k_pred(k):
-                iv = head_interval(k)
-                b_rebased = regime.b + sigma * (1 - regime.a)
-                return Piece(iv.lo + sigma, iv.hi + sigma, regime.a, b_rebased,
-                             arc_ids[regime.tag], f"{regime.tag}:k{k}")
-        return None
+        i = next(i for i, r in enumerate(regimes) if r.k_lo <= k <= r.k_hi)
+        regime, iv = regimes[i], head_interval(k)
+        return Piece(iv.lo + sigma, iv.hi + sigma, regime.a,
+                     regime.b + sigma * (1 - regime.a),
+                     (walls[2 * i].wall_id, walls[2 * i + 1].wall_id),
+                     f"{regime.tag}:k{k}")
 
     def locate(u):
         k = head_of(u - sigma)
         if k is None or abs(k) > k_cap:
             raise DomainError(f"{name}: {u} outside supported head intervals")
-        piece = piece_for_level(k)
-        if piece is None:
-            raise DomainError(f"{name}: head level {k} not moved by eps={eps:+d}")
-        return piece
+        return piece_for_level(k)
 
     def enumerate_pieces(levels):
-        pieces = (piece_for_level(k) for k in sorted(levels) if abs(k) <= k_cap)
-        return [p for p in pieces if p is not None]
+        return [piece_for_level(k) for k in sorted(levels) if abs(k) <= k_cap]
 
     sig = F(sigma)
     return Gadget(
         kind=f"shift({eps:+d})", name=name,
-        in_ports={"in": Port((base_x, F(0)), (F(1), F(0)), (F(0), F(1)),
-                             sig, sig + 1)},
-        out_ports={"out": Port((base_x + 2, STAGE_HEIGHT), (F(1), F(0)),
-                               (F(0), F(1)), sig, sig + 1)},
+        in_ports={"in": Chart((base_x, F(0)), (F(1), F(0)), (F(0), F(1)),
+                              sig, sig + 1)},
+        out_ports={"out": Chart((base_x + 2, STAGE_HEIGHT), (F(1), F(0)),
+                                (F(0), F(1)), sig, sig + 1)},
         transfer=PiecewiseTransfer(locate, enumerate_pieces, label=name),
-        static_walls=tuple(walls),
+        static_walls=walls,
     )
 
 
@@ -815,7 +813,7 @@ def build_turn_gadget(direction_change, window=(F(-4), F(4))):
     d = F(1 if direction_change == +90 else -1)
     rise = hi - lo + 2
     wall = turn_mirror((lo, rise), (F(1), d), hi - lo, name)
-    out_port = Port((lo + d * (hi - lo + 3), rise - d * lo), (F(0), d), (d, F(0)), lo, hi)
+    out_port = Chart((lo + d * (hi - lo + 3), rise - d * lo), (F(0), d), (d, F(0)), lo, hi)
     piece = Piece(TernaryRational.from_fraction(lo), TernaryRational.from_fraction(hi),
                   T(1), T(0), (wall.wall_id,), "turn")
 
@@ -826,7 +824,7 @@ def build_turn_gadget(direction_change, window=(F(-4), F(4))):
 
     return Gadget(
         kind="turn", name=name,
-        in_ports={"in": Port((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), lo, hi)},
+        in_ports={"in": Chart((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), lo, hi)},
         out_ports={"out": out_port},
         transfer=PiecewiseTransfer(locate, lambda levels: [piece], label=name),
         static_walls=(wall,),

@@ -4,9 +4,11 @@ Coordinates are Fractions throughout.  Walls are straight segments (any
 rational slope) or parabola arcs with a vertical axis; grid routing keeps
 every arc axis-aligned, so no other curve type is needed.  Segment
 intersection is decided exactly; pairs involving an arc fall back to a
-conservative bounding-box test (see ``walls_clash``).  The numeric tracer
-in ``numeric`` re-derives reflections in high-precision floats and is
-checked against the exact transfer maps.
+conservative bounding-box test (see ``walls_clash``).  One ``Chart`` type
+describes every place a coordinate is read off a line: gadget ports,
+station checkpoints and the launch pad, the last two (when hard) also
+walls.  The numeric tracer in ``numeric`` re-derives reflections in
+high-precision floats and is checked against the exact transfer maps.
 """
 
 from __future__ import annotations
@@ -84,18 +86,25 @@ class ParabolaArc:
 
 
 @dataclass(frozen=True)
-class MarkedSegment:
-    """A non-reflecting marked segment (checkpoint / launch chart).
+class Chart:
+    """A transverse chart: where gadgets join, checkpoints are read and the
+    launch pad sits.
 
-    chart(u) = origin + u * tangent for u in [0, 1]; ``beam`` is the
-    crossing direction of forward trajectories.  ``hard`` marks segments
-    that are also walls (the halt checkpoint bounces orthogonally).
+    chart(u) = origin + u * tangent; the window [lo, hi] is the coordinate
+    range beams may occupy, and ``beam`` is the crossing direction of
+    forward trajectories (both unit and axis-aligned, perpendicular).  Two
+    gadgets are connected by making their port charts literally identical.
+    ``hard`` marks a chart that is also a wall, ``wall``, with the id
+    "wall:<name>": the halt checkpoint, on which a ray bounces
+    orthogonally, and the launch pad.
     """
 
-    name: str
     origin: Point
-    tangent: Point  # unit axis-aligned
-    beam: Point     # unit axis-aligned, perpendicular to tangent
+    tangent: Point
+    beam: Point
+    lo: Fraction = Fraction(0)
+    hi: Fraction = Fraction(1)
+    name: str = ""
     hard: bool = False
 
     def chart(self, u):
@@ -104,34 +113,8 @@ class MarkedSegment:
 
     @cached_property
     def wall(self):
-        """The segment a hard mark bounces on."""
-        return Segment(self.chart(0), self.chart(1), f"wall:{self.name}")
-
-
-@dataclass(frozen=True)
-class Port:
-    """Gadget interface: a transverse chart plus beam direction.
-
-    chart(u) = origin + u * tangent; the window [lo, hi] is the coordinate
-    range beams may occupy.  Two gadgets are connected by making their
-    port charts literally identical.
-    """
-
-    origin: Point
-    tangent: Point
-    beam: Point
-    lo: Fraction
-    hi: Fraction
-
-    def chart(self, u):
-        return (self.origin[0] + u * self.tangent[0],
-                self.origin[1] + u * self.tangent[1])
-
-    def mirrored_y(self, axis):
-        ox, oy = self.origin
-        return replace(self, origin=(ox, 2 * axis - oy),
-                       tangent=(self.tangent[0], -self.tangent[1]),
-                       beam=(self.beam[0], -self.beam[1]))
+        """The segment over the window that a hard chart bounces on."""
+        return Segment(self.chart(self.lo), self.chart(self.hi), f"wall:{self.name}")
 
 
 class Leg:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from .gadgets import row_segment
-from .geometry import Leg, Port
+from .geometry import Leg
 from .simulate import (
     PrecisionExhausted,
     RunOutcome,
@@ -260,12 +260,11 @@ def _chart_line(chart):
     """(chart, origin, tangent, beam, u_lo, u_hi) at working precision.
 
     A crossing counts when its coordinate is within 1/2 of the chart's
-    window: [0, 1] for a MarkedSegment, [lo, hi] for a Port.
+    window [lo, hi].
     """
-    lo, hi = (chart.lo, chart.hi) if isinstance(chart, Port) else (0, 1)
     half = mpmath.mpf(1) / 2
     return (chart, _mpf_pt(chart.origin), _mpf_pt(chart.tangent),
-            _mpf_pt(chart.beam), _mpf(lo) - half, _mpf(hi) + half)
+            _mpf_pt(chart.beam), _mpf(chart.lo) - half, _mpf(chart.hi) + half)
 
 
 def _chart_u(point, origin, tangent):
@@ -341,6 +340,9 @@ def run_numeric(table, tape, budget, precision=60):
 
     with mpmath.workdps(precision):
         walls = _Walls(table.static_walls, table.mirror_families)
+        # each hard checkpoint by its wall's id: a hit there is a halt bounce
+        halts = {st.checkpoint.wall.wall_id: st.checkpoint
+                 for st in table.stations.values() if st.checkpoint.hard}
         start_state = table.machine.initial
         pos = _mpf_pt(table.checkpoint_point(start_state, expected[0].value))
         direction = (mpmath.mpf(0), mpmath.mpf(1))
@@ -400,13 +402,13 @@ def run_numeric(table, tape, budget, precision=60):
                     if flight_over():
                         break  # the run ended mid-flight
                     points.append(point)
-                    if obj.wall_id.startswith("wall:chk:"):
+                    mark = halts.get(obj.wall_id)
+                    if mark is not None:
                         # the halt checkpoint: orthogonal bounce ends the run
                         n = _unit(obj.normal_at(point))
                         tangential = abs(d[0] * n[1] - d[1] * n[0])
                         if tangential > ortho_tol:
                             fail(f"halt hit not orthogonal (tangential {tangential})")
-                        mark = table.iota_chart(obj.wall_id.split(":", 2)[2])
                         note_crossing(mark, d, u_at(mark, point))
                         check_event("halt-bounce")
                         break

@@ -99,7 +99,7 @@ def run_symbolic(table, tape, budget):
             t, k = decode(value)
             trace.append(TraceEvent(
                 "halt-bounce", steps, state=state, value=value,
-                wall_id=f"wall:chk:{state}",
+                wall_id=table.stations[state].checkpoint.wall.wall_id,
                 position=table.checkpoint_point(state, value)))
             return RunOutcome("halted", steps, trace, final_tape=t,
                               final_head=k, periodic=True)

@@ -47,7 +47,7 @@ from .gadgets import (
     row_segment,
     turn_mirror,
 )
-from .geometry import MarkedSegment, walls_clash
+from .geometry import Chart, walls_clash
 from .machine import build_graph, check_reversible
 from .ternary import T
 
@@ -88,7 +88,7 @@ class OutOfRange(Exception):
 class Station:
     state: str
     x: Fraction
-    checkpoint: MarkedSegment
+    checkpoint: Chart
     split: Optional[Gadget] = None     # placed at SPLIT_DY
     merge: Optional[Gadget] = None     # placed at MERGE_DY
 
@@ -189,7 +189,7 @@ class BilliardTable:
     graph: object
     stations: dict
     corridors: dict        # (state, read) -> Corridor
-    initial_pad: MarkedSegment
+    initial_pad: Chart
     machine_hash: str
     scene_levels: int = DEFAULT_SCENE_LEVELS
 
@@ -455,9 +455,8 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
     for i, q in enumerate(machine.states):
         x = station_x(i)
         halting = machine.is_halting(q)
-        checkpoint = MarkedSegment(
-            name=f"chk:{q}", origin=(x, F(0)), tangent=(F(1), F(0)),
-            beam=(F(0), F(1)), hard=halting)
+        checkpoint = Chart((x, F(0)), (F(1), F(0)), (F(0), F(1)),
+                           name=f"chk:{q}", hard=halting)
         stations[q] = Station(state=q, x=x, checkpoint=checkpoint)
 
     # splits: one per non-halting state, rewriting per its two out-edges
@@ -522,9 +521,8 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
 
     q0 = machine.initial
     pad_x = stations[q0].x if graph.in_degree(q0) == 0 else stations[q0].x - 4
-    initial_pad = MarkedSegment(
-        name="launch", origin=(pad_x, PAD_Y), tangent=(F(1), F(0)),
-        beam=(F(0), F(1)), hard=True)
+    initial_pad = Chart((pad_x, PAD_Y), (F(1), F(0)), (F(0), F(1)),
+                        name="launch", hard=True)
 
     return BilliardTable(
         machine=machine, K=K, graph=graph, stations=stations,

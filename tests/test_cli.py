@@ -64,6 +64,19 @@ def test_encode_deep_head(capsys):
     assert rewrite_scale(37).exp == 113
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("past, code", [(1, 2), (0, 0)], ids=["past-cap", "at-cap"])
+def test_encode_head_is_bounded_by_the_cap(capsys, sign, past, code):
+    # --k beyond the cap (BILLIARD_KMAX, 64 by default) is an input error
+    # at once, as --K is
+    from carom.encoding import k_max_cap
+    cap = k_max_cap()
+    t0 = time.perf_counter()
+    assert main(["encode", "@1", "--k", str(sign * (cap + past))]) == code
+    assert time.perf_counter() - t0 < 1
+    if code:
+        assert f"--k must be in [-{cap}, {cap}]" in capsys.readouterr().err
+
 def test_compile_run_roundtrip(rev_move_file, tmp_path, capsys):
     table_file = str(tmp_path / "table.json")
     assert main(["compile", rev_move_file, "-o", table_file, "--K", "4"]) == 0

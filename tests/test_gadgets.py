@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from carom import gadgets
 from carom.encoding import (
     cantor_blocks,
     cantor_blocks_at,
@@ -32,8 +33,9 @@ from carom.gadgets import (
 )
 from carom.geometry import Leg, Segment, walls_clash
 from carom.machine import enumerate_tapes
-from carom.table import MERGE_DY, SPLIT_DY
+from carom.table import MERGE_DY, SPLIT_DY, compile_table
 from carom.ternary import T
+from carom.zoo import MACHINE_TEXTS, get_machine
 
 
 def sample_points(k_range=3, cells=3):
@@ -105,6 +107,50 @@ def test_shift_stage_walls_are_four_arcs():
         for j in range(i + 1, 4):
             b1, b2 = walls[i].bbox(), walls[j].bbox()
             assert b1[2] < b2[0] or b2[2] < b1[0]
+
+
+def test_regime_arcs_within_latus_rectum():
+    # every beam of a regime window meets its arcs within |x - axis| < 2p,
+    # padded ends included; a translated pair keeps the bound
+    for eps in (+1, -1):
+        assert [r.tag for r in gadgets._REGIMES[eps]] == (
+            ["neg", "pos"] if eps == +1 else ["pos", "neg"])
+        for regime in gadgets._REGIMES[eps]:
+            assert len(regime.arcs) == 2
+            for arc in regime.arcs:
+                for x in (arc.x_lo, arc.x_hi):
+                    assert abs(x - arc.axis_x) < 2 * arc.p, (eps, arc.wall_id)
+
+
+def _demo_tables(K):
+    return [compile_table(get_machine(name), K) for name in sorted(MACHINE_TEXTS)]
+
+
+def test_stage_arcs_are_translated_regime_pairs():
+    # each stage's four arcs are its head move's regime pairs moved right
+    # by base_x + sigma_in, ids prefixed with the stage's name
+    for table in _demo_tables(8):
+        for corridor in table.corridors.values():
+            stage, edge = corridor.stage, corridor.edge
+            dx = table.stations[edge.state].x + corridor.sigma_in
+            want = [dataclasses.replace(arc.translated(dx, 0),
+                                        wall_id=f"{stage.name}:{arc.wall_id}")
+                    for regime in gadgets._REGIMES[edge.shift] for arc in regime.arcs]
+            assert list(stage.static_walls) == want, stage.name
+
+
+def test_compile_builds_no_confocal_pair(monkeypatch):
+    # the regime pairs are built once, at import: compiling places them
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return confocal_pair(*args)
+
+    confocal_pair = gadgets._confocal_pair
+    monkeypatch.setattr(gadgets, "_confocal_pair", counting)
+    _demo_tables(8)
+    assert calls == []
 
 
 # --- split ---------------------------------------------------------------

@@ -204,6 +204,22 @@ def test_rewriting_edges_into_a_merge():
     table.verify_layout(levels=range(-2, 3))
 
 
+def test_halt_bounce_on_a_state_id_with_a_colon():
+    # the halt bounce is named by the halting checkpoint's own wall, so a
+    # state id holding ':' still names it, and the numeric trace finds it
+    from carom.machine import parse_machine
+    machine = parse_machine(
+        "states: A H:1\ninitial: A\nhalting: H:1\n"
+        "A 0 -> H:1 0 R\nA 1 -> H:1 1 R\n", name="colon")
+    table = compile_table(machine, 3)
+    wall = table.stations["H:1"].checkpoint.wall
+    out = run_symbolic(table, parse_tape("@1"), 5)
+    assert out.verdict == "halted" and out.trace[-1].kind == "halt-bounce"
+    assert out.trace[-1].wall_id == wall.wall_id
+    assert wall in table.static_walls
+    res = run_numeric(table, parse_tape("@1"), 5, precision=60)
+    assert res.outcome.verdict == "halted" and res.max_deviation < 1e-30
+
 def test_numeric_fixture_sweep_monotone():
     # every fixture machine, one representative tape, K <= 4: deviations
     # bounded by 10^(-P/2) and non-increasing across 40/60/80 digits
