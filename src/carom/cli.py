@@ -21,6 +21,10 @@ from .machine import enumerate_tapes
 
 OK, NEGATIVE, INPUT_ERROR, INTERNAL = 0, 1, 2, 3
 
+#: The most walls ``carom svg`` draws; more levels than this allows exit 2
+#: before any wall is listed (walls grow about 4x per head level).
+SVG_MAX_WALLS = 100_000
+
 
 @dataclass
 class Config:
@@ -185,14 +189,18 @@ def cmd_audit(args, cfg):
 
 def cmd_svg(args, cfg):
     table = _load_or_compile(args, cfg)
+    levels = min(table.K, args.levels)
+    count = table.wall_count(levels)
+    if count > SVG_MAX_WALLS:
+        raise ValueError(f"--levels {levels} would draw {count} walls, "
+                         f"more than the {SVG_MAX_WALLS} an svg holds")
     trace_points = None
     if args.tape:
         from .numeric import run_numeric
         result = run_numeric(table, parse_tape(args.tape), cfg.budget,
                              precision=cfg.precision)
         trace_points = result.points
-    levels = range(-min(table.K, args.levels), min(table.K, args.levels) + 1)
-    svg = to_svg(table, levels=levels, trace_points=trace_points)
+    svg = to_svg(table, levels=range(-levels, levels + 1), trace_points=trace_points)
     out = args.output or "table.svg"
     with open(out, "w") as fh:
         fh.write(svg)

@@ -365,7 +365,7 @@ class _BlockMirrors:
     ``rows`` and ``walls_in`` take a frame (oy, sy), the placement y -> oy
     + sy*y of the gadget's local frame (sy = -1 for a merge's mirror
     image), and list the walls there.  The leg is given in that placed
-    frame: ``_blocks`` takes it back to the local frame as it reads the
+    frame: ``local_leg`` takes it back to the local frame as it reads the
     leg's floats, and ``_exact_leg`` as it reads its exact values.
     """
 
@@ -469,20 +469,34 @@ class _BlockMirrors:
                 break
             yield j
 
-    def _blocks(self, leg, frame):
-        """(level, symbol, wall, F, bits) for every block F whose wall box
-        meets the leg, the walls placed by ``frame``."""
-        px, py, dx, dy, t = leg.floats
+    def local_leg(self, floats, frame):
+        """The float leg ``floats`` (x, y, dx, dy, t_max) of a Leg read in
+        the local frame of the family placed by ``frame``, as (px, py, dx,
+        dy, t, (xl, xu), (yl, yu)) with its x- and y-extents; None when it
+        misses, by more than the float slack, the region around every level
+        wall.  The one region test: ``_blocks`` starts with it, and a tracer
+        calls it before it builds the exact Leg."""
+        px, py, dx, dy, t = floats
         oy, sy = frame
         py, dy = sy * (py - float(oy)), sy * dy     # the leg in the local frame
         (xl, xu), (yl, yu) = _extent(px, dx, t), _extent(py, dy, t)
-        all_levels, _, region, _ = self._level_data()
-        size = abs(dx) + abs(dy)
+        region = self._level_data()[2]
         slack = _REJECT_SLACK * (region[4] + abs(px) + abs(py)
-                                 + (t * size if t < math.inf else 0))
+                                 + (t * (abs(dx) + abs(dy)) if t < math.inf else 0))
         if (xu < region[0] - slack or xl > region[1] + slack
                 or yu < region[2] - slack or yl > region[3] + slack):
+            return None
+        return px, py, dx, dy, t, (xl, xu), (yl, yu)
+
+    def _blocks(self, leg, frame):
+        """(level, symbol, wall, F, bits) for every block F whose wall box
+        meets the leg, the walls placed by ``frame``."""
+        local = self.local_leg(leg.floats, frame)
+        if local is None:
             return
+        px, py, dx, dy, t, (xl, xu), (yl, yu) = local
+        all_levels = self._level_data()[0]
+        size = abs(dx) + abs(dy)
         base = float(self.base_x)
         mag = 4 + max(abs(v) for v in (px, py, base, xl, xu, yl, yu) if v - v == 0)
         slack = _REJECT_SLACK * mag

@@ -35,7 +35,7 @@ class NumericResult:
     points: list                   # polyline of traced positions (floats)
     precision: int
     walls_built: int = 0           # distinct walls materialized
-    max_candidates: int = 0        # largest wall list one bounce weighed
+    max_candidates: int = 0        # most walls one leg's float pass weighed
 
 
 def _mpf(x):
@@ -44,6 +44,10 @@ def _mpf(x):
 
 def _mpf_pt(p):
     return (_mpf(p[0]), _mpf(p[1]))
+
+
+def _float_pt(p):
+    return (float(p[0]), float(p[1]))
 
 
 def _exact(x):
@@ -103,6 +107,19 @@ def _arc_intersect(data, origin, direction, t_min, sqrt):
     return best
 
 
+#: A float box or clipped ray is widened on each side by this fraction of
+#: (1 + the magnitude of the coordinate): with coordinates below 10^6 (the
+#: demo tables stay within 60), far more than the few units in the last
+#: place a float conversion or a float ray is off by.
+_BOX_SLACK = 1e-9
+
+
+def _widened(x0, y0, x1, y1):
+    s = _BOX_SLACK
+    return (x0 - s * (1 + abs(x0)), y0 - s * (1 + abs(y0)),
+            x1 + s * (1 + abs(x1)), y1 + s * (1 + abs(y1)))
+
+
 #: A segment shorter than this fraction of its largest coordinate is too
 #: short for floats: its float endpoints, each off by up to 2^-53 of that
 #: coordinate, would place a hit on it only to within 2^-12 of its length.
@@ -116,13 +133,14 @@ class _NumericWall:
     machine-float (``fdata``) tuples of the same layout; ``fine`` marks a
     segment too short for floats (_FLOAT_RESOLVED)."""
 
-    __slots__ = ("wall_id", "kind", "data", "fdata", "fine")
+    __slots__ = ("wall_id", "kind", "data", "fdata", "fine", "_normal")
 
     def __init__(self, wall):
         self.wall_id = wall.wall_id
         self.kind = wall.kind
         self.data = self._convert(wall, _mpf)
         self.fdata = self._convert(wall, float)
+        self._normal = None
         self.fine = False
         if wall.kind == "segment":
             (x0, y0), (x1, y1) = self.fdata
@@ -137,17 +155,34 @@ class _NumericWall:
         return (num(wall.axis_x), num(wall.apex_y), num(wall.p), wall.sign,
                 num(wall.x_lo), num(wall.x_hi))
 
+    def float_box(self):
+        """(x0, y0, x1, y1), a float box holding the wall: its box in
+        floats, widened by _BOX_SLACK, which is far more than the rounding
+        of ``fdata`` and of the arc's end heights."""
+        if self.kind == "segment":
+            (x0, y0), (x1, y1) = self.fdata
+            return _widened(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+        axis_x, apex_y, p, sign, x_lo, x_hi = self.fdata
+        ys = [apex_y + sign * (x - axis_x) ** 2 / (4 * p) for x in (x_lo, x_hi)]
+        if x_lo < axis_x < x_hi:
+            ys.append(apex_y)
+        return _widened(x_lo, min(ys), x_hi, max(ys))
+
     def intersect(self, origin, direction, t_min, data, sqrt):
         if self.kind == "segment":
             return _seg_intersect(data, origin, direction, t_min)
         return _arc_intersect(data, origin, direction, t_min, sqrt)
 
-    def normal_at(self, point):
+    def unit_normal(self, point):
+        """The unit normal at ``point``; a segment's does not depend on the
+        point, so it is computed on the first hit and kept."""
         if self.kind == "segment":
-            (x0, y0), (x1, y1) = self.data
-            return (y0 - y1, x1 - x0)
+            if self._normal is None:
+                (x0, y0), (x1, y1) = self.data
+                self._normal = _unit((y0 - y1, x1 - x0))
+            return self._normal
         axis_x, apex_y, p, sign, _, _ = self.data
-        return (-sign * (point[0] - axis_x) / (2 * p), mpmath.mpf(1))
+        return _unit((-sign * (point[0] - axis_x) / (2 * p), mpmath.mpf(1)))
 
 
 def _unit(v):
@@ -213,15 +248,21 @@ class _Walls:
     """The walls one trace sees: a table's or a gadget's static walls and
     mirror families, every family over its own levels.
 
-    The ``static`` walls (arcs, turn mirrors, the launch pad, hard
-    checkpoints) are converted once and weighed on every leg.  The float
-    ray is cut just past the nearest one ahead (kept whole when there is
-    none), with twice _nearest_hit's shortlist margin to spare, and each
-    family's one per-leg query, ``walls_in(leg, frame)``, returns the rows
-    of the split and merge mirrors that cut leg may meet.  The walls
-    _nearest_hit weighs are thus chosen by position alone, never by the
-    ids a symbolic run predicts.  A row is converted (``row_segment``) the
-    first time its id is seen and kept by id: the trace's only cache.
+    Each leg is weighed in floats first, and only against the walls it can
+    reach.  The ``static`` walls (arcs, turn mirrors, the launch pad, hard
+    checkpoints) are converted once, each with its float box (``boxes``),
+    and ``box`` holds them all (None when there are none): the float ray
+    is clipped to it, and only the static walls whose boxes meet the
+    clipped ray are float-intersected.  The ray is then cut just past the
+    nearest static hit (kept whole when there is none), with twice
+    _nearest_hit's shortlist margin to spare.  A mirror family is queried
+    only if that float leg meets its region (``_BlockMirrors.local_leg``);
+    then the exact Leg is built, and each such family's one per-leg query,
+    ``walls_in(leg, frame)``, returns the rows of the split and merge
+    mirrors the cut leg may meet.  The walls _nearest_hit weighs are thus
+    chosen by position alone, never by the ids a symbolic run predicts.  A
+    row is converted (``row_segment``) the first time its id is seen and
+    kept by id: the trace's only cache.
     """
 
     def __init__(self, static_walls, families):
@@ -229,53 +270,131 @@ class _Walls:
         self.numeric = {}            # wall id -> _NumericWall
         self.static = [self.numeric.setdefault(w.wall_id, _NumericWall(w))
                        for w in static_walls]
+        self.boxes = [w.float_box() for w in self.static]
+        self.box = None
+        if self.boxes:
+            self.box = (min(b[0] for b in self.boxes), min(b[1] for b in self.boxes),
+                        max(b[2] for b in self.boxes), max(b[3] for b in self.boxes))
         self.max_candidates = 0
 
-    def candidates(self, pos, direction, exclude_id):
+    def _static_near(self, fo, fd):
+        """The static walls whose boxes meet the float ray from ``fo``
+        along ``fd`` clipped to ``box``: every static wall it can hit."""
+        if self.box is None:
+            return []
+        x0, y0, x1, y1 = self.box
+        t0, t1 = 0.0, math.inf
+        for o, d, lo, hi in ((fo[0], fd[0], x0, x1), (fo[1], fd[1], y0, y1)):
+            if d:
+                a, b = (lo - o) / d, (hi - o) / d
+                t0, t1 = max(t0, min(a, b)), min(t1, max(a, b))
+            elif not lo <= o <= hi:
+                return []
+        if t0 > t1:
+            return []
+        cx0, cy0, cx1, cy1 = _widened(
+            min(fo[0] + t0 * fd[0], fo[0] + t1 * fd[0]),
+            min(fo[1] + t0 * fd[1], fo[1] + t1 * fd[1]),
+            max(fo[0] + t0 * fd[0], fo[0] + t1 * fd[0]),
+            max(fo[1] + t0 * fd[1], fo[1] + t1 * fd[1]))
+        return [w for (x0, y0, x1, y1), w in zip(self.boxes, self.static)
+                if not (x1 < cx0 or x0 > cx1 or y1 < cy0 or y0 > cy1)]
+
+    def candidates(self, pos, direction, fo, fd, exclude_id):
         """Float hits (t, wall) of the candidate walls of the leg from
-        ``pos`` along ``direction``, the wall ``exclude_id`` left out."""
-        fo = (float(pos[0]), float(pos[1]))
-        fd = (float(direction[0]), float(direction[1]))
-        hits = list(_float_hits(self.static, pos, direction, fo, fd, exclude_id))
+        ``pos`` along ``direction``, (``fo``, ``fd``) in floats, the wall
+        ``exclude_id`` left out."""
+        static = self._static_near(fo, fd)
+        hits = list(_float_hits(static, pos, direction, fo, fd, exclude_id))
         t_max = None
         if hits:
             t_static = min(t for t, _ in hits)
             t_max = Fraction(t_static + 2 * _SHORTLIST * (1.0 + t_static))
-        leg = Leg((_exact(pos[0]), _exact(pos[1])),
-                  (_exact(direction[0]), _exact(direction[1])), t_max,
-                  fo + fd + (math.inf if t_max is None else float(t_max),))
+        floats = fo + fd + (math.inf if t_max is None else float(t_max),)
+        reached = [(mirrors, frame) for mirrors, frame in self.families
+                   if mirrors.local_leg(floats, frame) is not None]
         level = []
-        for mirrors, frame in self.families:
-            for row in mirrors.walls_in(leg, frame):
-                nw = self.numeric.get(row[5])
-                if nw is None:
-                    nw = self.numeric[row[5]] = _NumericWall(row_segment(row))
-                level.append(nw)
-        self.max_candidates = max(self.max_candidates, len(self.static) + len(level))
+        if reached:
+            leg = Leg((_exact(pos[0]), _exact(pos[1])),
+                      (_exact(direction[0]), _exact(direction[1])), t_max, floats)
+            for mirrors, frame in reached:
+                for row in mirrors.walls_in(leg, frame):
+                    nw = self.numeric.get(row[5])
+                    if nw is None:
+                        nw = self.numeric[row[5]] = _NumericWall(row_segment(row))
+                    level.append(nw)
+        self.max_candidates = max(self.max_candidates, len(static) + len(level))
         hits += _float_hits(level, pos, direction, fo, fd, exclude_id)
         return hits
 
 
+#: A chart is passed on from floats to working precision unless its line is
+#: met backwards (the direction's beam component den below -_CHART_SLACK of
+#: the direction's size) or the crossing's float coordinate lies more than
+#: _CHART_SLACK of (1 + the magnitudes involved) outside its window.  The
+#: slack is large against float rounding, and with den above it the float
+#: crossing keeps 9 or more correct digits.
+_CHART_SLACK = 1e-6
+
+
 def _chart_line(chart):
-    """(chart, origin, tangent, beam, u_lo, u_hi) at working precision.
+    """(chart, origin, tangent, beam, u_lo, u_hi) at working precision,
+    then (origin, tangent, beam, u_lo, u_hi) in floats.
 
     A crossing counts when its coordinate is within 1/2 of the chart's
     window [lo, hi].
     """
     half = mpmath.mpf(1) / 2
-    return (chart, _mpf_pt(chart.origin), _mpf_pt(chart.tangent),
-            _mpf_pt(chart.beam), _mpf(chart.lo) - half, _mpf(chart.hi) + half)
+    return ((chart, _mpf_pt(chart.origin), _mpf_pt(chart.tangent),
+             _mpf_pt(chart.beam), _mpf(chart.lo) - half, _mpf(chart.hi) + half),
+            (_float_pt(chart.origin), _float_pt(chart.tangent), _float_pt(chart.beam),
+             float(chart.lo) - 0.5, float(chart.hi) + 0.5))
 
 
 def _chart_u(point, origin, tangent):
     return (point[0] - origin[0]) * tangent[0] + (point[1] - origin[1]) * tangent[1]
 
 
+def _crossings(lines, pos, direction, fo, fd, best_t, tie_tol):
+    """(t, chart, point, u) of every forward crossing of a chart line
+    (``_chart_line``) by the leg from ``pos`` along ``direction`` before
+    ``best_t``, in flight order.  A chart the float ray (fo, fd) cannot
+    cross (_CHART_SLACK) is left out before any working-precision work."""
+    size = abs(fd[0]) + abs(fd[1])
+    near = _CHART_SLACK * size
+    crossings = []
+    for (chart, co, ct, cb, u_lo, u_hi), (fco, fct, fcb, fu_lo, fu_hi) in lines:
+        fden = fd[0] * fcb[0] + fd[1] * fcb[1]
+        if fden < -near:
+            continue
+        if fden > near:
+            ft = ((fco[0] - fo[0]) * fcb[0] + (fco[1] - fo[1]) * fcb[1]) / fden
+            fu = _chart_u((fo[0] + ft * fd[0], fo[1] + ft * fd[1]), fco, fct)
+            margin = _CHART_SLACK * (1 + abs(fo[0]) + abs(fo[1]) + abs(fco[0])
+                                     + abs(fco[1]) + abs(ft) * size)
+            if fu < fu_lo - margin or fu > fu_hi + margin:
+                continue
+        den = direction[0] * cb[0] + direction[1] * cb[1]
+        if den <= 0:
+            continue
+        t = ((co[0] - pos[0]) * cb[0] + (co[1] - pos[1]) * cb[1]) / den
+        if t <= tie_tol or (best_t is not None and t >= best_t - tie_tol):
+            continue
+        point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
+        u = _chart_u(point, co, ct)
+        if u_lo <= u <= u_hi:
+            crossings.append((t, chart, point, u))
+    return sorted(crossings, key=lambda c: c[0])
+
+
 def _trace(walls, pos, direction, charts, precision):
     """Specular ray trace from ``pos`` along ``direction``: the one core
     behind run_numeric and GadgetTracer.  ``walls`` is a _Walls; each leg
     weighs only the walls its position query returns, so the cost of a
-    bounce does not grow with the number of head levels.
+    bounce does not grow with the number of head levels.  Each leg's
+    position and direction are read in floats once, and the walls
+    (``_Walls.candidates``) and charts (``_crossings``) the float ray
+    cannot reach are left out before any working-precision work.
 
     Per leg, yields ``("cross", chart, point, u, direction)`` for every
     forward crossing of a chart line, in flight order, then
@@ -290,30 +409,21 @@ def _trace(walls, pos, direction, charts, precision):
     graze_tol = mpmath.mpf(10) ** (-12)
     last_id = None
     while True:
+        fo = (float(pos[0]), float(pos[1]))
+        fd = (float(direction[0]), float(direction[1]))
         best_t, wall, second_t = _nearest_hit(
-            walls.candidates(pos, direction, last_id), pos, direction, tie_tol)
+            walls.candidates(pos, direction, fo, fd, last_id), pos, direction, tie_tol)
         if second_t is not None and second_t - best_t < tie_tol:
             raise TracingDegeneracy(
                 f"two walls within {tie_tol} of {wall.wall_id}: geometry bug")
-        crossings = []
-        for chart, co, ct, cb, u_lo, u_hi in lines:
-            den = direction[0] * cb[0] + direction[1] * cb[1]
-            if den <= 0:
-                continue
-            t = ((co[0] - pos[0]) * cb[0] + (co[1] - pos[1]) * cb[1]) / den
-            if t <= tie_tol or (best_t is not None and t >= best_t - tie_tol):
-                continue
-            point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
-            u = _chart_u(point, co, ct)
-            if u_lo <= u <= u_hi:
-                crossings.append((t, chart, point, u))
-        for t, chart, point, u in sorted(crossings, key=lambda c: c[0]):
+        for _, chart, point, u in _crossings(lines, pos, direction, fo, fd,
+                                             best_t, tie_tol):
             yield "cross", chart, point, u, direction
         if best_t is None:
             raise TracingError("trajectory escaped the scene")
         hit = (pos[0] + best_t * direction[0], pos[1] + best_t * direction[1])
         yield "hit", wall, hit, None, direction
-        n = _unit(wall.normal_at(hit))
+        n = wall.unit_normal(hit)
         d_dot = direction[0] * n[0] + direction[1] * n[1]
         if abs(d_dot) < graze_tol:
             raise TracingDegeneracy(f"grazing hit on {wall.wall_id}")
@@ -405,7 +515,7 @@ def run_numeric(table, tape, budget, precision=60):
                     mark = halts.get(obj.wall_id)
                     if mark is not None:
                         # the halt checkpoint: orthogonal bounce ends the run
-                        n = _unit(obj.normal_at(point))
+                        n = obj.unit_normal(point)
                         tangential = abs(d[0] * n[1] - d[1] * n[0])
                         if tangential > ortho_tol:
                             fail(f"halt hit not orthogonal (tangential {tangential})")

@@ -266,6 +266,15 @@ class BilliardTable:
                 rows.append(entry)
         return rows
 
+    def wall_count(self, levels):
+        """How many walls ``scene_rows`` lists for the head levels |k| <=
+        ``levels``, counted in O(K) before anything is listed: a family's
+        level k holds 2^(digit_pos + 1) mirrors."""
+        return len(self.static_walls) + sum(
+            2 ** (digit_position(k + mirrors.cell_offset) + 1)
+            for mirrors, _ in self.mirror_families for k in mirrors.levels
+            if abs(k) <= levels)
+
     def scene_walls(self, levels=None):
         """All placed walls for the given head levels, in a stable order:
         ``scene_rows`` with every row as its Segment."""
@@ -557,11 +566,7 @@ def load_table(text):
     table = compile_table(machine, K, scene_levels=levels)
     if table.machine_hash != sha:
         raise ValueError("machine hash mismatch")
-    # the number of walls to_json() would list, counted in O(K) before
-    # anything is listed: a level holds 2^(digit_pos + 1) mirrors a family
-    count = len(table.static_walls) + sum(
-        2 ** (digit_position(k + mirrors.cell_offset) + 1)
-        for mirrors, _ in table.mirror_families for k in mirrors.levels if abs(k) <= levels)
+    count = table.wall_count(levels)     # what to_json() would list
     if n_walls != count:
         raise ValueError(f"stored scene lists {n_walls} walls, the recompilation {count}")
     expected = table.to_json()

@@ -155,6 +155,20 @@ def test_svg_cli(rev_move_file, tmp_path, capsys):
     assert root.tag.endswith("svg")
 
 
+def test_svg_levels_past_the_wall_cap_fail_fast(rev_move_file, tmp_path, capsys):
+    # rev-move at K=12 lists 134,217,742 walls at --levels 12: refused on
+    # the O(K) count, before any wall is listed
+    out = tmp_path / "table.svg"
+    t0 = time.process_time()
+    assert main(["svg", rev_move_file, "--K", "12", "--levels", "12", "-o", str(out)]) == 2
+    assert time.process_time() - t0 < 1.0
+    assert "134217742 walls" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["svg", rev_move_file, "--K", "12", "--levels", "2", "-o", str(out)]) == 0
+    import xml.etree.ElementTree as ET
+    assert ET.fromstring(out.read_text()).tag.endswith("svg")
+
+
 def test_negative_counts_rejected(rev_move_file, tmp_path, capsys):
     assert main(["verify", rev_move_file, "--K", "2", "--support", "-3"]) == 2
     assert "--support" in capsys.readouterr().err

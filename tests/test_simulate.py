@@ -288,6 +288,35 @@ def test_walls_below_float_resolution_are_marked():
     assert ":k10:" in mirror.wall_id and _NumericWall(mirror).fine
 
 
+@pytest.mark.parametrize("name, literal", [
+    ("pacer", "@1"), ("walker", "@111"), ("rev-move", "@00000001"), ("bit-flipper", "@011")])
+def test_max_candidates_counts_the_walls_weighed(name, literal):
+    # a leg float-intersects only the static walls its clipped ray meets
+    # and the mirrors its query returns: on no leg all the static walls
+    table = compile_table(get_machine(name), 8)
+    res = run_numeric(table, parse_tape(literal), 100, precision=60)
+    assert 0 < res.max_candidates < len(table.static_walls)
+
+
+def test_trace_without_static_walls():
+    # a bare split gadget has mirrors and no static walls: there is no
+    # static box to clip a ray to, and the query still finds the mirror
+    # (test_gadget_tracer_sees_the_split_levels traces the same gadget)
+    import mpmath
+    from carom.gadgets import build_split_gadget
+    from carom.numeric import _Walls
+    split = build_split_gadget(3)
+    assert split.static_walls == ()
+    with mpmath.workdps(60):
+        walls = _Walls(split.static_walls, (split.mirrors,))
+        assert walls.static == [] and walls.box is None
+        x = encode_state(frozenset(), 0).value
+        pos = (mpmath.mpf(x.num) / mpmath.mpf(3) ** x.exp, mpmath.mpf(0))
+        up = (mpmath.mpf(0), mpmath.mpf(1))
+        hits = walls.candidates(pos, up, tuple(map(float, pos)), (0.0, 1.0), None)
+        assert [w.wall_id.endswith(":W") for _, w in hits] == [True]
+
+
 def test_numeric_gadget_shift():
     from carom.gadgets import build_shift_stage
     import mpmath
@@ -305,6 +334,7 @@ def test_gadget_tracer_sees_the_split_levels():
     from carom.encoding import read_digit
     from carom.gadgets import build_split_gadget
     split = build_split_gadget(3)
+    assert split.static_walls == ()     # mirrors only: no static box
     tracer = GadgetTracer(split, 60)
     with mpmath.workdps(60):
         for tape in enumerate_tapes(range(-1, 2)):

@@ -91,6 +91,10 @@ def test_load_table_counts_the_scene(scene_levels):
     for name in sorted(MACHINE_TEXTS):
         text = compile_table(get_machine(name), 2, scene_levels=scene_levels).to_json()
         assert load_table(text).to_json() == text, name
+        table = compile_table(get_machine(name), 2)
+        for levels in (0, 1, 2, 3):
+            assert table.wall_count(levels) == len(
+                table.scene_rows(range(-levels, levels + 1))), (name, levels)
         doc = json.loads(text)
         doc["scene"].append(doc["scene"][0])
         with pytest.raises(ValueError, match="stored scene lists"):

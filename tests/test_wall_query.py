@@ -7,23 +7,29 @@ horizontal and tilted legs and on every leg of real numeric traces.  The
 blocks the query picks per (level, symbol, wall) must also be exactly
 those an exact rational window, the oracle here, picks.  The query reads
 each mirror family's own levels and returns integer rows, wrapped here in
-their Segments.
+their Segments.  The numeric tracer's float pre-rejects (static walls by
+box, families by region, charts in floats) are checked against the full
+pass they replace, which is kept here as the oracle.
 """
 
 import bisect
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from carom import numeric
 from carom.encoding import cantor_blocks_at, digit_position, head_interval
 from carom.gadgets import _BAND_GAIN, build_merge_gadget, build_split_gadget, row_segment
 from carom.geometry import Leg, Segment, segments_intersect
 from carom.machine import parse_machine, parse_tape
+from carom.numeric import _SHORTLIST, _NumericWall, _Walls, _exact, _float_hits
 from carom.simulate import run_numeric
 from carom.table import compile_table
 from carom.zoo import MACHINE_TEXTS, get_machine
 from test_gadgets import _mirror_boxes
+from test_trace_identity import NUMERIC_TAPES
 
 LEVELS = range(-3, 4)
 RAY_LENGTH = 10_000   # beyond every scene here: a ray checked as a segment
@@ -312,3 +318,101 @@ def test_window_blocks_equal_exact_oracle(build):
             assert got.get((k, s, w), []) == [blk.bits for blk in want], (k, s, w)
             met += len(want)
     assert met >= len(legs) // 2     # the legs do meet walls
+
+
+# --- the float pre-rejects of numeric._trace, against the full pass -------
+
+@pytest.mark.parametrize("name", sorted(MACHINE_TEXTS))
+def test_static_float_boxes_hold_the_exact_boxes(name):
+    # the pre-reject is sound only if every static wall's float box, read
+    # off its float data, holds the wall's exact box
+    table = compile_table(get_machine(name), 8)
+    walls = _Walls(table.static_walls, ())
+    for wall, box in zip(table.static_walls, walls.boxes):
+        x0, y0, x1, y1 = wall.bbox()
+        assert (Fraction(box[0]) < x0 and Fraction(box[1]) < y0
+                and Fraction(box[2]) > x1 and Fraction(box[3]) > y1), wall.wall_id
+    assert walls.box == tuple(f(b[i] for b in walls.boxes)
+                              for i, f in enumerate((min, min, max, max)))
+
+
+def _unfiltered_hits(walls, pos, direction, fo, fd, exclude_id):
+    """(wall id, float t) of every hit of the leg without pre-rejects: every
+    static wall float-intersected, every family queried with the exact Leg
+    cut past the nearest static hit, as ``_Walls.candidates`` cuts it."""
+    hits = list(_float_hits(walls.static, pos, direction, fo, fd, exclude_id))
+    t_max = None
+    if hits:
+        t_static = min(t for t, _ in hits)
+        t_max = Fraction(t_static + 2 * _SHORTLIST * (1.0 + t_static))
+    leg = Leg((_exact(pos[0]), _exact(pos[1])), (_exact(direction[0]), _exact(direction[1])),
+              t_max, fo + fd + (math.inf if t_max is None else float(t_max),))
+    level = [walls.numeric.get(row[5]) or _NumericWall(row_segment(row))
+             for mirrors, frame in walls.families for row in mirrors.walls_in(leg, frame)]
+    hits += _float_hits(level, pos, direction, fo, fd, exclude_id)
+    return {(w.wall_id, t) for t, w in hits}
+
+
+def _unfiltered_crossings(lines, pos, direction, best_t, tie_tol):
+    """Every chart's crossing computed at working precision."""
+    crossings = []
+    for (chart, co, ct, cb, u_lo, u_hi), _ in lines:
+        den = direction[0] * cb[0] + direction[1] * cb[1]
+        if den <= 0:
+            continue
+        t = ((co[0] - pos[0]) * cb[0] + (co[1] - pos[1]) * cb[1]) / den
+        if t <= tie_tol or (best_t is not None and t >= best_t - tie_tol):
+            continue
+        point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
+        u = (point[0] - co[0]) * ct[0] + (point[1] - co[1]) * ct[1]
+        if u_lo <= u <= u_hi:
+            crossings.append((t, chart, point, u))
+    return sorted(crossings, key=lambda c: c[0])
+
+
+def _far_from_window(fline, fo, fd):
+    """Whether the float ray (fo, fd) crosses the chart line ``fline``
+    forwards more than 1 outside its window: a chart left out in floats."""
+    fco, fct, fcb, lo, hi = fline
+    den = fd[0] * fcb[0] + fd[1] * fcb[1]
+    if den < 0.5:
+        return False
+    t = ((fco[0] - fo[0]) * fcb[0] + (fco[1] - fo[1]) * fcb[1]) / den
+    u = (fo[0] + t * fd[0] - fco[0]) * fct[0] + (fo[1] + t * fd[1] - fco[1]) * fct[1]
+    return not lo - 1 <= u <= hi + 1
+
+
+def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
+    # on every leg of real traces, the walls and charts the float pass
+    # leaves out change nothing: the same float hits as the full pass, and
+    # the same crossings as the working-precision loop over every chart
+    seen = {"legs": 0, "static_left_out": 0, "families_left_out": 0, "charts_left_out": 0}
+    candidates, crossings = _Walls.candidates, numeric._crossings
+
+    def checked_candidates(walls, pos, direction, fo, fd, exclude_id):
+        hits = candidates(walls, pos, direction, fo, fd, exclude_id)
+        assert ({(w.wall_id, t) for t, w in hits}
+                == _unfiltered_hits(walls, pos, direction, fo, fd, exclude_id))
+        seen["legs"] += 1
+        seen["static_left_out"] += len(walls.static) - len(walls._static_near(fo, fd))
+        seen["families_left_out"] += sum(mirrors.local_leg(fo + fd + (math.inf,), frame) is None
+                                         for mirrors, frame in walls.families)
+        return hits
+
+    def checked_crossings(lines, pos, direction, fo, fd, best_t, tie_tol):
+        got = crossings(lines, pos, direction, fo, fd, best_t, tie_tol)
+        assert got == _unfiltered_crossings(lines, pos, direction, best_t, tie_tol)
+        seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for _, fline in lines)
+        return got
+
+    monkeypatch.setattr(_Walls, "candidates", checked_candidates)
+    monkeypatch.setattr(numeric, "_crossings", checked_crossings)
+    runs = [(name, 4, literal, 30) for name, literal in NUMERIC_TAPES]
+    runs += [("pacer", 8, "@1", 100), ("walker", 8, "@111", 100)]
+    tables = {}
+    for name, K, literal, budget in runs:
+        if (name, K) not in tables:
+            tables[name, K] = compile_table(get_machine(name), K)
+        run_numeric(tables[name, K], parse_tape(literal), budget, precision=60)
+    assert seen["legs"] > 1000
+    assert min(seen.values()) > 0, seen
