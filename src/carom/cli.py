@@ -131,6 +131,7 @@ def cmd_run(args, cfg):
         payload["precision"] = cfg.precision
         payload["walls_built"] = result.walls_built
         payload["max_candidates"] = result.max_candidates
+        payload["windows_exact"] = result.windows_exact
         lines.append(f"numeric trace at {cfg.precision} digits matches; "
                      f"max checkpoint deviation {result.max_deviation:.3e}")
     if args.trace:

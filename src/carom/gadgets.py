@@ -229,6 +229,7 @@ class _Template(NamedTuple):
     walls: tuple       # (x0, y0, x1, y1) per wall of the pair over block 0, over den
     boxes: tuple       # (2den, 2step, x, y, rx, ry) per wall
     centre: int        # block 0's centre, over 2den
+    fboxes: tuple      # the boxes in floats (_float_box)
 
 
 # one entry per (k, digit_pos, read_s, write_s) with |k| <= K_max: bounded
@@ -253,13 +254,16 @@ def _pair_template(k, digit_pos, read_s, write_s):
     step, walls = int(step * den), tuple(tuple(int(v * den) for v in w) for w in walls)
     boxes = tuple((2 * den, 2 * step, x0 + x1, y0 + y1, abs(x1 - x0), abs(y1 - y0))
                   for x0, y0, x1, y1 in walls)
-    return _Template(den, step, walls, boxes, int(2 * den * first.centre))
+    return _Template(den, step, walls, boxes, int(2 * den * first.centre),
+                     tuple(map(_float_box, boxes)))
 
 
 class _MirrorLevel(NamedTuple):
     k: int
     digit_pos: int
     boxes: tuple       # boxes[symbol][wall], from _pair_template
+    fboxes: tuple      # the same in floats (_float_box)
+    last: int          # the last block index, 3^(digit_pos - 1) - 1
     flo: float         # the hull I_k, rounded outward
     fhi: float
     reach: tuple       # per line of _LINES: float bound on box offset + radius
@@ -331,6 +335,99 @@ def _window(lv, s, w, exact):
     return lo, hi
 
 
+#: Relative error bound of a float block window (_float_window).  Each of
+#: its bounds is a quotient q of a few correctly rounded operations on
+#: inputs within 2^-53 of their exact values: the leg's floats and the
+#: frame's offset (Leg.floats), and the box's ratios (_float_box), each
+#: the correctly rounded quotient of two template integers.  So q is off
+#: by less than 16 * 2^-53 times (its terms' magnitudes over its divisor
+#: + |q|), and by 16 * spread times that where it divides by n.v, spread =
+#: |n|_1 / n.v; this is 1e-13, about 900 times 2^-53, of them.
+_WINDOW_SLACK = 1e-13
+
+
+def _float_box(box):
+    """A _pair_template box (den, step, x, y, rx, ry) as float ratios for
+    _float_window: (step, 8 step, x + rx, x - rx, y + ry, y - ry, x, y,
+    rx, ry) over den, then den / step and (|x| + |y| + rx + ry) / den.
+    Each is an int quotient, so correctly rounded, however many bits the
+    integers of a deep or tilted level take."""
+    den, step, x, y, rx, ry = box
+    return tuple(v / den for v in (step, 8 * step, x + rx, x - rx, y + ry, y - ry,
+                                   x, y, rx, ry)) + (
+        den / step, (abs(x) + abs(y) + rx + ry) / den)
+
+
+def _float_leg(local, base, oy):
+    """The leg _float_window reads, from a family's ``local_leg`` (its
+    base_x and frame offset ``base`` and ``oy`` in floats): ((xl, xu, yl,
+    yu), normal, mag), the extents with x counted from base_x, the normal
+    n = (-dy, dx) turned so that n . (1, 8) > 0 as (nx, ny, |nx|, |ny|,
+    n . (1, 8), n . origin, 16 spread), and a bound on the magnitudes the
+    bounds are computed from.  None, leaving every window to _window, when
+    n . (1, 8) is within 1e-2 |n|_1 of 0 (ill-conditioned), or when the
+    leg is a whole ray with a direction component 0 in floats: only there
+    may an exactly unbounded extent read as bounded."""
+    px, py, dx, dy, t, (xl, xu), (yl, yu) = local
+    size = abs(dx) + abs(dy)
+    nv = 8 * dx - dy
+    if abs(nv) <= 1e-2 * size or (t == math.inf and not (dx and dy)):
+        return None
+    nx, ny = (-dy, dx) if nv > 0 else (dy, -dx)
+    nv = abs(nv)
+    return ((xl - base, xu - base, yl, yu),
+            (nx, ny, abs(nx), abs(ny), nv, nx * (px - base) + ny * py, 16 * size / nv),
+            1 + abs(base) + 2 * abs(oy) + abs(px) + abs(py)
+            + (t * size if t < math.inf else 0))
+
+
+def _float_window(box, leg, last):
+    """_window in floats, for the box ``box`` (_float_box) and the float
+    leg ``leg`` (see ``_BlockMirrors._blocks``), clamped to [0, last] as
+    block_indices clamps it: the same blocks as _window, or None when the
+    floats cannot tell.
+
+    Each bound q, with its error bound e (_WINDOW_SLACK), counts for the
+    whole interval [q - e, q + e]: the window's lower end lies between the
+    largest ceil(q - e) and the largest ceil(q + e), its upper end between
+    the smallest floor(q - e) and the smallest floor(q + e).  The window is
+    decided when both ends are, or when it is empty either way."""
+    step, step8, xp, xm, yp, ym, x, y, rx, ry, g, tmag = box
+    (xl, xu, yl, yu), (nx, ny, ax, ay, nv, n0, cond), mag = leg
+    err = _WINDOW_SLACK * g * (mag + tmag)
+    slack, floor, ceil, inf = _WINDOW_SLACK, math.floor, math.ceil, math.inf
+    # the normal axis: |n . (centre - origin)| <= the box's reach along n,
+    # with n . v > 0; then x and y, where the leg's extent is bounded
+    m, r, slope = n0 - nx * x - ny * y, ax * rx + ay * ry, step * nv
+    q = (m - r) / slope
+    e = cond * (err + slack * abs(q))
+    lo_a, lo_b = max(0, ceil(q - e)), max(0, ceil(q + e))
+    q = (m + r) / slope
+    e = cond * (err + slack * abs(q))
+    hi_a, hi_b = min(last, floor(q - e)), min(last, floor(q + e))
+    if xl > -inf:
+        q = (xl - xp) / step
+        e = err + slack * abs(q)
+        lo_a, lo_b = max(lo_a, ceil(q - e)), max(lo_b, ceil(q + e))
+    if yl > -inf:
+        q = (yl - yp) / step8
+        e = err + slack * abs(q)
+        lo_a, lo_b = max(lo_a, ceil(q - e)), max(lo_b, ceil(q + e))
+    if xu < inf:
+        q = (xu - xm) / step
+        e = err + slack * abs(q)
+        hi_a, hi_b = min(hi_a, floor(q - e)), min(hi_b, floor(q + e))
+    if yu < inf:
+        q = (yu - ym) / step8
+        e = err + slack * abs(q)
+        hi_a, hi_b = min(hi_a, floor(q - e)), min(hi_b, floor(q + e))
+    if hi_b < lo_a:
+        return 1, 0
+    if lo_a == lo_b and hi_a == hi_b:
+        return lo_a, hi_a
+    return None
+
+
 def row_segment(row):
     """The Segment a mirror row (den, x0, y0, x1, y1, id) stands for."""
     den, x0, y0, x1, y1, wid = row
@@ -357,10 +454,12 @@ class _BlockMirrors:
     full wall listing, and ``walls_in`` returns the rows a leg may meet; a
     caller wraps a row in its Segment (``row_segment``) where it needs one.
     A float pre-reject finds the one or two levels whose hull I_k the leg
-    may reach; for those, ``_window`` bounds F exactly in integers, and
-    ``block_indices`` lists exactly the blocks whose wall boxes the leg
-    meets.  Level data is built on the first positional query, never by
-    the compiler.
+    may reach; for those, ``_float_window`` bounds F in floats with a
+    certified error bound, ``_window`` bounds F exactly in integers where
+    that bound cannot decide, and ``block_indices`` lists exactly the
+    blocks whose wall boxes the leg meets.  ``windows_exact`` counts the
+    windows left to ``_window`` over the family's life.  Level data is
+    built on the first positional query, never by the compiler.
 
     ``rows`` and ``walls_in`` take a frame (oy, sy), the placement y -> oy
     + sy*y of the gadget's local frame (sy = -1 for a merge's mirror
@@ -374,13 +473,15 @@ class _BlockMirrors:
         self.rewrite_rule, self.base_x = rewrite_rule, base_x
         self.levels = range(max(-K, -K - cell_offset), min(K, K - cell_offset) + 1)
         self._data = None
+        self._frame = (None, 0.0)    # the frame last read, its offset in floats
+        self.windows_exact = 0
 
     def _placed(self, k, digit_pos, s, frame):
         """_pair_template of level k and symbol s placed by ``frame``, x
         counted from base_x, over one denominator: (den, step_x, step_y,
         walls), the pair over block F having the endpoints ((x + F*step_x)
         / den, (y + F*step_y) / den) for (x0, y0, x1, y1) in walls."""
-        den, step, walls, _, _ = _pair_template(k, digit_pos, s, self.rewrite_rule(k, s))
+        den, step, walls = _pair_template(k, digit_pos, s, self.rewrite_rule(k, s))[:3]
         (oy, sy), bx = frame, self.base_x
         d = math.lcm(den, bx.denominator, oy.denominator)
         m = d // den
@@ -436,6 +537,8 @@ class _BlockMirrors:
                         in ((templates[s].boxes[w], templates[s].centre) for s, w in members))
                 reach.append(r * (1 + 1e-12))
             levels.append(_MirrorLevel(k, digit_pos, tuple(t.boxes for t in templates),
+                                       tuple(t.fboxes for t in templates),
+                                       3 ** (digit_pos - 1) - 1,
                                        float(iv.lo.as_fraction()) - 1e-12,
                                        float(iv.hi.as_fraction()) + 1e-12, tuple(reach)))
         base = float(self.base_x)
@@ -450,14 +553,14 @@ class _BlockMirrors:
         region = (min(b[0] for b in bounds), max(b[1] for b in bounds),
                   min(b[2] for b in bounds), max(b[3] for b in bounds))
         region += (4 + max(map(abs, region)),)   # and its magnitude
-        self._data = (levels, [lv.flo for lv in levels], region, reach_max)
+        self._data = (levels, [lv.flo for lv in levels], region, reach_max, base)
         return self._data
 
     def _near(self, line, c0, radius, slack):
         """Indices of the levels whose hull lies within radius * (their
         reach on ``line``) + slack of c0: outward from c0 until no level
         further out can qualify."""
-        levels, starts, _, reach_max = self._level_data()
+        levels, starts, _, reach_max, _ = self._level_data()
         prefix, suffix = reach_max[line]
         i = bisect.bisect_right(starts, c0)
         for j in range(i, len(levels)):
@@ -474,13 +577,15 @@ class _BlockMirrors:
         the local frame of the family placed by ``frame``, as (px, py, dx,
         dy, t, (xl, xu), (yl, yu)) with its x- and y-extents; None when it
         misses, by more than the float slack, the region around every level
-        wall.  The one region test: ``_blocks`` starts with it, and a tracer
-        calls it before it builds the exact Leg."""
+        wall.  The one region test, which ``_blocks`` starts with.  The
+        frame's offset is read in floats once per frame placed in."""
         px, py, dx, dy, t = floats
-        oy, sy = frame
-        py, dy = sy * (py - float(oy)), sy * dy     # the leg in the local frame
+        if self._frame[0] is not frame:
+            self._frame = (frame, float(frame[0]))
+        oy, sy = self._frame[1], frame[1]
+        py, dy = sy * (py - oy), sy * dy     # the leg in the local frame
         (xl, xu), (yl, yu) = _extent(px, dx, t), _extent(py, dy, t)
-        region = self._level_data()[2]
+        region = (self._data or self._level_data())[2]
         slack = _REJECT_SLACK * (region[4] + abs(px) + abs(py)
                                  + (t * (abs(dx) + abs(dy)) if t < math.inf else 0))
         if (xu < region[0] - slack or xl > region[1] + slack
@@ -490,20 +595,27 @@ class _BlockMirrors:
 
     def _blocks(self, leg, frame):
         """(level, symbol, wall, F, bits) for every block F whose wall box
-        meets the leg, the walls placed by ``frame``."""
+        meets the leg, the walls placed by ``frame``.
+
+        Each window is decided in floats (``_float_window``) and left to
+        the exact ``_window`` only where floats cannot tell (or where
+        ``_float_leg`` gives no float leg); the exact leg (``_exact_leg``)
+        is built only then."""
         local = self.local_leg(leg.floats, frame)
         if local is None:
             return
         px, py, dx, dy, t, (xl, xu), (yl, yu) = local
-        all_levels = self._level_data()[0]
+        all_levels, _, _, _, base = self._data
         size = abs(dx) + abs(dy)
-        base = float(self.base_x)
-        mag = 4 + max(abs(v) for v in (px, py, base, xl, xu, yl, yu) if v - v == 0)
+        # the largest finite magnitude among px, py, base and the extents
+        mag = 4 + (max(abs(base), abs(xl), abs(xu), abs(yl), abs(yu)) if t < math.inf
+                   else max(abs(base), abs(px), abs(py)))
         slack = _REJECT_SLACK * mag
         nx, ny = -dy, dx
         nv = nx + 8 * ny
         # n.v far from 0: the float normal bounds are well conditioned
         spread = size / abs(nv) if abs(nv) > 1e-2 * size else None
+        fleg = _float_leg(local, base, self._frame[1])    # the offset local_leg read
         exact = None
         for line, (off, members) in enumerate(_LINES):
             x0 = base + float(off)
@@ -525,10 +637,13 @@ class _BlockMirrors:
                     lo, hi = max(lo, c0 - r), min(hi, c0 + r)
                 if lo > hi:
                     continue
-                exact = exact or _exact_leg(leg, self.base_x, frame)
                 for s, w in members:
-                    for index, bits in block_indices(lv.digit_pos - 1,
-                                                     _window(lv, s, w, exact)):
+                    window = fleg and _float_window(lv.fboxes[s][w], fleg, lv.last)
+                    if window is None:
+                        self.windows_exact += 1
+                        exact = exact or _exact_leg(leg, self.base_x, frame)
+                        window = _window(lv, s, w, exact)
+                    for index, bits in block_indices(lv.digit_pos - 1, window):
                         yield lv, s, w, index, bits
 
     def walls_in(self, leg, frame):
@@ -542,6 +657,8 @@ class _BlockMirrors:
         for lv, s, w, index, bits in self._blocks(leg, frame):
             entry = found.setdefault((lv.k, s, index), [lv.digit_pos, bits, False, False])
             entry[2 + w] = True
+        if not found:
+            return []
         rows, group = [], None
         for (k, s, index), (digit_pos, bits, *kept) in sorted(found.items()):
             if group != (k, s):

@@ -36,6 +36,7 @@ class NumericResult:
     precision: int
     walls_built: int = 0           # distinct walls materialized
     max_candidates: int = 0        # most walls one leg's float pass weighed
+    windows_exact: int = 0         # block windows floats left to exact integers
 
 
 def _mpf(x):
@@ -129,16 +130,18 @@ _FLOAT_RESOLVED = 2.0 ** -40
 
 
 class _NumericWall:
-    """An exact wall converted once to working-precision (``data``) and
+    """An exact wall converted to working-precision (``data``) and
     machine-float (``fdata``) tuples of the same layout; ``fine`` marks a
-    segment too short for floats (_FLOAT_RESOLVED)."""
+    segment too short for floats (_FLOAT_RESOLVED).  ``fdata`` is made at
+    once, ``data`` on first use, at the working precision then in force:
+    most walls are only ever weighed in floats."""
 
-    __slots__ = ("wall_id", "kind", "data", "fdata", "fine", "_normal")
+    __slots__ = ("wall_id", "kind", "_wall", "_data", "fdata", "fine", "_normal")
 
     def __init__(self, wall):
         self.wall_id = wall.wall_id
         self.kind = wall.kind
-        self.data = self._convert(wall, _mpf)
+        self._wall, self._data = wall, None
         self.fdata = self._convert(wall, float)
         self._normal = None
         self.fine = False
@@ -146,6 +149,12 @@ class _NumericWall:
             (x0, y0), (x1, y1) = self.fdata
             self.fine = (max(abs(x1 - x0), abs(y1 - y0))
                          < _FLOAT_RESOLVED * max(abs(x0), abs(y0), abs(x1), abs(y1)))
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = self._convert(self._wall, _mpf)
+        return self._data
 
     @staticmethod
     def _convert(wall, num):
@@ -250,19 +259,20 @@ class _Walls:
 
     Each leg is weighed in floats first, and only against the walls it can
     reach.  The ``static`` walls (arcs, turn mirrors, the launch pad, hard
-    checkpoints) are converted once, each with its float box (``boxes``),
-    and ``box`` holds them all (None when there are none): the float ray
-    is clipped to it, and only the static walls whose boxes meet the
-    clipped ray are float-intersected.  The ray is then cut just past the
-    nearest static hit (kept whole when there is none), with twice
-    _nearest_hit's shortlist margin to spare.  A mirror family is queried
-    only if that float leg meets its region (``_BlockMirrors.local_leg``);
-    then the exact Leg is built, and each such family's one per-leg query,
-    ``walls_in(leg, frame)``, returns the rows of the split and merge
-    mirrors the cut leg may meet.  The walls _nearest_hit weighs are thus
-    chosen by position alone, never by the ids a symbolic run predicts.  A
-    row is converted (``row_segment``) the first time its id is seen and
-    kept by id: the trace's only cache.
+    checkpoints) are read once into floats, each with its float box
+    (``boxes``), and ``box`` holds them all (None when there are none): the
+    float ray is clipped to it, and only the static walls whose boxes meet
+    the clipped ray are float-intersected.  The ray is then cut just past
+    the nearest static hit (kept whole when there is none), with twice
+    _nearest_hit's shortlist margin to spare.  Each mirror family's one
+    per-leg query, ``walls_in(leg, frame)``, returns the rows of the split
+    and merge mirrors the cut leg may meet: it drops a family whose region
+    the float leg misses, and decides its block windows in floats.  The
+    leg's exact values are made from its mpf ones only if some window
+    needs them (``Leg``'s ``convert``).  The walls _nearest_hit weighs are
+    thus chosen by position alone, never by the ids a symbolic run
+    predicts.  A row is converted (``row_segment``) the first time its id
+    is seen and kept by id: the trace's only cache.
     """
 
     def __init__(self, static_walls, families):
@@ -276,6 +286,15 @@ class _Walls:
             self.box = (min(b[0] for b in self.boxes), min(b[1] for b in self.boxes),
                         max(b[2] for b in self.boxes), max(b[3] for b in self.boxes))
         self.max_candidates = 0
+        # each family counts the windows it left to exact integers over its
+        # life; this trace's share is the growth from here
+        self._mirrors = list({id(m): m for m, _ in families}.values())
+        self._windows_before = sum(m.windows_exact for m in self._mirrors)
+
+    @property
+    def windows_exact(self):
+        """The block windows this trace's queries left to exact integers."""
+        return sum(m.windows_exact for m in self._mirrors) - self._windows_before
 
     def _static_near(self, fo, fd):
         """The static walls whose boxes meet the float ray from ``fo``
@@ -306,23 +325,19 @@ class _Walls:
         ``exclude_id`` left out."""
         static = self._static_near(fo, fd)
         hits = list(_float_hits(static, pos, direction, fo, fd, exclude_id))
-        t_max = None
+        t_max, ft_max = None, math.inf
         if hits:
             t_static = min(t for t, _ in hits)
-            t_max = Fraction(t_static + 2 * _SHORTLIST * (1.0 + t_static))
-        floats = fo + fd + (math.inf if t_max is None else float(t_max),)
-        reached = [(mirrors, frame) for mirrors, frame in self.families
-                   if mirrors.local_leg(floats, frame) is not None]
+            ft_max = t_static + 2 * _SHORTLIST * (1.0 + t_static)
+            t_max = Fraction(ft_max)
+        leg = Leg(pos, direction, t_max, fo + fd + (ft_max,), convert=_exact)
         level = []
-        if reached:
-            leg = Leg((_exact(pos[0]), _exact(pos[1])),
-                      (_exact(direction[0]), _exact(direction[1])), t_max, floats)
-            for mirrors, frame in reached:
-                for row in mirrors.walls_in(leg, frame):
-                    nw = self.numeric.get(row[5])
-                    if nw is None:
-                        nw = self.numeric[row[5]] = _NumericWall(row_segment(row))
-                    level.append(nw)
+        for mirrors, frame in self.families:
+            for row in mirrors.walls_in(leg, frame):
+                nw = self.numeric.get(row[5])
+                if nw is None:
+                    nw = self.numeric[row[5]] = _NumericWall(row_segment(row))
+                level.append(nw)
         self.max_candidates = max(self.max_candidates, len(static) + len(level))
         hits += _float_hits(level, pos, direction, fo, fd, exclude_id)
         return hits
@@ -330,10 +345,17 @@ class _Walls:
 
 #: A chart is passed on from floats to working precision unless its line is
 #: met backwards (the direction's beam component den below -_CHART_SLACK of
-#: the direction's size) or the crossing's float coordinate lies more than
-#: _CHART_SLACK of (1 + the magnitudes involved) outside its window.  The
-#: slack is large against float rounding, and with den above it the float
-#: crossing keeps 9 or more correct digits.
+#: the direction's size, ``near``) or the crossing's float coordinate lies
+#: more than _CHART_SLACK of (1 + the magnitudes involved) outside its
+#: window.  The slack is large against float rounding, and with den above
+#: it the float crossing keeps 9 or more correct digits.  With |den| <=
+#: near, the leg runs nearly along the chart line, and the float numerator
+#: num = (chart origin - leg origin) . beam decides, give or take
+#: _CHART_SLACK of (1 + the magnitudes involved): num below that puts the
+#: crossing behind the ray, and num above it and above 2 near (1 + the
+#: winning hit's t) puts it past the winning hit, as t = num / den >=
+#: num / near.  Only a leg running along the chart line is left to
+#: working precision.
 _CHART_SLACK = 1e-6
 
 
@@ -362,18 +384,27 @@ def _crossings(lines, pos, direction, fo, fd, best_t, tie_tol):
     cross (_CHART_SLACK) is left out before any working-precision work."""
     size = abs(fd[0]) + abs(fd[1])
     near = _CHART_SLACK * size
+    reach = None      # 2 near (1 + best_t), best_t read in floats once
     crossings = []
     for (chart, co, ct, cb, u_lo, u_hi), (fco, fct, fcb, fu_lo, fu_hi) in lines:
         fden = fd[0] * fcb[0] + fd[1] * fcb[1]
         if fden < -near:
             continue
+        fnum = (fco[0] - fo[0]) * fcb[0] + (fco[1] - fo[1]) * fcb[1]
+        margin = _CHART_SLACK * (1 + abs(fo[0]) + abs(fo[1]) + abs(fco[0]) + abs(fco[1]))
         if fden > near:
-            ft = ((fco[0] - fo[0]) * fcb[0] + (fco[1] - fo[1]) * fcb[1]) / fden
+            ft = fnum / fden
             fu = _chart_u((fo[0] + ft * fd[0], fo[1] + ft * fd[1]), fco, fct)
-            margin = _CHART_SLACK * (1 + abs(fo[0]) + abs(fo[1]) + abs(fco[0])
-                                     + abs(fco[1]) + abs(ft) * size)
+            margin += _CHART_SLACK * abs(ft) * size
             if fu < fu_lo - margin or fu > fu_hi + margin:
                 continue
+        elif fnum < -margin:
+            continue      # behind the ray
+        elif best_t is not None:
+            if reach is None:
+                reach = 2 * near * (1 + float(best_t))
+            if fnum - margin > reach:
+                continue  # past the winning hit
         den = direction[0] * cb[0] + direction[1] * cb[1]
         if den <= 0:
             continue
@@ -539,7 +570,8 @@ def run_numeric(table, tape, budget, precision=60):
                              deviations=[float(d) for d in deviations],
                              points=[(float(x), float(y)) for x, y in points],
                              precision=precision, walls_built=len(walls.numeric),
-                             max_candidates=walls.max_candidates)
+                             max_candidates=walls.max_candidates,
+                             windows_exact=walls.windows_exact)
 
 
 #: A gadget chains a handful of mirrors; more bounces means a trapped ray.

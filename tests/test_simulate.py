@@ -270,6 +270,17 @@ def test_numeric_certifies_past_double_resolution():
         assert elapsed < 1.0, (zeros, elapsed)
 
 
+def test_windows_exact_counts_the_windows_floats_leave():
+    # doubles settle every block window of a shallow run; a head past
+    # double resolution leaves some to exact integers, with the same result
+    shallow = run_numeric(compile_table(get_machine("pacer"), 8), parse_tape("@1"), 100)
+    assert shallow.windows_exact == 0
+    deep = run_numeric(compile_table(get_machine("rev-move"), 16),
+                       parse_tape("@0000000001"), 100)
+    assert deep.outcome.final_head == 10 and deep.max_deviation <= 1e-30
+    assert deep.windows_exact > 0
+
+
 def test_walls_below_float_resolution_are_marked():
     # the mark follows each wall's extent against its coordinates: no wall
     # of levels |k| <= 4 of the tightest demo layouts carries it, a split

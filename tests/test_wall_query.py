@@ -5,7 +5,8 @@ query: checked exactly with ``segments_intersect`` for segments and
 against the bounding box for parabola arcs, on seeded vertical,
 horizontal and tilted legs and on every leg of real numeric traces.  The
 blocks the query picks per (level, symbol, wall) must also be exactly
-those an exact rational window, the oracle here, picks.  The query reads
+those an exact rational window, the oracle here, picks, and every block
+window decided in floats must be the integer one.  The query reads
 each mirror family's own levels and returns integer rows, wrapped here in
 their Segments.  The numeric tracer's float pre-rejects (static walls by
 box, families by region, charts in floats) are checked against the full
@@ -17,11 +18,21 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from carom import numeric
-from carom.encoding import cantor_blocks_at, digit_position, head_interval
-from carom.gadgets import _BAND_GAIN, build_merge_gadget, build_split_gadget, row_segment
+from carom.encoding import block_indices, cantor_blocks_at, digit_position, head_interval
+from carom.gadgets import (
+    _BAND_GAIN,
+    _exact_leg,
+    _float_leg,
+    _float_window,
+    _window,
+    build_merge_gadget,
+    build_split_gadget,
+    row_segment,
+)
 from carom.geometry import Leg, Segment, segments_intersect
 from carom.machine import parse_machine, parse_tape
 from carom.numeric import _SHORTLIST, _NumericWall, _Walls, _exact, _float_hits
@@ -320,6 +331,82 @@ def test_window_blocks_equal_exact_oracle(build):
     assert met >= len(legs) // 2     # the legs do meet walls
 
 
+def _edge_legs(mirrors, frame, levels, rng, count):
+    """Legs, placed by ``frame``, that end exactly on an edge of a block's
+    wall box: vertical ones on its bottom edge, horizontal ones on its
+    left edge, each one unit long."""
+    data = mirrors._level_data()[0]
+    oy, sy = frame
+    legs = []
+    for _ in range(count):
+        lv = rng.choice([lv for lv in data if lv.k in levels])
+        s, w = rng.choice((0, 1)), rng.choice((0, 1))
+        den, step, x, y, rx, ry = lv.boxes[s][w]
+        index, _ = rng.choice(block_indices(lv.digit_pos - 1))
+        cx = mirrors.base_x + Fraction(x + index * step, den)
+        cy = Fraction(y + 8 * index * step, den)
+        if rng.random() < 0.5:
+            end = (cx, oy + sy * (cy - Fraction(ry, den)))
+            d = (Fraction(0), Fraction(sy))
+        else:
+            end = (cx - Fraction(rx, den), oy + sy * cy)
+            d = (Fraction(1), Fraction(0))
+        legs.append(Leg((end[0] - d[0], end[1] - d[1]), d, Fraction(1)))
+    return legs
+
+
+def _clamped(window, last):
+    lo, hi = max(0, window[0]), min(last, window[1])
+    return (lo, hi) if lo <= hi else None
+
+
+def _float_windows_checked(mirrors, frame, legs):
+    """(decided, deferred): per leg in the family's region and per level,
+    symbol and wall, the float window either left to ``_window``
+    (deferred) or equal to it, both clamped as block_indices clamps them."""
+    levels, *_, base = mirrors._level_data()
+    decided = deferred = 0
+    for leg in legs:
+        local = mirrors.local_leg(leg.floats, frame)
+        if local is None:
+            continue
+        fleg = _float_leg(local, base, float(frame[0]))
+        exact = _exact_leg(leg, mirrors.base_x, frame)
+        for lv in levels:
+            for s in (0, 1):
+                for w, box in enumerate(lv.fboxes[s]):
+                    got = fleg and _float_window(box, fleg, lv.last)
+                    if got is None:
+                        deferred += 1
+                        continue
+                    decided += 1
+                    want = _window(lv, s, w, exact)
+                    assert _clamped(got, lv.last) == _clamped(want, lv.last), (lv.k, s, w)
+    return decided, deferred
+
+
+@pytest.mark.parametrize("build", [_window_split, _window_merge], ids=["split", "merge"])
+def test_float_windows_equal_the_exact_window(build):
+    # every window the floats decide is the exact integer one: on legs at
+    # walls, on legs ending exactly on a box edge (where a bound is an
+    # integer, so floats must defer) and on deep legs, beyond doubles
+    gadget, _ = build()
+    mirrors, frame = gadget.mirrors
+    rng = random.Random(13)
+    legs = _dyadic_legs(gadget.walls(WINDOW_LEVELS), rng, 300)
+    decided, deferred = _float_windows_checked(mirrors, frame, legs)
+    assert decided > 5 * deferred > 0
+    for leg in _edge_legs(mirrors, frame, WINDOW_LEVELS, rng, 100):
+        decided, deferred = _float_windows_checked(mirrors, frame, [leg])
+        assert decided > 0 and deferred > 0
+    deep = build_split_gadget(14)
+    for k in (10, 12):
+        x = head_interval(k).lo.as_fraction() + Fraction(1, 3 ** (3 * k + 3))
+        leg = Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
+        decided, deferred = _float_windows_checked(*deep.mirrors, [leg])
+        assert decided > 0 and deferred > 0, k
+
+
 # --- the float pre-rejects of numeric._trace, against the full pass -------
 
 @pytest.mark.parametrize("name", sorted(MACHINE_TEXTS))
@@ -382,11 +469,23 @@ def _far_from_window(fline, fo, fd):
     return not lo - 1 <= u <= hi + 1
 
 
+def _parallel_and_clear(fline, fo, fd, best_t):
+    """Whether the float ray (fo, fd) runs parallel to the chart line
+    ``fline`` to 1e-9 and its crossing lies clearly behind the ray or past
+    ``best_t``: a near-parallel chart left out in floats."""
+    fco, _, fcb, _, _ = fline
+    if abs(fd[0] * fcb[0] + fd[1] * fcb[1]) > 1e-9 * (abs(fd[0]) + abs(fd[1])):
+        return False
+    num = (fco[0] - fo[0]) * fcb[0] + (fco[1] - fo[1]) * fcb[1]
+    return num < -1e-3 or (best_t is not None and num > 1e-3 * (1 + float(best_t)))
+
+
 def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     # on every leg of real traces, the walls and charts the float pass
     # leaves out change nothing: the same float hits as the full pass, and
     # the same crossings as the working-precision loop over every chart
-    seen = {"legs": 0, "static_left_out": 0, "families_left_out": 0, "charts_left_out": 0}
+    seen = {"legs": 0, "static_left_out": 0, "families_left_out": 0, "charts_left_out": 0,
+            "parallel_charts_left_out": 0}
     candidates, crossings = _Walls.candidates, numeric._crossings
 
     def checked_candidates(walls, pos, direction, fo, fd, exclude_id):
@@ -403,6 +502,8 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
         got = crossings(lines, pos, direction, fo, fd, best_t, tie_tol)
         assert got == _unfiltered_crossings(lines, pos, direction, best_t, tie_tol)
         seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for _, fline in lines)
+        seen["parallel_charts_left_out"] += sum(_parallel_and_clear(fline, fo, fd, best_t)
+                                                for _, fline in lines)
         return got
 
     monkeypatch.setattr(_Walls, "candidates", checked_candidates)
@@ -416,3 +517,37 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
         run_numeric(tables[name, K], parse_tape(literal), budget, precision=60)
     assert seen["legs"] > 1000
     assert min(seen.values()) > 0, seen
+
+
+class _Reads(tuple):
+    """A point that counts how often it is indexed: ``_crossings`` reads
+    the leg's working-precision direction only for a chart it weighs at
+    working precision."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision():
+    table = _table()
+    chart = table.stations["A"].checkpoint
+    with mpmath.workdps(60):
+        lines = [numeric._chart_line(chart)]
+        (_, co, ct, cb, _, _), _ = lines[0]
+        tie_tol = mpmath.mpf(10) ** -55
+        best_t = mpmath.mpf(3)
+        # legs along the line's tangent, from the line or a distance before
+        # or past it along the beam, tilted towards the beam by ``tilt``:
+        # parallel on the line, one unit off it either way, and a leg so
+        # nearly parallel that floats cannot rule out its crossing at t = 0.1
+        for offset, tilt, weighed, crossed in ((0, 0, True, 0), (-1, 0, False, 0),
+                                               (1, 0, False, 0), (-1e-9, 1e-8, True, 1)):
+            pos = tuple(o + t / 2 + offset * b for o, t, b in zip(co, ct, cb))
+            direction = _Reads(t + tilt * b for t, b in zip(ct, cb))
+            fo, fd = tuple(map(float, pos)), tuple(map(float, direction))
+            got = numeric._crossings(lines, pos, direction, fo, fd, best_t, tie_tol)
+            assert got == _unfiltered_crossings(lines, pos, tuple(direction), best_t, tie_tol)
+            assert len(got) == crossed and (direction.reads > 0) == weighed, offset
