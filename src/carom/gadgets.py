@@ -39,6 +39,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -54,7 +55,6 @@ from .encoding import (
     head_interval,
     head_of,
     k_max_cap,
-    rewrite_scale,
 )
 from .geometry import Chart, ParabolaArc, Segment
 from .ternary import T, TernaryRational
@@ -167,15 +167,34 @@ def _band_center(lo, hi):
     return _H_MID + _BAND_GAIN * (c - F(1, 2))
 
 
+def _hull(k):
+    """I_k in closed form, as integers (lo, hi, e): I_k = [lo, hi] / 3^e,
+    [1, 2] / 3^(1-k) for k < 0 and [3^(1+k) - 2, 3^(1+k) - 1] / 3^(1+k)
+    for k >= 0 (tau_k of 0 and 1)."""
+    if k < 0:
+        return 1, 2, 1 - k
+    top = 3 ** (1 + k)
+    return top - 2, top - 1, 1 + k
+
+
+def _displacement(k, read_s, write_s):
+    """The displacement d_s(k) = sigma_s + 2 (w - s) u_k by which the split
+    moves every (k, read_s) block whose edge writes w = write_s, u_k =
+    rewrite_scale(k) = 3^-e, e = digit_position(k) + 1 + |k|: (n, e),
+    d_s(k) = n / 3^e."""
+    e = 3 * k + 2 if k >= 0 else 1 - 3 * k
+    return SIGMA[read_s].numerator * 3 ** e + 2 * (write_s - read_s), e
+
+
 def _block_wall_params(k, read_s, write_s):
     """Slope and displacement of the mirror pairs realizing u -> u + sigma
     + rewrite displacement over the (k, read_s) blocks."""
-    u_k = rewrite_scale(k)
-    disp = SIGMA[read_s] + (2 * (write_s - read_s) * u_k).as_fraction()
+    num, e = _displacement(k, read_s, write_s)
+    disp = F(num, 3 ** e)
     if write_s == read_s:
         slope = F(-1) if read_s == 0 else F(1)
     else:
-        tilt = 1 / (1 + u_k.as_fraction())  # tan(alpha_k) = 1/(1+3^-(3k+2))
+        tilt = 1 / (1 + F(1, 3 ** e))  # tan(alpha_k) = 1/(1+3^-(3k+2))
         slope = -tilt if read_s == 0 else tilt
     return slope, disp
 
@@ -220,9 +239,16 @@ def _block_walls(name, blk, write_s, base_x):
     return primary, returning
 
 
+#: The centre lines (base_x + dx + c, 1 + 8c) that the level boxes hug,
+#: each with the (symbol, wall) boxes it stands for: every primary mirror
+#: sits over its block, every return mirror two units to its branch side.
+_LINES = ((0, ((0, 0), (1, 0))), (int(SIGMA[0]), ((0, 1),)), (int(SIGMA[1]), ((1, 1),)))
+
+
 class _Template(NamedTuple):
-    """The mirror pairs of one level and symbol, in integers at base_x = 0
-    (see _pair_template)."""
+    """The mirror pairs of one level and symbol, in integers at base_x = 0,
+    and what a family's positional query reads off them in floats (see
+    _pair_template)."""
 
     den: int
     step: int          # centre of block F + 1 minus that of block F, over den
@@ -230,6 +256,11 @@ class _Template(NamedTuple):
     boxes: tuple       # (2den, 2step, x, y, rx, ry) per wall
     centre: int        # block 0's centre, over 2den
     fboxes: tuple      # the boxes in floats (_float_box)
+    last: int          # the last block index, 3^(digit_pos - 1) - 1
+    flo: float         # the hull I_k, rounded outward
+    fhi: float
+    reach: tuple       # per line of _LINES: float bound on box offset + radius
+    region: tuple      # (x_lo, x_hi, y_lo, y_hi), a float box around every wall
 
 
 # one entry per (k, digit_pos, read_s, write_s) with |k| <= K_max: bounded
@@ -245,7 +276,12 @@ def _pair_template(k, digit_pos, read_s, write_s):
     0 translated by F*step * (1, 8) / den: it has the endpoints ((x +
     F*step) / den, (y + 8*F*step) / den) for (x0, y0, x1, y1) in walls, and
     lies in the box (x + F*2step +- rx, y + 8*F*2step +- ry) / 2den, for
-    (2den, 2step, x, y, rx, ry) in boxes."""
+    (2den, 2step, x, y, rx, ry) in boxes.
+
+    So the floats a family's query reads are the key's too, at base_x = 0
+    (_BlockMirrors._level_data): the hull I_k from its closed form
+    (_hull), rounded outward; per line of _LINES, the reach of this
+    symbol's walls on it (0 where it has none); and a box around them."""
     first, = cantor_walk(k, digit_pos, read_s, (0, 0))
     # block F + 1's centre lies three block lengths right of block F's
     step = 3 * first.length.as_fraction()
@@ -254,11 +290,29 @@ def _pair_template(k, digit_pos, read_s, write_s):
     step, walls = int(step * den), tuple(tuple(int(v * den) for v in w) for w in walls)
     boxes = tuple((2 * den, 2 * step, x0 + x1, y0 + y1, abs(x1 - x0), abs(y1 - y0))
                   for x0, y0, x1, y1 in walls)
-    return _Template(den, step, walls, boxes, int(2 * den * first.centre),
-                     tuple(map(_float_box, boxes)))
+    centre = int(2 * den * first.centre)
+    # per box: its offset from (dx + c, 1 + 8c), c its block's centre, plus
+    # its radius, over 2den; an int quotient is correctly rounded, so the
+    # float max is the exact max's
+    reach = []
+    for dx, members in _LINES:
+        offsets = [max(abs(x - centre - dx * d) + rx, abs(y - 8 * centre - d) + ry) / d
+                   for d, _, x, y, rx, ry in (boxes[w] for s, w in members if s == read_s)]
+        reach.append(max(offsets, default=0.0) * (1 + 1e-12))
+    lo, hi, e = _hull(k)
+    flo, fhi = lo / 3 ** e - 1e-12, hi / 3 ** e + 1e-12
+    bounds = [(dx + flo - r, dx + fhi + r, 1 + 8 * flo - r, 1 + 8 * fhi + r)
+              for (dx, _), r in zip(_LINES, reach) if r]
+    region = (min(b[0] for b in bounds), max(b[1] for b in bounds),
+              min(b[2] for b in bounds), max(b[3] for b in bounds))
+    return _Template(den, step, walls, boxes, centre, tuple(map(_float_box, boxes)),
+                     3 ** (digit_pos - 1) - 1, flo, fhi, tuple(reach), region)
 
 
 class _MirrorLevel(NamedTuple):
+    """One level of a family: its two symbols' _pair_template records read
+    together."""
+
     k: int
     digit_pos: int
     boxes: tuple       # boxes[symbol][wall], from _pair_template
@@ -267,12 +321,6 @@ class _MirrorLevel(NamedTuple):
     flo: float         # the hull I_k, rounded outward
     fhi: float
     reach: tuple       # per line of _LINES: float bound on box offset + radius
-
-
-#: The centre lines (base_x + dx + c, 1 + 8c) that the level boxes hug,
-#: each with the (symbol, wall) boxes it stands for: every primary mirror
-#: sits over its block, every return mirror two units to its branch side.
-_LINES = ((0, ((0, 0), (1, 0))), (int(SIGMA[0]), ((0, 1),)), (int(SIGMA[1]), ((1, 1),)))
 
 #: Relative error bound of the float level pre-reject.  Each float bound
 #: takes a handful of operations on correctly rounded inputs, so its error
@@ -458,8 +506,14 @@ class _BlockMirrors:
     certified error bound, ``_window`` bounds F exactly in integers where
     that bound cannot decide, and ``block_indices`` lists exactly the
     blocks whose wall boxes the leg meets.  ``windows_exact`` counts the
-    windows left to ``_window`` over the family's life.  Level data is
-    built on the first positional query, never by the compiler.
+    windows left to ``_window`` over the family's life.
+
+    Everything a query reads per level and symbol (integer and float
+    boxes, the float hull I_k, the reach per centre line) is in the key's
+    ``_pair_template`` record, made once per (k, digit_pos, read, write)
+    at base_x = 0, whatever family or table asks.  ``_level_data`` only
+    looks up the family's records, on its first positional query (never
+    at compile time), and moves their region by base_x.
 
     ``rows`` and ``walls_in`` take a frame (oy, sy), the placement y -> oy
     + sy*y of the gadget's local frame (sy = -1 for a merge's mirror
@@ -518,40 +572,26 @@ class _BlockMirrors:
     def _level_data(self):
         """Levels sorted left to right (by k), per line of _LINES the
         prefix and suffix maxima of their reaches, and a float box around
-        every level wall."""
+        every level wall: the levels' _pair_template records, looked up,
+        with the union of their regions moved right by base_x."""
         if self._data is not None:
             return self._data
-        levels = []
+        levels, regions = [], []
+        rule, offset = self.rewrite_rule, self.cell_offset
         for k in self.levels:
-            digit_pos = digit_position(k + self.cell_offset)
-            iv = head_interval(k)
-            templates = [_pair_template(k, digit_pos, s, self.rewrite_rule(k, s))
-                         for s in (0, 1)]
-            reach = []
-            for dx, members in _LINES:
-                # per box: its offset from (dx + c, 1 + 8c), c its block's
-                # centre, plus its radius, over 2den; an int quotient is
-                # correctly rounded, so the float max is the exact max's
-                r = max(max(abs(x - c - dx * den) + rx, abs(y - 8 * c - den) + ry) / den
-                        for (den, _, x, y, rx, ry), c
-                        in ((templates[s].boxes[w], templates[s].centre) for s, w in members))
-                reach.append(r * (1 + 1e-12))
-            levels.append(_MirrorLevel(k, digit_pos, tuple(t.boxes for t in templates),
-                                       tuple(t.fboxes for t in templates),
-                                       3 ** (digit_pos - 1) - 1,
-                                       float(iv.lo.as_fraction()) - 1e-12,
-                                       float(iv.hi.as_fraction()) + 1e-12, tuple(reach)))
+            digit_pos = digit_position(k + offset)
+            t0 = _pair_template(k, digit_pos, 0, rule(k, 0))
+            t1 = _pair_template(k, digit_pos, 1, rule(k, 1))
+            levels.append(_MirrorLevel(k, digit_pos, (t0.boxes, t1.boxes),
+                                       (t0.fboxes, t1.fboxes), t0.last, t0.flo, t0.fhi,
+                                       tuple(map(max, t0.reach, t1.reach))))
+            regions += (t0.region, t1.region)
+        reach_max = [(list(itertools.accumulate(reach, max)),
+                      list(itertools.accumulate(reversed(reach), max))[::-1])
+                     for reach in zip(*(lv.reach for lv in levels))]
         base = float(self.base_x)
-        bounds, reach_max = [], []
-        for line, (off, _) in enumerate(_LINES):
-            reach = [lv.reach[line] for lv in levels]
-            reach_max.append((list(itertools.accumulate(reach, max)),
-                              list(itertools.accumulate(reversed(reach), max))[::-1]))
-            bounds += [(base + float(off) + lv.flo - r, base + float(off) + lv.fhi + r,
-                        1 + 8 * lv.flo - r, 1 + 8 * lv.fhi + r)
-                       for lv, r in zip(levels, reach)]
-        region = (min(b[0] for b in bounds), max(b[1] for b in bounds),
-                  min(b[2] for b in bounds), max(b[3] for b in bounds))
+        x_lo, x_hi, y_lo, y_hi = zip(*regions)
+        region = (base + min(x_lo), base + max(x_hi), min(y_lo), max(y_hi))
         region += (4 + max(map(abs, region)),)   # and its magnitude
         self._data = (levels, [lv.flo for lv in levels], region, reach_max, base)
         return self._data
@@ -668,6 +708,61 @@ class _BlockMirrors:
         return rows
 
 
+class _TranslationTransfer(PiecewiseTransfer):
+    """A split's transfer: on head level k it moves every block of symbol
+    s by one displacement d_s(k) = ``displacement(k, s)``, (n, e) for n /
+    3^e, over the family's ``levels``, each classifying cell k +
+    ``cell_offset``.
+
+    So its injectivity is a lemma, with no piece enumerated.  The blocks of
+    one level and symbol are disjoint and move together.  They span H_s(k),
+    I_k less two block lengths on the other symbol's side, and the I_k lie
+    left to right by k.  So the images are disjoint if in each symbol's
+    lane the translated hulls H_s(k) + d_s(k) of adjacent levels stay in
+    order, and the two lanes are disjoint: O(levels) integer comparisons.
+    A split that rewrites nothing moves each lane rigidly by sigma_s, so
+    the lane test decides alone.  The test is sufficient, and on the splits
+    compile_table builds (rewriting ones classify the head cell) it agrees
+    with the enumerated check; a split that rewrites the head cell while
+    classifying another can move blocks into the gaps of a neighbour
+    level's hull, which it refuses even where the map is injective.
+    """
+
+    def __init__(self, locate, enumerate_pieces, label, levels, cell_offset, displacement):
+        super().__init__(locate, enumerate_pieces, label)
+        self.levels, self.cell_offset = levels, cell_offset
+        self.displacement = displacement
+
+    def check_injective(self, levels):
+        """Verify, by the lemma, that the images of the pieces of ``levels``
+        (those in the family's) are pairwise disjoint, raising the
+        ValueError PiecewiseTransfer.check_injective raises (touching ends
+        do not overlap)."""
+        chosen = sorted(set(levels).intersection(self.levels))
+        if not chosen:
+            return
+        # per level: I_k = [lo, hi] / 3^e, its blocks 3^-(e + digit_pos) long
+        ends = [(_hull(k), digit_position(k + self.cell_offset),
+                 self.displacement(k, 0), self.displacement(k, 1)) for k in chosen]
+        top = max(max(e + digit_pos, e0, e1)
+                  for (_, _, e), digit_pos, (_, e0), (_, e1) in ends)
+        pow3 = list(itertools.accumulate(itertools.repeat(3, top), operator.mul, initial=1))
+        lanes = ([], [])    # per symbol, H_s(k) + d_s(k) over 3^top
+        for (lo, hi, e), digit_pos, (n0, e0), (n1, e1) in ends:
+            scale, two = pow3[top - e], 2 * pow3[top - e - digit_pos]
+            lo, hi, d0, d1 = lo * scale, hi * scale, n0 * pow3[top - e0], n1 * pow3[top - e1]
+            lanes[0].append((lo + d0, hi - two + d0))
+            lanes[1].append((lo + two + d1, hi + d1))
+        for s, lane in enumerate(lanes):
+            for (_, hi), (lo, _) in zip(lane, lane[1:]):
+                if hi > lo:
+                    raise ValueError(
+                        f"transfer {self.label}: images of branch{s} and branch{s} overlap")
+        (lo0, hi0), (lo1, hi1) = ((lane[0][0], lane[-1][1]) for lane in lanes)
+        if hi0 > lo1 and hi1 > lo0:
+            raise ValueError(f"transfer {self.label}: images of branch0 and branch1 overlap")
+
+
 def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
                        name="split"):
     """A separating wall family for head levels |k| <= K.
@@ -691,6 +786,9 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
     mirrors = _BlockMirrors(name, K, cell_offset, rewrite_rule, base_x)
     levels = mirrors.levels
 
+    def displacement(k, s):
+        return _displacement(k, s, rewrite_rule(k, s))
+
     def locate(u):
         v = u  # in-port coordinate equals the encoded value
         k = head_of(v)
@@ -700,8 +798,7 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
             blk = block_of(v, k, digit_position(k + cell_offset))
         except NotACode as err:
             raise DomainError(f"{name}: {err}") from err
-        _, disp = _block_wall_params(k, blk.symbol, rewrite_rule(k, blk.symbol))
-        return Piece(blk.lo, blk.hi, T(1), TernaryRational.from_fraction(disp),
+        return Piece(blk.lo, blk.hi, T(1), T(*displacement(k, blk.symbol)),
                      _wall_ids(name, k, blk.digit_pos, blk.symbol, blk.bits),
                      f"branch{blk.symbol}")
 
@@ -712,15 +809,15 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
                 continue
             digit_pos = digit_position(k + cell_offset)
             for s in (0, 1):
-                _, disp = _block_wall_params(k, s, rewrite_rule(k, s))
-                b = TernaryRational.from_fraction(disp)
+                b = T(*displacement(k, s))
                 for blk in cantor_blocks_at(k, digit_pos, s):
                     pieces.append(Piece(blk.lo, blk.hi, T(1), b,
                                         _wall_ids(name, k, digit_pos, s, blk.bits),
                                         f"branch{s}"))
         return pieces
 
-    transfer = PiecewiseTransfer(locate, enumerate_pieces, label=name)
+    transfer = _TranslationTransfer(locate, enumerate_pieces, name, levels, cell_offset,
+                                    displacement)
     ports_out = {
         "b0": Chart((base_x, SPLIT_HEIGHT), (F(1), F(0)), (F(0), F(1)), F(-2), F(-1)),
         "b1": Chart((base_x, SPLIT_HEIGHT), (F(1), F(0)), (F(0), F(1)), F(2), F(3)),
@@ -740,11 +837,13 @@ def build_merge_gadget(split, *, name=None):
     The two incoming beams (windows [-2,-1] and [2,3]) are funnelled onto
     the single [0,1] window.  Requires the split's transfer to be
     injective; overlapping images mean the machine was not reversible and
-    merging would glue distinct histories; it is checked on head levels
-    -1, 0 and 1.
+    merging would glue distinct histories.  It is checked on every level
+    of the split's mirror family, by the per-key lemma of
+    _TranslationTransfer.check_injective: no piece is enumerated.
     """
     name = name or split.name + ":merged"
-    split.transfer.check_injective((-1, 0, 1))
+    mirrors, (oy, sy) = split.mirrors
+    split.transfer.check_injective(mirrors.levels)
     axis = SPLIT_HEIGHT / 2
 
     def locate(u):
@@ -777,7 +876,6 @@ def build_merge_gadget(split, *, name=None):
     in_ports = {key: flip_port(port) for key, port in split.out_ports.items()}
     out_port = flip_port(split.in_ports["in"])
     # the split's mirrors, reflected across y = axis: y -> 2*axis - (oy + sy*y)
-    mirrors, (oy, sy) = split.mirrors
     return Gadget(
         kind="merge", name=name,
         in_ports=in_ports,

@@ -76,7 +76,33 @@ def _seg_intersect(data, origin, direction, t_min):
     return t
 
 
-def _arc_intersect(data, origin, direction, t_min, sqrt):
+def _float_roots(qa, qb, qc):
+    """The real roots of qa t^2 + qb t + qc, qa != 0, in floats.  q = -(qb
+    + sign(qb) sqrt(disc)) / 2 is formed once, without cancellation, and
+    the roots are q / qa and qc / q: where qa is subnormal (a beam whose
+    x-component is rounding residue), only the far root overflows, to inf,
+    and the near one is kept."""
+    disc = qb * qb - 4 * qa * qc
+    if disc < 0:
+        return []
+    q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2
+    return [q / qa, qc / q] if q else [0.0]
+
+
+def _mp_roots(qa, qb, qc):
+    """The real roots of qa t^2 + qb t + qc, qa != 0, at working precision,
+    by the formula the pinned trace digests were made with."""
+    disc = qb * qb - 4 * qa * qc
+    if disc < 0:
+        return []
+    sq = mpmath.sqrt(disc)
+    # numerically stable root pair
+    r1 = (-qb - sq) / (2 * qa) if qb >= 0 else (-qb + sq) / (2 * qa)
+    r2 = qc / (qa * r1) if r1 != 0 else (-qb / qa - r1)
+    return [r1, r2]
+
+
+def _arc_intersect(data, origin, direction, t_min, roots_of):
     axis_x, apex_y, p, sign, x_lo, x_hi = data
     ox, oy = origin
     dx, dy = direction
@@ -88,14 +114,7 @@ def _arc_intersect(data, origin, direction, t_min, sqrt):
     if qa == 0:
         roots = [-qc / qb] if qb != 0 else []
     else:
-        disc = qb * qb - 4 * qa * qc
-        if disc < 0:
-            return None
-        sq = sqrt(disc)
-        # numerically stable root pair
-        r1 = (-qb - sq) / (2 * qa) if qb >= 0 else (-qb + sq) / (2 * qa)
-        r2 = qc / (qa * r1) if r1 != 0 else (-qb / qa - r1)
-        roots = [r1, r2]
+        roots = roots_of(qa, qb, qc)
     best = None
     for t in roots:
         if t <= t_min:
@@ -177,10 +196,13 @@ class _NumericWall:
             ys.append(apex_y)
         return _widened(x_lo, min(ys), x_hi, max(ys))
 
-    def intersect(self, origin, direction, t_min, data, sqrt):
+    def intersect(self, origin, direction, t_min, data, roots_of):
+        """The least t > t_min at which the ray meets the wall given as
+        ``data`` (``fdata`` or ``data``), arcs solved by ``roots_of``
+        (_float_roots or _mp_roots, to match), or None."""
         if self.kind == "segment":
             return _seg_intersect(data, origin, direction, t_min)
-        return _arc_intersect(data, origin, direction, t_min, sqrt)
+        return _arc_intersect(data, origin, direction, t_min, roots_of)
 
     def unit_normal(self, point):
         """The unit normal at ``point``; a segment's does not depend on the
@@ -214,9 +236,9 @@ def _float_hits(walls, pos, direction, fo, fd, exclude_id):
         if exclude_id is not None and w.wall_id == exclude_id:
             continue
         if w.fine:
-            t = w.intersect(pos, direction, tf_min, w.data, mpmath.sqrt)
+            t = w.intersect(pos, direction, tf_min, w.data, _mp_roots)
         else:
-            t = w.intersect(fo, fd, tf_min, w.fdata, math.sqrt)
+            t = w.intersect(fo, fd, tf_min, w.fdata, _float_roots)
         if t is not None:
             yield float(t), w
 
@@ -243,7 +265,7 @@ def _nearest_hit(rough, pos, direction, t_eps):
     for t_f, w in rough:
         if t_f > best_f + margin:
             continue
-        t = w.intersect(pos, direction, t_eps, w.data, mpmath.sqrt)
+        t = w.intersect(pos, direction, t_eps, w.data, _mp_roots)
         if t is None:
             continue
         if best_t is None or t < best_t:

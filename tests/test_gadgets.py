@@ -1,18 +1,20 @@
 import dataclasses
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from carom import gadgets
+from carom import encoding, gadgets
 from carom.encoding import (
     cantor_blocks,
     cantor_blocks_at,
     cantor_walk,
     digit_position,
     encode_state,
+    head_interval,
     read_digit,
     rewrite_point,
     shift_point,
@@ -21,7 +23,9 @@ from carom.gadgets import (
     _BAND_GAIN,
     _LINES,
     DomainError,
+    PiecewiseTransfer,
     SeparationReport,
+    _BlockMirrors,
     _block_walls,
     _pair_template,
     build_merge_gadget,
@@ -413,6 +417,138 @@ def test_mirror_boxes_match_explicit_pair():
                               abs(oracle[s][w][1] - 1) + oracle[s][w][3])
                           for s, w in members)) * (1 + 1e-12)
                 for dx, members in _LINES)
+
+
+def _level_data_oracle(mirrors):
+    """_BlockMirrors._level_data as every family once computed it for
+    itself: the levels' records, the hull from head_interval and the
+    reach per line from both symbols' boxes, then the region over every
+    line and level with base_x added first."""
+    levels = []
+    for k in mirrors.levels:
+        digit_pos = digit_position(k + mirrors.cell_offset)
+        iv = head_interval(k)
+        templates = [_pair_template(k, digit_pos, s, mirrors.rewrite_rule(k, s))
+                     for s in (0, 1)]
+        reach = []
+        for dx, members in _LINES:
+            r = max(max(abs(x - c - dx * den) + rx, abs(y - 8 * c - den) + ry) / den
+                    for (den, _, x, y, rx, ry), c
+                    in ((templates[s].boxes[w], templates[s].centre) for s, w in members))
+            reach.append(r * (1 + 1e-12))
+        levels.append(gadgets._MirrorLevel(
+            k, digit_pos, tuple(t.boxes for t in templates),
+            tuple(t.fboxes for t in templates), 3 ** (digit_pos - 1) - 1,
+            float(iv.lo.as_fraction()) - 1e-12, float(iv.hi.as_fraction()) + 1e-12,
+            tuple(reach)))
+    base = float(mirrors.base_x)
+    bounds, reach_max = [], []
+    for line, (off, _) in enumerate(_LINES):
+        reach = [lv.reach[line] for lv in levels]
+        reach_max.append((list(itertools.accumulate(reach, max)),
+                          list(itertools.accumulate(reversed(reach), max))[::-1]))
+        bounds += [(base + float(off) + lv.flo - r, base + float(off) + lv.fhi + r,
+                    1 + 8 * lv.flo - r, 1 + 8 * lv.fhi + r)
+                   for lv, r in zip(levels, reach)]
+    region = (min(b[0] for b in bounds), max(b[1] for b in bounds),
+              min(b[2] for b in bounds), max(b[3] for b in bounds))
+    region += (4 + max(map(abs, region)),)
+    return levels, [lv.flo for lv in levels], region, reach_max, base
+
+
+@pytest.mark.parametrize("K", [8, 24])
+def test_level_records_match_the_per_family_oracle(K):
+    # every family of every demo table, split and merge frames alike: the
+    # levels, starts and reach maxima are the oracle's bit for bit; the
+    # region adds base_x last rather than first, so it may differ by the
+    # rounding of that addition, far inside the slack its test reads it with
+    frames = set()
+    for table in _demo_tables(K):
+        for mirrors, frame in table.mirror_families:
+            frames.add(frame[1])
+            levels, starts, region, reach_max, base = mirrors._level_data()
+            want = _level_data_oracle(mirrors)
+            assert (levels, starts, reach_max, base) == (want[0], want[1], want[3], want[4])
+            for got, oracle in zip(region, want[2]):
+                assert abs(got - oracle) <= 4 * math.ulp(want[2][4])
+            assert region[4] * gadgets._REJECT_SLACK > 1e6 * math.ulp(want[2][4])
+    assert frames == {1, -1}
+
+
+def _verdict(check, levels):
+    try:
+        check(levels)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _both_verdicts(transfer, levels=range(-3, 4)):
+    """The lemma's verdict and the enumerated check's, each None or the
+    ValueError's message."""
+    return (_verdict(transfer.check_injective, levels),
+            _verdict(functools.partial(PiecewiseTransfer.check_injective, transfer), levels))
+
+
+def test_injectivity_lemma_matches_the_enumerated_check():
+    # every demo machine's premerge splits; read-only splits at K=8 that
+    # classify the head cell or a neighbour, as premerge splits do; and
+    # rewriting splits at K=8, which classify the head cell, as compiled
+    # splits do
+    transfers = {}
+    for table in _demo_tables(8):
+        for corridor in table.corridors.values():
+            if corridor.premerge is not None:
+                transfers[id(corridor.premerge)] = corridor.premerge
+    assert len(transfers) >= 4
+    for offset in (0, 1, -1):
+        split = build_split_gadget(8, cell_offset=offset)
+        transfers[id(split)] = split.transfer
+    for rule in (lambda k, s: 1 - s, lambda k, s: 1, lambda k, s: 0,
+                 lambda k, s: (k + s) % 2):
+        split = build_split_gadget(8, rewrite_rule=rule)
+        transfers[id(split)] = split.transfer
+    for transfer in transfers.values():
+        assert _both_verdicts(transfer) == (None, None), transfer.label
+
+
+@pytest.mark.parametrize("mutation", ["clashing", "dragged"])
+def test_injectivity_lemma_rejects_what_the_enumeration_rejects(monkeypatch, mutation):
+    # clashing: the branch-1 displacement of test_merge_rejects_noninjective,
+    # -20/9 at every level, lays the branch-1 lane over the branch-0 lane;
+    # dragged: branch 1 moved by sigma_0 less two block lengths, which lays
+    # every read-1 block's image exactly on its read-0 neighbour's
+    displacement = gadgets._displacement
+
+    def mutated(k, read_s, write_s):
+        n, e = displacement(k, read_s, write_s)
+        if read_s == 0:
+            return n, e
+        if mutation == "clashing":
+            return -20 * 3 ** (e - 2), e
+        return displacement(k, 0, 0)[0] - 2, e
+
+    monkeypatch.setattr(gadgets, "_displacement", mutated)
+    split = build_split_gadget(1 if mutation == "clashing" else 8)
+    lemma, enumerated = _both_verdicts(split.transfer)
+    assert lemma == enumerated == "transfer split: images of branch0 and branch1 overlap"
+    with pytest.raises(ValueError, match="images of branch0 and branch1 overlap"):
+        build_merge_gadget(split)
+
+
+def test_compile_places_and_does_not_enumerate(monkeypatch):
+    # compile_table walks no Cantor block, builds or reads no level
+    # record and makes no family's level data, at the default K and deep
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile_table enumerated")
+
+    monkeypatch.setattr(encoding, "cantor_walk", refuse)
+    monkeypatch.setattr(gadgets, "cantor_walk", refuse)
+    # the record builder itself, uncached, so a warm cache hides no call
+    monkeypatch.setattr(gadgets, "_pair_template", gadgets._pair_template.__wrapped__)
+    monkeypatch.setattr(_BlockMirrors, "_level_data", refuse)
+    for K in (8, 60):
+        assert len(_demo_tables(K)) == len(MACHINE_TEXTS)
 
 
 # --- turns ---------------------------------------------------------------
