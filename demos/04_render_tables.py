@@ -18,7 +18,7 @@ here = pathlib.Path(__file__).parent
 for name, literal, K in [("rev-move", "{2:1}", 4), ("walker", "@11", 4)]:
     machine = get_machine(name)
     table = compile_table(machine, K=K)
-    result = run_numeric(table, parse_tape(literal), budget=100, precision=60)
+    result = run_numeric(table, parse_tape(literal), budget=100)
     svg = to_svg(table, levels=range(-2, 3), trace_points=result.points)
     out = here / f"{name}.svg"
     out.write_text(svg)

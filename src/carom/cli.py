@@ -30,15 +30,12 @@ SVG_MAX_WALLS = 100_000
 class Config:
     K: int = 8
     budget: int = 10_000
-    precision: int = 60
 
     def validate(self):
         if not (1 <= self.K <= k_max_cap()):
             raise ValueError(f"K must be in [1, {k_max_cap()}]")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
-        if self.precision < 20:
-            raise ValueError("precision must be >= 20")
         return self
 
 
@@ -125,15 +122,13 @@ def cmd_run(args, cfg):
         payload["out_of_range_k"] = outcome.out_of_range_k
         lines.append(f"head would reach {outcome.out_of_range_k}, beyond K={table.K}")
     if args.mode in ("numeric", "both"):
-        from .numeric import run_numeric   # loads mpmath, which symbolic runs skip
-        result = run_numeric(table, tape, cfg.budget, precision=cfg.precision)
+        from .numeric import run_numeric   # the tracer, which symbolic runs skip
+        result = run_numeric(table, tape, cfg.budget)
         payload["max_deviation"] = result.max_deviation
-        payload["precision"] = cfg.precision
         payload["walls_built"] = result.walls_built
         payload["max_candidates"] = result.max_candidates
         payload["windows_exact"] = result.windows_exact
-        lines.append(f"numeric trace at {cfg.precision} digits matches; "
-                     f"max checkpoint deviation {result.max_deviation:.3e}")
+        lines.append("exact numeric trace matches; every checkpoint reads its value")
     if args.trace:
         with open(args.trace, "w") as fh:
             write_trace(outcome, fh)
@@ -198,9 +193,7 @@ def cmd_svg(args, cfg):
     trace_points = None
     if args.tape:
         from .numeric import run_numeric
-        result = run_numeric(table, parse_tape(args.tape), cfg.budget,
-                             precision=cfg.precision)
-        trace_points = result.points
+        trace_points = run_numeric(table, parse_tape(args.tape), cfg.budget).points
     svg = to_svg(table, levels=range(-levels, levels + 1), trace_points=trace_points)
     out = args.output or "table.svg"
     with open(out, "w") as fh:
@@ -215,8 +208,6 @@ def build_parser():
                         help=f"head range bound (default {Config.K})")
     shared.add_argument("--budget", type=int, default=Config.budget,
                         help=f"machine step budget (default {Config.budget})")
-    shared.add_argument("--precision", type=int, default=Config.precision,
-                        help=f"numeric working digits (default {Config.precision})")
     shared.add_argument("--json", action="store_true",
                         help="structured output")
 
@@ -272,8 +263,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config(K=args.K, budget=args.budget,
-                     precision=args.precision).validate()
+        cfg = Config(K=args.K, budget=args.budget).validate()
         for flag in ("support", "levels"):     # counts of verify / svg
             if getattr(args, flag, 0) < 0:
                 raise ValueError(f"--{flag} must be >= 0, got {getattr(args, flag)}")

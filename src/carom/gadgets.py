@@ -413,13 +413,11 @@ def _float_leg(local, base, oy):
     n = (-dy, dx) turned so that n . (1, 8) > 0 as (nx, ny, |nx|, |ny|,
     n . (1, 8), n . origin, 16 spread), and a bound on the magnitudes the
     bounds are computed from.  None, leaving every window to _window, when
-    n . (1, 8) is within 1e-2 |n|_1 of 0 (ill-conditioned), or when the
-    leg is a whole ray with a direction component 0 in floats: only there
-    may an exactly unbounded extent read as bounded."""
+    n . (1, 8) is within 1e-2 |n|_1 of 0 (ill-conditioned)."""
     px, py, dx, dy, t, (xl, xu), (yl, yu) = local
     size = abs(dx) + abs(dy)
     nv = 8 * dx - dy
-    if abs(nv) <= 1e-2 * size or (t == math.inf and not (dx and dy)):
+    if abs(nv) <= 1e-2 * size:
         return None
     nx, ny = (-dy, dx) if nv > 0 else (dy, -dx)
     nv = abs(nv)
@@ -638,9 +636,11 @@ class _BlockMirrors:
         meets the leg, the walls placed by ``frame``.
 
         Each window is decided in floats (``_float_window``) and left to
-        the exact ``_window`` only where floats cannot tell (or where
-        ``_float_leg`` gives no float leg); the exact leg (``_exact_leg``)
-        is built only then."""
+        the exact ``_window`` only where floats cannot tell, where
+        ``_float_leg`` gives no float leg, or where the leg is a whole ray
+        with a direction component 0 in floats but not exactly (only there
+        may an exactly unbounded extent read as bounded); the exact leg
+        (``_exact_leg``) is built only then."""
         local = self.local_leg(leg.floats, frame)
         if local is None:
             return
@@ -655,7 +655,10 @@ class _BlockMirrors:
         nv = nx + 8 * ny
         # n.v far from 0: the float normal bounds are well conditioned
         spread = size / abs(nv) if abs(nv) > 1e-2 * size else None
-        fleg = _float_leg(local, base, self._frame[1])    # the offset local_leg read
+        ragged = (leg.t_max is None
+                  and any(e and not f for e, f in zip(leg.direction, (dx, dy))))
+        # self._frame[1]: the frame offset local_leg read
+        fleg = None if ragged else _float_leg(local, base, self._frame[1])
         exact = None
         for line, (off, members) in enumerate(_LINES):
             x0 = base + float(off)

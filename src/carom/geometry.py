@@ -7,8 +7,8 @@ intersection is decided exactly; pairs involving an arc fall back to a
 conservative bounding-box test (see ``walls_clash``).  One ``Chart`` type
 describes every place a coordinate is read off a line: gadget ports,
 station checkpoints and the launch pad, the last two (when hard) also
-walls.  The numeric tracer in ``numeric`` re-derives reflections in
-high-precision floats and is checked against the exact transfer maps.
+walls.  The numeric tracer in ``numeric`` re-derives reflections exactly
+and is checked against the exact transfer maps.
 """
 
 from __future__ import annotations
@@ -127,37 +127,17 @@ class Leg:
     relative to the coordinates involved: the input of float pre-rejects.
     A query places a leg in a gadget's frame where it reads it; the leg
     itself is never moved.
-
-    With ``convert``, origin and direction are given in another number
-    type (a tracer's mpf values) and ``convert`` maps each coordinate to
-    its exact value: that is done only when ``origin`` or ``direction`` is
-    first read, so a query its floats settle makes no exact number.
     """
 
-    __slots__ = ("_points", "_convert", "t_max", "floats")
+    __slots__ = ("origin", "direction", "t_max", "floats")
 
-    def __init__(self, origin, direction, t_max=None, floats=None, convert=None):
-        self._points, self._convert, self.t_max = (origin, direction), convert, t_max
+    def __init__(self, origin, direction, t_max=None, floats=None):
+        self.origin, self.direction, self.t_max = origin, direction, t_max
         if floats is None:
             floats = (float(origin[0]), float(origin[1]),
                       float(direction[0]), float(direction[1]),
                       math.inf if t_max is None else float(t_max))
         self.floats = floats
-
-    def _exact(self):
-        if self._convert is not None:
-            c = self._convert
-            self._points = tuple((c(x), c(y)) for x, y in self._points)
-            self._convert = None
-        return self._points
-
-    @property
-    def origin(self):
-        return self._exact()[0]
-
-    @property
-    def direction(self):
-        return self._exact()[1]
 
 
 def _orient(a, b, c):

@@ -1,11 +1,13 @@
 """Numeric ray tracing: run_numeric and GadgetTracer.
 
-run_numeric re-traces a symbolic run (``simulate.run_symbolic``) by
-specular reflection over the placed walls in mpmath arbitrary-precision
-floats and must reproduce its event stream, reporting the worst
-transverse deviation at the checkpoints.  This certifies that the
-geometry really implements the transfer maps.  No other carom module
-imports mpmath.
+run_numeric re-traces a symbolic run (``simulate.run_symbolic``) by exact
+specular reflection over the placed walls, in Fractions, and must
+reproduce its event stream with every checkpoint at exactly its symbolic
+value: this certifies that the geometry implements the transfer maps.
+Floats only shortlist, as filtered predicates (Shewchuk 1997): a float
+test drops only what misses by more than its stated error bound.  An arc
+met at an irrational point is compared with the rational hits exactly,
+in Q(sqrt D); a trace whose next hit is irrational raises TracingError.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from operator import itemgetter
 
 from .gadgets import row_segment
 from .geometry import Leg
@@ -30,58 +31,159 @@ from .simulate import (
 @dataclass
 class NumericResult:
     outcome: RunOutcome            # the verified symbolic outcome
-    max_deviation: float
+    max_deviation: float           # 0.0: every checkpoint reads its exact value
     deviations: list               # per checkpoint crossing
     points: list                   # polyline of traced positions (floats)
-    precision: int
     walls_built: int = 0           # distinct walls materialized
     max_candidates: int = 0        # most walls one leg's float pass weighed
     windows_exact: int = 0         # block windows floats left to exact integers
-
-
-def _mpf(x):
-    return mpmath.mpf(x.numerator) / x.denominator
-
-
-def _mpf_pt(p):
-    return (_mpf(p[0]), _mpf(p[1]))
 
 
 def _float_pt(p):
     return (float(p[0]), float(p[1]))
 
 
-def _exact(x):
-    """The Fraction an mpf stands for: mpf values are dyadic, so exactly."""
-    sign, man, exp, _ = x._mpf_
-    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -v if sign else v
+# --- exact hits ---------------------------------------------------------------
+
+def _surd_sign(a, b, d):
+    """The sign of a + b sqrt(d), for rationals a, b and a d > 0 that is
+    not a rational square: where a and b differ in sign, a^2 against b^2 d
+    (never equal, as sqrt(d) is irrational)."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > b * b * d else sb
 
 
-def _seg_intersect(data, origin, direction, t_min):
+class _Surd:
+    """The irrational root a + b sqrt(d) of an arc's quadratic (b != 0, d
+    not a rational square), compared with rationals exactly (_surd_sign)
+    and rounded only to shortlist."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = a, b, d
+
+    def __lt__(self, r):
+        return _surd_sign(self.a - r, self.b, self.d) < 0
+
+    def __gt__(self, r):
+        return _surd_sign(self.a - r, self.b, self.d) > 0
+
+    def __float__(self):
+        a, b, d = self.a, self.b, self.d
+        n, m = d.numerator, d.denominator
+        s = Fraction(math.isqrt(n * m << 128), m << 64)    # sqrt(d), to 2^-64
+        if a * b < 0:
+            # a and b sqrt(d) cancel: divide a^2 - b^2 d by a - b sqrt(d)
+            return float((a * a - b * b * d) / (a - b * s))
+        return float(a + b * s)
+
+
+def _rational_sqrt(q):
+    """The square root of the Fraction q >= 0 if it is rational, else None."""
+    n, d = q.numerator, q.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    return Fraction(rn, rd) if rn * rn == n and rd * rd == d else None
+
+
+def _seg_hit(data, origin, direction):
+    """The exact t > 0 at which the ray origin + t direction meets the
+    segment ``data`` ((x0, y0), (x1, y1)), ends included, or None."""
     (x0, y0), (x1, y1) = data
-    ox, oy = origin
+    rx, ry = x0 - origin[0], y0 - origin[1]
     dx, dy = direction
     ex, ey = x1 - x0, y1 - y0
     den = dx * ey - dy * ex
-    if den == 0:
+    nt, ns = rx * ey - ry * ex, rx * dy - ry * dx    # t = nt / den, s = ns / den
+    if den < 0:
+        den, nt, ns = -den, -nt, -ns
+    if not den or nt <= 0 or ns < 0 or ns > den:
         return None
-    t = ((x0 - ox) * ey - (y0 - oy) * ex) / den
-    if t <= t_min:
+    return nt / den
+
+
+def _arc_quadratic(data, origin, direction):
+    """(qa, qb, qc): F(origin + t direction) = qa t^2 + qb t + qc for the
+    arc's F(x, y) = y - apex_y - sign (x - axis_x)^2 / 4p."""
+    axis_x, apex_y, p, sign, _, _ = data
+    dx, dy = direction
+    c = sign / (4 * p)
+    rel = origin[0] - axis_x
+    return (-c * dx * dx, dy - 2 * c * rel * dx,
+            origin[1] - apex_y - c * rel * rel)
+
+
+def _arc_hit(data, origin, direction):
+    """The exact least t > 0 at which the ray meets the arc ``data``
+    (axis_x, apex_y, p, sign, x_lo, x_hi), ends included: a Fraction, a
+    _Surd where the quadratic's discriminant is not a rational square, or
+    None."""
+    (ox, _), (dx, _), (x_lo, x_hi) = origin, direction, data[4:]
+    qa, qb, qc = _arc_quadratic(data, origin, direction)
+    if not qa:      # dx = 0 and dy = qb != 0: the ray runs along x = ox
+        t = -qc / qb
+        return t if t > 0 and x_lo <= ox <= x_hi else None
+    disc = qb * qb - 4 * qa * qc
+    if disc < 0:
         return None
-    s = ((x0 - ox) * dy - (y0 - oy) * dx) / den
-    # parameter along the segment must stay inside it
-    if s < 0 or s > 1:
+    h, mid, root = abs(1 / (2 * qa)), -qb / (2 * qa), _rational_sqrt(disc)
+    # x = ox + t dx lies in [x_lo, x_hi] for t in [t_lo, t_hi]
+    t_lo, t_hi = sorted(((x_lo - ox) / dx, (x_hi - ox) / dx))
+    for t in ((mid - h * root, mid + h * root) if root is not None
+              else (_Surd(mid, -h, disc), _Surd(mid, h, disc))):    # ascending
+        if t > 0 and not (t < t_lo or t > t_hi):
+            return t
+    return None
+
+
+# --- float hits -----------------------------------------------------------------
+
+#: Relative error bound of the float hit tests (_float_seg_hit,
+#: _float_arc_hit).  Each quantity they test is a polynomial of degree <= 3
+#: in inputs within 2^-53 of their exact values (a wall's ``fdata``, the
+#: leg's floats), evaluated in a few correctly rounded operations, so it is
+#: off by less than 16 * 2^-53 of the sum of its terms' magnitudes; the
+#: bound is 1e-13 of that sum, about 900 times 2^-53.  A float test drops
+#: a hit only when it misses by more than the bound, and answers
+#: _UNDECIDED where the bound leaves its answer open (a ray nearly along a
+#: segment, or nearly tangent to an arc): the exact test decides there.
+_HIT_SLACK = 1e-13
+
+#: What a float hit test returns when it cannot decide.
+_UNDECIDED = object()
+
+
+def _float_seg_hit(data, origin, direction):
+    """The float t of the ray's hit on the segment ``data``, in floats;
+    None when the ray misses it by more than _HIT_SLACK (both ends on one
+    side of the ray's line, or the hit behind the ray); _UNDECIDED when
+    floats cannot place the hit."""
+    (x0, y0), (x1, y1) = data
+    ox, oy = origin
+    dx, dy = direction
+    rx0, ry0 = x0 - ox, y0 - oy
+    # each end's side of the ray's line, off by less than err
+    c0, c1 = rx0 * dy - ry0 * dx, (x1 - ox) * dy - (y1 - oy) * dx
+    mag = max(abs(x0), abs(y0), abs(x1), abs(y1), abs(ox), abs(oy))
+    err = _HIT_SLACK * mag * (abs(dx) + abs(dy))
+    if (c0 > err and c1 > err) or (c0 < -err and c1 < -err):
         return None
-    return t
+    ex, ey = x1 - x0, y1 - y0
+    den = dx * ey - dy * ex     # c0 - c1
+    if abs(den) <= 4 * err:
+        return _UNDECIDED
+    t = (rx0 * ey - ry0 * ex) / den
+    return None if t < -(8 * _HIT_SLACK * mag * mag + 2 * err * abs(t)) / abs(den) else t
 
 
 def _float_roots(qa, qb, qc):
     """The real roots of qa t^2 + qb t + qc, qa != 0, in floats.  q = -(qb
     + sign(qb) sqrt(disc)) / 2 is formed once, without cancellation, and
     the roots are q / qa and qc / q: where qa is subnormal (a beam whose
-    x-component is rounding residue), only the far root overflows, to inf,
-    and the near one is kept."""
+    x-component is tiny), only the far root overflows, to inf, and the
+    near one is kept."""
     disc = qb * qb - 4 * qa * qc
     if disc < 0:
         return []
@@ -89,38 +191,35 @@ def _float_roots(qa, qb, qc):
     return [q / qa, qc / q] if q else [0.0]
 
 
-def _mp_roots(qa, qb, qc):
-    """The real roots of qa t^2 + qb t + qc, qa != 0, at working precision,
-    by the formula the pinned trace digests were made with."""
-    disc = qb * qb - 4 * qa * qc
-    if disc < 0:
-        return []
-    sq = mpmath.sqrt(disc)
-    # numerically stable root pair
-    r1 = (-qb - sq) / (2 * qa) if qb >= 0 else (-qb + sq) / (2 * qa)
-    r2 = qc / (qa * r1) if r1 != 0 else (-qb / qa - r1)
-    return [r1, r2]
-
-
-def _arc_intersect(data, origin, direction, t_min, roots_of):
+def _float_arc_hit(data, origin, direction):
+    """The least float t of the ray's hits on the arc ``data``, in floats;
+    None when every root misses by more than _HIT_SLACK (no real root,
+    behind the ray, or outside [x_lo, x_hi]); _UNDECIDED when the ray is
+    too nearly tangent for floats to place a root."""
     axis_x, apex_y, p, sign, x_lo, x_hi = data
     ox, oy = origin
     dx, dy = direction
-    # F(x,y) = y - apex - sign (x-axis)^2 / 4p = 0
-    qa = -sign * dx * dx / (4 * p)
-    rel = ox - axis_x
-    qb = dy - sign * 2 * rel * dx / (4 * p)
-    qc = oy - apex_y - sign * rel * rel / (4 * p)
-    if qa == 0:
-        roots = [-qc / qb] if qb != 0 else []
-    else:
-        roots = roots_of(qa, qb, qc)
+    qa, qb, qc = _arc_quadratic(data, origin, direction)
+    # the magnitudes of the coefficients' terms
+    c, r = 1 / (4 * p), abs(ox) + abs(axis_x)
+    ma, mb = c * dx * dx, abs(dy) + 2 * c * r * abs(dx)
+    mc = abs(oy) + abs(apex_y) + c * r * r
+    disc = qb * qb - 4 * qa * qc
+    edisc = _HIT_SLACK * (mb * mb + 4 * ma * mc)
+    if disc < -edisc:
+        return None
+    if disc <= 16 * edisc:
+        return _UNDECIDED
+    roots, slope = _float_roots(qa, qb, qc) if qa else [-qc / qb], math.sqrt(disc)
     best = None
     for t in roots:
-        if t <= t_min:
+        if not math.isfinite(t):
             continue
+        # the root moves by at most the error of F(t) over |F'(t)| = slope
+        et = 2 * _HIT_SLACK * (ma * t * t + mb * abs(t) + mc) / slope
         x = ox + t * dx
-        if x < x_lo or x > x_hi:
+        ex = _HIT_SLACK * (abs(ox) + abs(t * dx)) + abs(dx) * et
+        if t < -et or x < x_lo - ex or x > x_hi + ex:
             continue
         if best is None or t < best:
             best = t
@@ -149,39 +248,29 @@ _FLOAT_RESOLVED = 2.0 ** -40
 
 
 class _NumericWall:
-    """An exact wall converted to working-precision (``data``) and
-    machine-float (``fdata``) tuples of the same layout; ``fine`` marks a
-    segment too short for floats (_FLOAT_RESOLVED).  ``fdata`` is made at
-    once, ``data`` on first use, at the working precision then in force:
-    most walls are only ever weighed in floats."""
+    """A wall as the tracer weighs it: ``data``, its exact tuple, and
+    ``fdata``, the same tuple in floats, with their hit tests ``hit(data,
+    origin, direction)`` (exact) and ``float_hit(fdata, fo, fd)`` (a float
+    t, None or _UNDECIDED); ``fine`` marks a segment too short for floats
+    (_FLOAT_RESOLVED), whose hits even the float pass finds exactly."""
 
-    __slots__ = ("wall_id", "kind", "_wall", "_data", "fdata", "fine", "_normal")
+    __slots__ = ("wall_id", "kind", "data", "fdata", "fine", "hit", "float_hit", "_normal")
 
     def __init__(self, wall):
         self.wall_id = wall.wall_id
         self.kind = wall.kind
-        self._wall, self._data = wall, None
-        self.fdata = self._convert(wall, float)
         self._normal = None
         self.fine = False
+        self.hit, self.float_hit = _seg_hit, _float_seg_hit
         if wall.kind == "segment":
-            (x0, y0), (x1, y1) = self.fdata
+            self.data = (wall.p0, wall.p1)
+            self.fdata = (x0, y0), (x1, y1) = _float_pt(wall.p0), _float_pt(wall.p1)
             self.fine = (max(abs(x1 - x0), abs(y1 - y0))
                          < _FLOAT_RESOLVED * max(abs(x0), abs(y0), abs(x1), abs(y1)))
-
-    @property
-    def data(self):
-        if self._data is None:
-            self._data = self._convert(self._wall, _mpf)
-        return self._data
-
-    @staticmethod
-    def _convert(wall, num):
-        if wall.kind == "segment":
-            return ((num(wall.p0[0]), num(wall.p0[1])),
-                    (num(wall.p1[0]), num(wall.p1[1])))
-        return (num(wall.axis_x), num(wall.apex_y), num(wall.p), wall.sign,
-                num(wall.x_lo), num(wall.x_hi))
+        else:
+            self.data = (wall.axis_x, wall.apex_y, wall.p, wall.sign, wall.x_lo, wall.x_hi)
+            self.fdata = tuple(float(v) for v in self.data)
+            self.hit, self.float_hit = _arc_hit, _float_arc_hit
 
     def float_box(self):
         """(x0, y0, x1, y1), a float box holding the wall: its box in
@@ -196,105 +285,90 @@ class _NumericWall:
             ys.append(apex_y)
         return _widened(x_lo, min(ys), x_hi, max(ys))
 
-    def intersect(self, origin, direction, t_min, data, roots_of):
-        """The least t > t_min at which the ray meets the wall given as
-        ``data`` (``fdata`` or ``data``), arcs solved by ``roots_of``
-        (_float_roots or _mp_roots, to match), or None."""
-        if self.kind == "segment":
-            return _seg_intersect(data, origin, direction, t_min)
-        return _arc_intersect(data, origin, direction, t_min, roots_of)
-
-    def unit_normal(self, point):
-        """The unit normal at ``point``; a segment's does not depend on the
-        point, so it is computed on the first hit and kept."""
+    def normal(self, point):
+        """A normal at ``point``, not of unit length; a segment's does not
+        depend on the point, so it is computed on the first hit and kept."""
         if self.kind == "segment":
             if self._normal is None:
                 (x0, y0), (x1, y1) = self.data
-                self._normal = _unit((y0 - y1, x1 - x0))
+                self._normal = (y0 - y1, x1 - x0)
             return self._normal
-        axis_x, apex_y, p, sign, _, _ = self.data
-        return _unit((-sign * (point[0] - axis_x) / (2 * p), mpmath.mpf(1)))
-
-
-def _unit(v):
-    n = mpmath.sqrt(v[0] * v[0] + v[1] * v[1])
-    return (v[0] / n, v[1] / n)
-
-
-#: _nearest_hit weighs at working precision every wall whose float hit
-#: lies within this fraction of (1 + the nearest float hit).
-_SHORTLIST = 1e-5
+        axis_x, _, p, sign, _, _ = self.data
+        return (-sign * (point[0] - axis_x) / (2 * p), 1)
 
 
 def _float_hits(walls, pos, direction, fo, fd, exclude_id):
     """(t, wall) of every wall the ray from ``pos`` along ``direction``
-    hits ahead of it, t a float: found with the float ray (fo, fd), or for
-    a ``fine`` wall at working precision and then rounded."""
-    scale = max(abs(fd[0]), abs(fd[1]))
-    tf_min = 1e-12 / scale if scale else 0.0
+    may hit ahead of it, t a float: from the float test of the float ray
+    (fo, fd), or, for a ``fine`` wall or one the float test leaves
+    undecided, from the exact test, rounded."""
     for w in walls:
-        if exclude_id is not None and w.wall_id == exclude_id:
+        if w.wall_id == exclude_id:
             continue
-        if w.fine:
-            t = w.intersect(pos, direction, tf_min, w.data, _mp_roots)
-        else:
-            t = w.intersect(fo, fd, tf_min, w.fdata, _float_roots)
+        t = _UNDECIDED if w.fine else w.float_hit(w.fdata, fo, fd)
+        if t is _UNDECIDED:
+            t = w.hit(w.data, pos, direction)
         if t is not None:
             yield float(t), w
 
 
-def _nearest_hit(rough, pos, direction, t_eps):
-    """Two-pass nearest-intersection over the candidate walls of one leg
-    (see _Walls.candidates): ``rough`` holds the machine-float hits
-    (t, wall) of those walls; the hits within the shortlist margin of the
-    nearest one are decided by full-precision intersection.
+#: _Nearest weighs exactly every wall whose float hit lies within this
+#: fraction of (1 + the anchor) of the anchor.
+_SHORTLIST = 1e-5
 
-    The float pass cannot drop the true winner: a wall too short for
-    floats to place its hits on (``fine``, such as a split mirror over a
-    block of length 3^-(3k+2) for large k) got its hit at working
-    precision.  Ties finer than floats can resolve land in the same
-    shortlist and are separated (or flagged) at working precision.
-    Returns (t, wall, runner_up_t).
-    """
-    if not rough:
-        return None, None, None
-    best_f = min(t_f for t_f, _ in rough)
-    margin = _SHORTLIST * (1.0 + best_f)
-    best_t = second_t = None
-    best_wall = None
-    for t_f, w in rough:
-        if t_f > best_f + margin:
-            continue
-        t = w.intersect(pos, direction, t_eps, w.data, _mp_roots)
-        if t is None:
-            continue
-        if best_t is None or t < best_t:
-            best_t, second_t, best_wall = t, best_t, w
-        elif second_t is None or t < second_t:
-            second_t = t
-    return best_t, best_wall, second_t
+
+class _Nearest:
+    """The nearest exact hit of one leg among the float hits ``offer``ed
+    to it: each is weighed exactly, in float order, while its float t lies
+    within the shortlist margin of the anchor, the least exact t found so
+    far.  A float hit the exact test refutes (a near miss kept by the float
+    slack) thus cannot shut out the true winner.  ``second`` is the
+    runner-up's exact t; irrational hits wait for ``result``."""
+
+    def __init__(self, pos, direction):
+        self.pos, self.direction = pos, direction
+        self.t = self.wall = self.second = self.anchor = None
+        self.irrational = []      # (_Surd, wall)
+
+    def offer(self, hits):
+        for t_f, w in sorted(hits, key=itemgetter(0)):
+            if self.anchor is not None and t_f > self.anchor * (1 + _SHORTLIST) + _SHORTLIST:
+                break
+            t = w.hit(w.data, self.pos, self.direction)
+            if t is None:
+                continue
+            ft = float(t)
+            if self.anchor is None or ft < self.anchor:
+                self.anchor = ft
+            if isinstance(t, _Surd):
+                self.irrational.append((t, w))
+            elif self.t is None or t < self.t:
+                self.t, self.wall, self.second = t, w, self.t
+            elif self.second is None or t < self.second:
+                self.second = t
+
+    def result(self):
+        """(t, wall, runner-up t) of the nearest hit, all None when there
+        is none; raises TracingError when an irrational hit is nearest."""
+        for root, w in self.irrational:
+            if self.t is None or root < self.t:
+                raise TracingError(f"trajectory left the rationals at {w.wall_id}")
+        return self.t, self.wall, self.second
 
 
 class _Walls:
     """The walls one trace sees: a table's or a gadget's static walls and
-    mirror families, every family over its own levels.
+    mirror families, every family over its own levels, chosen per leg by
+    position alone, never by the ids a symbolic run predicts.
 
-    Each leg is weighed in floats first, and only against the walls it can
-    reach.  The ``static`` walls (arcs, turn mirrors, the launch pad, hard
-    checkpoints) are read once into floats, each with its float box
-    (``boxes``), and ``box`` holds them all (None when there are none): the
-    float ray is clipped to it, and only the static walls whose boxes meet
-    the clipped ray are float-intersected.  The ray is then cut just past
-    the nearest static hit (kept whole when there is none), with twice
-    _nearest_hit's shortlist margin to spare.  Each mirror family's one
-    per-leg query, ``walls_in(leg, frame)``, returns the rows of the split
-    and merge mirrors the cut leg may meet: it drops a family whose region
-    the float leg misses, and decides its block windows in floats.  The
-    leg's exact values are made from its mpf ones only if some window
-    needs them (``Leg``'s ``convert``).  The walls _nearest_hit weighs are
-    thus chosen by position alone, never by the ids a symbolic run
-    predicts.  A row is converted (``row_segment``) the first time its id
-    is seen and kept by id: the trace's only cache.
+    The ``static`` walls are read once into floats, each with its float
+    box (``boxes``, all held by ``box``, None when there are none); a leg
+    float-intersects only those whose boxes meet its ray clipped to
+    ``box``.  The leg is then cut just past the nearest static hit the
+    exact test confirms, and each mirror family's one per-leg query,
+    ``walls_in(leg, frame)``, returns the rows the cut leg may meet.  A row
+    is converted (``row_segment``) the first time its id is seen and kept
+    by id: the trace's only cache.
     """
 
     def __init__(self, static_walls, families):
@@ -341,18 +415,18 @@ class _Walls:
         return [w for (x0, y0, x1, y1), w in zip(self.boxes, self.static)
                 if not (x1 < cx0 or x0 > cx1 or y1 < cy0 or y0 > cy1)]
 
-    def candidates(self, pos, direction, fo, fd, exclude_id):
-        """Float hits (t, wall) of the candidate walls of the leg from
-        ``pos`` along ``direction``, (``fo``, ``fd``) in floats, the wall
-        ``exclude_id`` left out."""
+    def nearest(self, pos, direction, fo, fd, exclude_id):
+        """The _Nearest of the leg from ``pos`` along ``direction``, (fo,
+        fd) in floats, the wall ``exclude_id`` left out: offered the static
+        walls' float hits, then the mirrors' on the cut leg."""
         static = self._static_near(fo, fd)
-        hits = list(_float_hits(static, pos, direction, fo, fd, exclude_id))
+        found = _Nearest(pos, direction)
+        found.offer(_float_hits(static, pos, direction, fo, fd, exclude_id))
         t_max, ft_max = None, math.inf
-        if hits:
-            t_static = min(t for t, _ in hits)
-            ft_max = t_static + 2 * _SHORTLIST * (1.0 + t_static)
+        if found.anchor is not None:
+            ft_max = found.anchor + 2 * _SHORTLIST * (1.0 + found.anchor)
             t_max = Fraction(ft_max)
-        leg = Leg(pos, direction, t_max, fo + fd + (ft_max,), convert=_exact)
+        leg = Leg(pos, direction, t_max, fo + fd + (ft_max,))
         level = []
         for mirrors, frame in self.families:
             for row in mirrors.walls_in(leg, frame):
@@ -361,11 +435,11 @@ class _Walls:
                     nw = self.numeric[row[5]] = _NumericWall(row_segment(row))
                 level.append(nw)
         self.max_candidates = max(self.max_candidates, len(static) + len(level))
-        hits += _float_hits(level, pos, direction, fo, fd, exclude_id)
-        return hits
+        found.offer(_float_hits(level, pos, direction, fo, fd, exclude_id))
+        return found
 
 
-#: A chart is passed on from floats to working precision unless its line is
+#: A chart is passed on from floats to the exact test unless its line is
 #: met backwards (the direction's beam component den below -_CHART_SLACK of
 #: the direction's size, ``near``) or the crossing's float coordinate lies
 #: more than _CHART_SLACK of (1 + the magnitudes involved) outside its
@@ -376,21 +450,21 @@ class _Walls:
 #: _CHART_SLACK of (1 + the magnitudes involved): num below that puts the
 #: crossing behind the ray, and num above it and above 2 near (1 + the
 #: winning hit's t) puts it past the winning hit, as t = num / den >=
-#: num / near.  Only a leg running along the chart line is left to
-#: working precision.
+#: num / near.  Only a leg running along the chart line is left to the
+#: exact test.
 _CHART_SLACK = 1e-6
 
 
 def _chart_line(chart):
-    """(chart, origin, tangent, beam, u_lo, u_hi) at working precision,
-    then (origin, tangent, beam, u_lo, u_hi) in floats.
+    """(chart, origin, tangent, beam, u_lo, u_hi) exactly, then (origin,
+    tangent, beam, u_lo, u_hi) in floats.
 
     A crossing counts when its coordinate is within 1/2 of the chart's
     window [lo, hi].
     """
-    half = mpmath.mpf(1) / 2
-    return ((chart, _mpf_pt(chart.origin), _mpf_pt(chart.tangent),
-             _mpf_pt(chart.beam), _mpf(chart.lo) - half, _mpf(chart.hi) + half),
+    half = Fraction(1, 2)
+    return ((chart, chart.origin, chart.tangent, chart.beam,
+             chart.lo - half, chart.hi + half),
             (_float_pt(chart.origin), _float_pt(chart.tangent), _float_pt(chart.beam),
              float(chart.lo) - 0.5, float(chart.hi) + 0.5))
 
@@ -399,11 +473,11 @@ def _chart_u(point, origin, tangent):
     return (point[0] - origin[0]) * tangent[0] + (point[1] - origin[1]) * tangent[1]
 
 
-def _crossings(lines, pos, direction, fo, fd, best_t, tie_tol):
+def _crossings(lines, pos, direction, fo, fd, best_t):
     """(t, chart, point, u) of every forward crossing of a chart line
     (``_chart_line``) by the leg from ``pos`` along ``direction`` before
     ``best_t``, in flight order.  A chart the float ray (fo, fd) cannot
-    cross (_CHART_SLACK) is left out before any working-precision work."""
+    cross (_CHART_SLACK) is left out before any exact work."""
     size = abs(fd[0]) + abs(fd[1])
     near = _CHART_SLACK * size
     reach = None      # 2 near (1 + best_t), best_t read in floats once
@@ -431,169 +505,143 @@ def _crossings(lines, pos, direction, fo, fd, best_t, tie_tol):
         if den <= 0:
             continue
         t = ((co[0] - pos[0]) * cb[0] + (co[1] - pos[1]) * cb[1]) / den
-        if t <= tie_tol or (best_t is not None and t >= best_t - tie_tol):
+        if t <= 0 or (best_t is not None and t >= best_t):
             continue
         point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
         u = _chart_u(point, co, ct)
         if u_lo <= u <= u_hi:
             crossings.append((t, chart, point, u))
-    return sorted(crossings, key=lambda c: c[0])
+    return sorted(crossings, key=itemgetter(0))
 
 
-def _trace(walls, pos, direction, charts, precision):
-    """Specular ray trace from ``pos`` along ``direction``: the one core
-    behind run_numeric and GadgetTracer.  ``walls`` is a _Walls; each leg
-    weighs only the walls its position query returns, so the cost of a
-    bounce does not grow with the number of head levels.  Each leg's
-    position and direction are read in floats once, and the walls
-    (``_Walls.candidates``) and charts (``_crossings``) the float ray
-    cannot reach are left out before any working-precision work.
+def _trace(walls, pos, direction, charts):
+    """Exact specular ray trace from ``pos`` along ``direction`` over the
+    _Walls ``walls``: the one core behind run_numeric and GadgetTracer.
+    Each leg is read in floats once, and the walls (``_Walls.nearest``) and
+    charts (``_crossings``) the float ray cannot reach are left out before
+    any exact work.
 
     Per leg, yields ``("cross", chart, point, u, direction)`` for every
-    forward crossing of a chart line, in flight order, then
-    ``("hit", wall, point, None, direction)`` for the wall that ends the
-    leg; resuming after a hit reflects there.  Raises TracingDegeneracy
-    when the runner-up wall is within 10^-(precision-5) of the winner or
-    a hit grazes, and TracingError when the ray escapes.  Consume it
-    under ``mpmath.workdps(precision)``.
+    forward crossing of a chart line, in flight order, then ``("hit",
+    wall, point, None, direction)`` for the wall that ends the leg;
+    resuming reflects there, d - 2 (d.n) / (n.n) n, which keeps |d|.
+    Raises TracingDegeneracy when two walls are hit at the same t or a hit
+    grazes (d.n = 0), and TracingError when the ray escapes or its next
+    hit is irrational.
     """
     lines = [_chart_line(c) for c in charts]
-    tie_tol = mpmath.mpf(10) ** (-precision + 5)
-    graze_tol = mpmath.mpf(10) ** (-12)
     last_id = None
     while True:
-        fo = (float(pos[0]), float(pos[1]))
-        fd = (float(direction[0]), float(direction[1]))
-        best_t, wall, second_t = _nearest_hit(
-            walls.candidates(pos, direction, fo, fd, last_id), pos, direction, tie_tol)
-        if second_t is not None and second_t - best_t < tie_tol:
+        fo, fd = _float_pt(pos), _float_pt(direction)
+        best_t, wall, second_t = walls.nearest(pos, direction, fo, fd, last_id).result()
+        if second_t is not None and second_t == best_t:
             raise TracingDegeneracy(
-                f"two walls within {tie_tol} of {wall.wall_id}: geometry bug")
-        for _, chart, point, u in _crossings(lines, pos, direction, fo, fd,
-                                             best_t, tie_tol):
+                f"two walls hit at once with {wall.wall_id}: geometry bug")
+        for _, chart, point, u in _crossings(lines, pos, direction, fo, fd, best_t):
             yield "cross", chart, point, u, direction
         if best_t is None:
             raise TracingError("trajectory escaped the scene")
         hit = (pos[0] + best_t * direction[0], pos[1] + best_t * direction[1])
         yield "hit", wall, hit, None, direction
-        n = wall.unit_normal(hit)
+        n = wall.normal(hit)
         d_dot = direction[0] * n[0] + direction[1] * n[1]
-        if abs(d_dot) < graze_tol:
+        if not d_dot:
             raise TracingDegeneracy(f"grazing hit on {wall.wall_id}")
-        direction = (direction[0] - 2 * d_dot * n[0],
-                     direction[1] - 2 * d_dot * n[1])
+        k = 2 * d_dot / (n[0] * n[0] + n[1] * n[1])
+        direction = (direction[0] - k * n[0], direction[1] - k * n[1])
         pos = hit
         last_id = wall.wall_id
 
 
-def run_numeric(table, tape, budget, precision=60):
-    """Trace the trajectory by true specular reflection at ``precision``
-    working digits and verify it replays the symbolic event stream.
-
-    Returns a NumericResult carrying the symbolic outcome plus the worst
-    transverse deviation observed at checkpoint crossings.  Raises
-    TracingDegeneracy when two wall hits are indistinguishable at this
-    precision and PrecisionExhausted when the trace cannot match the
-    exact one (an escaping ray included).
-    """
-    if precision < 8:
-        raise ValueError("precision must be at least 8 digits")
+def run_numeric(table, tape, budget, precision=None):
+    """Trace the trajectory by exact specular reflection and verify that it
+    replays the symbolic event stream, each checkpoint at exactly its
+    symbolic value; returns a NumericResult carrying the symbolic outcome.
+    Raises TracingDegeneracy on a tie or a graze, and PrecisionExhausted
+    when the trace does not replay the symbolic one.  ``precision`` is
+    ignored: the trace has no working precision."""
     symbolic = run_symbolic(table, tape, budget)
     expected = list(symbolic.trace)
 
-    with mpmath.workdps(precision):
-        walls = _Walls(table.static_walls, table.mirror_families)
-        # each hard checkpoint by its wall's id: a hit there is a halt bounce
-        halts = {st.checkpoint.wall.wall_id: st.checkpoint
-                 for st in table.stations.values() if st.checkpoint.hard}
-        start_state = table.machine.initial
-        pos = _mpf_pt(table.checkpoint_point(start_state, expected[0].value))
-        direction = (mpmath.mpf(0), mpmath.mpf(1))
-        ortho_tol = mpmath.mpf(10) ** (-precision // 2)
+    walls = _Walls(table.static_walls, table.mirror_families)
+    # each hard checkpoint by its wall's id: a hit there is a halt bounce
+    halts = {st.checkpoint.wall.wall_id: st.checkpoint
+             for st in table.stations.values() if st.checkpoint.hard}
+    start_state = table.machine.initial
+    pos = table.checkpoint_point(start_state, expected[0].value)
+    direction = (Fraction(0), Fraction(1))
 
-        deviations = []
-        points = [pos]
-        idx = 0
+    deviations = []
+    points = [pos]
+    idx = 0
 
-        def fail(msg):
-            raise PrecisionExhausted(
-                f"{msg} (precision {precision}, event {idx}/{len(expected)})")
+    def fail(msg):
+        raise PrecisionExhausted(f"{msg} (event {idx}/{len(expected)})")
 
-        def check_event(kind, **attrs):
-            nonlocal idx
-            if idx >= len(expected):
-                fail(f"extra event {kind}")
-            ev = expected[idx]
-            if ev.kind != kind:
-                fail(f"expected {ev.kind}, traced {kind}")
-            for key, got in attrs.items():
-                want = getattr(ev, key)
-                if want != got:
-                    fail(f"{kind}.{key}: expected {want}, traced {got}")
-            idx += 1
-            return ev
+    def check_event(kind, **attrs):
+        nonlocal idx
+        if idx >= len(expected):
+            fail(f"extra event {kind}")
+        ev = expected[idx]
+        if ev.kind != kind:
+            fail(f"expected {ev.kind}, traced {kind}")
+        for key, got in attrs.items():
+            want = getattr(ev, key)
+            if want != got:
+                fail(f"{kind}.{key}: expected {want}, traced {got}")
+        idx += 1
+        return ev
 
-        def u_at(mark, point):
-            return _chart_u(point, _mpf_pt(mark.origin), _mpf_pt(mark.tangent))
+    def note_crossing(mark, d, u):
+        # checkpoints are crossed orthogonally: no tangential drift
+        if d[0] * mark.tangent[0] + d[1] * mark.tangent[1]:
+            fail(f"non-orthogonal crossing of {mark.name}")
+        ev = check_event("checkpoint", state=mark.name.split(":", 1)[1])
+        if u != ev.value.as_fraction():
+            fail(f"checkpoint {mark.name} read {u}, not its value {ev.value}")
+        deviations.append(0.0)
 
-        def note_crossing(mark, d, u_num):
-            mt = _mpf_pt(mark.tangent)
-            # checkpoints are crossed orthogonally: no tangential drift
-            tangential = abs(d[0] * mt[0] + d[1] * mt[1])
-            if tangential > ortho_tol:
-                fail(f"non-orthogonal crossing of {mark.name}")
-            ev = check_event("checkpoint", state=mark.name.split(":", 1)[1])
-            u_exact = (mpmath.mpf(ev.value.num) / mpmath.mpf(3) ** ev.value.exp)
-            deviations.append(abs(u_num - u_exact))
+    def flight_over():
+        """Budget spent or the head left the range: nothing more to trace."""
+        if idx < len(expected) and expected[idx].kind == "out-of-range":
+            check_event("out-of-range")
+        return idx == len(expected)
 
-        def flight_over():
-            """Budget spent or the head left the range: nothing more to trace."""
-            if idx < len(expected) and expected[idx].kind == "out-of-range":
-                check_event("out-of-range")
-            return idx == len(expected)
+    # the trajectory starts on the initial checkpoint
+    mark0 = table.stations[start_state].checkpoint
+    note_crossing(mark0, direction, _chart_u(pos, mark0.origin, mark0.tangent))
+    if not flight_over():
+        try:
+            for kind, obj, point, u, d in _trace(
+                    walls, pos, direction, table.marked_segments()):
+                if kind == "cross":
+                    note_crossing(obj, d, u)
+                    continue
+                if flight_over():
+                    break  # the run ended mid-flight
+                points.append(point)
+                mark = halts.get(obj.wall_id)
+                if mark is not None:
+                    # the halt checkpoint: orthogonal bounce ends the run
+                    n = obj.normal(point)
+                    if d[0] * n[1] - d[1] * n[0]:
+                        fail("halt hit not orthogonal")
+                    note_crossing(mark, d, _chart_u(point, mark.origin, mark.tangent))
+                    check_event("halt-bounce")
+                    break
+                check_event("reflection", wall_id=obj.wall_id)
+        except (TracingDegeneracy, PrecisionExhausted):
+            raise
+        except TracingError as err:
+            fail(str(err))
 
-        # the trajectory starts on the initial checkpoint
-        mark0 = table.stations[start_state].checkpoint
-        note_crossing(mark0, direction, u_at(mark0, pos))
-        if not flight_over():
-            try:
-                for kind, obj, point, u, d in _trace(
-                        walls, pos, direction, table.marked_segments(), precision):
-                    if kind == "cross":
-                        note_crossing(obj, d, u)
-                        continue
-                    if flight_over():
-                        break  # the run ended mid-flight
-                    points.append(point)
-                    mark = halts.get(obj.wall_id)
-                    if mark is not None:
-                        # the halt checkpoint: orthogonal bounce ends the run
-                        n = obj.unit_normal(point)
-                        tangential = abs(d[0] * n[1] - d[1] * n[0])
-                        if tangential > ortho_tol:
-                            fail(f"halt hit not orthogonal (tangential {tangential})")
-                        note_crossing(mark, d, u_at(mark, point))
-                        check_event("halt-bounce")
-                        break
-                    check_event("reflection", wall_id=obj.wall_id)
-            except (TracingDegeneracy, PrecisionExhausted):
-                raise
-            except TracingError as err:
-                fail(str(err))
-
-        if idx != len(expected):
-            fail("numeric trace ended early")
-        max_dev = float(max(deviations)) if deviations else 0.0
-        tol = 10.0 ** (-precision / 2)
-        if max_dev > tol:
-            raise PrecisionExhausted(
-                f"checkpoint deviation {max_dev} exceeds {tol}")
-        return NumericResult(outcome=symbolic, max_deviation=max_dev,
-                             deviations=[float(d) for d in deviations],
-                             points=[(float(x), float(y)) for x, y in points],
-                             precision=precision, walls_built=len(walls.numeric),
-                             max_candidates=walls.max_candidates,
-                             windows_exact=walls.windows_exact)
+    if idx != len(expected):
+        fail("numeric trace ended early")
+    return NumericResult(outcome=symbolic, max_deviation=0.0, deviations=deviations,
+                         points=[_float_pt(p) for p in points],
+                         walls_built=len(walls.numeric),
+                         max_candidates=walls.max_candidates,
+                         windows_exact=walls.windows_exact)
 
 
 #: A gadget chains a handful of mirrors; more bounces means a trapped ray.
@@ -601,37 +649,26 @@ _GADGET_MAX_REFLECTIONS = 64
 
 
 class GadgetTracer:
-    """Reusable ray tracer for one gadget at a fixed precision.
+    """Reusable exact ray tracer for one gadget, over its static walls and
+    its mirror family, queried by position as in run_numeric: ``trace``
+    launches from the in-port chart and returns the out-port coordinate at
+    the ray's first forward crossing of the out-port window."""
 
-    Walls are queried by position, as in run_numeric: the static walls and
-    the gadget's mirror family over its own levels, each converted once;
-    ``trace`` then launches from the in-port chart and returns the out-port
-    coordinate at the ray's first forward crossing of the out-port window,
-    with the same tie and grazing checks as run_numeric.
-    """
-
-    def __init__(self, gadget, precision=60):
+    def __init__(self, gadget):
         self.gadget = gadget
-        self.precision = precision
-        with mpmath.workdps(precision):
-            self.walls = _Walls(gadget.static_walls,
-                                () if gadget.mirrors is None else (gadget.mirrors,))
+        self.walls = _Walls(gadget.static_walls,
+                            () if gadget.mirrors is None else (gadget.mirrors,))
 
     def trace(self, u_in, in_port="in", out_port="out"):
-        """Returns (u_out, wall_ids) with u_out an mpmath float."""
+        """Returns (u_out, wall_ids) with u_out an exact Fraction."""
         pin = self.gadget.in_ports[in_port]
         pout = self.gadget.out_ports[out_port]
-        with mpmath.workdps(self.precision):
-            u = mpmath.mpf(u_in.num) / mpmath.mpf(3) ** u_in.exp
-            o = _mpf_pt(pin.origin)
-            tg = _mpf_pt(pin.tangent)
-            pos = (o[0] + u * tg[0], o[1] + u * tg[1])
-            hits = []
-            for kind, obj, _point, u_out, _d in _trace(
-                    self.walls, pos, _mpf_pt(pin.beam), [pout], self.precision):
-                if kind == "cross":
-                    return u_out, hits
-                hits.append(obj.wall_id)
-                if len(hits) == _GADGET_MAX_REFLECTIONS:
-                    raise TracingError(
-                        f"gadget trace exceeded {_GADGET_MAX_REFLECTIONS} reflections")
+        hits = []
+        for kind, obj, _point, u_out, _d in _trace(
+                self.walls, pin.chart(u_in.as_fraction()), pin.beam, [pout]):
+            if kind == "cross":
+                return u_out, hits
+            hits.append(obj.wall_id)
+            if len(hits) == _GADGET_MAX_REFLECTIONS:
+                raise TracingError(
+                    f"gadget trace exceeded {_GADGET_MAX_REFLECTIONS} reflections")

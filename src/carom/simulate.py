@@ -7,14 +7,15 @@ Two coupled modes:
   sequence, checkpoint crossing, halt bounce) is derived from exact
   ternary-rational arithmetic.
 
-* run_numeric re-traces the same trajectory by specular ray tracing over
-  the placed walls in mpmath arbitrary-precision floats and must
-  reproduce the symbolic event stream (see ``carom.numeric``).
+* run_numeric re-traces the same trajectory by exact specular ray
+  tracing over the placed walls and must reproduce the symbolic event
+  stream, each checkpoint at exactly its symbolic value (see
+  ``carom.numeric``).
 
-This module holds the symbolic engine and the tracing errors and never
-imports mpmath: ``run_numeric``, ``GadgetTracer`` and ``NumericResult``
-are read from ``carom.numeric`` on first access, so symbolic work does
-not pay for loading it.
+This module holds the symbolic engine and the tracing errors:
+``run_numeric``, ``GadgetTracer`` and ``NumericResult`` are read from
+``carom.numeric`` on first access, so symbolic work does not pay for
+loading the tracer.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ class TracingError(Exception):
 
 
 class TracingDegeneracy(TracingError):
-    """Two nearest walls within tie tolerance: a geometry bug, not noise."""
+    """Two walls hit at the same point, or a grazing hit: a geometry bug."""
 
 
 class PrecisionExhausted(TracingError):
-    """The working precision cannot resolve the table's scales."""
+    """The numeric trace does not replay the symbolic run (a wrong wall or
+    event, a checkpoint off its value, an escape or an irrational hit)."""
 
 
 def run_symbolic(table, tape, budget):

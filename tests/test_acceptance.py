@@ -1,4 +1,5 @@
-"""Acceptance suite: the seven exit criteria, one test each.
+"""Acceptance suite: the seven exit criteria, one test each, and the
+envelope they must hold in.
 
 Every test prints a single PASS line with its runtime (visible with
 pytest -s); the stated runtime ceilings are asserted.
@@ -10,12 +11,11 @@ import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-import mpmath
-
 from carom.encoding import (
     decode,
     encode_state,
     head_interval,
+    k_max_cap,
     read_digit,
     shift_point,
 )
@@ -123,48 +123,27 @@ def test_criterion_3_gadget_soundness():
     stage_bwd = build_shift_stage(-1, K=3)
     turn = build_turn_gadget(+90)
 
-    max_dev = {}
-    for precision in (60, 80):
-        worst = mpmath.mpf(0)
-        tracers = {
-            "split": GadgetTracer(split, precision),
-            "resplit": GadgetTracer(resplit, precision),
-            "merge": GadgetTracer(merge, precision),
-            "stage+1": GadgetTracer(stage_fwd, precision),
-            "stage-1": GadgetTracer(stage_bwd, precision),
-            "turn": GadgetTracer(turn, precision),
-        }
-        with mpmath.workdps(precision):
-            tol = mpmath.mpf(10) ** -30
-
-            def dev(u_num, exact):
-                return abs(u_num - mpmath.mpf(exact.num) / mpmath.mpf(3) ** exact.exp)
-
-            for p in samples:
-                v = p.value
-                branch = read_digit(p)
-                for name, gadget in (("split", split), ("resplit", resplit)):
-                    want, piece = gadget.transfer.apply(v)
-                    u_num, hits = tracers[name].trace(v, out_port=f"b{branch}")
-                    worst = max(worst, dev(u_num, want))
-                    assert hits == list(piece.wall_ids)
-                # merge: invert the plain split's branch images
-                w, sp_piece = split.transfer.apply(v)
-                u_num, hits = tracers["merge"].trace(w, in_port=f"b{branch}")
-                worst = max(worst, dev(u_num, v))
-                for name, stage in (("stage+1", stage_fwd), ("stage-1", stage_bwd)):
-                    want, piece = stage.transfer.apply(v)
-                    u_num, hits = tracers[name].trace(v)
-                    worst = max(worst, dev(u_num, want))
-                    assert hits == list(piece.wall_ids)
-                u_num, hits = tracers["turn"].trace(v)
-                worst = max(worst, dev(u_num, v))
-                assert len(hits) == 1
-            assert worst < tol, f"worst deviation {worst} at {precision} digits"
-        max_dev[precision] = worst
-    assert max_dev[80] <= max_dev[60], "deviation must shrink with precision"
-    print(f"  gadget deviations: 60d {mpmath.nstr(max_dev[60], 3)}, "
-          f"80d {mpmath.nstr(max_dev[80], 3)}")
+    tracers = {name: GadgetTracer(gadget) for name, gadget in (
+        ("split", split), ("resplit", resplit), ("merge", merge),
+        ("stage+1", stage_fwd), ("stage-1", stage_bwd), ("turn", turn))}
+    # the exact trace lands on each transfer output exactly
+    for p in samples:
+        v = p.value
+        branch = read_digit(p)
+        for name, gadget in (("split", split), ("resplit", resplit)):
+            want, piece = gadget.transfer.apply(v)
+            u_out, hits = tracers[name].trace(v, out_port=f"b{branch}")
+            assert u_out == want.as_fraction() and hits == list(piece.wall_ids)
+        # merge: invert the plain split's branch images
+        w, _ = split.transfer.apply(v)
+        u_out, hits = tracers["merge"].trace(w, in_port=f"b{branch}")
+        assert u_out == v.as_fraction()
+        for name, stage in (("stage+1", stage_fwd), ("stage-1", stage_bwd)):
+            want, piece = stage.transfer.apply(v)
+            u_out, hits = tracers[name].trace(v)
+            assert u_out == want.as_fraction() and hits == list(piece.wall_ids)
+        u_out, hits = tracers["turn"].trace(v)
+        assert u_out == v.as_fraction() and len(hits) == 1
     _report("criterion 3 (gadget soundness)", t0, 60)
 
 
@@ -241,7 +220,7 @@ def test_criterion_7_determinism_and_serialization():
         out = run_symbolic(table, tape, 50)
         buf = io.StringIO()
         write_trace(out, buf)
-        num = run_numeric(table, tape, 50, precision=40)
+        num = run_numeric(table, tape, 50)
         return buf.getvalue(), out.verdict, num.deviations
 
     trace1, verdict1, devs1 = run_all(t1)
@@ -253,3 +232,23 @@ def test_criterion_7_determinism_and_serialization():
     assert svg1 == svg2
     ET.fromstring(svg1)
     _report("criterion 7 (determinism and serialization)", t0, 60)
+
+
+def test_envelope():
+    # the guarantees at the advertised envelope, K = k_max_cap() (64)
+    t0 = time.time()
+    K = k_max_cap()
+    assert K == 64
+    for name, m in fixture_machines().items():
+        assert compile_table(m, K).K == K, name
+    # exact certificates of deep heads, each with its verdict and steps:
+    # rev-move walks through head 64 and leaves the range at 65
+    for name, table_K, literal, budget, verdict, steps in (
+            ("rev-move", K, "@" + "0" * 64, 140, "out-of-range", 64),
+            ("walker", 24, "@" + "1" * 18, 200, "halted", 38),
+            ("rev-move", 40, "@" + "0" * 20 + "1", 100, "halted", 21)):
+        out = run_numeric(compile_table(get_machine(name), table_K),
+                          parse_tape(literal), budget).outcome
+        assert (out.verdict, out.steps) == (verdict, steps), name
+        assert out.out_of_range_k == (K + 1 if verdict == "out-of-range" else None)
+    _report("envelope (K=64 compiles, exact deep-head certificates)", t0, 10)

@@ -181,7 +181,11 @@ def test_negative_counts_rejected(rev_move_file, tmp_path, capsys):
 
 def test_bad_config_rejected(rev_move_file):
     assert main(["run", rev_move_file, "--K", "0", "--tape", "@"]) == 2
-    assert main(["run", rev_move_file, "--precision", "10", "--tape", "@"]) == 2
+    # the trace is exact: there is no --precision, and argparse exits 2
+    for digits in ("10", "60"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", rev_move_file, "--precision", digits, "--tape", "@"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("K, mangle, message", [
@@ -230,27 +234,27 @@ def test_reformatted_table_file_is_compared_by_value(rev_move_file, tmp_path, in
 
 
 def test_symbolic_commands_do_not_load_mpmath(rev_move_file, tmp_path):
-    # a fresh interpreter: compile, audit and verify stay symbolic, so the
-    # tracer (and mpmath) is loaded only once a numeric run asks for it
+    # a fresh interpreter, with mpmath installed or not: no carom command,
+    # numeric runs and traced svgs included, loads it
     import subprocess
     import sys
     from pathlib import Path
 
     table = tmp_path / "rev-move.json"
+    svg = tmp_path / "rev-move.svg"
     script = f"""
 import contextlib, io, sys
 import carom.cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [carom.cli.main(["compile", {rev_move_file!r}, "-o", {str(table)!r}, "--K", "3"]),
              carom.cli.main(["audit", "--K", "2"]),
-             carom.cli.main(["verify", {str(table)!r}, "--support", "1"])]
+             carom.cli.main(["verify", {str(table)!r}, "--support", "1"]),
+             carom.cli.main(["run", {str(table)!r}, "--tape", "@1", "--mode", "numeric"]),
+             carom.cli.main(["svg", {str(table)!r}, "--tape", "@1", "-o", {str(svg)!r}])]
 print(codes, "mpmath" in sys.modules)
-from carom.simulate import run_numeric
-from carom.table import load_table
-result = run_numeric(load_table(open({str(table)!r}).read()), frozenset({{1}}), 20)
-print(result.outcome.verdict, "mpmath" in sys.modules)
 """
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={"PYTHONPATH": str(src)}, check=True).stdout
-    assert out.splitlines() == ["[0, 0, 0] False", "halted True"]
+    assert out.splitlines() == ["[0, 0, 0, 0, 0] False"]
+    assert svg.read_text().count("<polyline") == 1

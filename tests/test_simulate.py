@@ -156,29 +156,17 @@ def test_trace_file_format():
 
 def test_numeric_matches_symbolic_rev_move():
     table = compile_table(get_machine("rev-move"), 4)
-    res = run_numeric(table, parse_tape("{2:1}"), 10, precision=60)
+    res = run_numeric(table, parse_tape("{2:1}"), 10)
     assert res.outcome.verdict == "halted"
-    assert res.max_deviation < 1e-40
-
-
-def test_numeric_deviation_shrinks_with_precision():
-    table = compile_table(get_machine("walker"), 4)
-    tape = parse_tape("@11")
-    devs = []
-    for prec in (40, 60, 80):
-        res = run_numeric(table, tape, 50, precision=prec)
-        assert res.outcome.verdict == "halted"
-        devs.append(res.max_deviation)
-    assert devs[2] <= devs[1] <= devs[0]
-    assert devs[2] < 1e-60
+    assert res.max_deviation == 0.0
 
 
 def test_numeric_budget_and_out_of_range_runs():
     table = compile_table(get_machine("pacer"), 3)
-    res = run_numeric(table, frozenset(), 6, precision=50)
+    res = run_numeric(table, frozenset(), 6)
     assert res.outcome.verdict == "budget-exhausted"
     table2 = compile_table(get_machine("rev-move"), 3)
-    res2 = run_numeric(table2, frozenset(), 50, precision=50)
+    res2 = run_numeric(table2, frozenset(), 50)
     assert res2.outcome.verdict == "out-of-range"
 
 
@@ -197,10 +185,10 @@ def test_rewriting_edges_into_a_merge():
     report = verify_equivalence(toggler, table,
                                 list(enumerate_tapes(range(-2, 3))), 50)
     assert report.passed
-    res = run_numeric(table, frozenset(), 20, precision=60)
+    res = run_numeric(table, frozenset(), 20)
     assert res.outcome.verdict == "halted"
     assert res.outcome.final_tape == frozenset({0})
-    assert res.max_deviation < 1e-30
+    assert res.max_deviation == 0.0
     table.verify_layout(levels=range(-2, 3))
 
 
@@ -217,24 +205,20 @@ def test_halt_bounce_on_a_state_id_with_a_colon():
     assert out.verdict == "halted" and out.trace[-1].kind == "halt-bounce"
     assert out.trace[-1].wall_id == wall.wall_id
     assert wall in table.static_walls
-    res = run_numeric(table, parse_tape("@1"), 5, precision=60)
-    assert res.outcome.verdict == "halted" and res.max_deviation < 1e-30
+    res = run_numeric(table, parse_tape("@1"), 5)
+    assert res.outcome.verdict == "halted" and res.max_deviation == 0.0
 
 def test_numeric_fixture_sweep_monotone():
-    # every fixture machine, one representative tape, K <= 4: deviations
-    # bounded by 10^(-P/2) and non-increasing across 40/60/80 digits
+    # every fixture machine, one representative tape, K <= 4: every
+    # checkpoint reads exactly its symbolic value
     tapes = {
         "rev-move": "{2:1}", "bit-flipper": "@01", "counter": "@11",
         "walker": "@11", "looper": "@", "pacer": "@1",
     }
     for name, literal in tapes.items():
         table = compile_table(get_machine(name), 4)
-        devs = []
-        for prec in (40, 60, 80):
-            res = run_numeric(table, parse_tape(literal), 12, precision=prec)
-            assert res.max_deviation <= 10 ** (-prec / 2)
-            devs.append(res.max_deviation)
-        assert devs[2] <= devs[1] <= devs[0], (name, devs)
+        res = run_numeric(table, parse_tape(literal), 12)
+        assert res.deviations == [0.0] * len(res.outcome.crossings), name
 
 
 def test_numeric_reaches_the_default_K():
@@ -243,12 +227,12 @@ def test_numeric_reaches_the_default_K():
     table = compile_table(get_machine("rev-move"), 8)
     for literal, head in (("@00001", 5), ("@00000001", 8)):
         t0 = time.perf_counter()
-        res = run_numeric(table, parse_tape(literal), 100, precision=60)
+        res = run_numeric(table, parse_tape(literal), 100)
         print(f"  rev-move {literal} (head {head}): {time.perf_counter() - t0:.3f} s, "
               f"{res.walls_built} walls built")
         assert res.outcome.verdict == "halted"
         assert res.outcome.final_head == head
-        assert res.max_deviation <= 1e-30
+        assert res.max_deviation == 0.0
         # only walls near the ray are built: level 8 alone holds 2^18
         # mirrors per split gadget
         assert res.walls_built < 100
@@ -257,15 +241,15 @@ def test_numeric_reaches_the_default_K():
 def test_numeric_certifies_past_double_resolution():
     # from head level about 10 on, a split mirror (length about 3^-(3k+2)) is
     # shorter than a double resolves at its coordinates; its hits are
-    # weighed at working precision, so the certificate still holds
+    # weighed exactly, so the certificate still holds
     table = compile_table(get_machine("rev-move"), 16)
     for zeros in (9, 11, 13, 15):
         t0 = time.process_time()
-        res = run_numeric(table, parse_tape("@" + "0" * zeros + "1"), 100, precision=60)
+        res = run_numeric(table, parse_tape("@" + "0" * zeros + "1"), 100)
         elapsed = time.process_time() - t0
         assert res.outcome.verdict == "halted"
         assert res.outcome.final_head == zeros + 1
-        assert res.max_deviation <= 1e-30
+        assert res.max_deviation == 0.0
         assert res.walls_built < 100
         assert elapsed < 1.0, (zeros, elapsed)
 
@@ -277,7 +261,7 @@ def test_windows_exact_counts_the_windows_floats_leave():
     assert shallow.windows_exact == 0
     deep = run_numeric(compile_table(get_machine("rev-move"), 16),
                        parse_tape("@0000000001"), 100)
-    assert deep.outcome.final_head == 10 and deep.max_deviation <= 1e-30
+    assert deep.outcome.final_head == 10 and deep.max_deviation == 0.0
     assert deep.windows_exact > 0
 
 
@@ -305,7 +289,7 @@ def test_max_candidates_counts_the_walls_weighed(name, literal):
     # a leg float-intersects only the static walls its clipped ray meets
     # and the mirrors its query returns: on no leg all the static walls
     table = compile_table(get_machine(name), 8)
-    res = run_numeric(table, parse_tape(literal), 100, precision=60)
+    res = run_numeric(table, parse_tape(literal), 100)
     assert 0 < res.max_candidates < len(table.static_walls)
 
 
@@ -313,55 +297,42 @@ def test_trace_without_static_walls():
     # a bare split gadget has mirrors and no static walls: there is no
     # static box to clip a ray to, and the query still finds the mirror
     # (test_gadget_tracer_sees_the_split_levels traces the same gadget)
-    import mpmath
     from carom.gadgets import build_split_gadget
     from carom.numeric import _Walls
     split = build_split_gadget(3)
     assert split.static_walls == ()
-    with mpmath.workdps(60):
-        walls = _Walls(split.static_walls, (split.mirrors,))
-        assert walls.static == [] and walls.box is None
-        x = encode_state(frozenset(), 0).value
-        pos = (mpmath.mpf(x.num) / mpmath.mpf(3) ** x.exp, mpmath.mpf(0))
-        up = (mpmath.mpf(0), mpmath.mpf(1))
-        hits = walls.candidates(pos, up, tuple(map(float, pos)), (0.0, 1.0), None)
-        assert [w.wall_id.endswith(":W") for _, w in hits] == [True]
+    walls = _Walls(split.static_walls, (split.mirrors,))
+    assert walls.static == [] and walls.box is None
+    pos = (encode_state(frozenset(), 0).value.as_fraction(), Fraction(0))
+    up = (Fraction(0), Fraction(1))
+    t, wall, second = walls.nearest(pos, up, tuple(map(float, pos)), (0.0, 1.0),
+                                    None).result()
+    assert walls.max_candidates == 1 and wall.wall_id.endswith(":W") and second is None
 
 
 def test_numeric_gadget_shift():
     from carom.gadgets import build_shift_stage
-    import mpmath
     g = build_shift_stage(+1)
-    u_out, hits = GadgetTracer(g, 60).trace(T(1, 1))
-    with mpmath.workdps(60):
-        assert abs(u_out - mpmath.mpf(7) / 9) < mpmath.mpf(10) ** -30
+    u_out, hits = GadgetTracer(g).trace(T(1, 1))
+    assert u_out == Fraction(7, 9)
     assert hits == ["shift:pos:in", "shift:pos:out"]
 
 
 def test_gadget_tracer_sees_the_split_levels():
     # a split gadget's tracer needs no level list: its mirror family
     # covers its own levels, and each branch lands on transfer.apply
-    import mpmath
     from carom.encoding import read_digit
     from carom.gadgets import build_split_gadget
     split = build_split_gadget(3)
     assert split.static_walls == ()     # mirrors only: no static box
-    tracer = GadgetTracer(split, 60)
-    with mpmath.workdps(60):
-        for tape in enumerate_tapes(range(-1, 2)):
-            for k in range(-3, 4):
-                p = encode_state(tape, k)
-                want, piece = split.transfer.apply(p.value)
-                u_out, hits = tracer.trace(p.value, out_port=f"b{read_digit(p)}")
-                exact = mpmath.mpf(want.num) / mpmath.mpf(3) ** want.exp
-                assert abs(u_out - exact) < mpmath.mpf(10) ** -30
-                assert hits == list(piece.wall_ids)
-
-
-def test_numeric_low_precision_rejected():
-    table = compile_table(get_machine("rev-move"), 4)
-    with pytest.raises(ValueError):
-        run_numeric(table, parse_tape("{2:1}"), 10, precision=6)
+    tracer = GadgetTracer(split)
+    for tape in enumerate_tapes(range(-1, 2)):
+        for k in range(-3, 4):
+            p = encode_state(tape, k)
+            want, piece = split.transfer.apply(p.value)
+            u_out, hits = tracer.trace(p.value, out_port=f"b{read_digit(p)}")
+            assert u_out == want.as_fraction()
+            assert hits == list(piece.wall_ids)
 
 
 # --- tracer failure paths ----------------------------------------------------
@@ -373,7 +344,7 @@ def test_gadget_trace_duplicated_mirror_is_degenerate():
     mirror, = turn.static_walls
     doubled = replace(turn, static_walls=(mirror, replace(mirror, wall_id="dup:mirror")))
     with pytest.raises(TracingDegeneracy):
-        GadgetTracer(doubled, 60).trace(T(1, 1))
+        GadgetTracer(doubled).trace(T(1, 1))
 
 
 def test_gadget_trace_without_walls_escapes():
@@ -381,7 +352,7 @@ def test_gadget_trace_without_walls_escapes():
     from carom.gadgets import build_shift_stage
     bare = replace(build_shift_stage(+1, K=3), static_walls=())
     with pytest.raises(TracingError):
-        GadgetTracer(bare, 60).trace(T(1, 1))
+        GadgetTracer(bare).trace(T(1, 1))
 
 
 def test_numeric_missing_split_mirror_exhausts_precision(monkeypatch, tmp_path):
@@ -398,8 +369,9 @@ def test_numeric_missing_split_mirror_exhausts_precision(monkeypatch, tmp_path):
 
     # the tracer gets its split mirrors only through this per-leg query
     monkeypatch.setattr(_BlockMirrors, "walls_in", without_mirror)
-    with pytest.raises(PrecisionExhausted):
-        run_numeric(table, tape, 10, precision=60)
+    # the exact trace then takes a wrong wall, and the error names it
+    with pytest.raises(PrecisionExhausted, match=f"reflection.wall_id: expected {dropped}"):
+        run_numeric(table, tape, 10)
     path = tmp_path / "rev-move.tm"
     path.write_text(MACHINE_TEXTS["rev-move"])
     argv = ["run", str(path), "--tape", "{2:1}", "--K", "4", "--budget", "10",

@@ -1,14 +1,14 @@
 """Pinned digests of numeric traces.
 
-Rewrites of the ray tracer must keep every traced event, point and
-deviation bit for bit.  The digests below were computed before walls were
-queried by position (when every run built all walls of the levels it
-reached), so they pin the traces of that full scan.
+Rewrites of the ray tracer must keep every traced event, point and gadget
+hit bit for bit.  The digests hash what any correct tracer of these scenes
+reports alike: the verdict, the step count, the event stream and the
+traced points in floats; for gadgets, the hit ids and the out coordinate
+in floats.  They were computed with the working-precision (60 digit)
+tracer that the exact one replaced, and the exact tracer reproduces them.
 """
 
 import hashlib
-
-import mpmath
 
 from carom.encoding import encode_state, read_digit
 from carom.gadgets import (
@@ -31,39 +31,41 @@ NUMERIC_TAPES = (
     ("pacer", "@1"), ("pacer", "@"),
 )
 
-NUMERIC_SHA256 = "f7d19f5aca639ef130f11c79a98947b7a345bf5771a7f00176bedb258c2b9e3d"
-GADGET_SHA256 = "275594dc8c829fed2948a8c62ab1ced88040332841fcce7c5ef3fbc7a1f3f509"
+NUMERIC_SHA256 = "d76ec9f40e12dd70b3a27a04ba4820a9f75398c2ab98aaf2cd8806f265ee375b"
+GADGET_SHA256 = "36f5822f0d744aecdc3af3a4d53c6afc4bebb06c7002a429455e9124d22f1f35"
 
 
-def numeric_digest():
-    """run_numeric at K=4, budget 30, 40 and 60 digits, on NUMERIC_TAPES:
-    the event stream and the reprs of points, deviations and max deviation."""
-    h = hashlib.sha256()
+def numeric_runs():
+    """run_numeric at K=4, budget 30, on NUMERIC_TAPES."""
     tables = {}
     for name, literal in NUMERIC_TAPES:
         if name not in tables:
             tables[name] = compile_table(get_machine(name), 4)
-        for precision in (40, 60):
-            res = run_numeric(tables[name], parse_tape(literal), 30,
-                              precision=precision)
-            for part in (res.outcome.verdict, res.outcome.steps, res.outcome.trace,
-                         res.points, res.deviations, res.max_deviation):
-                h.update(repr(part).encode())
+        yield run_numeric(tables[name], parse_tape(literal), 30)
+
+
+def numeric_digest():
+    """The verdict, steps, event stream and float points of numeric_runs."""
+    h = hashlib.sha256()
+    for res in numeric_runs():
+        for part in (res.outcome.verdict, res.outcome.steps, res.outcome.trace,
+                     res.points):
+            h.update(repr(part).encode())
     return h.hexdigest()
 
 
 def gadget_digest():
-    """GadgetTracer's out coordinate (60 digits) and hit ids for every tape
+    """GadgetTracer's out coordinate (in floats) and hit ids for every tape
     with support in [-2, 2] at every head level in [-3, 3]: split and merge
     at levels -3..3, shift stage +1 and the quarter turn."""
     levels = range(-3, 4)
     split = build_split_gadget(3)
     merge = build_merge_gadget(build_split_gadget(3, name="m"), name="merge")
     tracers = {
-        "split": GadgetTracer(split, 60),
-        "merge": GadgetTracer(merge, 60),
-        "stage": GadgetTracer(build_shift_stage(+1, K=3), 60),
-        "turn": GadgetTracer(build_turn_gadget(+90), 60),
+        "split": GadgetTracer(split),
+        "merge": GadgetTracer(merge),
+        "stage": GadgetTracer(build_shift_stage(+1, K=3)),
+        "turn": GadgetTracer(build_turn_gadget(+90)),
     }
     h = hashlib.sha256()
     for tape in enumerate_tapes(range(-2, 3)):
@@ -76,7 +78,7 @@ def gadget_digest():
                     tracers["stage"].trace(p.value),
                     tracers["turn"].trace(p.value))
             for u_out, hits in runs:
-                h.update(mpmath.nstr(u_out, 60).encode())
+                h.update(repr(float(u_out)).encode())
                 h.update(repr(hits).encode())
     return h.hexdigest()
 
@@ -87,6 +89,13 @@ def test_numeric_traces_unchanged():
 
 def test_gadget_traces_unchanged():
     assert gadget_digest() == GADGET_SHA256
+
+
+def test_numeric_deviations_are_zero():
+    # the trace is exact: every checkpoint reads its symbolic value
+    for res in numeric_runs():
+        assert res.max_deviation == 0.0
+        assert res.deviations == [0.0] * (res.outcome.steps + 1)
 
 
 if __name__ == "__main__":

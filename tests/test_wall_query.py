@@ -18,7 +18,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from carom import numeric
@@ -35,7 +34,7 @@ from carom.gadgets import (
 )
 from carom.geometry import Leg, Segment, segments_intersect
 from carom.machine import parse_machine, parse_tape
-from carom.numeric import _SHORTLIST, _NumericWall, _Walls, _exact, _float_hits
+from carom.numeric import _SHORTLIST, _Nearest, _NumericWall, _Walls, _float_hits
 from carom.simulate import run_numeric
 from carom.table import compile_table
 from carom.zoo import MACHINE_TEXTS, get_machine
@@ -154,7 +153,7 @@ def _trace_legs(table, tapes):
     traced points (floats, so exact dyadic Fractions)."""
     legs = []
     for literal in tapes:
-        points = run_numeric(table, parse_tape(literal), 30, precision=60).points
+        points = run_numeric(table, parse_tape(literal), 30).points
         for a, b in zip(points, points[1:]):
             a, b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
             legs.append(Leg(a, (b[0] - a[0], b[1] - a[1]), Fraction(1)))
@@ -395,7 +394,7 @@ def test_float_windows_equal_the_exact_window(build):
     rng = random.Random(13)
     legs = _dyadic_legs(gadget.walls(WINDOW_LEVELS), rng, 300)
     decided, deferred = _float_windows_checked(mirrors, frame, legs)
-    assert decided > 5 * deferred > 0
+    assert decided > 5 * deferred
     for leg in _edge_legs(mirrors, frame, WINDOW_LEVELS, rng, 100):
         decided, deferred = _float_windows_checked(mirrors, frame, [leg])
         assert decided > 0 and deferred > 0
@@ -426,29 +425,30 @@ def test_static_float_boxes_hold_the_exact_boxes(name):
 def _unfiltered_hits(walls, pos, direction, fo, fd, exclude_id):
     """(wall id, float t) of every hit of the leg without pre-rejects: every
     static wall float-intersected, every family queried with the exact Leg
-    cut past the nearest static hit, as ``_Walls.candidates`` cuts it."""
+    cut past the nearest static hit the exact test confirms, as
+    ``_Walls.nearest`` cuts it."""
     hits = list(_float_hits(walls.static, pos, direction, fo, fd, exclude_id))
+    static = _Nearest(pos, direction)
+    static.offer(hits)
     t_max = None
-    if hits:
-        t_static = min(t for t, _ in hits)
-        t_max = Fraction(t_static + 2 * _SHORTLIST * (1.0 + t_static))
-    leg = Leg((_exact(pos[0]), _exact(pos[1])), (_exact(direction[0]), _exact(direction[1])),
-              t_max, fo + fd + (math.inf if t_max is None else float(t_max),))
+    if static.anchor is not None:
+        t_max = Fraction(static.anchor + 2 * _SHORTLIST * (1.0 + static.anchor))
+    leg = Leg(pos, direction, t_max, fo + fd + (math.inf if t_max is None else float(t_max),))
     level = [walls.numeric.get(row[5]) or _NumericWall(row_segment(row))
              for mirrors, frame in walls.families for row in mirrors.walls_in(leg, frame)]
     hits += _float_hits(level, pos, direction, fo, fd, exclude_id)
     return {(w.wall_id, t) for t, w in hits}
 
 
-def _unfiltered_crossings(lines, pos, direction, best_t, tie_tol):
-    """Every chart's crossing computed at working precision."""
+def _unfiltered_crossings(lines, pos, direction, best_t):
+    """Every chart's crossing computed exactly."""
     crossings = []
     for (chart, co, ct, cb, u_lo, u_hi), _ in lines:
         den = direction[0] * cb[0] + direction[1] * cb[1]
         if den <= 0:
             continue
         t = ((co[0] - pos[0]) * cb[0] + (co[1] - pos[1]) * cb[1]) / den
-        if t <= tie_tol or (best_t is not None and t >= best_t - tie_tol):
+        if t <= 0 or (best_t is not None and t >= best_t):
             continue
         point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
         u = (point[0] - co[0]) * ct[0] + (point[1] - co[1]) * ct[1]
@@ -483,30 +483,38 @@ def _parallel_and_clear(fline, fo, fd, best_t):
 def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     # on every leg of real traces, the walls and charts the float pass
     # leaves out change nothing: the same float hits as the full pass, and
-    # the same crossings as the working-precision loop over every chart
+    # the same crossings as the exact loop over every chart
     seen = {"legs": 0, "static_left_out": 0, "families_left_out": 0, "charts_left_out": 0,
             "parallel_charts_left_out": 0}
-    candidates, crossings = _Walls.candidates, numeric._crossings
+    nearest, offer, crossings = _Walls.nearest, _Nearest.offer, numeric._crossings
+    offered = []
 
-    def checked_candidates(walls, pos, direction, fo, fd, exclude_id):
-        hits = candidates(walls, pos, direction, fo, fd, exclude_id)
-        assert ({(w.wall_id, t) for t, w in hits}
+    def recorded_offer(found, hits):
+        hits = list(hits)
+        offered.extend(hits)
+        offer(found, hits)
+
+    def checked_nearest(walls, pos, direction, fo, fd, exclude_id):
+        offered.clear()
+        found = nearest(walls, pos, direction, fo, fd, exclude_id)
+        assert ({(w.wall_id, t) for t, w in offered}
                 == _unfiltered_hits(walls, pos, direction, fo, fd, exclude_id))
         seen["legs"] += 1
         seen["static_left_out"] += len(walls.static) - len(walls._static_near(fo, fd))
         seen["families_left_out"] += sum(mirrors.local_leg(fo + fd + (math.inf,), frame) is None
                                          for mirrors, frame in walls.families)
-        return hits
+        return found
 
-    def checked_crossings(lines, pos, direction, fo, fd, best_t, tie_tol):
-        got = crossings(lines, pos, direction, fo, fd, best_t, tie_tol)
-        assert got == _unfiltered_crossings(lines, pos, direction, best_t, tie_tol)
+    def checked_crossings(lines, pos, direction, fo, fd, best_t):
+        got = crossings(lines, pos, direction, fo, fd, best_t)
+        assert got == _unfiltered_crossings(lines, pos, direction, best_t)
         seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for _, fline in lines)
         seen["parallel_charts_left_out"] += sum(_parallel_and_clear(fline, fo, fd, best_t)
                                                 for _, fline in lines)
         return got
 
-    monkeypatch.setattr(_Walls, "candidates", checked_candidates)
+    monkeypatch.setattr(_Walls, "nearest", checked_nearest)
+    monkeypatch.setattr(_Nearest, "offer", recorded_offer)
     monkeypatch.setattr(numeric, "_crossings", checked_crossings)
     runs = [(name, 4, literal, 30) for name, literal in NUMERIC_TAPES]
     runs += [("pacer", 8, "@1", 100), ("walker", 8, "@111", 100)]
@@ -514,15 +522,14 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     for name, K, literal, budget in runs:
         if (name, K) not in tables:
             tables[name, K] = compile_table(get_machine(name), K)
-        run_numeric(tables[name, K], parse_tape(literal), budget, precision=60)
+        run_numeric(tables[name, K], parse_tape(literal), budget)
     assert seen["legs"] > 1000
     assert min(seen.values()) > 0, seen
 
 
 class _Reads(tuple):
     """A point that counts how often it is indexed: ``_crossings`` reads
-    the leg's working-precision direction only for a chart it weighs at
-    working precision."""
+    the leg's exact direction only for a chart it weighs exactly."""
 
     reads = 0
 
@@ -534,20 +541,19 @@ class _Reads(tuple):
 def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision():
     table = _table()
     chart = table.stations["A"].checkpoint
-    with mpmath.workdps(60):
-        lines = [numeric._chart_line(chart)]
-        (_, co, ct, cb, _, _), _ = lines[0]
-        tie_tol = mpmath.mpf(10) ** -55
-        best_t = mpmath.mpf(3)
-        # legs along the line's tangent, from the line or a distance before
-        # or past it along the beam, tilted towards the beam by ``tilt``:
-        # parallel on the line, one unit off it either way, and a leg so
-        # nearly parallel that floats cannot rule out its crossing at t = 0.1
-        for offset, tilt, weighed, crossed in ((0, 0, True, 0), (-1, 0, False, 0),
-                                               (1, 0, False, 0), (-1e-9, 1e-8, True, 1)):
-            pos = tuple(o + t / 2 + offset * b for o, t, b in zip(co, ct, cb))
-            direction = _Reads(t + tilt * b for t, b in zip(ct, cb))
-            fo, fd = tuple(map(float, pos)), tuple(map(float, direction))
-            got = numeric._crossings(lines, pos, direction, fo, fd, best_t, tie_tol)
-            assert got == _unfiltered_crossings(lines, pos, tuple(direction), best_t, tie_tol)
-            assert len(got) == crossed and (direction.reads > 0) == weighed, offset
+    lines = [numeric._chart_line(chart)]
+    (_, co, ct, cb, _, _), _ = lines[0]
+    best_t = Fraction(3)
+    # legs along the line's tangent, from the line or a distance before or
+    # past it along the beam, tilted towards the beam by ``tilt``: parallel
+    # on the line, one unit off it either way, and a leg so nearly parallel
+    # that floats cannot rule out its crossing at t = 0.1
+    for offset, tilt, weighed, crossed in ((0, 0, True, 0), (-1, 0, False, 0),
+                                           (1, 0, False, 0),
+                                           (Fraction(-1, 10 ** 9), Fraction(1, 10 ** 8), True, 1)):
+        pos = tuple(o + t / 2 + offset * b for o, t, b in zip(co, ct, cb))
+        direction = _Reads(t + tilt * b for t, b in zip(ct, cb))
+        fo, fd = tuple(map(float, pos)), tuple(map(float, direction))
+        got = numeric._crossings(lines, pos, direction, fo, fd, best_t)
+        assert got == _unfiltered_crossings(lines, pos, tuple(direction), best_t)
+        assert len(got) == crossed and (direction.reads > 0) == weighed, offset
