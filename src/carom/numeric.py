@@ -4,10 +4,14 @@ run_numeric re-traces a symbolic run (``simulate.run_symbolic``) by exact
 specular reflection over the placed walls, in Fractions, and must
 reproduce its event stream with every checkpoint at exactly its symbolic
 value: this certifies that the geometry implements the transfer maps.
-Floats only shortlist, as filtered predicates (Shewchuk 1997): a float
-test drops only what misses by more than its stated error bound.  An arc
-met at an irrational point is compared with the rational hits exactly,
-in Q(sqrt D); a trace whose next hit is irrational raises TracingError.
+Floats only shortlist, as filtered predicates (Shewchuk 1997): one float
+test, for the walls and for the charts the ray passes through alike,
+gives each hit a float t with a certified error bound e, drops only what
+misses by more than the bound, and leaves to the exact test what it
+cannot place; hits are weighed exactly in the order of their lower
+bounds t - e.  An arc met at an irrational point is compared with the
+rational hits exactly, in Q(sqrt D); a trace whose next hit is irrational
+raises TracingError.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .gadgets import row_segment
-from .geometry import Leg
+from .geometry import Chart, Leg
 from .simulate import (
-    PrecisionExhausted,
     RunOutcome,
+    TraceMismatch,
     TracingDegeneracy,
     TracingError,
     run_symbolic,
@@ -57,8 +61,7 @@ def _surd_sign(a, b, d):
 
 class _Surd:
     """The irrational root a + b sqrt(d) of an arc's quadratic (b != 0, d
-    not a rational square), compared with rationals exactly (_surd_sign)
-    and rounded only to shortlist."""
+    not a rational square), compared with rationals exactly (_surd_sign)."""
 
     __slots__ = ("a", "b", "d")
 
@@ -70,15 +73,6 @@ class _Surd:
 
     def __gt__(self, r):
         return _surd_sign(self.a - r, self.b, self.d) > 0
-
-    def __float__(self):
-        a, b, d = self.a, self.b, self.d
-        n, m = d.numerator, d.denominator
-        s = Fraction(math.isqrt(n * m << 128), m << 64)    # sqrt(d), to 2^-64
-        if a * b < 0:
-            # a and b sqrt(d) cancel: divide a^2 - b^2 d by a - b sqrt(d)
-            return float((a * a - b * b * d) / (a - b * s))
-        return float(a + b * s)
 
 
 def _rational_sqrt(q):
@@ -138,6 +132,25 @@ def _arc_hit(data, origin, direction):
     return None
 
 
+def _chart_u(point, origin, tangent):
+    return (point[0] - origin[0]) * tangent[0] + (point[1] - origin[1]) * tangent[1]
+
+
+def _chart_hit(data, origin, direction):
+    """The exact t > 0 at which the ray crosses the chart ``data`` (origin,
+    tangent, beam, u_lo, u_hi) forwards (direction . beam > 0), at a
+    coordinate u in [u_lo, u_hi], ends included, or None."""
+    co, ct, cb, u_lo, u_hi = data
+    den = direction[0] * cb[0] + direction[1] * cb[1]
+    if den <= 0:
+        return None
+    t = ((co[0] - origin[0]) * cb[0] + (co[1] - origin[1]) * cb[1]) / den
+    if t <= 0:
+        return None
+    u = _chart_u((origin[0] + t * direction[0], origin[1] + t * direction[1]), co, ct)
+    return t if u_lo <= u <= u_hi else None
+
+
 # --- float hits -----------------------------------------------------------------
 
 #: Relative error bound of the float hit tests (_float_seg_hit,
@@ -156,10 +169,11 @@ _UNDECIDED = object()
 
 
 def _float_seg_hit(data, origin, direction):
-    """The float t of the ray's hit on the segment ``data``, in floats;
-    None when the ray misses it by more than _HIT_SLACK (both ends on one
-    side of the ray's line, or the hit behind the ray); _UNDECIDED when
-    floats cannot place the hit."""
+    """(t, e): the float t of the ray's hit on the segment ``data`` and a
+    bound e on its distance from the exact t, all in floats; None when the
+    ray misses it by more than _HIT_SLACK (both ends on one side of the
+    ray's line, or the hit behind the ray); _UNDECIDED when floats cannot
+    place the hit."""
     (x0, y0), (x1, y1) = data
     ox, oy = origin
     dx, dy = direction
@@ -175,7 +189,9 @@ def _float_seg_hit(data, origin, direction):
     if abs(den) <= 4 * err:
         return _UNDECIDED
     t = (rx0 * ey - ry0 * ex) / den
-    return None if t < -(8 * _HIT_SLACK * mag * mag + 2 * err * abs(t)) / abs(den) else t
+    # num = t den and den are off by less than 8 _HIT_SLACK mag^2 and 2 err
+    e = (8 * _HIT_SLACK * mag * mag + 2 * err * abs(t)) / (abs(den) - 2 * err)
+    return None if t < -e else (t, e)
 
 
 def _float_roots(qa, qb, qc):
@@ -192,10 +208,11 @@ def _float_roots(qa, qb, qc):
 
 
 def _float_arc_hit(data, origin, direction):
-    """The least float t of the ray's hits on the arc ``data``, in floats;
-    None when every root misses by more than _HIT_SLACK (no real root,
-    behind the ray, or outside [x_lo, x_hi]); _UNDECIDED when the ray is
-    too nearly tangent for floats to place a root."""
+    """(t, e): the least float t of the ray's hits on the arc ``data`` and
+    a bound e on its distance from the exact hit, all in floats; None when
+    every root misses by more than _HIT_SLACK (no real root, behind the
+    ray, or outside [x_lo, x_hi]); _UNDECIDED when the ray is too nearly
+    tangent for floats to place a root."""
     axis_x, apex_y, p, sign, x_lo, x_hi = data
     ox, oy = origin
     dx, dy = direction
@@ -211,7 +228,7 @@ def _float_arc_hit(data, origin, direction):
     if disc <= 16 * edisc:
         return _UNDECIDED
     roots, slope = _float_roots(qa, qb, qc) if qa else [-qc / qb], math.sqrt(disc)
-    best = None
+    kept = []
     for t in roots:
         if not math.isfinite(t):
             continue
@@ -221,9 +238,13 @@ def _float_arc_hit(data, origin, direction):
         ex = _HIT_SLACK * (abs(ox) + abs(t * dx)) + abs(dx) * et
         if t < -et or x < x_lo - ex or x > x_hi + ex:
             continue
-        if best is None or t < best:
-            best = t
-    return best
+        kept.append((t, et))
+    if not kept:
+        return None
+    # the exact test may refute the least root kept and confirm the other:
+    # the bound reaches every root kept
+    t, e = min(kept)
+    return t, max(e, max(u + eu for u, eu in kept) - t)
 
 
 #: A float box or clipped ray is widened on each side by this fraction of
@@ -239,34 +260,31 @@ def _widened(x0, y0, x1, y1):
             x1 + s * (1 + abs(x1)), y1 + s * (1 + abs(y1)))
 
 
-#: A segment shorter than this fraction of its largest coordinate is too
-#: short for floats: its float endpoints, each off by up to 2^-53 of that
-#: coordinate, would place a hit on it only to within 2^-12 of its length.
-#: Split mirrors (length about 3^-(3k+2)) fall below it from head levels 7
-#: to 9 on in the demo tables; every wall of levels |k| <= 4 stays far above.
-_FLOAT_RESOLVED = 2.0 ** -40
-
-
 class _NumericWall:
-    """A wall as the tracer weighs it: ``data``, its exact tuple, and
-    ``fdata``, the same tuple in floats, with their hit tests ``hit(data,
-    origin, direction)`` (exact) and ``float_hit(fdata, fo, fd)`` (a float
-    t, None or _UNDECIDED); ``fine`` marks a segment too short for floats
-    (_FLOAT_RESOLVED), whose hits even the float pass finds exactly."""
+    """A wall, or a chart the ray passes through, as the tracer weighs it:
+    ``data``, its exact tuple, and ``fdata``, a float segment or arc that
+    holds it, with their hit tests ``hit(data, origin, direction)`` (the
+    exact t or None) and ``float_hit(fdata, fo, fd)`` (a float (t, e),
+    None or _UNDECIDED).  A ``chart``'s crossing counts within 1/2 of its
+    window [lo, hi], so its float segment runs from chart(lo - 1/2) to
+    chart(hi + 1/2)."""
 
-    __slots__ = ("wall_id", "kind", "data", "fdata", "fine", "hit", "float_hit", "_normal")
+    __slots__ = ("wall_id", "kind", "chart", "data", "fdata", "hit", "float_hit", "_normal")
 
     def __init__(self, wall):
-        self.wall_id = wall.wall_id
-        self.kind = wall.kind
-        self._normal = None
-        self.fine = False
+        self._normal = self.chart = None
         self.hit, self.float_hit = _seg_hit, _float_seg_hit
+        if isinstance(wall, Chart):
+            self.wall_id, self.kind, self.chart = wall.name, "chart", wall
+            u_lo, u_hi = wall.lo - Fraction(1, 2), wall.hi + Fraction(1, 2)
+            self.data = (wall.origin, wall.tangent, wall.beam, u_lo, u_hi)
+            self.fdata = (_float_pt(wall.chart(u_lo)), _float_pt(wall.chart(u_hi)))
+            self.hit = _chart_hit
+            return
+        self.wall_id, self.kind = wall.wall_id, wall.kind
         if wall.kind == "segment":
             self.data = (wall.p0, wall.p1)
-            self.fdata = (x0, y0), (x1, y1) = _float_pt(wall.p0), _float_pt(wall.p1)
-            self.fine = (max(abs(x1 - x0), abs(y1 - y0))
-                         < _FLOAT_RESOLVED * max(abs(x0), abs(y0), abs(x1), abs(y1)))
+            self.fdata = (_float_pt(wall.p0), _float_pt(wall.p1))
         else:
             self.data = (wall.axis_x, wall.apex_y, wall.p, wall.sign, wall.x_lo, wall.x_hi)
             self.fdata = tuple(float(v) for v in self.data)
@@ -276,7 +294,7 @@ class _NumericWall:
         """(x0, y0, x1, y1), a float box holding the wall: its box in
         floats, widened by _BOX_SLACK, which is far more than the rounding
         of ``fdata`` and of the arc's end heights."""
-        if self.kind == "segment":
+        if self.kind != "parabola_arc":
             (x0, y0), (x1, y1) = self.fdata
             return _widened(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
         axis_x, apex_y, p, sign, x_lo, x_hi = self.fdata
@@ -296,54 +314,59 @@ class _NumericWall:
         axis_x, _, p, sign, _, _ = self.data
         return (-sign * (point[0] - axis_x) / (2 * p), 1)
 
+    def at_end(self, point):
+        """Whether the hit ``point`` lies on an end of the wall: a segment's
+        end point, or an arc's x_lo or x_hi."""
+        if self.kind == "segment":
+            return point == self.data[0] or point == self.data[1]
+        return point[0] == self.data[4] or point[0] == self.data[5]
 
-def _float_hits(walls, pos, direction, fo, fd, exclude_id):
-    """(t, wall) of every wall the ray from ``pos`` along ``direction``
-    may hit ahead of it, t a float: from the float test of the float ray
-    (fo, fd), or, for a ``fine`` wall or one the float test leaves
-    undecided, from the exact test, rounded."""
+
+def _float_hits(walls, fo, fd, exclude):
+    """(lo, wall) for every wall of ``walls`` but ``exclude`` that the
+    float ray (fo, fd) may hit: lo = t - e, a lower bound on the exact t,
+    from the float test's (t, e), or -inf where it cannot decide."""
     for w in walls:
-        if w.wall_id == exclude_id:
+        if w is exclude:
             continue
-        t = _UNDECIDED if w.fine else w.float_hit(w.fdata, fo, fd)
-        if t is _UNDECIDED:
-            t = w.hit(w.data, pos, direction)
-        if t is not None:
-            yield float(t), w
-
-
-#: _Nearest weighs exactly every wall whose float hit lies within this
-#: fraction of (1 + the anchor) of the anchor.
-_SHORTLIST = 1e-5
+        hit = w.float_hit(w.fdata, fo, fd)
+        if hit is _UNDECIDED:
+            yield -math.inf, w
+        elif hit is not None:
+            yield hit[0] - hit[1], w
 
 
 class _Nearest:
     """The nearest exact hit of one leg among the float hits ``offer``ed
-    to it: each is weighed exactly, in float order, while its float t lies
-    within the shortlist margin of the anchor, the least exact t found so
-    far.  A float hit the exact test refutes (a near miss kept by the float
-    slack) thus cannot shut out the true winner.  ``second`` is the
-    runner-up's exact t; irrational hits wait for ``result``."""
+    to it (_float_hits): each is weighed exactly, in the order of its lower
+    bound lo, until a lo lies past the nearest hit confirmed so far, which
+    no hit from there on can undercut or tie.  ``second`` is the
+    runner-up's exact t.  A chart's hit is a crossing, kept in
+    ``crossings``, and never ends the leg; irrational hits wait for
+    ``result``."""
 
     def __init__(self, pos, direction):
         self.pos, self.direction = pos, direction
-        self.t = self.wall = self.second = self.anchor = None
+        self.t = self.wall = self.second = None
+        self.ft = math.inf        # float(t), correctly rounded
         self.irrational = []      # (_Surd, wall)
+        self.crossings = []       # (t, chart)
 
     def offer(self, hits):
-        for t_f, w in sorted(hits, key=itemgetter(0)):
-            if self.anchor is not None and t_f > self.anchor * (1 + _SHORTLIST) + _SHORTLIST:
+        for lo, w in sorted(hits, key=itemgetter(0)):
+            # t lies within half a float step of ft: a float lo above ft
+            # lies past t
+            if lo > self.ft:
                 break
             t = w.hit(w.data, self.pos, self.direction)
             if t is None:
                 continue
-            ft = float(t)
-            if self.anchor is None or ft < self.anchor:
-                self.anchor = ft
-            if isinstance(t, _Surd):
+            if w.chart is not None:
+                self.crossings.append((t, w))
+            elif isinstance(t, _Surd):
                 self.irrational.append((t, w))
             elif self.t is None or t < self.t:
-                self.t, self.wall, self.second = t, w, self.t
+                self.t, self.wall, self.second, self.ft = t, w, self.t, float(t)
             elif self.second is None or t < self.second:
                 self.second = t
 
@@ -355,27 +378,35 @@ class _Nearest:
                 raise TracingError(f"trajectory left the rationals at {w.wall_id}")
         return self.t, self.wall, self.second
 
+    def crossed(self):
+        """(t, chart) of every crossing before the nearest hit, in flight
+        order."""
+        return sorted((c for c in self.crossings if self.t is None or c[0] < self.t),
+                      key=itemgetter(0))
+
 
 class _Walls:
-    """The walls one trace sees: a table's or a gadget's static walls and
-    mirror families, every family over its own levels, chosen per leg by
-    position alone, never by the ids a symbolic run predicts.
+    """The walls one trace sees: a table's or a gadget's static walls,
+    the ``charts`` its ray passes through, and mirror families, every
+    family over its own levels, chosen per leg by position alone, never by
+    the ids a symbolic run predicts.
 
-    The ``static`` walls are read once into floats, each with its float
-    box (``boxes``, all held by ``box``, None when there are none); a leg
-    float-intersects only those whose boxes meet its ray clipped to
-    ``box``.  The leg is then cut just past the nearest static hit the
+    The ``static`` walls, then the charts, are read once into floats, each
+    with its float box (``boxes``, all held by ``box``, None when there
+    are none); a leg float-intersects only those whose boxes meet its ray
+    clipped to ``box``.  The leg is then cut at the nearest static hit the
     exact test confirms, and each mirror family's one per-leg query,
     ``walls_in(leg, frame)``, returns the rows the cut leg may meet.  A row
     is converted (``row_segment``) the first time its id is seen and kept
-    by id: the trace's only cache.
+    by id in ``numeric``: the trace's only cache.  Charts count as neither
+    built nor weighed walls.
     """
 
-    def __init__(self, static_walls, families):
+    def __init__(self, static_walls, families, charts=()):
         self.families = families     # (_BlockMirrors, frame) pairs
         self.numeric = {}            # wall id -> _NumericWall
         self.static = [self.numeric.setdefault(w.wall_id, _NumericWall(w))
-                       for w in static_walls]
+                       for w in static_walls] + [_NumericWall(c) for c in charts]
         self.boxes = [w.float_box() for w in self.static]
         self.box = None
         if self.boxes:
@@ -393,8 +424,8 @@ class _Walls:
         return sum(m.windows_exact for m in self._mirrors) - self._windows_before
 
     def _static_near(self, fo, fd):
-        """The static walls whose boxes meet the float ray from ``fo``
-        along ``fd`` clipped to ``box``: every static wall it can hit."""
+        """The static walls and charts whose boxes meet the float ray from
+        ``fo`` along ``fd`` clipped to ``box``: every one it can hit."""
         if self.box is None:
             return []
         x0, y0, x1, y1 = self.box
@@ -415,18 +446,17 @@ class _Walls:
         return [w for (x0, y0, x1, y1), w in zip(self.boxes, self.static)
                 if not (x1 < cx0 or x0 > cx1 or y1 < cy0 or y0 > cy1)]
 
-    def nearest(self, pos, direction, fo, fd, exclude_id):
+    def nearest(self, pos, direction, fo, fd, exclude):
         """The _Nearest of the leg from ``pos`` along ``direction``, (fo,
-        fd) in floats, the wall ``exclude_id`` left out: offered the static
-        walls' float hits, then the mirrors' on the cut leg."""
+        fd) in floats, the _NumericWall ``exclude`` left out: offered the
+        static walls' and charts' float hits, then the mirrors' on the leg
+        cut at the nearest static hit."""
         static = self._static_near(fo, fd)
         found = _Nearest(pos, direction)
-        found.offer(_float_hits(static, pos, direction, fo, fd, exclude_id))
-        t_max, ft_max = None, math.inf
-        if found.anchor is not None:
-            ft_max = found.anchor + 2 * _SHORTLIST * (1.0 + found.anchor)
-            t_max = Fraction(ft_max)
-        leg = Leg(pos, direction, t_max, fo + fd + (ft_max,))
+        found.offer(_float_hits(static, fo, fd, exclude))
+        # a nearer irrational static hit fails the trace unless a mirror
+        # undercuts it, and then that mirror lies before the cut too
+        leg = Leg(pos, direction, found.t, fo + fd + (found.ft,))
         level = []
         for mirrors, frame in self.families:
             for row in mirrors.walls_in(leg, frame):
@@ -434,114 +464,42 @@ class _Walls:
                 if nw is None:
                     nw = self.numeric[row[5]] = _NumericWall(row_segment(row))
                 level.append(nw)
-        self.max_candidates = max(self.max_candidates, len(static) + len(level))
-        found.offer(_float_hits(level, pos, direction, fo, fd, exclude_id))
+        weighed = sum(w.chart is None for w in static) + len(level)
+        self.max_candidates = max(self.max_candidates, weighed)
+        found.offer(_float_hits(level, fo, fd, exclude))
         return found
 
 
-#: A chart is passed on from floats to the exact test unless its line is
-#: met backwards (the direction's beam component den below -_CHART_SLACK of
-#: the direction's size, ``near``) or the crossing's float coordinate lies
-#: more than _CHART_SLACK of (1 + the magnitudes involved) outside its
-#: window.  The slack is large against float rounding, and with den above
-#: it the float crossing keeps 9 or more correct digits.  With |den| <=
-#: near, the leg runs nearly along the chart line, and the float numerator
-#: num = (chart origin - leg origin) . beam decides, give or take
-#: _CHART_SLACK of (1 + the magnitudes involved): num below that puts the
-#: crossing behind the ray, and num above it and above 2 near (1 + the
-#: winning hit's t) puts it past the winning hit, as t = num / den >=
-#: num / near.  Only a leg running along the chart line is left to the
-#: exact test.
-_CHART_SLACK = 1e-6
-
-
-def _chart_line(chart):
-    """(chart, origin, tangent, beam, u_lo, u_hi) exactly, then (origin,
-    tangent, beam, u_lo, u_hi) in floats.
-
-    A crossing counts when its coordinate is within 1/2 of the chart's
-    window [lo, hi].
-    """
-    half = Fraction(1, 2)
-    return ((chart, chart.origin, chart.tangent, chart.beam,
-             chart.lo - half, chart.hi + half),
-            (_float_pt(chart.origin), _float_pt(chart.tangent), _float_pt(chart.beam),
-             float(chart.lo) - 0.5, float(chart.hi) + 0.5))
-
-
-def _chart_u(point, origin, tangent):
-    return (point[0] - origin[0]) * tangent[0] + (point[1] - origin[1]) * tangent[1]
-
-
-def _crossings(lines, pos, direction, fo, fd, best_t):
-    """(t, chart, point, u) of every forward crossing of a chart line
-    (``_chart_line``) by the leg from ``pos`` along ``direction`` before
-    ``best_t``, in flight order.  A chart the float ray (fo, fd) cannot
-    cross (_CHART_SLACK) is left out before any exact work."""
-    size = abs(fd[0]) + abs(fd[1])
-    near = _CHART_SLACK * size
-    reach = None      # 2 near (1 + best_t), best_t read in floats once
-    crossings = []
-    for (chart, co, ct, cb, u_lo, u_hi), (fco, fct, fcb, fu_lo, fu_hi) in lines:
-        fden = fd[0] * fcb[0] + fd[1] * fcb[1]
-        if fden < -near:
-            continue
-        fnum = (fco[0] - fo[0]) * fcb[0] + (fco[1] - fo[1]) * fcb[1]
-        margin = _CHART_SLACK * (1 + abs(fo[0]) + abs(fo[1]) + abs(fco[0]) + abs(fco[1]))
-        if fden > near:
-            ft = fnum / fden
-            fu = _chart_u((fo[0] + ft * fd[0], fo[1] + ft * fd[1]), fco, fct)
-            margin += _CHART_SLACK * abs(ft) * size
-            if fu < fu_lo - margin or fu > fu_hi + margin:
-                continue
-        elif fnum < -margin:
-            continue      # behind the ray
-        elif best_t is not None:
-            if reach is None:
-                reach = 2 * near * (1 + float(best_t))
-            if fnum - margin > reach:
-                continue  # past the winning hit
-        den = direction[0] * cb[0] + direction[1] * cb[1]
-        if den <= 0:
-            continue
-        t = ((co[0] - pos[0]) * cb[0] + (co[1] - pos[1]) * cb[1]) / den
-        if t <= 0 or (best_t is not None and t >= best_t):
-            continue
-        point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
-        u = _chart_u(point, co, ct)
-        if u_lo <= u <= u_hi:
-            crossings.append((t, chart, point, u))
-    return sorted(crossings, key=itemgetter(0))
-
-
-def _trace(walls, pos, direction, charts):
+def _trace(walls, pos, direction):
     """Exact specular ray trace from ``pos`` along ``direction`` over the
     _Walls ``walls``: the one core behind run_numeric and GadgetTracer.
-    Each leg is read in floats once, and the walls (``_Walls.nearest``) and
-    charts (``_crossings``) the float ray cannot reach are left out before
-    any exact work.
+    Each leg is read in floats once, and the walls and charts the float
+    ray cannot reach are left out before any exact work
+    (``_Walls.nearest``).
 
     Per leg, yields ``("cross", chart, point, u, direction)`` for every
-    forward crossing of a chart line, in flight order, then ``("hit",
+    forward crossing of a chart's window, in flight order, then ``("hit",
     wall, point, None, direction)`` for the wall that ends the leg;
     resuming reflects there, d - 2 (d.n) / (n.n) n, which keeps |d|.
-    Raises TracingDegeneracy when two walls are hit at the same t or a hit
-    grazes (d.n = 0), and TracingError when the ray escapes or its next
-    hit is irrational.
+    Raises TracingDegeneracy when two walls are hit at the same t, a hit
+    lies on a wall's end or grazes (d.n = 0), and TracingError when the
+    ray escapes or its next hit is irrational.
     """
-    lines = [_chart_line(c) for c in charts]
-    last_id = None
+    last = None
     while True:
-        fo, fd = _float_pt(pos), _float_pt(direction)
-        best_t, wall, second_t = walls.nearest(pos, direction, fo, fd, last_id).result()
+        found = walls.nearest(pos, direction, _float_pt(pos), _float_pt(direction), last)
+        best_t, wall, second_t = found.result()
         if second_t is not None and second_t == best_t:
             raise TracingDegeneracy(
                 f"two walls hit at once with {wall.wall_id}: geometry bug")
-        for _, chart, point, u in _crossings(lines, pos, direction, fo, fd, best_t):
-            yield "cross", chart, point, u, direction
+        for t, chart in found.crossed():
+            point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
+            yield "cross", chart.chart, point, _chart_u(point, *chart.data[:2]), direction
         if best_t is None:
             raise TracingError("trajectory escaped the scene")
         hit = (pos[0] + best_t * direction[0], pos[1] + best_t * direction[1])
+        if wall.at_end(hit):
+            raise TracingDegeneracy(f"corner hit on {wall.wall_id}")
         yield "hit", wall, hit, None, direction
         n = wall.normal(hit)
         d_dot = direction[0] * n[0] + direction[1] * n[1]
@@ -550,20 +508,20 @@ def _trace(walls, pos, direction, charts):
         k = 2 * d_dot / (n[0] * n[0] + n[1] * n[1])
         direction = (direction[0] - k * n[0], direction[1] - k * n[1])
         pos = hit
-        last_id = wall.wall_id
+        last = wall
 
 
 def run_numeric(table, tape, budget, precision=None):
     """Trace the trajectory by exact specular reflection and verify that it
     replays the symbolic event stream, each checkpoint at exactly its
     symbolic value; returns a NumericResult carrying the symbolic outcome.
-    Raises TracingDegeneracy on a tie or a graze, and PrecisionExhausted
-    when the trace does not replay the symbolic one.  ``precision`` is
-    ignored: the trace has no working precision."""
+    Raises TracingDegeneracy on a tie, a hit on a wall's end or a graze,
+    and TraceMismatch when the trace does not replay the symbolic one.
+    ``precision`` is ignored: the trace has no working precision."""
     symbolic = run_symbolic(table, tape, budget)
     expected = list(symbolic.trace)
 
-    walls = _Walls(table.static_walls, table.mirror_families)
+    walls = _Walls(table.static_walls, table.mirror_families, table.marked_segments())
     # each hard checkpoint by its wall's id: a hit there is a halt bounce
     halts = {st.checkpoint.wall.wall_id: st.checkpoint
              for st in table.stations.values() if st.checkpoint.hard}
@@ -576,7 +534,7 @@ def run_numeric(table, tape, budget, precision=None):
     idx = 0
 
     def fail(msg):
-        raise PrecisionExhausted(f"{msg} (event {idx}/{len(expected)})")
+        raise TraceMismatch(f"{msg} (event {idx}/{len(expected)})")
 
     def check_event(kind, **attrs):
         nonlocal idx
@@ -612,8 +570,7 @@ def run_numeric(table, tape, budget, precision=None):
     note_crossing(mark0, direction, _chart_u(pos, mark0.origin, mark0.tangent))
     if not flight_over():
         try:
-            for kind, obj, point, u, d in _trace(
-                    walls, pos, direction, table.marked_segments()):
+            for kind, obj, point, u, d in _trace(walls, pos, direction):
                 if kind == "cross":
                     note_crossing(obj, d, u)
                     continue
@@ -630,7 +587,7 @@ def run_numeric(table, tape, budget, precision=None):
                     check_event("halt-bounce")
                     break
                 check_event("reflection", wall_id=obj.wall_id)
-        except (TracingDegeneracy, PrecisionExhausted):
+        except (TracingDegeneracy, TraceMismatch):
             raise
         except TracingError as err:
             fail(str(err))
@@ -652,20 +609,26 @@ class GadgetTracer:
     """Reusable exact ray tracer for one gadget, over its static walls and
     its mirror family, queried by position as in run_numeric: ``trace``
     launches from the in-port chart and returns the out-port coordinate at
-    the ray's first forward crossing of the out-port window."""
+    the ray's first forward crossing of the out-port window.  The walls,
+    with that port's chart, are read once per out port, on its first
+    trace."""
 
     def __init__(self, gadget):
         self.gadget = gadget
-        self.walls = _Walls(gadget.static_walls,
-                            () if gadget.mirrors is None else (gadget.mirrors,))
+        self.walls = {}      # out port -> _Walls
 
     def trace(self, u_in, in_port="in", out_port="out"):
         """Returns (u_out, wall_ids) with u_out an exact Fraction."""
-        pin = self.gadget.in_ports[in_port]
-        pout = self.gadget.out_ports[out_port]
+        g = self.gadget
+        walls = self.walls.get(out_port)
+        if walls is None:
+            walls = self.walls[out_port] = _Walls(
+                g.static_walls, () if g.mirrors is None else (g.mirrors,),
+                (g.out_ports[out_port],))
+        pin = g.in_ports[in_port]
         hits = []
         for kind, obj, _point, u_out, _d in _trace(
-                self.walls, pin.chart(u_in.as_fraction()), pin.beam, [pout]):
+                walls, pin.chart(u_in.as_fraction()), pin.beam):
             if kind == "cross":
                 return u_out, hits
             hits.append(obj.wall_id)

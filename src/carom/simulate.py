@@ -70,10 +70,11 @@ class TracingError(Exception):
 
 
 class TracingDegeneracy(TracingError):
-    """Two walls hit at the same point, or a grazing hit: a geometry bug."""
+    """Two walls hit at the same point, a hit on a wall's end, or a grazing
+    hit: a geometry bug."""
 
 
-class PrecisionExhausted(TracingError):
+class TraceMismatch(TracingError):
     """The numeric trace does not replay the symbolic run (a wrong wall or
     event, a checkpoint off its value, an escape or an irrational hit)."""
 

@@ -1,19 +1,21 @@
 """The exact tracer's hit tests and their float filters.
 
 Every float hit test may drop a wall only when its stated error bound
-(``_HIT_SLACK``) shows the ray misses it; a hit the bound leaves open goes
-to the exact test, which decides ties, grazes and irrational roots with no
-tolerance.  A leg whose beam has a tiny x-component makes an arc's
+(``_HIT_SLACK``) shows the ray misses it, and every float t it gives lies
+within its own bound e of the exact t; a hit the bound leaves open goes to
+the exact test, which decides ties, corners, grazes and irrational roots
+with no tolerance.  A leg whose beam has a tiny x-component makes an arc's
 quadratic coefficient subnormal; the float root must survive that too.
 """
 
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from carom.geometry import ParabolaArc, Segment
+from carom.geometry import Chart, ParabolaArc, Segment
 from carom.numeric import (
     _UNDECIDED,
     _arc_hit,
@@ -38,11 +40,11 @@ def test_float_arc_hit_survives_a_subnormal_quadratic_coefficient():
     # height 1 + 0.5^2 / 4, so at t = 1.0625; qa = -dx^2 / 4 is subnormal
     origin, direction = (0.5, 0.0), (1e-160, 1.0)
     assert 0 < direction[0] ** 2 / 4 < 2.2250738585072014e-308
-    t = _float_arc_hit(BOWL, origin, direction)
-    assert t == pytest.approx(1.0625, rel=1e-15)
+    t, e = _float_arc_hit(BOWL, origin, direction)
+    assert t == pytest.approx(1.0625, rel=1e-15) and e < 1e-12
     exact = _arc_hit(tuple(Fraction(v) for v in BOWL),
                      (Fraction(1, 2), Fraction(0)), (Fraction(1, 10 ** 160), Fraction(1)))
-    assert abs(float(exact) - 1.0625) < 1e-15
+    assert _within(exact, (1.0625, 1e-15)) and _within(exact, (t, e))
 
 
 def test_float_roots_match_the_quadratic():
@@ -75,53 +77,108 @@ def _tilted(rng):
             return d
 
 
+def _angle(rng, lo, hi):
+    """A seeded small angle, of order 10^-hi to 10^-lo, either sign."""
+    return Fraction(rng.randint(1, 9), 10 ** rng.randint(lo + 1, hi)) * rng.choice((-1, 1))
+
+
+def _within(exact, got):
+    """Whether the exact t (a Fraction or _Surd) lies within e of the float
+    t, for the float test's answer ``got`` = (t, e)."""
+    t, e = map(Fraction, got)
+    return not (exact < t - e or exact > t + e)
+
+
+def _segment_sweep(rng, p0, p1, d):
+    """The ray along d through an end of the segment (p0, p1), from back
+    of it: (exact t, float answer), or None where the ray runs along it."""
+    end = rng.choice((p0, p1))
+    back = _q(rng, 0.01, 5)
+    origin = (end[0] - back * d[0], end[1] - back * d[1])
+    exact = _seg_hit((p0, p1), origin, d)
+    if exact is None:
+        return None
+    return exact, _float_seg_hit((_floats(p0), _floats(p1)), _floats(origin), _floats(d))
+
+
 def test_no_segment_hit_through_an_end_is_dropped_in_floats():
-    # seeded tilted rays through a segment's exact end (s = 0 or 1): the
-    # exact test finds each hit, and the float test must not drop one
+    # seeded rays through a segment's exact end (s = 0 or 1), tilted, then
+    # nearly parallel to the segment: the exact test finds each hit, the
+    # float test must not drop one, and each float t it decides lies
+    # within its bound of the exact t
     rng = random.Random(1301)
     hits = undecided = 0
     for _ in range(20_000):
         p0 = (_q(rng, -60, 60), _q(rng, -60, 60))
         p1 = (p0[0] + _q(rng, -3, 3), p0[1] + _q(rng, -3, 3))
-        end = rng.choice((p0, p1))
-        d = _tilted(rng)
-        back = _q(rng, 0.01, 5)
-        origin = (end[0] - back * d[0], end[1] - back * d[1])
-        if _seg_hit((p0, p1), origin, d) is None:
+        swept = _segment_sweep(rng, p0, p1, _tilted(rng))
+        if swept is None:
             continue      # the ray runs along the segment
         hits += 1
-        got = _float_seg_hit((_floats(p0), _floats(p1)), _floats(origin), _floats(d))
-        assert got is not None, (p0, p1, origin, d)
+        exact, got = swept
+        assert got is not None and (got is _UNDECIDED or _within(exact, got)), swept
         undecided += got is _UNDECIDED
     assert hits > 19_000 and undecided < hits // 100
+    decided = 0
+    for _ in range(5_000):
+        p0, d = (_q(rng, -60, 60), _q(rng, -60, 60)), _tilted(rng)
+        # the segment turned from the ray by a small angle a
+        a, length = _angle(rng, 6, 13), _q(rng, -3, 3)
+        p1 = (p0[0] + length * (d[0] - a * d[1]), p0[1] + length * (d[1] + a * d[0]))
+        exact, got = _segment_sweep(rng, p0, p1, d)
+        assert got is not None and (got is _UNDECIDED or _within(exact, got)), (p0, p1, d)
+        decided += got is not _UNDECIDED
+    assert decided > 1_000
+
+
+def _arc_sweep(rng, tangential):
+    """A seeded arc and a ray through one of its ends (x = x_lo or x_hi),
+    tilted, or turned from the arc's tangent there by a small angle:
+    (arc, exact t, float answer), the exact t None where the ray misses."""
+    axis_x, apex_y = _q(rng, -60, 60), _q(rng, -60, 60)
+    p, sign = _q(rng, 0.1, 2), rng.choice((-1, 1))
+    x_lo = axis_x + _q(rng, -2, 1)
+    x_hi = x_lo + _q(rng, 0.1, 2)
+    arc = ParabolaArc(axis_x, apex_y, p, sign, x_lo, x_hi, "arc")
+    x = rng.choice((x_lo, x_hi))
+    end = (x, arc.y_at(x))
+    if tangential:
+        slope, a = sign * (x - axis_x) / (2 * p), _angle(rng, 1, 9)
+        d = (1 - a * slope, slope + a)
+    else:
+        d = _tilted(rng)
+    back = _q(rng, 0.01, 5)
+    origin = (end[0] - back * d[0], end[1] - back * d[1])
+    wall = _NumericWall(arc)
+    return (arc, _arc_hit(wall.data, origin, d),
+            _float_arc_hit(wall.fdata, _floats(origin), _floats(d)))
 
 
 def test_no_arc_hit_through_an_end_is_dropped_in_floats():
-    # seeded tilted rays through an arc's exact end (x = x_lo or x_hi)
+    # seeded rays through an arc's exact end, tilted, then nearly tangent
+    # to the arc: the float test must not drop a hit, and each float t it
+    # decides lies within its bound of the exact t
     rng = random.Random(1302)
     hits = 0
     for _ in range(5_000):
-        axis_x, apex_y = _q(rng, -60, 60), _q(rng, -60, 60)
-        p, sign = _q(rng, 0.1, 2), rng.choice((-1, 1))
-        x_lo = axis_x + _q(rng, -2, 1)
-        x_hi = x_lo + _q(rng, 0.1, 2)
-        arc = ParabolaArc(axis_x, apex_y, p, sign, x_lo, x_hi, "arc")
-        x = rng.choice((x_lo, x_hi))
-        end = (x, arc.y_at(x))
-        d = _tilted(rng)
-        back = _q(rng, 0.01, 5)
-        origin = (end[0] - back * d[0], end[1] - back * d[1])
-        wall = _NumericWall(arc)
-        if _arc_hit(wall.data, origin, d) is None:
+        arc, exact, got = _arc_sweep(rng, False)
+        if exact is None:
             continue
         hits += 1
-        assert _float_arc_hit(wall.fdata, _floats(origin), _floats(d)) is not None, arc
+        assert got is not None and (got is _UNDECIDED or _within(exact, got)), arc
     assert hits > 4_900
+    decided = 0
+    for _ in range(2_000):
+        arc, exact, got = _arc_sweep(rng, True)
+        assert exact is not None and got is not None, arc
+        assert got is _UNDECIDED or _within(exact, got), arc
+        decided += got is not _UNDECIDED
+    assert decided > 400
 
 
 def _first_hit(walls, pos, direction):
     """The wall the trace from ``pos`` along ``direction`` hits first."""
-    kind, wall, *_ = next(_trace(_Walls(walls, ()), pos, direction, []))
+    kind, wall, *_ = next(_trace(_Walls(walls, ()), pos, direction))
     assert kind == "hit"
     return wall.wall_id
 
@@ -129,18 +186,42 @@ def _first_hit(walls, pos, direction):
 def test_a_spurious_near_hit_does_not_hide_the_far_wall():
     # the ray along y = 0 passes 1e-20 below the end of ``near``: floats
     # keep that hit at t = 1 within their slack, the exact test refutes
-    # it, and the shortlist, anchored on confirmed hits only, still weighs
-    # ``far`` at t = 3
+    # it, and the exact weighing, which stops only past a confirmed hit,
+    # still weighs ``far`` at t = 3
     F = Fraction
     near = Segment((F(1), F(1, 10 ** 20)), (F(1), F(1)), "near")
     far = Segment((F(3), F(-1)), (F(3), F(1)), "far")
     origin, direction = (F(0), F(0)), (F(1), F(0))
-    assert _float_seg_hit((_floats(near.p0), _floats(near.p1)), (0.0, 0.0), (1.0, 0.0)) == 1.0
+    t, _ = _float_seg_hit((_floats(near.p0), _floats(near.p1)), (0.0, 0.0), (1.0, 0.0))
+    assert t == 1.0
     assert _seg_hit((near.p0, near.p1), origin, direction) is None
     assert _first_hit([near, far], origin, direction) == "far"
 
 
-# --- exact semantics: ties, grazes and irrational roots -----------------------
+def test_a_far_float_t_does_not_shut_out_the_nearest_wall():
+    # A runs through the ray's point at t0 = 1.02849, turned from the ray
+    # by 7e-12: its float t reads about 1.0287, 2e-4 past the exact one,
+    # so a shortlist cut on float t alone would weigh only B, at 1.028596.
+    # A's bound reaches below B's float t, so A is weighed and wins.
+    F = Fraction
+    o, d = (F(116931, 25000), F(-96839, 20000)), (F(54423, 125000), F(-70583, 1000000))
+    perp = (-d[1], d[0])
+    t0, t1 = F(102849, 100000), F(10285960218343517, 10 ** 16)
+    h = (o[0] + t0 * d[0], o[1] + t0 * d[1])
+    e = (d[0] + F(7, 10 ** 12) * perp[0], d[1] + F(7, 10 ** 12) * perp[1])
+    a = Segment((h[0] - F(417, 500) * e[0], h[1] - F(417, 500) * e[1]),
+                (h[0] + F(391, 1000) * e[0], h[1] + F(391, 1000) * e[1]), "A")
+    c = (o[0] + t1 * d[0], o[1] + t1 * d[1])
+    b = Segment((c[0] - perp[0] / 1000, c[1] - perp[1] / 1000),
+                (c[0] + perp[0] / 1000, c[1] + perp[1] / 1000), "B")
+    fo, fd = _floats(o), _floats(d)
+    t, wall, _ = _Walls([a, b], ()).nearest(o, d, fo, fd, None).result()
+    assert wall.wall_id == "A" and t == t0
+    t_a, e_a = _float_seg_hit((_floats(a.p0), _floats(a.p1)), fo, fd)
+    assert abs(t_a - float(t0)) > 1e-4 and _within(t0, (t_a, e_a))
+
+
+# --- exact semantics: ties, corners, grazes and irrational roots -----------------------
 
 def test_an_exact_tie_is_degenerate():
     # two walls crossing at the point the ray reaches at t = 2
@@ -151,12 +232,30 @@ def test_an_exact_tie_is_degenerate():
         _first_hit([a, b], (F(-1), F(0)), (F(1), F(0)))
 
 
+def test_a_hit_on_a_wall_end_is_degenerate():
+    # a segment met at its end point, and an arc met at its x_hi
+    F = Fraction
+    post = Segment((F(1), F(1)), (F(1), F(3)), "post")
+    with pytest.raises(TracingDegeneracy, match="corner hit on post"):
+        _first_hit([post], (F(0), F(1)), (F(1), F(0)))
+    bowl = ParabolaArc(F(0), F(0), F(1), 1, F(-1), F(1), "bowl")
+    with pytest.raises(TracingDegeneracy, match="corner hit on bowl"):
+        _first_hit([bowl], (F(1), F(-1)), (F(0), F(1)))
+    # a chart's window keeps both ends: the ray crosses the chart below
+    # exactly at u = hi + 1/2, then hits the post inside it
+    chart = Chart((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), F(0), F(1), "chart")
+    post = Segment((F(-5), F(2)), (F(5), F(2)), "post")
+    cross, hit = islice(_trace(_Walls([post], (), [chart]), (F(3, 2), F(-1)), (F(0), F(1))), 2)
+    assert cross[:2] == ("cross", chart) and cross[3] == F(3, 2)
+    assert hit[:3] == ("hit", hit[1], (F(3, 2), F(2))) and hit[1].wall_id == "post"
+
+
 def test_a_graze_is_degenerate():
     # the x-axis touches the bowl y = x^2 / 4 at its apex: d . n = 0
     F = Fraction
     bowl = ParabolaArc(F(0), F(0), F(1), 1, F(-1), F(1), "bowl")
     with pytest.raises(TracingDegeneracy, match="grazing hit on bowl"):
-        for _ in _trace(_Walls([bowl], ()), (F(-2), F(0)), (F(1), F(0)), []):
+        for _ in _trace(_Walls([bowl], ()), (F(-2), F(0)), (F(1), F(0))):
             pass
 
 
@@ -175,8 +274,9 @@ def _post(t):
 
 def test_an_irrational_root_is_compared_exactly():
     root = _arc_hit(_NumericWall(IRRATIONAL_BOWL).data, *RAY)
+    # the root is 3/2 - sqrt(2)
     assert isinstance(root, _Surd) and root.a == Fraction(3, 2)
-    assert float(root) == pytest.approx(1.5 - math.sqrt(2), rel=1e-15)
+    assert root.b < 0 and root.b ** 2 * root.d == 2
     # sqrt(2) to 30 digits, from below and from above: two posts 1e-30
     # either side of the root, which floats cannot tell apart
     s_lo = Fraction(math.isqrt(2 * 10 ** 60), 10 ** 30)

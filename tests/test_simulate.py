@@ -9,7 +9,7 @@ from carom.gadgets import _BlockMirrors
 from carom.machine import enumerate_tapes, parse_tape, run_machine
 from carom.simulate import (
     GadgetTracer,
-    PrecisionExhausted,
+    TraceMismatch,
     TracingDegeneracy,
     TracingError,
     detect_periodicity,
@@ -265,22 +265,24 @@ def test_windows_exact_counts_the_windows_floats_leave():
     assert deep.windows_exact > 0
 
 
-def test_walls_below_float_resolution_are_marked():
-    # the mark follows each wall's extent against its coordinates: no wall
-    # of levels |k| <= 4 of the tightest demo layouts carries it, a split
-    # mirror at level 10 does
+def test_gadget_tracer_lands_a_beam_below_float_resolution():
+    # a split mirror of level 10 is shorter than a double resolves at its
+    # coordinates: the float test cannot place the beam's hit on it, and
+    # the exact test lands the beam on the split's transfer, hits and all
     from carom.gadgets import build_split_gadget, row_segment
     from carom.geometry import Leg
-    from carom.numeric import _NumericWall
-    for name in ("walker", "pacer"):
-        table = compile_table(get_machine(name), 4)
-        assert not any(_NumericWall(w).fine for w in table.scene_walls(range(-4, 5)))
-    x = 1 - Fraction(2, 3 ** 11) + Fraction(1, 3 ** 33)    # in I_10's first block
-    beam = Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
-    mirrors, frame = build_split_gadget(12).mirrors
-    row, = mirrors.walls_in(beam, frame)
-    mirror = row_segment(row)
-    assert ":k10:" in mirror.wall_id and _NumericWall(mirror).fine
+    from carom.numeric import _UNDECIDED, _NumericWall
+    x = T(3 ** 33 - 2 * 3 ** 22 + 1, 33)    # 1 - 2/3^11 + 1/3^33, in I_10's first block
+    split = build_split_gadget(12)
+    beam = Leg((x.as_fraction(), Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
+    row, = split.mirrors[0].walls_in(beam, split.mirrors[1])
+    mirror = _NumericWall(row_segment(row))
+    assert ":k10:" in mirror.wall_id
+    assert mirror.float_hit(mirror.fdata, beam.floats[:2], beam.floats[2:4]) is _UNDECIDED
+    want, piece = split.transfer.apply(x)
+    u_out, hits = GadgetTracer(split).trace(x, out_port="b" + piece.tag[-1])
+    assert u_out == want.as_fraction() and hits == list(piece.wall_ids)
+    assert mirror.wall_id in hits
 
 
 @pytest.mark.parametrize("name, literal", [
@@ -355,7 +357,7 @@ def test_gadget_trace_without_walls_escapes():
         GadgetTracer(bare).trace(T(1, 1))
 
 
-def test_numeric_missing_split_mirror_exhausts_precision(monkeypatch, tmp_path):
+def test_numeric_missing_split_mirror_is_a_trace_mismatch(monkeypatch, tmp_path):
     from carom.cli import main
     from carom.zoo import MACHINE_TEXTS
     table = compile_table(get_machine("rev-move"), 4)
@@ -370,7 +372,7 @@ def test_numeric_missing_split_mirror_exhausts_precision(monkeypatch, tmp_path):
     # the tracer gets its split mirrors only through this per-leg query
     monkeypatch.setattr(_BlockMirrors, "walls_in", without_mirror)
     # the exact trace then takes a wrong wall, and the error names it
-    with pytest.raises(PrecisionExhausted, match=f"reflection.wall_id: expected {dropped}"):
+    with pytest.raises(TraceMismatch, match=f"reflection.wall_id: expected {dropped}"):
         run_numeric(table, tape, 10)
     path = tmp_path / "rev-move.tm"
     path.write_text(MACHINE_TEXTS["rev-move"])

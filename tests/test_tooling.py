@@ -1,15 +1,22 @@
-"""perfbench's span targets name real carom functions.
+"""perfbench still runs against carom.
 
 ``perfbench/tracing.py`` patches each ``TARGETS`` entry by name when a
 benchmark runs with ``--trace 1``; an entry a refactor left behind would
-break that run.  The file is loaded read-only, by path.
+break that run.  ``perfbench/workloads.py`` calls carom and checks its
+outputs against ``perfbench/reference.py``; an output it no longer accepts
+would count every op as incorrect.  The files are loaded read-only, by
+path.
 """
 
 import importlib
 import importlib.util
+import random
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _targets():
@@ -30,3 +37,22 @@ def test_every_trace_target_resolves():
             assert func_name in vars(getattr(owner, cls_name)), layer
         else:
             assert callable(getattr(owner, func_name)), layer
+
+
+def test_perfbench_checks_accept_one_op(monkeypatch):
+    # one seeded op of each workload that runs a carom simulator, through
+    # the workload's own run and check
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("reference", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    workloads = importlib.import_module("workloads")
+    reference = importlib.import_module("reference")
+    api = SimpleNamespace(**{m: importlib.import_module(f"carom.{m}")
+                             for m in ("machine", "table", "simulate")})
+    specs, expected = reference.load_specs(), reference.load_expected()
+    for name in ("lockstep", "numeric-deep", "numeric-long"):
+        workload = workloads.WORKLOADS[name](specs, expected)
+        state = workload.setup(api)
+        op = workload.cycle(random.Random(18))[0]
+        _, errors, _ = workload.check(op, workload.run(op, state, api), state, api)
+        assert errors == [], (name, op)

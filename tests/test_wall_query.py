@@ -8,9 +8,9 @@ blocks the query picks per (level, symbol, wall) must also be exactly
 those an exact rational window, the oracle here, picks, and every block
 window decided in floats must be the integer one.  The query reads
 each mirror family's own levels and returns integer rows, wrapped here in
-their Segments.  The numeric tracer's float pre-rejects (static walls by
-box, families by region, charts in floats) are checked against the full
-pass they replace, which is kept here as the oracle.
+their Segments.  The numeric tracer's float pre-rejects (static walls and
+charts by box, families by region) are checked against the full pass they
+replace, which is kept here as the oracle.
 """
 
 import bisect
@@ -34,7 +34,7 @@ from carom.gadgets import (
 )
 from carom.geometry import Leg, Segment, segments_intersect
 from carom.machine import parse_machine, parse_tape
-from carom.numeric import _SHORTLIST, _Nearest, _NumericWall, _Walls, _float_hits
+from carom.numeric import _Nearest, _NumericWall, _Walls, _float_hits
 from carom.simulate import run_numeric
 from carom.table import compile_table
 from carom.zoo import MACHINE_TEXTS, get_machine
@@ -422,28 +422,27 @@ def test_static_float_boxes_hold_the_exact_boxes(name):
                               for i, f in enumerate((min, min, max, max)))
 
 
-def _unfiltered_hits(walls, pos, direction, fo, fd, exclude_id):
-    """(wall id, float t) of every hit of the leg without pre-rejects: every
-    static wall float-intersected, every family queried with the exact Leg
-    cut past the nearest static hit the exact test confirms, as
-    ``_Walls.nearest`` cuts it."""
-    hits = list(_float_hits(walls.static, pos, direction, fo, fd, exclude_id))
+def _unfiltered_hits(walls, pos, direction, fo, fd, exclude):
+    """(wall id, lower bound) of every float hit of the leg without
+    pre-rejects: every static wall and chart float-intersected, every
+    family queried with the exact Leg cut at the nearest static hit the
+    exact test confirms, as ``_Walls.nearest`` cuts it."""
+    hits = list(_float_hits(walls.static, fo, fd, exclude))
     static = _Nearest(pos, direction)
     static.offer(hits)
-    t_max = None
-    if static.anchor is not None:
-        t_max = Fraction(static.anchor + 2 * _SHORTLIST * (1.0 + static.anchor))
-    leg = Leg(pos, direction, t_max, fo + fd + (math.inf if t_max is None else float(t_max),))
+    leg = Leg(pos, direction, static.t, fo + fd + (static.ft,))
     level = [walls.numeric.get(row[5]) or _NumericWall(row_segment(row))
              for mirrors, frame in walls.families for row in mirrors.walls_in(leg, frame)]
-    hits += _float_hits(level, pos, direction, fo, fd, exclude_id)
-    return {(w.wall_id, t) for t, w in hits}
+    hits += _float_hits(level, fo, fd, exclude)
+    return {(w.wall_id, lo) for lo, w in hits}
 
 
-def _unfiltered_crossings(lines, pos, direction, best_t):
-    """Every chart's crossing computed exactly."""
+def _unfiltered_crossings(charts, pos, direction, best_t):
+    """(t, chart) of every chart's crossing before ``best_t``, computed
+    exactly, in flight order."""
     crossings = []
-    for (chart, co, ct, cb, u_lo, u_hi), _ in lines:
+    for chart in charts:
+        co, ct, cb = chart.origin, chart.tangent, chart.beam
         den = direction[0] * cb[0] + direction[1] * cb[1]
         if den <= 0:
             continue
@@ -452,9 +451,16 @@ def _unfiltered_crossings(lines, pos, direction, best_t):
             continue
         point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
         u = (point[0] - co[0]) * ct[0] + (point[1] - co[1]) * ct[1]
-        if u_lo <= u <= u_hi:
-            crossings.append((t, chart, point, u))
+        if chart.lo - Fraction(1, 2) <= u <= chart.hi + Fraction(1, 2):
+            crossings.append((t, chart))
     return sorted(crossings, key=lambda c: c[0])
+
+
+def _float_line(chart):
+    """(origin, tangent, beam, u_lo, u_hi) of ``chart`` in floats, its
+    window widened by 1/2 at each end."""
+    return (tuple(map(float, chart.origin)), tuple(map(float, chart.tangent)),
+            tuple(map(float, chart.beam)), float(chart.lo) - 0.5, float(chart.hi) + 0.5)
 
 
 def _far_from_window(fline, fo, fd):
@@ -486,36 +492,42 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     # the same crossings as the exact loop over every chart
     seen = {"legs": 0, "static_left_out": 0, "families_left_out": 0, "charts_left_out": 0,
             "parallel_charts_left_out": 0}
-    nearest, offer, crossings = _Walls.nearest, _Nearest.offer, numeric._crossings
-    offered = []
+    nearest, offer, crossed = _Walls.nearest, _Nearest.offer, _Nearest.crossed
+    offered, charts = [], []
 
     def recorded_offer(found, hits):
         hits = list(hits)
         offered.extend(hits)
         offer(found, hits)
 
-    def checked_nearest(walls, pos, direction, fo, fd, exclude_id):
+    def checked_nearest(walls, pos, direction, fo, fd, exclude):
         offered.clear()
-        found = nearest(walls, pos, direction, fo, fd, exclude_id)
-        assert ({(w.wall_id, t) for t, w in offered}
-                == _unfiltered_hits(walls, pos, direction, fo, fd, exclude_id))
+        charts[:] = [w.chart for w in walls.static if w.chart is not None]
+        found = nearest(walls, pos, direction, fo, fd, exclude)
+        assert ({(w.wall_id, lo) for lo, w in offered}
+                == _unfiltered_hits(walls, pos, direction, fo, fd, exclude))
         seen["legs"] += 1
         seen["static_left_out"] += len(walls.static) - len(walls._static_near(fo, fd))
         seen["families_left_out"] += sum(mirrors.local_leg(fo + fd + (math.inf,), frame) is None
                                          for mirrors, frame in walls.families)
         return found
 
-    def checked_crossings(lines, pos, direction, fo, fd, best_t):
-        got = crossings(lines, pos, direction, fo, fd, best_t)
-        assert got == _unfiltered_crossings(lines, pos, direction, best_t)
-        seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for _, fline in lines)
+    def checked_crossed(found):
+        # the crossings _trace yields for the leg
+        got = crossed(found)
+        pos, direction, best_t = found.pos, found.direction, found.t
+        assert ([(t, w.chart) for t, w in got]
+                == _unfiltered_crossings(charts, pos, direction, best_t))
+        fo, fd = tuple(map(float, pos)), tuple(map(float, direction))
+        lines = [_float_line(c) for c in charts]
+        seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for fline in lines)
         seen["parallel_charts_left_out"] += sum(_parallel_and_clear(fline, fo, fd, best_t)
-                                                for _, fline in lines)
+                                                for fline in lines)
         return got
 
     monkeypatch.setattr(_Walls, "nearest", checked_nearest)
     monkeypatch.setattr(_Nearest, "offer", recorded_offer)
-    monkeypatch.setattr(numeric, "_crossings", checked_crossings)
+    monkeypatch.setattr(_Nearest, "crossed", checked_crossed)
     runs = [(name, 4, literal, 30) for name, literal in NUMERIC_TAPES]
     runs += [("pacer", 8, "@1", 100), ("walker", 8, "@111", 100)]
     tables = {}
@@ -528,8 +540,8 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
 
 
 class _Reads(tuple):
-    """A point that counts how often it is indexed: ``_crossings`` reads
-    the leg's exact direction only for a chart it weighs exactly."""
+    """A point that counts how often it is indexed: the tracer reads the
+    leg's exact direction only for a chart it weighs exactly."""
 
     reads = 0
 
@@ -541,9 +553,8 @@ class _Reads(tuple):
 def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision():
     table = _table()
     chart = table.stations["A"].checkpoint
-    lines = [numeric._chart_line(chart)]
-    (_, co, ct, cb, _, _), _ = lines[0]
-    best_t = Fraction(3)
+    walls = _Walls((), (), (chart,))
+    co, ct, cb = chart.origin, chart.tangent, chart.beam
     # legs along the line's tangent, from the line or a distance before or
     # past it along the beam, tilted towards the beam by ``tilt``: parallel
     # on the line, one unit off it either way, and a leg so nearly parallel
@@ -554,6 +565,7 @@ def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision():
         pos = tuple(o + t / 2 + offset * b for o, t, b in zip(co, ct, cb))
         direction = _Reads(t + tilt * b for t, b in zip(ct, cb))
         fo, fd = tuple(map(float, pos)), tuple(map(float, direction))
-        got = numeric._crossings(lines, pos, direction, fo, fd, best_t)
-        assert got == _unfiltered_crossings(lines, pos, tuple(direction), best_t)
+        got = walls.nearest(pos, direction, fo, fd, None).crossed()
+        assert [(t, w.chart) for t, w in got] == _unfiltered_crossings(
+            [chart], pos, tuple(direction), None)
         assert len(got) == crossed and (direction.reads > 0) == weighed, offset
