@@ -128,6 +128,7 @@ def cmd_run(args, cfg):
         payload["walls_built"] = result.walls_built
         payload["max_candidates"] = result.max_candidates
         payload["windows_exact"] = result.windows_exact
+        payload["denominator_bits"] = result.denominator_bits
         lines.append("exact numeric trace matches; every checkpoint reads its value")
     if args.trace:
         with open(args.trace, "w") as fh:

@@ -497,8 +497,9 @@ class _BlockMirrors:
     block F from them as integer rows (den, x0, y0, x1, y1, id), with no
     Fraction arithmetic.  Rows are the one pair builder: ``rows`` lists
     every mirror of some levels for serialization, the layout check and a
-    full wall listing, and ``walls_in`` returns the rows a leg may meet; a
-    caller wraps a row in its Segment (``row_segment``) where it needs one.
+    full wall listing, and ``walls_in`` returns the rows a leg may meet,
+    which the numeric tracer reads as they are; other callers wrap a row
+    in its Segment (``row_segment``) where they need one.
     A float pre-reject finds the one or two levels whose hull I_k the leg
     may reach; for those, ``_float_window`` bounds F in floats with a
     certified error bound, ``_window`` bounds F exactly in integers where

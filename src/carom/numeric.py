@@ -1,7 +1,7 @@
 """Numeric ray tracing: run_numeric and GadgetTracer.
 
 run_numeric re-traces a symbolic run (``simulate.run_symbolic``) by exact
-specular reflection over the placed walls, in Fractions, and must
+specular reflection over the placed walls, in integers, and must
 reproduce its event stream with every checkpoint at exactly its symbolic
 value: this certifies that the geometry implements the transfer maps.
 Floats only shortlist, as filtered predicates (Shewchuk 1997): one float
@@ -21,15 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .gadgets import row_segment
-from .geometry import Chart, Leg
-from .simulate import (
-    RunOutcome,
-    TraceMismatch,
-    TracingDegeneracy,
-    TracingError,
-    run_symbolic,
-)
+from .geometry import Chart, Leg, Segment
+from .simulate import RunOutcome, TraceMismatch, TracingDegeneracy, TracingError, run_symbolic
 
 
 @dataclass
@@ -41,17 +34,31 @@ class NumericResult:
     walls_built: int = 0           # distinct walls materialized
     max_candidates: int = 0        # most walls one leg's float pass weighed
     windows_exact: int = 0         # block windows floats left to exact integers
+    denominator_bits: int = 0      # bits of the largest common denominator of a leg
 
 
 def _float_pt(p):
     return (float(p[0]), float(p[1]))
 
 
+def _integers(*values):
+    """(den, n_0, n_1, ...): the rationals ``values`` over their least
+    common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return (den,) + tuple(v.numerator * (den // v.denominator) for v in values)
+
+
 # --- exact hits ---------------------------------------------------------------
+#
+# A leg runs from the point (x / w, y / w), ``xyw``, along an integer
+# direction d.  A wall's hit test returns t = n / m as (n, m, corner), m > 0,
+# corner whether the hit lies on an end of the wall, compared by
+# cross-multiplication (_before), or an arc's irrational root as a surd (a,
+# b, D, m), t = (a + b sqrt(D)) / m, compared by sign tests (_surd_sign).
 
 def _surd_sign(a, b, d):
-    """The sign of a + b sqrt(d), for rationals a, b and a d > 0 that is
-    not a rational square: where a and b differ in sign, a^2 against b^2 d
+    """The sign of a + b sqrt(d), for integers a, b and a d > 0 that is not
+    a square where b != 0: where a and b differ in sign, a^2 against b^2 d
     (never equal, as sqrt(d) is irrational)."""
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sa * sb >= 0:
@@ -59,96 +66,84 @@ def _surd_sign(a, b, d):
     return sa if a * a > b * b * d else sb
 
 
-class _Surd:
-    """The irrational root a + b sqrt(d) of an arc's quadratic (b != 0, d
-    not a rational square), compared with rationals exactly (_surd_sign)."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b, d):
-        self.a, self.b, self.d = a, b, d
-
-    def __lt__(self, r):
-        return _surd_sign(self.a - r, self.b, self.d) < 0
-
-    def __gt__(self, r):
-        return _surd_sign(self.a - r, self.b, self.d) > 0
+def _before(t, u):
+    """Whether the rational t comes before u."""
+    return t[0] * u[1] < u[0] * t[1]
 
 
-def _rational_sqrt(q):
-    """The square root of the Fraction q >= 0 if it is rational, else None."""
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    return Fraction(rn, rd) if rn * rn == n and rd * rd == d else None
-
-
-def _seg_hit(data, origin, direction):
-    """The exact t > 0 at which the ray origin + t direction meets the
-    segment ``data`` ((x0, y0), (x1, y1)), ends included, or None."""
-    (x0, y0), (x1, y1) = data
-    rx, ry = x0 - origin[0], y0 - origin[1]
-    dx, dy = direction
+def _seg_hit(data, xyw, d):
+    """The exact t > 0 at which the ray from ``xyw`` along d meets the
+    segment row ``data`` (den, x0, y0, x1, y1, id), ends included."""
+    den, x0, y0, x1, y1, _ = data
+    x, y, w = xyw
+    dx, dy = d
+    rx, ry = x0 * w - x * den, y0 * w - y * den     # (x0, y0) - origin, over den w
     ex, ey = x1 - x0, y1 - y0
-    den = dx * ey - dy * ex
-    nt, ns = rx * ey - ry * ex, rx * dy - ry * dx    # t = nt / den, s = ns / den
-    if den < 0:
-        den, nt, ns = -den, -nt, -ns
-    if not den or nt <= 0 or ns < 0 or ns > den:
+    dd = dx * ey - dy * ex
+    nt, ns = rx * ey - ry * ex, rx * dy - ry * dx    # t = nt / (den w dd), s = ns / (w dd)
+    if dd < 0:
+        dd, nt, ns = -dd, -nt, -ns
+    if not dd or nt <= 0 or ns < 0 or ns > w * dd:
         return None
-    return nt / den
+    return nt, den * w * dd, ns in (0, w * dd)
 
 
-def _arc_quadratic(data, origin, direction):
-    """(qa, qb, qc): F(origin + t direction) = qa t^2 + qb t + qc for the
-    arc's F(x, y) = y - apex_y - sign (x - axis_x)^2 / 4p."""
-    axis_x, apex_y, p, sign, _, _ = data
-    dx, dy = direction
-    c = sign / (4 * p)
-    rel = origin[0] - axis_x
-    return (-c * dx * dx, dy - 2 * c * rel * dx,
-            origin[1] - apex_y - c * rel * rel)
-
-
-def _arc_hit(data, origin, direction):
-    """The exact least t > 0 at which the ray meets the arc ``data``
-    (axis_x, apex_y, p, sign, x_lo, x_hi), ends included: a Fraction, a
-    _Surd where the quadratic's discriminant is not a rational square, or
-    None."""
-    (ox, _), (dx, _), (x_lo, x_hi) = origin, direction, data[4:]
-    qa, qb, qc = _arc_quadratic(data, origin, direction)
-    if not qa:      # dx = 0 and dy = qb != 0: the ray runs along x = ox
-        t = -qc / qb
-        return t if t > 0 and x_lo <= ox <= x_hi else None
-    disc = qb * qb - 4 * qa * qc
-    if disc < 0:
-        return None
-    h, mid, root = abs(1 / (2 * qa)), -qb / (2 * qa), _rational_sqrt(disc)
-    # x = ox + t dx lies in [x_lo, x_hi] for t in [t_lo, t_hi]
-    t_lo, t_hi = sorted(((x_lo - ox) / dx, (x_hi - ox) / dx))
-    for t in ((mid - h * root, mid + h * root) if root is not None
-              else (_Surd(mid, -h, disc), _Surd(mid, h, disc))):    # ascending
-        if t > 0 and not (t < t_lo or t > t_hi):
-            return t
+def _arc_hit(data, xyw, d):
+    """The exact least t > 0 at which the ray meets the arc ``data`` (q, a,
+    b, p, sign, lo, hi), y = b / q + sign (x - a / q)^2 q / 4p over lo / q
+    <= x <= hi / q, ends included.  With t = tau / qw, 4p (y - apex_y) -
+    sign (x - axis_x)^2 along the ray is (qa tau^2 + qb tau + qc) / (qw)^2."""
+    q, a, b, p, sign, lo, hi = data
+    x, y, w = xyw
+    dx, dy = d
+    u, v = x * q - a * w, y * q - b * w
+    qa, qb = -sign * dx * dx, 4 * p * w * dy - 2 * sign * u * dx
+    qc = 4 * p * w * v - sign * u * u
+    lo, hi = x * q - lo * w, hi * w - x * q       # x - x_lo and x_hi - x at t = 0, over w
+    if qa:
+        disc = qb * qb - 4 * qa * qc
+        if disc < 0:
+            return None
+        m, r, mid = 2 * abs(qa), math.isqrt(disc), -qb if qa > 0 else qb
+        roots = ((mid - r, 0), (mid + r, 0)) if r * r == disc else ((mid, -1), (mid, 1))
+    else:       # dx = 0 and dy != 0: the ray runs along x = x / w
+        disc, m, roots = 0, abs(qb), ((-qc if qb > 0 else qc, 0),)
+    for n, s in roots:      # tau = (n + s sqrt(disc)) / m, ascending
+        ends = (_surd_sign(lo * m + n * dx, s * dx, disc),
+                _surd_sign(hi * m - n * dx, -s * dx, disc))
+        if _surd_sign(n, s, disc) > 0 and min(ends) >= 0:
+            return (n, s, disc, m * q * w) if s else (n, m * q * w, 0 in ends)
     return None
 
 
-def _chart_u(point, origin, tangent):
-    return (point[0] - origin[0]) * tangent[0] + (point[1] - origin[1]) * tangent[1]
-
-
-def _chart_hit(data, origin, direction):
-    """The exact t > 0 at which the ray crosses the chart ``data`` (origin,
-    tangent, beam, u_lo, u_hi) forwards (direction . beam > 0), at a
-    coordinate u in [u_lo, u_hi], ends included, or None."""
-    co, ct, cb, u_lo, u_hi = data
-    den = direction[0] * cb[0] + direction[1] * cb[1]
+def _chart_hit(data, xyw, d):
+    """(n, m, (U, V)): t = n / m > 0 at which the ray crosses the chart
+    ``data`` (c, ox, oy, lo, hi, k, tx, ty, bx, by) forwards, d . (bx, by) >
+    0, at u = U / V in its window: origin (ox, oy) / c, window [lo, hi] /
+    c, tangent (tx, ty) / k, ends included."""
+    c, ox, oy, lo, hi, k, tx, ty, bx, by = data
+    x, y, w = xyw
+    dx, dy = d
+    den = dx * bx + dy * by
     if den <= 0:
         return None
-    t = ((co[0] - origin[0]) * cb[0] + (co[1] - origin[1]) * cb[1]) / den
-    if t <= 0:
+    rx, ry = x * c - ox * w, y * c - oy * w      # origin - chart origin, over c w
+    n = -rx * bx - ry * by
+    if n <= 0:
         return None
-    u = _chart_u((origin[0] + t * direction[0], origin[1] + t * direction[1]), co, ct)
-    return t if u_lo <= u <= u_hi else None
+    u, scale = (rx * den + n * dx) * tx + (ry * den + n * dy) * ty, w * den * k
+    return (n, c * w * den, (u, c * scale)) if lo * scale <= u <= hi * scale else None
+
+
+def _reflect(d, n):
+    """The reflection of d on a wall of normal n, d - 2 (d.n) / (n.n) n, as
+    (n.n) d - 2 (d.n) n over its gcd, primitive; None for a graze, d.n = 0."""
+    dot, nn = d[0] * n[0] + d[1] * n[1], n[0] * n[0] + n[1] * n[1]
+    if not dot:
+        return None
+    rx, ry = nn * d[0] - 2 * dot * n[0], nn * d[1] - 2 * dot * n[1]
+    g = math.gcd(rx, ry)
+    return rx // g, ry // g
 
 
 # --- float hits -----------------------------------------------------------------
@@ -216,7 +211,10 @@ def _float_arc_hit(data, origin, direction):
     axis_x, apex_y, p, sign, x_lo, x_hi = data
     ox, oy = origin
     dx, dy = direction
-    qa, qb, qc = _arc_quadratic(data, origin, direction)
+    # F(origin + t direction) = qa t^2 + qb t + qc for the arc's F(x, y) =
+    # y - apex_y - sign (x - axis_x)^2 / 4p
+    c, rel = sign / (4 * p), ox - axis_x
+    qa, qb, qc = -c * dx * dx, dy - 2 * c * rel * dx, oy - apex_y - c * rel * rel
     # the magnitudes of the coefficients' terms
     c, r = 1 / (4 * p), abs(ox) + abs(axis_x)
     ma, mb = c * dx * dx, abs(dy) + 2 * c * r * abs(dx)
@@ -262,33 +260,39 @@ def _widened(x0, y0, x1, y1):
 
 class _NumericWall:
     """A wall, or a chart the ray passes through, as the tracer weighs it:
-    ``data``, its exact tuple, and ``fdata``, a float segment or arc that
-    holds it, with their hit tests ``hit(data, origin, direction)`` (the
-    exact t or None) and ``float_hit(fdata, fo, fd)`` (a float (t, e),
-    None or _UNDECIDED).  A ``chart``'s crossing counts within 1/2 of its
-    window [lo, hi], so its float segment runs from chart(lo - 1/2) to
-    chart(hi + 1/2)."""
+    ``data``, its exact tuple in integers (for a segment, a mirror row or
+    one read off a Segment), and ``fdata``, a float segment or arc that
+    holds it, with their hit tests ``hit(data, xyw, d)`` (the exact t or
+    None) and ``float_hit(fdata, fo, fd)`` (a float (t, e), None or
+    _UNDECIDED).  A ``chart``'s crossing counts within 1/2 of its window
+    [lo, hi], so its float segment runs from chart(lo - 1/2) to chart(hi +
+    1/2)."""
 
-    __slots__ = ("wall_id", "kind", "chart", "data", "fdata", "hit", "float_hit", "_normal")
+    __slots__ = ("wall_id", "kind", "chart", "data", "fdata", "hit", "float_hit")
 
     def __init__(self, wall):
-        self._normal = self.chart = None
-        self.hit, self.float_hit = _seg_hit, _float_seg_hit
+        self.chart = None
+        self.hit, self.float_hit, self.kind = _seg_hit, _float_seg_hit, "segment"
         if isinstance(wall, Chart):
             self.wall_id, self.kind, self.chart = wall.name, "chart", wall
             u_lo, u_hi = wall.lo - Fraction(1, 2), wall.hi + Fraction(1, 2)
-            self.data = (wall.origin, wall.tangent, wall.beam, u_lo, u_hi)
+            self.data = (_integers(*wall.origin, u_lo, u_hi) + _integers(*wall.tangent)
+                         + _integers(*wall.beam)[1:])
             self.fdata = (_float_pt(wall.chart(u_lo)), _float_pt(wall.chart(u_hi)))
             self.hit = _chart_hit
             return
+        if isinstance(wall, Segment):
+            wall = _integers(*wall.p0, *wall.p1) + (wall.wall_id,)
+        if isinstance(wall, tuple):
+            den, x0, y0, x1, y1, self.wall_id = self.data = wall
+            self.fdata = ((x0 / den, y0 / den), (x1 / den, y1 / den))
+            return
         self.wall_id, self.kind = wall.wall_id, wall.kind
-        if wall.kind == "segment":
-            self.data = (wall.p0, wall.p1)
-            self.fdata = (_float_pt(wall.p0), _float_pt(wall.p1))
-        else:
-            self.data = (wall.axis_x, wall.apex_y, wall.p, wall.sign, wall.x_lo, wall.x_hi)
-            self.fdata = tuple(float(v) for v in self.data)
-            self.hit, self.float_hit = _arc_hit, _float_arc_hit
+        q, a, b, p, lo, hi = _integers(wall.axis_x, wall.apex_y, wall.p, wall.x_lo, wall.x_hi)
+        self.data = (q, a, b, p, wall.sign, lo, hi)
+        self.fdata = tuple(float(v) for v in (wall.axis_x, wall.apex_y, wall.p, wall.sign,
+                                              wall.x_lo, wall.x_hi))
+        self.hit, self.float_hit = _arc_hit, _float_arc_hit
 
     def float_box(self):
         """(x0, y0, x1, y1), a float box holding the wall: its box in
@@ -303,23 +307,14 @@ class _NumericWall:
             ys.append(apex_y)
         return _widened(x_lo, min(ys), x_hi, max(ys))
 
-    def normal(self, point):
-        """A normal at ``point``, not of unit length; a segment's does not
-        depend on the point, so it is computed on the first hit and kept."""
+    def normal(self, xyw):
+        """An integer normal at the point ``xyw``, not of unit length."""
         if self.kind == "segment":
-            if self._normal is None:
-                (x0, y0), (x1, y1) = self.data
-                self._normal = (y0 - y1, x1 - x0)
-            return self._normal
-        axis_x, _, p, sign, _, _ = self.data
-        return (-sign * (point[0] - axis_x) / (2 * p), 1)
-
-    def at_end(self, point):
-        """Whether the hit ``point`` lies on an end of the wall: a segment's
-        end point, or an arc's x_lo or x_hi."""
-        if self.kind == "segment":
-            return point == self.data[0] or point == self.data[1]
-        return point[0] == self.data[4] or point[0] == self.data[5]
+            _, x0, y0, x1, y1, _ = self.data
+            return (y0 - y1, x1 - x0)
+        q, a, _, p, sign, _, _ = self.data
+        # (-sign (x - axis_x) / 2p, 1), times 2pw
+        return (-sign * (xyw[0] * q - a * xyw[2]), 2 * p * xyw[2])
 
 
 def _float_hits(walls, fo, fd, exclude):
@@ -337,19 +332,18 @@ def _float_hits(walls, fo, fd, exclude):
 
 
 class _Nearest:
-    """The nearest exact hit of one leg among the float hits ``offer``ed
-    to it (_float_hits): each is weighed exactly, in the order of its lower
-    bound lo, until a lo lies past the nearest hit confirmed so far, which
-    no hit from there on can undercut or tie.  ``second`` is the
-    runner-up's exact t.  A chart's hit is a crossing, kept in
-    ``crossings``, and never ends the leg; irrational hits wait for
-    ``result``."""
+    """The nearest exact hit of the leg from ``xyw`` along d among the float
+    hits ``offer``ed to it (_float_hits): each is weighed exactly, in the
+    order of its lower bound lo (for d / ``scale``), until a lo lies past
+    the nearest hit confirmed so far, which no later hit can undercut or
+    tie.  ``second`` is the runner-up's t.  A chart's hit is a crossing,
+    kept in ``crossings``; irrational hits wait for ``result``."""
 
-    def __init__(self, pos, direction):
-        self.pos, self.direction = pos, direction
+    def __init__(self, xyw, d, scale):
+        self.xyw, self.direction, self.scale = xyw, d, scale
         self.t = self.wall = self.second = None
-        self.ft = math.inf        # float(t), correctly rounded
-        self.irrational = []      # (_Surd, wall)
+        self.ft = math.inf        # float(t scale), correctly rounded
+        self.irrational = []      # (surd, wall)
         self.crossings = []       # (t, chart)
 
     def offer(self, hits):
@@ -358,31 +352,36 @@ class _Nearest:
             # lies past t
             if lo > self.ft:
                 break
-            t = w.hit(w.data, self.pos, self.direction)
+            t = w.hit(w.data, self.xyw, self.direction)
             if t is None:
                 continue
             if w.chart is not None:
                 self.crossings.append((t, w))
-            elif isinstance(t, _Surd):
+            elif len(t) > 3:
                 self.irrational.append((t, w))
-            elif self.t is None or t < self.t:
-                self.t, self.wall, self.second, self.ft = t, w, self.t, float(t)
-            elif self.second is None or t < self.second:
+            elif self.t is None or _before(t, self.t):
+                self.t, self.wall, self.second = t, w, self.t
+                try:
+                    self.ft = t[0] * self.scale / t[1]
+                except OverflowError:     # past the float range: no lo lies past it
+                    self.ft = math.inf
+            elif self.second is None or _before(t, self.second):
                 self.second = t
 
     def result(self):
         """(t, wall, runner-up t) of the nearest hit, all None when there
         is none; raises TracingError when an irrational hit is nearest."""
-        for root, w in self.irrational:
-            if self.t is None or root < self.t:
+        t = self.t
+        for (a, b, d, m), w in self.irrational:
+            if t is None or _surd_sign(a * t[1] - t[0] * m, b * t[1], d) < 0:
                 raise TracingError(f"trajectory left the rationals at {w.wall_id}")
         return self.t, self.wall, self.second
 
     def crossed(self):
         """(t, chart) of every crossing before the nearest hit, in flight
         order."""
-        return sorted((c for c in self.crossings if self.t is None or c[0] < self.t),
-                      key=itemgetter(0))
+        return sorted((c for c in self.crossings if self.t is None or _before(c[0], self.t)),
+                      key=lambda c: Fraction(c[0][0], c[0][1]))
 
 
 class _Walls:
@@ -395,11 +394,10 @@ class _Walls:
     with its float box (``boxes``, all held by ``box``, None when there
     are none); a leg float-intersects only those whose boxes meet its ray
     clipped to ``box``.  The leg is then cut at the nearest static hit the
-    exact test confirms, and each mirror family's one per-leg query,
-    ``walls_in(leg, frame)``, returns the rows the cut leg may meet.  A row
-    is converted (``row_segment``) the first time its id is seen and kept
-    by id in ``numeric``: the trace's only cache.  Charts count as neither
-    built nor weighed walls.
+    exact test confirms, and each family's one per-leg query, ``walls_in(leg,
+    frame)``, returns the rows the cut leg may meet, each read as it is into
+    a _NumericWall kept by id in ``numeric``: the trace's only cache.
+    Charts count as neither built nor weighed walls.
     """
 
     def __init__(self, static_walls, families, charts=()):
@@ -408,11 +406,9 @@ class _Walls:
         self.static = [self.numeric.setdefault(w.wall_id, _NumericWall(w))
                        for w in static_walls] + [_NumericWall(c) for c in charts]
         self.boxes = [w.float_box() for w in self.static]
-        self.box = None
-        if self.boxes:
-            self.box = (min(b[0] for b in self.boxes), min(b[1] for b in self.boxes),
-                        max(b[2] for b in self.boxes), max(b[3] for b in self.boxes))
-        self.max_candidates = 0
+        self.box = tuple(f(b[i] for b in self.boxes)
+                         for i, f in enumerate((min, min, max, max))) if self.boxes else None
+        self.max_candidates = self.denominator_bits = 0
         # each family counts the windows it left to exact integers over its
         # life; this trace's share is the growth from here
         self._mirrors = list({id(m): m for m, _ in families}.values())
@@ -438,31 +434,40 @@ class _Walls:
                 return []
         if t0 > t1:
             return []
-        cx0, cy0, cx1, cy1 = _widened(
-            min(fo[0] + t0 * fd[0], fo[0] + t1 * fd[0]),
-            min(fo[1] + t0 * fd[1], fo[1] + t1 * fd[1]),
-            max(fo[0] + t0 * fd[0], fo[0] + t1 * fd[0]),
-            max(fo[1] + t0 * fd[1], fo[1] + t1 * fd[1]))
+        xs = (fo[0] + t0 * fd[0], fo[0] + t1 * fd[0])
+        ys = (fo[1] + t0 * fd[1], fo[1] + t1 * fd[1])
+        cx0, cy0, cx1, cy1 = _widened(min(xs), min(ys), max(xs), max(ys))
         return [w for (x0, y0, x1, y1), w in zip(self.boxes, self.static)
                 if not (x1 < cx0 or x0 > cx1 or y1 < cy0 or y0 > cy1)]
 
-    def nearest(self, pos, direction, fo, fd, exclude):
-        """The _Nearest of the leg from ``pos`` along ``direction``, (fo,
-        fd) in floats, the _NumericWall ``exclude`` left out: offered the
-        static walls' and charts' float hits, then the mirrors' on the leg
-        cut at the nearest static hit."""
+    def nearest(self, pos, xyw, d, exclude):
+        """The _Nearest of the leg from ``pos``, ``xyw`` in integers, along
+        d, ``exclude`` left out: offered the static walls' and charts' float
+        hits, then the mirrors' on the leg cut at the nearest static hit.
+        Its floats run along d / isqrt(d.d), within the float range."""
+        x, y, w = xyw
+        # d / isqrt(d.d) never overflows, and where d.d is a square, as it
+        # is on every leg of a trace launched along a unit beam, it is the
+        # unit direction, read into the same floats as a unit d would be
+        scale = math.isqrt(d[0] * d[0] + d[1] * d[1])
+        try:
+            fo, fd = (x / w, y / w), (d[0] / scale, d[1] / scale)
+        except OverflowError:
+            raise TracingError("trajectory left the float range") from None
+        self.denominator_bits = max(self.denominator_bits, xyw[2].bit_length())
         static = self._static_near(fo, fd)
-        found = _Nearest(pos, direction)
+        found = _Nearest(xyw, d, scale)
         found.offer(_float_hits(static, fo, fd, exclude))
         # a nearer irrational static hit fails the trace unless a mirror
         # undercuts it, and then that mirror lies before the cut too
-        leg = Leg(pos, direction, found.t, fo + fd + (found.ft,))
+        t = found.t and Fraction(found.t[0], found.t[1])
+        leg = Leg(pos, d, t, fo + fd + (found.ft,))
         level = []
         for mirrors, frame in self.families:
             for row in mirrors.walls_in(leg, frame):
                 nw = self.numeric.get(row[5])
                 if nw is None:
-                    nw = self.numeric[row[5]] = _NumericWall(row_segment(row))
+                    nw = self.numeric[row[5]] = _NumericWall(row)
                 level.append(nw)
         weighed = sum(w.chart is None for w in static) + len(level)
         self.max_candidates = max(self.max_candidates, weighed)
@@ -473,42 +478,45 @@ class _Walls:
 def _trace(walls, pos, direction):
     """Exact specular ray trace from ``pos`` along ``direction`` over the
     _Walls ``walls``: the one core behind run_numeric and GadgetTracer.
-    Each leg is read in floats once, and the walls and charts the float
-    ray cannot reach are left out before any exact work
-    (``_Walls.nearest``).
+    A leg is carried in integers, its origin over one common denominator,
+    and read in floats once (``_Walls.nearest``); the hit that ends it is
+    made a rational point by one gcd, and the reflection there by another.
 
-    Per leg, yields ``("cross", chart, point, u, direction)`` for every
+    Per leg, yields ``("cross", chart, None, u, direction)`` for every
     forward crossing of a chart's window, in flight order, then ``("hit",
-    wall, point, None, direction)`` for the wall that ends the leg;
-    resuming reflects there, d - 2 (d.n) / (n.n) n, which keeps |d|.
+    wall, point, None, direction)`` for the wall that ends the leg.
     Raises TracingDegeneracy when two walls are hit at the same t, a hit
     lies on a wall's end or grazes (d.n = 0), and TracingError when the
-    ray escapes or its next hit is irrational.
+    ray escapes, leaves the float range or its next hit is irrational.
     """
-    last = None
+    w, x, y = _integers(*pos)
+    xyw, direction, last = (x, y, w), _integers(*direction)[1:], None
     while True:
-        found = walls.nearest(pos, direction, _float_pt(pos), _float_pt(direction), last)
+        found = walls.nearest(pos, xyw, direction, last)
         best_t, wall, second_t = found.result()
-        if second_t is not None and second_t == best_t:
+        if second_t is not None and not _before(best_t, second_t):
             raise TracingDegeneracy(
                 f"two walls hit at once with {wall.wall_id}: geometry bug")
-        for t, chart in found.crossed():
-            point = (pos[0] + t * direction[0], pos[1] + t * direction[1])
-            yield "cross", chart.chart, point, _chart_u(point, *chart.data[:2]), direction
+        for (_, _, (u, v)), chart in found.crossed():
+            yield "cross", chart.chart, None, Fraction(u, v), direction
         if best_t is None:
             raise TracingError("trajectory escaped the scene")
-        hit = (pos[0] + best_t * direction[0], pos[1] + best_t * direction[1])
-        if wall.at_end(hit):
+        if best_t[2]:
             raise TracingDegeneracy(f"corner hit on {wall.wall_id}")
-        yield "hit", wall, hit, None, direction
-        n = wall.normal(hit)
-        d_dot = direction[0] * n[0] + direction[1] * n[1]
-        if not d_dot:
+        (n, m, _), (x, y, w), (dx, dy) = best_t, xyw, direction
+        x, y, w = x * m + n * dx * w, y * m + n * dy * w, w * m
+        g = math.gcd(x, y, w)
+        xyw = x // g, y // g, w // g
+        pos = (Fraction(xyw[0], xyw[2]), Fraction(xyw[1], xyw[2]))
+        yield "hit", wall, pos, None, direction
+        direction = _reflect(direction, wall.normal(xyw))
+        if direction is None:
             raise TracingDegeneracy(f"grazing hit on {wall.wall_id}")
-        k = 2 * d_dot / (n[0] * n[0] + n[1] * n[1])
-        direction = (direction[0] - k * n[0], direction[1] - k * n[1])
-        pos = hit
         last = wall
+
+
+def _chart_u(point, origin, tangent):
+    return (point[0] - origin[0]) * tangent[0] + (point[1] - origin[1]) * tangent[1]
 
 
 def run_numeric(table, tape, budget, precision=None):
@@ -527,11 +535,9 @@ def run_numeric(table, tape, budget, precision=None):
              for st in table.stations.values() if st.checkpoint.hard}
     start_state = table.machine.initial
     pos = table.checkpoint_point(start_state, expected[0].value)
-    direction = (Fraction(0), Fraction(1))
+    direction = (0, 1)
 
-    deviations = []
-    points = [pos]
-    idx = 0
+    deviations, points, idx = [], [pos], 0
 
     def fail(msg):
         raise TraceMismatch(f"{msg} (event {idx}/{len(expected)})")
@@ -579,9 +585,9 @@ def run_numeric(table, tape, budget, precision=None):
                 points.append(point)
                 mark = halts.get(obj.wall_id)
                 if mark is not None:
-                    # the halt checkpoint: orthogonal bounce ends the run
-                    n = obj.normal(point)
-                    if d[0] * n[1] - d[1] * n[0]:
+                    # the halt checkpoint, a wall along its tangent:
+                    # an orthogonal bounce ends the run
+                    if d[0] * mark.tangent[0] + d[1] * mark.tangent[1]:
                         fail("halt hit not orthogonal")
                     note_crossing(mark, d, _chart_u(point, mark.origin, mark.tangent))
                     check_event("halt-bounce")
@@ -598,7 +604,8 @@ def run_numeric(table, tape, budget, precision=None):
                          points=[_float_pt(p) for p in points],
                          walls_built=len(walls.numeric),
                          max_candidates=walls.max_candidates,
-                         windows_exact=walls.windows_exact)
+                         windows_exact=walls.windows_exact,
+                         denominator_bits=walls.denominator_bits)
 
 
 #: A gadget chains a handful of mirrors; more bounces means a trapped ray.

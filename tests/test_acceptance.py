@@ -241,14 +241,16 @@ def test_envelope():
     assert K == 64
     for name, m in fixture_machines().items():
         assert compile_table(m, K).K == K, name
-    # exact certificates of deep heads, each with its verdict and steps:
-    # rev-move walks through head 64 and leaves the range at 65
-    for name, table_K, literal, budget, verdict, steps in (
-            ("rev-move", K, "@" + "0" * 64, 140, "out-of-range", 64),
-            ("walker", 24, "@" + "1" * 18, 200, "halted", 38),
-            ("rev-move", 40, "@" + "0" * 20 + "1", 100, "halted", 21)):
-        out = run_numeric(compile_table(get_machine(name), table_K),
-                          parse_tape(literal), budget).outcome
-        assert (out.verdict, out.steps) == (verdict, steps), name
+    # exact certificates of deep heads, each with its verdict, steps and
+    # the bits of the largest common denominator a leg carried: rev-move
+    # walks through head 64 and leaves the range at 65
+    for name, table_K, literal, budget, verdict, steps, bits in (
+            ("rev-move", K, "@" + "0" * 64, 140, "out-of-range", 64, 301),
+            ("walker", 24, "@" + "1" * 18, 200, "halted", 38, 174),
+            ("rev-move", 40, "@" + "0" * 20 + "1", 100, "halted", 21, 202)):
+        res = run_numeric(compile_table(get_machine(name), table_K),
+                          parse_tape(literal), budget)
+        out = res.outcome
+        assert (out.verdict, out.steps, res.denominator_bits) == (verdict, steps, bits), name
         assert out.out_of_range_k == (K + 1 if verdict == "out-of-range" else None)
     _report("envelope (K=64 compiles, exact deep-head certificates)", t0, 10)

@@ -112,6 +112,7 @@ def test_run_numeric_json_at_default_K(rev_move_file, capsys):
     assert doc["max_deviation"] < 1e-30
     assert doc["walls_built"] > 0 and doc["max_candidates"] > 0
     assert doc["windows_exact"] == 0     # a level-5 head: floats settle every window
+    assert doc["denominator_bits"] == 50
 
 
 def test_run_trace_file(rev_move_file, tmp_path, capsys):

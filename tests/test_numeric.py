@@ -6,6 +6,11 @@ within its own bound e of the exact t; a hit the bound leaves open goes to
 the exact test, which decides ties, corners, grazes and irrational roots
 with no tolerance.  A leg whose beam has a tiny x-component makes an arc's
 quadratic coefficient subnormal; the float root must survive that too.
+
+The exact tests run in integers.  The oracles here are the same tests and
+the reflection in Fractions, as the tracer ran them before: on every
+seeded ray, the integer test's t must be the oracle's, and the integer
+reflection a positive multiple of the oracle's.
 """
 
 import math
@@ -19,16 +24,151 @@ from carom.geometry import Chart, ParabolaArc, Segment
 from carom.numeric import (
     _UNDECIDED,
     _arc_hit,
+    _chart_hit,
     _float_arc_hit,
     _float_roots,
     _float_seg_hit,
+    _integers,
     _NumericWall,
+    _reflect,
     _seg_hit,
-    _Surd,
     _trace,
     _Walls,
 )
 from carom.simulate import TracingDegeneracy, TracingError
+
+# --- the Fraction oracles -----------------------------------------------------
+
+
+def _oracle_surd_sign(a, b, d):
+    """The sign of a + b sqrt(d), for rationals a, b and a d > 0 that is
+    not a rational square."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > b * b * d else sb
+
+
+class _OracleSurd:
+    """The irrational root a + b sqrt(d) of an arc's quadratic."""
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = a, b, d
+
+    def __lt__(self, r):
+        return _oracle_surd_sign(self.a - r, self.b, self.d) < 0
+
+    def __gt__(self, r):
+        return _oracle_surd_sign(self.a - r, self.b, self.d) > 0
+
+
+def _oracle_seg_hit(data, origin, direction):
+    """The exact t > 0 at which the ray meets the segment ((x0, y0), (x1,
+    y1)), ends included, or None."""
+    (x0, y0), (x1, y1) = data
+    rx, ry = x0 - origin[0], y0 - origin[1]
+    dx, dy = direction
+    ex, ey = x1 - x0, y1 - y0
+    den = dx * ey - dy * ex
+    nt, ns = rx * ey - ry * ex, rx * dy - ry * dx
+    if den < 0:
+        den, nt, ns = -den, -nt, -ns
+    if not den or nt <= 0 or ns < 0 or ns > den:
+        return None
+    return Fraction(nt) / den
+
+
+def _oracle_arc_hit(arc, origin, direction):
+    """The exact least t > 0 at which the ray meets the ParabolaArc ``arc``,
+    ends included: a Fraction, an _OracleSurd or None."""
+    ox, oy = origin
+    dx, dy = direction
+    c = arc.sign / (4 * arc.p)
+    rel = ox - arc.axis_x
+    qa, qb, qc = -c * dx * dx, dy - 2 * c * rel * dx, oy - arc.apex_y - c * rel * rel
+    if not qa:
+        t = -qc / qb
+        return t if t > 0 and arc.x_lo <= ox <= arc.x_hi else None
+    disc = qb * qb - 4 * qa * qc
+    if disc < 0:
+        return None
+    h, mid = abs(1 / (2 * qa)), -qb / (2 * qa)
+    n, d = disc.numerator, disc.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    root = Fraction(rn, rd) if rn * rn == n and rd * rd == d else None
+    t_lo, t_hi = sorted(((arc.x_lo - ox) / dx, (arc.x_hi - ox) / dx))
+    for t in ((mid - h * root, mid + h * root) if root is not None
+              else (_OracleSurd(mid, -h, disc), _OracleSurd(mid, h, disc))):
+        if t > 0 and not (t < t_lo or t > t_hi):
+            return t
+    return None
+
+
+def _oracle_chart_hit(chart, origin, direction):
+    """(t, u): the exact t > 0 at which the ray crosses the Chart forwards,
+    at u within 1/2 of its window, ends included, or None."""
+    co, ct, cb = chart.origin, chart.tangent, chart.beam
+    den = direction[0] * cb[0] + direction[1] * cb[1]
+    if den <= 0:
+        return None
+    t = Fraction((co[0] - origin[0]) * cb[0] + (co[1] - origin[1]) * cb[1]) / den
+    if t <= 0:
+        return None
+    point = (origin[0] + t * direction[0], origin[1] + t * direction[1])
+    u = (point[0] - co[0]) * ct[0] + (point[1] - co[1]) * ct[1]
+    return (t, u) if chart.lo - Fraction(1, 2) <= u <= chart.hi + Fraction(1, 2) else None
+
+
+def _oracle_reflect(d, n):
+    """d - 2 (d.n) / (n.n) n, which keeps |d|."""
+    k = Fraction(2 * (d[0] * n[0] + d[1] * n[1])) / (n[0] * n[0] + n[1] * n[1])
+    return (d[0] - k * n[0], d[1] - k * n[1])
+
+
+def _integer_leg(origin, direction):
+    """The leg from the rational ``origin`` along ``direction`` as the tracer
+    carries it: (x, y, w) and an integer direction, a positive multiple of
+    ``direction``."""
+    w, x, y = _integers(*origin)
+    return (x, y, w), _integers(*direction)[1:]
+
+
+def _t(got):
+    """The exact t of an integer hit test's rational answer."""
+    return Fraction(got[0], got[1])
+
+
+def _same(got, want):
+    """Whether an integer hit test's answer ``got`` (None, a rational (n,
+    m, corner) or a surd (a, b, D, m)) is the oracle's ``want`` (None, a
+    Fraction or an _OracleSurd)."""
+    if got is None or want is None:
+        return got is want
+    if isinstance(want, Fraction):
+        return len(got) == 3 and _t(got) == want
+    a, b, big_d, m = got
+    return (Fraction(a, m) == want.a and (b > 0) == (want.b > 0)
+            and Fraction(b * b * big_d, m * m) == want.b ** 2 * want.d)
+
+
+def _hit_point(xyw, d, t):
+    x, y, w = xyw
+    return (Fraction(x, w) + t * d[0], Fraction(y, w) + t * d[1])
+
+
+def _check_reflection(wall, xyw, d, t, oracle_normal):
+    """The integer reflection at the hit ``t`` on the _NumericWall ``wall``
+    is a positive multiple of the oracle's, or both graze."""
+    point = _hit_point(xyw, d, t)
+    w, x, y = _integers(*point)
+    got = _reflect(d, wall.normal((x, y, w)))
+    want = _oracle_reflect(d, oracle_normal(point))
+    if got is None:
+        assert want == tuple(d)     # a graze leaves d as it is
+        return
+    assert got[0] * want[1] == got[1] * want[0], (got, want)
+    assert got[0] * want[0] + got[1] * want[1] > 0, (got, want)
+    assert math.gcd(*got) == 1
 
 #: An upward bowl y = 1 + x^2 / 4 over -1 <= x <= 1, as (axis_x, apex_y,
 #: p, sign, x_lo, x_hi): the layout of _NumericWall data.
@@ -42,9 +182,13 @@ def test_float_arc_hit_survives_a_subnormal_quadratic_coefficient():
     assert 0 < direction[0] ** 2 / 4 < 2.2250738585072014e-308
     t, e = _float_arc_hit(BOWL, origin, direction)
     assert t == pytest.approx(1.0625, rel=1e-15) and e < 1e-12
-    exact = _arc_hit(tuple(Fraction(v) for v in BOWL),
-                     (Fraction(1, 2), Fraction(0)), (Fraction(1, 10 ** 160), Fraction(1)))
+    bowl = ParabolaArc(*(Fraction(v) for v in BOWL[:3]), 1, Fraction(-1), Fraction(1), "bowl")
+    exact_origin, exact_direction = (Fraction(1, 2), Fraction(0)), (Fraction(1, 10 ** 160), 1)
+    exact = _oracle_arc_hit(bowl, exact_origin, exact_direction)
     assert _within(exact, (1.0625, 1e-15)) and _within(exact, (t, e))
+    xyw, d = _integer_leg(exact_origin, exact_direction)
+    got = _arc_hit(_NumericWall(bowl).data, xyw, d)
+    assert _same(got, _oracle_arc_hit(bowl, exact_origin, d))
 
 
 def test_float_roots_match_the_quadratic():
@@ -89,13 +233,28 @@ def _within(exact, got):
     return not (exact < t - e or exact > t + e)
 
 
+def _check_integer_seg_hit(p0, p1, origin, d):
+    """The integer segment test on the ray from ``origin`` along d gives
+    the oracle's t, its corner flag says whether the hit is an end, and
+    the reflection there is the oracle's."""
+    wall = _NumericWall(Segment(p0, p1, "s"))
+    xyw, di = _integer_leg(origin, d)
+    got, want = _seg_hit(wall.data, xyw, di), _oracle_seg_hit((p0, p1), origin, di)
+    assert _same(got, want), (p0, p1, origin, d)
+    if got is not None:
+        assert got[2] == (_hit_point(xyw, di, want) in (p0, p1))
+        _check_reflection(wall, xyw, di, want, lambda _: (p0[1] - p1[1], p1[0] - p0[0]))
+
+
 def _segment_sweep(rng, p0, p1, d):
     """The ray along d through an end of the segment (p0, p1), from back
-    of it: (exact t, float answer), or None where the ray runs along it."""
+    of it: (exact t, float answer), or None where the ray runs along it.
+    The integer test is checked against the oracle on the way."""
     end = rng.choice((p0, p1))
     back = _q(rng, 0.01, 5)
     origin = (end[0] - back * d[0], end[1] - back * d[1])
-    exact = _seg_hit((p0, p1), origin, d)
+    exact = _oracle_seg_hit((p0, p1), origin, d)
+    _check_integer_seg_hit(p0, p1, origin, d)
     if exact is None:
         return None
     return exact, _float_seg_hit((_floats(p0), _floats(p1)), _floats(origin), _floats(d))
@@ -134,7 +293,10 @@ def test_no_segment_hit_through_an_end_is_dropped_in_floats():
 def _arc_sweep(rng, tangential):
     """A seeded arc and a ray through one of its ends (x = x_lo or x_hi),
     tilted, or turned from the arc's tangent there by a small angle:
-    (arc, exact t, float answer), the exact t None where the ray misses."""
+    (arc, exact t, float answer), the exact t None where the ray misses.
+    The integer test is checked against the oracle on the way: the same
+    t, a corner flag that says whether the hit is an end, and the oracle's
+    reflection."""
     axis_x, apex_y = _q(rng, -60, 60), _q(rng, -60, 60)
     p, sign = _q(rng, 0.1, 2), rng.choice((-1, 1))
     x_lo = axis_x + _q(rng, -2, 1)
@@ -150,8 +312,48 @@ def _arc_sweep(rng, tangential):
     back = _q(rng, 0.01, 5)
     origin = (end[0] - back * d[0], end[1] - back * d[1])
     wall = _NumericWall(arc)
-    return (arc, _arc_hit(wall.data, origin, d),
+    xyw, di = _integer_leg(origin, d)
+    got, want = _arc_hit(wall.data, xyw, di), _oracle_arc_hit(arc, origin, di)
+    assert _same(got, want), arc
+    if got is not None:
+        assert got[2] == (_hit_point(xyw, di, want)[0] in (x_lo, x_hi))
+        _check_reflection(wall, xyw, di, want,
+                          lambda point: (-sign * (point[0] - axis_x) / (2 * p), 1))
+    return (arc, _oracle_arc_hit(arc, origin, d),
             _float_arc_hit(wall.fdata, _floats(origin), _floats(d)))
+
+
+#: A chart's tangent and beam: unit, axis-aligned and perpendicular.
+FRAMES = (((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)),
+          ((1, 0), (0, -1)), ((0, 1), (1, 0)))
+
+
+def test_chart_crossings_match_the_oracle():
+    # seeded rays at a chart's window ends (u = lo - 1/2 or hi + 1/2) or
+    # at random points of its line, from back of it or past it: the integer
+    # test gives the oracle's t and u, or None where the oracle does
+    rng = random.Random(1303)
+    crossed = ends = 0
+    for _ in range(2_000):
+        tangent, beam = rng.choice(FRAMES)
+        lo = _q(rng, -3, 3)
+        chart = Chart((_q(rng, -60, 60), _q(rng, -60, 60)), tangent, beam,
+                      lo, lo + _q(rng, 0.1, 3), "chart")
+        end = rng.random() < 0.5
+        u = (rng.choice((chart.lo - Fraction(1, 2), chart.hi + Fraction(1, 2))) if end
+             else _q(rng, -5, 5))
+        d, back = _tilted(rng), _q(rng, -1, 5)
+        at = chart.chart(u)
+        origin = (at[0] - back * d[0], at[1] - back * d[1])
+        xyw, di = _integer_leg(origin, d)
+        got = _chart_hit(_NumericWall(chart).data, xyw, di)
+        want = _oracle_chart_hit(chart, origin, di)
+        assert (got is None) == (want is None), (chart, origin, d)
+        if got is not None:
+            assert (Fraction(got[0], got[1]), Fraction(*got[2])) == want
+            crossed += 1
+            ends += end
+    assert crossed > 500 and ends > 200
 
 
 def test_no_arc_hit_through_an_end_is_dropped_in_floats():
@@ -194,7 +396,7 @@ def test_a_spurious_near_hit_does_not_hide_the_far_wall():
     origin, direction = (F(0), F(0)), (F(1), F(0))
     t, _ = _float_seg_hit((_floats(near.p0), _floats(near.p1)), (0.0, 0.0), (1.0, 0.0))
     assert t == 1.0
-    assert _seg_hit((near.p0, near.p1), origin, direction) is None
+    assert _seg_hit(_NumericWall(near).data, *_integer_leg(origin, direction)) is None
     assert _first_hit([near, far], origin, direction) == "far"
 
 
@@ -215,8 +417,10 @@ def test_a_far_float_t_does_not_shut_out_the_nearest_wall():
     b = Segment((c[0] - perp[0] / 1000, c[1] - perp[1] / 1000),
                 (c[0] + perp[0] / 1000, c[1] + perp[1] / 1000), "B")
     fo, fd = _floats(o), _floats(d)
-    t, wall, _ = _Walls([a, b], ()).nearest(o, d, fo, fd, None).result()
-    assert wall.wall_id == "A" and t == t0
+    xyw, di = _integer_leg(o, d)
+    t, wall, _ = _Walls([a, b], ()).nearest(o, xyw, di, None).result()
+    # di is d times di[0] / d[0]
+    assert wall.wall_id == "A" and _t(t) * di[0] / d[0] == t0
     t_a, e_a = _float_seg_hit((_floats(a.p0), _floats(a.p1)), fo, fd)
     assert abs(t_a - float(t0)) > 1e-4 and _within(t0, (t_a, e_a))
 
@@ -259,6 +463,35 @@ def test_a_graze_is_degenerate():
             pass
 
 
+def test_a_direction_past_the_float_range_is_read_to_scale():
+    # a ray from the origin along (10^400, 1), integers no double holds:
+    # the float leg runs along d / isqrt(d.d), its float t scaled with the
+    # exact one, so the ray bounces between two posts exactly
+    F, big = Fraction, 10 ** 400
+    with pytest.raises(OverflowError):
+        float(big)
+    right = Segment((F(1), F(-1)), (F(1), F(1)), "right")
+    left = Segment((F(-1), F(-1)), (F(-1), F(1)), "left")
+    hits = list(islice(_trace(_Walls([right, left], ()), (F(0), F(0)), (F(big), F(1))), 3))
+    assert [(kind, wall.wall_id, point) for kind, wall, point, _, _ in hits] == [
+        ("hit", "right", (F(1), F(1, big))), ("hit", "left", (F(-1), F(3, big))),
+        ("hit", "right", (F(1), F(5, big)))]
+    assert [d for *_, d in hits] == [(big, 1), (-big, 1), (big, 1)]
+
+
+def test_a_position_past_the_float_range_fails_the_trace():
+    # a leg whose origin no double holds cannot be read in floats: a
+    # TracingError (exit 3), not an OverflowError
+    F = Fraction
+    post = Segment((F(1), F(-1)), (F(1), F(1)), "post")
+    with pytest.raises(TracingError, match="left the float range"):
+        next(_trace(_Walls([post], ()), (F(-(10 ** 400)), F(0)), (F(1), F(0))))
+    # a hit whose t no double holds, 1.9e308 away, is still found
+    far = Segment((F(9 * 10 ** 307), F(-1)), (F(9 * 10 ** 307), F(1)), "far")
+    kind, wall, point, _, _ = next(_trace(_Walls([far], ()), (F(-(10 ** 308)), F(0)), (1, 0)))
+    assert (kind, wall.wall_id, point) == ("hit", "far", (F(9 * 10 ** 307), F(0)))
+
+
 #: The bowl y = x^2 / 4 over [-1, 1] and the ray (1/2, 0) + t (1, 1): they
 #: meet where t^2 - 3t + 1/4 = 0, first at t = 3/2 - sqrt(2).
 IRRATIONAL_BOWL = ParabolaArc(Fraction(0), Fraction(0), Fraction(1), 1,
@@ -273,10 +506,11 @@ def _post(t):
 
 
 def test_an_irrational_root_is_compared_exactly():
-    root = _arc_hit(_NumericWall(IRRATIONAL_BOWL).data, *RAY)
-    # the root is 3/2 - sqrt(2)
-    assert isinstance(root, _Surd) and root.a == Fraction(3, 2)
-    assert root.b < 0 and root.b ** 2 * root.d == 2
+    # the root is 3/2 - sqrt(2), (a + b sqrt(D)) / m in integers
+    a, b, big_d, m = _arc_hit(_NumericWall(IRRATIONAL_BOWL).data, *_integer_leg(*RAY))
+    assert Fraction(a, m) == Fraction(3, 2) and b < 0 and Fraction(b * b * big_d, m * m) == 2
+    root = _oracle_arc_hit(IRRATIONAL_BOWL, *RAY)
+    assert (root.a, root.b ** 2 * root.d) == (Fraction(3, 2), 2) and root.b < 0
     # sqrt(2) to 30 digits, from below and from above: two posts 1e-30
     # either side of the root, which floats cannot tell apart
     s_lo = Fraction(math.isqrt(2 * 10 ** 60), 10 ** 30)

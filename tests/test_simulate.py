@@ -305,10 +305,9 @@ def test_trace_without_static_walls():
     assert split.static_walls == ()
     walls = _Walls(split.static_walls, (split.mirrors,))
     assert walls.static == [] and walls.box is None
-    pos = (encode_state(frozenset(), 0).value.as_fraction(), Fraction(0))
-    up = (Fraction(0), Fraction(1))
-    t, wall, second = walls.nearest(pos, up, tuple(map(float, pos)), (0.0, 1.0),
-                                    None).result()
+    x = encode_state(frozenset(), 0).value.as_fraction()
+    pos, xyw = (x, Fraction(0)), (x.numerator, 0, x.denominator)
+    t, wall, second = walls.nearest(pos, xyw, (0, 1), None).result()
     assert walls.max_candidates == 1 and wall.wall_id.endswith(":W") and second is None
 
 

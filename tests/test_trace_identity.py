@@ -6,6 +6,10 @@ reports alike: the verdict, the step count, the event stream and the
 traced points in floats; for gadgets, the hit ids and the out coordinate
 in floats.  They were computed with the working-precision (60 digit)
 tracer that the exact one replaced, and the exact tracer reproduces them.
+A third digest hashes what the float shortlist decides on the numeric
+runs, the walls built, the most walls one leg weighed and the block
+windows left to exact integers; it was computed with the Fraction tracer
+that the integer one replaced, which reads each leg into the same floats.
 """
 
 import hashlib
@@ -33,6 +37,7 @@ NUMERIC_TAPES = (
 
 NUMERIC_SHA256 = "d76ec9f40e12dd70b3a27a04ba4820a9f75398c2ab98aaf2cd8806f265ee375b"
 GADGET_SHA256 = "36f5822f0d744aecdc3af3a4d53c6afc4bebb06c7002a429455e9124d22f1f35"
+COUNTER_SHA256 = "c0db603e459e8baa033916608f1e933f5f4b2e9cf4e78ffafc28b0c30fd794fb"
 
 
 def numeric_runs():
@@ -51,6 +56,14 @@ def numeric_digest():
         for part in (res.outcome.verdict, res.outcome.steps, res.outcome.trace,
                      res.points):
             h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def counter_digest():
+    """walls_built, max_candidates and windows_exact of numeric_runs."""
+    h = hashlib.sha256()
+    for res in numeric_runs():
+        h.update(repr((res.walls_built, res.max_candidates, res.windows_exact)).encode())
     return h.hexdigest()
 
 
@@ -91,6 +104,10 @@ def test_gadget_traces_unchanged():
     assert gadget_digest() == GADGET_SHA256
 
 
+def test_float_shortlist_unchanged():
+    assert counter_digest() == COUNTER_SHA256
+
+
 def test_numeric_deviations_are_zero():
     # the trace is exact: every checkpoint reads its symbolic value
     for res in numeric_runs():
@@ -101,3 +118,4 @@ def test_numeric_deviations_are_zero():
 if __name__ == "__main__":
     print("numeric", numeric_digest())
     print("gadget", gadget_digest())
+    print("counter", counter_digest())

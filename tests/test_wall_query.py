@@ -422,16 +422,29 @@ def test_static_float_boxes_hold_the_exact_boxes(name):
                               for i, f in enumerate((min, min, max, max)))
 
 
-def _unfiltered_hits(walls, pos, direction, fo, fd, exclude):
+def _leg_floats(xyw, d):
+    """(fo, fd, scale): the integer leg from ``xyw`` along d in floats, as
+    ``_Walls.nearest`` reads it, along d / scale."""
+    scale = math.isqrt(d[0] * d[0] + d[1] * d[1])
+    return (xyw[0] / xyw[2], xyw[1] / xyw[2]), (d[0] / scale, d[1] / scale), scale
+
+
+def _exact_t(t):
+    """An exact hit's t, (n, m, ...), as a Fraction; None for None."""
+    return None if t is None else Fraction(t[0], t[1])
+
+
+def _unfiltered_hits(walls, pos, xyw, direction, exclude):
     """(wall id, lower bound) of every float hit of the leg without
     pre-rejects: every static wall and chart float-intersected, every
     family queried with the exact Leg cut at the nearest static hit the
     exact test confirms, as ``_Walls.nearest`` cuts it."""
+    fo, fd, scale = _leg_floats(xyw, direction)
     hits = list(_float_hits(walls.static, fo, fd, exclude))
-    static = _Nearest(pos, direction)
+    static = _Nearest(xyw, direction, scale)
     static.offer(hits)
-    leg = Leg(pos, direction, static.t, fo + fd + (static.ft,))
-    level = [walls.numeric.get(row[5]) or _NumericWall(row_segment(row))
+    leg = Leg(pos, direction, _exact_t(static.t), fo + fd + (static.ft,))
+    level = [walls.numeric.get(row[5]) or _NumericWall(row)
              for mirrors, frame in walls.families for row in mirrors.walls_in(leg, frame)]
     hits += _float_hits(level, fo, fd, exclude)
     return {(w.wall_id, lo) for lo, w in hits}
@@ -500,12 +513,13 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
         offered.extend(hits)
         offer(found, hits)
 
-    def checked_nearest(walls, pos, direction, fo, fd, exclude):
+    def checked_nearest(walls, pos, xyw, direction, exclude):
         offered.clear()
         charts[:] = [w.chart for w in walls.static if w.chart is not None]
-        found = nearest(walls, pos, direction, fo, fd, exclude)
+        found = nearest(walls, pos, xyw, direction, exclude)
         assert ({(w.wall_id, lo) for lo, w in offered}
-                == _unfiltered_hits(walls, pos, direction, fo, fd, exclude))
+                == _unfiltered_hits(walls, pos, xyw, direction, exclude))
+        fo, fd, _ = _leg_floats(xyw, direction)
         seen["legs"] += 1
         seen["static_left_out"] += len(walls.static) - len(walls._static_near(fo, fd))
         seen["families_left_out"] += sum(mirrors.local_leg(fo + fd + (math.inf,), frame) is None
@@ -515,10 +529,11 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     def checked_crossed(found):
         # the crossings _trace yields for the leg
         got = crossed(found)
-        pos, direction, best_t = found.pos, found.direction, found.t
-        assert ([(t, w.chart) for t, w in got]
+        (x, y, w), direction = found.xyw, found.direction
+        pos, best_t = (Fraction(x, w), Fraction(y, w)), _exact_t(found.t)
+        assert ([(_exact_t(t), w.chart) for t, w in got]
                 == _unfiltered_crossings(charts, pos, direction, best_t))
-        fo, fd = tuple(map(float, pos)), tuple(map(float, direction))
+        fo, fd, _ = _leg_floats(found.xyw, direction)
         lines = [_float_line(c) for c in charts]
         seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for fline in lines)
         seen["parallel_charts_left_out"] += sum(_parallel_and_clear(fline, fo, fd, best_t)
@@ -539,21 +554,14 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
-class _Reads(tuple):
-    """A point that counts how often it is indexed: the tracer reads the
-    leg's exact direction only for a chart it weighs exactly."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return tuple.__getitem__(self, i)
-
-
 def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision():
     table = _table()
     chart = table.stations["A"].checkpoint
     walls = _Walls((), (), (chart,))
+    # count the chart's exact weighings
+    wall, = walls.static
+    weighings, exact_hit = [], wall.hit
+    wall.hit = lambda *args: weighings.append(args) or exact_hit(*args)
     co, ct, cb = chart.origin, chart.tangent, chart.beam
     # legs along the line's tangent, from the line or a distance before or
     # past it along the beam, tilted towards the beam by ``tilt``: parallel
@@ -563,9 +571,10 @@ def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision():
                                            (1, 0, False, 0),
                                            (Fraction(-1, 10 ** 9), Fraction(1, 10 ** 8), True, 1)):
         pos = tuple(o + t / 2 + offset * b for o, t, b in zip(co, ct, cb))
-        direction = _Reads(t + tilt * b for t, b in zip(ct, cb))
-        fo, fd = tuple(map(float, pos)), tuple(map(float, direction))
-        got = walls.nearest(pos, direction, fo, fd, None).crossed()
-        assert [(t, w.chart) for t, w in got] == _unfiltered_crossings(
-            [chart], pos, tuple(direction), None)
-        assert len(got) == crossed and (direction.reads > 0) == weighed, offset
+        den, x, y = numeric._integers(*pos)
+        direction = numeric._integers(*(t + tilt * b for t, b in zip(ct, cb)))[1:]
+        weighings.clear()
+        got = walls.nearest(pos, (x, y, den), direction, None).crossed()
+        assert [(_exact_t(t), w.chart) for t, w in got] == _unfiltered_crossings(
+            [chart], pos, direction, None)
+        assert len(got) == crossed and bool(weighings) == weighed, offset
