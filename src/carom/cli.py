@@ -25,6 +25,10 @@ OK, NEGATIVE, INPUT_ERROR, INTERNAL = 0, 1, 2, 3
 #: before any wall is listed (walls grow about 4x per head level).
 SVG_MAX_WALLS = 100_000
 
+#: The most tapes ``carom verify`` checks; a --support whose 2^(2N + 1)
+#: tapes exceed it exits 2 before any tape is listed.
+VERIFY_MAX_TAPES = 2 ** 20
+
 
 @dataclass
 class Config:
@@ -127,7 +131,6 @@ def cmd_run(args, cfg):
         payload["max_deviation"] = result.max_deviation
         payload["walls_built"] = result.walls_built
         payload["max_candidates"] = result.max_candidates
-        payload["windows_exact"] = result.windows_exact
         payload["denominator_bits"] = result.denominator_bits
         lines.append("exact numeric trace matches; every checkpoint reads its value")
     if args.trace:
@@ -139,9 +142,12 @@ def cmd_run(args, cfg):
 
 
 def cmd_verify(args, cfg):
+    cells = range(-args.support, args.support + 1)
+    if len(cells) >= VERIFY_MAX_TAPES.bit_length():    # 2^len(cells) tapes
+        raise ValueError(f"--support {args.support} would check 2^{len(cells)} tapes, "
+                         f"more than the {VERIFY_MAX_TAPES} verify checks")
     table = _load_or_compile(args, cfg)
     machine = table.machine
-    cells = range(-args.support, args.support + 1)
     tapes = list(enumerate_tapes(cells))
     report = verify_equivalence(machine, table, tapes, cfg.budget)
     payload = {

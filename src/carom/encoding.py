@@ -295,15 +295,17 @@ def block_indices(n_free, window=None):
     ``bits`` holds them as the bits of an integer, first digit most
     significant.  A descent over the digits prunes every prefix whose
     blocks all miss the window."""
-    pow3 = [3 ** r for r in range(n_free + 1)]
-    lo, hi = 0, pow3[n_free] - 1
+    span = 3 ** n_free
+    lo, hi = 0, span - 1
     if window is not None:
         lo, hi = max(lo, window[0]), min(hi, window[1])
+    if lo > hi:
+        return []
     # (free digits chosen so far, their bits), refined one digit at a time;
     # a prefix is dropped once every block under it misses [lo, hi]
-    found = [(0, 0)] if lo <= hi else []
-    for r in range(n_free - 1, -1, -1):
-        span = pow3[r]
+    found = [(0, 0)]
+    for _ in range(n_free):
+        span //= 3
         found = [(v, 2 * bits + bit) for value, bits in found
                  for v, bit in ((3 * value, 0), (3 * value + 2, 1))
                  if v * span <= hi and (v + 1) * span > lo]

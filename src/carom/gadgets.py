@@ -255,8 +255,6 @@ class _Template(NamedTuple):
     walls: tuple       # (x0, y0, x1, y1) per wall of the pair over block 0, over den
     boxes: tuple       # (2den, 2step, x, y, rx, ry) per wall
     centre: int        # block 0's centre, over 2den
-    fboxes: tuple      # the boxes in floats (_float_box)
-    last: int          # the last block index, 3^(digit_pos - 1) - 1
     flo: float         # the hull I_k, rounded outward
     fhi: float
     reach: tuple       # per line of _LINES: float bound on box offset + radius
@@ -305,8 +303,7 @@ def _pair_template(k, digit_pos, read_s, write_s):
               for (dx, _), r in zip(_LINES, reach) if r]
     region = (min(b[0] for b in bounds), max(b[1] for b in bounds),
               min(b[2] for b in bounds), max(b[3] for b in bounds))
-    return _Template(den, step, walls, boxes, centre, tuple(map(_float_box, boxes)),
-                     3 ** (digit_pos - 1) - 1, flo, fhi, tuple(reach), region)
+    return _Template(den, step, walls, boxes, centre, flo, fhi, tuple(reach), region)
 
 
 class _MirrorLevel(NamedTuple):
@@ -316,8 +313,6 @@ class _MirrorLevel(NamedTuple):
     k: int
     digit_pos: int
     boxes: tuple       # boxes[symbol][wall], from _pair_template
-    fboxes: tuple      # the same in floats (_float_box)
-    last: int          # the last block index, 3^(digit_pos - 1) - 1
     flo: float         # the hull I_k, rounded outward
     fhi: float
     reach: tuple       # per line of _LINES: float bound on box offset + radius
@@ -341,21 +336,25 @@ def _exact_leg(leg, base_x, frame):
     """The leg for _window in integers, in the local frame of a family
     placed by ``frame`` (oy, sy) with x counted from base_x: its x- and
     y-extents as (numerator, denominator) pairs, None where unbounded, and
-    its line n . p = n0 / h, with n . (1, 8) >= 0 and h > 0."""
+    its line n . p = n0 / h, with n . (1, 8) >= 0 and h > 0.  Read off the
+    numerators and denominators of the leg, base_x and oy as they are,
+    with no Fraction arithmetic: the pairs are exact, not reduced."""
     (ox, oy), (dx, dy), t = leg.origin, leg.direction, leg.t_max
-    ox, oy, dy = ox - base_x, frame[1] * (oy - frame[0]), frame[1] * dy
+    (fy, sy), bd = frame, base_x.denominator
+    # the origin in the local frame, (xn / xd, yn / yd), and the direction
+    xd, yd = ox.denominator * bd, oy.denominator * fy.denominator
+    xn = ox.numerator * bd - base_x.numerator * ox.denominator
+    yn = sy * (oy.numerator * fy.denominator - fy.numerator * oy.denominator)
+    dxn, dxd, dyn, dyd = dx.numerator, dx.denominator, sy * dy.numerator, dy.denominator
     extents = []
-    for o, d in ((ox, dx), (oy, dy)):
-        a, b = o.numerator, o.denominator
-        end = (a, b) if not d else None if t is None else (
-            a * t.denominator * d.denominator + b * t.numerator * d.numerator,
-            b * t.denominator * d.denominator)
-        extents.append(((a, b), end) if d >= 0 else (end, (a, b)))
-    nx, ny = -dy.numerator * dx.denominator, dx.numerator * dy.denominator
+    for a, b, dn, dd in ((xn, xd, dxn, dxd), (yn, yd, dyn, dyd)):
+        end = (a, b) if not dn else None if t is None else (
+            a * t.denominator * dd + b * t.numerator * dn, b * t.denominator * dd)
+        extents.append(((a, b), end) if dn >= 0 else (end, (a, b)))
+    nx, ny = -dyn * dxd, dxn * dyd
     if nx + 8 * ny < 0:
         nx, ny = -nx, -ny
-    n0 = nx * ox.numerator * oy.denominator + ny * oy.numerator * ox.denominator
-    return extents[0], extents[1], nx, ny, ox.denominator * oy.denominator, n0
+    return extents[0], extents[1], nx, ny, xd * yd, nx * xn * yd + ny * yn * xd
 
 
 def _window(lv, s, w, exact):
@@ -381,97 +380,6 @@ def _window(lv, s, w, exact):
     elif abs(m) > reach:
         hi = -1
     return lo, hi
-
-
-#: Relative error bound of a float block window (_float_window).  Each of
-#: its bounds is a quotient q of a few correctly rounded operations on
-#: inputs within 2^-53 of their exact values: the leg's floats and the
-#: frame's offset (Leg.floats), and the box's ratios (_float_box), each
-#: the correctly rounded quotient of two template integers.  So q is off
-#: by less than 16 * 2^-53 times (its terms' magnitudes over its divisor
-#: + |q|), and by 16 * spread times that where it divides by n.v, spread =
-#: |n|_1 / n.v; this is 1e-13, about 900 times 2^-53, of them.
-_WINDOW_SLACK = 1e-13
-
-
-def _float_box(box):
-    """A _pair_template box (den, step, x, y, rx, ry) as float ratios for
-    _float_window: (step, 8 step, x + rx, x - rx, y + ry, y - ry, x, y,
-    rx, ry) over den, then den / step and (|x| + |y| + rx + ry) / den.
-    Each is an int quotient, so correctly rounded, however many bits the
-    integers of a deep or tilted level take."""
-    den, step, x, y, rx, ry = box
-    return tuple(v / den for v in (step, 8 * step, x + rx, x - rx, y + ry, y - ry,
-                                   x, y, rx, ry)) + (
-        den / step, (abs(x) + abs(y) + rx + ry) / den)
-
-
-def _float_leg(local, base, oy):
-    """The leg _float_window reads, from a family's ``local_leg`` (its
-    base_x and frame offset ``base`` and ``oy`` in floats): ((xl, xu, yl,
-    yu), normal, mag), the extents with x counted from base_x, the normal
-    n = (-dy, dx) turned so that n . (1, 8) > 0 as (nx, ny, |nx|, |ny|,
-    n . (1, 8), n . origin, 16 spread), and a bound on the magnitudes the
-    bounds are computed from.  None, leaving every window to _window, when
-    n . (1, 8) is within 1e-2 |n|_1 of 0 (ill-conditioned)."""
-    px, py, dx, dy, t, (xl, xu), (yl, yu) = local
-    size = abs(dx) + abs(dy)
-    nv = 8 * dx - dy
-    if abs(nv) <= 1e-2 * size:
-        return None
-    nx, ny = (-dy, dx) if nv > 0 else (dy, -dx)
-    nv = abs(nv)
-    return ((xl - base, xu - base, yl, yu),
-            (nx, ny, abs(nx), abs(ny), nv, nx * (px - base) + ny * py, 16 * size / nv),
-            1 + abs(base) + 2 * abs(oy) + abs(px) + abs(py)
-            + (t * size if t < math.inf else 0))
-
-
-def _float_window(box, leg, last):
-    """_window in floats, for the box ``box`` (_float_box) and the float
-    leg ``leg`` (see ``_BlockMirrors._blocks``), clamped to [0, last] as
-    block_indices clamps it: the same blocks as _window, or None when the
-    floats cannot tell.
-
-    Each bound q, with its error bound e (_WINDOW_SLACK), counts for the
-    whole interval [q - e, q + e]: the window's lower end lies between the
-    largest ceil(q - e) and the largest ceil(q + e), its upper end between
-    the smallest floor(q - e) and the smallest floor(q + e).  The window is
-    decided when both ends are, or when it is empty either way."""
-    step, step8, xp, xm, yp, ym, x, y, rx, ry, g, tmag = box
-    (xl, xu, yl, yu), (nx, ny, ax, ay, nv, n0, cond), mag = leg
-    err = _WINDOW_SLACK * g * (mag + tmag)
-    slack, floor, ceil, inf = _WINDOW_SLACK, math.floor, math.ceil, math.inf
-    # the normal axis: |n . (centre - origin)| <= the box's reach along n,
-    # with n . v > 0; then x and y, where the leg's extent is bounded
-    m, r, slope = n0 - nx * x - ny * y, ax * rx + ay * ry, step * nv
-    q = (m - r) / slope
-    e = cond * (err + slack * abs(q))
-    lo_a, lo_b = max(0, ceil(q - e)), max(0, ceil(q + e))
-    q = (m + r) / slope
-    e = cond * (err + slack * abs(q))
-    hi_a, hi_b = min(last, floor(q - e)), min(last, floor(q + e))
-    if xl > -inf:
-        q = (xl - xp) / step
-        e = err + slack * abs(q)
-        lo_a, lo_b = max(lo_a, ceil(q - e)), max(lo_b, ceil(q + e))
-    if yl > -inf:
-        q = (yl - yp) / step8
-        e = err + slack * abs(q)
-        lo_a, lo_b = max(lo_a, ceil(q - e)), max(lo_b, ceil(q + e))
-    if xu < inf:
-        q = (xu - xm) / step
-        e = err + slack * abs(q)
-        hi_a, hi_b = min(hi_a, floor(q - e)), min(hi_b, floor(q + e))
-    if yu < inf:
-        q = (yu - ym) / step8
-        e = err + slack * abs(q)
-        hi_a, hi_b = min(hi_a, floor(q - e)), min(hi_b, floor(q + e))
-    if hi_b < lo_a:
-        return 1, 0
-    if lo_a == lo_b and hi_a == hi_b:
-        return lo_a, hi_a
-    return None
 
 
 def row_segment(row):
@@ -501,14 +409,12 @@ class _BlockMirrors:
     which the numeric tracer reads as they are; other callers wrap a row
     in its Segment (``row_segment``) where they need one.
     A float pre-reject finds the one or two levels whose hull I_k the leg
-    may reach; for those, ``_float_window`` bounds F in floats with a
-    certified error bound, ``_window`` bounds F exactly in integers where
-    that bound cannot decide, and ``block_indices`` lists exactly the
-    blocks whose wall boxes the leg meets.  ``windows_exact`` counts the
-    windows left to ``_window`` over the family's life.
+    may reach; for those, ``_window`` bounds F exactly in integers, and
+    ``block_indices`` lists exactly the blocks whose wall boxes the leg
+    meets.
 
-    Everything a query reads per level and symbol (integer and float
-    boxes, the float hull I_k, the reach per centre line) is in the key's
+    Everything a query reads per level and symbol (integer boxes, the
+    float hull I_k, the reach per centre line) is in the key's
     ``_pair_template`` record, made once per (k, digit_pos, read, write)
     at base_x = 0, whatever family or table asks.  ``_level_data`` only
     looks up the family's records, on its first positional query (never
@@ -527,7 +433,6 @@ class _BlockMirrors:
         self.levels = range(max(-K, -K - cell_offset), min(K, K - cell_offset) + 1)
         self._data = None
         self._frame = (None, 0.0)    # the frame last read, its offset in floats
-        self.windows_exact = 0
 
     def _placed(self, k, digit_pos, s, frame):
         """_pair_template of level k and symbol s placed by ``frame``, x
@@ -581,8 +486,7 @@ class _BlockMirrors:
             digit_pos = digit_position(k + offset)
             t0 = _pair_template(k, digit_pos, 0, rule(k, 0))
             t1 = _pair_template(k, digit_pos, 1, rule(k, 1))
-            levels.append(_MirrorLevel(k, digit_pos, (t0.boxes, t1.boxes),
-                                       (t0.fboxes, t1.fboxes), t0.last, t0.flo, t0.fhi,
+            levels.append(_MirrorLevel(k, digit_pos, (t0.boxes, t1.boxes), t0.flo, t0.fhi,
                                        tuple(map(max, t0.reach, t1.reach))))
             regions += (t0.region, t1.region)
         reach_max = [(list(itertools.accumulate(reach, max)),
@@ -636,12 +540,11 @@ class _BlockMirrors:
         """(level, symbol, wall, F, bits) for every block F whose wall box
         meets the leg, the walls placed by ``frame``.
 
-        Each window is decided in floats (``_float_window``) and left to
-        the exact ``_window`` only where floats cannot tell, where
-        ``_float_leg`` gives no float leg, or where the leg is a whole ray
-        with a direction component 0 in floats but not exactly (only there
-        may an exactly unbounded extent read as bounded); the exact leg
-        (``_exact_leg``) is built only then."""
+        Float pre-rejects (``local_leg``'s region test, ``_near`` and the
+        clip of the leg to each centre line) drop the levels the leg cannot
+        reach; every (symbol, wall) of a level that survives has its window
+        decided exactly by ``_window``, on the exact leg (``_exact_leg``),
+        built once, when the first level survives."""
         local = self.local_leg(leg.floats, frame)
         if local is None:
             return
@@ -656,10 +559,6 @@ class _BlockMirrors:
         nv = nx + 8 * ny
         # n.v far from 0: the float normal bounds are well conditioned
         spread = size / abs(nv) if abs(nv) > 1e-2 * size else None
-        ragged = (leg.t_max is None
-                  and any(e and not f for e, f in zip(leg.direction, (dx, dy))))
-        # self._frame[1]: the frame offset local_leg read
-        fleg = None if ragged else _float_leg(local, base, self._frame[1])
         exact = None
         for line, (off, members) in enumerate(_LINES):
             x0 = base + float(off)
@@ -681,13 +580,10 @@ class _BlockMirrors:
                     lo, hi = max(lo, c0 - r), min(hi, c0 + r)
                 if lo > hi:
                     continue
+                exact = exact or _exact_leg(leg, self.base_x, frame)
                 for s, w in members:
-                    window = fleg and _float_window(lv.fboxes[s][w], fleg, lv.last)
-                    if window is None:
-                        self.windows_exact += 1
-                        exact = exact or _exact_leg(leg, self.base_x, frame)
-                        window = _window(lv, s, w, exact)
-                    for index, bits in block_indices(lv.digit_pos - 1, window):
+                    for index, bits in block_indices(lv.digit_pos - 1,
+                                                     _window(lv, s, w, exact)):
                         yield lv, s, w, index, bits
 
     def walls_in(self, leg, frame):

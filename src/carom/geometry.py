@@ -121,10 +121,12 @@ class Leg:
     """One straight flight of a ray: origin + t * direction for
     0 <= t <= t_max, or the whole ray when t_max is None.
 
-    Exact, like the walls it is queried against (``_BlockMirrors.walls_in``).
-    ``floats`` is (x, y, dx, dy, t_max) in floats, t_max inf for a whole
-    ray, each within a few units in the last place of its exact value
-    relative to the coordinates involved: the input of float pre-rejects.
+    Exact, like the walls it is queried against (``_BlockMirrors.walls_in``),
+    which decides every block window on its exact values.  ``floats`` is
+    (x, y, dx, dy, t_max) in floats, t_max inf for a whole ray, each within
+    a few units in the last place of its exact value relative to the
+    coordinates involved: the input of the float pre-rejects alone, which
+    only drop what the leg cannot reach.
     A query places a leg in a gadget's frame where it reads it; the leg
     itself is never moved.
     """

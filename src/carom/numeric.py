@@ -33,7 +33,6 @@ class NumericResult:
     points: list                   # polyline of traced positions (floats)
     walls_built: int = 0           # distinct walls materialized
     max_candidates: int = 0        # most walls one leg's float pass weighed
-    windows_exact: int = 0         # block windows floats left to exact integers
     denominator_bits: int = 0      # bits of the largest common denominator of a leg
 
 
@@ -409,15 +408,6 @@ class _Walls:
         self.box = tuple(f(b[i] for b in self.boxes)
                          for i, f in enumerate((min, min, max, max))) if self.boxes else None
         self.max_candidates = self.denominator_bits = 0
-        # each family counts the windows it left to exact integers over its
-        # life; this trace's share is the growth from here
-        self._mirrors = list({id(m): m for m, _ in families}.values())
-        self._windows_before = sum(m.windows_exact for m in self._mirrors)
-
-    @property
-    def windows_exact(self):
-        """The block windows this trace's queries left to exact integers."""
-        return sum(m.windows_exact for m in self._mirrors) - self._windows_before
 
     def _static_near(self, fo, fd):
         """The static walls and charts whose boxes meet the float ray from
@@ -604,7 +594,6 @@ def run_numeric(table, tape, budget, precision=None):
                          points=[_float_pt(p) for p in points],
                          walls_built=len(walls.numeric),
                          max_candidates=walls.max_candidates,
-                         windows_exact=walls.windows_exact,
                          denominator_bits=walls.denominator_bits)
 
 

@@ -111,7 +111,6 @@ def test_run_numeric_json_at_default_K(rev_move_file, capsys):
     assert doc["verdict"] == "halted" and doc["head"] == 5
     assert doc["max_deviation"] < 1e-30
     assert doc["walls_built"] > 0 and doc["max_candidates"] > 0
-    assert doc["windows_exact"] == 0     # a level-5 head: floats settle every window
     assert doc["denominator_bits"] == 50
 
 
@@ -129,6 +128,15 @@ def test_verify_cli(rev_move_file, capsys):
                  "--budget", "50", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] and doc["tapes"] == 8
+
+
+def test_verify_support_past_the_tape_cap_fails_fast(rev_move_file, capsys):
+    # --support 40 would list 2^81 tapes: refused on the cell count, before
+    # the table is compiled or any tape is listed
+    t0 = time.process_time()
+    assert main(["verify", rev_move_file, "--support", "40"]) == 2
+    assert time.process_time() - t0 < 1.0
+    assert "--support 40" in capsys.readouterr().err
 
 
 def check_audit_json(K, pairs, blocks, capsys):

@@ -438,7 +438,6 @@ def _level_data_oracle(mirrors):
             reach.append(r * (1 + 1e-12))
         levels.append(gadgets._MirrorLevel(
             k, digit_pos, tuple(t.boxes for t in templates),
-            tuple(t.fboxes for t in templates), 3 ** (digit_pos - 1) - 1,
             float(iv.lo.as_fraction()) - 1e-12, float(iv.hi.as_fraction()) + 1e-12,
             tuple(reach)))
     base = float(mirrors.base_x)

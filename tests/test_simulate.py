@@ -254,15 +254,13 @@ def test_numeric_certifies_past_double_resolution():
         assert elapsed < 1.0, (zeros, elapsed)
 
 
-def test_windows_exact_counts_the_windows_floats_leave():
-    # doubles settle every block window of a shallow run; a head past
-    # double resolution leaves some to exact integers, with the same result
-    shallow = run_numeric(compile_table(get_machine("pacer"), 8), parse_tape("@1"), 100)
-    assert shallow.windows_exact == 0
+def test_deep_head_windows_are_decided_exactly():
+    # a head past double resolution: every block window is decided in
+    # integers, and the run certifies
     deep = run_numeric(compile_table(get_machine("rev-move"), 16),
                        parse_tape("@0000000001"), 100)
+    assert deep.outcome.verdict == "halted"
     assert deep.outcome.final_head == 10 and deep.max_deviation == 0.0
-    assert deep.windows_exact > 0
 
 
 def test_gadget_tracer_lands_a_beam_below_float_resolution():

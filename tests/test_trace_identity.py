@@ -7,9 +7,9 @@ traced points in floats; for gadgets, the hit ids and the out coordinate
 in floats.  They were computed with the working-precision (60 digit)
 tracer that the exact one replaced, and the exact tracer reproduces them.
 A third digest hashes what the float shortlist decides on the numeric
-runs, the walls built, the most walls one leg weighed and the block
-windows left to exact integers; it was computed with the Fraction tracer
-that the integer one replaced, which reads each leg into the same floats.
+runs, the walls built and the most walls one leg weighed; it was computed
+with the tracer that still settled block windows in floats where it could,
+and the tracer that settles every window exactly in integers reproduces it.
 """
 
 import hashlib
@@ -37,7 +37,7 @@ NUMERIC_TAPES = (
 
 NUMERIC_SHA256 = "d76ec9f40e12dd70b3a27a04ba4820a9f75398c2ab98aaf2cd8806f265ee375b"
 GADGET_SHA256 = "36f5822f0d744aecdc3af3a4d53c6afc4bebb06c7002a429455e9124d22f1f35"
-COUNTER_SHA256 = "c0db603e459e8baa033916608f1e933f5f4b2e9cf4e78ffafc28b0c30fd794fb"
+COUNTER_SHA256 = "c0d30c1ff665aa9c4db8771c18787f820f73ad7c0e59b688cb6eea210d4763f5"
 
 
 def numeric_runs():
@@ -60,10 +60,10 @@ def numeric_digest():
 
 
 def counter_digest():
-    """walls_built, max_candidates and windows_exact of numeric_runs."""
+    """walls_built and max_candidates of numeric_runs."""
     h = hashlib.sha256()
     for res in numeric_runs():
-        h.update(repr((res.walls_built, res.max_candidates, res.windows_exact)).encode())
+        h.update(repr((res.walls_built, res.max_candidates)).encode())
     return h.hexdigest()
 
 

@@ -4,11 +4,11 @@ Every wall of the full wall list that a leg meets must come back from the
 query: checked exactly with ``segments_intersect`` for segments and
 against the bounding box for parabola arcs, on seeded vertical,
 horizontal and tilted legs and on every leg of real numeric traces.  The
-blocks the query picks per (level, symbol, wall) must also be exactly
-those an exact rational window, the oracle here, picks, and every block
-window decided in floats must be the integer one.  The query reads
-each mirror family's own levels and returns integer rows, wrapped here in
-their Segments.  The numeric tracer's float pre-rejects (static walls and
+blocks the query picks per (level, symbol, wall), each window decided in
+integers, must also be exactly those an exact rational window, the oracle
+here, picks, on legs at walls and on legs that end exactly on a box edge.
+The query reads each mirror family's own levels and returns integer rows,
+wrapped here in their Segments.  The numeric tracer's float pre-rejects (static walls and
 charts by box, families by region) are checked against the full pass they
 replace, which is kept here as the oracle.
 """
@@ -24,10 +24,6 @@ from carom import numeric
 from carom.encoding import block_indices, cantor_blocks_at, digit_position, head_interval
 from carom.gadgets import (
     _BAND_GAIN,
-    _exact_leg,
-    _float_leg,
-    _float_window,
-    _window,
     build_merge_gadget,
     build_split_gadget,
     row_segment,
@@ -293,13 +289,40 @@ def _dyadic_legs(walls, rng, count):
     return legs
 
 
+def _edge_legs(mirrors, frame, levels, rng, count):
+    """Legs, placed by ``frame``, that end exactly on an edge of a block's
+    wall box: vertical ones on its bottom edge, horizontal ones on its
+    left edge, each one unit long."""
+    data = mirrors._level_data()[0]
+    oy, sy = frame
+    legs = []
+    for _ in range(count):
+        lv = rng.choice([lv for lv in data if lv.k in levels])
+        s, w = rng.choice((0, 1)), rng.choice((0, 1))
+        den, step, x, y, rx, ry = lv.boxes[s][w]
+        index, _ = rng.choice(block_indices(lv.digit_pos - 1))
+        cx = mirrors.base_x + Fraction(x + index * step, den)
+        cy = Fraction(y + 8 * index * step, den)
+        if rng.random() < 0.5:
+            end = (cx, oy + sy * (cy - Fraction(ry, den)))
+            d = (Fraction(0), Fraction(sy))
+        else:
+            end = (cx - Fraction(rx, den), oy + sy * cy)
+            d = (Fraction(1), Fraction(0))
+        legs.append(Leg((end[0] - d[0], end[1] - d[1]), d, Fraction(1)))
+    return legs
+
+
 @pytest.mark.parametrize("build", [_window_split, _window_merge], ids=["split", "merge"])
 def test_window_blocks_equal_exact_oracle(build):
     # per (level, symbol, wall): the blocks the integer window lists are
-    # those whose exact centre lies in the oracle's window
+    # those whose exact centre lies in the oracle's window, on legs at walls
+    # and on legs ending exactly on a box edge, where a bound is an integer
     gadget, split = build()
     mirrors, frame = gadget.mirrors
-    legs = _dyadic_legs(gadget.walls(WINDOW_LEVELS), random.Random(11), 300)
+    rng = random.Random(11)
+    legs = _dyadic_legs(gadget.walls(WINDOW_LEVELS), rng, 300)
+    legs += _edge_legs(mirrors, frame, WINDOW_LEVELS, rng, 100)
     levels = [k for k in WINDOW_LEVELS if k in mirrors.levels]
     blocks, boxes = {}, {}
     for k in levels:
@@ -328,82 +351,6 @@ def test_window_blocks_equal_exact_oracle(build):
             assert got.get((k, s, w), []) == [blk.bits for blk in want], (k, s, w)
             met += len(want)
     assert met >= len(legs) // 2     # the legs do meet walls
-
-
-def _edge_legs(mirrors, frame, levels, rng, count):
-    """Legs, placed by ``frame``, that end exactly on an edge of a block's
-    wall box: vertical ones on its bottom edge, horizontal ones on its
-    left edge, each one unit long."""
-    data = mirrors._level_data()[0]
-    oy, sy = frame
-    legs = []
-    for _ in range(count):
-        lv = rng.choice([lv for lv in data if lv.k in levels])
-        s, w = rng.choice((0, 1)), rng.choice((0, 1))
-        den, step, x, y, rx, ry = lv.boxes[s][w]
-        index, _ = rng.choice(block_indices(lv.digit_pos - 1))
-        cx = mirrors.base_x + Fraction(x + index * step, den)
-        cy = Fraction(y + 8 * index * step, den)
-        if rng.random() < 0.5:
-            end = (cx, oy + sy * (cy - Fraction(ry, den)))
-            d = (Fraction(0), Fraction(sy))
-        else:
-            end = (cx - Fraction(rx, den), oy + sy * cy)
-            d = (Fraction(1), Fraction(0))
-        legs.append(Leg((end[0] - d[0], end[1] - d[1]), d, Fraction(1)))
-    return legs
-
-
-def _clamped(window, last):
-    lo, hi = max(0, window[0]), min(last, window[1])
-    return (lo, hi) if lo <= hi else None
-
-
-def _float_windows_checked(mirrors, frame, legs):
-    """(decided, deferred): per leg in the family's region and per level,
-    symbol and wall, the float window either left to ``_window``
-    (deferred) or equal to it, both clamped as block_indices clamps them."""
-    levels, *_, base = mirrors._level_data()
-    decided = deferred = 0
-    for leg in legs:
-        local = mirrors.local_leg(leg.floats, frame)
-        if local is None:
-            continue
-        fleg = _float_leg(local, base, float(frame[0]))
-        exact = _exact_leg(leg, mirrors.base_x, frame)
-        for lv in levels:
-            for s in (0, 1):
-                for w, box in enumerate(lv.fboxes[s]):
-                    got = fleg and _float_window(box, fleg, lv.last)
-                    if got is None:
-                        deferred += 1
-                        continue
-                    decided += 1
-                    want = _window(lv, s, w, exact)
-                    assert _clamped(got, lv.last) == _clamped(want, lv.last), (lv.k, s, w)
-    return decided, deferred
-
-
-@pytest.mark.parametrize("build", [_window_split, _window_merge], ids=["split", "merge"])
-def test_float_windows_equal_the_exact_window(build):
-    # every window the floats decide is the exact integer one: on legs at
-    # walls, on legs ending exactly on a box edge (where a bound is an
-    # integer, so floats must defer) and on deep legs, beyond doubles
-    gadget, _ = build()
-    mirrors, frame = gadget.mirrors
-    rng = random.Random(13)
-    legs = _dyadic_legs(gadget.walls(WINDOW_LEVELS), rng, 300)
-    decided, deferred = _float_windows_checked(mirrors, frame, legs)
-    assert decided > 5 * deferred
-    for leg in _edge_legs(mirrors, frame, WINDOW_LEVELS, rng, 100):
-        decided, deferred = _float_windows_checked(mirrors, frame, [leg])
-        assert decided > 0 and deferred > 0
-    deep = build_split_gadget(14)
-    for k in (10, 12):
-        x = head_interval(k).lo.as_fraction() + Fraction(1, 3 ** (3 * k + 3))
-        leg = Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
-        decided, deferred = _float_windows_checked(*deep.mirrors, [leg])
-        assert decided > 0 and deferred > 0, k
 
 
 # --- the float pre-rejects of numeric._trace, against the full pass -------
