@@ -110,11 +110,18 @@ def _load_or_compile(args, cfg):
 def cmd_run(args, cfg):
     table = _load_or_compile(args, cfg)
     tape = parse_tape(args.tape)
-    outcome = run_symbolic(table, tape, cfg.budget)
+    result = None
+    if args.mode in ("numeric", "both"):
+        from .numeric import run_numeric   # the tracer, which symbolic runs skip
+        result = run_numeric(table, tape, cfg.budget)
+        outcome = result.outcome
+    else:
+        outcome = run_symbolic(table, tape, cfg.budget)
     payload = {
         "verdict": outcome.verdict,
         "steps": outcome.steps,
         "periodic": outcome.periodic,
+        "period_steps": outcome.period_steps,
     }
     lines = [f"verdict: {outcome.verdict} after {outcome.steps} steps"]
     if outcome.verdict == "halted":
@@ -125,13 +132,12 @@ def cmd_run(args, cfg):
     if outcome.out_of_range_k is not None:
         payload["out_of_range_k"] = outcome.out_of_range_k
         lines.append(f"head would reach {outcome.out_of_range_k}, beyond K={table.K}")
-    if args.mode in ("numeric", "both"):
-        from .numeric import run_numeric   # the tracer, which symbolic runs skip
-        result = run_numeric(table, tape, cfg.budget)
+    if result is not None:
         payload["max_deviation"] = result.max_deviation
         payload["walls_built"] = result.walls_built
         payload["max_candidates"] = result.max_candidates
         payload["denominator_bits"] = result.denominator_bits
+        payload["period_bounces"] = result.period_bounces
         lines.append("exact numeric trace matches; every checkpoint reads its value")
     if args.trace:
         with open(args.trace, "w") as fh:

@@ -16,6 +16,7 @@ raises TracingError.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,7 @@ class NumericResult:
     walls_built: int = 0           # distinct walls materialized
     max_candidates: int = 0        # most walls one leg's float pass weighed
     denominator_bits: int = 0      # bits of the largest common denominator of a leg
+    period_bounces: int | None = None   # hits per period of an exactly closed orbit
 
 
 def _float_pt(p):
@@ -505,6 +507,40 @@ def _trace(walls, pos, direction):
         last = wall
 
 
+class _Closing:
+    """The items of ``_trace`` for a run whose launch recurs after
+    ``period_steps`` checkpoint crossings, closed by exact return.  From
+    the launch leg's first hit on, the items are recorded; the first hit
+    after the crossing of step ``period_steps`` is compared with that
+    first hit exactly: wall, rational point and primitive incoming
+    direction.  Equal, they determine the trace from there, which is then
+    the recorded period over and over: it is yielded from the record, not
+    traced, and ``bounces`` is its number of hits.  Different, the trace
+    goes on."""
+
+    def __init__(self, items, period_steps):
+        self.items, self.period_steps, self.bounces = items, period_steps, None
+
+    def __iter__(self):
+        record, crossings = [], 0
+        for item in self.items:
+            if item[0] == "cross":
+                crossings += 1
+            elif record and crossings >= self.period_steps:
+                break
+            if record or item[0] == "hit":
+                record.append(item)
+            yield item
+        else:
+            return
+        if item != record[0]:
+            yield item
+            yield from self.items
+            return
+        self.bounces = sum(kind == "hit" for kind, *_ in record)
+        yield from itertools.cycle(record)
+
+
 def _chart_u(point, origin, tangent):
     return (point[0] - origin[0]) * tangent[0] + (point[1] - origin[1]) * tangent[1]
 
@@ -515,7 +551,10 @@ def run_numeric(table, tape, budget, precision=None):
     symbolic value; returns a NumericResult carrying the symbolic outcome.
     Raises TracingDegeneracy on a tie, a hit on a wall's end or a graze,
     and TraceMismatch when the trace does not replay the symbolic one.
-    ``precision`` is ignored: the trace has no working precision."""
+    A run whose launch recurs (``period_steps``) is traced until its orbit
+    closes exactly, one period, and the period is then replayed
+    (_Closing).  ``precision`` is ignored: the trace has no working
+    precision."""
     symbolic = run_symbolic(table, tape, budget)
     expected = list(symbolic.trace)
 
@@ -564,9 +603,13 @@ def run_numeric(table, tape, budget, precision=None):
     # the trajectory starts on the initial checkpoint
     mark0 = table.stations[start_state].checkpoint
     note_crossing(mark0, direction, _chart_u(pos, mark0.origin, mark0.tangent))
+    items = _trace(walls, pos, direction)
+    closing = None
+    if symbolic.period_steps is not None:
+        items = closing = _Closing(items, symbolic.period_steps)
     if not flight_over():
         try:
-            for kind, obj, point, u, d in _trace(walls, pos, direction):
+            for kind, obj, point, u, d in items:
                 if kind == "cross":
                     note_crossing(obj, d, u)
                     continue
@@ -594,7 +637,8 @@ def run_numeric(table, tape, budget, precision=None):
                          points=[_float_pt(p) for p in points],
                          walls_built=len(walls.numeric),
                          max_candidates=walls.max_candidates,
-                         denominator_bits=walls.denominator_bits)
+                         denominator_bits=walls.denominator_bits,
+                         period_bounces=None if closing is None else closing.bounces)
 
 
 #: A gadget chains a handful of mirrors; more bounces means a trapped ray.

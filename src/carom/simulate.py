@@ -59,6 +59,7 @@ class RunOutcome:
     final_head: Optional[int] = None
     periodic: bool = False
     out_of_range_k: Optional[int] = None
+    period_steps: Optional[int] = None   # steps until the launch recurs, if it did
 
     @property
     def crossings(self):
@@ -86,15 +87,24 @@ def run_symbolic(table, tape, budget):
     current value and applies the composed transfer.  A value failing to
     decode at a checkpoint is a compiler bug and raises; exceeding the
     head range yields the out-of-range verdict.
+
+    A run is determined by its (state, value), so once the launch pair
+    recurs, at step P = ``period_steps``, every later step repeats the
+    step P before it: those events are copied, sharing their values and
+    positions, not recomputed.  As compile certifies every corridor's
+    transfer injective, the first pair to recur can only be the launch
+    pair, so comparing with it alone finds every cycle.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     tape = frozenset(tape)
-    value = encode_state(tape, 0).value
+    value = launch = encode_state(tape, 0).value
     state = table.machine.initial
     trace = []
     steps = 0
     while True:
+        if steps and state == table.machine.initial and value == launch:
+            return _cycled(trace, steps, budget)
         trace.append(TraceEvent(
             "checkpoint", steps, state=state, value=value,
             position=table.checkpoint_point(state, value)))
@@ -123,6 +133,19 @@ def run_symbolic(table, tape, budget):
                 trace.append(TraceEvent("reflection", steps, wall_id=wid))
         state = corridor.edge.target
         steps += 1
+
+
+def _cycled(trace, period, budget):
+    """The outcome of a run whose ``trace`` holds its first ``period``
+    steps and that is back at its launch: each further event is the one
+    ``period`` steps before it, up to the checkpoint of step ``budget``."""
+    n = len(trace)
+    starts = [i for i, ev in enumerate(trace) if ev.kind == "checkpoint"]
+    for i in range(n, budget // period * n + starts[budget % period] + 1):
+        ev = trace[i - n]
+        trace.append(TraceEvent(ev.kind, ev.step + period, ev.wall_id, ev.state,
+                                ev.value, ev.position))
+    return RunOutcome("budget-exhausted", budget, trace, period_steps=period)
 
 
 def detect_periodicity(outcome):

@@ -114,6 +114,35 @@ def test_run_numeric_json_at_default_K(rev_move_file, capsys):
     assert doc["denominator_bits"] == 50
 
 
+def test_run_json_reports_the_period_and_runs_once(tmp_path, capsys, monkeypatch):
+    from carom import cli, numeric
+    path = tmp_path / "pacer.tm"
+    path.write_text(MACHINE_TEXTS["pacer"])
+    argv = ["run", str(path), "--tape", "@1", "--budget", "100", "--json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["period_steps"] == 2 and "period_bounces" not in doc
+    # the numeric modes run the symbolic engine once, inside run_numeric
+    calls, run_symbolic = [], numeric.run_symbolic
+
+    def counted(*args):
+        calls.append(args)
+        return run_symbolic(*args)
+
+    monkeypatch.setattr(numeric, "run_symbolic", counted)
+    monkeypatch.setattr(cli, "run_symbolic", counted)
+    for mode in ("numeric", "both"):
+        assert main(argv + ["--mode", mode]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["period_steps"] == 2 and got["period_bounces"] == 20
+        assert got["verdict"] == "budget-exhausted" and got["steps"] == 100
+    assert len(calls) == 2
+    # a run that never returns reports null for both
+    assert main(argv[:3] + ["@", "--budget", "1", "--json", "--mode", "both"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["period_steps"] is None and got["period_bounces"] is None
+
+
 def test_run_trace_file(rev_move_file, tmp_path, capsys):
     trace = tmp_path / "trace.log"
     assert main(["run", rev_move_file, "--K", "4", "--tape", "@001",

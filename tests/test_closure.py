@@ -1,0 +1,210 @@
+"""Cycling runs closed by exact return.
+
+Pacer keeps its tape and returns to its launch configuration every two
+machine steps.  ``run_symbolic`` notices the launch (state, value) recur
+and copies the first period's events for the rest of the budget;
+``run_numeric`` traces one period, compares the first hit after the
+return crossing with the launch leg's first hit exactly, and replays the
+recorded period.  The oracles here are the runs done the long way: the
+symbolic run one ``Corridor.apply`` per step, and the numeric one every
+leg through ``_trace``.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from carom import numeric
+from carom.encoding import decode, encode_state
+from carom.machine import parse_machine, parse_tape
+from carom.numeric import _trace, _Walls
+from carom.simulate import TraceEvent, TraceMismatch, run_numeric, run_symbolic
+from carom.table import compile_table
+from carom.zoo import get_machine
+
+PERIOD = 2            # pacer's steps per period, on every tape
+BOUNCES = 20          # its hits per period at K=8
+TAPES = ("@1", "@", "@11", "1@01")
+# below, at, just past and far past the period
+BUDGETS = (0, 1, PERIOD, PERIOD + 1, 100)
+
+
+# pacer's value recurs every two steps, but its configuration only every
+# four: in state C, then A
+PACER4 = """\
+states: A B C D H
+initial: A
+halting: H
+A 0 -> B 0 R
+A 1 -> B 1 R
+B 0 -> C 0 L
+B 1 -> C 1 L
+C 0 -> D 0 R
+C 1 -> D 1 R
+D 0 -> A 0 L
+D 1 -> A 1 L
+"""
+
+
+@pytest.fixture(scope="module")
+def table():
+    return compile_table(get_machine("pacer"), 8)
+
+
+def _stepwise(table, tape, budget):
+    """run_symbolic's events, one Corridor.apply per step (pacer never
+    halts and keeps its head in range)."""
+    state, value, events = table.machine.initial, encode_state(tape, 0).value, []
+    for step in range(budget + 1):
+        events.append(TraceEvent("checkpoint", step, state=state, value=value,
+                                 position=table.checkpoint_point(state, value)))
+        if step == budget:
+            return events
+        t, k = decode(value)
+        corridor = table.corridors[(state, 1 if k in t else 0)]
+        value, pieces = corridor.apply(value)
+        events += [TraceEvent("reflection", step, wall_id=wid)
+                   for piece in pieces for wid in piece.wall_ids]
+        state = corridor.edge.target
+
+
+def _traced(table, outcome):
+    """What run_numeric reports, from every leg through _trace: the
+    crossing values, hit ids and points up to the hit that ends the run,
+    and the walls' counters once that hit is traced."""
+    walls = _Walls(table.static_walls, table.mirror_families, table.marked_segments())
+    pos = outcome.trace[0].position
+    reflections = sum(ev.kind == "reflection" for ev in outcome.trace)
+    crossings, ids, points = [], [], [pos]
+    # a run of no steps ends on its launch, before any leg
+    for kind, obj, point, u, _ in _trace(walls, pos, (0, 1)) if outcome.steps else ():
+        if kind == "cross":
+            crossings.append(u)
+        elif len(ids) == reflections:
+            break
+        else:
+            ids.append(obj.wall_id)
+            points.append(point)
+    return {"crossings": crossings, "ids": ids,
+            "points": [(float(x), float(y)) for x, y in points],
+            "counters": (len(walls.numeric), walls.max_candidates, walls.denominator_bits)}
+
+
+def _reported(outcome, res):
+    return {"crossings": [ev.value.as_fraction() for ev in outcome.crossings[1:]],
+            "ids": [ev.wall_id for ev in outcome.trace if ev.kind == "reflection"],
+            "points": res.points,
+            "counters": (res.walls_built, res.max_candidates, res.denominator_bits)}
+
+
+@pytest.mark.parametrize("budget", BUDGETS + (1000,))
+@pytest.mark.parametrize("literal", TAPES)
+def test_symbolic_return_equals_stepwise_run(table, literal, budget):
+    out = run_symbolic(table, parse_tape(literal), budget)
+    assert (out.verdict, out.steps, out.periodic) == ("budget-exhausted", budget, False)
+    assert out.trace == _stepwise(table, parse_tape(literal), budget)
+    assert out.period_steps == (PERIOD if budget >= PERIOD else None)
+    # later periods share the first period's values and positions
+    crossings = out.crossings
+    assert all(ev.value is crossings[ev.step % PERIOD].value
+               and ev.position is crossings[ev.step % PERIOD].position for ev in crossings)
+
+
+@pytest.mark.parametrize("literal, budget",
+                         [(lit, b) for lit in TAPES for b in BUDGETS] + [("@1", 1000)])
+def test_closed_orbit_reports_what_full_tracing_reports(table, literal, budget):
+    res = run_numeric(table, parse_tape(literal), budget)
+    assert res.outcome.period_steps == (PERIOD if budget >= PERIOD else None)
+    assert res.period_bounces == (BOUNCES if budget >= PERIOD else None)
+    assert res.deviations == [0.0] * (budget + 1) and res.max_deviation == 0.0
+    assert _reported(res.outcome, res) == _traced(table, res.outcome)
+
+
+@pytest.mark.parametrize("literal", ("@1", "1@"))
+def test_a_recurring_value_in_another_state_is_no_return(literal):
+    table = compile_table(parse_machine(PACER4, name="pacer4"), 4)
+    out = run_symbolic(table, parse_tape(literal), 30)
+    assert out.period_steps == 4
+    assert out.trace == _stepwise(table, parse_tape(literal), 30)
+    res = run_numeric(table, parse_tape(literal), 30)
+    assert res.period_bounces == 2 * BOUNCES
+    assert _reported(res.outcome, res) == _traced(table, res.outcome)
+
+
+def _legs(monkeypatch):
+    """A count of the legs traced from here on."""
+    count, nearest = [0], _Walls.nearest
+
+    def counted(walls, *args):
+        count[0] += 1
+        return nearest(walls, *args)
+
+    monkeypatch.setattr(_Walls, "nearest", counted)
+    return count
+
+
+def test_closure_traces_one_period(table, monkeypatch):
+    legs = _legs(monkeypatch)
+    res = run_numeric(table, parse_tape("@1"), 100)
+    # the launch leg, one period, and the leg that meets the launch's
+    # first hit again
+    assert legs[0] == BOUNCES + 1 and res.period_bounces == BOUNCES
+
+
+def test_a_first_hit_that_does_not_recur_is_traced_on(table, monkeypatch):
+    # the first hit is recorded with its direction doubled: the same ray,
+    # but not the primitive direction the return is compared on, so the
+    # orbit never closes and every leg is traced, with the same report
+    tape = parse_tape("@11")
+    want = run_numeric(table, tape, 100)
+    trace = numeric._trace
+
+    def doubled_first_hit(walls, pos, direction):
+        items = trace(walls, pos, direction)
+        for item in items:
+            if item[0] == "hit":
+                kind, wall, point, u, (dx, dy) = item
+                yield kind, wall, point, u, (2 * dx, 2 * dy)
+                break
+            yield item
+        yield from items
+
+    monkeypatch.setattr(numeric, "_trace", doubled_first_hit)
+    legs = _legs(monkeypatch)
+    got = run_numeric(table, tape, 100)
+    assert got.period_bounces is None and legs[0] == 100 * BOUNCES // PERIOD + 1
+    assert got.outcome.trace == want.outcome.trace
+    assert _reported(got.outcome, got) == _reported(want.outcome, want)
+
+
+def _moved_turn_mirror():
+    """Pacer at K=8 with the last turn mirror of its B-reads-0 corridor,
+    the one that turns the ray of @1 back up to A, moved right by 1/9."""
+    table = compile_table(get_machine("pacer"), 8)
+    corridor = table.corridors[("B", 0)]
+    corridor.turns = corridor.turns[:3] + (corridor.turns[3].translated(Fraction(1, 9), 0),)
+    return table
+
+
+def _mismatch(table, tape, budget):
+    with pytest.raises(TraceMismatch) as err:
+        run_numeric(table, tape, budget)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("budget", (PERIOD, 100))
+def test_moved_turn_mirror_fails_where_full_tracing_fails(monkeypatch, budget):
+    tape = parse_tape("@1")
+    closing = _mismatch(_moved_turn_mirror(), tape, budget)
+    # the same run with no return to close on: traced leg by leg
+
+    def no_return(table, tape, budget):
+        out = run_symbolic(table, tape, budget)
+        out.period_steps = None
+        return out
+
+    monkeypatch.setattr(numeric, "run_symbolic", no_return)
+    assert closing == _mismatch(_moved_turn_mirror(), tape, budget)
+    # the ray misses A's merge at the end of the first period
+    assert closing.startswith("reflection.wall_id: expected premerge:A:")
+    assert closing.endswith(f"(event 20/{budget * BOUNCES // PERIOD + budget + 1})")

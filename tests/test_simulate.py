@@ -254,15 +254,6 @@ def test_numeric_certifies_past_double_resolution():
         assert elapsed < 1.0, (zeros, elapsed)
 
 
-def test_deep_head_windows_are_decided_exactly():
-    # a head past double resolution: every block window is decided in
-    # integers, and the run certifies
-    deep = run_numeric(compile_table(get_machine("rev-move"), 16),
-                       parse_tape("@0000000001"), 100)
-    assert deep.outcome.verdict == "halted"
-    assert deep.outcome.final_head == 10 and deep.max_deviation == 0.0
-
-
 def test_gadget_tracer_lands_a_beam_below_float_resolution():
     # a split mirror of level 10 is shorter than a double resolves at its
     # coordinates: the float test cannot place the beam's hit on it, and

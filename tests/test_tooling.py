@@ -40,8 +40,9 @@ def test_every_trace_target_resolves():
 
 
 def test_perfbench_checks_accept_one_op(monkeypatch):
-    # one seeded op of each workload that runs a carom simulator, through
-    # the workload's own run and check
+    # one seeded op of each workload that runs a carom simulator, and every
+    # op of one numeric-long and one lockstep cycle (pacer's 100-step run
+    # among them), through the workload's own run and check
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for name in ("reference", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
@@ -53,6 +54,9 @@ def test_perfbench_checks_accept_one_op(monkeypatch):
     for name in ("lockstep", "numeric-deep", "numeric-long"):
         workload = workloads.WORKLOADS[name](specs, expected)
         state = workload.setup(api)
-        op = workload.cycle(random.Random(18))[0]
-        _, errors, _ = workload.check(op, workload.run(op, state, api), state, api)
-        assert errors == [], (name, op)
+        ops = workload.cycle(random.Random(18))
+        if name == "numeric-deep":
+            ops = ops[:1]
+        for op in ops:
+            _, errors, _ = workload.check(op, workload.run(op, state, api), state, api)
+            assert errors == [], (name, op)

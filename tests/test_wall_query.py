@@ -491,7 +491,13 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     monkeypatch.setattr(_Nearest, "offer", recorded_offer)
     monkeypatch.setattr(_Nearest, "crossed", checked_crossed)
     runs = [(name, 4, literal, 30) for name, literal in NUMERIC_TAPES]
-    runs += [("pacer", 8, "@1", 100), ("walker", 8, "@111", 100)]
+    # pacer's cycling runs trace one period, so the long runs here are
+    # ones that never return: walker, counter and bit-flipper across long
+    # blocks of ones or zeros, rev-move and looper walking to the edge of K=8
+    runs += [("walker", 8, "@111", 100), ("walker", 8, "@1111111", 100),
+             ("walker", 8, "1111@111", 100), ("counter", 8, "@1111111", 100),
+             ("bit-flipper", 8, "@0000001", 100), ("rev-move", 8, "@00000001", 100),
+             ("looper", 8, "@", 100), ("walker", 8, "1111111@", 100)]
     tables = {}
     for name, K, literal, budget in runs:
         if (name, K) not in tables:
