@@ -122,9 +122,9 @@ class Gadget:
     Walls come in two kinds: ``static_walls`` (arcs, turn mirrors), and
     the per-head-level Cantor-block mirrors of split and merge gadgets,
     2**(2k)-ish per level: ``mirrors``, a (_BlockMirrors, frame) pair,
-    the frame (oy, sy) placing them at y -> oy + sy*y.  A tracer reads
-    ``static_walls`` once and asks the family ``walls_in(leg, frame)`` per
-    leg, as for a table.
+    the frame (oy, sy) placing them at y -> oy + sy*y.  Every wall is a
+    Segment or ParabolaArc record.  A tracer reads ``static_walls`` once
+    and asks the family ``walls_in(leg, frame)`` per leg, as for a table.
     """
 
     kind: str
@@ -140,7 +140,7 @@ class Gadget:
         walls = list(self.static_walls)
         if self.mirrors is not None:
             mirrors, frame = self.mirrors
-            walls += map(row_segment, mirrors.rows(levels, frame))
+            walls += mirrors.rows(levels, frame)
         return walls
 
 
@@ -221,7 +221,7 @@ def _block_walls(name, blk, write_s, base_x):
     def primary_y(x):
         return height + slope * (x - center - base_x)
 
-    primary = Segment(
+    primary = Segment.of(
         (base_x + lo_f - pad, primary_y(base_x + lo_f - pad)),
         (base_x + hi_f + pad, primary_y(base_x + hi_f + pad)),
         primary_id)
@@ -232,7 +232,7 @@ def _block_walls(name, blk, write_s, base_x):
     def return_y(x):
         return height + slope * (x - center - shift - base_x)
 
-    returning = Segment(
+    returning = Segment.of(
         (base_x + lo_f + disp - pad, return_y(base_x + lo_f + disp - pad)),
         (base_x + hi_f + disp + pad, return_y(base_x + hi_f + disp + pad)),
         return_id)
@@ -283,9 +283,9 @@ def _pair_template(k, digit_pos, read_s, write_s):
     first, = cantor_walk(k, digit_pos, read_s, (0, 0))
     # block F + 1's centre lies three block lengths right of block F's
     step = 3 * first.length.as_fraction()
-    walls = [w.p0 + w.p1 for w in _block_walls("", first, write_s, F(0))]
-    den = math.lcm(step.denominator, *(v.denominator for w in walls for v in w))
-    step, walls = int(step * den), tuple(tuple(int(v * den) for v in w) for w in walls)
+    walls = _block_walls("", first, write_s, F(0))
+    den = math.lcm(step.denominator, *(w.den for w in walls))
+    step, walls = int(step * den), tuple(tuple(v * (den // w.den) for v in w[1:5]) for w in walls)
     boxes = tuple((2 * den, 2 * step, x0 + x1, y0 + y1, abs(x1 - x0), abs(y1 - y0))
                   for x0, y0, x1, y1 in walls)
     centre = int(2 * den * first.centre)
@@ -382,13 +382,6 @@ def _window(lv, s, w, exact):
     return lo, hi
 
 
-def row_segment(row):
-    """The Segment a mirror row (den, x0, y0, x1, y1, id) stands for."""
-    den, x0, y0, x1, y1, wid = row
-    return Segment((Fraction(x0, den), Fraction(y0, den)),
-                   (Fraction(x1, den), Fraction(y1, den)), wid)
-
-
 class _BlockMirrors:
     """The mirror pairs of a split gadget, one per Cantor block, found by
     position and built in the frame they are placed in.
@@ -402,12 +395,11 @@ class _BlockMirrors:
     F * step (``_pair_template``).  So ``_placed`` places the pair over
     block 0 and the step in integers over one denominator, once per level
     and symbol a query lists, and ``_rows`` lists the pair over
-    block F from them as integer rows (den, x0, y0, x1, y1, id), with no
-    Fraction arithmetic.  Rows are the one pair builder: ``rows`` lists
+    block F from them as Segments (den, x0, y0, x1, y1, id), with no
+    Fraction arithmetic.  It is the one pair builder: ``rows`` lists
     every mirror of some levels for serialization, the layout check and a
-    full wall listing, and ``walls_in`` returns the rows a leg may meet,
-    which the numeric tracer reads as they are; other callers wrap a row
-    in its Segment (``row_segment``) where they need one.
+    full wall listing, and ``walls_in`` returns the Segments a leg may
+    meet, which the numeric tracer reads as they are.
     A float pre-reject finds the one or two levels whose hull I_k the leg
     may reach; for those, ``_window`` bounds F exactly in integers, and
     ``block_indices`` lists exactly the blocks whose wall boxes the leg
@@ -450,17 +442,17 @@ class _BlockMirrors:
 
     def _rows(self, placed, k, digit_pos, s, index, bits):
         """The (primary, return) pair over block ``index`` of level k and
-        symbol s, whose free digits are ``bits``, from ``_placed``: rows
+        symbol s, whose free digits are ``bits``, from ``_placed``: Segments
         (den, x0, y0, x1, y1, id), the wall from (x0, y0) / den to
         (x1, y1) / den."""
-        den, step_x, step_y, walls = placed
+        den, step_x, step_y, ((a0, b0, a1, b1), (c0, d0, c1, d1)) = placed
         dx, dy = index * step_x, index * step_y
-        return tuple((den, x0 + dx, y0 + dy, x1 + dx, y1 + dy, wid)
-                     for (x0, y0, x1, y1), wid
-                     in zip(walls, _wall_ids(self.name, k, digit_pos, s, bits)))
+        primary_id, return_id = _wall_ids(self.name, k, digit_pos, s, bits)
+        return (Segment(den, a0 + dx, b0 + dy, a1 + dx, b1 + dy, primary_id),
+                Segment(den, c0 + dx, d0 + dy, c1 + dx, d1 + dy, return_id))
 
     def rows(self, levels, frame):
-        """Every mirror of ``levels`` placed by ``frame`` as a row (see
+        """Every mirror of ``levels`` placed by ``frame`` as a Segment (see
         ``_rows``), ordered by level as given, symbol and block."""
         rows = []
         for k in levels:
@@ -588,7 +580,7 @@ class _BlockMirrors:
 
     def walls_in(self, leg, frame):
         """The mirrors whose boxes the Leg ``leg`` meets, placed by
-        ``frame``, as rows (see ``_rows``), ordered by level ascending,
+        ``frame``, as Segments (see ``_rows``), ordered by level ascending,
         symbol and block: the one per-leg query a tracer makes.
 
         Sound, not tight: no wall the leg meets is left out, and a wall is
@@ -834,8 +826,8 @@ def _confocal_pair(tag, a, b, d_lo, d_hi):
     def arc(p, x_lo, x_hi, suffix):
         for x in (x_lo - f_x, x_hi - f_x):
             assert abs(x) < 2 * p, f"{tag}: offset {x} beyond latus rectum of p={p}"
-        return ParabolaArc(f_x, focus_y - sign * p, p, sign,
-                           x_lo - _ARC_PAD, x_hi + _ARC_PAD, f"{tag}:{suffix}")
+        return ParabolaArc.of(f_x, focus_y - sign * p, p, sign,
+                              x_lo - _ARC_PAD, x_hi + _ARC_PAD, f"{tag}:{suffix}")
 
     return (arc(p_in, d_lo, d_hi, "in"), arc(p_out, 2 + a * d_lo + b, 2 + a * d_hi + b, "out"))
 
@@ -867,8 +859,7 @@ def build_shift_stage(eps, *, base_x=F(0), sigma=0, K=None, name="shift"):
     sigma = int(sigma)
     regimes = _REGIMES[eps]
     dx = base_x + sigma
-    walls = tuple(ParabolaArc(w.axis_x + dx, w.apex_y, w.p, w.sign, w.x_lo + dx,
-                              w.x_hi + dx, f"{name}:{w.wall_id}")
+    walls = tuple(w.translated(dx, 0)._replace(wall_id=f"{name}:{w.wall_id}")
                   for regime in regimes for w in regime.arcs)
     k_cap = K if K is not None else k_max_cap()
 
@@ -921,8 +912,8 @@ def turn_mirror(corner, v, width, name):
     """
     (cx, cy), (vx, vy) = corner, v
     s_lo, s_hi = -_TURN_PAD, width + _TURN_PAD
-    return Segment((cx + s_lo * vx, cy + s_lo * vy), (cx + s_hi * vx, cy + s_hi * vy),
-                   f"{name}:mirror")
+    return Segment.of((cx + s_lo * vx, cy + s_lo * vy), (cx + s_hi * vx, cy + s_hi * vy),
+                      f"{name}:mirror")
 
 
 def build_turn_gadget(direction_change, window=(F(-4), F(4))):

@@ -1,88 +1,126 @@
 """Exact planar primitives for billiard scenes.
 
-Coordinates are Fractions throughout.  Walls are straight segments (any
-rational slope) or parabola arcs with a vertical axis; grid routing keeps
-every arc axis-aligned, so no other curve type is needed.  Segment
-intersection is decided exactly; pairs involving an arc fall back to a
-conservative bounding-box test (see ``walls_clash``).  One ``Chart`` type
-describes every place a coordinate is read off a line: gadget ports,
-station checkpoints and the launch pad, the last two (when hard) also
-walls.  The numeric tracer in ``numeric`` re-derives reflections exactly
-and is checked against the exact transfer maps.
+A wall is an integer record over one denominator: a straight ``Segment``
+(any rational slope) or a ``ParabolaArc`` with a vertical axis; grid
+routing keeps every arc axis-aligned, so no other curve type is needed.
+The tracer, the layout check and the table file read the records as they
+are; their ``Fraction`` views (``p0``, ``axis_x``, ``bbox``, ...) serve the
+rest.  Segment intersection is decided exactly; pairs involving an arc
+fall back to a conservative bounding-box test (see ``walls_clash``).  One
+``Chart`` type, in Fractions, describes every place a coordinate is read
+off a line: gadget ports, station checkpoints and the launch pad, the last
+two (when hard) also walls.  The numeric tracer in ``numeric`` re-derives
+reflections exactly and is checked against the exact transfer maps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 
 Point = tuple  # (Fraction, Fraction)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Straight wall between two exact endpoints."""
+def integers(*values):
+    """(den, n_0, n_1, ...): the rationals ``values`` over their least
+    common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return (den,) + tuple(v.numerator * (den // v.denominator) for v in values)
 
-    p0: Point
-    p1: Point
+
+def _ratio(i):
+    """The view of a record's field i over its den, field 0, as a Fraction."""
+    return property(lambda wall: Fraction(wall[i], wall[0]))
+
+
+class Segment(NamedTuple):
+    """Straight wall from (x0, y0) / den to (x1, y1) / den, den > 0.
+
+    A mirror row is built by its fields; every other segment by ``of``,
+    over its ends' least common denominator."""
+
+    den: int
+    x0: int
+    y0: int
+    x1: int
+    y1: int
     wall_id: str
 
-    def __post_init__(self):
-        if self.p0 == self.p1:
-            raise ValueError(f"degenerate segment {self.wall_id}")
+    kind = "segment"
 
-    @property
-    def kind(self):
-        return "segment"
+    @classmethod
+    def of(cls, p0, p1, wall_id):
+        """The segment between the rational points p0 and p1."""
+        if p0 == p1:
+            raise ValueError(f"degenerate segment {wall_id}")
+        return cls(*integers(*p0, *p1), wall_id)
+
+    p0 = property(lambda s: (Fraction(s.x0, s.den), Fraction(s.y0, s.den)))
+    p1 = property(lambda s: (Fraction(s.x1, s.den), Fraction(s.y1, s.den)))
 
     def bbox(self):
         (x0, y0), (x1, y1) = self.p0, self.p1
         return (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
 
     def translated(self, dx, dy):
-        return Segment((self.p0[0] + dx, self.p0[1] + dy),
-                       (self.p1[0] + dx, self.p1[1] + dy), self.wall_id)
+        """The segment moved by (dx, dy), over den times the least common
+        denominator of dx and dy: the same den for an integer move."""
+        e, ex, ey = integers(dx, dy)
+        ex, ey = ex * self.den, ey * self.den
+        return Segment(self.den * e, self.x0 * e + ex, self.y0 * e + ey,
+                       self.x1 * e + ex, self.y1 * e + ey, self.wall_id)
 
 
-@dataclass(frozen=True)
-class ParabolaArc:
-    """Arc of y = apex_y + sign * (x - axis_x)**2 / (4 p), x in [x_lo, x_hi].
+class ParabolaArc(NamedTuple):
+    """Arc of y = apex_y + sign * (x - axis_x)**2 / (4 p), x in [x_lo, x_hi],
+    with axis_x, apex_y, p, x_lo and x_hi the integers axis, apex, focal, lo
+    and hi over den > 0.
 
     sign +1 opens upward, -1 downward.  The focus sits at
-    (axis_x, apex_y + sign * p).
+    (axis_x, apex_y + sign * p).  Built by ``of``.
     """
 
-    axis_x: Fraction
-    apex_y: Fraction
-    p: Fraction
+    den: int
+    axis: int
+    apex: int
+    focal: int
     sign: int
-    x_lo: Fraction
-    x_hi: Fraction
+    lo: int
+    hi: int
     wall_id: str
 
-    def __post_init__(self):
-        if self.p <= 0 or self.sign not in (-1, 1) or self.x_lo >= self.x_hi:
-            raise ValueError(f"degenerate arc {self.wall_id}")
+    kind = "parabola_arc"
 
-    @property
-    def kind(self):
-        return "parabola_arc"
+    @classmethod
+    def of(cls, axis_x, apex_y, p, sign, x_lo, x_hi, wall_id):
+        """The arc of these rationals, over their least common denominator."""
+        if p <= 0 or sign not in (-1, 1) or x_lo >= x_hi:
+            raise ValueError(f"degenerate arc {wall_id}")
+        den, axis, apex, focal, lo, hi = integers(axis_x, apex_y, p, x_lo, x_hi)
+        return cls(den, axis, apex, focal, sign, lo, hi, wall_id)
+
+    axis_x, apex_y, p, x_lo, x_hi = _ratio(1), _ratio(2), _ratio(3), _ratio(5), _ratio(6)
 
     def y_at(self, x):
         return self.apex_y + self.sign * (x - self.axis_x) ** 2 / (4 * self.p)
 
     def bbox(self):
         ys = [self.y_at(self.x_lo), self.y_at(self.x_hi)]
-        if self.x_lo < self.axis_x < self.x_hi:
+        if self.lo < self.axis < self.hi:
             ys.append(self.apex_y)
         return (self.x_lo, min(ys), self.x_hi, max(ys))
 
     def translated(self, dx, dy):
-        return replace(self, axis_x=self.axis_x + dx, apex_y=self.apex_y + dy,
-                       x_lo=self.x_lo + dx, x_hi=self.x_hi + dx)
+        """The arc moved by (dx, dy), as ``Segment.translated``."""
+        e, ex, ey = integers(dx, dy)
+        ex, ey = ex * self.den, ey * self.den
+        return ParabolaArc(self.den * e, self.axis * e + ex, self.apex * e + ey,
+                           self.focal * e, self.sign, self.lo * e + ex, self.hi * e + ex,
+                           self.wall_id)
 
 
 @dataclass(frozen=True)
@@ -114,7 +152,7 @@ class Chart:
     @cached_property
     def wall(self):
         """The segment over the window that a hard chart bounces on."""
-        return Segment(self.chart(self.lo), self.chart(self.hi), f"wall:{self.name}")
+        return Segment.of(self.chart(self.lo), self.chart(self.hi), f"wall:{self.name}")
 
 
 class Leg:

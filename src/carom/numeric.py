@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .geometry import Chart, Leg, Segment
+from .geometry import Chart, Leg, integers
 from .simulate import RunOutcome, TraceMismatch, TracingDegeneracy, TracingError, run_symbolic
 
 
@@ -40,13 +40,6 @@ class NumericResult:
 
 def _float_pt(p):
     return (float(p[0]), float(p[1]))
-
-
-def _integers(*values):
-    """(den, n_0, n_1, ...): the rationals ``values`` over their least
-    common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return (den,) + tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 # --- exact hits ---------------------------------------------------------------
@@ -74,7 +67,7 @@ def _before(t, u):
 
 def _seg_hit(data, xyw, d):
     """The exact t > 0 at which the ray from ``xyw`` along d meets the
-    segment row ``data`` (den, x0, y0, x1, y1, id), ends included."""
+    Segment ``data`` (den, x0, y0, x1, y1, id), ends included."""
     den, x0, y0, x1, y1, _ = data
     x, y, w = xyw
     dx, dy = d
@@ -90,11 +83,12 @@ def _seg_hit(data, xyw, d):
 
 
 def _arc_hit(data, xyw, d):
-    """The exact least t > 0 at which the ray meets the arc ``data`` (q, a,
-    b, p, sign, lo, hi), y = b / q + sign (x - a / q)^2 q / 4p over lo / q
-    <= x <= hi / q, ends included.  With t = tau / qw, 4p (y - apex_y) -
-    sign (x - axis_x)^2 along the ray is (qa tau^2 + qb tau + qc) / (qw)^2."""
-    q, a, b, p, sign, lo, hi = data
+    """The exact least t > 0 at which the ray meets the ParabolaArc ``data``
+    (q, a, b, p, sign, lo, hi, id), y = b / q + sign (x - a / q)^2 q / 4p
+    over lo / q <= x <= hi / q, ends included.  With t = tau / qw, 4p (y -
+    apex_y) - sign (x - axis_x)^2 along the ray is (qa tau^2 + qb tau + qc)
+    / (qw)^2."""
+    q, a, b, p, sign, lo, hi, _ = data
     x, y, w = xyw
     dx, dy = d
     u, v = x * q - a * w, y * q - b * w
@@ -261,38 +255,35 @@ def _widened(x0, y0, x1, y1):
 
 class _NumericWall:
     """A wall, or a chart the ray passes through, as the tracer weighs it:
-    ``data``, its exact tuple in integers (for a segment, a mirror row or
-    one read off a Segment), and ``fdata``, a float segment or arc that
-    holds it, with their hit tests ``hit(data, xyw, d)`` (the exact t or
-    None) and ``float_hit(fdata, fo, fd)`` (a float (t, e), None or
-    _UNDECIDED).  A ``chart``'s crossing counts within 1/2 of its window
-    [lo, hi], so its float segment runs from chart(lo - 1/2) to chart(hi +
-    1/2)."""
+    ``data``, its exact tuple in integers (a wall's Segment or ParabolaArc
+    record itself), and ``fdata``, a float segment or arc that holds it,
+    each value a quotient of integers, with their hit tests ``hit(data,
+    xyw, d)`` (the exact t or None) and ``float_hit(fdata, fo, fd)`` (a
+    float (t, e), None or _UNDECIDED).  A ``chart``'s crossing counts
+    within 1/2 of its window [lo, hi], so its float segment runs from
+    chart(lo - 1/2) to chart(hi + 1/2)."""
 
     __slots__ = ("wall_id", "kind", "chart", "data", "fdata", "hit", "float_hit")
 
     def __init__(self, wall):
         self.chart = None
-        self.hit, self.float_hit, self.kind = _seg_hit, _float_seg_hit, "segment"
+        self.hit, self.float_hit = _seg_hit, _float_seg_hit
         if isinstance(wall, Chart):
             self.wall_id, self.kind, self.chart = wall.name, "chart", wall
-            u_lo, u_hi = wall.lo - Fraction(1, 2), wall.hi + Fraction(1, 2)
-            self.data = (_integers(*wall.origin, u_lo, u_hi) + _integers(*wall.tangent)
-                         + _integers(*wall.beam)[1:])
-            self.fdata = (_float_pt(wall.chart(u_lo)), _float_pt(wall.chart(u_hi)))
+            self.data = (integers(*wall.origin, wall.lo - Fraction(1, 2), wall.hi + Fraction(1, 2))
+                         + integers(*wall.tangent) + integers(*wall.beam)[1:])
+            c, ox, oy, lo, hi, k, tx, ty = self.data[:8]
+            self.fdata = tuple(((ox * k + u * tx) / (c * k), (oy * k + u * ty) / (c * k))
+                               for u in (lo, hi))
             self.hit = _chart_hit
             return
-        if isinstance(wall, Segment):
-            wall = _integers(*wall.p0, *wall.p1) + (wall.wall_id,)
-        if isinstance(wall, tuple):
-            den, x0, y0, x1, y1, self.wall_id = self.data = wall
+        self.wall_id, self.kind, self.data = wall.wall_id, wall.kind, wall
+        if self.kind == "segment":
+            den, x0, y0, x1, y1, _ = wall
             self.fdata = ((x0 / den, y0 / den), (x1 / den, y1 / den))
             return
-        self.wall_id, self.kind = wall.wall_id, wall.kind
-        q, a, b, p, lo, hi = _integers(wall.axis_x, wall.apex_y, wall.p, wall.x_lo, wall.x_hi)
-        self.data = (q, a, b, p, wall.sign, lo, hi)
-        self.fdata = tuple(float(v) for v in (wall.axis_x, wall.apex_y, wall.p, wall.sign,
-                                              wall.x_lo, wall.x_hi))
+        q, a, b, p, sign, lo, hi, _ = wall
+        self.fdata = (a / q, b / q, p / q, float(sign), lo / q, hi / q)
         self.hit, self.float_hit = _arc_hit, _float_arc_hit
 
     def float_box(self):
@@ -313,7 +304,7 @@ class _NumericWall:
         if self.kind == "segment":
             _, x0, y0, x1, y1, _ = self.data
             return (y0 - y1, x1 - x0)
-        q, a, _, p, sign, _, _ = self.data
+        q, a, _, p, sign, _, _, _ = self.data
         # (-sign (x - axis_x) / 2p, 1), times 2pw
         return (-sign * (xyw[0] * q - a * xyw[2]), 2 * p * xyw[2])
 
@@ -396,8 +387,8 @@ class _Walls:
     are none); a leg float-intersects only those whose boxes meet its ray
     clipped to ``box``.  The leg is then cut at the nearest static hit the
     exact test confirms, and each family's one per-leg query, ``walls_in(leg,
-    frame)``, returns the rows the cut leg may meet, each read as it is into
-    a _NumericWall kept by id in ``numeric``: the trace's only cache.
+    frame)``, returns the Segments the cut leg may meet, each read as it is
+    into a _NumericWall kept by id in ``numeric``: the trace's only cache.
     Charts count as neither built nor weighed walls.
     """
 
@@ -456,10 +447,10 @@ class _Walls:
         leg = Leg(pos, d, t, fo + fd + (found.ft,))
         level = []
         for mirrors, frame in self.families:
-            for row in mirrors.walls_in(leg, frame):
-                nw = self.numeric.get(row[5])
+            for mirror in mirrors.walls_in(leg, frame):
+                nw = self.numeric.get(mirror.wall_id)
                 if nw is None:
-                    nw = self.numeric[row[5]] = _NumericWall(row)
+                    nw = self.numeric[mirror.wall_id] = _NumericWall(mirror)
                 level.append(nw)
         weighed = sum(w.chart is None for w in static) + len(level)
         self.max_candidates = max(self.max_candidates, weighed)
@@ -481,8 +472,8 @@ def _trace(walls, pos, direction):
     lies on a wall's end or grazes (d.n = 0), and TracingError when the
     ray escapes, leaves the float range or its next hit is irrational.
     """
-    w, x, y = _integers(*pos)
-    xyw, direction, last = (x, y, w), _integers(*direction)[1:], None
+    w, x, y = integers(*pos)
+    xyw, direction, last = (x, y, w), integers(*direction)[1:], None
     while True:
         found = walls.nearest(pos, xyw, direction, last)
         best_t, wall, second_t = found.result()
@@ -633,8 +624,10 @@ def run_numeric(table, tape, budget, precision=None):
 
     if idx != len(expected):
         fail("numeric trace ended early")
+    # a replayed period repeats its point objects: each is read once
+    floats = {i: _float_pt(p) for i, p in {id(p): p for p in points}.items()}
     return NumericResult(outcome=symbolic, max_deviation=0.0, deviations=deviations,
-                         points=[_float_pt(p) for p in points],
+                         points=[floats[id(p)] for p in points],
                          walls_built=len(walls.numeric),
                          max_candidates=walls.max_candidates,
                          denominator_bits=walls.denominator_bits,

@@ -44,10 +44,9 @@ from .gadgets import (
     build_merge_gadget,
     build_shift_stage,
     build_split_gadget,
-    row_segment,
     turn_mirror,
 )
-from .geometry import Chart, walls_clash
+from .geometry import Chart, ParabolaArc, Segment, integers, walls_clash
 from .machine import build_graph, check_reversible
 from .ternary import T
 
@@ -64,6 +63,10 @@ BROW0 = F(-24)
 LANE_MARGIN = F(8)
 LANE_PITCH = F(3)
 DEFAULT_SCENE_LEVELS = 3
+
+#: The types of a scene entry that is a wall, not a mirror family's
+#: (mirrors, frame): both are tuples.
+_WALLS = (Segment, ParabolaArc)
 
 
 class CompileError(Exception):
@@ -217,8 +220,9 @@ class BilliardTable:
     def scene(self):
         """The scene as one flat tuple in scene_walls order: the launch pad,
         the stations, then the corridors.  Each static wall (pad, hard
-        checkpoint, stage arc, turn mirror) is an entry, and so is each split
-        and merge: its gadget's (mirrors, frame), the frame moved up by dy."""
+        checkpoint, stage arc, turn mirror) is an entry, a Segment or a
+        ParabolaArc, and so is each split and merge: its gadget's (mirrors,
+        frame), the frame moved up by dy."""
         scene = [self.initial_pad.wall]
 
         def place(gadget, dy):
@@ -242,44 +246,33 @@ class BilliardTable:
 
     @cached_property
     def static_walls(self):
-        return tuple(entry for entry in self.scene if not isinstance(entry, tuple))
+        return tuple(entry for entry in self.scene if isinstance(entry, _WALLS))
 
     @cached_property
     def mirror_families(self):
-        return tuple(entry for entry in self.scene if isinstance(entry, tuple))
+        return tuple(entry for entry in self.scene if not isinstance(entry, _WALLS))
 
-    def scene_rows(self, levels=None):
-        """The scene's walls for the given head levels (default: the
+    def scene_walls(self, levels=None):
+        """All placed walls for the given head levels (default: the
         ``scene_levels`` around 0), in scene order: each static wall as
-        itself, each split/merge mirror as its integer row (den, x0, y0,
-        x1, y1, id).  The one wall listing that to_json, verify_layout and
-        scene_walls read."""
+        itself and each split/merge mirror as its Segment.  The one wall
+        listing that to_json, verify_layout and to_svg read."""
         if levels is None:
             levels = range(-self.scene_levels, self.scene_levels + 1)
         levels = list(levels)
-        rows = []
-        for entry in self.scene:
-            if isinstance(entry, tuple):
-                mirrors, frame = entry
-                rows += mirrors.rows(levels, frame)
-            else:
-                rows.append(entry)
-        return rows
+        walls = []
+        for entry in self.scene:   # a wall, or a family's (mirrors, frame)
+            walls += [entry] if isinstance(entry, _WALLS) else entry[0].rows(levels, entry[1])
+        return walls
 
     def wall_count(self, levels):
-        """How many walls ``scene_rows`` lists for the head levels |k| <=
+        """How many walls ``scene_walls`` lists for the head levels |k| <=
         ``levels``, counted in O(K) before anything is listed: a family's
         level k holds 2^(digit_pos + 1) mirrors."""
         return len(self.static_walls) + sum(
             2 ** (digit_position(k + mirrors.cell_offset) + 1)
             for mirrors, _ in self.mirror_families for k in mirrors.levels
             if abs(k) <= levels)
-
-    def scene_walls(self, levels=None):
-        """All placed walls for the given head levels, in a stable order:
-        ``scene_rows`` with every row as its Segment."""
-        return [row_segment(w) if isinstance(w, tuple) else w
-                for w in self.scene_rows(levels)]
 
     def marked_segments(self):
         marks = [self.initial_pad]
@@ -290,18 +283,17 @@ class BilliardTable:
     def verify_layout(self, levels=None):
         """Exact pairwise non-intersection of all walls.
 
-        Reads ``scene_rows``: the walls' bounding boxes, a mirror row's from
-        its integer endpoints and a static wall's from its Fractions, are
-        scaled to integers over their common denominator and swept in x
-        order.  Every pair whose x ranges meet is inspected; only a pair
-        whose boxes also meet in y becomes walls (a row its Segment) and is
-        decided by ``walls_clash``: segment pairs exactly, pairs involving a
+        Reads ``scene_walls``: the walls' bounding boxes, from a segment's
+        integer ends and an arc's box, are scaled to integers over their
+        common denominator and swept in x order.  Every pair whose x ranges
+        meet is inspected; only a pair whose boxes also meet in y is decided
+        by ``walls_clash``: segment pairs exactly, pairs involving a
         parabola arc conservatively by bounding boxes.  Returns the number
         of pairs inspected; raises CompileError with the offending ids
         otherwise.
         """
-        walls = self.scene_rows(levels)
-        corners = [w[:5] if isinstance(w, tuple) else _box_row(w) for w in walls]
+        walls = self.scene_walls(levels)
+        corners = [w[:5] if w.kind == "segment" else integers(*w.bbox()) for w in walls]
         den = math.lcm(*{c[0] for c in corners})
         boxes = []
         for i, (d, *c) in enumerate(corners):
@@ -309,36 +301,30 @@ class BilliardTable:
             boxes.append((min(x0, x1), i, max(x0, x1), min(y0, y1), max(y0, y1)))
         boxes.sort()
         x_los = [box[0] for box in boxes]
-
-        def wall(i):
-            return row_segment(walls[i]) if isinstance(walls[i], tuple) else walls[i]
-
         checked = 0
         for n, (_, i, x_hi, y_lo, y_hi) in enumerate(boxes):
             # the boxes after this one in x order that start inside its x range
             end = bisect.bisect_right(x_los, x_hi, n + 1)
             checked += end - n - 1
             for _, j, _, y_lo2, y_hi2 in boxes[n + 1:end]:
-                if y_lo2 <= y_hi and y_lo <= y_hi2 and walls_clash(wall(i), wall(j)):
+                if y_lo2 <= y_hi and y_lo <= y_hi2 and walls_clash(walls[i], walls[j]):
                     raise CompileError(
-                        f"walls intersect: {wall(i).wall_id} / {wall(j).wall_id}")
+                        f"walls intersect: {walls[i].wall_id} / {walls[j].wall_id}")
         return checked
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
         """The table file: ``_document`` as json.dumps(indent=1,
-        sort_keys=True) writes it, with the walls of ``scene_rows`` added
+        sort_keys=True) writes it, with the walls of ``scene_walls`` added
         as its last key, "scene" (it sorts after every other key).  Each
         wall is written from one fixed text per kind, the bytes json would
         write: values as reduced n/d strings, ids escaped as ensure_ascii
         does."""
         head = json.dumps(self._document(), indent=1, sort_keys=True)
         gcd, walls = math.gcd, []
-        for w in self.scene_rows():
-            if not isinstance(w, tuple) and w.kind == "segment":
-                w = _box_row(w) + (w.wall_id,)   # a segment's box corners are its ends
-            if isinstance(w, tuple):
+        for w in self.scene_walls():
+            if w.kind == "segment":
                 den, x0, y0, x1, y1, wid = w
                 a, b, c, d = gcd(x0, den), gcd(y0, den), gcd(x1, den), gcd(y1, den)
                 walls.append(_SEGMENT_TEXT % (
@@ -403,14 +389,6 @@ class BilliardTable:
 
 def _frac(x):
     return f"{x.numerator}/{x.denominator}"
-
-
-def _box_row(wall):
-    """A static wall's box corners as a row (den, x0, y0, x1, y1): a
-    segment's endpoints, an arc's bbox corners."""
-    corners = wall.p0 + wall.p1 if wall.kind == "segment" else wall.bbox()
-    den = math.lcm(*(v.denominator for v in corners))
-    return (den, *(v.numerator * (den // v.denominator) for v in corners))
 
 
 # one wall of the scene list as json.dumps(indent=1, sort_keys=True) writes

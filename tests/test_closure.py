@@ -151,6 +151,16 @@ def test_closure_traces_one_period(table, monkeypatch):
     assert legs[0] == BOUNCES + 1 and res.period_bounces == BOUNCES
 
 
+def test_replayed_points_are_read_into_floats_once(table, monkeypatch):
+    # a replayed period repeats its point objects: each is read into floats
+    # once, the launch point and one period's hits
+    calls, read = [], numeric._float_pt
+    monkeypatch.setattr(numeric, "_float_pt", lambda p: calls.append(p) or read(p))
+    res = run_numeric(table, parse_tape("@1"), 100)
+    assert res.period_bounces == BOUNCES
+    assert len(calls) <= BOUNCES + 1 < len(res.points)
+
+
 def test_a_first_hit_that_does_not_recur_is_traced_on(table, monkeypatch):
     # the first hit is recorded with its direction doubled: the same ray,
     # but not the primitive direction the return is compared on, so the

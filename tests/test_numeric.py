@@ -20,7 +20,7 @@ from itertools import islice
 
 import pytest
 
-from carom.geometry import Chart, ParabolaArc, Segment
+from carom.geometry import Chart, ParabolaArc, Segment, integers
 from carom.numeric import (
     _UNDECIDED,
     _arc_hit,
@@ -28,7 +28,6 @@ from carom.numeric import (
     _float_arc_hit,
     _float_roots,
     _float_seg_hit,
-    _integers,
     _NumericWall,
     _reflect,
     _seg_hit,
@@ -129,8 +128,8 @@ def _integer_leg(origin, direction):
     """The leg from the rational ``origin`` along ``direction`` as the tracer
     carries it: (x, y, w) and an integer direction, a positive multiple of
     ``direction``."""
-    w, x, y = _integers(*origin)
-    return (x, y, w), _integers(*direction)[1:]
+    w, x, y = integers(*origin)
+    return (x, y, w), integers(*direction)[1:]
 
 
 def _t(got):
@@ -160,7 +159,7 @@ def _check_reflection(wall, xyw, d, t, oracle_normal):
     """The integer reflection at the hit ``t`` on the _NumericWall ``wall``
     is a positive multiple of the oracle's, or both graze."""
     point = _hit_point(xyw, d, t)
-    w, x, y = _integers(*point)
+    w, x, y = integers(*point)
     got = _reflect(d, wall.normal((x, y, w)))
     want = _oracle_reflect(d, oracle_normal(point))
     if got is None:
@@ -182,7 +181,7 @@ def test_float_arc_hit_survives_a_subnormal_quadratic_coefficient():
     assert 0 < direction[0] ** 2 / 4 < 2.2250738585072014e-308
     t, e = _float_arc_hit(BOWL, origin, direction)
     assert t == pytest.approx(1.0625, rel=1e-15) and e < 1e-12
-    bowl = ParabolaArc(*(Fraction(v) for v in BOWL[:3]), 1, Fraction(-1), Fraction(1), "bowl")
+    bowl = ParabolaArc.of(*(Fraction(v) for v in BOWL[:3]), 1, Fraction(-1), Fraction(1), "bowl")
     exact_origin, exact_direction = (Fraction(1, 2), Fraction(0)), (Fraction(1, 10 ** 160), 1)
     exact = _oracle_arc_hit(bowl, exact_origin, exact_direction)
     assert _within(exact, (1.0625, 1e-15)) and _within(exact, (t, e))
@@ -237,7 +236,7 @@ def _check_integer_seg_hit(p0, p1, origin, d):
     """The integer segment test on the ray from ``origin`` along d gives
     the oracle's t, its corner flag says whether the hit is an end, and
     the reflection there is the oracle's."""
-    wall = _NumericWall(Segment(p0, p1, "s"))
+    wall = _NumericWall(Segment.of(p0, p1, "s"))
     xyw, di = _integer_leg(origin, d)
     got, want = _seg_hit(wall.data, xyw, di), _oracle_seg_hit((p0, p1), origin, di)
     assert _same(got, want), (p0, p1, origin, d)
@@ -301,7 +300,7 @@ def _arc_sweep(rng, tangential):
     p, sign = _q(rng, 0.1, 2), rng.choice((-1, 1))
     x_lo = axis_x + _q(rng, -2, 1)
     x_hi = x_lo + _q(rng, 0.1, 2)
-    arc = ParabolaArc(axis_x, apex_y, p, sign, x_lo, x_hi, "arc")
+    arc = ParabolaArc.of(axis_x, apex_y, p, sign, x_lo, x_hi, "arc")
     x = rng.choice((x_lo, x_hi))
     end = (x, arc.y_at(x))
     if tangential:
@@ -391,8 +390,8 @@ def test_a_spurious_near_hit_does_not_hide_the_far_wall():
     # it, and the exact weighing, which stops only past a confirmed hit,
     # still weighs ``far`` at t = 3
     F = Fraction
-    near = Segment((F(1), F(1, 10 ** 20)), (F(1), F(1)), "near")
-    far = Segment((F(3), F(-1)), (F(3), F(1)), "far")
+    near = Segment.of((F(1), F(1, 10 ** 20)), (F(1), F(1)), "near")
+    far = Segment.of((F(3), F(-1)), (F(3), F(1)), "far")
     origin, direction = (F(0), F(0)), (F(1), F(0))
     t, _ = _float_seg_hit((_floats(near.p0), _floats(near.p1)), (0.0, 0.0), (1.0, 0.0))
     assert t == 1.0
@@ -411,11 +410,11 @@ def test_a_far_float_t_does_not_shut_out_the_nearest_wall():
     t0, t1 = F(102849, 100000), F(10285960218343517, 10 ** 16)
     h = (o[0] + t0 * d[0], o[1] + t0 * d[1])
     e = (d[0] + F(7, 10 ** 12) * perp[0], d[1] + F(7, 10 ** 12) * perp[1])
-    a = Segment((h[0] - F(417, 500) * e[0], h[1] - F(417, 500) * e[1]),
-                (h[0] + F(391, 1000) * e[0], h[1] + F(391, 1000) * e[1]), "A")
+    a = Segment.of((h[0] - F(417, 500) * e[0], h[1] - F(417, 500) * e[1]),
+                   (h[0] + F(391, 1000) * e[0], h[1] + F(391, 1000) * e[1]), "A")
     c = (o[0] + t1 * d[0], o[1] + t1 * d[1])
-    b = Segment((c[0] - perp[0] / 1000, c[1] - perp[1] / 1000),
-                (c[0] + perp[0] / 1000, c[1] + perp[1] / 1000), "B")
+    b = Segment.of((c[0] - perp[0] / 1000, c[1] - perp[1] / 1000),
+                   (c[0] + perp[0] / 1000, c[1] + perp[1] / 1000), "B")
     fo, fd = _floats(o), _floats(d)
     xyw, di = _integer_leg(o, d)
     t, wall, _ = _Walls([a, b], ()).nearest(o, xyw, di, None).result()
@@ -430,8 +429,8 @@ def test_a_far_float_t_does_not_shut_out_the_nearest_wall():
 def test_an_exact_tie_is_degenerate():
     # two walls crossing at the point the ray reaches at t = 2
     F = Fraction
-    a = Segment((F(1), F(-1)), (F(1), F(1)), "a")
-    b = Segment((F(0), F(-1)), (F(2), F(1)), "b")
+    a = Segment.of((F(1), F(-1)), (F(1), F(1)), "a")
+    b = Segment.of((F(0), F(-1)), (F(2), F(1)), "b")
     with pytest.raises(TracingDegeneracy, match="two walls"):
         _first_hit([a, b], (F(-1), F(0)), (F(1), F(0)))
 
@@ -439,16 +438,16 @@ def test_an_exact_tie_is_degenerate():
 def test_a_hit_on_a_wall_end_is_degenerate():
     # a segment met at its end point, and an arc met at its x_hi
     F = Fraction
-    post = Segment((F(1), F(1)), (F(1), F(3)), "post")
+    post = Segment.of((F(1), F(1)), (F(1), F(3)), "post")
     with pytest.raises(TracingDegeneracy, match="corner hit on post"):
         _first_hit([post], (F(0), F(1)), (F(1), F(0)))
-    bowl = ParabolaArc(F(0), F(0), F(1), 1, F(-1), F(1), "bowl")
+    bowl = ParabolaArc.of(F(0), F(0), F(1), 1, F(-1), F(1), "bowl")
     with pytest.raises(TracingDegeneracy, match="corner hit on bowl"):
         _first_hit([bowl], (F(1), F(-1)), (F(0), F(1)))
     # a chart's window keeps both ends: the ray crosses the chart below
     # exactly at u = hi + 1/2, then hits the post inside it
     chart = Chart((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), F(0), F(1), "chart")
-    post = Segment((F(-5), F(2)), (F(5), F(2)), "post")
+    post = Segment.of((F(-5), F(2)), (F(5), F(2)), "post")
     cross, hit = islice(_trace(_Walls([post], (), [chart]), (F(3, 2), F(-1)), (F(0), F(1))), 2)
     assert cross[:2] == ("cross", chart) and cross[3] == F(3, 2)
     assert hit[:3] == ("hit", hit[1], (F(3, 2), F(2))) and hit[1].wall_id == "post"
@@ -457,7 +456,7 @@ def test_a_hit_on_a_wall_end_is_degenerate():
 def test_a_graze_is_degenerate():
     # the x-axis touches the bowl y = x^2 / 4 at its apex: d . n = 0
     F = Fraction
-    bowl = ParabolaArc(F(0), F(0), F(1), 1, F(-1), F(1), "bowl")
+    bowl = ParabolaArc.of(F(0), F(0), F(1), 1, F(-1), F(1), "bowl")
     with pytest.raises(TracingDegeneracy, match="grazing hit on bowl"):
         for _ in _trace(_Walls([bowl], ()), (F(-2), F(0)), (F(1), F(0))):
             pass
@@ -470,8 +469,8 @@ def test_a_direction_past_the_float_range_is_read_to_scale():
     F, big = Fraction, 10 ** 400
     with pytest.raises(OverflowError):
         float(big)
-    right = Segment((F(1), F(-1)), (F(1), F(1)), "right")
-    left = Segment((F(-1), F(-1)), (F(-1), F(1)), "left")
+    right = Segment.of((F(1), F(-1)), (F(1), F(1)), "right")
+    left = Segment.of((F(-1), F(-1)), (F(-1), F(1)), "left")
     hits = list(islice(_trace(_Walls([right, left], ()), (F(0), F(0)), (F(big), F(1))), 3))
     assert [(kind, wall.wall_id, point) for kind, wall, point, _, _ in hits] == [
         ("hit", "right", (F(1), F(1, big))), ("hit", "left", (F(-1), F(3, big))),
@@ -483,26 +482,26 @@ def test_a_position_past_the_float_range_fails_the_trace():
     # a leg whose origin no double holds cannot be read in floats: a
     # TracingError (exit 3), not an OverflowError
     F = Fraction
-    post = Segment((F(1), F(-1)), (F(1), F(1)), "post")
+    post = Segment.of((F(1), F(-1)), (F(1), F(1)), "post")
     with pytest.raises(TracingError, match="left the float range"):
         next(_trace(_Walls([post], ()), (F(-(10 ** 400)), F(0)), (F(1), F(0))))
     # a hit whose t no double holds, 1.9e308 away, is still found
-    far = Segment((F(9 * 10 ** 307), F(-1)), (F(9 * 10 ** 307), F(1)), "far")
+    far = Segment.of((F(9 * 10 ** 307), F(-1)), (F(9 * 10 ** 307), F(1)), "far")
     kind, wall, point, _, _ = next(_trace(_Walls([far], ()), (F(-(10 ** 308)), F(0)), (1, 0)))
     assert (kind, wall.wall_id, point) == ("hit", "far", (F(9 * 10 ** 307), F(0)))
 
 
 #: The bowl y = x^2 / 4 over [-1, 1] and the ray (1/2, 0) + t (1, 1): they
 #: meet where t^2 - 3t + 1/4 = 0, first at t = 3/2 - sqrt(2).
-IRRATIONAL_BOWL = ParabolaArc(Fraction(0), Fraction(0), Fraction(1), 1,
-                              Fraction(-1), Fraction(1), "bowl")
+IRRATIONAL_BOWL = ParabolaArc.of(Fraction(0), Fraction(0), Fraction(1), 1,
+                                 Fraction(-1), Fraction(1), "bowl")
 RAY = ((Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(1)))
 
 
 def _post(t):
     """A vertical segment the ray meets at t."""
     x = RAY[0][0] + t
-    return Segment((x, Fraction(-1)), (x, Fraction(2)), "post")
+    return Segment.of((x, Fraction(-1)), (x, Fraction(2)), "post")
 
 
 def test_an_irrational_root_is_compared_exactly():
@@ -535,8 +534,8 @@ def test_a_run_that_leaves_the_rationals_exits_3(tmp_path, monkeypatch, capsys):
     path.write_text(MACHINE_TEXTS["rev-move"])
     argv = ["run", str(path), "--K", "3", "--tape", "@1", "--mode", "numeric"]
     assert main(argv) == 0
-    bowl = ParabolaArc(Fraction(20), Fraction(31), Fraction(1), 1, Fraction(18),
-                       Fraction(22), "bowl")
+    bowl = ParabolaArc.of(Fraction(20), Fraction(31), Fraction(1), 1, Fraction(18),
+                          Fraction(22), "bowl")
     static_walls = BilliardTable.static_walls.func
     monkeypatch.setattr(BilliardTable, "static_walls",
                         property(lambda table: static_walls(table) + (bowl,)))

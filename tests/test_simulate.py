@@ -258,14 +258,14 @@ def test_gadget_tracer_lands_a_beam_below_float_resolution():
     # a split mirror of level 10 is shorter than a double resolves at its
     # coordinates: the float test cannot place the beam's hit on it, and
     # the exact test lands the beam on the split's transfer, hits and all
-    from carom.gadgets import build_split_gadget, row_segment
+    from carom.gadgets import build_split_gadget
     from carom.geometry import Leg
     from carom.numeric import _UNDECIDED, _NumericWall
     x = T(3 ** 33 - 2 * 3 ** 22 + 1, 33)    # 1 - 2/3^11 + 1/3^33, in I_10's first block
     split = build_split_gadget(12)
     beam = Leg((x.as_fraction(), Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
     row, = split.mirrors[0].walls_in(beam, split.mirrors[1])
-    mirror = _NumericWall(row_segment(row))
+    mirror = _NumericWall(row)
     assert ":k10:" in mirror.wall_id
     assert mirror.float_hit(mirror.fdata, beam.floats[:2], beam.floats[2:4]) is _UNDECIDED
     want, piece = split.transfer.apply(x)
@@ -332,7 +332,7 @@ def test_gadget_trace_duplicated_mirror_is_degenerate():
     from carom.gadgets import build_turn_gadget
     turn = build_turn_gadget(+90)
     mirror, = turn.static_walls
-    doubled = replace(turn, static_walls=(mirror, replace(mirror, wall_id="dup:mirror")))
+    doubled = replace(turn, static_walls=(mirror, mirror._replace(wall_id="dup:mirror")))
     with pytest.raises(TracingDegeneracy):
         GadgetTracer(doubled).trace(T(1, 1))
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from carom import gadgets
-from carom import table as table_module
 from carom.encoding import encode_state
 from carom.gadgets import DomainError
 from carom.machine import enumerate_tapes, parse_machine, step, ComputationState
@@ -94,7 +93,7 @@ def test_load_table_counts_the_scene(scene_levels):
         table = compile_table(get_machine(name), 2)
         for levels in (0, 1, 2, 3):
             assert table.wall_count(levels) == len(
-                table.scene_rows(range(-levels, levels + 1))), (name, levels)
+                table.scene_walls(range(-levels, levels + 1))), (name, levels)
         doc = json.loads(text)
         doc["scene"].append(doc["scene"][0])
         with pytest.raises(ValueError, match="stored scene lists"):
@@ -165,10 +164,11 @@ def test_compile_builds_only_placed_walls(monkeypatch):
     # every wall compile_table builds is a wall of the table's scene
     built = []
     for cls in (Segment, ParabolaArc):
-        def record(self, check=cls.__post_init__):
-            built.append(self.wall_id)
-            check(self)
-        monkeypatch.setattr(cls, "__post_init__", record)
+        def record(*args, build=cls.of):
+            wall = build(*args)
+            built.append(wall.wall_id)
+            return wall
+        monkeypatch.setattr(cls, "of", staticmethod(record))
     for name, m in fixture_machines().items():
         built.clear()
         table = compile_table(m, 8)
@@ -235,29 +235,29 @@ def test_layout_sweep_matches_fraction_sweep(K, levels):
 
 
 def _row(segment):
-    """A probe segment with integer endpoints as a mirror row."""
-    (x0, y0), (x1, y1) = segment.p0, segment.p1
-    return (1, int(x0), int(y0), int(x1), int(y1), segment.wall_id)
+    """The probe segment over twice its denominator: a record not in
+    lowest terms, as a mirror row may be."""
+    return Segment(*(2 * v for v in segment[:5]), segment.wall_id)
 
 
-_scene_rows = BilliardTable.scene_rows     # unpatched, for _layout_of
+_scene_walls = BilliardTable.scene_walls     # unpatched, for _layout_of
 
 
 def _layout_of(monkeypatch, as_rows, *walls):
     """A table whose scene listing is rev-move's own plus ``walls``, far
-    below it, as static walls or as mirror rows."""
+    below it, in lowest terms or as mirror rows."""
     table = compile_table(get_machine("rev-move"), 2)
-    own = _scene_rows(table, range(-1, 2))
+    own = _scene_walls(table, range(-1, 2))
     probes = [_row(w) for w in walls] if as_rows else list(walls)
-    monkeypatch.setattr(BilliardTable, "scene_rows",
+    monkeypatch.setattr(BilliardTable, "scene_walls",
                         lambda self, levels=None: own + probes)
     return table
 
 
 def test_layout_rejects_crossing_walls(monkeypatch):
     F = Fraction
-    a = Segment((F(-100), F(-100)), (F(-98), F(-98)), "probe:a")
-    b = Segment((F(-100), F(-98)), (F(-98), F(-100)), "probe:b")
+    a = Segment.of((F(-100), F(-100)), (F(-98), F(-98)), "probe:a")
+    b = Segment.of((F(-100), F(-98)), (F(-98), F(-100)), "probe:b")
     for as_rows in (False, True):
         table = _layout_of(monkeypatch, as_rows, a, b)
         with pytest.raises(CompileError, match="probe:a / probe:b"):
@@ -268,11 +268,11 @@ def test_layout_counts_and_checks_touching_boxes(monkeypatch):
     F = Fraction
     base = compile_table(get_machine("rev-move"), 2)
     pairs = base.verify_layout(range(-1, 2))
-    a = Segment((F(-100), F(-100)), (F(-99), F(-99)), "probe:a")
+    a = Segment.of((F(-100), F(-100)), (F(-99), F(-99)), "probe:a")
     # boxes meeting at x = -99 only: counted, disjoint in y, no clash
-    apart = Segment((F(-99), F(-97)), (F(-98), F(-96)), "probe:apart")
+    apart = Segment.of((F(-99), F(-97)), (F(-98), F(-96)), "probe:apart")
     # boxes meeting in the one point (-99, -99), the walls' shared end
-    touching = Segment((F(-99), F(-99)), (F(-98), F(-98)), "probe:touch")
+    touching = Segment.of((F(-99), F(-99)), (F(-98), F(-98)), "probe:touch")
     for as_rows in (False, True):
         table = _layout_of(monkeypatch, as_rows, a, apart)
         assert table.verify_layout() == pairs + 1
@@ -439,14 +439,17 @@ def test_writer_equals_json(K, scene_levels):
 
 
 def test_table_file_builds_no_mirror_segments(monkeypatch):
-    # writing, reloading and layout-checking a table read integer rows:
-    # no mirror becomes a Segment, and scene_walls is never asked
-    def fail(*args, **kwargs):
-        raise AssertionError("a Fraction wall listing was built")
+    # writing, reloading and layout-checking a table read each mirror's
+    # integers: none is read through a Fraction view
+    def guarded(view):
+        def read(wall):
+            if wall.wall_id.endswith((":W", ":Wt")):
+                raise AssertionError(f"mirror {wall.wall_id} read in Fractions")
+            return view.fget(wall)
+        return property(read)
 
-    for owner in (table_module, gadgets):
-        monkeypatch.setattr(owner, "row_segment", fail)
-    monkeypatch.setattr(BilliardTable, "scene_walls", fail)
+    for name in ("p0", "p1"):
+        monkeypatch.setattr(Segment, name, guarded(getattr(Segment, name)))
     text = compile_table(get_machine("walker"), 8).to_json()
     assert load_table(text).verify_layout() == PINNED_TABLES["walker"][2]
 

@@ -7,10 +7,10 @@ horizontal and tilted legs and on every leg of real numeric traces.  The
 blocks the query picks per (level, symbol, wall), each window decided in
 integers, must also be exactly those an exact rational window, the oracle
 here, picks, on legs at walls and on legs that end exactly on a box edge.
-The query reads each mirror family's own levels and returns integer rows,
-wrapped here in their Segments.  The numeric tracer's float pre-rejects (static walls and
-charts by box, families by region) are checked against the full pass they
-replace, which is kept here as the oracle.
+The query reads each mirror family's own levels and returns Segments, the
+integer records the full list holds.  The numeric tracer's float pre-rejects
+(static walls and charts by box, families by region) are checked against
+the full pass they replace, which is kept here as the oracle.
 """
 
 import bisect
@@ -20,15 +20,13 @@ from fractions import Fraction
 
 import pytest
 
-from carom import numeric
 from carom.encoding import block_indices, cantor_blocks_at, digit_position, head_interval
 from carom.gadgets import (
     _BAND_GAIN,
     build_merge_gadget,
     build_split_gadget,
-    row_segment,
 )
-from carom.geometry import Leg, Segment, segments_intersect
+from carom.geometry import Leg, ParabolaArc, Segment, integers, segments_intersect
 from carom.machine import parse_machine, parse_tape
 from carom.numeric import _Nearest, _NumericWall, _Walls, _float_hits
 from carom.simulate import run_numeric
@@ -66,16 +64,17 @@ def _full(source):
 
 def _listing(source, query):
     """A table's flat scene, or a gadget's static walls then its mirrors,
-    in order, each mirror family's entry given as the Segments of the rows
-    ``query(mirrors, frame)`` returns."""
+    in order, each mirror family's entry given as the Segments
+    ``query(mirrors, frame)`` returns.  A family's entry is a (mirrors,
+    frame) tuple and a wall is a tuple too, so they are told apart by type."""
     scene = source.scene if hasattr(source, "scene") else (
         source.static_walls + ((source.mirrors,) if source.mirrors else ()))
     walls = []
     for entry in scene:
-        if isinstance(entry, tuple):
-            walls += map(row_segment, query(*entry))
-        else:
+        if isinstance(entry, (Segment, ParabolaArc)):
             walls.append(entry)
+        else:
+            walls += query(*entry)
     return walls
 
 
@@ -88,7 +87,7 @@ def _walls_in(source, leg):
 def _segment(leg):
     length = RAY_LENGTH if leg.t_max is None else leg.t_max
     (x, y), (dx, dy) = leg.origin, leg.direction
-    return Segment((x, y), (x + length * dx, y + length * dy), "leg")
+    return Segment.of((x, y), (x + length * dx, y + length * dy), "leg")
 
 
 def _meets(seg, wall):
@@ -98,7 +97,7 @@ def _meets(seg, wall):
     if any(x0 <= p[0] <= x1 and y0 <= p[1] <= y1 for p in (seg.p0, seg.p1)):
         return True
     corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    return any(segments_intersect(seg, Segment(a, b, "edge"))
+    return any(segments_intersect(seg, Segment.of(a, b, "edge"))
                for a, b in zip(corners, corners[1:] + corners[:1]))
 
 
@@ -195,7 +194,8 @@ def test_scene_entries_list_the_scene(name):
     assert [w.wall_id for w in walls] == [w.wall_id for w in full]
     assert walls == full
     static = {w.wall_id for w in table.static_walls}
-    assert len(table.mirror_families) == sum(isinstance(e, tuple) for e in table.scene) > 0
+    assert len(table.mirror_families) == sum(
+        not isinstance(e, (Segment, ParabolaArc)) for e in table.scene) > 0
     for leg in _seeded_legs(full, random.Random(5), 60):
         assert not static & {row[5] for mirrors, frame in table.mirror_families
                              for row in mirrors.walls_in(leg, frame)}
@@ -524,8 +524,8 @@ def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision():
                                            (1, 0, False, 0),
                                            (Fraction(-1, 10 ** 9), Fraction(1, 10 ** 8), True, 1)):
         pos = tuple(o + t / 2 + offset * b for o, t, b in zip(co, ct, cb))
-        den, x, y = numeric._integers(*pos)
-        direction = numeric._integers(*(t + tilt * b for t, b in zip(ct, cb)))[1:]
+        den, x, y = integers(*pos)
+        direction = integers(*(t + tilt * b for t, b in zip(ct, cb)))[1:]
         weighings.clear()
         got = walls.nearest(pos, (x, y, den), direction, None).crossed()
         assert [(_exact_t(t), w.chart) for t, w in got] == _unfiltered_crossings(

@@ -1,0 +1,133 @@
+"""Walls as integer records: ``Segment`` and ``ParabolaArc``.
+
+Every wall of each fixture table's scene, and each gadget's static walls,
+is rebuilt by its ``of`` constructor from its ``Fraction`` views, and read
+by the tracer (``_NumericWall``) into the data and floats the tracer read
+before walls were records: a static wall's Fractions over their least
+common denominator (``_integers``, kept here as the oracle), a mirror row
+as it is, every float as ``float(Fraction)``.  A mirror row need not be in
+lowest terms; ``of`` rebuilds it in lowest terms.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from carom.gadgets import _REGIMES, build_shift_stage, build_turn_gadget
+from carom.geometry import ParabolaArc, Segment
+from carom.numeric import _NumericWall
+from carom.table import compile_table
+from carom.zoo import fixture_machines
+
+F = Fraction
+
+
+def _integers(*values):
+    """(den, n_0, n_1, ...): the rationals ``values`` over their least
+    common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return (den,) + tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+def _is_mirror(wall):
+    return wall.wall_id.endswith((":W", ":Wt"))
+
+
+def _rebuilt(wall):
+    if wall.kind == "segment":
+        return Segment.of(wall.p0, wall.p1, wall.wall_id)
+    return ParabolaArc.of(wall.axis_x, wall.apex_y, wall.p, wall.sign, wall.x_lo, wall.x_hi,
+                          wall.wall_id)
+
+
+def _lowest(wall):
+    """The record with its den and the integers over it divided by their
+    gcd (a sign is not over den)."""
+    over = [i for i in range(1, len(wall) - 1) if wall._fields[i] != "sign"]
+    g = math.gcd(wall[0], *(wall[i] for i in over))
+    return wall._replace(den=wall[0] // g, **{wall._fields[i]: wall[i] // g for i in over})
+
+
+def _oracle(wall):
+    """(data, fdata) of the wall as _NumericWall read them from Fraction
+    walls and integer mirror rows."""
+    if wall.kind == "segment":
+        (x0, y0), (x1, y1) = wall.p0, wall.p1
+        data = tuple(wall) if _is_mirror(wall) else _integers(x0, y0, x1, y1) + (wall.wall_id,)
+        return data, ((float(x0), float(y0)), (float(x1), float(y1)))
+    q, a, b, p, lo, hi = _integers(wall.axis_x, wall.apex_y, wall.p, wall.x_lo, wall.x_hi)
+    return (q, a, b, p, wall.sign, lo, hi, wall.wall_id), tuple(
+        float(v) for v in (wall.axis_x, wall.apex_y, wall.p, wall.sign, wall.x_lo, wall.x_hi))
+
+
+def _gadget_walls():
+    gadgets = [build_shift_stage(eps, base_x=F(16), sigma=-2, name="s") for eps in (1, -1)]
+    gadgets += [build_turn_gadget(turn) for turn in (90, -90)]
+    gadgets.append(build_turn_gadget(90, window=(F(-1, 3), F(13, 9))))
+    return [w for g in gadgets for w in g.static_walls] + [
+        w for regimes in _REGIMES.values() for r in regimes for w in r.arcs]
+
+
+def _check(walls):
+    for wall in walls:
+        rebuilt = _rebuilt(wall)
+        if _is_mirror(wall):
+            assert rebuilt == _lowest(wall), wall.wall_id
+        else:
+            assert rebuilt == wall, wall.wall_id
+        nw = _NumericWall(wall)
+        assert (nw.data, nw.fdata) == _oracle(wall), wall.wall_id
+        assert nw.data is wall and nw.wall_id == wall.wall_id
+
+
+@pytest.mark.parametrize("K", [2, 8])
+@pytest.mark.parametrize("name", sorted(fixture_machines()))
+def test_scene_records_rebuild_from_their_views(name, K):
+    table = compile_table(fixture_machines()[name], K)
+    walls = table.scene_walls()
+    assert any(_is_mirror(w) for w in walls) and any(w.kind != "segment" for w in walls)
+    _check(walls)
+    # the charts the tracer passes through, read in integers alike
+    for chart in table.marked_segments():
+        nw = _NumericWall(chart)
+        ends = (chart.chart(chart.lo - F(1, 2)), chart.chart(chart.hi + F(1, 2)))
+        assert nw.fdata == tuple((float(x), float(y)) for x, y in ends), chart.name
+
+
+def test_gadget_records_rebuild_from_their_views():
+    _check(_gadget_walls())
+
+
+@pytest.mark.parametrize("dx, dy", [(3, 0), (0, -12), (F(1, 9), F(-5, 2))])
+def test_translated_records_are_the_moved_views(dx, dy):
+    # translated moves a record in integers, over den times the move's
+    # denominator: by value the wall the views moved build
+    for wall in _gadget_walls():
+        moved = wall.translated(dx, dy)
+        if wall.kind == "segment":
+            want = Segment.of(*((x + dx, y + dy) for x, y in (wall.p0, wall.p1)), wall.wall_id)
+        else:
+            want = ParabolaArc.of(wall.axis_x + dx, wall.apex_y + dy, wall.p, wall.sign,
+                                  wall.x_lo + dx, wall.x_hi + dx, wall.wall_id)
+        assert _lowest(moved) == want, wall.wall_id
+        if F(dx).denominator == F(dy).denominator == 1:
+            assert moved == want, wall.wall_id
+
+
+@pytest.mark.parametrize("args", [
+    (F(0), F(0), F(0), 1, F(-1), F(1)),          # p = 0
+    (F(0), F(0), F(-1), 1, F(-1), F(1)),         # p < 0
+    (F(0), F(0), F(1), 0, F(-1), F(1)),          # sign 0
+    (F(0), F(0), F(1), 2, F(-1), F(1)),          # sign 2
+    (F(0), F(0), F(1), 1, F(1), F(1)),           # x_lo = x_hi
+    (F(0), F(0), F(1), -1, F(2), F(1)),          # x_lo > x_hi
+])
+def test_degenerate_arcs_are_refused(args):
+    with pytest.raises(ValueError, match="degenerate arc bad"):
+        ParabolaArc.of(*args, "bad")
+
+
+def test_zero_length_segment_is_refused():
+    with pytest.raises(ValueError, match="degenerate segment bad"):
+        Segment.of((F(1, 3), F(2)), (F(2, 6), F(2)), "bad")
