@@ -4,14 +4,12 @@ run_numeric re-traces a symbolic run (``simulate.run_symbolic``) by exact
 specular reflection over the placed walls, in integers, and must
 reproduce its event stream with every checkpoint at exactly its symbolic
 value: this certifies that the geometry implements the transfer maps.
-Floats only shortlist, as filtered predicates (Shewchuk 1997): one float
-test, for the walls and for the charts the ray passes through alike,
-gives each hit a float t with a certified error bound e, drops only what
-misses by more than the bound, and leaves to the exact test what it
-cannot place; hits are weighed exactly in the order of their lower
-bounds t - e.  An arc met at an irrational point is compared with the
-rational hits exactly, in Q(sqrt D); a trace whose next hit is irrational
-raises TracingError.
+Every hit a leg weighs is decided by the integer tests.  Floats only
+pre-reject by position, by the static walls' boxes and the mirror
+families' regions and levels, and drop only walls the leg cannot reach.
+An arc met at an irrational point is compared with the rational hits
+exactly, in Q(sqrt D); a trace whose next hit is irrational raises
+TracingError.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .geometry import Chart, Leg, integers
 from .simulate import RunOutcome, TraceMismatch, TracingDegeneracy, TracingError, run_symbolic
@@ -33,7 +30,7 @@ class NumericResult:
     deviations: list               # per checkpoint crossing
     points: list                   # polyline of traced positions (floats)
     walls_built: int = 0           # distinct walls materialized
-    max_candidates: int = 0        # most walls one leg's float pass weighed
+    max_candidates: int = 0        # walls one leg weighed exactly
     denominator_bits: int = 0      # bits of the largest common denominator of a leg
     period_bounces: int | None = None   # hits per period of an exactly closed orbit
 
@@ -141,104 +138,7 @@ def _reflect(d, n):
     return rx // g, ry // g
 
 
-# --- float hits -----------------------------------------------------------------
-
-#: Relative error bound of the float hit tests (_float_seg_hit,
-#: _float_arc_hit).  Each quantity they test is a polynomial of degree <= 3
-#: in inputs within 2^-53 of their exact values (a wall's ``fdata``, the
-#: leg's floats), evaluated in a few correctly rounded operations, so it is
-#: off by less than 16 * 2^-53 of the sum of its terms' magnitudes; the
-#: bound is 1e-13 of that sum, about 900 times 2^-53.  A float test drops
-#: a hit only when it misses by more than the bound, and answers
-#: _UNDECIDED where the bound leaves its answer open (a ray nearly along a
-#: segment, or nearly tangent to an arc): the exact test decides there.
-_HIT_SLACK = 1e-13
-
-#: What a float hit test returns when it cannot decide.
-_UNDECIDED = object()
-
-
-def _float_seg_hit(data, origin, direction):
-    """(t, e): the float t of the ray's hit on the segment ``data`` and a
-    bound e on its distance from the exact t, all in floats; None when the
-    ray misses it by more than _HIT_SLACK (both ends on one side of the
-    ray's line, or the hit behind the ray); _UNDECIDED when floats cannot
-    place the hit."""
-    (x0, y0), (x1, y1) = data
-    ox, oy = origin
-    dx, dy = direction
-    rx0, ry0 = x0 - ox, y0 - oy
-    # each end's side of the ray's line, off by less than err
-    c0, c1 = rx0 * dy - ry0 * dx, (x1 - ox) * dy - (y1 - oy) * dx
-    mag = max(abs(x0), abs(y0), abs(x1), abs(y1), abs(ox), abs(oy))
-    err = _HIT_SLACK * mag * (abs(dx) + abs(dy))
-    if (c0 > err and c1 > err) or (c0 < -err and c1 < -err):
-        return None
-    ex, ey = x1 - x0, y1 - y0
-    den = dx * ey - dy * ex     # c0 - c1
-    if abs(den) <= 4 * err:
-        return _UNDECIDED
-    t = (rx0 * ey - ry0 * ex) / den
-    # num = t den and den are off by less than 8 _HIT_SLACK mag^2 and 2 err
-    e = (8 * _HIT_SLACK * mag * mag + 2 * err * abs(t)) / (abs(den) - 2 * err)
-    return None if t < -e else (t, e)
-
-
-def _float_roots(qa, qb, qc):
-    """The real roots of qa t^2 + qb t + qc, qa != 0, in floats.  q = -(qb
-    + sign(qb) sqrt(disc)) / 2 is formed once, without cancellation, and
-    the roots are q / qa and qc / q: where qa is subnormal (a beam whose
-    x-component is tiny), only the far root overflows, to inf, and the
-    near one is kept."""
-    disc = qb * qb - 4 * qa * qc
-    if disc < 0:
-        return []
-    q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2
-    return [q / qa, qc / q] if q else [0.0]
-
-
-def _float_arc_hit(data, origin, direction):
-    """(t, e): the least float t of the ray's hits on the arc ``data`` and
-    a bound e on its distance from the exact hit, all in floats; None when
-    every root misses by more than _HIT_SLACK (no real root, behind the
-    ray, or outside [x_lo, x_hi]); _UNDECIDED when the ray is too nearly
-    tangent for floats to place a root."""
-    axis_x, apex_y, p, sign, x_lo, x_hi = data
-    ox, oy = origin
-    dx, dy = direction
-    # F(origin + t direction) = qa t^2 + qb t + qc for the arc's F(x, y) =
-    # y - apex_y - sign (x - axis_x)^2 / 4p
-    c, rel = sign / (4 * p), ox - axis_x
-    qa, qb, qc = -c * dx * dx, dy - 2 * c * rel * dx, oy - apex_y - c * rel * rel
-    # the magnitudes of the coefficients' terms
-    c, r = 1 / (4 * p), abs(ox) + abs(axis_x)
-    ma, mb = c * dx * dx, abs(dy) + 2 * c * r * abs(dx)
-    mc = abs(oy) + abs(apex_y) + c * r * r
-    disc = qb * qb - 4 * qa * qc
-    edisc = _HIT_SLACK * (mb * mb + 4 * ma * mc)
-    if disc < -edisc:
-        return None
-    if disc <= 16 * edisc:
-        return _UNDECIDED
-    roots, slope = _float_roots(qa, qb, qc) if qa else [-qc / qb], math.sqrt(disc)
-    kept = []
-    for t in roots:
-        if not math.isfinite(t):
-            continue
-        # the root moves by at most the error of F(t) over |F'(t)| = slope
-        et = 2 * _HIT_SLACK * (ma * t * t + mb * abs(t) + mc) / slope
-        x = ox + t * dx
-        ex = _HIT_SLACK * (abs(ox) + abs(t * dx)) + abs(dx) * et
-        if t < -et or x < x_lo - ex or x > x_hi + ex:
-            continue
-        kept.append((t, et))
-    if not kept:
-        return None
-    # the exact test may refute the least root kept and confirm the other:
-    # the bound reaches every root kept
-    t, e = min(kept)
-    return t, max(e, max(u + eu for u, eu in kept) - t)
-
+# --- the walls a leg weighs ---------------------------------------------------
 
 #: A float box or clipped ray is widened on each side by this fraction of
 #: (1 + the magnitude of the coordinate): with coordinates below 10^6 (the
@@ -256,48 +156,41 @@ def _widened(x0, y0, x1, y1):
 class _NumericWall:
     """A wall, or a chart the ray passes through, as the tracer weighs it:
     ``data``, its exact tuple in integers (a wall's Segment or ParabolaArc
-    record itself), and ``fdata``, a float segment or arc that holds it,
-    each value a quotient of integers, with their hit tests ``hit(data,
-    xyw, d)`` (the exact t or None) and ``float_hit(fdata, fo, fd)`` (a
-    float (t, e), None or _UNDECIDED).  A ``chart``'s crossing counts
-    within 1/2 of its window [lo, hi], so its float segment runs from
-    chart(lo - 1/2) to chart(hi + 1/2)."""
+    record itself), with its exact hit test ``hit(data, xyw, d)``, the t
+    or None.  A ``chart``'s crossing counts within 1/2 of its window [lo,
+    hi], so its data holds the window [lo - 1/2, hi + 1/2]."""
 
-    __slots__ = ("wall_id", "kind", "chart", "data", "fdata", "hit", "float_hit")
+    __slots__ = ("wall_id", "kind", "chart", "data", "hit")
 
     def __init__(self, wall):
         self.chart = None
-        self.hit, self.float_hit = _seg_hit, _float_seg_hit
         if isinstance(wall, Chart):
-            self.wall_id, self.kind, self.chart = wall.name, "chart", wall
+            self.wall_id, self.kind, self.chart, self.hit = wall.name, "chart", wall, _chart_hit
             self.data = (integers(*wall.origin, wall.lo - Fraction(1, 2), wall.hi + Fraction(1, 2))
                          + integers(*wall.tangent) + integers(*wall.beam)[1:])
-            c, ox, oy, lo, hi, k, tx, ty = self.data[:8]
-            self.fdata = tuple(((ox * k + u * tx) / (c * k), (oy * k + u * ty) / (c * k))
-                               for u in (lo, hi))
-            self.hit = _chart_hit
             return
         self.wall_id, self.kind, self.data = wall.wall_id, wall.kind, wall
-        if self.kind == "segment":
-            den, x0, y0, x1, y1, _ = wall
-            self.fdata = ((x0 / den, y0 / den), (x1 / den, y1 / den))
-            return
-        q, a, b, p, sign, lo, hi, _ = wall
-        self.fdata = (a / q, b / q, p / q, float(sign), lo / q, hi / q)
-        self.hit, self.float_hit = _arc_hit, _float_arc_hit
+        self.hit = _seg_hit if self.kind == "segment" else _arc_hit
 
     def float_box(self):
-        """(x0, y0, x1, y1), a float box holding the wall: its box in
-        floats, widened by _BOX_SLACK, which is far more than the rounding
-        of ``fdata`` and of the arc's end heights."""
-        if self.kind != "parabola_arc":
-            (x0, y0), (x1, y1) = self.fdata
-            return _widened(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
-        axis_x, apex_y, p, sign, x_lo, x_hi = self.fdata
-        ys = [apex_y + sign * (x - axis_x) ** 2 / (4 * p) for x in (x_lo, x_hi)]
-        if x_lo < axis_x < x_hi:
-            ys.append(apex_y)
-        return _widened(x_lo, min(ys), x_hi, max(ys))
+        """(x0, y0, x1, y1), a float box holding the wall or chart: its ends
+        and an arc's heights in floats, each a quotient of its integers,
+        widened by _BOX_SLACK, which is far more than their rounding."""
+        if self.kind == "parabola_arc":
+            q, a, b, p, sign, lo, hi, _ = self.data
+            axis_x, apex_y, p, x_lo, x_hi = a / q, b / q, p / q, lo / q, hi / q
+            ys = [apex_y + sign * (x - axis_x) ** 2 / (4 * p) for x in (x_lo, x_hi)]
+            if x_lo < axis_x < x_hi:
+                ys.append(apex_y)
+            return _widened(x_lo, min(ys), x_hi, max(ys))
+        if self.chart is None:
+            den, x0, y0, x1, y1, _ = self.data
+        else:
+            c, ox, oy, lo, hi, k, tx, ty = self.data[:8]
+            den, x0, y0 = c * k, ox * k + lo * tx, oy * k + lo * ty
+            x1, y1 = ox * k + hi * tx, oy * k + hi * ty
+        x0, y0, x1, y1 = x0 / den, y0 / den, x1 / den, y1 / den
+        return _widened(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
 
     def normal(self, xyw):
         """An integer normal at the point ``xyw``, not of unit length."""
@@ -309,41 +202,22 @@ class _NumericWall:
         return (-sign * (xyw[0] * q - a * xyw[2]), 2 * p * xyw[2])
 
 
-def _float_hits(walls, fo, fd, exclude):
-    """(lo, wall) for every wall of ``walls`` but ``exclude`` that the
-    float ray (fo, fd) may hit: lo = t - e, a lower bound on the exact t,
-    from the float test's (t, e), or -inf where it cannot decide."""
-    for w in walls:
-        if w is exclude:
-            continue
-        hit = w.float_hit(w.fdata, fo, fd)
-        if hit is _UNDECIDED:
-            yield -math.inf, w
-        elif hit is not None:
-            yield hit[0] - hit[1], w
-
-
 class _Nearest:
-    """The nearest exact hit of the leg from ``xyw`` along d among the float
-    hits ``offer``ed to it (_float_hits): each is weighed exactly, in the
-    order of its lower bound lo (for d / ``scale``), until a lo lies past
-    the nearest hit confirmed so far, which no later hit can undercut or
-    tie.  ``second`` is the runner-up's t.  A chart's hit is a crossing,
-    kept in ``crossings``; irrational hits wait for ``result``."""
+    """The nearest exact hit of the leg from ``xyw`` along d among the
+    walls ``offer``ed to it, each weighed exactly.  ``second`` is the
+    runner-up's t.  A chart's hit is a crossing, kept in ``crossings``;
+    irrational hits wait for ``result``."""
 
-    def __init__(self, xyw, d, scale):
-        self.xyw, self.direction, self.scale = xyw, d, scale
+    def __init__(self, xyw, d):
+        self.xyw, self.direction = xyw, d
         self.t = self.wall = self.second = None
-        self.ft = math.inf        # float(t scale), correctly rounded
         self.irrational = []      # (surd, wall)
         self.crossings = []       # (t, chart)
 
-    def offer(self, hits):
-        for lo, w in sorted(hits, key=itemgetter(0)):
-            # t lies within half a float step of ft: a float lo above ft
-            # lies past t
-            if lo > self.ft:
-                break
+    def offer(self, walls, exclude):
+        for w in walls:
+            if w is exclude:
+                continue
             t = w.hit(w.data, self.xyw, self.direction)
             if t is None:
                 continue
@@ -353,10 +227,6 @@ class _Nearest:
                 self.irrational.append((t, w))
             elif self.t is None or _before(t, self.t):
                 self.t, self.wall, self.second = t, w, self.t
-                try:
-                    self.ft = t[0] * self.scale / t[1]
-                except OverflowError:     # past the float range: no lo lies past it
-                    self.ft = math.inf
             elif self.second is None or _before(t, self.second):
                 self.second = t
 
@@ -382,14 +252,14 @@ class _Walls:
     family over its own levels, chosen per leg by position alone, never by
     the ids a symbolic run predicts.
 
-    The ``static`` walls, then the charts, are read once into floats, each
-    with its float box (``boxes``, all held by ``box``, None when there
-    are none); a leg float-intersects only those whose boxes meet its ray
-    clipped to ``box``.  The leg is then cut at the nearest static hit the
-    exact test confirms, and each family's one per-leg query, ``walls_in(leg,
-    frame)``, returns the Segments the cut leg may meet, each read as it is
-    into a _NumericWall kept by id in ``numeric``: the trace's only cache.
-    Charts count as neither built nor weighed walls.
+    The ``static`` walls, then the charts, each get a float box once
+    (``boxes``, all held by ``box``, None when there are none); a leg
+    weighs exactly only those whose boxes meet its float ray clipped to
+    ``box``.  The leg is then cut at the nearest static hit, and each
+    family's one per-leg query, ``walls_in(leg, frame)``, returns the
+    Segments the cut leg may meet, each read as it is into a _NumericWall
+    kept by id in ``numeric``: the trace's only cache.  Charts count as
+    neither built nor weighed walls.
     """
 
     def __init__(self, static_walls, families, charts=()):
@@ -425,9 +295,10 @@ class _Walls:
 
     def nearest(self, pos, xyw, d, exclude):
         """The _Nearest of the leg from ``pos``, ``xyw`` in integers, along
-        d, ``exclude`` left out: offered the static walls' and charts' float
-        hits, then the mirrors' on the leg cut at the nearest static hit.
-        Its floats run along d / isqrt(d.d), within the float range."""
+        d, ``exclude`` left out: offered the static walls and charts near
+        its float ray, then the mirrors the leg cut at the nearest static
+        hit may meet.  The float leg runs along d / isqrt(d.d), within the
+        float range."""
         x, y, w = xyw
         # d / isqrt(d.d) never overflows, and where d.d is a square, as it
         # is on every leg of a trace launched along a unit beam, it is the
@@ -439,12 +310,16 @@ class _Walls:
             raise TracingError("trajectory left the float range") from None
         self.denominator_bits = max(self.denominator_bits, xyw[2].bit_length())
         static = self._static_near(fo, fd)
-        found = _Nearest(xyw, d, scale)
-        found.offer(_float_hits(static, fo, fd, exclude))
+        found = _Nearest(xyw, d)
+        found.offer(static, exclude)
         # a nearer irrational static hit fails the trace unless a mirror
         # undercuts it, and then that mirror lies before the cut too
-        t = found.t and Fraction(found.t[0], found.t[1])
-        leg = Leg(pos, d, t, fo + fd + (found.ft,))
+        t = found.t
+        try:
+            ft = math.inf if t is None else t[0] * scale / t[1]     # correctly rounded
+        except OverflowError:     # past the float range
+            ft = math.inf
+        leg = Leg(pos, d, t and Fraction(t[0], t[1]), fo + fd + (ft,))
         level = []
         for mirrors, frame in self.families:
             for mirror in mirrors.walls_in(leg, frame):
@@ -454,7 +329,7 @@ class _Walls:
                 level.append(nw)
         weighed = sum(w.chart is None for w in static) + len(level)
         self.max_candidates = max(self.max_candidates, weighed)
-        found.offer(_float_hits(level, fo, fd, exclude))
+        found.offer(level, exclude)
         return found
 
 

@@ -198,21 +198,9 @@ class BilliardTable:
 
     # -- charts ----------------------------------------------------------
 
-    def iota_chart(self, which):
-        """Boundary chart for 'initial', 'halt', or a checkpoint state."""
-        if which == "initial":
-            return self.initial_pad
-        if which == "halt":
-            halts = [q for q in self.machine.states if q in self.machine.halting]
-            if len(halts) != 1:
-                raise KeyError(f"'halt' is ambiguous, halting states: {halts}")
-            return self.stations[halts[0]].checkpoint
-        if which in self.stations:
-            return self.stations[which].checkpoint
-        raise KeyError(f"no checkpoint chart for {which!r}")
-
     def checkpoint_point(self, state, value):
-        return self.iota_chart(state).chart(value.as_fraction())
+        """The point of ``state``'s checkpoint chart at ``value``."""
+        return self.stations[state].checkpoint.chart(value.as_fraction())
 
     # -- scene -------------------------------------------------------------
 

@@ -179,6 +179,11 @@ def test_criterion_5_halting_iff_periodicity():
                 other_seen += 1
                 assert cert is None
     assert halted_seen and other_seen
+    # a run that does not halt may still return: pacer's launch recurs
+    # after 2 steps, and the numeric orbit closes exactly after 20 bounces
+    res = run_numeric(compile_table(get_machine("pacer"), 8), parse_tape("@1"), 100)
+    assert res.outcome.verdict == "budget-exhausted"
+    assert res.outcome.period_steps == 2 and res.period_bounces == 20
     _report("criterion 5 (halting iff periodic certificate)", t0, 120)
 
 

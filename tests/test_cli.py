@@ -104,6 +104,21 @@ def test_run_both_modes(rev_move_file, capsys):
     assert 0 < doc["max_candidates"] <= doc["walls_built"] < 100
 
 
+@pytest.mark.parametrize("text", [
+    "states: initial H\ninitial: initial\nhalting: H\n"
+    "initial 0 -> H 1 R\ninitial 1 -> H 0 R\n",
+    "states: A halt H\ninitial: A\nhalting: halt H\nA 0 -> halt 1 R\nA 1 -> H 0 R\n",
+], ids=["state-named-initial", "state-named-halt"])
+def test_states_named_initial_or_halt_run_and_verify(tmp_path, text):
+    # a state's checkpoint is its own station's, whatever its name
+    path = tmp_path / "named.tm"
+    path.write_text(text)
+    for tape in ("@", "@1"):
+        for mode in ("symbolic", "numeric"):
+            assert main(["run", str(path), "--K", "3", "--tape", tape, "--mode", mode]) == 0
+    assert main(["verify", str(path), "--K", "3", "--support", "1"]) == 0
+
+
 def test_run_numeric_json_at_default_K(rev_move_file, capsys):
     assert main(["run", rev_move_file, "--tape", "@00001", "--mode", "numeric",
                  "--json", "--budget", "50"]) == 0

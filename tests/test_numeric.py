@@ -1,16 +1,13 @@
-"""The exact tracer's hit tests and their float filters.
-
-Every float hit test may drop a wall only when its stated error bound
-(``_HIT_SLACK``) shows the ray misses it, and every float t it gives lies
-within its own bound e of the exact t; a hit the bound leaves open goes to
-the exact test, which decides ties, corners, grazes and irrational roots
-with no tolerance.  A leg whose beam has a tiny x-component makes an arc's
-quadratic coefficient subnormal; the float root must survive that too.
+"""The exact tracer's hit tests, against their Fraction oracles.
 
 The exact tests run in integers.  The oracles here are the same tests and
 the reflection in Fractions, as the tracer ran them before: on every
-seeded ray, the integer test's t must be the oracle's, and the integer
-reflection a positive multiple of the oracle's.
+seeded ray, through a wall's exact end, tilted or nearly along it, the
+integer test's t must be the oracle's, its corner flag must say whether
+the hit lies on an end, and the integer reflection must be a positive
+multiple of the oracle's.  The tracer weighs every wall its position
+filters keep with these tests, and decides ties, corners, grazes and
+irrational roots with no tolerance.
 """
 
 import math
@@ -22,12 +19,8 @@ import pytest
 
 from carom.geometry import Chart, ParabolaArc, Segment, integers
 from carom.numeric import (
-    _UNDECIDED,
     _arc_hit,
     _chart_hit,
-    _float_arc_hit,
-    _float_roots,
-    _float_seg_hit,
     _NumericWall,
     _reflect,
     _seg_hit,
@@ -169,48 +162,28 @@ def _check_reflection(wall, xyw, d, t, oracle_normal):
     assert got[0] * want[0] + got[1] * want[1] > 0, (got, want)
     assert math.gcd(*got) == 1
 
-#: An upward bowl y = 1 + x^2 / 4 over -1 <= x <= 1, as (axis_x, apex_y,
-#: p, sign, x_lo, x_hi): the layout of _NumericWall data.
-BOWL = (0.0, 1.0, 1.0, 1, -1.0, 1.0)
 
-
-def test_float_arc_hit_survives_a_subnormal_quadratic_coefficient():
-    # a ray up from (0.5, 0) with x-component 1e-160 meets the bowl at
-    # height 1 + 0.5^2 / 4, so at t = 1.0625; qa = -dx^2 / 4 is subnormal
-    origin, direction = (0.5, 0.0), (1e-160, 1.0)
-    assert 0 < direction[0] ** 2 / 4 < 2.2250738585072014e-308
-    t, e = _float_arc_hit(BOWL, origin, direction)
-    assert t == pytest.approx(1.0625, rel=1e-15) and e < 1e-12
-    bowl = ParabolaArc.of(*(Fraction(v) for v in BOWL[:3]), 1, Fraction(-1), Fraction(1), "bowl")
-    exact_origin, exact_direction = (Fraction(1, 2), Fraction(0)), (Fraction(1, 10 ** 160), 1)
-    exact = _oracle_arc_hit(bowl, exact_origin, exact_direction)
-    assert _within(exact, (1.0625, 1e-15)) and _within(exact, (t, e))
-    xyw, d = _integer_leg(exact_origin, exact_direction)
+def test_arc_hit_with_a_tiny_x_component_matches_the_oracle():
+    # a ray up from (1/2, 0) with x-component 10^-160 meets the bowl y = 1
+    # + x^2 / 4 over [-1, 1] at height 1 + (1/2)^2 / 4, so at t = 1.0625;
+    # the x-component squared lies below the least normal double
+    F = Fraction
+    bowl = ParabolaArc.of(F(0), F(1), F(1), 1, F(-1), F(1), "bowl")
+    origin, direction = (F(1, 2), F(0)), (F(1, 10 ** 160), 1)
+    assert 0 < float(direction[0]) ** 2 / 4 < 2.2250738585072014e-308
+    exact = _oracle_arc_hit(bowl, origin, direction)
+    assert _within(exact, (1.0625, 1e-15))
+    xyw, d = _integer_leg(origin, direction)
     got = _arc_hit(_NumericWall(bowl).data, xyw, d)
-    assert _same(got, _oracle_arc_hit(bowl, exact_origin, d))
+    assert _same(got, _oracle_arc_hit(bowl, origin, d))
 
 
-def test_float_roots_match_the_quadratic():
-    # both roots of a well-conditioned quadratic, either sign of qb, and a
-    # double root at 0
-    for qa, qb, qc in ((1.0, -3.0, 2.0), (1.0, 3.0, 2.0), (-0.5, 0.25, 3.0)):
-        roots = sorted(_float_roots(qa, qb, qc))
-        assert all(abs(qa * t * t + qb * t + qc) < 1e-12 for t in roots)
-        assert len(roots) == 2 and roots[0] < roots[1]
-    assert _float_roots(1.0, 0.0, 1.0) == []
-    assert _float_roots(1.0, 0.0, 0.0) == [0.0]
-
-
-# --- the float filters drop no exact hit --------------------------------------
+# --- the integer tests through a wall's ends, against the oracles -----------------
 
 def _q(rng, lo, hi):
     """A seeded rational in [lo, hi], most often not a float."""
     den = rng.randrange(10 ** 5, 10 ** 6)
     return Fraction(rng.randint(round(lo * den), round(hi * den)), den)
-
-
-def _floats(pt):
-    return (float(pt[0]), float(pt[1]))
 
 
 def _tilted(rng):
@@ -226,16 +199,17 @@ def _angle(rng, lo, hi):
 
 
 def _within(exact, got):
-    """Whether the exact t (a Fraction or _Surd) lies within e of the float
-    t, for the float test's answer ``got`` = (t, e)."""
+    """Whether the exact t (a Fraction or _OracleSurd) lies within e of the
+    float t, for ``got`` = (t, e)."""
     t, e = map(Fraction, got)
     return not (exact < t - e or exact > t + e)
 
 
 def _check_integer_seg_hit(p0, p1, origin, d):
-    """The integer segment test on the ray from ``origin`` along d gives
-    the oracle's t, its corner flag says whether the hit is an end, and
-    the reflection there is the oracle's."""
+    """The oracle's t of the ray from ``origin`` along d, for the integer
+    direction, or None, once the integer segment test is checked to give
+    that t, a corner flag that says whether the hit is an end, and the
+    oracle's reflection there."""
     wall = _NumericWall(Segment.of(p0, p1, "s"))
     xyw, di = _integer_leg(origin, d)
     got, want = _seg_hit(wall.data, xyw, di), _oracle_seg_hit((p0, p1), origin, di)
@@ -243,59 +217,44 @@ def _check_integer_seg_hit(p0, p1, origin, d):
     if got is not None:
         assert got[2] == (_hit_point(xyw, di, want) in (p0, p1))
         _check_reflection(wall, xyw, di, want, lambda _: (p0[1] - p1[1], p1[0] - p0[0]))
+    return want
 
 
 def _segment_sweep(rng, p0, p1, d):
     """The ray along d through an end of the segment (p0, p1), from back
-    of it: (exact t, float answer), or None where the ray runs along it.
-    The integer test is checked against the oracle on the way."""
+    of it, checked by _check_integer_seg_hit: the oracle's t, None where
+    the ray runs along the segment."""
     end = rng.choice((p0, p1))
     back = _q(rng, 0.01, 5)
     origin = (end[0] - back * d[0], end[1] - back * d[1])
-    exact = _oracle_seg_hit((p0, p1), origin, d)
-    _check_integer_seg_hit(p0, p1, origin, d)
-    if exact is None:
-        return None
-    return exact, _float_seg_hit((_floats(p0), _floats(p1)), _floats(origin), _floats(d))
+    return _check_integer_seg_hit(p0, p1, origin, d)
 
 
-def test_no_segment_hit_through_an_end_is_dropped_in_floats():
+def test_segment_hits_through_an_end_match_the_oracle():
     # seeded rays through a segment's exact end (s = 0 or 1), tilted, then
-    # nearly parallel to the segment: the exact test finds each hit, the
-    # float test must not drop one, and each float t it decides lies
-    # within its bound of the exact t
+    # nearly parallel to the segment: the integer test finds each hit the
+    # oracle finds, at its t
     rng = random.Random(1301)
-    hits = undecided = 0
+    hits = 0
     for _ in range(20_000):
         p0 = (_q(rng, -60, 60), _q(rng, -60, 60))
         p1 = (p0[0] + _q(rng, -3, 3), p0[1] + _q(rng, -3, 3))
-        swept = _segment_sweep(rng, p0, p1, _tilted(rng))
-        if swept is None:
-            continue      # the ray runs along the segment
-        hits += 1
-        exact, got = swept
-        assert got is not None and (got is _UNDECIDED or _within(exact, got)), swept
-        undecided += got is _UNDECIDED
-    assert hits > 19_000 and undecided < hits // 100
-    decided = 0
+        hits += _segment_sweep(rng, p0, p1, _tilted(rng)) is not None
+    assert hits > 19_000
     for _ in range(5_000):
         p0, d = (_q(rng, -60, 60), _q(rng, -60, 60)), _tilted(rng)
         # the segment turned from the ray by a small angle a
         a, length = _angle(rng, 6, 13), _q(rng, -3, 3)
         p1 = (p0[0] + length * (d[0] - a * d[1]), p0[1] + length * (d[1] + a * d[0]))
-        exact, got = _segment_sweep(rng, p0, p1, d)
-        assert got is not None and (got is _UNDECIDED or _within(exact, got)), (p0, p1, d)
-        decided += got is not _UNDECIDED
-    assert decided > 1_000
+        assert _segment_sweep(rng, p0, p1, d) is not None, (p0, p1, d)
 
 
 def _arc_sweep(rng, tangential):
     """A seeded arc and a ray through one of its ends (x = x_lo or x_hi),
     tilted, or turned from the arc's tangent there by a small angle:
-    (arc, exact t, float answer), the exact t None where the ray misses.
-    The integer test is checked against the oracle on the way: the same
-    t, a corner flag that says whether the hit is an end, and the oracle's
-    reflection."""
+    (arc, the oracle's t), None where the ray misses.  The integer test is
+    checked against the oracle on the way: the same t, a corner flag that
+    says whether the hit is an end, and the oracle's reflection."""
     axis_x, apex_y = _q(rng, -60, 60), _q(rng, -60, 60)
     p, sign = _q(rng, 0.1, 2), rng.choice((-1, 1))
     x_lo = axis_x + _q(rng, -2, 1)
@@ -318,8 +277,7 @@ def _arc_sweep(rng, tangential):
         assert got[2] == (_hit_point(xyw, di, want)[0] in (x_lo, x_hi))
         _check_reflection(wall, xyw, di, want,
                           lambda point: (-sign * (point[0] - axis_x) / (2 * p), 1))
-    return (arc, _oracle_arc_hit(arc, origin, d),
-            _float_arc_hit(wall.fdata, _floats(origin), _floats(d)))
+    return arc, want
 
 
 #: A chart's tangent and beam: unit, axis-aligned and perpendicular.
@@ -355,26 +313,18 @@ def test_chart_crossings_match_the_oracle():
     assert crossed > 500 and ends > 200
 
 
-def test_no_arc_hit_through_an_end_is_dropped_in_floats():
+def test_arc_hits_through_an_end_match_the_oracle():
     # seeded rays through an arc's exact end, tilted, then nearly tangent
-    # to the arc: the float test must not drop a hit, and each float t it
-    # decides lies within its bound of the exact t
+    # to the arc: the integer test finds each hit the oracle finds, at its t
     rng = random.Random(1302)
     hits = 0
     for _ in range(5_000):
-        arc, exact, got = _arc_sweep(rng, False)
-        if exact is None:
-            continue
-        hits += 1
-        assert got is not None and (got is _UNDECIDED or _within(exact, got)), arc
+        _, exact = _arc_sweep(rng, False)
+        hits += exact is not None
     assert hits > 4_900
-    decided = 0
     for _ in range(2_000):
-        arc, exact, got = _arc_sweep(rng, True)
-        assert exact is not None and got is not None, arc
-        assert got is _UNDECIDED or _within(exact, got), arc
-        decided += got is not _UNDECIDED
-    assert decided > 400
+        arc, exact = _arc_sweep(rng, True)
+        assert exact is not None, arc
 
 
 def _first_hit(walls, pos, direction):
@@ -385,25 +335,22 @@ def _first_hit(walls, pos, direction):
 
 
 def test_a_spurious_near_hit_does_not_hide_the_far_wall():
-    # the ray along y = 0 passes 1e-20 below the end of ``near``: floats
-    # keep that hit at t = 1 within their slack, the exact test refutes
-    # it, and the exact weighing, which stops only past a confirmed hit,
-    # still weighs ``far`` at t = 3
+    # the ray along y = 0 passes 1e-20 below the end of ``near``, closer
+    # than floats resolve: the exact test refutes that hit at t = 1, and
+    # the trace goes on to ``far`` at t = 3
     F = Fraction
     near = Segment.of((F(1), F(1, 10 ** 20)), (F(1), F(1)), "near")
     far = Segment.of((F(3), F(-1)), (F(3), F(1)), "far")
     origin, direction = (F(0), F(0)), (F(1), F(0))
-    t, _ = _float_seg_hit((_floats(near.p0), _floats(near.p1)), (0.0, 0.0), (1.0, 0.0))
-    assert t == 1.0
     assert _seg_hit(_NumericWall(near).data, *_integer_leg(origin, direction)) is None
     assert _first_hit([near, far], origin, direction) == "far"
 
 
 def test_a_far_float_t_does_not_shut_out_the_nearest_wall():
     # A runs through the ray's point at t0 = 1.02849, turned from the ray
-    # by 7e-12: its float t reads about 1.0287, 2e-4 past the exact one,
-    # so a shortlist cut on float t alone would weigh only B, at 1.028596.
-    # A's bound reaches below B's float t, so A is weighed and wins.
+    # by 7e-12: a float t for it reads about 1.0287, 2e-4 past the exact
+    # one, so a shortlist cut on float t alone would weigh only B, at
+    # 1.028596.  Weighed exactly, A wins.
     F = Fraction
     o, d = (F(116931, 25000), F(-96839, 20000)), (F(54423, 125000), F(-70583, 1000000))
     perp = (-d[1], d[0])
@@ -415,13 +362,10 @@ def test_a_far_float_t_does_not_shut_out_the_nearest_wall():
     c = (o[0] + t1 * d[0], o[1] + t1 * d[1])
     b = Segment.of((c[0] - perp[0] / 1000, c[1] - perp[1] / 1000),
                    (c[0] + perp[0] / 1000, c[1] + perp[1] / 1000), "B")
-    fo, fd = _floats(o), _floats(d)
     xyw, di = _integer_leg(o, d)
     t, wall, _ = _Walls([a, b], ()).nearest(o, xyw, di, None).result()
     # di is d times di[0] / d[0]
     assert wall.wall_id == "A" and _t(t) * di[0] / d[0] == t0
-    t_a, e_a = _float_seg_hit((_floats(a.p0), _floats(a.p1)), fo, fd)
-    assert abs(t_a - float(t0)) > 1e-4 and _within(t0, (t_a, e_a))
 
 
 # --- exact semantics: ties, corners, grazes and irrational roots -----------------------

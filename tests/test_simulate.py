@@ -255,23 +255,21 @@ def test_numeric_certifies_past_double_resolution():
 
 
 def test_gadget_tracer_lands_a_beam_below_float_resolution():
-    # a split mirror of level 10 is shorter than a double resolves at its
-    # coordinates: the float test cannot place the beam's hit on it, and
-    # the exact test lands the beam on the split's transfer, hits and all
+    # a split mirror of level 10 spans a few float steps at its
+    # coordinates, and its ends share one float height: the exact test
+    # lands the beam on the split's transfer, hits and all
     from carom.gadgets import build_split_gadget
     from carom.geometry import Leg
-    from carom.numeric import _UNDECIDED, _NumericWall
     x = T(3 ** 33 - 2 * 3 ** 22 + 1, 33)    # 1 - 2/3^11 + 1/3^33, in I_10's first block
     split = build_split_gadget(12)
     beam = Leg((x.as_fraction(), Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
     row, = split.mirrors[0].walls_in(beam, split.mirrors[1])
-    mirror = _NumericWall(row)
-    assert ":k10:" in mirror.wall_id
-    assert mirror.float_hit(mirror.fdata, beam.floats[:2], beam.floats[2:4]) is _UNDECIDED
+    assert ":k10:" in row.wall_id
+    assert row.p0[1] != row.p1[1] and float(row.p0[1]) == float(row.p1[1])
     want, piece = split.transfer.apply(x)
     u_out, hits = GadgetTracer(split).trace(x, out_port="b" + piece.tag[-1])
     assert u_out == want.as_fraction() and hits == list(piece.wall_ids)
-    assert mirror.wall_id in hits
+    assert row.wall_id in hits
 
 
 @pytest.mark.parametrize("name, literal", [

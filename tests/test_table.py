@@ -317,15 +317,19 @@ def test_layout_rejects_mirror_across_its_neighbour(monkeypatch):
 
 
 def test_iota_charts():
-    m = get_machine("rev-move")
+    # a state's checkpoint point is read off its own station's chart, for
+    # states named like the launch pad or a halting role too
+    m = parse_machine("states: initial halt H\ninitial: initial\nhalting: halt H\n"
+                      "initial 0 -> halt 1 R\ninitial 1 -> H 0 R\n")
     table = compile_table(m, 3)
-    pad = table.iota_chart("initial")
-    assert pad.hard
-    halt = table.iota_chart("halt")
-    assert halt is table.stations["H"].checkpoint
-    assert table.iota_chart("A") is table.stations["A"].checkpoint
+    value = encode_state(frozenset({1}), 0).value
+    for state in m.states:
+        chart = table.stations[state].checkpoint
+        assert table.checkpoint_point(state, value) == chart.chart(value.as_fraction())
+    assert table.checkpoint_point("initial", value) != table.initial_pad.chart(
+        value.as_fraction())
     with pytest.raises(KeyError):
-        table.iota_chart("nope")
+        table.checkpoint_point("nope", value)
 
 
 def test_initial_pad_placement():

@@ -8,9 +8,10 @@ blocks the query picks per (level, symbol, wall), each window decided in
 integers, must also be exactly those an exact rational window, the oracle
 here, picks, on legs at walls and on legs that end exactly on a box edge.
 The query reads each mirror family's own levels and returns Segments, the
-integer records the full list holds.  The numeric tracer's float pre-rejects
-(static walls and charts by box, families by region) are checked against
-the full pass they replace, which is kept here as the oracle.
+integer records the full list holds.  The numeric tracer's position
+filters (static walls and charts by box, families by region and query) are
+checked against weighing every wall and chart exactly, kept here as the
+oracle.
 """
 
 import bisect
@@ -28,7 +29,7 @@ from carom.gadgets import (
 )
 from carom.geometry import Leg, ParabolaArc, Segment, integers, segments_intersect
 from carom.machine import parse_machine, parse_tape
-from carom.numeric import _Nearest, _NumericWall, _Walls, _float_hits
+from carom.numeric import _Nearest, _NumericWall, _Walls
 from carom.simulate import run_numeric
 from carom.table import compile_table
 from carom.zoo import MACHINE_TEXTS, get_machine
@@ -370,10 +371,10 @@ def test_static_float_boxes_hold_the_exact_boxes(name):
 
 
 def _leg_floats(xyw, d):
-    """(fo, fd, scale): the integer leg from ``xyw`` along d in floats, as
-    ``_Walls.nearest`` reads it, along d / scale."""
+    """(fo, fd): the integer leg from ``xyw`` along d in floats, as
+    ``_Walls.nearest`` reads it, along d / isqrt(d.d)."""
     scale = math.isqrt(d[0] * d[0] + d[1] * d[1])
-    return (xyw[0] / xyw[2], xyw[1] / xyw[2]), (d[0] / scale, d[1] / scale), scale
+    return (xyw[0] / xyw[2], xyw[1] / xyw[2]), (d[0] / scale, d[1] / scale)
 
 
 def _exact_t(t):
@@ -381,20 +382,24 @@ def _exact_t(t):
     return None if t is None else Fraction(t[0], t[1])
 
 
-def _unfiltered_hits(walls, pos, xyw, direction, exclude):
-    """(wall id, lower bound) of every float hit of the leg without
-    pre-rejects: every static wall and chart float-intersected, every
-    family queried with the exact Leg cut at the nearest static hit the
-    exact test confirms, as ``_Walls.nearest`` cuts it."""
-    fo, fd, scale = _leg_floats(xyw, direction)
-    hits = list(_float_hits(walls.static, fo, fd, exclude))
-    static = _Nearest(xyw, direction, scale)
-    static.offer(hits)
-    leg = Leg(pos, direction, _exact_t(static.t), fo + fd + (static.ft,))
-    level = [walls.numeric.get(row[5]) or _NumericWall(row)
-             for mirrors, frame in walls.families for row in mirrors.walls_in(leg, frame)]
-    hits += _float_hits(level, fo, fd, exclude)
-    return {(w.wall_id, lo) for lo, w in hits}
+def _full_pass(walls, pos, xyw, direction, exclude, full_rows):
+    """The _Nearest of the leg with every position filter left out: every
+    static wall and chart weighed exactly, then each family's mirrors,
+    its full ``rows(mirrors.levels, frame)`` when ``full_rows`` is given
+    (one list of _NumericWalls for all the families), else those
+    ``walls_in`` returns for the whole exact ray, uncut."""
+    found = _Nearest(xyw, direction)
+    found.offer(walls.static, exclude)
+    if full_rows is None:
+        rows = [walls.numeric.get(row.wall_id) or _NumericWall(row)
+                for mirrors, frame in walls.families
+                for row in mirrors.walls_in(Leg(pos, direction), frame)]
+    else:
+        rows = full_rows
+    # the wall the leg leaves by its id: a full row is a _NumericWall of its own
+    gone = None if exclude is None else exclude.wall_id
+    found.offer([w for w in rows if w.wall_id != gone], None)
+    return found
 
 
 def _unfiltered_crossings(charts, pos, direction, best_t):
@@ -447,49 +452,47 @@ def _parallel_and_clear(fline, fo, fd, best_t):
 
 
 def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
-    # on every leg of real traces, the walls and charts the float pass
-    # leaves out change nothing: the same float hits as the full pass, and
-    # the same crossings as the exact loop over every chart
+    # on every leg of real traces, the walls and charts the position
+    # filters leave out change nothing: the box-clipped static walls and
+    # charts plus walls_in give the nearest hit, the runner-up and the
+    # crossings that weighing every wall and chart exactly gives.  At K=4
+    # that is every family's full rows; at K=8, where one family holds
+    # 524,284 mirrors, the families' walls on the whole uncut ray
     seen = {"legs": 0, "static_left_out": 0, "families_left_out": 0, "charts_left_out": 0,
             "parallel_charts_left_out": 0}
-    nearest, offer, crossed = _Walls.nearest, _Nearest.offer, _Nearest.crossed
-    offered, charts = [], []
-
-    def recorded_offer(found, hits):
-        hits = list(hits)
-        offered.extend(hits)
-        offer(found, hits)
+    nearest, full_rows, full_levels = _Walls.nearest, {}, False
 
     def checked_nearest(walls, pos, xyw, direction, exclude):
-        offered.clear()
-        charts[:] = [w.chart for w in walls.static if w.chart is not None]
         found = nearest(walls, pos, xyw, direction, exclude)
-        assert ({(w.wall_id, lo) for lo, w in offered}
-                == _unfiltered_hits(walls, pos, xyw, direction, exclude))
-        fo, fd, _ = _leg_floats(xyw, direction)
+        if walls not in full_rows:
+            full_rows[walls] = [
+                _NumericWall(row) for mirrors, frame in walls.families
+                for row in mirrors.rows(mirrors.levels, frame)] if full_levels else None
+        full = _full_pass(walls, pos, xyw, direction, exclude, full_rows[walls])
+        assert ((_exact_t(found.t), found.wall and found.wall.wall_id)
+                == (_exact_t(full.t), full.wall and full.wall.wall_id))
+        if _exact_t(found.second) != _exact_t(full.second):
+            # the full pass's runner-up is a mirror past the nearest static
+            # hit, where the leg is cut: it ties nothing
+            cut = _full_pass(walls, pos, xyw, direction, exclude, []).t
+            assert cut is not None and _exact_t(full.second) > _exact_t(cut)
+            assert found.second is None or _exact_t(found.second) > _exact_t(full.second)
+        assert ([w.wall_id for _, w in found.irrational]
+                == [w.wall_id for _, w in full.irrational])
+        assert ([(_exact_t(t), w.chart) for t, w in found.crossed()]
+                == [(_exact_t(t), w.chart) for t, w in full.crossed()])
+        fo, fd = _leg_floats(xyw, direction)
         seen["legs"] += 1
         seen["static_left_out"] += len(walls.static) - len(walls._static_near(fo, fd))
         seen["families_left_out"] += sum(mirrors.local_leg(fo + fd + (math.inf,), frame) is None
                                          for mirrors, frame in walls.families)
+        lines = [_float_line(w.chart) for w in walls.static if w.chart is not None]
+        seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for fline in lines)
+        seen["parallel_charts_left_out"] += sum(
+            _parallel_and_clear(fline, fo, fd, _exact_t(full.t)) for fline in lines)
         return found
 
-    def checked_crossed(found):
-        # the crossings _trace yields for the leg
-        got = crossed(found)
-        (x, y, w), direction = found.xyw, found.direction
-        pos, best_t = (Fraction(x, w), Fraction(y, w)), _exact_t(found.t)
-        assert ([(_exact_t(t), w.chart) for t, w in got]
-                == _unfiltered_crossings(charts, pos, direction, best_t))
-        fo, fd, _ = _leg_floats(found.xyw, direction)
-        lines = [_float_line(c) for c in charts]
-        seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for fline in lines)
-        seen["parallel_charts_left_out"] += sum(_parallel_and_clear(fline, fo, fd, best_t)
-                                                for fline in lines)
-        return got
-
     monkeypatch.setattr(_Walls, "nearest", checked_nearest)
-    monkeypatch.setattr(_Nearest, "offer", recorded_offer)
-    monkeypatch.setattr(_Nearest, "crossed", checked_crossed)
     runs = [(name, 4, literal, 30) for name, literal in NUMERIC_TAPES]
     # pacer's cycling runs trace one period, so the long runs here are
     # ones that never return: walker, counter and bit-flipper across long
@@ -502,6 +505,7 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     for name, K, literal, budget in runs:
         if (name, K) not in tables:
             tables[name, K] = compile_table(get_machine(name), K)
+        full_levels = K == 4
         run_numeric(tables[name, K], parse_tape(literal), budget)
     assert seen["legs"] > 1000
     assert min(seen.values()) > 0, seen

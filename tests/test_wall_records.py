@@ -2,10 +2,12 @@
 
 Every wall of each fixture table's scene, and each gadget's static walls,
 is rebuilt by its ``of`` constructor from its ``Fraction`` views, and read
-by the tracer (``_NumericWall``) into the data and floats the tracer read
-before walls were records: a static wall's Fractions over their least
-common denominator (``_integers``, kept here as the oracle), a mirror row
-as it is, every float as ``float(Fraction)``.  A mirror row need not be in
+by the tracer (``_NumericWall``) into the data the tracer read before walls
+were records: a static wall's Fractions over their least common
+denominator (``_integers``, kept here as the oracle), a mirror row as it
+is.  Its float box, which the tracer's position filter reads, is built
+from its ends and heights in floats, every float as ``float(Fraction)``,
+widened by 1e-9 (1 + |v|) on each side.  A mirror row need not be in
 lowest terms; ``of`` rebuilds it in lowest terms.
 """
 
@@ -49,16 +51,32 @@ def _lowest(wall):
     return wall._replace(den=wall[0] // g, **{wall._fields[i]: wall[i] // g for i in over})
 
 
+def _widened(x0, y0, x1, y1):
+    s = 1e-9
+    return (x0 - s * (1 + abs(x0)), y0 - s * (1 + abs(y0)),
+            x1 + s * (1 + abs(x1)), y1 + s * (1 + abs(y1)))
+
+
+def _segment_box(p0, p1):
+    """The float box of the segment from p0 to p1, widened."""
+    (x0, y0), (x1, y1) = ((float(x), float(y)) for x, y in (p0, p1))
+    return _widened(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+
+
 def _oracle(wall):
-    """(data, fdata) of the wall as _NumericWall read them from Fraction
-    walls and integer mirror rows."""
+    """(data, float box) of the wall as _NumericWall reads them from
+    Fraction walls and integer mirror rows."""
     if wall.kind == "segment":
         (x0, y0), (x1, y1) = wall.p0, wall.p1
         data = tuple(wall) if _is_mirror(wall) else _integers(x0, y0, x1, y1) + (wall.wall_id,)
-        return data, ((float(x0), float(y0)), (float(x1), float(y1)))
+        return data, _segment_box(wall.p0, wall.p1)
     q, a, b, p, lo, hi = _integers(wall.axis_x, wall.apex_y, wall.p, wall.x_lo, wall.x_hi)
-    return (q, a, b, p, wall.sign, lo, hi, wall.wall_id), tuple(
-        float(v) for v in (wall.axis_x, wall.apex_y, wall.p, wall.sign, wall.x_lo, wall.x_hi))
+    axis_x, apex_y, fp, x_lo, x_hi = (
+        float(v) for v in (wall.axis_x, wall.apex_y, wall.p, wall.x_lo, wall.x_hi))
+    ys = [apex_y + wall.sign * (x - axis_x) ** 2 / (4 * fp) for x in (x_lo, x_hi)]
+    if x_lo < axis_x < x_hi:
+        ys.append(apex_y)
+    return (q, a, b, p, wall.sign, lo, hi, wall.wall_id), _widened(x_lo, min(ys), x_hi, max(ys))
 
 
 def _gadget_walls():
@@ -77,7 +95,7 @@ def _check(walls):
         else:
             assert rebuilt == wall, wall.wall_id
         nw = _NumericWall(wall)
-        assert (nw.data, nw.fdata) == _oracle(wall), wall.wall_id
+        assert (nw.data, nw.float_box()) == _oracle(wall), wall.wall_id
         assert nw.data is wall and nw.wall_id == wall.wall_id
 
 
@@ -90,9 +108,8 @@ def test_scene_records_rebuild_from_their_views(name, K):
     _check(walls)
     # the charts the tracer passes through, read in integers alike
     for chart in table.marked_segments():
-        nw = _NumericWall(chart)
         ends = (chart.chart(chart.lo - F(1, 2)), chart.chart(chart.hi + F(1, 2)))
-        assert nw.fdata == tuple((float(x), float(y)) for x, y in ends), chart.name
+        assert _NumericWall(chart).float_box() == _segment_box(*ends), chart.name
 
 
 def test_gadget_records_rebuild_from_their_views():
