@@ -14,7 +14,6 @@ TracingError.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -380,12 +379,12 @@ class _Closing:
     after the crossing of step ``period_steps`` is compared with that
     first hit exactly: wall, rational point and primitive incoming
     direction.  Equal, they determine the trace from there, which is then
-    the recorded period over and over: it is yielded from the record, not
-    traced, and ``bounces`` is its number of hits.  Different, the trace
-    goes on."""
+    the recorded period over and over: the items stop, that hit unyielded,
+    and ``record`` holds the period.  Different, the trace goes on and
+    ``record`` stays None."""
 
     def __init__(self, items, period_steps):
-        self.items, self.period_steps, self.bounces = items, period_steps, None
+        self.items, self.period_steps, self.record = items, period_steps, None
 
     def __iter__(self):
         record, crossings = [], 0
@@ -403,8 +402,7 @@ class _Closing:
             yield item
             yield from self.items
             return
-        self.bounces = sum(kind == "hit" for kind, *_ in record)
-        yield from itertools.cycle(record)
+        self.record = record
 
 
 def _chart_u(point, origin, tangent):
@@ -418,11 +416,11 @@ def run_numeric(table, tape, budget, precision=None):
     Raises TracingDegeneracy on a tie, a hit on a wall's end or a graze,
     and TraceMismatch when the trace does not replay the symbolic one.
     A run whose launch recurs (``period_steps``) is traced until its orbit
-    closes exactly, one period, and the period is then replayed
-    (_Closing).  ``precision`` is ignored: the trace has no working
-    precision."""
+    closes exactly, one period (_Closing), and the rest of it is counted
+    out from that period, not checked event by event (``count_out``).
+    ``precision`` is ignored: the trace has no working precision."""
     symbolic = run_symbolic(table, tape, budget)
-    expected = list(symbolic.trace)
+    expected = symbolic.trace
 
     walls = _Walls(table.static_walls, table.mirror_families, table.marked_segments())
     # each hard checkpoint by its wall's id: a hit there is a halt bounce
@@ -432,7 +430,7 @@ def run_numeric(table, tape, budget, precision=None):
     pos = table.checkpoint_point(start_state, expected[0].value)
     direction = (0, 1)
 
-    deviations, points, idx = [], [pos], 0
+    points, idx = [pos], 0
 
     def fail(msg):
         raise TraceMismatch(f"{msg} (event {idx}/{len(expected)})")
@@ -458,7 +456,6 @@ def run_numeric(table, tape, budget, precision=None):
         ev = check_event("checkpoint", state=mark.name.split(":", 1)[1])
         if u != ev.value.as_fraction():
             fail(f"checkpoint {mark.name} read {u}, not its value {ev.value}")
-        deviations.append(0.0)
 
     def flight_over():
         """Budget spent or the head left the range: nothing more to trace."""
@@ -466,11 +463,51 @@ def run_numeric(table, tape, budget, precision=None):
             check_event("out-of-range")
         return idx == len(expected)
 
+    def count_out(record):
+        """Account for the rest of a closed orbit as the loop below would,
+        the trace being ``record``, L items, over and over, but by count.
+
+        The loop would check record[i mod L] against expected[idx + i] for
+        each i below T = len(expected) - idx, then stop at record[T mod L]
+        if it is a hit.  Each of those checks passes, by this lemma.
+        Every step's events open with its split's reflections, so the
+        first item traced, checked against expected[1], was a hit: it is
+        record[0], and record[j] passed against expected[1 + j].  Let n
+        be the events of one symbolic period, the checkpoint of step
+        ``period_steps`` at expected[n]: the crossing checked against it
+        is record[n - 1].  The item after it is a hit, or its check
+        against expected[n + 1], a copy of the reflection expected[1],
+        would have failed: it is the return hit, and L = n.
+        ``_cycled`` made each expected event from index n on a copy of
+        the event n before it: the same kind, wall id and state, and the
+        very same value object.  So expected[idx + i] = expected[1 + L +
+        i] is, copy by copy, a copy of expected[1 + i mod L], which
+        record[i mod L] passed: a hit against the same reflection, a
+        crossing against the same state and value, in the same direction
+        through the same chart.  No item of ``record`` hits a halt wall or
+        meets an out-of-range event, as the loop would have stopped there.
+
+        The lemma says nothing of the tail's length, so one O(1) guard
+        remains: record[T mod L] a hit, the tail T // L whole periods and
+        a prefix that ends where the loop stops.  Returns (the hits of
+        ``record``, the hits of the tail): the tail's hits are the
+        period's, over and over, from its first."""
+        nonlocal idx
+        period, tail = len(record), len(expected) - idx
+        whole, rest = divmod(tail, period)
+        if record[rest][0] != "hit":
+            idx = len(expected) - 1
+            fail(f"the closed orbit's tail ends mid-period, on its "
+                 f"{expected[idx].kind} of step {expected[idx].step}")
+        idx = len(expected)
+        hits = sum(item[0] == "hit" for item in record)
+        return hits, hits * whole + sum(item[0] == "hit" for item in record[:rest])
+
     # the trajectory starts on the initial checkpoint
     mark0 = table.stations[start_state].checkpoint
     note_crossing(mark0, direction, _chart_u(pos, mark0.origin, mark0.tangent))
     items = _trace(walls, pos, direction)
-    closing = None
+    period_bounces, tail_hits = None, 0
     if symbolic.period_steps is not None:
         items = closing = _Closing(items, symbolic.period_steps)
     if not flight_over():
@@ -492,6 +529,8 @@ def run_numeric(table, tape, budget, precision=None):
                     check_event("halt-bounce")
                     break
                 check_event("reflection", wall_id=obj.wall_id)
+            else:   # only a closed orbit's items run out
+                period_bounces, tail_hits = count_out(closing.record)
         except (TracingDegeneracy, TraceMismatch):
             raise
         except TracingError as err:
@@ -499,14 +538,19 @@ def run_numeric(table, tape, budget, precision=None):
 
     if idx != len(expected):
         fail("numeric trace ended early")
-    # a replayed period repeats its point objects: each is read once
-    floats = {i: _float_pt(p) for i, p in {id(p): p for p in points}.items()}
-    return NumericResult(outcome=symbolic, max_deviation=0.0, deviations=deviations,
-                         points=[floats[id(p)] for p in points],
+    points = [_float_pt(p) for p in points]
+    if tail_hits:
+        # the last period_bounces points traced are the period's hits
+        period = points[-period_bounces:]
+        whole, rest = divmod(tail_hits, period_bounces)
+        points += period * whole + period[:rest]
+    # a checkpoint per step, the launch's included, each read at its value
+    return NumericResult(outcome=symbolic, max_deviation=0.0,
+                         deviations=[0.0] * (symbolic.steps + 1), points=points,
                          walls_built=len(walls.numeric),
                          max_candidates=walls.max_candidates,
                          denominator_bits=walls.denominator_bits,
-                         period_bounces=None if closing is None else closing.bounces)
+                         period_bounces=period_bounces)
 
 
 #: A gadget chains a handful of mirrors; more bounces means a trapped ray.

@@ -4,23 +4,25 @@ Pacer keeps its tape and returns to its launch configuration every two
 machine steps.  ``run_symbolic`` notices the launch (state, value) recur
 and copies the first period's events for the rest of the budget;
 ``run_numeric`` traces one period, compares the first hit after the
-return crossing with the launch leg's first hit exactly, and replays the
-recorded period.  The oracles here are the runs done the long way: the
-symbolic run one ``Corridor.apply`` per step, and the numeric one every
-leg through ``_trace``.
+return crossing with the launch leg's first hit exactly, and counts the
+rest of the run out from the recorded period.  The oracles here are the
+runs done the long way: the symbolic run one ``Corridor.apply`` per step,
+and the numeric one every leg through ``_trace``.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from carom import numeric
+from carom import numeric, simulate
+from carom.cli import main
 from carom.encoding import decode, encode_state
 from carom.machine import parse_machine, parse_tape
 from carom.numeric import _trace, _Walls
 from carom.simulate import TraceEvent, TraceMismatch, run_numeric, run_symbolic
 from carom.table import compile_table
-from carom.zoo import get_machine
+from carom.ternary import TernaryRational
+from carom.zoo import MACHINE_TEXTS, get_machine
 
 PERIOD = 2            # pacer's steps per period, on every tape
 BOUNCES = 20          # its hits per period at K=8
@@ -51,6 +53,11 @@ def table():
     return compile_table(get_machine("pacer"), 8)
 
 
+@pytest.fixture(scope="module")
+def pacer4():
+    return compile_table(parse_machine(PACER4, name="pacer4"), 4)
+
+
 def _stepwise(table, tape, budget):
     """run_symbolic's events, one Corridor.apply per step (pacer never
     halts and keeps its head in range)."""
@@ -69,11 +76,13 @@ def _stepwise(table, tape, budget):
 
 
 def _traced(table, outcome):
-    """What run_numeric reports, from every leg through _trace: the
+    """What run_numeric must report, from every leg through _trace: the
     crossing values, hit ids and points up to the hit that ends the run,
-    and the walls' counters once that hit is traced."""
+    each checkpoint's distance from its symbolic value, and the walls'
+    counters once that hit is traced."""
     walls = _Walls(table.static_walls, table.mirror_families, table.marked_segments())
     pos = outcome.trace[0].position
+    values = [ev.value.as_fraction() for ev in outcome.crossings]
     reflections = sum(ev.kind == "reflection" for ev in outcome.trace)
     crossings, ids, points = [], [], [pos]
     # a run of no steps ends on its launch, before any leg
@@ -87,14 +96,17 @@ def _traced(table, outcome):
             points.append(point)
     return {"crossings": crossings, "ids": ids,
             "points": [(float(x), float(y)) for x, y in points],
-            "counters": (len(walls.numeric), walls.max_candidates, walls.denominator_bits)}
+            "deviations": [0.0] + [float(abs(u - v)) for u, v in zip(crossings, values[1:])],
+            "walls_built": len(walls.numeric), "max_candidates": walls.max_candidates,
+            "denominator_bits": walls.denominator_bits}
 
 
 def _reported(outcome, res):
     return {"crossings": [ev.value.as_fraction() for ev in outcome.crossings[1:]],
             "ids": [ev.wall_id for ev in outcome.trace if ev.kind == "reflection"],
-            "points": res.points,
-            "counters": (res.walls_built, res.max_candidates, res.denominator_bits)}
+            "points": res.points, "deviations": res.deviations,
+            "walls_built": res.walls_built, "max_candidates": res.max_candidates,
+            "denominator_bits": res.denominator_bits}
 
 
 @pytest.mark.parametrize("budget", BUDGETS + (1000,))
@@ -110,14 +122,37 @@ def test_symbolic_return_equals_stepwise_run(table, literal, budget):
                and ev.position is crossings[ev.step % PERIOD].position for ev in crossings)
 
 
-@pytest.mark.parametrize("literal, budget",
-                         [(lit, b) for lit in TAPES for b in BUDGETS] + [("@1", 1000)])
-def test_closed_orbit_reports_what_full_tracing_reports(table, literal, budget):
+def _budgets(period):
+    """Every residue mod the period, from no step to just past two
+    periods, and the budgets of numeric-long's runs."""
+    return tuple(range(2 * period + 2)) + (49, 50, 99, 100)
+
+
+def _reports_what_full_tracing_reports(table, literal, budget, period):
     res = run_numeric(table, parse_tape(literal), budget)
-    assert res.outcome.period_steps == (PERIOD if budget >= PERIOD else None)
-    assert res.period_bounces == (BOUNCES if budget >= PERIOD else None)
+    closed = budget >= period
+    assert res.outcome.period_steps == (period if closed else None)
+    assert res.period_bounces == (period // PERIOD * BOUNCES if closed else None)
+    # the hits of one period are the traced ids of its steps
+    assert res.period_bounces == (sum(ev.kind == "reflection" and ev.step < period
+                                      for ev in res.outcome.trace) if closed else None)
     assert res.deviations == [0.0] * (budget + 1) and res.max_deviation == 0.0
     assert _reported(res.outcome, res) == _traced(table, res.outcome)
+
+
+# a budget of thousands traced leg by leg takes seconds: one tape runs it
+@pytest.mark.parametrize("literal, budget",
+                         [(lit, b) for lit in TAPES for b in _budgets(PERIOD)]
+                         + [("@1", 1000), ("@1", 5000)])
+def test_closed_orbit_reports_what_full_tracing_reports(table, literal, budget):
+    _reports_what_full_tracing_reports(table, literal, budget, PERIOD)
+
+
+@pytest.mark.parametrize("literal, budget",
+                         [(lit, b) for lit in ("@1", "1@") for b in _budgets(2 * PERIOD)]
+                         + [("1@", 5000)])
+def test_closed_pacer4_orbit_reports_what_full_tracing_reports(pacer4, literal, budget):
+    _reports_what_full_tracing_reports(pacer4, literal, budget, 2 * PERIOD)
 
 
 @pytest.mark.parametrize("literal", ("@1", "1@"))
@@ -129,6 +164,22 @@ def test_a_recurring_value_in_another_state_is_no_return(literal):
     res = run_numeric(table, parse_tape(literal), 30)
     assert res.period_bounces == 2 * BOUNCES
     assert _reported(res.outcome, res) == _traced(table, res.outcome)
+
+
+def test_a_longer_closed_run_reads_no_more_values(table, monkeypatch):
+    # after the first period, a run reads no checkpoint value: its rest is
+    # counted out, whatever its length
+    tape = parse_tape("@1")
+    run_numeric(table, tape, 51)
+    calls, as_fraction = [], TernaryRational.as_fraction
+    monkeypatch.setattr(TernaryRational, "as_fraction",
+                        lambda value: calls.append(value) or as_fraction(value))
+    counts = []
+    for budget in (51, 5000):
+        calls.clear()
+        run_numeric(table, tape, budget)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def _legs(monkeypatch):
@@ -218,3 +269,27 @@ def test_moved_turn_mirror_fails_where_full_tracing_fails(monkeypatch, budget):
     # the ray misses A's merge at the end of the first period
     assert closing.startswith("reflection.wall_id: expected premerge:A:")
     assert closing.endswith(f"(event 20/{budget * BOUNCES // PERIOD + budget + 1})")
+
+
+EVENTS = BOUNCES + PERIOD     # pacer's events per period
+
+
+# a copied event: the first (the return checkpoint), the first copied
+# reflection, one mid-run, the last reflection and the last checkpoint
+@pytest.mark.parametrize("drop", (EVENTS, EVENTS + 1, 25 * EVENTS + 7, -2, -1))
+def test_a_tail_short_of_one_event_fails(table, monkeypatch, tmp_path, capsys, drop):
+    cycled = simulate._cycled
+
+    def dropping(trace, period, budget):
+        out = cycled(trace, period, budget)
+        del out.trace[drop]
+        return out
+
+    monkeypatch.setattr(simulate, "_cycled", dropping)
+    assert "(event " in _mismatch(table, parse_tape("@1"), 100)
+    path = tmp_path / "pacer.tm"
+    path.write_text(MACHINE_TEXTS["pacer"])
+    assert main(["run", str(path), "--tape", "@1", "--budget", "100",
+                 "--mode", "numeric"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal verification failure:") and "(event " in err

@@ -9,6 +9,7 @@ from carom.gadgets import _BlockMirrors
 from carom.machine import enumerate_tapes, parse_tape, run_machine
 from carom.simulate import (
     GadgetTracer,
+    TraceEvent,
     TraceMismatch,
     TracingDegeneracy,
     TracingError,
@@ -34,6 +35,24 @@ def test_rev_move_halts_like_the_machine():
     assert out.periodic
     states = [e.state for e in out.crossings]
     assert states == ["A", "A", "A", "H"]
+
+
+def test_trace_events_are_records():
+    # a NamedTuple with the fields, defaults and repr of the frozen
+    # dataclass it replaced: the pinned trace digests hash that repr
+    assert TraceEvent._fields == ("kind", "step", "wall_id", "state", "value",
+                                  "position", "head")
+    assert TraceEvent._field_defaults == dict.fromkeys(
+        ("wall_id", "state", "value", "position", "head"))
+    table = compile_table(get_machine("pacer"), 2)
+    checkpoint, reflection = run_symbolic(table, parse_tape("@1"), 1).trace[:2]
+    assert repr(checkpoint) == (
+        "TraceEvent(kind='checkpoint', step=0, wall_id=None, state='A', "
+        "value=TernaryRational(5, 2), position=(Fraction(5, 9), Fraction(0, 1)), "
+        "head=None)")
+    assert repr(reflection) == (
+        "TraceEvent(kind='reflection', step=0, wall_id='split:A:k0:d1:s1:b1:W', "
+        "state=None, value=None, position=None, head=None)")
 
 
 def test_zero_budget():
