@@ -896,7 +896,6 @@ def build_shift_stage(eps, *, base_x=F(0), sigma=0, K=None, name="shift"):
 # turns
 # ---------------------------------------------------------------------------
 
-_TURN_PAD = F(1, 2)
 #: The widest window build_turn_gadget accepts: its mirror, padded, spans
 #: at most 10 units along the beam's tangent.
 _TURN_MAX_WIDTH = F(9)
@@ -908,12 +907,12 @@ def turn_mirror(corner, v, width, name):
     ``v`` is a diagonal such as (1, 1) whose component along the window's
     tangent is 1: the beam at lo + s meets the mirror at corner + s*v.  The
     mirror runs from s = -1/2 to s = width + 1/2, half a unit past each end
-    of the window.
+    of the window.  From an integer corner, diagonal and width it is the
+    Segment over 2, in lowest terms, as its ends' numerators are odd.
     """
     (cx, cy), (vx, vy) = corner, v
-    s_lo, s_hi = -_TURN_PAD, width + _TURN_PAD
-    return Segment.of((cx + s_lo * vx, cy + s_lo * vy), (cx + s_hi * vx, cy + s_hi * vy),
-                      f"{name}:mirror")
+    return Segment(2, 2 * cx - vx, 2 * cy - vy, 2 * cx + (2 * width + 1) * vx,
+                   2 * cy + (2 * width + 1) * vy, f"{name}:mirror")
 
 
 def build_turn_gadget(direction_change, window=(F(-4), F(4))):
@@ -932,7 +931,10 @@ def build_turn_gadget(direction_change, window=(F(-4), F(4))):
         raise ValueError(f"turn {name}: beam window wider than wall extent")
     d = F(1 if direction_change == +90 else -1)
     rise = hi - lo + 2
-    wall = turn_mirror((lo, rise), (F(1), d), hi - lo, name)
+    # a rational window makes the record's integers rationals: rebuild it
+    # over its ends' least common denominator
+    mirror = turn_mirror((lo, rise), (1, d), hi - lo, name)
+    wall = Segment.of(mirror.p0, mirror.p1, mirror.wall_id)
     out_port = Chart((lo + d * (hi - lo + 3), rise - d * lo), (F(0), d), (d, F(0)), lo, hi)
     piece = Piece(TernaryRational.from_fraction(lo), TernaryRational.from_fraction(hi),
                   T(1), T(0), (wall.wall_id,), "turn")

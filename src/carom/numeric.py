@@ -19,15 +19,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Chart, Leg, integers
-from .simulate import RunOutcome, TraceMismatch, TracingDegeneracy, TracingError, run_symbolic
+from .simulate import (
+    Periodic,
+    RunOutcome,
+    TraceMismatch,
+    TracingDegeneracy,
+    TracingError,
+    run_symbolic,
+)
 
 
 @dataclass
 class NumericResult:
     outcome: RunOutcome            # the verified symbolic outcome
     max_deviation: float           # 0.0: every checkpoint reads its exact value
-    deviations: list               # per checkpoint crossing
-    points: list                   # polyline of traced positions (floats)
+    deviations: Periodic           # per checkpoint crossing, each 0.0
+    points: list                   # polyline of traced positions (floats); a
+                                   # Periodic for a closed orbit
     walls_built: int = 0           # distinct walls materialized
     max_candidates: int = 0        # walls one leg weighed exactly
     denominator_bits: int = 0      # bits of the largest common denominator of a leg
@@ -245,33 +253,29 @@ class _Nearest:
                       key=lambda c: Fraction(c[0][0], c[0][1]))
 
 
-class _Walls:
-    """The walls one trace sees: a table's or a gadget's static walls,
-    the ``charts`` its ray passes through, and mirror families, every
-    family over its own levels, chosen per leg by position alone, never by
-    the ids a symbolic run predicts.
+class TraceScene:
+    """What a trace reads of a scene alone, built once and read by every
+    trace over it: a table's (``BilliardTable.trace_scene``, on its first
+    run_numeric) or a gadget's, per out port (GadgetTracer).  It holds the
+    ``static`` walls, then the ``charts`` the ray passes through, each
+    read once into a _NumericWall with a float box (``boxes``, all held by
+    ``box``, None when there are none), the mirror ``families`` and the
+    ``halts``, each hard checkpoint by its wall's id.  ``built`` counts the
+    distinct static walls; charts count as neither built nor weighed
+    walls."""
 
-    The ``static`` walls, then the charts, each get a float box once
-    (``boxes``, all held by ``box``, None when there are none); a leg
-    weighs exactly only those whose boxes meet its float ray clipped to
-    ``box``.  The leg is then cut at the nearest static hit, and each
-    family's one per-leg query, ``walls_in(leg, frame)``, returns the
-    Segments the cut leg may meet, each read as it is into a _NumericWall
-    kept by id in ``numeric``: the trace's only cache.  Charts count as
-    neither built nor weighed walls.
-    """
-
-    def __init__(self, static_walls, families, charts=()):
+    def __init__(self, static_walls, families, charts=(), halts=None):
         self.families = families     # (_BlockMirrors, frame) pairs
-        self.numeric = {}            # wall id -> _NumericWall
-        self.static = [self.numeric.setdefault(w.wall_id, _NumericWall(w))
+        self.halts = halts or {}     # wall id -> the hard checkpoint's Chart
+        ids = {}
+        self.static = [ids.setdefault(w.wall_id, _NumericWall(w))
                        for w in static_walls] + [_NumericWall(c) for c in charts]
+        self.built = len(ids)
         self.boxes = [w.float_box() for w in self.static]
         self.box = tuple(f(b[i] for b in self.boxes)
                          for i, f in enumerate((min, min, max, max))) if self.boxes else None
-        self.max_candidates = self.denominator_bits = 0
 
-    def _static_near(self, fo, fd):
+    def near(self, fo, fd):
         """The static walls and charts whose boxes meet the float ray from
         ``fo`` along ``fd`` clipped to ``box``: every one it can hit."""
         if self.box is None:
@@ -292,6 +296,24 @@ class _Walls:
         return [w for (x0, y0, x1, y1), w in zip(self.boxes, self.static)
                 if not (x1 < cx0 or x0 > cx1 or y1 < cy0 or y0 > cy1)]
 
+
+class _Walls:
+    """The walls one trace sees: its TraceScene's static walls and charts,
+    and the scene's mirror families, every family over its own levels,
+    chosen per leg by position alone, never by the ids a symbolic run
+    predicts, with what this trace read of them.
+
+    A leg weighs exactly only the static walls and charts near its float
+    ray (``TraceScene.near``).  The leg is then cut at the nearest static
+    hit, and each family's one per-leg query, ``walls_in(leg, frame)``,
+    returns the Segments the cut leg may meet, each read as it is into a
+    _NumericWall kept by id in ``mirrors``: the trace's only cache."""
+
+    def __init__(self, scene):
+        self.scene = scene
+        self.mirrors = {}            # wall id -> _NumericWall
+        self.max_candidates = self.denominator_bits = 0
+
     def nearest(self, pos, xyw, d, exclude):
         """The _Nearest of the leg from ``pos``, ``xyw`` in integers, along
         d, ``exclude`` left out: offered the static walls and charts near
@@ -308,7 +330,7 @@ class _Walls:
         except OverflowError:
             raise TracingError("trajectory left the float range") from None
         self.denominator_bits = max(self.denominator_bits, xyw[2].bit_length())
-        static = self._static_near(fo, fd)
+        static = self.scene.near(fo, fd)
         found = _Nearest(xyw, d)
         found.offer(static, exclude)
         # a nearer irrational static hit fails the trace unless a mirror
@@ -320,11 +342,11 @@ class _Walls:
             ft = math.inf
         leg = Leg(pos, d, t and Fraction(t[0], t[1]), fo + fd + (ft,))
         level = []
-        for mirrors, frame in self.families:
+        for mirrors, frame in self.scene.families:
             for mirror in mirrors.walls_in(leg, frame):
-                nw = self.numeric.get(mirror.wall_id)
+                nw = self.mirrors.get(mirror.wall_id)
                 if nw is None:
-                    nw = self.numeric[mirror.wall_id] = _NumericWall(mirror)
+                    nw = self.mirrors[mirror.wall_id] = _NumericWall(mirror)
                 level.append(nw)
         weighed = sum(w.chart is None for w in static) + len(level)
         self.max_candidates = max(self.max_candidates, weighed)
@@ -417,15 +439,16 @@ def run_numeric(table, tape, budget, precision=None):
     and TraceMismatch when the trace does not replay the symbolic one.
     A run whose launch recurs (``period_steps``) is traced until its orbit
     closes exactly, one period (_Closing), and the rest of it is counted
-    out from that period, not checked event by event (``count_out``).
+    out from that period, not checked event by event (``count_out``); its
+    points are then the period's, over and over, a Periodic as its trace
+    is, so the run costs one period whatever the budget.  The table's
+    static walls are read once, into its ``trace_scene``, on its first run.
     ``precision`` is ignored: the trace has no working precision."""
     symbolic = run_symbolic(table, tape, budget)
     expected = symbolic.trace
 
-    walls = _Walls(table.static_walls, table.mirror_families, table.marked_segments())
-    # each hard checkpoint by its wall's id: a hit there is a halt bounce
-    halts = {st.checkpoint.wall.wall_id: st.checkpoint
-             for st in table.stations.values() if st.checkpoint.hard}
+    walls = _Walls(table.trace_scene)
+    halts = walls.scene.halts       # a hit on one of these is a halt bounce
     start_state = table.machine.initial
     pos = table.checkpoint_point(start_state, expected[0].value)
     direction = (0, 1)
@@ -478,13 +501,13 @@ def run_numeric(table, tape, budget, precision=None):
         is record[n - 1].  The item after it is a hit, or its check
         against expected[n + 1], a copy of the reflection expected[1],
         would have failed: it is the return hit, and L = n.
-        ``_cycled`` made each expected event from index n on a copy of
-        the event n before it: the same kind, wall id and state, and the
-        very same value object.  So expected[idx + i] = expected[1 + L +
-        i] is, copy by copy, a copy of expected[1 + i mod L], which
-        record[i mod L] passed: a hit against the same reflection, a
-        crossing against the same state and value, in the same direction
-        through the same chart.  No item of ``record`` hits a halt wall or
+        The symbolic trace, a Periodic, makes each event from index n on
+        a copy of the event n before it: the same kind, wall id and
+        state, and the very same value object.  So expected[idx + i] =
+        expected[1 + L + i] is, copy by copy, a copy of expected[1 + i mod
+        L], which record[i mod L] passed: a hit against the same
+        reflection, a crossing against the same state and value, in the
+        same direction through the same chart.  No item of ``record`` hits a halt wall or
         meets an out-of-range event, as the loop would have stopped there.
 
         The lemma says nothing of the tail's length, so one O(1) guard
@@ -539,15 +562,13 @@ def run_numeric(table, tape, budget, precision=None):
     if idx != len(expected):
         fail("numeric trace ended early")
     points = [_float_pt(p) for p in points]
-    if tail_hits:
-        # the last period_bounces points traced are the period's hits
-        period = points[-period_bounces:]
-        whole, rest = divmod(tail_hits, period_bounces)
-        points += period * whole + period[:rest]
+    if period_bounces is not None:
+        # the points traced after the launch's are the period's hits
+        points = Periodic(points[:1], points[1:], len(points) + tail_hits)
     # a checkpoint per step, the launch's included, each read at its value
     return NumericResult(outcome=symbolic, max_deviation=0.0,
-                         deviations=[0.0] * (symbolic.steps + 1), points=points,
-                         walls_built=len(walls.numeric),
+                         deviations=Periodic((), (0.0,), symbolic.steps + 1), points=points,
+                         walls_built=walls.scene.built + len(walls.mirrors),
                          max_candidates=walls.max_candidates,
                          denominator_bits=walls.denominator_bits,
                          period_bounces=period_bounces)
@@ -561,26 +582,26 @@ class GadgetTracer:
     """Reusable exact ray tracer for one gadget, over its static walls and
     its mirror family, queried by position as in run_numeric: ``trace``
     launches from the in-port chart and returns the out-port coordinate at
-    the ray's first forward crossing of the out-port window.  The walls,
-    with that port's chart, are read once per out port, on its first
-    trace."""
+    the ray's first forward crossing of the out-port window.  The static
+    walls, with that port's chart, are read once per out port, into a
+    TraceScene, on its first trace."""
 
     def __init__(self, gadget):
         self.gadget = gadget
-        self.walls = {}      # out port -> _Walls
+        self.scenes = {}     # out port -> TraceScene
 
     def trace(self, u_in, in_port="in", out_port="out"):
         """Returns (u_out, wall_ids) with u_out an exact Fraction."""
         g = self.gadget
-        walls = self.walls.get(out_port)
-        if walls is None:
-            walls = self.walls[out_port] = _Walls(
+        scene = self.scenes.get(out_port)
+        if scene is None:
+            scene = self.scenes[out_port] = TraceScene(
                 g.static_walls, () if g.mirrors is None else (g.mirrors,),
                 (g.out_ports[out_port],))
         pin = g.in_ports[in_port]
         hits = []
         for kind, obj, _point, u_out, _d in _trace(
-                walls, pin.chart(u_in.as_fraction()), pin.beam):
+                _Walls(scene), pin.chart(u_in.as_fraction()), pin.beam):
             if kind == "cross":
                 return u_out, hits
             hits.append(obj.wall_id)

@@ -20,6 +20,7 @@ loading the tracer.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -41,8 +42,8 @@ def __getattr__(name):
 
 class TraceEvent(NamedTuple):
     """One event of a run, a record: built at about a quarter of a frozen
-    dataclass's cost, which counts where ``_cycled`` copies a period's
-    events for the rest of a long budget."""
+    dataclass's cost, which counts where a closed orbit's trace makes a
+    later event from the event a period before it."""
 
     kind: str                      # reflection | checkpoint | halt-bounce | out-of-range
     step: int                      # machine steps completed when it happened
@@ -53,11 +54,58 @@ class TraceEvent(NamedTuple):
     head: Optional[int] = None     # head position (out-of-range: the offender)
 
 
+class Periodic(Sequence):
+    """A read-only sequence of ``length`` items: ``head``, then ``cycle``
+    over and over, its q-th repetition (q >= 1) made on access by
+    ``repeat(item, q)``, or the item itself when ``repeat`` is None.  A
+    closed orbit's trace, points and deviations, held in the memory of one
+    period whatever the budget.  It equals, and reads as, the list of its
+    items; a slice is a list."""
+
+    __slots__ = ("head", "cycle", "length", "repeat")
+
+    def __init__(self, head, cycle, length, repeat=None):
+        self.head, self.cycle, self.length, self.repeat = head, cycle, length, repeat
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.length))]
+        if i < 0:
+            i += self.length
+        if not 0 <= i < self.length:
+            raise IndexError("periodic sequence index out of range")
+        if i < len(self.head):
+            return self.head[i]
+        q, r = divmod(i - len(self.head), len(self.cycle))
+        return self.cycle[r] if not q or self.repeat is None else self.repeat(self.cycle[r], q)
+
+    def __iter__(self):
+        yield from self.head[:self.length]
+        left, q = self.length - len(self.head), 0
+        while left > 0:
+            part = self.cycle[:left]
+            if q and self.repeat is not None:
+                part = [self.repeat(item, q) for item in part]
+            yield from part
+            left, q = left - len(self.cycle), q + 1
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Periodic)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 @dataclass
 class RunOutcome:
     verdict: str                   # halted | budget-exhausted | out-of-range
     steps: int
-    trace: list
+    trace: list                    # of TraceEvents; a Periodic once the launch recurs
     final_tape: Optional[frozenset] = None
     final_head: Optional[int] = None
     periodic: bool = False
@@ -93,10 +141,12 @@ def run_symbolic(table, tape, budget):
 
     A run is determined by its (state, value), so once the launch pair
     recurs, at step P = ``period_steps``, every later step repeats the
-    step P before it: those events are copied, sharing their values and
-    positions, not recomputed.  As compile certifies every corridor's
-    transfer injective, the first pair to recur can only be the launch
-    pair, so comparing with it alone finds every cycle.
+    step P before it: the trace is then the first P steps' events as a
+    Periodic, each later event made on access from the one P steps
+    before it, sharing its value and position, not recomputed.  As
+    compile certifies every corridor's transfer injective, the first pair
+    to recur can only be the launch pair, so comparing with it alone finds
+    every cycle.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -141,14 +191,17 @@ def run_symbolic(table, tape, budget):
 def _cycled(trace, period, budget):
     """The outcome of a run whose ``trace`` holds its first ``period``
     steps and that is back at its launch: each further event is the one
-    ``period`` steps before it, up to the checkpoint of step ``budget``."""
-    n = len(trace)
+    ``period`` steps before it, up to the checkpoint of step ``budget``,
+    with the same kind, wall id, state, value and position."""
     starts = [i for i, ev in enumerate(trace) if ev.kind == "checkpoint"]
-    for i in range(n, budget // period * n + starts[budget % period] + 1):
-        ev = trace[i - n]
-        trace.append(TraceEvent(ev.kind, ev.step + period, ev.wall_id, ev.state,
-                                ev.value, ev.position))
-    return RunOutcome("budget-exhausted", budget, trace, period_steps=period)
+
+    def later(ev, q):
+        return TraceEvent(ev.kind, ev.step + q * period, ev.wall_id, ev.state,
+                          ev.value, ev.position)
+
+    length = budget // period * len(trace) + starts[budget % period] + 1
+    return RunOutcome("budget-exhausted", budget, Periodic((), trace, length, later),
+                      period_steps=period)
 
 
 def detect_periodicity(outcome):

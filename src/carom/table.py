@@ -57,11 +57,12 @@ SPLIT_DY = F(1)
 STAGE_DY = F(13)
 MERGE_DY = F(-12)
 PAD_Y = F(-16)
-ROW0 = F(28)
-ROW_PITCH = F(3)
-BROW0 = F(-24)
-LANE_MARGIN = F(8)
-LANE_PITCH = F(3)
+# the corridors' routes, in integers: their corners place the turn mirrors
+ROW0 = 28
+ROW_PITCH = 3
+BROW0 = -24
+LANE_MARGIN = 8
+LANE_PITCH = 3
 DEFAULT_SCENE_LEVELS = 3
 
 #: The types of a scene entry that is a wall, not a mirror family's
@@ -239,6 +240,18 @@ class BilliardTable:
     @cached_property
     def mirror_families(self):
         return tuple(entry for entry in self.scene if not isinstance(entry, _WALLS))
+
+    @cached_property
+    def trace_scene(self):
+        """The scene as the exact tracer reads it (``numeric.TraceScene``):
+        the static walls and charts read with their float boxes, the mirror
+        families and the hard checkpoints, built on the first run_numeric
+        and kept, as ``scene`` is."""
+        from .numeric import TraceScene    # the tracer, which symbolic runs skip
+        halts = {st.checkpoint.wall.wall_id: st.checkpoint
+                 for st in self.stations.values() if st.checkpoint.hard}
+        return TraceScene(self.static_walls, self.mirror_families, self.marked_segments(),
+                          halts)
 
     def scene_walls(self, levels=None):
         """All placed walls for the given head levels (default: the
@@ -466,7 +479,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
     # corridors
     edges = list(graph.edges)
     n_states = len(machine.states)
-    lane0 = station_x(n_states - 1) + STATION_PITCH / 2 + LANE_MARGIN
+    lane0 = int(station_x(n_states - 1) + STATION_PITCH / 2) + LANE_MARGIN
     corridors = {}
     for idx, edge in enumerate(edges):
         src, tgt = stations[edge.state], stations[edge.target]
@@ -485,8 +498,8 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         row = ROW0 + ROW_PITCH * idx
         brow = BROW0 - ROW_PITCH * idx
         lane = lane0 + LANE_PITCH * idx
-        corners = (((src.x + 2 + sigma_in, row), (1, 1)), ((lane, row), (-1, 1)),
-                   ((lane, brow), (-1, -1)), ((tgt.x + sigma_out, brow), (1, -1)))
+        corners = (((int(src.x) + 2 + sigma_in, row), (1, 1)), ((lane, row), (-1, 1)),
+                   ((lane, brow), (-1, -1)), ((int(tgt.x) + sigma_out, brow), (1, -1)))
         turns = tuple(turn_mirror(corner, v, 1, f"c{idx}:t{i}")
                       for i, (corner, v) in enumerate(corners, 1))
         corridors[(edge.state, a)] = Corridor(

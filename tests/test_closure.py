@@ -2,14 +2,18 @@
 
 Pacer keeps its tape and returns to its launch configuration every two
 machine steps.  ``run_symbolic`` notices the launch (state, value) recur
-and copies the first period's events for the rest of the budget;
-``run_numeric`` traces one period, compares the first hit after the
-return crossing with the launch leg's first hit exactly, and counts the
-rest of the run out from the recorded period.  The oracles here are the
+and returns the first period's events as a periodic sequence of the
+budget's length; ``run_numeric`` traces one period, compares the first
+hit after the return crossing with the launch leg's first hit exactly,
+and counts the rest of the run out from the recorded period.  The oracles here are the
 runs done the long way: the symbolic run one ``Corridor.apply`` per step,
 and the numeric one every leg through ``_trace``.
 """
 
+import json
+import random
+import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -18,8 +22,8 @@ from carom import numeric, simulate
 from carom.cli import main
 from carom.encoding import decode, encode_state
 from carom.machine import parse_machine, parse_tape
-from carom.numeric import _trace, _Walls
-from carom.simulate import TraceEvent, TraceMismatch, run_numeric, run_symbolic
+from carom.numeric import TraceScene, _trace, _Walls
+from carom.simulate import NumericResult, TraceEvent, TraceMismatch, run_numeric, run_symbolic
 from carom.table import compile_table
 from carom.ternary import TernaryRational
 from carom.zoo import MACHINE_TEXTS, get_machine
@@ -80,7 +84,8 @@ def _traced(table, outcome):
     crossing values, hit ids and points up to the hit that ends the run,
     each checkpoint's distance from its symbolic value, and the walls'
     counters once that hit is traced."""
-    walls = _Walls(table.static_walls, table.mirror_families, table.marked_segments())
+    walls = _Walls(TraceScene(table.static_walls, table.mirror_families,
+                              table.marked_segments()))
     pos = outcome.trace[0].position
     values = [ev.value.as_fraction() for ev in outcome.crossings]
     reflections = sum(ev.kind == "reflection" for ev in outcome.trace)
@@ -97,7 +102,8 @@ def _traced(table, outcome):
     return {"crossings": crossings, "ids": ids,
             "points": [(float(x), float(y)) for x, y in points],
             "deviations": [0.0] + [float(abs(u - v)) for u, v in zip(crossings, values[1:])],
-            "walls_built": len(walls.numeric), "max_candidates": walls.max_candidates,
+            "walls_built": len({w.wall_id for w in table.static_walls}) + len(walls.mirrors),
+            "max_candidates": walls.max_candidates,
             "denominator_bits": walls.denominator_bits}
 
 
@@ -126,6 +132,83 @@ def _budgets(period):
     """Every residue mod the period, from no step to just past two
     periods, and the budgets of numeric-long's runs."""
     return tuple(range(2 * period + 2)) + (49, 50, 99, 100)
+
+
+def _reads_as_the_stepwise_list(table, literal, budget):
+    out = run_symbolic(table, parse_tape(literal), budget)
+    want = _stepwise(table, parse_tape(literal), budget)
+    n = len(want)
+    assert len(out.trace) == n and list(out.trace) == want
+    assert out.trace == want and want == out.trace
+    assert out.trace != want[:-1] and want[:-1] != out.trace
+    assert out.trace != want[:-1] + [want[-1]._replace(step=budget + 1)]
+    for i in {0, n // 2, n - 1, -1, -(n // 2) - 1, -n}:
+        assert out.trace[i] == want[i], i
+    for cut in (slice(None), slice(-30, None), slice(5, -3, 4), slice(None, None, -7),
+                slice(n - 2, n + 5), slice(n, None)):
+        assert out.trace[cut] == want[cut], cut
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            out.trace[i]
+
+
+@pytest.mark.parametrize("literal", TAPES)
+def test_a_closed_trace_reads_as_the_stepwise_list(table, literal):
+    # a closed orbit's trace holds one period and makes the rest on access:
+    # as a list, by index and by slice it is the run done step by step
+    for budget in _budgets(PERIOD) + (1000,):
+        _reads_as_the_stepwise_list(table, literal, budget)
+
+
+@pytest.mark.parametrize("literal", ("@1", "1@"))
+def test_a_closed_pacer4_trace_reads_as_the_stepwise_list(pacer4, literal):
+    for budget in _budgets(2 * PERIOD):
+        _reads_as_the_stepwise_list(pacer4, literal, budget)
+
+
+def test_a_closed_orbit_costs_its_period_not_its_budget(table, tmp_path, capsys):
+    # pacer @1 closes after one period: its run, its trace, points and
+    # deviations cost that period, whatever the budget
+    budget, tape = 10 ** 12, parse_tape("@1")
+    start = time.perf_counter()
+    out = run_symbolic(table, tape, budget)
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    res = run_numeric(table, tape, budget)
+    assert time.perf_counter() - start < 1
+    # 10 hits a step, each a reflection, and a checkpoint a step
+    assert len(out.trace) == len(res.outcome.trace) == 11 * budget + 1
+    assert len(res.points) == 10 * budget + 1 and len(res.deviations) == budget + 1
+    last, launch = out.trace[-1], out.trace[0]
+    assert (last.kind, last.step, last.state) == ("checkpoint", budget, "A")
+    assert last.value is launch.value and last.position is launch.position
+    assert res.points[-1] == res.points[-1 - BOUNCES] and res.deviations[-1] == 0.0
+    path = tmp_path / "pacer.tm"
+    path.write_text(MACHINE_TEXTS["pacer"])
+    assert main(["run", str(path), "--tape", "@1", "--mode", "numeric",
+                 "--budget", str(budget), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["steps"], doc["period_steps"], doc["period_bounces"]) == (budget, PERIOD, BOUNCES)
+
+
+def test_one_tables_runs_do_not_leak_into_each_other():
+    # a table reads its static walls once, on its first run, and keeps
+    # them: every run on it, in a seeded mix of closed orbits, open orbits
+    # and halting runs, reports what the same run on a fresh table reports
+    rng, kinds = random.Random(25), set()
+    for name in ("pacer", "walker"):
+        table = compile_table(get_machine(name), 8)
+        for _ in range(14):
+            tape = frozenset(c for c in range(-4, 5) if rng.random() < 0.5)
+            budget = rng.choice((0, 1, 2, 3, 5, 30, 100))
+            reused = run_numeric(table, tape, budget)
+            fresh = run_numeric(compile_table(get_machine(name), 8), tape, budget)
+            for field in fields(NumericResult):
+                assert getattr(reused, field.name) == getattr(fresh, field.name), (
+                    name, sorted(tape), budget, field.name)
+            kinds.add("halted" if reused.outcome.verdict == "halted"
+                      else "open" if reused.period_bounces is None else "closed")
+    assert kinds == {"halted", "open", "closed"}
 
 
 def _reports_what_full_tracing_reports(table, literal, budget, period):
@@ -282,6 +365,7 @@ def test_a_tail_short_of_one_event_fails(table, monkeypatch, tmp_path, capsys, d
 
     def dropping(trace, period, budget):
         out = cycled(trace, period, budget)
+        out.trace = list(out.trace)
         del out.trace[drop]
         return out
 

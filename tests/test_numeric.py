@@ -24,6 +24,7 @@ from carom.numeric import (
     _NumericWall,
     _reflect,
     _seg_hit,
+    TraceScene,
     _trace,
     _Walls,
 )
@@ -329,7 +330,7 @@ def test_arc_hits_through_an_end_match_the_oracle():
 
 def _first_hit(walls, pos, direction):
     """The wall the trace from ``pos`` along ``direction`` hits first."""
-    kind, wall, *_ = next(_trace(_Walls(walls, ()), pos, direction))
+    kind, wall, *_ = next(_trace(_Walls(TraceScene(walls, ())), pos, direction))
     assert kind == "hit"
     return wall.wall_id
 
@@ -363,7 +364,7 @@ def test_a_far_float_t_does_not_shut_out_the_nearest_wall():
     b = Segment.of((c[0] - perp[0] / 1000, c[1] - perp[1] / 1000),
                    (c[0] + perp[0] / 1000, c[1] + perp[1] / 1000), "B")
     xyw, di = _integer_leg(o, d)
-    t, wall, _ = _Walls([a, b], ()).nearest(o, xyw, di, None).result()
+    t, wall, _ = _Walls(TraceScene([a, b], ())).nearest(o, xyw, di, None).result()
     # di is d times di[0] / d[0]
     assert wall.wall_id == "A" and _t(t) * di[0] / d[0] == t0
 
@@ -392,7 +393,7 @@ def test_a_hit_on_a_wall_end_is_degenerate():
     # exactly at u = hi + 1/2, then hits the post inside it
     chart = Chart((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), F(0), F(1), "chart")
     post = Segment.of((F(-5), F(2)), (F(5), F(2)), "post")
-    cross, hit = islice(_trace(_Walls([post], (), [chart]), (F(3, 2), F(-1)), (F(0), F(1))), 2)
+    cross, hit = islice(_trace(_Walls(TraceScene([post], (), [chart])), (F(3, 2), F(-1)), (F(0), F(1))), 2)
     assert cross[:2] == ("cross", chart) and cross[3] == F(3, 2)
     assert hit[:3] == ("hit", hit[1], (F(3, 2), F(2))) and hit[1].wall_id == "post"
 
@@ -402,7 +403,7 @@ def test_a_graze_is_degenerate():
     F = Fraction
     bowl = ParabolaArc.of(F(0), F(0), F(1), 1, F(-1), F(1), "bowl")
     with pytest.raises(TracingDegeneracy, match="grazing hit on bowl"):
-        for _ in _trace(_Walls([bowl], ()), (F(-2), F(0)), (F(1), F(0))):
+        for _ in _trace(_Walls(TraceScene([bowl], ())), (F(-2), F(0)), (F(1), F(0))):
             pass
 
 
@@ -415,7 +416,7 @@ def test_a_direction_past_the_float_range_is_read_to_scale():
         float(big)
     right = Segment.of((F(1), F(-1)), (F(1), F(1)), "right")
     left = Segment.of((F(-1), F(-1)), (F(-1), F(1)), "left")
-    hits = list(islice(_trace(_Walls([right, left], ()), (F(0), F(0)), (F(big), F(1))), 3))
+    hits = list(islice(_trace(_Walls(TraceScene([right, left], ())), (F(0), F(0)), (F(big), F(1))), 3))
     assert [(kind, wall.wall_id, point) for kind, wall, point, _, _ in hits] == [
         ("hit", "right", (F(1), F(1, big))), ("hit", "left", (F(-1), F(3, big))),
         ("hit", "right", (F(1), F(5, big)))]
@@ -428,10 +429,10 @@ def test_a_position_past_the_float_range_fails_the_trace():
     F = Fraction
     post = Segment.of((F(1), F(-1)), (F(1), F(1)), "post")
     with pytest.raises(TracingError, match="left the float range"):
-        next(_trace(_Walls([post], ()), (F(-(10 ** 400)), F(0)), (F(1), F(0))))
+        next(_trace(_Walls(TraceScene([post], ())), (F(-(10 ** 400)), F(0)), (F(1), F(0))))
     # a hit whose t no double holds, 1.9e308 away, is still found
     far = Segment.of((F(9 * 10 ** 307), F(-1)), (F(9 * 10 ** 307), F(1)), "far")
-    kind, wall, point, _, _ = next(_trace(_Walls([far], ()), (F(-(10 ** 308)), F(0)), (1, 0)))
+    kind, wall, point, _, _ = next(_trace(_Walls(TraceScene([far], ())), (F(-(10 ** 308)), F(0)), (1, 0)))
     assert (kind, wall.wall_id, point) == ("hit", "far", (F(9 * 10 ** 307), F(0)))
 
 

@@ -306,11 +306,11 @@ def test_trace_without_static_walls():
     # static box to clip a ray to, and the query still finds the mirror
     # (test_gadget_tracer_sees_the_split_levels traces the same gadget)
     from carom.gadgets import build_split_gadget
-    from carom.numeric import _Walls
+    from carom.numeric import TraceScene, _Walls
     split = build_split_gadget(3)
     assert split.static_walls == ()
-    walls = _Walls(split.static_walls, (split.mirrors,))
-    assert walls.static == [] and walls.box is None
+    walls = _Walls(TraceScene(split.static_walls, (split.mirrors,)))
+    assert walls.scene.static == [] and walls.scene.box is None
     x = encode_state(frozenset(), 0).value.as_fraction()
     pos, xyw = (x, Fraction(0)), (x.numerator, 0, x.denominator)
     t, wall, second = walls.nearest(pos, xyw, (0, 1), None).result()

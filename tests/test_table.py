@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from carom import gadgets
+from carom import table as table_module
 from carom.encoding import encode_state
 from carom.gadgets import DomainError
 from carom.machine import enumerate_tapes, parse_machine, step, ComputationState
@@ -161,7 +162,8 @@ def test_corridor_inverse():
 
 
 def test_compile_builds_only_placed_walls(monkeypatch):
-    # every wall compile_table builds is a wall of the table's scene
+    # every wall compile_table builds is a wall of the table's scene: the
+    # walls built from rationals, and the turn mirrors, built in integers
     built = []
     for cls in (Segment, ParabolaArc):
         def record(*args, build=cls.of):
@@ -169,6 +171,12 @@ def test_compile_builds_only_placed_walls(monkeypatch):
             built.append(wall.wall_id)
             return wall
         monkeypatch.setattr(cls, "of", staticmethod(record))
+
+    def record_turn(*args):
+        wall = gadgets.turn_mirror(*args)
+        built.append(wall.wall_id)
+        return wall
+    monkeypatch.setattr(table_module, "turn_mirror", record_turn)
     for name, m in fixture_machines().items():
         built.clear()
         table = compile_table(m, 8)

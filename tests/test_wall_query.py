@@ -29,7 +29,7 @@ from carom.gadgets import (
 )
 from carom.geometry import Leg, ParabolaArc, Segment, integers, segments_intersect
 from carom.machine import parse_machine, parse_tape
-from carom.numeric import _Nearest, _NumericWall, _Walls
+from carom.numeric import TraceScene, _Nearest, _NumericWall, _Walls
 from carom.simulate import run_numeric
 from carom.table import compile_table
 from carom.zoo import MACHINE_TEXTS, get_machine
@@ -361,12 +361,12 @@ def test_static_float_boxes_hold_the_exact_boxes(name):
     # the pre-reject is sound only if every static wall's float box, read
     # off its float data, holds the wall's exact box
     table = compile_table(get_machine(name), 8)
-    walls = _Walls(table.static_walls, ())
-    for wall, box in zip(table.static_walls, walls.boxes):
+    scene = TraceScene(table.static_walls, ())
+    for wall, box in zip(table.static_walls, scene.boxes):
         x0, y0, x1, y1 = wall.bbox()
         assert (Fraction(box[0]) < x0 and Fraction(box[1]) < y0
                 and Fraction(box[2]) > x1 and Fraction(box[3]) > y1), wall.wall_id
-    assert walls.box == tuple(f(b[i] for b in walls.boxes)
+    assert scene.box == tuple(f(b[i] for b in scene.boxes)
                               for i, f in enumerate((min, min, max, max)))
 
 
@@ -389,10 +389,10 @@ def _full_pass(walls, pos, xyw, direction, exclude, full_rows):
     (one list of _NumericWalls for all the families), else those
     ``walls_in`` returns for the whole exact ray, uncut."""
     found = _Nearest(xyw, direction)
-    found.offer(walls.static, exclude)
+    found.offer(walls.scene.static, exclude)
     if full_rows is None:
-        rows = [walls.numeric.get(row.wall_id) or _NumericWall(row)
-                for mirrors, frame in walls.families
+        rows = [walls.mirrors.get(row.wall_id) or _NumericWall(row)
+                for mirrors, frame in walls.scene.families
                 for row in mirrors.walls_in(Leg(pos, direction), frame)]
     else:
         rows = full_rows
@@ -466,7 +466,7 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
         found = nearest(walls, pos, xyw, direction, exclude)
         if walls not in full_rows:
             full_rows[walls] = [
-                _NumericWall(row) for mirrors, frame in walls.families
+                _NumericWall(row) for mirrors, frame in walls.scene.families
                 for row in mirrors.rows(mirrors.levels, frame)] if full_levels else None
         full = _full_pass(walls, pos, xyw, direction, exclude, full_rows[walls])
         assert ((_exact_t(found.t), found.wall and found.wall.wall_id)
@@ -483,10 +483,10 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
                 == [(_exact_t(t), w.chart) for t, w in full.crossed()])
         fo, fd = _leg_floats(xyw, direction)
         seen["legs"] += 1
-        seen["static_left_out"] += len(walls.static) - len(walls._static_near(fo, fd))
+        seen["static_left_out"] += len(walls.scene.static) - len(walls.scene.near(fo, fd))
         seen["families_left_out"] += sum(mirrors.local_leg(fo + fd + (math.inf,), frame) is None
-                                         for mirrors, frame in walls.families)
-        lines = [_float_line(w.chart) for w in walls.static if w.chart is not None]
+                                         for mirrors, frame in walls.scene.families)
+        lines = [_float_line(w.chart) for w in walls.scene.static if w.chart is not None]
         seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for fline in lines)
         seen["parallel_charts_left_out"] += sum(
             _parallel_and_clear(fline, fo, fd, _exact_t(full.t)) for fline in lines)
@@ -514,9 +514,9 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
 def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision():
     table = _table()
     chart = table.stations["A"].checkpoint
-    walls = _Walls((), (), (chart,))
+    walls = _Walls(TraceScene((), (), (chart,)))
     # count the chart's exact weighings
-    wall, = walls.static
+    wall, = walls.scene.static
     weighings, exact_hit = [], wall.hit
     wall.hit = lambda *args: weighings.append(args) or exact_hit(*args)
     co, ct, cb = chart.origin, chart.tangent, chart.beam
