@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .encoding import digit_position, encode_state, k_max_cap
 from .gadgets import check_separation
 from .machine import MachineError, check_reversible, parse_machine, parse_tape, format_tape
-from .simulate import TracingError, run_symbolic, verify_equivalence, write_trace
+from .simulate import Periodic, TracingError, run_symbolic, verify_equivalence, write_trace
 from .table import CompileError, compile_table, load_table, to_svg
 from .machine import enumerate_tapes
 
@@ -88,15 +88,14 @@ def cmd_encode(args):
 def cmd_compile(args, cfg):
     machine = _read_machine(args.machine)
     table = compile_table(machine, cfg.K)
-    text = table.to_json()
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            table.write(fh)
         _emit(args, {"written": args.output, "K": cfg.K,
                      "machine_sha256": table.machine_hash},
               f"table written to {args.output} (K={cfg.K})")
     else:
-        print(text)
+        print(table.to_json())
     return OK
 
 
@@ -207,6 +206,10 @@ def cmd_svg(args, cfg):
     if args.tape:
         from .numeric import run_numeric
         trace_points = run_numeric(table, parse_tape(args.tape), cfg.budget).points
+        if isinstance(trace_points, Periodic):
+            # a closed orbit: its head and one period, closed on the period's
+            # first hit, whatever the budget
+            trace_points = [*trace_points.head, *trace_points.cycle, trace_points.cycle[0]]
     svg = to_svg(table, levels=range(-levels, levels + 1), trace_points=trace_points)
     out = args.output or "table.svg"
     with open(out, "w") as fh:

@@ -169,14 +169,6 @@ def decode(x):
     return frozenset(ones), k
 
 
-def try_decode(x):
-    try:
-        tape, k = decode(x)
-    except NotACode:
-        return None
-    return EncodedPoint(x, k, tape)
-
-
 def read_digit(point):
     """The symbol under the head."""
     return 1 if point.head in point.tape else 0

@@ -295,31 +295,11 @@ class MachineGraph:
     vertices: tuple
     edges: tuple  # of Transition
 
-    def out_degree(self, q):
-        return sum(1 for e in self.edges if e.state == q)
-
     def in_degree(self, q):
         return sum(1 for e in self.edges if e.target == q)
 
     def in_edges(self, q):
         return tuple(e for e in self.edges if e.target == q)
-
-    def first_betti_number(self):
-        """E - V + number of weakly connected components."""
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            ra, rb = find(e.state), find(e.target)
-            if ra != rb:
-                parent[ra] = rb
-        components = len({find(v) for v in self.vertices})
-        return len(self.edges) - len(self.vertices) + components
 
 
 def build_graph(machine):

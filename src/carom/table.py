@@ -316,30 +316,52 @@ class BilliardTable:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        """The table file: ``_document`` as json.dumps(indent=1,
-        sort_keys=True) writes it, with the walls of ``scene_walls`` added
-        as its last key, "scene" (it sorts after every other key).  Each
-        wall is written from one fixed text per kind, the bytes json would
-        write: values as reduced n/d strings, ids escaped as ensure_ascii
-        does."""
-        head = json.dumps(self._document(), indent=1, sort_keys=True)
-        gcd, walls = math.gcd, []
-        for w in self.scene_walls():
-            if w.kind == "segment":
-                den, x0, y0, x1, y1, wid = w
-                a, b, c, d = gcd(x0, den), gcd(y0, den), gcd(x1, den), gcd(y1, den)
-                walls.append(_SEGMENT_TEXT % (
-                    encode_basestring_ascii(wid), x0 // a, den // a, y0 // b, den // b,
-                    x1 // c, den // c, y1 // d, den // d))
-            else:
-                walls.append(_ARC_TEXT % (
-                    _frac(w.apex_y), _frac(w.axis_x), encode_basestring_ascii(w.wall_id),
-                    _frac(w.p), w.sign, _frac(w.x_hi), _frac(w.x_lo)))
-        # the scene always holds the launch pad, so the list is never empty
-        return head[:-2] + ',\n "scene": [\n' + ",\n".join(walls) + "\n ]\n}"
+        """The table file: the chunks of ``_chunks``, joined."""
+        return "".join(self._chunks())
+
+    def write(self, fh):
+        """Write the table file to ``fh`` as ``_chunks`` makes it, never
+        holding it whole: the bytes of to_json."""
+        fh.writelines(self._chunks())
+
+    def _chunks(self):
+        """The table file as a stream of texts: ``_document`` as
+        json.dumps(indent=1, sort_keys=True) writes it, each corridor's
+        pieces put in its "pieces", and the walls of the scene added as its
+        last key, "scene" (it sorts after every other key).  Each piece and
+        each wall is written from one fixed text per kind, the bytes json
+        would write: values as reduced strings, ids escaped as ensure_ascii
+        does.  Each split's pieces are listed once, divided by branch; the
+        walls come one chunk per static wall and per mirror family, so no
+        list of every wall is made."""
+        levels = range(-self.scene_levels, self.scene_levels + 1)
+        parts = json.dumps(self._document(), indent=1, sort_keys=True).split(_NO_PIECES)
+        assert len(parts) == len(self.corridors) + 1
+        split_texts = {}      # source state -> {tag: its split's piece texts}
+        for part, ((q, a), c) in zip(parts, sorted(self.corridors.items())):
+            yield part
+            if q not in split_texts:
+                split_texts[q] = {}
+                for p in c.split.transfer.pieces(levels):
+                    split_texts[q].setdefault(p.tag, []).append(_piece_text("split", p))
+            # never empty: a shift stage has a piece for level 0
+            texts = split_texts[q].get(f"branch{a}", []) + [
+                _piece_text("shift", p) for p in c.stage.transfer.pieces(levels)]
+            yield '"pieces": [\n' + ",\n".join(texts) + "\n   ]"
+        # the last part ends the document, "\n}"; the scene goes before it.
+        # It always holds the launch pad, so the list is never empty
+        yield parts[-1][:-2] + ',\n "scene": [\n'
+        sep = ""
+        for entry in self.scene:   # a wall, or a family's (mirrors, frame)
+            walls = (entry,) if isinstance(entry, _WALLS) else entry[0].rows(levels, entry[1])
+            if walls:
+                yield sep + ",\n".join(map(_wall_text, walls))
+                sep = ",\n"
+        yield "\n ]\n}"
 
     def _document(self):
-        """The serialized table but its scene, as a JSON-ready dict."""
+        """The serialized table but its scene, as a JSON-ready dict, each
+        corridor's "pieces" left empty for ``_chunks`` to fill."""
         def pt(p):
             return [_frac(p[0]), _frac(p[1])]
 
@@ -349,19 +371,7 @@ class BilliardTable:
                           "tangent": pt(m.tangent), "beam": pt(m.beam),
                           "hard": m.hard})
         corridors = []
-        levels = range(-self.scene_levels, self.scene_levels + 1)
         for (q, a), c in sorted(self.corridors.items()):
-            pieces = []
-            for stage_name, transfer in (("split", c.split.transfer),
-                                         ("shift", c.stage.transfer)):
-                for p in transfer.pieces(levels):
-                    if stage_name == "split" and p.tag != f"branch{a}":
-                        continue
-                    pieces.append({
-                        "stage": stage_name, "lo": str(p.lo), "hi": str(p.hi),
-                        "a": str(p.a), "b": str(p.b), "tag": p.tag,
-                        "walls": list(p.wall_ids),
-                    })
             corridors.append({
                 "source": q, "read": a, "target": c.edge.target,
                 "write": c.edge.write, "shift": c.edge.shift,
@@ -372,7 +382,7 @@ class BilliardTable:
                     "branch": {"window": [c.sigma_in, c.sigma_in + 1], "beam": "+y"},
                     "out": {"window": [c.sigma_out, c.sigma_out + 1], "beam": "+y"},
                 },
-                "pieces": pieces,
+                "pieces": [],
             })
         return {
             "format": "carom-table/1",
@@ -392,8 +402,44 @@ def _frac(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-# one wall of the scene list as json.dumps(indent=1, sort_keys=True) writes
-# it: the id json-escaped, each value a reduced "n/d" string, a sign an int
+def _piece_text(stage, p):
+    # a tag is a fixed ASCII word ("branch1", "neg:k-3"): json escapes nothing
+    return _PIECE_TEXT % (p.a, p.b, p.hi, p.lo, stage, p.tag,
+                          *map(encode_basestring_ascii, p.wall_ids))
+
+
+def _wall_text(w):
+    gcd = math.gcd
+    if w.kind == "segment":
+        den, x0, y0, x1, y1, wid = w
+        a, b, c, d = gcd(x0, den), gcd(y0, den), gcd(x1, den), gcd(y1, den)
+        return _SEGMENT_TEXT % (encode_basestring_ascii(wid), x0 // a, den // a,
+                                y0 // b, den // b, x1 // c, den // c, y1 // d, den // d)
+    return _ARC_TEXT % (_frac(w.apex_y), _frac(w.axis_x), encode_basestring_ascii(w.wall_id),
+                        _frac(w.p), w.sign, _frac(w.x_hi), _frac(w.x_lo))
+
+
+#: a corridor's "pieces" as ``_document`` leaves it.  Only a key can read
+#: so, since json escapes every quote inside a string
+_NO_PIECES = '"pieces": []'
+
+# one piece of a corridor and one wall of the scene list as
+# json.dumps(indent=1, sort_keys=True) writes them: ids json-escaped, a
+# piece's values TernaryRational strings, a wall's reduced "n/d" strings,
+# a sign an int
+_PIECE_TEXT = """\
+    {
+     "a": "%s",
+     "b": "%s",
+     "hi": "%s",
+     "lo": "%s",
+     "stage": "%s",
+     "tag": "%s",
+     "walls": [
+      %s,
+      %s
+     ]
+    }"""
 _SEGMENT_TEXT = """\
   {
    "id": %s,
@@ -523,10 +569,11 @@ def load_table(text):
 
     The file's ``meta`` pins the machine, K and the scene levels; the table
     is recompiled deterministically, its scene must hold as many walls as
-    the file lists, and its to_json() must equal the text byte for byte.
-    A file formatted otherwise (re-dumped compactly, or with another
-    indent) is compared by the compact encodings of both documents
-    instead, which see the same values and types.
+    the file lists, and the file must equal its to_json() byte for byte,
+    compared chunk by chunk as the recompilation writes it.  A file
+    formatted otherwise (re-dumped compactly, or with another indent) is
+    compared by the compact encodings of both documents instead, which see
+    the same values and types.
     """
     from .machine import parse_machine
 
@@ -548,13 +595,25 @@ def load_table(text):
     count = table.wall_count(levels)     # what to_json() would list
     if n_walls != count:
         raise ValueError(f"stored scene lists {n_walls} walls, the recompilation {count}")
-    expected = table.to_json()
+    if _spells(text, table._chunks()):
+        return table
     # compact encodings go through json's C encoder and, unlike a dict ==,
     # tell 1 from true
-    if text != expected and (json.dumps(json.loads(text), sort_keys=True)
-                             != json.dumps(json.loads(expected), sort_keys=True)):
+    if (json.dumps(json.loads(text), sort_keys=True)
+            != json.dumps(json.loads(table.to_json()), sort_keys=True)):
         raise ValueError("stored scene does not match deterministic recompilation")
     return table
+
+
+def _spells(text, chunks):
+    """Whether ``text`` is the chunks joined, read along as they come: the
+    first chunk that differs ends the stream."""
+    pos = 0
+    for chunk in chunks:
+        if not text.startswith(chunk, pos):
+            return False
+        pos += len(chunk)
+    return pos == len(text)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,32 @@ def test_svg_cli(rev_move_file, tmp_path, capsys):
     assert root.tag.endswith("svg")
 
 
+def test_svg_of_a_closed_orbit_draws_one_period(tmp_path, capsys):
+    # the polyline of a closed orbit is its launch point, one period of
+    # hits and the period's first hit again, whatever the budget: the
+    # first period_bounces + 2 points of the trajectory
+    import xml.etree.ElementTree as ET
+    from pathlib import Path
+
+    from carom.machine import parse_machine, parse_tape
+    from carom.numeric import run_numeric
+    from carom.table import compile_table
+
+    pacer = Path(__file__).resolve().parent.parent / "demos" / "machines" / "pacer.tm"
+    out = tmp_path / "pacer.svg"
+    t0 = time.perf_counter()
+    assert main(["svg", str(pacer), "--tape", "@1", "--budget", str(10 ** 12),
+                 "-o", str(out)]) == 0
+    assert time.perf_counter() - t0 < 1
+    polyline = ET.fromstring(out.read_text()).find(".//{http://www.w3.org/2000/svg}polyline")
+    drawn = polyline.get("points").split()
+    result = run_numeric(compile_table(parse_machine(pacer.read_text()), 8),
+                         parse_tape("@1"), 100)
+    assert len(drawn) == result.period_bounces + 2
+    assert drawn == [f"{x:.12g},{y:.12g}" for x, y in result.points[:len(drawn)]]
+    assert drawn[-1] == drawn[1]
+
+
 def test_svg_levels_past_the_wall_cap_fail_fast(rev_move_file, tmp_path, capsys):
     # rev-move at K=12 lists 134,217,742 walls at --levels 12: refused on
     # the O(K) count, before any wall is listed

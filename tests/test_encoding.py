@@ -3,6 +3,7 @@ import random
 import pytest
 
 from carom.encoding import (
+    EncodedPoint,
     KRangeExceeded,
     NotACode,
     block_of,
@@ -19,10 +20,18 @@ from carom.encoding import (
     rewrite_scale,
     shift_point,
     tau,
-    try_decode,
 )
 from carom.machine import enumerate_tapes
 from carom.ternary import T
+
+
+def try_decode(x):
+    """The EncodedPoint of ``x``, or None when ``x`` is not a code."""
+    try:
+        tape, k = decode(x)
+    except NotACode:
+        return None
+    return EncodedPoint(x, k, tape)
 
 
 def test_encode_tape_values():

