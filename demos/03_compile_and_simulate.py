@@ -9,7 +9,6 @@ run ends with an orthogonal bounce, which makes the orbit periodic.
 
 from carom.machine import enumerate_tapes, parse_tape
 from carom.simulate import (
-    detect_periodicity,
     replay_reverse,
     run_numeric,
     run_symbolic,
@@ -39,13 +38,12 @@ print(f"exact numeric trace reproduces all {len(res.outcome.trace)} events; "
 
 # --- halting <-> periodicity ----------------------------------------------------
 
-cert = detect_periodicity(out)
-print(f"\nperiodicity certificate: {cert['period_events']} events per period")
+print(f"\nthe halting run's orbit is periodic: {out.periodic}")
 back = replay_reverse(table, out)
 print(f"time-reversed replay lands exactly on the launch value: {back}")
 
 loop = run_symbolic(compile_table(get_machine("pacer"), K=4), frozenset(), 40)
-print(f"pacer run: {loop.verdict} (no certificate: {detect_periodicity(loop)})")
+print(f"pacer run: {loop.verdict}, back at its launch every {loop.period_steps} steps")
 
 # --- exhaustive equivalence -----------------------------------------------------
 

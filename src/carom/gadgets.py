@@ -40,7 +40,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -250,10 +250,8 @@ class _Template(NamedTuple):
     and what a family's positional query reads off them in floats (see
     _pair_template)."""
 
-    den: int
-    step: int          # centre of block F + 1 minus that of block F, over den
-    walls: tuple       # (x0, y0, x1, y1) per wall of the pair over block 0, over den
-    boxes: tuple       # (2den, 2step, x, y, rx, ry) per wall
+    walls: tuple       # (den, step, x0, y0, x1, y1) per wall of the pair over block 0
+    boxes: tuple       # (2den, 2step, x, y, rx, ry) per wall, over one den
     centre: int        # block 0's centre, over 2den
     flo: float         # the hull I_k, rounded outward
     fhi: float
@@ -270,11 +268,12 @@ def _pair_template(k, digit_pos, read_s, write_s):
 
     In _block_walls a pair depends on its block only through the centre c:
     its x range follows c and its band sits at height 8c + 1.  So the pair
-    over block F, centre F*step / den further right, is the pair over block
-    0 translated by F*step * (1, 8) / den: it has the endpoints ((x +
-    F*step) / den, (y + 8*F*step) / den) for (x0, y0, x1, y1) in walls, and
-    lies in the box (x + F*2step +- rx, y + 8*F*2step +- ry) / 2den, for
-    (2den, 2step, x, y, rx, ry) in boxes.
+    over block F, centre F*step further right, is the pair over block 0
+    translated by F*step * (1, 8): it has the endpoints ((x + F*step) / den,
+    (y + 8*F*step) / den) for (den, step, x0, y0, x1, y1) in walls, each
+    wall over the lcm of its own and the step's denominators, so every row
+    is in lowest terms; and it lies in the box (x + F*2step +- rx, y +
+    8*F*2step +- ry) / 2den for (2den, 2step, x, y, rx, ry) in boxes.
 
     So the floats a family's query reads are the key's too, at base_x = 0
     (_BlockMirrors._level_data): the hull I_k from its closed form
@@ -283,11 +282,12 @@ def _pair_template(k, digit_pos, read_s, write_s):
     first, = cantor_walk(k, digit_pos, read_s, (0, 0))
     # block F + 1's centre lies three block lengths right of block F's
     step = 3 * first.length.as_fraction()
-    walls = _block_walls("", first, write_s, F(0))
-    den = math.lcm(step.denominator, *(w.den for w in walls))
-    step, walls = int(step * den), tuple(tuple(v * (den // w.den) for v in w[1:5]) for w in walls)
-    boxes = tuple((2 * den, 2 * step, x0 + x1, y0 + y1, abs(x1 - x0), abs(y1 - y0))
-                  for x0, y0, x1, y1 in walls)
+    pair = _block_walls("", first, write_s, F(0))
+    walls = tuple((d, int(step * d), *(v * (d // w.den) for v in w[1:5]))
+                  for w, d in ((w, math.lcm(step.denominator, w.den)) for w in pair))
+    den = math.lcm(*(w[0] for w in walls))
+    boxes = tuple((2 * den, 2 * int(step * den), x0 + x1, y0 + y1, abs(x1 - x0), abs(y1 - y0))
+                  for x0, y0, x1, y1 in (tuple(v * (den // w[0]) for v in w[2:]) for w in walls))
     centre = int(2 * den * first.centre)
     # per box: its offset from (dx + c, 1 + 8c), c its block's centre, plus
     # its radius, over 2den; an int quotient is correctly rounded, so the
@@ -303,7 +303,7 @@ def _pair_template(k, digit_pos, read_s, write_s):
               for (dx, _), r in zip(_LINES, reach) if r]
     region = (min(b[0] for b in bounds), max(b[1] for b in bounds),
               min(b[2] for b in bounds), max(b[3] for b in bounds))
-    return _Template(den, step, walls, boxes, centre, flo, fhi, tuple(reach), region)
+    return _Template(walls, boxes, centre, flo, fhi, tuple(reach), region)
 
 
 class _MirrorLevel(NamedTuple):
@@ -337,21 +337,21 @@ def _exact_leg(leg, base_x, frame):
     placed by ``frame`` (oy, sy) with x counted from base_x: its x- and
     y-extents as (numerator, denominator) pairs, None where unbounded, and
     its line n . p = n0 / h, with n . (1, 8) >= 0 and h > 0.  Read off the
-    numerators and denominators of the leg, base_x and oy as they are,
+    Leg's integers and the numerators and denominators of base_x and oy,
     with no Fraction arithmetic: the pairs are exact, not reduced."""
-    (ox, oy), (dx, dy), t = leg.origin, leg.direction, leg.t_max
+    (x, y, w), (dx, dy), t = leg.origin, leg.direction, leg.t_max
     (fy, sy), bd = frame, base_x.denominator
     # the origin in the local frame, (xn / xd, yn / yd), and the direction
-    xd, yd = ox.denominator * bd, oy.denominator * fy.denominator
-    xn = ox.numerator * bd - base_x.numerator * ox.denominator
-    yn = sy * (oy.numerator * fy.denominator - fy.numerator * oy.denominator)
-    dxn, dxd, dyn, dyd = dx.numerator, dx.denominator, sy * dy.numerator, dy.denominator
+    xd, yd = w * bd, w * fy.denominator
+    xn = x * bd - base_x.numerator * w
+    yn = sy * (y * fy.denominator - fy.numerator * w)
+    dy *= sy
     extents = []
-    for a, b, dn, dd in ((xn, xd, dxn, dxd), (yn, yd, dyn, dyd)):
+    for a, b, dn in ((xn, xd, dx), (yn, yd, dy)):
         end = (a, b) if not dn else None if t is None else (
-            a * t.denominator * dd + b * t.numerator * dn, b * t.denominator * dd)
+            a * t[1] + b * t[0] * dn, b * t[1])
         extents.append(((a, b), end) if dn >= 0 else (end, (a, b)))
-    nx, ny = -dyn * dxd, dxn * dyd
+    nx, ny = -dy, dx
     if nx + 8 * ny < 0:
         nx, ny = -nx, -ny
     return extents[0], extents[1], nx, ny, xd * yd, nx * xn * yd + ny * yn * xd
@@ -393,9 +393,9 @@ class _BlockMirrors:
     A level's pairs are one template pair translated by c * (1, 8) for the
     block centres c, and block F of ``cantor_walk`` has its centre at c_0 +
     F * step (``_pair_template``).  So ``_placed`` places the pair over
-    block 0 and the step in integers over one denominator, once per level
-    and symbol a query lists, and ``_rows`` lists the pair over
-    block F from them as Segments (den, x0, y0, x1, y1, id), with no
+    block 0 and the step in integers, each wall over its own denominator,
+    once per level and symbol a query lists, and ``_rows`` lists the pair
+    over block F from them as Segments (den, x0, y0, x1, y1, id), with no
     Fraction arithmetic.  It is the one pair builder: ``rows`` lists
     every mirror of some levels for serialization, the layout check and a
     full wall listing, and ``walls_in`` returns the Segments a leg may
@@ -428,28 +428,30 @@ class _BlockMirrors:
 
     def _placed(self, k, digit_pos, s, frame):
         """_pair_template of level k and symbol s placed by ``frame``, x
-        counted from base_x, over one denominator: (den, step_x, step_y,
-        walls), the pair over block F having the endpoints ((x + F*step_x)
-        / den, (y + F*step_y) / den) for (x0, y0, x1, y1) in walls."""
-        den, step, walls = _pair_template(k, digit_pos, s, self.rewrite_rule(k, s))[:3]
+        counted from base_x: per wall (den, step_x, step_y, x0, y0, x1,
+        y1), the wall over block F having the endpoints ((x + F*step_x) /
+        den, (y + F*step_y) / den)."""
         (oy, sy), bx = frame, self.base_x
-        d = math.lcm(den, bx.denominator, oy.denominator)
-        m = d // den
-        dx, dy = bx.numerator * (d // bx.denominator), oy.numerator * (d // oy.denominator)
-        return d, m * step, 8 * sy * m * step, tuple(
-            (m * x0 + dx, sy * m * y0 + dy, m * x1 + dx, sy * m * y1 + dy)
-            for x0, y0, x1, y1 in walls)
+        placed = []
+        for den, step, x0, y0, x1, y1 in _pair_template(
+                k, digit_pos, s, self.rewrite_rule(k, s)).walls:
+            d = math.lcm(den, bx.denominator, oy.denominator)
+            m = d // den
+            dx, dy = bx.numerator * (d // bx.denominator), oy.numerator * (d // oy.denominator)
+            placed.append((d, m * step, 8 * sy * m * step,
+                           m * x0 + dx, sy * m * y0 + dy, m * x1 + dx, sy * m * y1 + dy))
+        return placed
 
     def _rows(self, placed, k, digit_pos, s, index, bits):
         """The (primary, return) pair over block ``index`` of level k and
         symbol s, whose free digits are ``bits``, from ``_placed``: Segments
         (den, x0, y0, x1, y1, id), the wall from (x0, y0) / den to
         (x1, y1) / den."""
-        den, step_x, step_y, ((a0, b0, a1, b1), (c0, d0, c1, d1)) = placed
-        dx, dy = index * step_x, index * step_y
+        (d, sx, sy, a0, b0, a1, b1), (e, tx, ty, c0, d0, c1, d1) = placed
         primary_id, return_id = _wall_ids(self.name, k, digit_pos, s, bits)
-        return (Segment(den, a0 + dx, b0 + dy, a1 + dx, b1 + dy, primary_id),
-                Segment(den, c0 + dx, d0 + dy, c1 + dx, d1 + dy, return_id))
+        dx, dy, ex, ey = index * sx, index * sy, index * tx, index * ty
+        return (Segment(d, a0 + dx, b0 + dy, a1 + dx, b1 + dy, primary_id),
+                Segment(e, c0 + ex, d0 + ey, c1 + ex, d1 + ey, return_id))
 
     def rows(self, levels, frame):
         """Every mirror of ``levels`` placed by ``frame`` as a Segment (see
@@ -711,12 +713,12 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
     transfer = _TranslationTransfer(locate, enumerate_pieces, name, levels, cell_offset,
                                     displacement)
     ports_out = {
-        "b0": Chart((base_x, SPLIT_HEIGHT), (F(1), F(0)), (F(0), F(1)), F(-2), F(-1)),
-        "b1": Chart((base_x, SPLIT_HEIGHT), (F(1), F(0)), (F(0), F(1)), F(2), F(3)),
+        "b0": Chart.of((base_x, SPLIT_HEIGHT), (1, 0), (0, 1), -2, -1),
+        "b1": Chart.of((base_x, SPLIT_HEIGHT), (1, 0), (0, 1), 2, 3),
     }
     return Gadget(
         kind="split", name=name,
-        in_ports={"in": Chart((base_x, F(0)), (F(1), F(0)), (F(0), F(1)), F(0), F(1))},
+        in_ports={"in": Chart.of((base_x, F(0)), (1, 0), (0, 1))},
         out_ports=ports_out,
         transfer=transfer,
         mirrors=(mirrors, (F(0), 1)),
@@ -760,10 +762,11 @@ def build_merge_gadget(split, *, name=None):
         return out
 
     def flip_port(p):
-        # mirrored across y = axis; mirroring flips the beam and time
-        # reversal flips it back, so it keeps its +y beam
-        return replace(p, origin=(p.origin[0], 2 * axis - p.origin[1]),
-                       tangent=(p.tangent[0], -p.tangent[1]))
+        # mirrored across y = axis, y -> 2 axis - y, in the port's integers
+        # (2 axis = SPLIT_HEIGHT, an integer); mirroring flips the beam and
+        # time reversal flips it back, so it keeps its +y beam
+        return p._replace(oy=int(SPLIT_HEIGHT) * p.den - p.oy,
+                          tangent=(p.tangent[0], -p.tangent[1]))
 
     in_ports = {key: flip_port(port) for key, port in split.out_ports.items()}
     out_port = flip_port(split.in_ports["in"])
@@ -880,13 +883,11 @@ def build_shift_stage(eps, *, base_x=F(0), sigma=0, K=None, name="shift"):
     def enumerate_pieces(levels):
         return [piece_for_level(k) for k in sorted(levels) if abs(k) <= k_cap]
 
-    sig = F(sigma)
     return Gadget(
         kind=f"shift({eps:+d})", name=name,
-        in_ports={"in": Chart((base_x, F(0)), (F(1), F(0)), (F(0), F(1)),
-                              sig, sig + 1)},
-        out_ports={"out": Chart((base_x + 2, STAGE_HEIGHT), (F(1), F(0)),
-                                (F(0), F(1)), sig, sig + 1)},
+        in_ports={"in": Chart.of((base_x, F(0)), (1, 0), (0, 1), sigma, sigma + 1)},
+        out_ports={"out": Chart.of((base_x + 2, STAGE_HEIGHT), (1, 0), (0, 1),
+                                   sigma, sigma + 1)},
         transfer=PiecewiseTransfer(locate, enumerate_pieces, label=name),
         static_walls=walls,
     )
@@ -935,7 +936,7 @@ def build_turn_gadget(direction_change, window=(F(-4), F(4))):
     # over its ends' least common denominator
     mirror = turn_mirror((lo, rise), (1, d), hi - lo, name)
     wall = Segment.of(mirror.p0, mirror.p1, mirror.wall_id)
-    out_port = Chart((lo + d * (hi - lo + 3), rise - d * lo), (F(0), d), (d, F(0)), lo, hi)
+    out_port = Chart.of((lo + d * (hi - lo + 3), rise - d * lo), (0, d), (d, 0), lo, hi)
     piece = Piece(TernaryRational.from_fraction(lo), TernaryRational.from_fraction(hi),
                   T(1), T(0), (wall.wall_id,), "turn")
 
@@ -946,7 +947,7 @@ def build_turn_gadget(direction_change, window=(F(-4), F(4))):
 
     return Gadget(
         kind="turn", name=name,
-        in_ports={"in": Chart((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), lo, hi)},
+        in_ports={"in": Chart.of((F(0), F(0)), (1, 0), (0, 1), lo, hi)},
         out_ports={"out": out_port},
         transfer=PiecewiseTransfer(locate, lambda levels: [piece], label=name),
         static_walls=(wall,),

@@ -7,29 +7,26 @@ The tracer, the layout check and the table file read the records as they
 are; their ``Fraction`` views (``p0``, ``axis_x``, ``bbox``, ...) serve the
 rest.  Segment intersection is decided exactly; pairs involving an arc
 fall back to a conservative bounding-box test (see ``walls_clash``).  One
-``Chart`` type, in Fractions, describes every place a coordinate is read
-off a line: gadget ports, station checkpoints and the launch pad, the last
-two (when hard) also walls.  The numeric tracer in ``numeric`` re-derives
-reflections exactly and is checked against the exact transfer maps.
+``Chart`` record, over one denominator too, describes every place a
+coordinate is read off a line: gadget ports, station checkpoints and the
+launch pad, the last two (when hard) also walls.  A ray's ``Leg`` is an
+integer record as well.  The numeric tracer in ``numeric`` reads every
+record as it is, re-derives reflections exactly and is checked against the
+exact transfer maps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
-
-
-Point = tuple  # (Fraction, Fraction)
 
 
 def integers(*values):
     """(den, n_0, n_1, ...): the rationals ``values`` over their least
     common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return (den,) + tuple(v.numerator * (den // v.denominator) for v in values)
+    den = math.lcm(*[v.denominator for v in values])
+    return (den, *[v.numerator * (den // v.denominator) for v in values])
 
 
 def _ratio(i):
@@ -123,61 +120,90 @@ class ParabolaArc(NamedTuple):
                            self.wall_id)
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """A transverse chart: where gadgets join, checkpoints are read and the
-    launch pad sits.
+    launch pad sits.  Built by ``of``.
 
-    chart(u) = origin + u * tangent; the window [lo, hi] is the coordinate
-    range beams may occupy, and ``beam`` is the crossing direction of
-    forward trajectories (both unit and axis-aligned, perpendicular).  Two
-    gadgets are connected by making their port charts literally identical.
-    ``hard`` marks a chart that is also a wall, ``wall``, with the id
+    chart(u) = origin + u * tangent, the origin (ox, oy) / den; the window
+    [u0, u1] / den, den > 0, is the coordinate range beams may occupy, and
+    ``beam`` is the crossing direction of forward trajectories (both
+    integer, unit and axis-aligned, perpendicular).  Two gadgets are
+    connected by making their port charts literally identical.  ``hard``
+    marks a chart that is also a wall, ``wall``, with the id
     "wall:<name>": the halt checkpoint, on which a ray bounces
     orthogonally, and the launch pad.
     """
 
-    origin: Point
-    tangent: Point
-    beam: Point
-    lo: Fraction = Fraction(0)
-    hi: Fraction = Fraction(1)
+    den: int
+    ox: int
+    oy: int
+    u0: int
+    u1: int
+    tangent: tuple
+    beam: tuple
     name: str = ""
     hard: bool = False
 
-    def chart(self, u):
-        return (self.origin[0] + u * self.tangent[0],
-                self.origin[1] + u * self.tangent[1])
+    kind = "chart"
 
-    @cached_property
+    @classmethod
+    def of(cls, origin, tangent, beam, lo=0, hi=1, name="", hard=False):
+        """The chart of these rationals, over their least common denominator."""
+        return cls(*integers(*origin, lo, hi), tuple(map(int, tangent)), tuple(map(int, beam)),
+                   name, hard)
+
+    origin = property(lambda c: (Fraction(c.ox, c.den), Fraction(c.oy, c.den)))
+    lo, hi = _ratio(3), _ratio(4)
+
+    def chart(self, u):
+        """The point at the rational u, in Fractions."""
+        x, y, w = self.point(u.numerator, u.denominator)
+        return Fraction(x, w), Fraction(y, w)
+
+    def point(self, n, m):
+        """(x, y, w), w = den m: the point (x, y) / w at u = n / m, m > 0."""
+        (tx, ty), den = self.tangent, self.den
+        return self.ox * m + n * tx * den, self.oy * m + n * ty * den, den * m
+
+    def u_at(self, xyw):
+        """(U, V), V > 0: the coordinate U / V of the point (x, y) / w."""
+        x, y, w = xyw
+        (tx, ty), den = self.tangent, self.den
+        return (x * den - self.ox * w) * tx + (y * den - self.oy * w) * ty, den * w
+
+    @property
     def wall(self):
         """The segment over the window that a hard chart bounces on."""
-        return Segment.of(self.chart(self.lo), self.chart(self.hi), f"wall:{self.name}")
+        (tx, ty), ox, oy, u0, u1 = self.tangent, self.ox, self.oy, self.u0, self.u1
+        return Segment(self.den, ox + u0 * tx, oy + u0 * ty, ox + u1 * tx, oy + u1 * ty,
+                       f"wall:{self.name}")
 
 
-class Leg:
-    """One straight flight of a ray: origin + t * direction for
-    0 <= t <= t_max, or the whole ray when t_max is None.
+class Leg(NamedTuple):
+    """One straight flight of a ray, in integers: from the ``origin`` (x, y,
+    w), w > 0, along the ``direction`` (dx, dy), (x + t dx, y + t dy) / w
+    for 0 <= t <= n / m, ``t_max`` (n, m), m > 0, or the whole ray when
+    t_max is None.  ``floats`` is (x, y, dx, dy, t_max) in floats, along
+    any positive multiple of the direction, t_max inf for a whole ray, each
+    within a few units in the last place of its exact value relative to
+    the coordinates involved: the input of the float pre-rejects alone,
+    which only drop what the leg cannot reach."""
 
-    Exact, like the walls it is queried against (``_BlockMirrors.walls_in``),
-    which decides every block window on its exact values.  ``floats`` is
-    (x, y, dx, dy, t_max) in floats, t_max inf for a whole ray, each within
-    a few units in the last place of its exact value relative to the
-    coordinates involved: the input of the float pre-rejects alone, which
-    only drop what the leg cannot reach.
-    A query places a leg in a gadget's frame where it reads it; the leg
-    itself is never moved.
-    """
+    origin: tuple
+    direction: tuple
+    t_max: tuple | None
+    floats: tuple
 
-    __slots__ = ("origin", "direction", "t_max", "floats")
-
-    def __init__(self, origin, direction, t_max=None, floats=None):
-        self.origin, self.direction, self.t_max = origin, direction, t_max
-        if floats is None:
-            floats = (float(origin[0]), float(origin[1]),
-                      float(direction[0]), float(direction[1]),
-                      math.inf if t_max is None else float(t_max))
-        self.floats = floats
+    @classmethod
+    def of(cls, origin, direction, t_max=None):
+        """The leg from the rational point ``origin`` along the rational
+        ``direction`` for 0 <= t <= t_max, along its primitive integer
+        multiple, t_max scaled to keep the segment."""
+        (w, x, y), (s, dx, dy) = integers(*origin), integers(*direction)
+        g = math.gcd(dx, dy)        # the direction times s / g is (dx, dy) / g
+        t = math.inf if t_max is None else Fraction(t_max) * g / s
+        return cls((x, y, w), (dx // g, dy // g), None if t is math.inf else t.as_integer_ratio(),
+                   (x / w, y / w, dx / g, dy / g, float(t)))
 
 
 def _orient(a, b, c):

@@ -14,11 +14,12 @@ TracingError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Chart, Leg, integers
+from .geometry import Leg
 from .simulate import (
     Periodic,
     RunOutcome,
@@ -42,17 +43,20 @@ class NumericResult:
     period_bounces: int | None = None   # hits per period of an exactly closed orbit
 
 
-def _float_pt(p):
-    return (float(p[0]), float(p[1]))
+def _float_pt(xyw):
+    """The point (x, y) / w of ``xyw`` in floats, each correctly rounded."""
+    x, y, w = xyw
+    return (x / w, y / w)
 
 
 # --- exact hits ---------------------------------------------------------------
 #
 # A leg runs from the point (x / w, y / w), ``xyw``, along an integer
-# direction d.  A wall's hit test returns t = n / m as (n, m, corner), m > 0,
-# corner whether the hit lies on an end of the wall, compared by
-# cross-multiplication (_before), or an arc's irrational root as a surd (a,
-# b, D, m), t = (a + b sqrt(D)) / m, compared by sign tests (_surd_sign).
+# direction d.  A wall's hit test, read off its record as it is, returns t =
+# n / m as (n, m, corner), m > 0, corner whether the hit lies on an end of
+# the wall, compared by cross-multiplication (_before), or an arc's
+# irrational root as a surd (a, b, D, m), t = (a + b sqrt(D)) / m, compared
+# by sign tests (_surd_sign).
 
 def _surd_sign(a, b, d):
     """The sign of a + b sqrt(d), for integers a, b and a d > 0 that is not
@@ -69,10 +73,10 @@ def _before(t, u):
     return t[0] * u[1] < u[0] * t[1]
 
 
-def _seg_hit(data, xyw, d):
+def _seg_hit(wall, xyw, d):
     """The exact t > 0 at which the ray from ``xyw`` along d meets the
-    Segment ``data`` (den, x0, y0, x1, y1, id), ends included."""
-    den, x0, y0, x1, y1, _ = data
+    Segment ``wall`` (den, x0, y0, x1, y1, id), ends included."""
+    den, x0, y0, x1, y1, _ = wall
     x, y, w = xyw
     dx, dy = d
     rx, ry = x0 * w - x * den, y0 * w - y * den     # (x0, y0) - origin, over den w
@@ -86,13 +90,13 @@ def _seg_hit(data, xyw, d):
     return nt, den * w * dd, ns in (0, w * dd)
 
 
-def _arc_hit(data, xyw, d):
-    """The exact least t > 0 at which the ray meets the ParabolaArc ``data``
+def _arc_hit(wall, xyw, d):
+    """The exact least t > 0 at which the ray meets the ParabolaArc ``wall``
     (q, a, b, p, sign, lo, hi, id), y = b / q + sign (x - a / q)^2 q / 4p
     over lo / q <= x <= hi / q, ends included.  With t = tau / qw, 4p (y -
     apex_y) - sign (x - axis_x)^2 along the ray is (qa tau^2 + qb tau + qc)
     / (qw)^2."""
-    q, a, b, p, sign, lo, hi, _ = data
+    q, a, b, p, sign, lo, hi, _ = wall
     x, y, w = xyw
     dx, dy = d
     u, v = x * q - a * w, y * q - b * w
@@ -115,12 +119,12 @@ def _arc_hit(data, xyw, d):
     return None
 
 
-def _chart_hit(data, xyw, d):
-    """(n, m, (U, V)): t = n / m > 0 at which the ray crosses the chart
-    ``data`` (c, ox, oy, lo, hi, k, tx, ty, bx, by) forwards, d . (bx, by) >
-    0, at u = U / V in its window: origin (ox, oy) / c, window [lo, hi] /
-    c, tangent (tx, ty) / k, ends included."""
-    c, ox, oy, lo, hi, k, tx, ty, bx, by = data
+def _chart_hit(chart, xyw, d):
+    """(n, m, (U, V)): t = n / m > 0 at which the ray crosses the Chart
+    ``chart`` (c, ox, oy, lo, hi, (tx, ty), (bx, by), ...) forwards, d .
+    (bx, by) > 0, at u = U / V, V > 0, within 1/2 of its window: origin
+    (ox, oy) / c, window [lo, hi] / c, ends included."""
+    c, ox, oy, lo, hi, (tx, ty), (bx, by), _, _ = chart
     x, y, w = xyw
     dx, dy = d
     den = dx * bx + dy * by
@@ -130,8 +134,15 @@ def _chart_hit(data, xyw, d):
     n = -rx * bx - ry * by
     if n <= 0:
         return None
-    u, scale = (rx * den + n * dx) * tx + (ry * den + n * dy) * ty, w * den * k
-    return (n, c * w * den, (u, c * scale)) if lo * scale <= u <= hi * scale else None
+    # the crossing minus the chart origin is (rx den + n dx, ry den + n dy)
+    # over m = c w den: u / m its tangent component, within [lo - 1/2, hi +
+    # 1/2] / c
+    u, m = (rx * den + n * dx) * tx + (ry * den + n * dy) * ty, c * w * den
+    return (n, m, (u, m)) if (2 * lo - c) * m <= 2 * c * u <= (2 * hi + c) * m else None
+
+
+#: The exact hit test of each kind of record a leg weighs.
+_HITS = {"segment": _seg_hit, "parabola_arc": _arc_hit, "chart": _chart_hit}
 
 
 def _reflect(d, n):
@@ -160,53 +171,38 @@ def _widened(x0, y0, x1, y1):
             x1 + s * (1 + abs(x1)), y1 + s * (1 + abs(y1)))
 
 
-class _NumericWall:
-    """A wall, or a chart the ray passes through, as the tracer weighs it:
-    ``data``, its exact tuple in integers (a wall's Segment or ParabolaArc
-    record itself), with its exact hit test ``hit(data, xyw, d)``, the t
-    or None.  A ``chart``'s crossing counts within 1/2 of its window [lo,
-    hi], so its data holds the window [lo - 1/2, hi + 1/2]."""
+def _float_box(wall):
+    """(x0, y0, x1, y1), a float box holding the wall or chart: its ends
+    and an arc's heights in floats, each a quotient of its integers,
+    widened by _BOX_SLACK, which is far more than their rounding.  A
+    chart's crossing counts within 1/2 of its window [lo, hi], so its box
+    holds the window [lo - 1/2, hi + 1/2]."""
+    if wall.kind == "parabola_arc":
+        q, a, b, p, sign, lo, hi, _ = wall
+        axis_x, apex_y, p, x_lo, x_hi = a / q, b / q, p / q, lo / q, hi / q
+        ys = [apex_y + sign * (x - axis_x) ** 2 / (4 * p) for x in (x_lo, x_hi)]
+        if x_lo < axis_x < x_hi:
+            ys.append(apex_y)
+        return _widened(x_lo, min(ys), x_hi, max(ys))
+    if wall.kind == "segment":
+        den, x0, y0, x1, y1, _ = wall
+    else:       # a chart, over its window widened by 1/2 at each end
+        c = wall.den
+        (x0, y0, den), (x1, y1, _) = (wall.point(2 * wall.u0 - c, 2 * c),
+                                      wall.point(2 * wall.u1 + c, 2 * c))
+    x0, y0, x1, y1 = x0 / den, y0 / den, x1 / den, y1 / den
+    return _widened(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
 
-    __slots__ = ("wall_id", "kind", "chart", "data", "hit")
 
-    def __init__(self, wall):
-        self.chart = None
-        if isinstance(wall, Chart):
-            self.wall_id, self.kind, self.chart, self.hit = wall.name, "chart", wall, _chart_hit
-            self.data = (integers(*wall.origin, wall.lo - Fraction(1, 2), wall.hi + Fraction(1, 2))
-                         + integers(*wall.tangent) + integers(*wall.beam)[1:])
-            return
-        self.wall_id, self.kind, self.data = wall.wall_id, wall.kind, wall
-        self.hit = _seg_hit if self.kind == "segment" else _arc_hit
-
-    def float_box(self):
-        """(x0, y0, x1, y1), a float box holding the wall or chart: its ends
-        and an arc's heights in floats, each a quotient of its integers,
-        widened by _BOX_SLACK, which is far more than their rounding."""
-        if self.kind == "parabola_arc":
-            q, a, b, p, sign, lo, hi, _ = self.data
-            axis_x, apex_y, p, x_lo, x_hi = a / q, b / q, p / q, lo / q, hi / q
-            ys = [apex_y + sign * (x - axis_x) ** 2 / (4 * p) for x in (x_lo, x_hi)]
-            if x_lo < axis_x < x_hi:
-                ys.append(apex_y)
-            return _widened(x_lo, min(ys), x_hi, max(ys))
-        if self.chart is None:
-            den, x0, y0, x1, y1, _ = self.data
-        else:
-            c, ox, oy, lo, hi, k, tx, ty = self.data[:8]
-            den, x0, y0 = c * k, ox * k + lo * tx, oy * k + lo * ty
-            x1, y1 = ox * k + hi * tx, oy * k + hi * ty
-        x0, y0, x1, y1 = x0 / den, y0 / den, x1 / den, y1 / den
-        return _widened(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
-
-    def normal(self, xyw):
-        """An integer normal at the point ``xyw``, not of unit length."""
-        if self.kind == "segment":
-            _, x0, y0, x1, y1, _ = self.data
-            return (y0 - y1, x1 - x0)
-        q, a, _, p, sign, _, _, _ = self.data
-        # (-sign (x - axis_x) / 2p, 1), times 2pw
-        return (-sign * (xyw[0] * q - a * xyw[2]), 2 * p * xyw[2])
+def _normal(wall, xyw):
+    """An integer normal of the Segment or ParabolaArc ``wall`` at the
+    point ``xyw``, not of unit length."""
+    if wall.kind == "segment":
+        _, x0, y0, x1, y1, _ = wall
+        return (y0 - y1, x1 - x0)
+    q, a, _, p, sign, _, _, _ = wall
+    # (-sign (x - axis_x) / 2p, 1), times 2pw
+    return (-sign * (xyw[0] * q - a * xyw[2]), 2 * p * xyw[2])
 
 
 class _Nearest:
@@ -222,13 +218,13 @@ class _Nearest:
         self.crossings = []       # (t, chart)
 
     def offer(self, walls, exclude):
+        """Weigh the records ``walls``, all but those equal to ``exclude``."""
+        xyw, d = self.xyw, self.direction
         for w in walls:
-            if w is exclude:
+            t = _HITS[w.kind](w, xyw, d)
+            if t is None or w == exclude:
                 continue
-            t = w.hit(w.data, self.xyw, self.direction)
-            if t is None:
-                continue
-            if w.chart is not None:
+            if w.kind == "chart":
                 self.crossings.append((t, w))
             elif len(t) > 3:
                 self.irrational.append((t, w))
@@ -250,28 +246,29 @@ class _Nearest:
         """(t, chart) of every crossing before the nearest hit, in flight
         order."""
         return sorted((c for c in self.crossings if self.t is None or _before(c[0], self.t)),
-                      key=lambda c: Fraction(c[0][0], c[0][1]))
+                      key=_FLIGHT_ORDER)
+
+
+#: Crossings (t, chart) ordered by t, compared by cross-multiplication.
+_FLIGHT_ORDER = functools.cmp_to_key(lambda a, b: a[0][0] * b[0][1] - b[0][0] * a[0][1])
 
 
 class TraceScene:
     """What a trace reads of a scene alone, built once and read by every
     trace over it: a table's (``BilliardTable.trace_scene``, on its first
     run_numeric) or a gadget's, per out port (GadgetTracer).  It holds the
-    ``static`` walls, then the ``charts`` the ray passes through, each
-    read once into a _NumericWall with a float box (``boxes``, all held by
-    ``box``, None when there are none), the mirror ``families`` and the
-    ``halts``, each hard checkpoint by its wall's id.  ``built`` counts the
-    distinct static walls; charts count as neither built nor weighed
-    walls."""
+    ``static`` records, the walls, then the ``charts`` the ray passes
+    through, each with a float box (``boxes``, all held by ``box``, None
+    when there are none), the mirror ``families`` and the ``halts``, each
+    hard checkpoint by its wall's id.  ``built`` counts the distinct
+    static walls; charts count as neither built nor weighed walls."""
 
     def __init__(self, static_walls, families, charts=(), halts=None):
         self.families = families     # (_BlockMirrors, frame) pairs
         self.halts = halts or {}     # wall id -> the hard checkpoint's Chart
-        ids = {}
-        self.static = [ids.setdefault(w.wall_id, _NumericWall(w))
-                       for w in static_walls] + [_NumericWall(c) for c in charts]
-        self.built = len(ids)
-        self.boxes = [w.float_box() for w in self.static]
+        self.static = list(static_walls) + list(charts)
+        self.built = len({w.wall_id for w in static_walls})
+        self.boxes = [_float_box(w) for w in self.static]
         self.box = tuple(f(b[i] for b in self.boxes)
                          for i, f in enumerate((min, min, max, max))) if self.boxes else None
 
@@ -306,20 +303,19 @@ class _Walls:
     A leg weighs exactly only the static walls and charts near its float
     ray (``TraceScene.near``).  The leg is then cut at the nearest static
     hit, and each family's one per-leg query, ``walls_in(leg, frame)``,
-    returns the Segments the cut leg may meet, each read as it is into a
-    _NumericWall kept by id in ``mirrors``: the trace's only cache."""
+    returns the Segments the cut leg may meet, weighed as they are; their
+    ids go into ``mirror_ids``, which count the mirrors the trace read."""
 
     def __init__(self, scene):
         self.scene = scene
-        self.mirrors = {}            # wall id -> _NumericWall
+        self.mirror_ids = set()
         self.max_candidates = self.denominator_bits = 0
 
-    def nearest(self, pos, xyw, d, exclude):
-        """The _Nearest of the leg from ``pos``, ``xyw`` in integers, along
-        d, ``exclude`` left out: offered the static walls and charts near
-        its float ray, then the mirrors the leg cut at the nearest static
-        hit may meet.  The float leg runs along d / isqrt(d.d), within the
-        float range."""
+    def nearest(self, xyw, d, exclude):
+        """The _Nearest of the leg from ``xyw`` along d, ``exclude`` left
+        out: offered the static walls and charts near its float ray, then
+        the mirrors the leg cut at the nearest static hit may meet.  The
+        float leg runs along d / isqrt(d.d), within the float range."""
         x, y, w = xyw
         # d / isqrt(d.d) never overflows, and where d.d is a square, as it
         # is on every leg of a trace launched along a unit beam, it is the
@@ -329,7 +325,7 @@ class _Walls:
             fo, fd = (x / w, y / w), (d[0] / scale, d[1] / scale)
         except OverflowError:
             raise TracingError("trajectory left the float range") from None
-        self.denominator_bits = max(self.denominator_bits, xyw[2].bit_length())
+        self.denominator_bits = max(self.denominator_bits, w.bit_length())
         static = self.scene.near(fo, fd)
         found = _Nearest(xyw, d)
         found.offer(static, exclude)
@@ -340,44 +336,42 @@ class _Walls:
             ft = math.inf if t is None else t[0] * scale / t[1]     # correctly rounded
         except OverflowError:     # past the float range
             ft = math.inf
-        leg = Leg(pos, d, t and Fraction(t[0], t[1]), fo + fd + (ft,))
-        level = []
-        for mirrors, frame in self.scene.families:
-            for mirror in mirrors.walls_in(leg, frame):
-                nw = self.mirrors.get(mirror.wall_id)
-                if nw is None:
-                    nw = self.mirrors[mirror.wall_id] = _NumericWall(mirror)
-                level.append(nw)
-        weighed = sum(w.chart is None for w in static) + len(level)
+        leg = Leg(xyw, d, t and t[:2], fo + fd + (ft,))
+        level = [row for mirrors, frame in self.scene.families
+                 for row in mirrors.walls_in(leg, frame)]
+        self.mirror_ids.update([row.wall_id for row in level])
+        weighed = sum(w.kind != "chart" for w in static) + len(level)
         self.max_candidates = max(self.max_candidates, weighed)
         found.offer(level, exclude)
         return found
 
 
-def _trace(walls, pos, direction):
-    """Exact specular ray trace from ``pos`` along ``direction`` over the
-    _Walls ``walls``: the one core behind run_numeric and GadgetTracer.
-    A leg is carried in integers, its origin over one common denominator,
-    and read in floats once (``_Walls.nearest``); the hit that ends it is
-    made a rational point by one gcd, and the reflection there by another.
+def _trace(walls, xyw, direction):
+    """Exact specular ray trace from the point ``xyw``, (x, y) / w, w > 0,
+    along the integer ``direction`` over the _Walls ``walls``: the one
+    core behind run_numeric and GadgetTracer.  A leg is carried in
+    integers, its origin over one common denominator, in lowest terms, and
+    read in floats once (``_Walls.nearest``); the hit that ends it is made
+    an integer point by one gcd, and the reflection there by another.
 
-    Per leg, yields ``("cross", chart, None, u, direction)`` for every
-    forward crossing of a chart's window, in flight order, then ``("hit",
-    wall, point, None, direction)`` for the wall that ends the leg.
+    Per leg, yields ``("cross", chart, None, (U, V), direction)`` for every
+    forward crossing of a chart's window at u = U / V, in flight order,
+    then ``("hit", wall, point, None, direction)`` for the wall that ends
+    the leg, at the point (x, y, w) in lowest terms.
     Raises TracingDegeneracy when two walls are hit at the same t, a hit
     lies on a wall's end or grazes (d.n = 0), and TracingError when the
     ray escapes, leaves the float range or its next hit is irrational.
     """
-    w, x, y = integers(*pos)
-    xyw, direction, last = (x, y, w), integers(*direction)[1:], None
+    g, last = math.gcd(*xyw), None
+    xyw = tuple(v // g for v in xyw)
     while True:
-        found = walls.nearest(pos, xyw, direction, last)
+        found = walls.nearest(xyw, direction, last)
         best_t, wall, second_t = found.result()
         if second_t is not None and not _before(best_t, second_t):
             raise TracingDegeneracy(
                 f"two walls hit at once with {wall.wall_id}: geometry bug")
-        for (_, _, (u, v)), chart in found.crossed():
-            yield "cross", chart.chart, None, Fraction(u, v), direction
+        for (_, _, u), chart in found.crossed():
+            yield "cross", chart, None, u, direction
         if best_t is None:
             raise TracingError("trajectory escaped the scene")
         if best_t[2]:
@@ -386,9 +380,8 @@ def _trace(walls, pos, direction):
         x, y, w = x * m + n * dx * w, y * m + n * dy * w, w * m
         g = math.gcd(x, y, w)
         xyw = x // g, y // g, w // g
-        pos = (Fraction(xyw[0], xyw[2]), Fraction(xyw[1], xyw[2]))
-        yield "hit", wall, pos, None, direction
-        direction = _reflect(direction, wall.normal(xyw))
+        yield "hit", wall, xyw, None, direction
+        direction = _reflect(direction, _normal(wall, xyw))
         if direction is None:
             raise TracingDegeneracy(f"grazing hit on {wall.wall_id}")
         last = wall
@@ -427,10 +420,6 @@ class _Closing:
         self.record = record
 
 
-def _chart_u(point, origin, tangent):
-    return (point[0] - origin[0]) * tangent[0] + (point[1] - origin[1]) * tangent[1]
-
-
 def run_numeric(table, tape, budget, precision=None):
     """Trace the trajectory by exact specular reflection and verify that it
     replays the symbolic event stream, each checkpoint at exactly its
@@ -449,8 +438,8 @@ def run_numeric(table, tape, budget, precision=None):
 
     walls = _Walls(table.trace_scene)
     halts = walls.scene.halts       # a hit on one of these is a halt bounce
-    start_state = table.machine.initial
-    pos = table.checkpoint_point(start_state, expected[0].value)
+    mark0, value = table.stations[table.machine.initial].checkpoint, expected[0].value
+    pos = mark0.point(value.num, 3 ** value.exp)
     direction = (0, 1)
 
     points, idx = [pos], 0
@@ -477,8 +466,9 @@ def run_numeric(table, tape, budget, precision=None):
         if d[0] * mark.tangent[0] + d[1] * mark.tangent[1]:
             fail(f"non-orthogonal crossing of {mark.name}")
         ev = check_event("checkpoint", state=mark.name.split(":", 1)[1])
-        if u != ev.value.as_fraction():
-            fail(f"checkpoint {mark.name} read {u}, not its value {ev.value}")
+        (n, m), value = u, ev.value     # n / m against num / 3^exp
+        if n * 3 ** value.exp != value.num * m:
+            fail(f"checkpoint {mark.name} read {Fraction(n, m)}, not its value {value}")
 
     def flight_over():
         """Budget spent or the head left the range: nothing more to trace."""
@@ -527,8 +517,7 @@ def run_numeric(table, tape, budget, precision=None):
         return hits, hits * whole + sum(item[0] == "hit" for item in record[:rest])
 
     # the trajectory starts on the initial checkpoint
-    mark0 = table.stations[start_state].checkpoint
-    note_crossing(mark0, direction, _chart_u(pos, mark0.origin, mark0.tangent))
+    note_crossing(mark0, direction, mark0.u_at(pos))
     items = _trace(walls, pos, direction)
     period_bounces, tail_hits = None, 0
     if symbolic.period_steps is not None:
@@ -544,11 +533,9 @@ def run_numeric(table, tape, budget, precision=None):
                 points.append(point)
                 mark = halts.get(obj.wall_id)
                 if mark is not None:
-                    # the halt checkpoint, a wall along its tangent:
-                    # an orthogonal bounce ends the run
-                    if d[0] * mark.tangent[0] + d[1] * mark.tangent[1]:
-                        fail("halt hit not orthogonal")
-                    note_crossing(mark, d, _chart_u(point, mark.origin, mark.tangent))
+                    # the halt checkpoint, a wall along its tangent: an
+                    # orthogonal bounce, its crossing, ends the run
+                    note_crossing(mark, d, mark.u_at(point))
                     check_event("halt-bounce")
                     break
                 check_event("reflection", wall_id=obj.wall_id)
@@ -568,7 +555,7 @@ def run_numeric(table, tape, budget, precision=None):
     # a checkpoint per step, the launch's included, each read at its value
     return NumericResult(outcome=symbolic, max_deviation=0.0,
                          deviations=Periodic((), (0.0,), symbolic.steps + 1), points=points,
-                         walls_built=walls.scene.built + len(walls.mirrors),
+                         walls_built=walls.scene.built + len(walls.mirror_ids),
                          max_candidates=walls.max_candidates,
                          denominator_bits=walls.denominator_bits,
                          period_bounces=period_bounces)
@@ -601,9 +588,9 @@ class GadgetTracer:
         pin = g.in_ports[in_port]
         hits = []
         for kind, obj, _point, u_out, _d in _trace(
-                _Walls(scene), pin.chart(u_in.as_fraction()), pin.beam):
+                _Walls(scene), pin.point(u_in.num, 3 ** u_in.exp), pin.beam):
             if kind == "cross":
-                return u_out, hits
+                return Fraction(*u_out), hits
             hits.append(obj.wall_id)
             if len(hits) == _GADGET_MAX_REFLECTIONS:
                 raise TracingError(

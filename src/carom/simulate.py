@@ -20,6 +20,7 @@ loading the tracer.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -204,24 +205,6 @@ def _cycled(trace, period, budget):
                       period_steps=period)
 
 
-def detect_periodicity(outcome):
-    """Periodicity certificate for halted runs: the forward event list
-    plus its reflection-reversed retrace back to the launch chart.
-
-    Non-halting verdicts yield None (the artifact never claims a run is
-    aperiodic, only that no certificate exists within budget).
-    """
-    if outcome.verdict != "halted":
-        return None
-    forward = list(outcome.trace)
-    backward = list(reversed(forward[:-1]))  # bounce is the turning point
-    return {
-        "period_events": len(forward) + len(backward),
-        "forward": forward,
-        "backward": backward,
-    }
-
-
 def replay_reverse(table, outcome):
     """Run a halted trajectory backwards through inverted transfer maps.
 
@@ -264,8 +247,16 @@ class EquivalenceReport:
 
 
 def _diverges(machine, table, tape, budget, outcome):
+    """The first Divergence of ``outcome`` from the machine's run, or None:
+    each crossing against the machine's configuration at its step, then
+    the verdict against ``run_machine``.  A closed orbit is checked up to
+    the crossing of step P = ``period_steps`` alone, the launch pair: as
+    the encoding is injective, the machine is then back at its launch
+    configuration, and it never halts, as the verdict says."""
     conf = ComputationState(frozenset(tape), machine.initial, 0)
-    crossings = outcome.crossings     # a new list on every read
+    period = outcome.period_steps
+    crossings = list(itertools.islice((ev for ev in outcome.trace if ev.kind == "checkpoint"),
+                                      None if period is None else period + 1))
     for i, ev in enumerate(crossings):
         if ev.state != conf.state:
             return Divergence(tape, i, f"state {ev.state} != {conf.state}")
@@ -276,6 +267,8 @@ def _diverges(machine, table, tape, budget, outcome):
             return Divergence(tape, i, "checkpoint chart point mismatch")
         if i < len(crossings) - 1:
             conf = step(machine, conf)
+    if period is not None:
+        return None
     oracle = run_machine(machine, tape, budget)
     if outcome.verdict == "halted":
         if not (oracle.halted and oracle.final.tape == outcome.final_tape

@@ -489,8 +489,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
     for i, q in enumerate(machine.states):
         x = station_x(i)
         halting = machine.is_halting(q)
-        checkpoint = Chart((x, F(0)), (F(1), F(0)), (F(0), F(1)),
-                           name=f"chk:{q}", hard=halting)
+        checkpoint = Chart.of((x, F(0)), (1, 0), (0, 1), name=f"chk:{q}", hard=halting)
         stations[q] = Station(state=q, x=x, checkpoint=checkpoint)
 
     # splits: one per non-halting state, rewriting per its two out-edges
@@ -555,8 +554,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
 
     q0 = machine.initial
     pad_x = stations[q0].x if graph.in_degree(q0) == 0 else stations[q0].x - 4
-    initial_pad = Chart((pad_x, PAD_Y), (F(1), F(0)), (F(0), F(1)),
-                        name="launch", hard=True)
+    initial_pad = Chart.of((pad_x, PAD_Y), (1, 0), (0, 1), name="launch", hard=True)
 
     return BilliardTable(
         machine=machine, K=K, graph=graph, stations=stations,

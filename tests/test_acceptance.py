@@ -35,7 +35,6 @@ from carom.machine import (
 )
 from carom.simulate import (
     GadgetTracer,
-    detect_periodicity,
     replay_reverse,
     run_numeric,
     run_symbolic,
@@ -168,16 +167,15 @@ def test_criterion_5_halting_iff_periodicity():
         table = compile_table(m, 8)
         for tape in enumerate_tapes(range(-2, 3)):
             outcome = run_symbolic(table, tape, 200)
-            cert = detect_periodicity(outcome)
             if outcome.verdict == "halted":
+                # the orbit turns back at its halt bounce and retraces itself
                 halted_seen += 1
-                assert cert is not None
-                assert cert["period_events"] == 2 * len(outcome.trace) - 1
+                assert outcome.periodic and outcome.trace[-1].kind == "halt-bounce"
                 back = replay_reverse(table, outcome)
                 assert back == encode_state(tape, 0).value
             else:
                 other_seen += 1
-                assert cert is None
+                assert not outcome.periodic
     assert halted_seen and other_seen
     # a run that does not halt may still return: pacer's launch recurs
     # after 2 steps, and the numeric orbit closes exactly after 20 bounces

@@ -10,20 +10,30 @@ runs done the long way: the symbolic run one ``Corridor.apply`` per step,
 and the numeric one every leg through ``_trace``.
 """
 
+import dataclasses
 import json
 import random
 import time
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from carom import numeric, simulate
 from carom.cli import main
 from carom.encoding import decode, encode_state
-from carom.machine import parse_machine, parse_tape
+from carom.geometry import integers
+from carom.machine import enumerate_tapes, parse_machine, parse_tape, step
 from carom.numeric import TraceScene, _trace, _Walls
-from carom.simulate import NumericResult, TraceEvent, TraceMismatch, run_numeric, run_symbolic
+from carom.simulate import (
+    NumericResult,
+    TraceEvent,
+    TraceMismatch,
+    run_numeric,
+    run_symbolic,
+    verify_equivalence,
+)
 from carom.table import compile_table
 from carom.ternary import TernaryRational
 from carom.zoo import MACHINE_TEXTS, get_machine
@@ -90,19 +100,20 @@ def _traced(table, outcome):
     values = [ev.value.as_fraction() for ev in outcome.crossings]
     reflections = sum(ev.kind == "reflection" for ev in outcome.trace)
     crossings, ids, points = [], [], [pos]
+    w, x, y = integers(*pos)
     # a run of no steps ends on its launch, before any leg
-    for kind, obj, point, u, _ in _trace(walls, pos, (0, 1)) if outcome.steps else ():
+    for kind, obj, point, u, _ in _trace(walls, (x, y, w), (0, 1)) if outcome.steps else ():
         if kind == "cross":
-            crossings.append(u)
+            crossings.append(Fraction(*u))
         elif len(ids) == reflections:
             break
         else:
             ids.append(obj.wall_id)
-            points.append(point)
+            points.append((Fraction(point[0], point[2]), Fraction(point[1], point[2])))
     return {"crossings": crossings, "ids": ids,
             "points": [(float(x), float(y)) for x, y in points],
             "deviations": [0.0] + [float(abs(u - v)) for u, v in zip(crossings, values[1:])],
-            "walls_built": len({w.wall_id for w in table.static_walls}) + len(walls.mirrors),
+            "walls_built": len({w.wall_id for w in table.static_walls}) + len(walls.mirror_ids),
             "max_candidates": walls.max_candidates,
             "denominator_bits": walls.denominator_bits}
 
@@ -377,3 +388,60 @@ def test_a_tail_short_of_one_event_fails(table, monkeypatch, tmp_path, capsys, d
                  "--mode", "numeric"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal verification failure:") and "(event " in err
+
+
+# --- verify_equivalence on a closed orbit: one period ----------------------
+
+def _stepwise_outcome(out):
+    """``out`` as the per-step path reads it: its trace a list, with no
+    period, so every crossing is checked and the machine is run."""
+    return dataclasses.replace(out, trace=list(out.trace), period_steps=None)
+
+
+@pytest.mark.parametrize("budget", (0, 1, 2, 3, 4, 5, 49, 50, 1000))
+def test_verify_of_a_closed_orbit_reports_what_the_stepwise_path_reports(
+        table, pacer4, monkeypatch, budget):
+    machines = ((table.machine, table), (pacer4.machine, pacer4))
+    tapes = list(enumerate_tapes(range(-1, 2)))
+    closed = [verify_equivalence(m, t, tapes, budget) for m, t in machines]
+    monkeypatch.setattr(simulate, "run_symbolic",
+                        lambda *args: _stepwise_outcome(run_symbolic(*args)))
+    assert closed == [verify_equivalence(m, t, tapes, budget) for m, t in machines]
+    assert all(report.passed for report in closed)
+
+
+def test_verify_of_a_closed_orbit_runs_one_period(table, monkeypatch):
+    # past the period, verify reads P + 1 crossings and never runs the
+    # machine, whatever the budget
+    steps = []
+    monkeypatch.setattr(simulate, "step", lambda m, c: steps.append(c) or step(m, c))
+    monkeypatch.setattr(simulate, "run_machine", None)    # never called
+    report = verify_equivalence(table.machine, table, [parse_tape("@1")], 10 ** 5)
+    assert report.passed and report.verdicts == {"budget-exhausted": 1}
+    assert len(steps) == PERIOD
+
+
+def test_verify_of_a_doctored_return_diverges(pacer4):
+    # B's corridors doctored to lead to A, not C: the billiard is back at
+    # its launch (state, value) after two steps and closes its orbit, but
+    # the machine is in C, and verify reports it at that crossing
+    table = compile_table(parse_machine(PACER4, name="pacer4"), 4)
+    for (state, _), corridor in table.corridors.items():
+        if state == "B":
+            corridor.edge = corridor.edge._replace(target="A")
+    tape = parse_tape("@1")
+    assert run_symbolic(table, tape, 100).period_steps == PERIOD
+    report = verify_equivalence(pacer4.machine, table, [tape], 100)
+    assert not report.passed
+    d = report.first_divergence
+    assert (d.step, d.detail) == (PERIOD, "state A != C")
+
+
+def test_verify_cli_on_closed_orbits_costs_one_period(capsys):
+    # every pacer tape of support 1 closes its orbit: a budget of 10^12
+    # is verified in the time of a period per tape
+    path = Path(__file__).resolve().parent.parent / "demos" / "machines" / "pacer.tm"
+    start = time.perf_counter()
+    assert main(["verify", str(path), "--support", "1", "--budget", str(10 ** 12)]) == 0
+    assert time.perf_counter() - start < 2
+    assert "equivalence verified on 8 tapes" in capsys.readouterr().out

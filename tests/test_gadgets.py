@@ -345,8 +345,8 @@ def test_template_pairs_equal_explicit_formula(rewrite, base_x):
         for wall in rng.sample(walls, 40):
             # a short vertical leg through the wall's midpoint
             x, y = ((a + b) / 2 for a, b in zip(wall.p0, wall.p1))
-            leg = Leg((x, y - Fraction(1, 3 ** 12)), (Fraction(0), Fraction(1)),
-                      Fraction(2, 3 ** 12))
+            leg = Leg.of((x, y - Fraction(1, 3 ** 12)), (Fraction(0), Fraction(1)),
+                         Fraction(2, 3 ** 12))
             got = _values(mirrors.walls_in(leg, frame))
             assert _values([wall])[0] in got
             assert got == _values(by_id[wid] for _, _, wid in got)

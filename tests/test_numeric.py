@@ -21,7 +21,7 @@ from carom.geometry import Chart, ParabolaArc, Segment, integers
 from carom.numeric import (
     _arc_hit,
     _chart_hit,
-    _NumericWall,
+    _normal,
     _reflect,
     _seg_hit,
     TraceScene,
@@ -126,6 +126,12 @@ def _integer_leg(origin, direction):
     return (x, y, w), integers(*direction)[1:]
 
 
+def _rational(point):
+    """The traced point (x, y, w) as the Fractions (x / w, y / w)."""
+    x, y, w = point
+    return Fraction(x, w), Fraction(y, w)
+
+
 def _t(got):
     """The exact t of an integer hit test's rational answer."""
     return Fraction(got[0], got[1])
@@ -150,11 +156,11 @@ def _hit_point(xyw, d, t):
 
 
 def _check_reflection(wall, xyw, d, t, oracle_normal):
-    """The integer reflection at the hit ``t`` on the _NumericWall ``wall``
+    """The integer reflection at the hit ``t`` on the wall record ``wall``
     is a positive multiple of the oracle's, or both graze."""
     point = _hit_point(xyw, d, t)
     w, x, y = integers(*point)
-    got = _reflect(d, wall.normal((x, y, w)))
+    got = _reflect(d, _normal(wall, (x, y, w)))
     want = _oracle_reflect(d, oracle_normal(point))
     if got is None:
         assert want == tuple(d)     # a graze leaves d as it is
@@ -175,7 +181,7 @@ def test_arc_hit_with_a_tiny_x_component_matches_the_oracle():
     exact = _oracle_arc_hit(bowl, origin, direction)
     assert _within(exact, (1.0625, 1e-15))
     xyw, d = _integer_leg(origin, direction)
-    got = _arc_hit(_NumericWall(bowl).data, xyw, d)
+    got = _arc_hit(bowl, xyw, d)
     assert _same(got, _oracle_arc_hit(bowl, origin, d))
 
 
@@ -211,9 +217,9 @@ def _check_integer_seg_hit(p0, p1, origin, d):
     direction, or None, once the integer segment test is checked to give
     that t, a corner flag that says whether the hit is an end, and the
     oracle's reflection there."""
-    wall = _NumericWall(Segment.of(p0, p1, "s"))
+    wall = Segment.of(p0, p1, "s")
     xyw, di = _integer_leg(origin, d)
-    got, want = _seg_hit(wall.data, xyw, di), _oracle_seg_hit((p0, p1), origin, di)
+    got, want = _seg_hit(wall, xyw, di), _oracle_seg_hit((p0, p1), origin, di)
     assert _same(got, want), (p0, p1, origin, d)
     if got is not None:
         assert got[2] == (_hit_point(xyw, di, want) in (p0, p1))
@@ -270,9 +276,9 @@ def _arc_sweep(rng, tangential):
         d = _tilted(rng)
     back = _q(rng, 0.01, 5)
     origin = (end[0] - back * d[0], end[1] - back * d[1])
-    wall = _NumericWall(arc)
+    wall = arc
     xyw, di = _integer_leg(origin, d)
-    got, want = _arc_hit(wall.data, xyw, di), _oracle_arc_hit(arc, origin, di)
+    got, want = _arc_hit(wall, xyw, di), _oracle_arc_hit(arc, origin, di)
     assert _same(got, want), arc
     if got is not None:
         assert got[2] == (_hit_point(xyw, di, want)[0] in (x_lo, x_hi))
@@ -295,8 +301,8 @@ def test_chart_crossings_match_the_oracle():
     for _ in range(2_000):
         tangent, beam = rng.choice(FRAMES)
         lo = _q(rng, -3, 3)
-        chart = Chart((_q(rng, -60, 60), _q(rng, -60, 60)), tangent, beam,
-                      lo, lo + _q(rng, 0.1, 3), "chart")
+        chart = Chart.of((_q(rng, -60, 60), _q(rng, -60, 60)), tangent, beam,
+                         lo, lo + _q(rng, 0.1, 3), "chart")
         end = rng.random() < 0.5
         u = (rng.choice((chart.lo - Fraction(1, 2), chart.hi + Fraction(1, 2))) if end
              else _q(rng, -5, 5))
@@ -304,7 +310,7 @@ def test_chart_crossings_match_the_oracle():
         at = chart.chart(u)
         origin = (at[0] - back * d[0], at[1] - back * d[1])
         xyw, di = _integer_leg(origin, d)
-        got = _chart_hit(_NumericWall(chart).data, xyw, di)
+        got = _chart_hit(chart, xyw, di)
         want = _oracle_chart_hit(chart, origin, di)
         assert (got is None) == (want is None), (chart, origin, d)
         if got is not None:
@@ -330,7 +336,7 @@ def test_arc_hits_through_an_end_match_the_oracle():
 
 def _first_hit(walls, pos, direction):
     """The wall the trace from ``pos`` along ``direction`` hits first."""
-    kind, wall, *_ = next(_trace(_Walls(TraceScene(walls, ())), pos, direction))
+    kind, wall, *_ = next(_trace(_Walls(TraceScene(walls, ())), *_integer_leg(pos, direction)))
     assert kind == "hit"
     return wall.wall_id
 
@@ -343,7 +349,7 @@ def test_a_spurious_near_hit_does_not_hide_the_far_wall():
     near = Segment.of((F(1), F(1, 10 ** 20)), (F(1), F(1)), "near")
     far = Segment.of((F(3), F(-1)), (F(3), F(1)), "far")
     origin, direction = (F(0), F(0)), (F(1), F(0))
-    assert _seg_hit(_NumericWall(near).data, *_integer_leg(origin, direction)) is None
+    assert _seg_hit(near, *_integer_leg(origin, direction)) is None
     assert _first_hit([near, far], origin, direction) == "far"
 
 
@@ -364,7 +370,7 @@ def test_a_far_float_t_does_not_shut_out_the_nearest_wall():
     b = Segment.of((c[0] - perp[0] / 1000, c[1] - perp[1] / 1000),
                    (c[0] + perp[0] / 1000, c[1] + perp[1] / 1000), "B")
     xyw, di = _integer_leg(o, d)
-    t, wall, _ = _Walls(TraceScene([a, b], ())).nearest(o, xyw, di, None).result()
+    t, wall, _ = _Walls(TraceScene([a, b], ())).nearest(xyw, di, None).result()
     # di is d times di[0] / d[0]
     assert wall.wall_id == "A" and _t(t) * di[0] / d[0] == t0
 
@@ -391,11 +397,13 @@ def test_a_hit_on_a_wall_end_is_degenerate():
         _first_hit([bowl], (F(1), F(-1)), (F(0), F(1)))
     # a chart's window keeps both ends: the ray crosses the chart below
     # exactly at u = hi + 1/2, then hits the post inside it
-    chart = Chart((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), F(0), F(1), "chart")
+    chart = Chart.of((F(0), F(0)), (1, 0), (0, 1), F(0), F(1), "chart")
     post = Segment.of((F(-5), F(2)), (F(5), F(2)), "post")
-    cross, hit = islice(_trace(_Walls(TraceScene([post], (), [chart])), (F(3, 2), F(-1)), (F(0), F(1))), 2)
-    assert cross[:2] == ("cross", chart) and cross[3] == F(3, 2)
-    assert hit[:3] == ("hit", hit[1], (F(3, 2), F(2))) and hit[1].wall_id == "post"
+    cross, hit = islice(_trace(_Walls(TraceScene([post], (), [chart])),
+                               *_integer_leg((F(3, 2), F(-1)), (F(0), F(1)))), 2)
+    assert cross[:2] == ("cross", chart) and F(*cross[3]) == F(3, 2)
+    assert hit[:2] == ("hit", hit[1]) and hit[1].wall_id == "post"
+    assert _rational(hit[2]) == (F(3, 2), F(2))
 
 
 def test_a_graze_is_degenerate():
@@ -403,7 +411,7 @@ def test_a_graze_is_degenerate():
     F = Fraction
     bowl = ParabolaArc.of(F(0), F(0), F(1), 1, F(-1), F(1), "bowl")
     with pytest.raises(TracingDegeneracy, match="grazing hit on bowl"):
-        for _ in _trace(_Walls(TraceScene([bowl], ())), (F(-2), F(0)), (F(1), F(0))):
+        for _ in _trace(_Walls(TraceScene([bowl], ())), *_integer_leg((F(-2), F(0)), (1, 0))):
             pass
 
 
@@ -416,8 +424,8 @@ def test_a_direction_past_the_float_range_is_read_to_scale():
         float(big)
     right = Segment.of((F(1), F(-1)), (F(1), F(1)), "right")
     left = Segment.of((F(-1), F(-1)), (F(-1), F(1)), "left")
-    hits = list(islice(_trace(_Walls(TraceScene([right, left], ())), (F(0), F(0)), (F(big), F(1))), 3))
-    assert [(kind, wall.wall_id, point) for kind, wall, point, _, _ in hits] == [
+    hits = list(islice(_trace(_Walls(TraceScene([right, left], ())), (0, 0, 1), (big, 1)), 3))
+    assert [(kind, wall.wall_id, _rational(point)) for kind, wall, point, _, _ in hits] == [
         ("hit", "right", (F(1), F(1, big))), ("hit", "left", (F(-1), F(3, big))),
         ("hit", "right", (F(1), F(5, big)))]
     assert [d for *_, d in hits] == [(big, 1), (-big, 1), (big, 1)]
@@ -429,11 +437,12 @@ def test_a_position_past_the_float_range_fails_the_trace():
     F = Fraction
     post = Segment.of((F(1), F(-1)), (F(1), F(1)), "post")
     with pytest.raises(TracingError, match="left the float range"):
-        next(_trace(_Walls(TraceScene([post], ())), (F(-(10 ** 400)), F(0)), (F(1), F(0))))
+        next(_trace(_Walls(TraceScene([post], ())), (-(10 ** 400), 0, 1), (1, 0)))
     # a hit whose t no double holds, 1.9e308 away, is still found
     far = Segment.of((F(9 * 10 ** 307), F(-1)), (F(9 * 10 ** 307), F(1)), "far")
-    kind, wall, point, _, _ = next(_trace(_Walls(TraceScene([far], ())), (F(-(10 ** 308)), F(0)), (1, 0)))
-    assert (kind, wall.wall_id, point) == ("hit", "far", (F(9 * 10 ** 307), F(0)))
+    kind, wall, point, _, _ = next(_trace(_Walls(TraceScene([far], ())), (-(10 ** 308), 0, 1),
+                                          (1, 0)))
+    assert (kind, wall.wall_id, _rational(point)) == ("hit", "far", (F(9 * 10 ** 307), F(0)))
 
 
 #: The bowl y = x^2 / 4 over [-1, 1] and the ray (1/2, 0) + t (1, 1): they
@@ -451,7 +460,7 @@ def _post(t):
 
 def test_an_irrational_root_is_compared_exactly():
     # the root is 3/2 - sqrt(2), (a + b sqrt(D)) / m in integers
-    a, b, big_d, m = _arc_hit(_NumericWall(IRRATIONAL_BOWL).data, *_integer_leg(*RAY))
+    a, b, big_d, m = _arc_hit(IRRATIONAL_BOWL, *_integer_leg(*RAY))
     assert Fraction(a, m) == Fraction(3, 2) and b < 0 and Fraction(b * b * big_d, m * m) == 2
     root = _oracle_arc_hit(IRRATIONAL_BOWL, *RAY)
     assert (root.a, root.b ** 2 * root.d) == (Fraction(3, 2), 2) and root.b < 0

@@ -13,7 +13,6 @@ from carom.simulate import (
     TraceMismatch,
     TracingDegeneracy,
     TracingError,
-    detect_periodicity,
     replay_reverse,
     run_numeric,
     run_symbolic,
@@ -102,15 +101,13 @@ def test_counter_increments():
 
 
 def test_periodicity_certificate():
+    # a halted run ends on its halt bounce, which makes its orbit periodic;
+    # an exhausted one claims no periodicity
     table = compile_table(get_machine("rev-move"), 4)
     halted = run_symbolic(table, parse_tape("{2:1}"), 10)
-    cert = detect_periodicity(halted)
-    assert cert is not None
-    # forward flight plus its retrace (the bounce is the turning point)
-    assert cert["period_events"] == 2 * len(halted.trace) - 1
-    assert cert["forward"][-1].kind == "halt-bounce"
+    assert halted.periodic and halted.trace[-1].kind == "halt-bounce"
     exhausted = run_symbolic(table, frozenset(), 2)
-    assert detect_periodicity(exhausted) is None
+    assert exhausted.verdict == "budget-exhausted" and not exhausted.periodic
 
 
 def test_reverse_replay_returns_to_launch():
@@ -281,7 +278,7 @@ def test_gadget_tracer_lands_a_beam_below_float_resolution():
     from carom.geometry import Leg
     x = T(3 ** 33 - 2 * 3 ** 22 + 1, 33)    # 1 - 2/3^11 + 1/3^33, in I_10's first block
     split = build_split_gadget(12)
-    beam = Leg((x.as_fraction(), Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
+    beam = Leg.of((x.as_fraction(), Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
     row, = split.mirrors[0].walls_in(beam, split.mirrors[1])
     assert ":k10:" in row.wall_id
     assert row.p0[1] != row.p1[1] and float(row.p0[1]) == float(row.p1[1])
@@ -312,8 +309,8 @@ def test_trace_without_static_walls():
     walls = _Walls(TraceScene(split.static_walls, (split.mirrors,)))
     assert walls.scene.static == [] and walls.scene.box is None
     x = encode_state(frozenset(), 0).value.as_fraction()
-    pos, xyw = (x, Fraction(0)), (x.numerator, 0, x.denominator)
-    t, wall, second = walls.nearest(pos, xyw, (0, 1), None).result()
+    xyw = (x.numerator, 0, x.denominator)
+    t, wall, second = walls.nearest(xyw, (0, 1), None).result()
     assert walls.max_candidates == 1 and wall.wall_id.endswith(":W") and second is None
 
 

@@ -301,10 +301,10 @@ def test_layout_rejects_mirror_across_its_neighbour(monkeypatch):
         record = template(k, digit_pos, read_s, write_s)
         if (k, digit_pos, read_s) != (0, 1, 0):
             return record
-        den, step, ((x0, y0, _, _), back), *_ = record
+        (den, step, x0, y0, _, _), back = record.walls
         # a primary's midpoint is its block's (centre, band height), whatever
         # the slope, so the read-only read-1 pair has the neighbour's
-        other_den, _, ((u0, v0, u1, v1), _), *_ = template(k, digit_pos, 1, 1)
+        (other_den, _, u0, v0, u1, v1), _ = template(k, digit_pos, 1, 1).walls
         end_x = Fraction(x0, den) + Fraction(9, 8) * (Fraction(u0 + u1, 2 * other_den)
                                                       - Fraction(x0, den))
         end_y = Fraction(y0, den) + Fraction(9, 8) * (Fraction(v0 + v1, 2 * other_den)
@@ -312,8 +312,8 @@ def test_layout_rejects_mirror_across_its_neighbour(monkeypatch):
         d = math.lcm(den, end_x.denominator, end_y.denominator)
         m = d // den
         # the layout check reads the walls only, not the boxes of the query
-        return record._replace(den=d, step=step * m, walls=(
-            (x0 * m, y0 * m, int(end_x * d), int(end_y * d)), tuple(v * m for v in back)))
+        return record._replace(walls=(
+            (d, step * m, x0 * m, y0 * m, int(end_x * d), int(end_y * d)), back))
 
     monkeypatch.setattr(gadgets, "_pair_template", stretched)
     table = compile_table(get_machine("rev-move"), 2)

@@ -18,6 +18,7 @@ import bisect
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -29,7 +30,8 @@ from carom.gadgets import (
 )
 from carom.geometry import Leg, ParabolaArc, Segment, integers, segments_intersect
 from carom.machine import parse_machine, parse_tape
-from carom.numeric import TraceScene, _Nearest, _NumericWall, _Walls
+from carom import numeric
+from carom.numeric import TraceScene, _Nearest, _Walls
 from carom.simulate import run_numeric
 from carom.table import compile_table
 from carom.zoo import MACHINE_TEXTS, get_machine
@@ -42,6 +44,16 @@ RAY_LENGTH = 10_000   # beyond every scene here: a ray checked as a segment
 TOGGLER = parse_machine(
     "states: A B H\ninitial: A\nhalting: H\n"
     "A 0 -> B 1 R\nA 1 -> B 0 R\nB 0 -> H 0 R\nB 1 -> H 1 R\n", name="toggler")
+
+
+class _Ray(NamedTuple):
+    """A leg in Fractions, as the oracles here read it: origin + t *
+    direction for 0 <= t <= t_max, or the whole ray when t_max is None.
+    The query reads it as the integer Leg ``Leg.of(*ray)``."""
+
+    origin: tuple
+    direction: tuple
+    t_max: Fraction | None = None
 
 
 def _split():
@@ -82,7 +94,7 @@ def _listing(source, query):
 def _walls_in(source, leg):
     """The static walls and the mirrors ``walls_in`` returns for the leg,
     in ``_full`` order."""
-    return _listing(source, lambda mirrors, frame: mirrors.walls_in(leg, frame))
+    return _listing(source, lambda mirrors, frame: mirrors.walls_in(Leg.of(*leg), frame))
 
 
 def _segment(leg):
@@ -140,7 +152,7 @@ def _seeded_legs(full, rng, count):
         back = q(rng.uniform(0.01, 5))
         origin = (target[0] - back * d[0], target[1] - back * d[1])
         t_max = back * q(rng.uniform(0.5, 2)) if rng.random() < 0.7 else None
-        legs.append(Leg(origin, d, t_max))
+        legs.append(_Ray(origin, d, t_max))
     return legs
 
 
@@ -152,7 +164,7 @@ def _trace_legs(table, tapes):
         points = run_numeric(table, parse_tape(literal), 30).points
         for a, b in zip(points, points[1:]):
             a, b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
-            legs.append(Leg(a, (b[0] - a[0], b[1] - a[1]), Fraction(1)))
+            legs.append(_Ray(a, (b[0] - a[0], b[1] - a[1]), Fraction(1)))
     return legs
 
 
@@ -199,7 +211,7 @@ def test_scene_entries_list_the_scene(name):
         not isinstance(e, (Segment, ParabolaArc)) for e in table.scene) > 0
     for leg in _seeded_legs(full, random.Random(5), 60):
         assert not static & {row[5] for mirrors, frame in table.mirror_families
-                             for row in mirrors.walls_in(leg, frame)}
+                             for row in mirrors.walls_in(Leg.of(*leg), frame)}
 
 
 def test_query_is_narrow():
@@ -209,7 +221,7 @@ def test_query_is_narrow():
     for k in (1, 10, 12):
         # inside the first block of I_k, of length 3^-(3k+2)
         x = head_interval(k).lo.as_fraction() + Fraction(1, 3 ** (3 * k + 3))
-        got = _walls_in(split, Leg((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11)))
+        got = _walls_in(split, _Ray((x, Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11)))
         assert [w.wall_id.endswith(":W") for w in got] == [True], k
 
 
@@ -227,7 +239,7 @@ def _extent(leg, i):
 def _mirrored(leg, axis):
     """The leg reflected across the horizontal line y = axis."""
     (x, y), (dx, dy) = leg.origin, leg.direction
-    return Leg((x, 2 * axis - y), (dx, -dy), leg.t_max)
+    return _Ray((x, 2 * axis - y), (dx, -dy), leg.t_max)
 
 
 def _exact_window(leg, box, lo, hi):
@@ -286,7 +298,7 @@ def _dyadic_legs(walls, rng, count):
         back = Fraction(rng.uniform(0, 3) * rng.choice((1, 1e-3, 1e-6)))
         origin = tuple(Fraction(float(t - back * v)) for t, v in zip(target, d))
         t_max = back * Fraction(rng.uniform(0.5, 2)) if rng.random() < 0.7 else None
-        legs.append(Leg(origin, d, t_max))
+        legs.append(_Ray(origin, d, t_max))
     return legs
 
 
@@ -310,7 +322,7 @@ def _edge_legs(mirrors, frame, levels, rng, count):
         else:
             end = (cx - Fraction(rx, den), oy + sy * cy)
             d = (Fraction(1), Fraction(0))
-        legs.append(Leg((end[0] - d[0], end[1] - d[1]), d, Fraction(1)))
+        legs.append(_Ray((end[0] - d[0], end[1] - d[1]), d, Fraction(1)))
     return legs
 
 
@@ -339,7 +351,7 @@ def test_window_blocks_equal_exact_oracle(build):
     met = 0
     for leg in legs:
         got = {}
-        for lv, s, w, _, bits in mirrors._blocks(leg, frame):
+        for lv, s, w, _, bits in mirrors._blocks(Leg.of(*leg), frame):
             got.setdefault((lv.k, s, w), []).append(bits)
         # the oracle reads the leg in the split's frame, as the merge's walls
         # are the split's mirrored across y = 5
@@ -382,21 +394,21 @@ def _exact_t(t):
     return None if t is None else Fraction(t[0], t[1])
 
 
-def _full_pass(walls, pos, xyw, direction, exclude, full_rows):
+def _full_pass(walls, xyw, direction, exclude, full_rows):
     """The _Nearest of the leg with every position filter left out: every
     static wall and chart weighed exactly, then each family's mirrors,
     its full ``rows(mirrors.levels, frame)`` when ``full_rows`` is given
-    (one list of _NumericWalls for all the families), else those
-    ``walls_in`` returns for the whole exact ray, uncut."""
+    (one list of rows for all the families), else those ``walls_in``
+    returns for the whole exact ray, uncut."""
     found = _Nearest(xyw, direction)
     found.offer(walls.scene.static, exclude)
     if full_rows is None:
-        rows = [walls.mirrors.get(row.wall_id) or _NumericWall(row)
-                for mirrors, frame in walls.scene.families
-                for row in mirrors.walls_in(Leg(pos, direction), frame)]
+        ray = Leg(xyw, direction, None, sum(_leg_floats(xyw, direction), (math.inf,)))
+        rows = [row for mirrors, frame in walls.scene.families
+                for row in mirrors.walls_in(ray, frame)]
     else:
         rows = full_rows
-    # the wall the leg leaves by its id: a full row is a _NumericWall of its own
+    # the wall the leg leaves, by its id
     gone = None if exclude is None else exclude.wall_id
     found.offer([w for w in rows if w.wall_id != gone], None)
     return found
@@ -462,31 +474,31 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
             "parallel_charts_left_out": 0}
     nearest, full_rows, full_levels = _Walls.nearest, {}, False
 
-    def checked_nearest(walls, pos, xyw, direction, exclude):
-        found = nearest(walls, pos, xyw, direction, exclude)
+    def checked_nearest(walls, xyw, direction, exclude):
+        found = nearest(walls, xyw, direction, exclude)
         if walls not in full_rows:
             full_rows[walls] = [
-                _NumericWall(row) for mirrors, frame in walls.scene.families
+                row for mirrors, frame in walls.scene.families
                 for row in mirrors.rows(mirrors.levels, frame)] if full_levels else None
-        full = _full_pass(walls, pos, xyw, direction, exclude, full_rows[walls])
+        full = _full_pass(walls, xyw, direction, exclude, full_rows[walls])
         assert ((_exact_t(found.t), found.wall and found.wall.wall_id)
                 == (_exact_t(full.t), full.wall and full.wall.wall_id))
         if _exact_t(found.second) != _exact_t(full.second):
             # the full pass's runner-up is a mirror past the nearest static
             # hit, where the leg is cut: it ties nothing
-            cut = _full_pass(walls, pos, xyw, direction, exclude, []).t
+            cut = _full_pass(walls, xyw, direction, exclude, []).t
             assert cut is not None and _exact_t(full.second) > _exact_t(cut)
             assert found.second is None or _exact_t(found.second) > _exact_t(full.second)
         assert ([w.wall_id for _, w in found.irrational]
                 == [w.wall_id for _, w in full.irrational])
-        assert ([(_exact_t(t), w.chart) for t, w in found.crossed()]
-                == [(_exact_t(t), w.chart) for t, w in full.crossed()])
+        assert ([(_exact_t(t), w) for t, w in found.crossed()]
+                == [(_exact_t(t), w) for t, w in full.crossed()])
         fo, fd = _leg_floats(xyw, direction)
         seen["legs"] += 1
         seen["static_left_out"] += len(walls.scene.static) - len(walls.scene.near(fo, fd))
         seen["families_left_out"] += sum(mirrors.local_leg(fo + fd + (math.inf,), frame) is None
                                          for mirrors, frame in walls.scene.families)
-        lines = [_float_line(w.chart) for w in walls.scene.static if w.chart is not None]
+        lines = [_float_line(w) for w in walls.scene.static if w.kind == "chart"]
         seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for fline in lines)
         seen["parallel_charts_left_out"] += sum(
             _parallel_and_clear(fline, fo, fd, _exact_t(full.t)) for fline in lines)
@@ -511,14 +523,14 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
-def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision():
+def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision(monkeypatch):
     table = _table()
     chart = table.stations["A"].checkpoint
     walls = _Walls(TraceScene((), (), (chart,)))
     # count the chart's exact weighings
-    wall, = walls.scene.static
-    weighings, exact_hit = [], wall.hit
-    wall.hit = lambda *args: weighings.append(args) or exact_hit(*args)
+    weighings, exact_hit = [], numeric._HITS["chart"]
+    monkeypatch.setitem(numeric._HITS, "chart",
+                        lambda *args: weighings.append(args) or exact_hit(*args))
     co, ct, cb = chart.origin, chart.tangent, chart.beam
     # legs along the line's tangent, from the line or a distance before or
     # past it along the beam, tilted towards the beam by ``tilt``: parallel
@@ -527,11 +539,11 @@ def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision():
     for offset, tilt, weighed, crossed in ((0, 0, True, 0), (-1, 0, False, 0),
                                            (1, 0, False, 0),
                                            (Fraction(-1, 10 ** 9), Fraction(1, 10 ** 8), True, 1)):
-        pos = tuple(o + t / 2 + offset * b for o, t, b in zip(co, ct, cb))
+        pos = tuple(o + Fraction(t, 2) + offset * b for o, t, b in zip(co, ct, cb))
         den, x, y = integers(*pos)
         direction = integers(*(t + tilt * b for t, b in zip(ct, cb)))[1:]
         weighings.clear()
-        got = walls.nearest(pos, (x, y, den), direction, None).crossed()
-        assert [(_exact_t(t), w.chart) for t, w in got] == _unfiltered_crossings(
+        got = walls.nearest((x, y, den), direction, None).crossed()
+        assert [(_exact_t(t), w) for t, w in got] == _unfiltered_crossings(
             [chart], pos, direction, None)
         assert len(got) == crossed and bool(weighings) == weighed, offset

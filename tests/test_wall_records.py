@@ -1,14 +1,16 @@
-"""Walls as integer records: ``Segment`` and ``ParabolaArc``.
+"""Walls and charts as integer records: ``Segment``, ``ParabolaArc`` and
+``Chart``.
 
 Every wall of each fixture table's scene, and each gadget's static walls,
-is rebuilt by its ``of`` constructor from its ``Fraction`` views, and read
-by the tracer (``_NumericWall``) into the data the tracer read before walls
-were records: a static wall's Fractions over their least common
-denominator (``_integers``, kept here as the oracle), a mirror row as it
-is.  Its float box, which the tracer's position filter reads, is built
-from its ends and heights in floats, every float as ``float(Fraction)``,
-widened by 1e-9 (1 + |v|) on each side.  A mirror row need not be in
-lowest terms; ``of`` rebuilds it in lowest terms.
+is rebuilt by its ``of`` constructor from its ``Fraction`` views, and is
+the data the tracer read before walls were records: a static wall's
+Fractions over their least common denominator (``_integers``, kept here as
+the oracle), a mirror row as it is.  Its float box, which the tracer's
+position filter reads (``_float_box``), is built from its ends and heights
+in floats, every float as ``float(Fraction)``, widened by 1e-9 (1 + |v|)
+on each side.  Every mirror row is in lowest terms, so ``of`` rebuilds it
+as it is.  A chart is rebuilt by ``Chart.of`` from its views, and its
+points and wall are those its views make.
 """
 
 import math
@@ -17,8 +19,8 @@ from fractions import Fraction
 import pytest
 
 from carom.gadgets import _REGIMES, build_shift_stage, build_turn_gadget
-from carom.geometry import ParabolaArc, Segment
-from carom.numeric import _NumericWall
+from carom.geometry import Chart, ParabolaArc, Segment
+from carom.numeric import _float_box
 from carom.table import compile_table
 from carom.zoo import fixture_machines
 
@@ -64,8 +66,8 @@ def _segment_box(p0, p1):
 
 
 def _oracle(wall):
-    """(data, float box) of the wall as _NumericWall reads them from
-    Fraction walls and integer mirror rows."""
+    """(data, float box) of the wall as the tracer read them from Fraction
+    walls and integer mirror rows."""
     if wall.kind == "segment":
         (x0, y0), (x1, y1) = wall.p0, wall.p1
         data = tuple(wall) if _is_mirror(wall) else _integers(x0, y0, x1, y1) + (wall.wall_id,)
@@ -94,9 +96,7 @@ def _check(walls):
             assert rebuilt == _lowest(wall), wall.wall_id
         else:
             assert rebuilt == wall, wall.wall_id
-        nw = _NumericWall(wall)
-        assert (nw.data, nw.float_box()) == _oracle(wall), wall.wall_id
-        assert nw.data is wall and nw.wall_id == wall.wall_id
+        assert (wall, _float_box(wall)) == _oracle(wall), wall.wall_id
 
 
 @pytest.mark.parametrize("K", [2, 8])
@@ -109,7 +109,7 @@ def test_scene_records_rebuild_from_their_views(name, K):
     # the charts the tracer passes through, read in integers alike
     for chart in table.marked_segments():
         ends = (chart.chart(chart.lo - F(1, 2)), chart.chart(chart.hi + F(1, 2)))
-        assert _NumericWall(chart).float_box() == _segment_box(*ends), chart.name
+        assert _float_box(chart) == _segment_box(*ends), chart.name
 
 
 def test_gadget_records_rebuild_from_their_views():
@@ -148,3 +148,50 @@ def test_degenerate_arcs_are_refused(args):
 def test_zero_length_segment_is_refused():
     with pytest.raises(ValueError, match="degenerate segment bad"):
         Segment.of((F(1, 3), F(2)), (F(2, 6), F(2)), "bad")
+
+
+@pytest.mark.parametrize("name", sorted(fixture_machines()))
+def test_mirror_rows_are_in_lowest_terms(name):
+    # each wall of a template pair has its own den, the lcm of the step's
+    # denominator and its own: no row of levels |k| <= 4 carries a spare
+    # factor in its den and all four numerators
+    table = compile_table(fixture_machines()[name], 8)
+    rows = [w for w in table.scene_walls(range(-4, 5)) if _is_mirror(w)]
+    assert rows
+    for row in rows:
+        assert math.gcd(*row[:5]) == 1, row
+
+
+def _charts():
+    """Every chart of the fixture tables at K=2 and the gadgets' ports."""
+    charts = []
+    for machine in fixture_machines().values():
+        table = compile_table(machine, 2)
+        charts += table.marked_segments()
+        for corridor in table.corridors.values():
+            for g in (corridor.split, corridor.stage, corridor.merge):
+                if g is not None:
+                    charts += list(g.in_ports.values()) + list(g.out_ports.values())
+    for turn in (90, -90):
+        g = build_turn_gadget(turn, window=(F(-1, 3), F(13, 9)))
+        charts += list(g.in_ports.values()) + list(g.out_ports.values())
+    return charts
+
+
+def test_chart_records_rebuild_from_their_views():
+    # a chart is its views over their least common denominator, its
+    # points are origin + u * tangent in Fractions and in integers, and a
+    # hard chart's wall is the segment over its window
+    for chart in _charts():
+        assert Chart.of(chart.origin, chart.tangent, chart.beam, chart.lo, chart.hi,
+                        chart.name, chart.hard) == chart
+        assert chart[:5] == _integers(*chart.origin, chart.lo, chart.hi)
+        for u in (chart.lo, chart.hi, F(1, 3 ** 7), F(-5, 2)):
+            want = tuple(o + u * t for o, t in zip(chart.origin, chart.tangent))
+            assert chart.chart(u) == want, chart
+            x, y, w = chart.point(u.numerator, u.denominator)
+            assert (F(x, w), F(y, w)) == want and w == chart.den * u.denominator
+            assert F(*chart.u_at((x, y, w))) == u
+        wall = chart.wall
+        assert _lowest(wall) == Segment.of(chart.chart(chart.lo), chart.chart(chart.hi),
+                                           f"wall:{chart.name}")
