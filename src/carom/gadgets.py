@@ -35,7 +35,6 @@ walls (numeric.run_numeric) certifies that the geometry implements them.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -123,8 +122,9 @@ class Gadget:
     the per-head-level Cantor-block mirrors of split and merge gadgets,
     2**(2k)-ish per level: ``mirrors``, a (_BlockMirrors, frame) pair,
     the frame (oy, sy) placing them at y -> oy + sy*y.  Every wall is a
-    Segment or ParabolaArc record.  A tracer reads ``static_walls`` once
-    and asks the family ``walls_in(leg, frame)`` per leg, as for a table.
+    Segment or ParabolaArc record.  A tracer files ``static_walls`` and
+    the family's level regions in one index, once, and asks the family
+    only for the blocks of the regions a leg walks into, as for a table.
     """
 
     kind: str
@@ -239,31 +239,21 @@ def _block_walls(name, blk, write_s, base_x):
     return primary, returning
 
 
-#: The centre lines (base_x + dx + c, 1 + 8c) that the level boxes hug,
-#: each with the (symbol, wall) boxes it stands for: every primary mirror
-#: sits over its block, every return mirror two units to its branch side.
-_LINES = ((0, ((0, 0), (1, 0))), (int(SIGMA[0]), ((0, 1),)), (int(SIGMA[1]), ((1, 1),)))
-
-
 class _Template(NamedTuple):
     """The mirror pairs of one level and symbol, in integers at base_x = 0,
-    and what a family's positional query reads off them in floats (see
+    and the float regions a tracer's index files them by (see
     _pair_template)."""
 
     walls: tuple       # (den, step, x0, y0, x1, y1) per wall of the pair over block 0
     boxes: tuple       # (2den, 2step, x, y, rx, ry) per wall, over one den
-    centre: int        # block 0's centre, over 2den
-    flo: float         # the hull I_k, rounded outward
-    fhi: float
-    reach: tuple       # per line of _LINES: float bound on box offset + radius
-    region: tuple      # (x_lo, x_hi, y_lo, y_hi), a float box around every wall
+    regions: tuple     # (x0, y0, x1, y1) per wall: the box around it over every block
 
 
 # one entry per (k, digit_pos, read_s, write_s) with |k| <= K_max: bounded
 @functools.lru_cache(maxsize=None)
 def _pair_template(k, digit_pos, read_s, write_s):
     """The one description of a level's mirror pairs, which the wall
-    listing, the positional query and its float reach all read: the pair
+    listing, the positional query and a tracer's index all read: the pair
     over block F = 0 of ``cantor_walk`` at base_x = 0, in integers.
 
     In _block_walls a pair depends on its block only through the centre c:
@@ -275,10 +265,10 @@ def _pair_template(k, digit_pos, read_s, write_s):
     is in lowest terms; and it lies in the box (x + F*2step +- rx, y +
     8*F*2step +- ry) / 2den for (2den, 2step, x, y, rx, ry) in boxes.
 
-    So the floats a family's query reads are the key's too, at base_x = 0
-    (_BlockMirrors._level_data): the hull I_k from its closed form
-    (_hull), rounded outward; per line of _LINES, the reach of this
-    symbol's walls on it (0 where it has none); and a box around them."""
+    The blocks' indices F run from 0 to 3^(digit_pos - 1) - 1, so each
+    wall's boxes over every block lie in one region, from block 0's box to
+    the last block's: its corners, each a quotient of integers, correctly
+    rounded to floats."""
     first, = cantor_walk(k, digit_pos, read_s, (0, 0))
     # block F + 1's centre lies three block lengths right of block F's
     step = 3 * first.length.as_fraction()
@@ -288,22 +278,11 @@ def _pair_template(k, digit_pos, read_s, write_s):
     den = math.lcm(*(w[0] for w in walls))
     boxes = tuple((2 * den, 2 * int(step * den), x0 + x1, y0 + y1, abs(x1 - x0), abs(y1 - y0))
                   for x0, y0, x1, y1 in (tuple(v * (den // w[0]) for v in w[2:]) for w in walls))
-    centre = int(2 * den * first.centre)
-    # per box: its offset from (dx + c, 1 + 8c), c its block's centre, plus
-    # its radius, over 2den; an int quotient is correctly rounded, so the
-    # float max is the exact max's
-    reach = []
-    for dx, members in _LINES:
-        offsets = [max(abs(x - centre - dx * d) + rx, abs(y - 8 * centre - d) + ry) / d
-                   for d, _, x, y, rx, ry in (boxes[w] for s, w in members if s == read_s)]
-        reach.append(max(offsets, default=0.0) * (1 + 1e-12))
-    lo, hi, e = _hull(k)
-    flo, fhi = lo / 3 ** e - 1e-12, hi / 3 ** e + 1e-12
-    bounds = [(dx + flo - r, dx + fhi + r, 1 + 8 * flo - r, 1 + 8 * fhi + r)
-              for (dx, _), r in zip(_LINES, reach) if r]
-    region = (min(b[0] for b in bounds), max(b[1] for b in bounds),
-              min(b[2] for b in bounds), max(b[3] for b in bounds))
-    return _Template(walls, boxes, centre, flo, fhi, tuple(reach), region)
+    last = 3 ** (digit_pos - 1) - 1
+    regions = tuple(((x - rx) / d, (y - ry) / d,
+                     (x + last * s + rx) / d, (y + 8 * last * s + ry) / d)
+                    for d, s, x, y, rx, ry in boxes)
+    return _Template(walls, boxes, regions)
 
 
 class _MirrorLevel(NamedTuple):
@@ -313,23 +292,24 @@ class _MirrorLevel(NamedTuple):
     k: int
     digit_pos: int
     boxes: tuple       # boxes[symbol][wall], from _pair_template
-    flo: float         # the hull I_k, rounded outward
-    fhi: float
-    reach: tuple       # per line of _LINES: float bound on box offset + radius
-
-#: Relative error bound of the float level pre-reject.  Each float bound
-#: takes a handful of operations on correctly rounded inputs, so its error
-#: stays below 1e-14 of the magnitudes it is scaled by (times 1 + |n| / |n.v|
-#: where it divides by n.v); this is 1e-9 of them.
-_REJECT_SLACK = 1e-9
+    regions: tuple     # regions[symbol][wall], from _pair_template
 
 
-def _extent(p, d, t):
-    """(lo, hi) of p + s*d over 0 <= s <= t, in floats (t may be inf)."""
-    if not d:
-        return p, p
-    end = p + t * d
-    return (p, end) if d > 0 else (end, p)
+# one entry per level set, cell offset and pair of writes per level that a
+# family has: bounded, as _pair_template is
+@functools.lru_cache(maxsize=None)
+def _family_levels(levels, cell_offset, writes):
+    """The _MirrorLevel records of a family of these ``levels`` (a range
+    of k), classifying cell k + ``cell_offset``, whose level k writes
+    ``writes[i]`` (symbol 0's, symbol 1's), i its place in ``levels``:
+    each level's two _pair_template records read together.  Families that
+    agree in these share them, across tables too."""
+    out = []
+    for k, (w0, w1) in zip(levels, writes):
+        digit_pos = digit_position(k + cell_offset)
+        t0, t1 = _pair_template(k, digit_pos, 0, w0), _pair_template(k, digit_pos, 1, w1)
+        out.append(_MirrorLevel(k, digit_pos, (t0.boxes, t1.boxes), (t0.regions, t1.regions)))
+    return tuple(out)
 
 
 def _exact_leg(leg, base_x, frame):
@@ -394,29 +374,26 @@ class _BlockMirrors:
     block centres c, and block F of ``cantor_walk`` has its centre at c_0 +
     F * step (``_pair_template``).  So ``_placed`` places the pair over
     block 0 and the step in integers, each wall over its own denominator,
-    once per level and symbol a query lists, and ``_rows`` lists the pair
-    over block F from them as Segments (den, x0, y0, x1, y1, id), with no
-    Fraction arithmetic.  It is the one pair builder: ``rows`` lists
-    every mirror of some levels for serialization, the layout check and a
-    full wall listing, and ``walls_in`` returns the Segments a leg may
-    meet, which the numeric tracer reads as they are.
-    A float pre-reject finds the one or two levels whose hull I_k the leg
-    may reach; for those, ``_window`` bounds F exactly in integers, and
-    ``block_indices`` lists exactly the blocks whose wall boxes the leg
-    meets.
+    and ``_rows`` lists the pair over block F from them as Segments (den,
+    x0, y0, x1, y1, id), with no Fraction arithmetic.  It is the one pair
+    builder: ``rows`` lists every mirror of some levels for serialization,
+    the layout check and a full wall listing; ``block_rows`` lists one
+    wall of one level and symbol over the blocks a leg meets, which the
+    numeric tracer reads as they are, for the regions its index walks into
+    (``numeric.TraceScene``); and ``walls_in`` scans every level for a leg.
+    ``_window`` bounds the blocks F a leg meets exactly, in integers, and
+    ``block_indices`` lists exactly those blocks.
 
-    Everything a query reads per level and symbol (integer boxes, the
-    float hull I_k, the reach per centre line) is in the key's
-    ``_pair_template`` record, made once per (k, digit_pos, read, write)
-    at base_x = 0, whatever family or table asks.  ``_level_data`` only
-    looks up the family's records, on its first positional query (never
-    at compile time), and moves their region by base_x.
+    Everything read per level and symbol (the integer boxes and the float
+    region around each wall) is in the key's ``_pair_template`` record,
+    made once per (k, digit_pos, read, write) at base_x = 0, whatever
+    family or table asks.  ``_level_data`` only looks up the family's
+    records, on first need (never at compile time).
 
-    ``rows`` and ``walls_in`` take a frame (oy, sy), the placement y -> oy
-    + sy*y of the gadget's local frame (sy = -1 for a merge's mirror
-    image), and list the walls there.  The leg is given in that placed
-    frame: ``local_leg`` takes it back to the local frame as it reads the
-    leg's floats, and ``_exact_leg`` as it reads its exact values.
+    ``rows``, ``block_rows`` and ``walls_in`` take a frame (oy, sy), the
+    placement y -> oy + sy*y of the gadget's local frame (sy = -1 for a
+    merge's mirror image), and list the walls there.  The leg is given in
+    that placed frame; ``_exact_leg`` takes it back to the local frame.
     """
 
     def __init__(self, name, K, cell_offset, rewrite_rule, base_x):
@@ -424,7 +401,6 @@ class _BlockMirrors:
         self.rewrite_rule, self.base_x = rewrite_rule, base_x
         self.levels = range(max(-K, -K - cell_offset), min(K, K - cell_offset) + 1)
         self._data = None
-        self._frame = (None, 0.0)    # the frame last read, its offset in floats
 
     def _placed(self, k, digit_pos, s, frame):
         """_pair_template of level k and symbol s placed by ``frame``, x
@@ -468,114 +444,32 @@ class _BlockMirrors:
         return rows
 
     def _level_data(self):
-        """Levels sorted left to right (by k), per line of _LINES the
-        prefix and suffix maxima of their reaches, and a float box around
-        every level wall: the levels' _pair_template records, looked up,
-        with the union of their regions moved right by base_x."""
-        if self._data is not None:
-            return self._data
-        levels, regions = [], []
-        rule, offset = self.rewrite_rule, self.cell_offset
-        for k in self.levels:
-            digit_pos = digit_position(k + offset)
-            t0 = _pair_template(k, digit_pos, 0, rule(k, 0))
-            t1 = _pair_template(k, digit_pos, 1, rule(k, 1))
-            levels.append(_MirrorLevel(k, digit_pos, (t0.boxes, t1.boxes), t0.flo, t0.fhi,
-                                       tuple(map(max, t0.reach, t1.reach))))
-            regions += (t0.region, t1.region)
-        reach_max = [(list(itertools.accumulate(reach, max)),
-                      list(itertools.accumulate(reversed(reach), max))[::-1])
-                     for reach in zip(*(lv.reach for lv in levels))]
-        base = float(self.base_x)
-        x_lo, x_hi, y_lo, y_hi = zip(*regions)
-        region = (base + min(x_lo), base + max(x_hi), min(y_lo), max(y_hi))
-        region += (4 + max(map(abs, region)),)   # and its magnitude
-        self._data = (levels, [lv.flo for lv in levels], region, reach_max, base)
+        """The family's levels, sorted by k (``_family_levels``), looked up
+        once."""
+        if self._data is None:
+            rule = self.rewrite_rule
+            self._data = _family_levels(self.levels, self.cell_offset,
+                                        tuple((rule(k, 0), rule(k, 1)) for k in self.levels))
         return self._data
 
-    def _near(self, line, c0, radius, slack):
-        """Indices of the levels whose hull lies within radius * (their
-        reach on ``line``) + slack of c0: outward from c0 until no level
-        further out can qualify."""
-        levels, starts, _, reach_max, _ = self._level_data()
-        prefix, suffix = reach_max[line]
-        i = bisect.bisect_right(starts, c0)
-        for j in range(i, len(levels)):
-            if levels[j].flo - c0 > radius * suffix[j] + slack:
-                break
-            yield j
-        for j in range(i - 1, -1, -1):
-            if c0 - levels[j].fhi > radius * prefix[j] + slack:
-                break
-            yield j
-
-    def local_leg(self, floats, frame):
-        """The float leg ``floats`` (x, y, dx, dy, t_max) of a Leg read in
-        the local frame of the family placed by ``frame``, as (px, py, dx,
-        dy, t, (xl, xu), (yl, yu)) with its x- and y-extents; None when it
-        misses, by more than the float slack, the region around every level
-        wall.  The one region test, which ``_blocks`` starts with.  The
-        frame's offset is read in floats once per frame placed in."""
-        px, py, dx, dy, t = floats
-        if self._frame[0] is not frame:
-            self._frame = (frame, float(frame[0]))
-        oy, sy = self._frame[1], frame[1]
-        py, dy = sy * (py - oy), sy * dy     # the leg in the local frame
-        (xl, xu), (yl, yu) = _extent(px, dx, t), _extent(py, dy, t)
-        region = (self._data or self._level_data())[2]
-        slack = _REJECT_SLACK * (region[4] + abs(px) + abs(py)
-                                 + (t * (abs(dx) + abs(dy)) if t < math.inf else 0))
-        if (xu < region[0] - slack or xl > region[1] + slack
-                or yu < region[2] - slack or yl > region[3] + slack):
-            return None
-        return px, py, dx, dy, t, (xl, xu), (yl, yu)
+    def block_rows(self, lv, s, w, exact, placed):
+        """Wall w (0 primary, 1 return) of level ``lv`` and symbol s over
+        every block whose box meets the leg ``exact`` (_exact_leg), as
+        Segments (see ``_rows``), ``placed`` its _placed record."""
+        d, sx, sy, x0, y0, x1, y1 = placed
+        k, digit_pos = lv.k, lv.digit_pos
+        return [Segment(d, x0 + index * sx, y0 + index * sy, x1 + index * sx, y1 + index * sy,
+                        _wall_ids(self.name, k, digit_pos, s, bits)[w])
+                for index, bits in block_indices(digit_pos - 1, _window(lv, s, w, exact))]
 
     def _blocks(self, leg, frame):
         """(level, symbol, wall, F, bits) for every block F whose wall box
-        meets the leg, the walls placed by ``frame``.
-
-        Float pre-rejects (``local_leg``'s region test, ``_near`` and the
-        clip of the leg to each centre line) drop the levels the leg cannot
-        reach; every (symbol, wall) of a level that survives has its window
-        decided exactly by ``_window``, on the exact leg (``_exact_leg``),
-        built once, when the first level survives."""
-        local = self.local_leg(leg.floats, frame)
-        if local is None:
-            return
-        px, py, dx, dy, t, (xl, xu), (yl, yu) = local
-        all_levels, _, _, _, base = self._data
-        size = abs(dx) + abs(dy)
-        # the largest finite magnitude among px, py, base and the extents
-        mag = 4 + (max(abs(base), abs(xl), abs(xu), abs(yl), abs(yu)) if t < math.inf
-                   else max(abs(base), abs(px), abs(py)))
-        slack = _REJECT_SLACK * mag
-        nx, ny = -dy, dx
-        nv = nx + 8 * ny
-        # n.v far from 0: the float normal bounds are well conditioned
-        spread = size / abs(nv) if abs(nv) > 1e-2 * size else None
-        exact = None
-        for line, (off, members) in enumerate(_LINES):
-            x0 = base + float(off)
-            c_lo = max(xl - x0, (yl - 1) / 8) - slack
-            c_hi = min(xu - x0, (yu - 1) / 8) + slack
-            if spread is None:
-                near, c0 = range(len(all_levels)), None
-            else:
-                # the leg's line crosses the centre line at c0
-                c0 = (nx * (px - x0) + ny * (py - 1)) / nv
-                c0_slack = _REJECT_SLACK * (1 + abs(c0) + spread * mag)
-                near = self._near(line, c0, spread, c0_slack)
-            for j in near:
-                lv = all_levels[j]
-                rho = lv.reach[line]
-                lo, hi = max(lv.flo, c_lo - rho), min(lv.fhi, c_hi + rho)
-                if c0 is not None:
-                    r = spread * rho + c0_slack
-                    lo, hi = max(lo, c0 - r), min(hi, c0 + r)
-                if lo > hi:
-                    continue
-                exact = exact or _exact_leg(leg, self.base_x, frame)
-                for s, w in members:
+        meets the Leg ``leg``, the walls placed by ``frame``: every level's
+        window decided exactly by ``_window``, on the exact leg."""
+        exact = _exact_leg(leg, self.base_x, frame)
+        for lv in self._level_data():
+            for s in (0, 1):
+                for w in (0, 1):
                     for index, bits in block_indices(lv.digit_pos - 1,
                                                      _window(lv, s, w, exact)):
                         yield lv, s, w, index, bits
@@ -583,7 +477,7 @@ class _BlockMirrors:
     def walls_in(self, leg, frame):
         """The mirrors whose boxes the Leg ``leg`` meets, placed by
         ``frame``, as Segments (see ``_rows``), ordered by level ascending,
-        symbol and block: the one per-leg query a tracer makes.
+        symbol and block, every level scanned.
 
         Sound, not tight: no wall the leg meets is left out, and a wall is
         returned only if the leg meets its bounding box."""
@@ -741,9 +635,10 @@ def build_merge_gadget(split, *, name=None):
     axis = SPLIT_HEIGHT / 2
 
     def locate(u):
-        if F(-2) <= u.as_fraction() <= F(-1):
+        # the lane by its integer ends, compared with u exactly
+        if -2 <= u <= -1:
             v = u + 2
-        elif F(2) <= u.as_fraction() <= F(3):
+        elif 2 <= u <= 3:
             v = u - 2
         else:
             raise DomainError(f"{name}: {u} outside branch lanes")

@@ -183,16 +183,11 @@ class Leg(NamedTuple):
     """One straight flight of a ray, in integers: from the ``origin`` (x, y,
     w), w > 0, along the ``direction`` (dx, dy), (x + t dx, y + t dy) / w
     for 0 <= t <= n / m, ``t_max`` (n, m), m > 0, or the whole ray when
-    t_max is None.  ``floats`` is (x, y, dx, dy, t_max) in floats, along
-    any positive multiple of the direction, t_max inf for a whole ray, each
-    within a few units in the last place of its exact value relative to
-    the coordinates involved: the input of the float pre-rejects alone,
-    which only drop what the leg cannot reach."""
+    t_max is None."""
 
     origin: tuple
     direction: tuple
     t_max: tuple | None
-    floats: tuple
 
     @classmethod
     def of(cls, origin, direction, t_max=None):
@@ -201,9 +196,8 @@ class Leg(NamedTuple):
         multiple, t_max scaled to keep the segment."""
         (w, x, y), (s, dx, dy) = integers(*origin), integers(*direction)
         g = math.gcd(dx, dy)        # the direction times s / g is (dx, dy) / g
-        t = math.inf if t_max is None else Fraction(t_max) * g / s
-        return cls((x, y, w), (dx // g, dy // g), None if t is math.inf else t.as_integer_ratio(),
-                   (x / w, y / w, dx / g, dy / g, float(t)))
+        return cls((x, y, w), (dx // g, dy // g),
+                   None if t_max is None else (Fraction(t_max) * g / s).as_integer_ratio())
 
 
 def _orient(a, b, c):

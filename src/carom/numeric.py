@@ -5,20 +5,25 @@ specular reflection over the placed walls, in integers, and must
 reproduce its event stream with every checkpoint at exactly its symbolic
 value: this certifies that the geometry implements the transfer maps.
 Every hit a leg weighs is decided by the integer tests.  Floats only
-pre-reject by position, by the static walls' boxes and the mirror
-families' regions and levels, and drop only walls the leg cannot reach.
-An arc met at an irrational point is compared with the rational hits
-exactly, in Q(sqrt D); a trace whose next hit is irrational raises
-TracingError.
+choose what a leg weighs, by position: each leg walks one index of the
+scene's boxes (the static walls, the charts and each mirror family's
+level regions) from its origin, clipped exactly to the scene first, and
+stops once the next box lies past its nearest hit; they drop only walls
+the leg cannot reach before it.  An arc met at an irrational point is
+compared with the rational hits exactly, in Q(sqrt D); a trace whose next
+hit is irrational raises TracingError.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .gadgets import _exact_leg
 from .geometry import Leg
 from .simulate import (
     Periodic,
@@ -158,10 +163,11 @@ def _reflect(d, n):
 
 # --- the walls a leg weighs ---------------------------------------------------
 
-#: A float box or clipped ray is widened on each side by this fraction of
-#: (1 + the magnitude of the coordinate): with coordinates below 10^6 (the
-#: demo tables stay within 60), far more than the few units in the last
-#: place a float conversion or a float ray is off by.
+#: A static wall's float box is widened on each side by this fraction of
+#: (1 + the magnitude of the coordinate), and a walk reads every box within
+#: this fraction of (1 + the magnitude of the scene's box): with coordinates
+#: below 10^6 (the demo tables stay within 60), far more than the few units
+#: in the last place a float conversion or a float ray is off by.
 _BOX_SLACK = 1e-9
 
 
@@ -253,58 +259,223 @@ class _Nearest:
 _FLIGHT_ORDER = functools.cmp_to_key(lambda a, b: a[0][0] * b[0][1] - b[0][0] * a[0][1])
 
 
+#: A _RayIndex spans at most this many strips across each axis.
+_STRIPS = 4096
+
+
+class _RayIndex:
+    """Float boxes (x0, y0, x1, y1), each with a payload, filed in strips
+    ``size`` wide across each axis and walked along a ray.  A ray at least
+    as steep as 45 degrees reads the strips across x it passes, a flatter
+    one those across y; in each strip, its ``lane`` for the ray's sense
+    lists the boxes in the order the ray reaches their near sides, each
+    with the prefix maximum of their far sides, so a walk starts at the
+    first box that may reach back to it and stops at the first that lies
+    past its bound: the strips are the sorted per-axis intervals of a 1-D
+    voxel walk (Amanatides & Woo, 1987)."""
+
+    def __init__(self, entries):
+        self.entries = entries        # (x0, y0, x1, y1, payload)
+        self.lanes = {}               # (strip axis, sense, strip) -> (prefix max, items)
+        self.box = None
+        if not entries:
+            return
+        self.box = (min(e[0] for e in entries), min(e[1] for e in entries),
+                    max(e[2] for e in entries), max(e[3] for e in entries))
+        extent, size = max(self.box[2] - self.box[0], self.box[3] - self.box[1]), 1.0
+        while extent > _STRIPS * size:
+            size *= 2
+        self.size = size
+        self.strips = ({}, {})        # per axis: strip -> entry numbers
+        floor = math.floor
+        for n, e in enumerate(entries):
+            for axis, strips in enumerate(self.strips):
+                j, last = floor(e[axis] / size), floor(e[axis + 2] / size)
+                while j <= last:
+                    strips.setdefault(j, []).append(n)
+                    j += 1
+        self.span = tuple((min(strips), max(strips)) for strips in self.strips)
+
+    def lane(self, c, sense, j):
+        """(prefix max of u1, items (u0, u1, v0, v1, n)) of strip j across
+        axis c for a ray of this sense along the other axis: each box's
+        extent [u0, u1] along the ray, u counted in its sense, and [v0, v1]
+        across it, sorted by u0."""
+        a, items = 1 - c, []
+        for n in self.strips[c].get(j, ()):
+            e = self.entries[n]
+            u0, u1 = (e[a], e[a + 2]) if sense > 0 else (-e[a + 2], -e[a])
+            items.append((u0, u1, e[c], e[c + 2], n))
+        items.sort()
+        lane = self.lanes[c, sense, j] = (list(itertools.accumulate(
+            (item[1] for item in items), max)), items)
+        return lane
+
+    def walk(self, o, d, bound, eps):
+        """The payload of every box the float ray from ``o`` along ``d``
+        meets, all within ``eps``, before the float t ``bound[0]``, each
+        once, strip by strip in the order the ray passes them and in each
+        by near side.  ``bound`` is read again after each payload, so a
+        nearer hit found meanwhile stops the walk sooner."""
+        a = 1 if abs(d[1]) >= abs(d[0]) else 0     # the axis the ray runs along
+        c = 1 - a
+        sense = 1 if d[a] > 0 else -1
+        du, uo, vo = sense * d[a], sense * o[a], o[c]
+        r, size, lanes = d[c] / du, self.size, self.lanes     # r = dv / du, |r| <= 1
+        lo, hi = self.span[c]
+        # the strips within eps of the ray's line, in the order it passes them
+        first, last = math.floor((vo - eps) / size), math.floor((vo + eps) / size)
+        seen = set()
+        # the far side of the index along the ray
+        umax = self.box[a + 2] if sense > 0 else -self.box[a]
+        if r > 0:
+            js = range(max(first, lo), hi + 1)
+        elif r < 0:
+            js = range(min(last, hi), lo - 1, -1)
+        else:
+            js = range(max(first, lo), min(last, hi) + 1)
+        for j in js:
+            if r:   # the u range in which the ray is within eps of strip j
+                near, far = (j * size - eps, (j + 1) * size + eps) if r > 0 else (
+                    (j + 1) * size + eps, j * size - eps)
+                ua, ub = uo + (near - vo) / r, uo + (far - vo) / r
+                ua = ua if ua > uo else uo
+            else:
+                ua, ub = uo, math.inf
+            stop = uo + bound[0] * du + eps
+            if ua > stop or ua > umax + eps:
+                return
+            pmax, items = lanes.get((c, sense, j)) or self.lane(c, sense, j)
+            for i in range(bisect.bisect_left(pmax, ua - eps), len(items)):
+                u0, u1, v0, v1, n = items[i]
+                if u0 > stop or u0 > ub + eps:
+                    break
+                if u1 < uo - eps or n in seen:
+                    continue
+                # the ray across the box's extent along it, from va to vb
+                # (conditional expressions: min and max cost more here)
+                ulo = u0 if u0 > uo else uo
+                uhi = u1 if u1 < stop else stop
+                va, vb = vo + (ulo - uo) * r, vo + ((uhi if uhi > ulo else ulo) - uo) * r
+                if va > vb:
+                    va, vb = vb, va
+                if va > v1 + eps or vb < v0 - eps:
+                    continue
+                seen.add(n)
+                yield self.entries[n][4]
+                stop = uo + bound[0] * du + eps
+
+
+class _Family:
+    """A mirror family placed in a scene, as its TraceScene's index files
+    it: the family's levels' regions in an index of their own, in the
+    family's local frame (``_family_index``), filed in the scene's index
+    by their float box placed by the family's frame; and each level and
+    symbol's ``_placed`` record, placed once, on first need."""
+
+    kind = "family"
+
+    def __init__(self, mirrors, frame):
+        self.mirrors, self.frame = mirrors, frame
+        self.index = _family_index(mirrors._level_data())
+        self.base, self.oy, self.sy = float(mirrors.base_x), float(frame[0]), frame[1]
+        self.placed, self.box = {}, None     # box: None for a family of no levels
+        if self.index.box is not None:
+            x0, y0, x1, y1 = self.index.box
+            y0, y1 = sorted((self.oy + self.sy * y0, self.oy + self.sy * y1))
+            self.box = (self.base + x0, y0, self.base + x1, y1)
+
+    def local(self, o, d):
+        """The float ray from ``o`` along ``d`` in the family's local frame."""
+        return (o[0] - self.base, self.sy * (o[1] - self.oy)), (d[0], self.sy * d[1])
+
+    def rows(self, lv, s, w, exact):
+        """block_rows of wall w of level ``lv`` and symbol s on the exact
+        leg ``exact``."""
+        placed = self.placed.get((lv.k, s))
+        if placed is None:
+            placed = self.placed[lv.k, s] = self.mirrors._placed(lv.k, lv.digit_pos, s,
+                                                                 self.frame)
+        return self.mirrors.block_rows(lv, s, w, exact, placed[w])
+
+
+@functools.lru_cache(maxsize=None)
+def _family_index(levels):
+    """The _RayIndex of a family's ``levels`` (_MirrorLevel records) in its
+    local frame: per level, symbol s and wall w, the region around that
+    wall over every block, with (level, s, w) as its payload.  Families
+    whose levels read the same records share it, across tables too."""
+    return _RayIndex([(*lv.regions[s][w], (lv, s, w))
+                      for lv in levels for s in (0, 1) for w in (0, 1)])
+
+
 class TraceScene:
     """What a trace reads of a scene alone, built once and read by every
     trace over it: a table's (``BilliardTable.trace_scene``, on its first
     run_numeric) or a gadget's, per out port (GadgetTracer).  It holds the
     ``static`` records, the walls, then the ``charts`` the ray passes
-    through, each with a float box (``boxes``, all held by ``box``, None
-    when there are none), the mirror ``families`` and the ``halts``, each
-    hard checkpoint by its wall's id.  ``built`` counts the distinct
-    static walls; charts count as neither built nor weighed walls."""
+    through; the mirror ``families``, (mirrors, frame) pairs; the
+    ``halts``, each hard checkpoint by its wall's id; and one ``index``
+    (_RayIndex) of the static records' float boxes and each family's box
+    (_Family), with ``box``, the least integer box around it all, None
+    when the scene is empty.  ``built`` counts the distinct static walls;
+    charts count as neither built nor weighed walls."""
 
     def __init__(self, static_walls, families, charts=(), halts=None):
-        self.families = families     # (_BlockMirrors, frame) pairs
+        self.families = list(families)
         self.halts = halts or {}     # wall id -> the hard checkpoint's Chart
         self.static = list(static_walls) + list(charts)
         self.built = len({w.wall_id for w in static_walls})
-        self.boxes = [_float_box(w) for w in self.static]
-        self.box = tuple(f(b[i] for b in self.boxes)
-                         for i, f in enumerate((min, min, max, max))) if self.boxes else None
+        placed = [_Family(mirrors, frame) for mirrors, frame in self.families]
+        self.index = _RayIndex([(*_float_box(w), w) for w in self.static]
+                               + [(*f.box, f) for f in placed if f.box is not None])
+        self.box = None
+        if self.index.box is not None:
+            x0, y0, x1, y1 = self.index.box
+            self.box = (math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1))
+            # far more than a float position's error anywhere in the box
+            self.eps = _BOX_SLACK * (1 + max(map(abs, self.box)))
 
-    def near(self, fo, fd):
-        """The static walls and charts whose boxes meet the float ray from
-        ``fo`` along ``fd`` clipped to ``box``: every one it can hit."""
-        if self.box is None:
-            return []
-        x0, y0, x1, y1 = self.box
-        t0, t1 = 0.0, math.inf
-        for o, d, lo, hi in ((fo[0], fd[0], x0, x1), (fo[1], fd[1], y0, y1)):
-            if d:
-                a, b = (lo - o) / d, (hi - o) / d
-                t0, t1 = max(t0, min(a, b)), min(t1, max(a, b))
-            elif not lo <= o <= hi:
-                return []
-        if t0 > t1:
-            return []
-        xs = (fo[0] + t0 * fd[0], fo[0] + t1 * fd[0])
-        ys = (fo[1] + t0 * fd[1], fo[1] + t1 * fd[1])
-        cx0, cy0, cx1, cy1 = _widened(min(xs), min(ys), max(xs), max(ys))
-        return [w for (x0, y0, x1, y1), w in zip(self.boxes, self.static)
-                if not (x1 < cx0 or x0 > cx1 or y1 < cy0 or y0 > cy1)]
+    def enter(self, xyw, d):
+        """Where the ray from ``xyw`` along d starts its walk: (its origin
+        in floats, None) when it lies in ``box``, else (the point where it
+        enters the box in floats, that point's exact t (n, m)), clipped
+        exactly in integers; None when the ray misses the box."""
+        (x, y, w), (x0, y0, x1, y1) = xyw, self.box
+        if x0 * w <= x <= x1 * w and y0 * w <= y <= y1 * w:
+            return (x / w, y / w), None
+        lo, hi = (0, 1), None
+        for p, dp, a, b in ((x, d[0], x0, x1), (y, d[1], y0, y1)):
+            if not dp:
+                if not a * w <= p <= b * w:
+                    return None
+                continue
+            # p / w + t dp meets a and b at t = (a w - p) / (w dp) and
+            # (b w - p) / (w dp); in over the one, out over the other
+            inside = ((a * w - p, w * dp), (b * w - p, w * dp)) if dp > 0 else (
+                (p - b * w, -w * dp), (p - a * w, -w * dp))
+            if _before(lo, inside[0]):
+                lo = inside[0]
+            if hi is None or _before(inside[1], hi):
+                hi = inside[1]
+        if _before(hi, lo):
+            return None
+        (n, m), (dx, dy) = lo, d
+        return ((x * m + n * dx * w) / (w * m), (y * m + n * dy * w) / (w * m)), lo
 
 
 class _Walls:
-    """The walls one trace sees: its TraceScene's static walls and charts,
-    and the scene's mirror families, every family over its own levels,
-    chosen per leg by position alone, never by the ids a symbolic run
-    predicts, with what this trace read of them.
+    """The walls one trace sees: its TraceScene's static walls, charts and
+    mirror families, chosen per leg by position alone, never by the ids a
+    symbolic run predicts, with what this trace read of them.
 
-    A leg weighs exactly only the static walls and charts near its float
-    ray (``TraceScene.near``).  The leg is then cut at the nearest static
-    hit, and each family's one per-leg query, ``walls_in(leg, frame)``,
-    returns the Segments the cut leg may meet, weighed as they are; their
-    ids go into ``mirror_ids``, which count the mirrors the trace read."""
+    A leg walks the scene's index from its origin (``TraceScene.enter``)
+    and weighs exactly only what the walk meets before its nearest hit:
+    each static wall and chart as it is, and for each family it walks
+    into, the family's own index, in whose level regions ``block_rows``
+    gives the mirrors of the blocks the leg meets, weighed as they are;
+    their ids go into ``mirror_ids``, which count the mirrors the trace
+    read."""
 
     def __init__(self, scene):
         self.scene = scene
@@ -313,37 +484,59 @@ class _Walls:
 
     def nearest(self, xyw, d, exclude):
         """The _Nearest of the leg from ``xyw`` along d, ``exclude`` left
-        out: offered the static walls and charts near its float ray, then
-        the mirrors the leg cut at the nearest static hit may meet.  The
-        float leg runs along d / isqrt(d.d), within the float range."""
-        x, y, w = xyw
+        out.  The walk reads the leg in floats along d / isqrt(d.d) and
+        stops once the next box's near side lies past the nearest hit
+        found, read in floats from its exact t; a box at that hit, a tie or
+        a corner on it, or a nearer irrational arc root is still met."""
+        self.denominator_bits = max(self.denominator_bits, xyw[2].bit_length())
+        scene, found = self.scene, _Nearest(xyw, d)
+        start = scene.box and scene.enter(xyw, d)
+        if not start:
+            return found
+        (fo, t0), eps = start, scene.eps
         # d / isqrt(d.d) never overflows, and where d.d is a square, as it
         # is on every leg of a trace launched along a unit beam, it is the
         # unit direction, read into the same floats as a unit d would be
         scale = math.isqrt(d[0] * d[0] + d[1] * d[1])
-        try:
-            fo, fd = (x / w, y / w), (d[0] / scale, d[1] / scale)
-        except OverflowError:
-            raise TracingError("trajectory left the float range") from None
-        self.denominator_bits = max(self.denominator_bits, w.bit_length())
-        static = self.scene.near(fo, fd)
-        found = _Nearest(xyw, d)
-        found.offer(static, exclude)
-        # a nearer irrational static hit fails the trace unless a mirror
-        # undercuts it, and then that mirror lies before the cut too
-        t = found.t
-        try:
-            ft = math.inf if t is None else t[0] * scale / t[1]     # correctly rounded
-        except OverflowError:     # past the float range
-            ft = math.inf
-        leg = Leg(xyw, d, t and t[:2], fo + fd + (ft,))
-        level = [row for mirrors, frame in self.scene.families
-                 for row in mirrors.walls_in(leg, frame)]
-        self.mirror_ids.update([row.wall_id for row in level])
-        weighed = sum(w.kind != "chart" for w in static) + len(level)
+        fd = (d[0] / scale, d[1] / scale)
+        bound, weighed = [math.inf], 0
+        for entry in scene.index.walk(fo, fd, bound, eps):
+            if entry.kind == "family":
+                exact = None
+                for lv, s, w in entry.index.walk(*entry.local(fo, fd), bound, eps):
+                    exact = exact or _exact_leg(Leg(xyw, d, found.t and found.t[:2]),
+                                                entry.mirrors.base_x, entry.frame)
+                    rows = entry.rows(lv, s, w, exact)
+                    weighed += len(rows)
+                    self.mirror_ids.update([row.wall_id for row in rows])
+                    if self._weigh(found, rows, exclude):
+                        bound[0] = _float_t(found.t, t0, scale)
+            else:
+                weighed += entry.kind != "chart"
+                if self._weigh(found, (entry,), exclude):
+                    bound[0] = _float_t(found.t, t0, scale)
         self.max_candidates = max(self.max_candidates, weighed)
-        found.offer(level, exclude)
         return found
+
+    @staticmethod
+    def _weigh(found, walls, exclude):
+        """Offer ``walls`` to ``found``: whether its nearest hit moved."""
+        t = found.t
+        found.offer(walls, exclude)
+        return found.t is not t
+
+
+def _float_t(t, t0, scale):
+    """The exact t = (n, m) of a hit, less the walk's start t0 (None for
+    0), times ``scale``, correctly rounded: the hit's t along the float
+    leg; inf past the float range."""
+    n, m = t[0], t[1]
+    if t0 is not None:
+        n, m = n * t0[1] - t0[0] * m, m * t0[1]
+    try:
+        return n * scale / m
+    except OverflowError:
+        return math.inf
 
 
 def _trace(walls, xyw, direction):
@@ -360,7 +553,7 @@ def _trace(walls, xyw, direction):
     the leg, at the point (x, y, w) in lowest terms.
     Raises TracingDegeneracy when two walls are hit at the same t, a hit
     lies on a wall's end or grazes (d.n = 0), and TracingError when the
-    ray escapes, leaves the float range or its next hit is irrational.
+    ray escapes or its next hit is irrational.
     """
     g, last = math.gcd(*xyw), None
     xyw = tuple(v // g for v in xyw)

@@ -4,7 +4,7 @@ All six pass the reversibility criterion: into any state, incoming
 transitions share one shift and write distinct symbols.
 """
 
-from .machine import parse_machine
+from .machine import LEFT, RIGHT, Machine, parse_machine
 
 REV_MOVE = """\
 # scan right over zeros, halt on the first one
@@ -85,3 +85,20 @@ def fixture_machines():
 
 def get_machine(name):
     return parse_machine(MACHINE_TEXTS[name], name=name)
+
+
+def random_reversible(rng, n_states):
+    """A random reversible machine drawn by ``rng``: working states q0..q{n-1},
+    q0 initial, and one halting state H.  Each state gets one shift, the
+    shift of every transition into it, and the 2n transitions go to distinct
+    (target, written symbol) slots of the 2(n + 1): so the transitions into
+    a state share its shift and write distinct symbols, the reversibility
+    criterion, by construction."""
+    states = tuple(f"q{i}" for i in range(n_states)) + ("H",)
+    shift = {q: rng.choice((LEFT, RIGHT)) for q in states}
+    slots = rng.sample([(q, s) for q in states for s in (0, 1)], 2 * n_states)
+    delta = {(q, a): (target, write, shift[target])
+             for (q, a), (target, write) in zip(
+                 ((q, a) for q in states[:-1] for a in (0, 1)), slots)}
+    return Machine(states, "q0", frozenset({"H"}), delta,
+                   name=f"random-{n_states}").validate()

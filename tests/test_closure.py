@@ -35,7 +35,6 @@ from carom.simulate import (
     verify_equivalence,
 )
 from carom.table import compile_table
-from carom.ternary import TernaryRational
 from carom.zoo import MACHINE_TEXTS, get_machine
 
 PERIOD = 2            # pacer's steps per period, on every tape
@@ -261,19 +260,23 @@ def test_a_recurring_value_in_another_state_is_no_return(literal):
 
 
 def test_a_longer_closed_run_reads_no_more_values(table, monkeypatch):
-    # after the first period, a run reads no checkpoint value: its rest is
-    # counted out, whatever its length
+    # after the first period, a run traces no leg and checks no checkpoint
+    # crossing: its rest is counted out, whatever its length
     tape = parse_tape("@1")
-    run_numeric(table, tape, 51)
-    calls, as_fraction = [], TernaryRational.as_fraction
-    monkeypatch.setattr(TernaryRational, "as_fraction",
-                        lambda value: calls.append(value) or as_fraction(value))
+    legs, crossings, trace = _legs(monkeypatch), [0], numeric._trace
+
+    def counted(*args):
+        for item in trace(*args):
+            crossings[0] += item[0] == "cross"
+            yield item
+
+    monkeypatch.setattr(numeric, "_trace", counted)
     counts = []
     for budget in (51, 5000):
-        calls.clear()
+        legs[0] = crossings[0] = 0
         run_numeric(table, tape, budget)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        counts.append((legs[0], crossings[0]))
+    assert counts[0] == counts[1] and min(counts[0]) > 0
 
 
 def _legs(monkeypatch):

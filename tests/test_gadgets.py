@@ -7,21 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from carom import encoding, gadgets
+from carom import encoding, gadgets, numeric
 from carom.encoding import (
     cantor_blocks,
     cantor_blocks_at,
     cantor_walk,
     digit_position,
     encode_state,
-    head_interval,
     read_digit,
     rewrite_point,
     shift_point,
 )
 from carom.gadgets import (
     _BAND_GAIN,
-    _LINES,
     DomainError,
     PiecewiseTransfer,
     SeparationReport,
@@ -385,96 +383,86 @@ def _mirror_boxes(k, digit_pos, read_s, write_s):
 
 def test_mirror_boxes_match_explicit_pair():
     # the level record of every level |k| <= 8, both symbols, read-only and
-    # rewriting, against the explicit pair over the last block of the
-    # level: its boxes, moved to that block, are the pair's boxes; centred
-    # on their block they are the Fraction oracle's (_mirror_boxes); and
-    # the float reach _level_data reads off them is the oracle's, bit for bit
+    # rewriting, against the explicit pairs over the first and the last
+    # block of the level: its boxes, moved to the last block, are that
+    # pair's boxes; centred on their block they are the Fraction oracle's
+    # (_mirror_boxes); and each wall's float region is the box from the
+    # first block's wall box to the last one's, each corner correctly rounded
     for rule in (lambda k, s: s, lambda k, s: 1 - s):
         mirrors, _ = build_split_gadget(8, rewrite_rule=rule).mirrors
-        levels = mirrors._level_data()[0]
+        levels = mirrors._level_data()
         assert [lv.k for lv in levels] == list(range(-8, 9))
         for lv in levels:
             k, digit_pos = lv.k, lv.digit_pos
             last = 3 ** (digit_pos - 1) - 1
-            oracle = []
             for s in (0, 1):
-                blk, = cantor_walk(k, digit_pos, s, (last, last))
-                c = blk.centre
-                pair = _block_walls("", blk, rule(k, s), Fraction(0))
-                boxes = [((w.p0[0] + w.p1[0]) / 2, (w.p0[1] + w.p1[1]) / 2,
-                          abs(w.p1[0] - w.p0[0]) / 2, abs(w.p1[1] - w.p0[1]) / 2)
-                         for w in pair]
+                ends = []
+                for index in (0, last):
+                    blk, = cantor_walk(k, digit_pos, s, (index, index))
+                    pair = _block_walls("", blk, rule(k, s), Fraction(0))
+                    ends.append([((w.p0[0] + w.p1[0]) / 2, (w.p0[1] + w.p1[1]) / 2,
+                                  abs(w.p1[0] - w.p0[0]) / 2, abs(w.p1[1] - w.p0[1]) / 2)
+                                 for w in pair])
+                c, c0 = blk.centre, cantor_walk(k, digit_pos, s, (0, 0))[0].centre
+                boxes = ends[1]
                 assert _mirror_boxes(k, digit_pos, s, rule(k, s)) == tuple(
                     (ax - c, ay - 8 * c, rx, ry) for ax, ay, rx, ry in boxes)
                 record = _pair_template(k, digit_pos, s, rule(k, s))
-                assert lv.boxes[s] == record.boxes
+                assert lv.boxes[s] == record.boxes and lv.regions[s] == record.regions
                 assert [tuple(Fraction(v, den) for v in (x + last * step, y + 8 * last * step,
                                                          rx, ry))
                         for den, step, x, y, rx, ry in record.boxes] == boxes
-                centred = tuple(tuple(Fraction(v, den) for v in (x - record.centre,
-                                                                 y - 8 * record.centre, rx, ry))
+                centred = tuple((Fraction(x, den) - c0, Fraction(y, den) - 8 * c0,
+                                 Fraction(rx, den), Fraction(ry, den))
                                 for den, _, x, y, rx, ry in record.boxes)
                 assert centred == _mirror_boxes(k, digit_pos, s, rule(k, s))
-                oracle.append(centred)
-            assert lv.reach == tuple(
-                float(max(max(abs(oracle[s][w][0] - dx) + oracle[s][w][2],
-                              abs(oracle[s][w][1] - 1) + oracle[s][w][3])
-                          for s, w in members)) * (1 + 1e-12)
-                for dx, members in _LINES)
+                assert record.regions == tuple(
+                    tuple(map(float, (ax - rx, ay - ry, bx + qx, by + qy)))
+                    for (ax, ay, rx, ry), (bx, by, qx, qy) in zip(*ends))
 
 
 def _level_data_oracle(mirrors):
     """_BlockMirrors._level_data as every family once computed it for
-    itself: the levels' records, the hull from head_interval and the
-    reach per line from both symbols' boxes, then the region over every
-    line and level with base_x added first."""
+    itself: per level, both symbols' boxes from their records, and each
+    wall's region, from block 0's box to the last block's, read in
+    Fractions and rounded to floats."""
     levels = []
     for k in mirrors.levels:
         digit_pos = digit_position(k + mirrors.cell_offset)
-        iv = head_interval(k)
-        templates = [_pair_template(k, digit_pos, s, mirrors.rewrite_rule(k, s))
-                     for s in (0, 1)]
-        reach = []
-        for dx, members in _LINES:
-            r = max(max(abs(x - c - dx * den) + rx, abs(y - 8 * c - den) + ry) / den
-                    for (den, _, x, y, rx, ry), c
-                    in ((templates[s].boxes[w], templates[s].centre) for s, w in members))
-            reach.append(r * (1 + 1e-12))
-        levels.append(gadgets._MirrorLevel(
-            k, digit_pos, tuple(t.boxes for t in templates),
-            float(iv.lo.as_fraction()) - 1e-12, float(iv.hi.as_fraction()) + 1e-12,
-            tuple(reach)))
-    base = float(mirrors.base_x)
-    bounds, reach_max = [], []
-    for line, (off, _) in enumerate(_LINES):
-        reach = [lv.reach[line] for lv in levels]
-        reach_max.append((list(itertools.accumulate(reach, max)),
-                          list(itertools.accumulate(reversed(reach), max))[::-1]))
-        bounds += [(base + float(off) + lv.flo - r, base + float(off) + lv.fhi + r,
-                    1 + 8 * lv.flo - r, 1 + 8 * lv.fhi + r)
-                   for lv, r in zip(levels, reach)]
-    region = (min(b[0] for b in bounds), max(b[1] for b in bounds),
-              min(b[2] for b in bounds), max(b[3] for b in bounds))
-    region += (4 + max(map(abs, region)),)
-    return levels, [lv.flo for lv in levels], region, reach_max, base
+        # the last block index reads every free digit as 2 (block_indices)
+        last = int("2" * (digit_pos - 1) or "0", 3)
+        boxes = tuple(_pair_template(k, digit_pos, s, mirrors.rewrite_rule(k, s)).boxes
+                      for s in (0, 1))
+        regions = tuple(tuple(tuple(float(Fraction(v, den)) for v in (
+            x - rx, y - ry, x + last * step + rx, y + 8 * last * step + ry))
+            for den, step, x, y, rx, ry in per_symbol) for per_symbol in boxes)
+        levels.append(gadgets._MirrorLevel(k, digit_pos, boxes, regions))
+    return tuple(levels)
 
 
 @pytest.mark.parametrize("K", [8, 24])
 def test_level_records_match_the_per_family_oracle(K):
     # every family of every demo table, split and merge frames alike: the
-    # levels, starts and reach maxima are the oracle's bit for bit; the
-    # region adds base_x last rather than first, so it may differ by the
-    # rounding of that addition, far inside the slack its test reads it with
+    # levels are the oracle's, and the box a tracer's scene files the
+    # family by holds every level's region placed by base_x and the frame,
+    # within the rounding of that placement, far inside the slack a walk
+    # reads boxes with
     frames = set()
     for table in _demo_tables(K):
         for mirrors, frame in table.mirror_families:
             frames.add(frame[1])
-            levels, starts, region, reach_max, base = mirrors._level_data()
-            want = _level_data_oracle(mirrors)
-            assert (levels, starts, reach_max, base) == (want[0], want[1], want[3], want[4])
-            for got, oracle in zip(region, want[2]):
-                assert abs(got - oracle) <= 4 * math.ulp(want[2][4])
-            assert region[4] * gadgets._REJECT_SLACK > 1e6 * math.ulp(want[2][4])
+            levels = mirrors._level_data()
+            assert levels == _level_data_oracle(mirrors)
+            box = numeric._Family(mirrors, frame).box
+            x0, y0, x1, y1 = map(Fraction, box)
+            tol = Fraction(4 * math.ulp(max(map(abs, box))))
+            (oy, sy), base = frame, mirrors.base_x
+            for lv in levels:
+                for rx0, ry0, rx1, ry1 in itertools.chain(*lv.regions):
+                    ys = sorted(oy + sy * Fraction(y) for y in (ry0, ry1))
+                    assert (x0 - tol <= base + Fraction(rx0) and y0 - tol <= ys[0]
+                            and base + Fraction(rx1) <= x1 + tol and ys[1] <= y1 + tol)
+            assert tol < numeric._BOX_SLACK
     assert frames == {1, -1}
 
 

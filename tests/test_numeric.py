@@ -431,13 +431,18 @@ def test_a_direction_past_the_float_range_is_read_to_scale():
     assert [d for *_, d in hits] == [(big, 1), (-big, 1), (big, 1)]
 
 
-def test_a_position_past_the_float_range_fails_the_trace():
-    # a leg whose origin no double holds cannot be read in floats: a
-    # TracingError (exit 3), not an OverflowError
+def test_a_position_past_the_float_range_is_clipped_to_the_scene():
+    # a leg whose origin no double holds is clipped exactly to the scene's
+    # integer box before it is read in floats: its walk starts where it
+    # enters the box, and the exact hit is found
     F = Fraction
     post = Segment.of((F(1), F(-1)), (F(1), F(1)), "post")
-    with pytest.raises(TracingError, match="left the float range"):
-        next(_trace(_Walls(TraceScene([post], ())), (-(10 ** 400), 0, 1), (1, 0)))
+    kind, wall, point, _, _ = next(_trace(_Walls(TraceScene([post], ())),
+                                          (-(10 ** 400), 0, 1), (1, 0)))
+    assert (kind, wall.wall_id, _rational(point)) == ("hit", "post", (F(1), F(0)))
+    # a ray that misses the box escapes
+    with pytest.raises(TracingError, match="escaped"):
+        next(_trace(_Walls(TraceScene([post], ())), (-(10 ** 400), 3, 1), (1, 0)))
     # a hit whose t no double holds, 1.9e308 away, is still found
     far = Segment.of((F(9 * 10 ** 307), F(-1)), (F(9 * 10 ** 307), F(1)), "far")
     kind, wall, point, _, _ = next(_trace(_Walls(TraceScene([far], ())), (-(10 ** 308), 0, 1),

@@ -291,23 +291,24 @@ def test_gadget_tracer_lands_a_beam_below_float_resolution():
 @pytest.mark.parametrize("name, literal", [
     ("pacer", "@1"), ("walker", "@111"), ("rev-move", "@00000001"), ("bit-flipper", "@011")])
 def test_max_candidates_counts_the_walls_weighed(name, literal):
-    # a leg float-intersects only the static walls its clipped ray meets
-    # and the mirrors its query returns: on no leg all the static walls
+    # a leg weighs only the static walls and the mirrors its walk meets
+    # before its nearest hit: on no leg all the static walls
     table = compile_table(get_machine(name), 8)
     res = run_numeric(table, parse_tape(literal), 100)
     assert 0 < res.max_candidates < len(table.static_walls)
 
 
 def test_trace_without_static_walls():
-    # a bare split gadget has mirrors and no static walls: there is no
-    # static box to clip a ray to, and the query still finds the mirror
+    # a bare split gadget has mirrors and no static walls: its scene's
+    # index holds the family alone, and the walk still finds the mirror
     # (test_gadget_tracer_sees_the_split_levels traces the same gadget)
     from carom.gadgets import build_split_gadget
     from carom.numeric import TraceScene, _Walls
     split = build_split_gadget(3)
     assert split.static_walls == ()
     walls = _Walls(TraceScene(split.static_walls, (split.mirrors,)))
-    assert walls.scene.static == [] and walls.scene.box is None
+    assert walls.scene.static == []
+    assert [entry[4].kind for entry in walls.scene.index.entries] == ["family"]
     x = encode_state(frozenset(), 0).value.as_fraction()
     xyw = (x.numerator, 0, x.denominator)
     t, wall, second = walls.nearest(xyw, (0, 1), None).result()
@@ -366,13 +367,13 @@ def test_numeric_missing_split_mirror_is_a_trace_mismatch(monkeypatch, tmp_path)
     tape = parse_tape("{2:1}")
     dropped = next(ev.wall_id for ev in run_symbolic(table, tape, 10).trace
                    if ev.kind == "reflection" and ev.wall_id.startswith("split:"))
-    walls_in = _BlockMirrors.walls_in
+    block_rows = _BlockMirrors.block_rows
 
-    def without_mirror(self, leg, frame):
-        return [row for row in walls_in(self, leg, frame) if row[5] != dropped]
+    def without_mirror(self, *args):
+        return [row for row in block_rows(self, *args) if row[5] != dropped]
 
-    # the tracer gets its split mirrors only through this per-leg query
-    monkeypatch.setattr(_BlockMirrors, "walls_in", without_mirror)
+    # the tracer gets its split mirrors only through this per-region query
+    monkeypatch.setattr(_BlockMirrors, "block_rows", without_mirror)
     # the exact trace then takes a wrong wall, and the error names it
     with pytest.raises(TraceMismatch, match=f"reflection.wall_id: expected {dropped}"):
         run_numeric(table, tape, 10)

@@ -8,10 +8,11 @@ blocks the query picks per (level, symbol, wall), each window decided in
 integers, must also be exactly those an exact rational window, the oracle
 here, picks, on legs at walls and on legs that end exactly on a box edge.
 The query reads each mirror family's own levels and returns Segments, the
-integer records the full list holds.  The numeric tracer's position
-filters (static walls and charts by box, families by region and query) are
-checked against weighing every wall and chart exactly, kept here as the
-oracle.
+integer records the full list holds.  The numeric tracer's index walk
+(static walls and charts by box, families by level region, each stopped
+at the nearest hit) is checked against weighing every wall and chart
+exactly, kept here as the oracle, on the fixtures and on seeded random
+reversible machines.
 """
 
 import bisect
@@ -34,7 +35,7 @@ from carom import numeric
 from carom.numeric import TraceScene, _Nearest, _Walls
 from carom.simulate import run_numeric
 from carom.table import compile_table
-from carom.zoo import MACHINE_TEXTS, get_machine
+from carom.zoo import MACHINE_TEXTS, get_machine, random_reversible
 from test_gadgets import _mirror_boxes
 from test_trace_identity import NUMERIC_TAPES
 
@@ -306,7 +307,7 @@ def _edge_legs(mirrors, frame, levels, rng, count):
     """Legs, placed by ``frame``, that end exactly on an edge of a block's
     wall box: vertical ones on its bottom edge, horizontal ones on its
     left edge, each one unit long."""
-    data = mirrors._level_data()[0]
+    data = mirrors._level_data()
     oy, sy = frame
     legs = []
     for _ in range(count):
@@ -366,20 +367,24 @@ def test_window_blocks_equal_exact_oracle(build):
     assert met >= len(legs) // 2     # the legs do meet walls
 
 
-# --- the float pre-rejects of numeric._trace, against the full pass -------
+# --- the index walk of numeric._Walls, against the full pass --------------
 
 @pytest.mark.parametrize("name", sorted(MACHINE_TEXTS))
 def test_static_float_boxes_hold_the_exact_boxes(name):
-    # the pre-reject is sound only if every static wall's float box, read
-    # off its float data, holds the wall's exact box
+    # the walk is sound only if every static wall's float box in the
+    # index, read off its float data, holds the wall's exact box, and the
+    # scene's integer box holds every box in the index
     table = compile_table(get_machine(name), 8)
     scene = TraceScene(table.static_walls, ())
-    for wall, box in zip(table.static_walls, scene.boxes):
+    assert [entry[4] for entry in scene.index.entries] == list(table.static_walls)
+    for *box, wall in scene.index.entries:
         x0, y0, x1, y1 = wall.bbox()
         assert (Fraction(box[0]) < x0 and Fraction(box[1]) < y0
                 and Fraction(box[2]) > x1 and Fraction(box[3]) > y1), wall.wall_id
-    assert scene.box == tuple(f(b[i] for b in scene.boxes)
-                              for i, f in enumerate((min, min, max, max)))
+    boxes = [entry[:4] for entry in scene.index.entries]
+    assert scene.box == tuple(round_(b[i] for b in boxes) for i, round_ in enumerate(
+        (lambda v: math.floor(min(v)), lambda v: math.floor(min(v)),
+         lambda v: math.ceil(max(v)), lambda v: math.ceil(max(v)))))
 
 
 def _leg_floats(xyw, d):
@@ -403,7 +408,7 @@ def _full_pass(walls, xyw, direction, exclude, full_rows):
     found = _Nearest(xyw, direction)
     found.offer(walls.scene.static, exclude)
     if full_rows is None:
-        ray = Leg(xyw, direction, None, sum(_leg_floats(xyw, direction), (math.inf,)))
+        ray = Leg(xyw, direction, None)
         rows = [row for mirrors, frame in walls.scene.families
                 for row in mirrors.walls_in(ray, frame)]
     else:
@@ -412,6 +417,15 @@ def _full_pass(walls, xyw, direction, exclude, full_rows):
     gone = None if exclude is None else exclude.wall_id
     found.offer([w for w in rows if w.wall_id != gone], None)
     return found
+
+
+def _irrational_before(found):
+    """The ids of the walls of ``found``'s irrational hits that come before
+    its nearest rational hit, all of them when it has none: those that fail
+    a trace."""
+    t = found.t
+    return [w.wall_id for (a, b, d, m), w in found.irrational
+            if t is None or numeric._surd_sign(a * t[1] - t[0] * m, b * t[1], d) < 0]
 
 
 def _unfiltered_crossings(charts, pos, direction, best_t):
@@ -463,19 +477,33 @@ def _parallel_and_clear(fline, fo, fd, best_t):
     return num < -1e-3 or (best_t is not None and num > 1e-3 * (1 + float(best_t)))
 
 
+#: Seeded random reversible machines (zoo.random_reversible) the walk is
+#: checked on besides the six fixtures, at K=8.
+RANDOM_RUNS = [(random_reversible(random.Random(seed), n), 8, tape, 30)
+               for seed, n in ((1, 4), (2, 6), (3, 4), (4, 8))
+               for tape in ("@", "@1", "1@01", "@0110")]
+
+
 def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
-    # on every leg of real traces, the walls and charts the position
-    # filters leave out change nothing: the box-clipped static walls and
-    # charts plus walls_in give the nearest hit, the runner-up and the
-    # crossings that weighing every wall and chart exactly gives.  At K=4
-    # that is every family's full rows; at K=8, where one family holds
-    # 524,284 mirrors, the families' walls on the whole uncut ray
+    # on every leg of real traces, the walls and charts the index walk
+    # leaves out change nothing: the walls, charts and mirrors it meets
+    # give the nearest hit, the crossings and the irrational hits before
+    # it that weighing every wall and chart exactly gives; a runner-up it
+    # did not weigh lies past the nearest hit, where the walk stops.  At
+    # K=4 the full pass weighs every family's full rows; at K=8, where one
+    # family holds 524,284 mirrors, the families' walls on the whole
+    # uncut ray
     seen = {"legs": 0, "static_left_out": 0, "families_left_out": 0, "charts_left_out": 0,
             "parallel_charts_left_out": 0}
-    nearest, full_rows, full_levels = _Walls.nearest, {}, False
+    nearest, weigh, full_rows, full_levels = _Walls.nearest, _Walls._weigh, {}, False
+    weighed = []    # what the walk offered on the last leg
+    monkeypatch.setattr(_Walls, "_weigh", staticmethod(
+        lambda found, walls, exclude: weighed.extend(walls) or weigh(found, walls, exclude)))
 
     def checked_nearest(walls, xyw, direction, exclude):
+        weighed.clear()
         found = nearest(walls, xyw, direction, exclude)
+        met = weighed
         if walls not in full_rows:
             full_rows[walls] = [
                 row for mirrors, frame in walls.scene.families
@@ -484,41 +512,44 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
         assert ((_exact_t(found.t), found.wall and found.wall.wall_id)
                 == (_exact_t(full.t), full.wall and full.wall.wall_id))
         if _exact_t(found.second) != _exact_t(full.second):
-            # the full pass's runner-up is a mirror past the nearest static
-            # hit, where the leg is cut: it ties nothing
-            cut = _full_pass(walls, xyw, direction, exclude, []).t
-            assert cut is not None and _exact_t(full.second) > _exact_t(cut)
+            # the full pass's runner-up lies past the nearest hit: it ties
+            # nothing
+            assert found.t is not None and _exact_t(full.second) > _exact_t(found.t)
             assert found.second is None or _exact_t(found.second) > _exact_t(full.second)
-        assert ([w.wall_id for _, w in found.irrational]
-                == [w.wall_id for _, w in full.irrational])
+        assert _irrational_before(found) == _irrational_before(full)
         assert ([(_exact_t(t), w) for t, w in found.crossed()]
                 == [(_exact_t(t), w) for t, w in full.crossed()])
         fo, fd = _leg_floats(xyw, direction)
         seen["legs"] += 1
-        seen["static_left_out"] += len(walls.scene.static) - len(walls.scene.near(fo, fd))
-        seen["families_left_out"] += sum(mirrors.local_leg(fo + fd + (math.inf,), frame) is None
-                                         for mirrors, frame in walls.scene.families)
-        lines = [_float_line(w) for w in walls.scene.static if w.kind == "chart"]
-        seen["charts_left_out"] += sum(_far_from_window(fline, fo, fd) for fline in lines)
+        met_ids = {id(w) for w in met}
+        static = [w for w in walls.scene.static if w.kind != "chart"]
+        seen["static_left_out"] += sum(id(w) not in met_ids for w in static)
+        seen["families_left_out"] += sum(
+            not any(w.kind == "segment" and w.wall_id.startswith(mirrors.name + ":k")
+                    for w in met)
+            for mirrors, _ in walls.scene.families)
+        charts = [w for w in walls.scene.static if w.kind == "chart" and id(w) not in met_ids]
+        seen["charts_left_out"] += sum(_far_from_window(_float_line(w), fo, fd) for w in charts)
         seen["parallel_charts_left_out"] += sum(
-            _parallel_and_clear(fline, fo, fd, _exact_t(full.t)) for fline in lines)
+            _parallel_and_clear(_float_line(w), fo, fd, _exact_t(full.t)) for w in charts)
         return found
 
     monkeypatch.setattr(_Walls, "nearest", checked_nearest)
-    runs = [(name, 4, literal, 30) for name, literal in NUMERIC_TAPES]
+    runs = [(get_machine(name), 4, literal, 30) for name, literal in NUMERIC_TAPES]
     # pacer's cycling runs trace one period, so the long runs here are
     # ones that never return: walker, counter and bit-flipper across long
     # blocks of ones or zeros, rev-move and looper walking to the edge of K=8
-    runs += [("walker", 8, "@111", 100), ("walker", 8, "@1111111", 100),
-             ("walker", 8, "1111@111", 100), ("counter", 8, "@1111111", 100),
-             ("bit-flipper", 8, "@0000001", 100), ("rev-move", 8, "@00000001", 100),
-             ("looper", 8, "@", 100), ("walker", 8, "1111111@", 100)]
+    runs += [(get_machine(name), 8, literal, 100) for name, literal in (
+        ("walker", "@111"), ("walker", "@1111111"), ("walker", "1111@111"),
+        ("counter", "@1111111"), ("bit-flipper", "@0000001"), ("rev-move", "@00000001"),
+        ("looper", "@"), ("walker", "1111111@"))]
     tables = {}
-    for name, K, literal, budget in runs:
-        if (name, K) not in tables:
-            tables[name, K] = compile_table(get_machine(name), K)
+    for machine, K, literal, budget in runs + RANDOM_RUNS:
+        key = machine.canonical_text(), K
+        if key not in tables:
+            tables[key] = compile_table(machine, K)
         full_levels = K == 4
-        run_numeric(tables[name, K], parse_tape(literal), budget)
+        run_numeric(tables[key], parse_tape(literal), budget)
     assert seen["legs"] > 1000
     assert min(seen.values()) > 0, seen
 
