@@ -36,6 +36,7 @@ walls (numeric.run_numeric) certifies that the geometry implements them.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import operator
@@ -149,7 +150,7 @@ class Gadget:
 # ---------------------------------------------------------------------------
 
 #: Branch lane offset by classified symbol: read-0 exits left, read-1 right.
-SIGMA = {0: F(-2), 1: F(2)}
+SIGMA = {0: -2, 1: 2}
 
 #: Local frame height of a split cell; walls live in bands around y = 5.
 SPLIT_HEIGHT = F(10)
@@ -183,7 +184,7 @@ def _displacement(k, read_s, write_s):
     rewrite_scale(k) = 3^-e, e = digit_position(k) + 1 + |k|: (n, e),
     d_s(k) = n / 3^e."""
     e = 3 * k + 2 if k >= 0 else 1 - 3 * k
-    return SIGMA[read_s].numerator * 3 ** e + 2 * (write_s - read_s), e
+    return SIGMA[read_s] * 3 ** e + 2 * (write_s - read_s), e
 
 
 def _block_wall_params(k, read_s, write_s):
@@ -199,11 +200,27 @@ def _block_wall_params(k, read_s, write_s):
     return slope, disp
 
 
+#: The ends of a mirror pair's ids: primary, return mirror.
+_ID_ENDS = (":W", ":Wt")
+
+#: The Segment of a tuple of its fields, made by tuple.__new__ in C: the
+#: lister makes one per mirror listed, three times per table written,
+#: reloaded and checked, and NamedTuple's own constructor is Python code.
+_segment = functools.partial(tuple.__new__, Segment)
+
+
+def _id_prefix(name, k, digit_pos, symbol):
+    """What the ids of the mirror pairs over the (k, digit_pos, symbol)
+    CantorBlocks begin with: the pair over the block of free digits
+    ``bits`` has the ids prefix + str(2*bits + symbol) + _ID_ENDS[w]."""
+    return f"{name}:k{k}:d{digit_pos}:s{symbol}:b"
+
+
 def _wall_ids(name, k, digit_pos, symbol, bits):
     """The ids of the (primary, return) mirror pair over the CantorBlock
     with these fields."""
-    wid = f"{name}:k{k}:d{digit_pos}:s{symbol}:b{bits * 2 + symbol}"
-    return wid + ":W", wid + ":Wt"
+    wid = f"{_id_prefix(name, k, digit_pos, symbol)}{bits * 2 + symbol}"
+    return wid + _ID_ENDS[0], wid + _ID_ENDS[1]
 
 
 def _block_walls(name, blk, write_s, base_x):
@@ -295,17 +312,18 @@ class _MirrorLevel(NamedTuple):
     regions: tuple     # regions[symbol][wall], from _pair_template
 
 
-# one entry per level set, cell offset and pair of writes per level that a
-# family has: bounded, as _pair_template is
+# one entry per family key (level range, cell offset, writes): bounded, as
+# _pair_template is
 @functools.lru_cache(maxsize=None)
 def _family_levels(levels, cell_offset, writes):
-    """The _MirrorLevel records of a family of these ``levels`` (a range
-    of k), classifying cell k + ``cell_offset``, whose level k writes
-    ``writes[i]`` (symbol 0's, symbol 1's), i its place in ``levels``:
-    each level's two _pair_template records read together.  Families that
-    agree in these share them, across tables too."""
+    """The _MirrorLevel records of the family keyed by these ``levels`` (a
+    range of k), classifying cell k + ``cell_offset``, that writes
+    ``writes`` = (w0, w1) over its read-0 and read-1 blocks: each level's
+    two _pair_template records read together.  Families of one key share
+    them, across tables too."""
+    w0, w1 = writes
     out = []
-    for k, (w0, w1) in zip(levels, writes):
+    for k in levels:
         digit_pos = digit_position(k + cell_offset)
         t0, t1 = _pair_template(k, digit_pos, 0, w0), _pair_template(k, digit_pos, 1, w1)
         out.append(_MirrorLevel(k, digit_pos, (t0.boxes, t1.boxes), (t0.regions, t1.regions)))
@@ -366,29 +384,32 @@ class _BlockMirrors:
     """The mirror pairs of a split gadget, one per Cantor block, found by
     position and built in the frame they are placed in.
 
-    ``levels`` is the family's level set, the one definition the walls and
-    the split's transfer read: the head levels |k| <= K whose classified
-    cell k + cell_offset also has |k + cell_offset| <= K.
+    A family is named by its ``key``, (levels, cell_offset, writes):
+    ``writes`` = (w0, w1) are written over its read-0 and read-1 blocks,
+    and ``levels``, the one level set the walls and the split's transfer
+    read, are the head levels |k| <= K whose classified cell k +
+    cell_offset also has |k + cell_offset| <= K.
 
     A level's pairs are one template pair translated by c * (1, 8) for the
     block centres c, and block F of ``cantor_walk`` has its centre at c_0 +
     F * step (``_pair_template``).  So ``_placed`` places the pair over
     block 0 and the step in integers, each wall over its own denominator,
-    and ``_rows`` lists the pair over block F from them as Segments (den,
-    x0, y0, x1, y1, id), with no Fraction arithmetic.  It is the one pair
-    builder: ``rows`` lists every mirror of some levels for serialization,
-    the layout check and a full wall listing; ``block_rows`` lists one
-    wall of one level and symbol over the blocks a leg meets, which the
-    numeric tracer reads as they are, for the regions its index walks into
-    (``numeric.TraceScene``); and ``walls_in`` scans every level for a leg.
-    ``_window`` bounds the blocks F a leg meets exactly, in integers, and
-    ``block_indices`` lists exactly those blocks.
+    and ``_segments``, the one lister, lists the walls over the blocks F of
+    a window from them as Segments, with no Fraction arithmetic.  ``rows``
+    lists every mirror of some levels for serialization, the layout check
+    and a full wall listing; ``block_rows`` lists one wall of one level and
+    symbol over the blocks a leg meets, which the numeric tracer reads as
+    they are, for the regions its index walks into (``numeric.TraceScene``);
+    and ``walls_in`` scans every level for a leg.  ``_window`` bounds the
+    blocks F a leg meets exactly, in integers, and ``block_indices`` lists
+    exactly those blocks.
 
     Everything read per level and symbol (the integer boxes and the float
     region around each wall) is in the key's ``_pair_template`` record,
     made once per (k, digit_pos, read, write) at base_x = 0, whatever
     family or table asks.  ``_level_data`` only looks up the family's
-    records, on first need (never at compile time).
+    records by its key (``_family_levels``), on first need (never at
+    compile time).
 
     ``rows``, ``block_rows`` and ``walls_in`` take a frame (oy, sy), the
     placement y -> oy + sy*y of the gadget's local frame (sy = -1 for a
@@ -396,11 +417,11 @@ class _BlockMirrors:
     that placed frame; ``_exact_leg`` takes it back to the local frame.
     """
 
-    def __init__(self, name, K, cell_offset, rewrite_rule, base_x):
-        self.name, self.cell_offset = name, cell_offset
-        self.rewrite_rule, self.base_x = rewrite_rule, base_x
+    def __init__(self, name, K, cell_offset, writes, base_x):
+        self.name, self.cell_offset, self.writes = name, cell_offset, writes
+        self.base_x = base_x
         self.levels = range(max(-K, -K - cell_offset), min(K, K - cell_offset) + 1)
-        self._data = None
+        self.key = (self.levels, cell_offset, writes)
 
     def _placed(self, k, digit_pos, s, frame):
         """_pair_template of level k and symbol s placed by ``frame``, x
@@ -409,8 +430,7 @@ class _BlockMirrors:
         den, (y + F*step_y) / den)."""
         (oy, sy), bx = frame, self.base_x
         placed = []
-        for den, step, x0, y0, x1, y1 in _pair_template(
-                k, digit_pos, s, self.rewrite_rule(k, s)).walls:
+        for den, step, x0, y0, x1, y1 in _pair_template(k, digit_pos, s, self.writes[s]).walls:
             d = math.lcm(den, bx.denominator, oy.denominator)
             m = d // den
             dx, dy = bx.numerator * (d // bx.denominator), oy.numerator * (d // oy.denominator)
@@ -418,89 +438,75 @@ class _BlockMirrors:
                            m * x0 + dx, sy * m * y0 + dy, m * x1 + dx, sy * m * y1 + dy))
         return placed
 
-    def _rows(self, placed, k, digit_pos, s, index, bits):
-        """The (primary, return) pair over block ``index`` of level k and
-        symbol s, whose free digits are ``bits``, from ``_placed``: Segments
-        (den, x0, y0, x1, y1, id), the wall from (x0, y0) / den to
-        (x1, y1) / den."""
-        (d, sx, sy, a0, b0, a1, b1), (e, tx, ty, c0, d0, c1, d1) = placed
-        primary_id, return_id = _wall_ids(self.name, k, digit_pos, s, bits)
-        dx, dy, ex, ey = index * sx, index * sy, index * tx, index * ty
-        return (Segment(d, a0 + dx, b0 + dy, a1 + dx, b1 + dy, primary_id),
-                Segment(e, c0 + ex, d0 + ey, c1 + ex, d1 + ey, return_id))
+    def _segments(self, k, digit_pos, s, placed, walls=(0, 1), window=None):
+        """Per block F of level k and symbol s in ``window`` (F_lo, F_hi;
+        None: every block), ascending: F and the Segments (den, x0 + F*sx,
+        y0 + F*sy, x1 + F*sx, y1 + F*sy, id) over it of the ``walls`` w (0
+        primary, 1 return), read off ``placed[w]``, the _placed (den, sx,
+        sy, x0, y0, x1, y1); each block's ids are formatted once."""
+        prefix = _id_prefix(self.name, k, digit_pos, s)
+        records = [(_ID_ENDS[w], *placed[w]) for w in walls]
+        for index, bits in block_indices(digit_pos - 1, window):
+            wid, segments = f"{prefix}{bits * 2 + s}", []
+            for end, d, sx, sy, x0, y0, x1, y1 in records:
+                dx, dy = index * sx, index * sy
+                segments.append(_segment((d, x0 + dx, y0 + dy, x1 + dx, y1 + dy, wid + end)))
+            yield index, segments
 
     def rows(self, levels, frame):
         """Every mirror of ``levels`` placed by ``frame`` as a Segment (see
-        ``_rows``), ordered by level as given, symbol and block."""
+        ``_segments``), ordered by level as given, symbol and block, the
+        primary before the return mirror."""
         rows = []
         for k in levels:
             if k not in self.levels:
                 continue
             digit_pos = digit_position(k + self.cell_offset)
             for s in (0, 1):
-                placed = self._placed(k, digit_pos, s, frame)
-                for index, bits in block_indices(digit_pos - 1):
-                    rows += self._rows(placed, k, digit_pos, s, index, bits)
+                for _, pair in self._segments(k, digit_pos, s,
+                                              self._placed(k, digit_pos, s, frame)):
+                    rows += pair
         return rows
 
     def _level_data(self):
-        """The family's levels, sorted by k (``_family_levels``), looked up
-        once."""
-        if self._data is None:
-            rule = self.rewrite_rule
-            self._data = _family_levels(self.levels, self.cell_offset,
-                                        tuple((rule(k, 0), rule(k, 1)) for k in self.levels))
-        return self._data
+        """The family's levels, sorted by k: ``_family_levels`` of its key."""
+        return _family_levels(*self.key)
 
     def block_rows(self, lv, s, w, exact, placed):
         """Wall w (0 primary, 1 return) of level ``lv`` and symbol s over
         every block whose box meets the leg ``exact`` (_exact_leg), as
-        Segments (see ``_rows``), ``placed`` its _placed record."""
-        d, sx, sy, x0, y0, x1, y1 = placed
-        k, digit_pos = lv.k, lv.digit_pos
-        return [Segment(d, x0 + index * sx, y0 + index * sy, x1 + index * sx, y1 + index * sy,
-                        _wall_ids(self.name, k, digit_pos, s, bits)[w])
-                for index, bits in block_indices(digit_pos - 1, _window(lv, s, w, exact))]
-
-    def _blocks(self, leg, frame):
-        """(level, symbol, wall, F, bits) for every block F whose wall box
-        meets the Leg ``leg``, the walls placed by ``frame``: every level's
-        window decided exactly by ``_window``, on the exact leg."""
-        exact = _exact_leg(leg, self.base_x, frame)
-        for lv in self._level_data():
-            for s in (0, 1):
-                for w in (0, 1):
-                    for index, bits in block_indices(lv.digit_pos - 1,
-                                                     _window(lv, s, w, exact)):
-                        yield lv, s, w, index, bits
+        Segments (see ``_segments``), ``placed`` the level and symbol's
+        _placed record."""
+        return [row for _, (row,) in self._segments(lv.k, lv.digit_pos, s, placed, (w,),
+                                                    _window(lv, s, w, exact))]
 
     def walls_in(self, leg, frame):
         """The mirrors whose boxes the Leg ``leg`` meets, placed by
-        ``frame``, as Segments (see ``_rows``), ordered by level ascending,
-        symbol and block, every level scanned.
+        ``frame``, as Segments (see ``_segments``), in ``rows`` order over
+        the levels ascending, every level scanned: each wall's blocks
+        decided exactly by ``_window``, on the exact leg.
 
         Sound, not tight: no wall the leg meets is left out, and a wall is
         returned only if the leg meets its bounding box."""
-        found = {}    # (k, s, F) -> [digit_pos, bits, primary?, return?]
-        for lv, s, w, index, bits in self._blocks(leg, frame):
-            entry = found.setdefault((lv.k, s, index), [lv.digit_pos, bits, False, False])
-            entry[2 + w] = True
-        if not found:
-            return []
-        rows, group = [], None
-        for (k, s, index), (digit_pos, bits, *kept) in sorted(found.items()):
-            if group != (k, s):
-                group, placed = (k, s), self._placed(k, digit_pos, s, frame)
-            pair = self._rows(placed, k, digit_pos, s, index, bits)
-            rows += [row for row, keep in zip(pair, kept) if keep]
+        exact = _exact_leg(leg, self.base_x, frame)
+        rows = []
+        for lv in self._level_data():
+            for s in (0, 1):
+                placed = self._placed(lv.k, lv.digit_pos, s, frame)
+                # each wall's blocks ascending, merged by F, primary first
+                for _, walls in heapq.merge(
+                        *(self._segments(lv.k, lv.digit_pos, s, placed, (w,),
+                                         _window(lv, s, w, exact)) for w in (0, 1)),
+                        key=operator.itemgetter(0)):
+                    rows += walls
         return rows
 
 
 class _TranslationTransfer(PiecewiseTransfer):
     """A split's transfer: on head level k it moves every block of symbol
-    s by one displacement d_s(k) = ``displacement(k, s)``, (n, e) for n /
-    3^e, over the family's ``levels``, each classifying cell k +
-    ``cell_offset``.
+    s by one displacement d_s(k) = _displacement(k, s, w_s), (n, e) for n
+    / 3^e, over the levels of its family ``mirrors`` (_BlockMirrors), each
+    classifying cell k + cell_offset, that writes w_s = mirrors.writes[s].
 
     So its injectivity is a lemma, with no piece enumerated.  The blocks of
     one level and symbol are disjoint and move together.  They span H_s(k),
@@ -516,22 +522,23 @@ class _TranslationTransfer(PiecewiseTransfer):
     level's hull, which it refuses even where the map is injective.
     """
 
-    def __init__(self, locate, enumerate_pieces, label, levels, cell_offset, displacement):
+    def __init__(self, locate, enumerate_pieces, label, mirrors):
         super().__init__(locate, enumerate_pieces, label)
-        self.levels, self.cell_offset = levels, cell_offset
-        self.displacement = displacement
+        self.mirrors = mirrors
 
     def check_injective(self, levels):
         """Verify, by the lemma, that the images of the pieces of ``levels``
         (those in the family's) are pairwise disjoint, raising the
         ValueError PiecewiseTransfer.check_injective raises (touching ends
         do not overlap)."""
-        chosen = sorted(set(levels).intersection(self.levels))
+        mirrors = self.mirrors
+        chosen = sorted(set(levels).intersection(mirrors.levels))
         if not chosen:
             return
+        (w0, w1), offset = mirrors.writes, mirrors.cell_offset
         # per level: I_k = [lo, hi] / 3^e, its blocks 3^-(e + digit_pos) long
-        ends = [(_hull(k), digit_position(k + self.cell_offset),
-                 self.displacement(k, 0), self.displacement(k, 1)) for k in chosen]
+        ends = [(_hull(k), digit_position(k + offset),
+                 _displacement(k, 0, w0), _displacement(k, 1, w1)) for k in chosen]
         top = max(max(e + digit_pos, e0, e1)
                   for (_, _, e), digit_pos, (_, e0), (_, e1) in ends)
         pow3 = list(itertools.accumulate(itertools.repeat(3, top), operator.mul, initial=1))
@@ -551,16 +558,17 @@ class _TranslationTransfer(PiecewiseTransfer):
             raise ValueError(f"transfer {self.label}: images of branch0 and branch1 overlap")
 
 
-def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
+def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=F(0),
                        name="split"):
     """A separating wall family for head levels |k| <= K.
 
-    ``rewrite_rule`` maps (k, read symbol) to the written symbol (None
-    means read-only).  ``cell_offset`` selects which tape cell the walls
-    classify on, relative to the head: 0 is the ordinary read split;
-    merges use the cell behind the head.  Walls and transfer cover the
-    mirror family's levels: those |k| <= K whose classified cell also lies
-    within K (``_BlockMirrors``).
+    ``writes`` = (w0, w1) are the symbols the split writes over its read-0
+    and read-1 blocks, as a machine edge writes by (state, read) alone;
+    the default (0, 1) is read-only.  ``cell_offset`` selects which tape
+    cell the walls classify on, relative to the head: 0 is the ordinary
+    read split; merges use the cell behind the head.  Walls and transfer
+    cover the mirror family's levels: those |k| <= K whose classified cell
+    also lies within K (``_BlockMirrors``).
 
     Transfer: u -> u + sigma_s (+ rewrite displacement) where s is the
     classified symbol, on every Cantor block; in-port window [0, 1],
@@ -568,14 +576,9 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
     """
     if K > k_max_cap():
         raise KRangeExceeded(f"split K={K} beyond cap {k_max_cap()}")
-    if rewrite_rule is None:
-        rewrite_rule = lambda k, s: s
-    base_x = F(base_x)
-    mirrors = _BlockMirrors(name, K, cell_offset, rewrite_rule, base_x)
+    writes, base_x = tuple(writes), F(base_x)
+    mirrors = _BlockMirrors(name, K, cell_offset, writes, base_x)
     levels = mirrors.levels
-
-    def displacement(k, s):
-        return _displacement(k, s, rewrite_rule(k, s))
 
     def locate(u):
         v = u  # in-port coordinate equals the encoded value
@@ -586,9 +589,9 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
             blk = block_of(v, k, digit_position(k + cell_offset))
         except NotACode as err:
             raise DomainError(f"{name}: {err}") from err
-        return Piece(blk.lo, blk.hi, T(1), T(*displacement(k, blk.symbol)),
-                     _wall_ids(name, k, blk.digit_pos, blk.symbol, blk.bits),
-                     f"branch{blk.symbol}")
+        s = blk.symbol
+        return Piece(blk.lo, blk.hi, T(1), T(*_displacement(k, s, writes[s])),
+                     _wall_ids(name, k, blk.digit_pos, s, blk.bits), f"branch{s}")
 
     def enumerate_pieces(chosen):
         pieces = []
@@ -597,15 +600,14 @@ def build_split_gadget(K, rewrite_rule=None, *, cell_offset=0, base_x=F(0),
                 continue
             digit_pos = digit_position(k + cell_offset)
             for s in (0, 1):
-                b = T(*displacement(k, s))
+                b = T(*_displacement(k, s, writes[s]))
                 for blk in cantor_blocks_at(k, digit_pos, s):
                     pieces.append(Piece(blk.lo, blk.hi, T(1), b,
                                         _wall_ids(name, k, digit_pos, s, blk.bits),
                                         f"branch{s}"))
         return pieces
 
-    transfer = _TranslationTransfer(locate, enumerate_pieces, name, levels, cell_offset,
-                                    displacement)
+    transfer = _TranslationTransfer(locate, enumerate_pieces, name, mirrors)
     ports_out = {
         "b0": Chart.of((base_x, SPLIT_HEIGHT), (1, 0), (0, 1), -2, -1),
         "b1": Chart.of((base_x, SPLIT_HEIGHT), (1, 0), (0, 1), 2, 3),

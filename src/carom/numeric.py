@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gadgets import _exact_leg
+from .gadgets import _exact_leg, _family_levels
 from .geometry import Leg
 from .simulate import (
     Periodic,
@@ -377,7 +377,7 @@ class _Family:
 
     def __init__(self, mirrors, frame):
         self.mirrors, self.frame = mirrors, frame
-        self.index = _family_index(mirrors._level_data())
+        self.index = _family_index(*mirrors.key)
         self.base, self.oy, self.sy = float(mirrors.base_x), float(frame[0]), frame[1]
         self.placed, self.box = {}, None     # box: None for a family of no levels
         if self.index.box is not None:
@@ -396,17 +396,18 @@ class _Family:
         if placed is None:
             placed = self.placed[lv.k, s] = self.mirrors._placed(lv.k, lv.digit_pos, s,
                                                                  self.frame)
-        return self.mirrors.block_rows(lv, s, w, exact, placed[w])
+        return self.mirrors.block_rows(lv, s, w, exact, placed)
 
 
 @functools.lru_cache(maxsize=None)
-def _family_index(levels):
-    """The _RayIndex of a family's ``levels`` (_MirrorLevel records) in its
-    local frame: per level, symbol s and wall w, the region around that
-    wall over every block, with (level, s, w) as its payload.  Families
-    whose levels read the same records share it, across tables too."""
+def _family_index(levels, cell_offset, writes):
+    """The _RayIndex of the family of this key (_BlockMirrors.key) in its
+    local frame: per level (``_family_levels``), symbol s and wall w, the
+    region around that wall over every block, with (level, s, w) as its
+    payload.  Families of one key share it, across tables too."""
     return _RayIndex([(*lv.regions[s][w], (lv, s, w))
-                      for lv in levels for s in (0, 1) for w in (0, 1)])
+                      for lv in _family_levels(levels, cell_offset, writes)
+                      for s in (0, 1) for w in (0, 1)])
 
 
 class TraceScene:

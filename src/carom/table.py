@@ -200,8 +200,10 @@ class BilliardTable:
     # -- charts ----------------------------------------------------------
 
     def checkpoint_point(self, state, value):
-        """The point of ``state``'s checkpoint chart at ``value``."""
-        return self.stations[state].checkpoint.chart(value.as_fraction())
+        """The point of ``state``'s checkpoint chart at ``value``, in
+        Fractions, read off the chart's and the value's integers."""
+        x, y, w = self.stations[state].checkpoint.point(value.num, 3 ** value.exp)
+        return Fraction(x, w), Fraction(y, w)
 
     # -- scene -------------------------------------------------------------
 
@@ -362,14 +364,11 @@ class BilliardTable:
     def _document(self):
         """The serialized table but its scene, as a JSON-ready dict, each
         corridor's "pieces" left empty for ``_chunks`` to fill."""
-        def pt(p):
-            return [_frac(p[0]), _frac(p[1])]
-
         marks = []
         for m in self.marked_segments():
-            marks.append({"name": m.name, "origin": pt(m.origin),
-                          "tangent": pt(m.tangent), "beam": pt(m.beam),
-                          "hard": m.hard})
+            marks.append({"name": m.name, "origin": [_ratio(m.ox, m.den), _ratio(m.oy, m.den)],
+                          "tangent": [_ratio(t, 1) for t in m.tangent],
+                          "beam": [_ratio(b, 1) for b in m.beam], "hard": m.hard})
         corridors = []
         for (q, a), c in sorted(self.corridors.items()):
             corridors.append({
@@ -398,8 +397,10 @@ class BilliardTable:
         }
 
 
-def _frac(x):
-    return f"{x.numerator}/{x.denominator}"
+def _ratio(n, d):
+    """n / d, d > 0, in lowest terms as the table file writes it: "n/d"."""
+    g = math.gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 def _piece_text(stage, p):
@@ -409,14 +410,14 @@ def _piece_text(stage, p):
 
 
 def _wall_text(w):
-    gcd = math.gcd
     if w.kind == "segment":
         den, x0, y0, x1, y1, wid = w
-        a, b, c, d = gcd(x0, den), gcd(y0, den), gcd(x1, den), gcd(y1, den)
-        return _SEGMENT_TEXT % (encode_basestring_ascii(wid), x0 // a, den // a,
-                                y0 // b, den // b, x1 // c, den // c, y1 // d, den // d)
-    return _ARC_TEXT % (_frac(w.apex_y), _frac(w.axis_x), encode_basestring_ascii(w.wall_id),
-                        _frac(w.p), w.sign, _frac(w.x_hi), _frac(w.x_lo))
+        return _SEGMENT_TEXT % (encode_basestring_ascii(wid), _ratio(x0, den), _ratio(y0, den),
+                                _ratio(x1, den), _ratio(y1, den))
+    den = w.den
+    return _ARC_TEXT % (_ratio(w.apex, den), _ratio(w.axis, den),
+                        encode_basestring_ascii(w.wall_id), _ratio(w.focal, den), w.sign,
+                        _ratio(w.hi, den), _ratio(w.lo, den))
 
 
 #: a corridor's "pieces" as ``_document`` leaves it.  Only a key can read
@@ -425,8 +426,8 @@ _NO_PIECES = '"pieces": []'
 
 # one piece of a corridor and one wall of the scene list as
 # json.dumps(indent=1, sort_keys=True) writes them: ids json-escaped, a
-# piece's values TernaryRational strings, a wall's reduced "n/d" strings,
-# a sign an int
+# piece's values TernaryRational strings, a wall's reduced "n/d" strings
+# (_ratio), a sign an int
 _PIECE_TEXT = """\
     {
      "a": "%s",
@@ -445,12 +446,12 @@ _SEGMENT_TEXT = """\
    "id": %s,
    "kind": "segment",
    "p0": [
-    "%d/%d",
-    "%d/%d"
+    "%s",
+    "%s"
    ],
    "p1": [
-    "%d/%d",
-    "%d/%d"
+    "%s",
+    "%s"
    ]
   }"""
 _ARC_TEXT = """\
@@ -492,7 +493,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         checkpoint = Chart.of((x, F(0)), (1, 0), (0, 1), name=f"chk:{q}", hard=halting)
         stations[q] = Station(state=q, x=x, checkpoint=checkpoint)
 
-    # splits: one per non-halting state, rewriting per its two out-edges
+    # splits: one per non-halting state, writing what its two out-edges write
     writes = {}
     for t in graph.edges:
         writes[(t.state, t.read)] = t.write
@@ -500,10 +501,8 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         if machine.is_halting(q):
             continue
         st = stations[q]
-        rule = (lambda q: lambda k, s: writes[(q, s)])(q)
-        split = build_split_gadget(K, rewrite_rule=rule, base_x=st.x,
-                                   name=f"split:{q}")
-        st.split = split
+        st.split = build_split_gadget(K, (writes[(q, 0)], writes[(q, 1)]), base_x=st.x,
+                                      name=f"split:{q}")
 
     # merges: states entered by two edges; the walls classify on the tape
     # cell behind the head, which reversibility makes branch-disjoint.
@@ -529,9 +528,9 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
     for idx, edge in enumerate(edges):
         src, tgt = stations[edge.state], stations[edge.target]
         a = edge.read
-        sigma_in = int(SIGMA[a])
+        sigma_in = SIGMA[a]
         merged = tgt.merge is not None
-        sigma_out = int(SIGMA[edge.write]) if merged else 0
+        sigma_out = SIGMA[edge.write] if merged else 0
         stage = build_shift_stage(edge.shift, base_x=src.x, sigma=sigma_in,
                                   K=K, name=f"stage:{edge.state}.r{a}")
 

@@ -115,8 +115,7 @@ def test_criterion_3_gadget_soundness():
     t0 = time.time()
     samples = _soundness_samples()
     split = build_split_gadget(3)
-    resplit = build_split_gadget(3, rewrite_rule=lambda k, s: 1 - s,
-                                 name="resplit")
+    resplit = build_split_gadget(3, writes=(1, 0), name="resplit")
     merge = build_merge_gadget(build_split_gadget(3, name="m"), name="merge")
     stage_fwd = build_shift_stage(+1, K=3)
     stage_bwd = build_shift_stage(-1, K=3)

@@ -38,6 +38,11 @@ from carom.table import MERGE_DY, SPLIT_DY, compile_table
 from carom.ternary import T
 from carom.zoo import MACHINE_TEXTS, get_machine
 
+#: Every writes pair of a split, (w0, w1): read-only, both flipped, and the
+#: two that write one symbol everywhere, so rewrite one read only
+WRITES = [(0, 1), (1, 0), (0, 0), (1, 1)]
+WRITES_IDS = ["read-only", "rewriting", "write-0", "write-1"]
+
 
 def sample_points(k_range=3, cells=3):
     out = []
@@ -164,7 +169,7 @@ def test_split_transfer_examples():
 
 
 def test_split_rewrite_example():
-    split = build_split_gadget(4, rewrite_rule=lambda k, s: 1)
+    split = build_split_gadget(4, writes=(1, 1))
     out, piece = split.transfer.apply(T(1, 1))
     # 1/3 + 2*3^-2 - 2 = -13/9
     assert out == T(-13, 2)
@@ -172,8 +177,8 @@ def test_split_rewrite_example():
 
 
 def test_split_matches_encoding_semantics():
-    writes = {0: 1, 1: 1}
-    split = build_split_gadget(3, rewrite_rule=lambda k, s: writes[s])
+    writes = (1, 1)
+    split = build_split_gadget(3, writes)
     for p in sample_points(3, 3):
         a = read_digit(p)
         want = rewrite_point(p, writes[a]).value + (-2 if a == 0 else 2)
@@ -200,7 +205,7 @@ def test_split_wall_slopes_and_parallelism():
 
 
 def test_rewrite_wall_angle_law():
-    split = build_split_gadget(2, rewrite_rule=lambda k, s: 1 - s)
+    split = build_split_gadget(2, writes=(1, 0))
     for k in range(0, 3):
         for w in split.walls([k]):
             if not (w.wall_id.endswith(":W") and ":s0:" in w.wall_id):
@@ -221,7 +226,7 @@ def test_rewrite_slope_approaches_straight():
 
 
 def test_split_walls_disjoint():
-    split = build_split_gadget(3, rewrite_rule=lambda k, s: 1 - s)
+    split = build_split_gadget(3, writes=(1, 0))
     walls = split.walls(range(-3, 4))
     boxes = [(w, w.bbox()) for w in walls]
     boxes.sort(key=lambda t: t[1][0])
@@ -290,7 +295,7 @@ def test_merge_walls_mirror_split():
 
 # --- mirror templates ----------------------------------------------------
 
-def explicit_pairs(name, levels, rule, base_x):
+def explicit_pairs(name, levels, writes, base_x):
     """Every split mirror pair by the explicit per-block formula, in the
     order ``walls(levels)`` lists them."""
     walls = []
@@ -298,7 +303,7 @@ def explicit_pairs(name, levels, rule, base_x):
         digit_pos = digit_position(k)
         for s in (0, 1):
             for blk in cantor_blocks_at(k, digit_pos, s):
-                walls += _block_walls(name, blk, rule(k, s), base_x)
+                walls += _block_walls(name, blk, writes[s], base_x)
     return walls
 
 
@@ -314,19 +319,19 @@ def _values(walls):
     return [(w.p0, w.p1, w.wall_id) for w in walls]
 
 
-@pytest.mark.parametrize("rewrite", [False, True], ids=["read-only", "rewriting"])
+@pytest.mark.parametrize("writes", WRITES, ids=WRITES_IDS)
 @pytest.mark.parametrize("base_x", [Fraction(0), Fraction(48)], ids=["x0", "x48"])
-def test_template_pairs_equal_explicit_formula(rewrite, base_x):
-    # every block of levels -4..4, both symbols: the split, its mirror
-    # image as a merge, and both placed in the global frame the way a table
-    # places them, each frame moved up by the placement's dy.  The full
-    # listing equals the explicit formula pair for pair, and so does every
-    # wall a positional query returns (both build pairs with _rows)
+def test_template_pairs_equal_explicit_formula(writes, base_x):
+    # every block of levels -4..4 of a K=8 split, both symbols, for each of
+    # the four writes pairs: the split, its mirror image as a merge, and
+    # both placed in the global frame the way a table places them, each
+    # frame moved up by the placement's dy.  The full listing equals the
+    # explicit formula pair for pair, and so does every wall a positional
+    # query returns (both list pairs with _segments)
     levels = range(-4, 5)
-    rule = (lambda k, s: 1 - s) if rewrite else (lambda k, s: s)
-    split = build_split_gadget(4, rewrite_rule=rule, base_x=base_x, name="split:A")
+    split = build_split_gadget(8, writes, base_x=base_x, name="split:A")
     merge = build_merge_gadget(split, name="merge:A")
-    want = explicit_pairs("split:A", levels, rule, base_x)
+    want = explicit_pairs("split:A", levels, writes, base_x)
     mirrored = placed(want, 10, -1)
 
     def placed_at(gadget, dy):
@@ -382,14 +387,15 @@ def _mirror_boxes(k, digit_pos, read_s, write_s):
 
 
 def test_mirror_boxes_match_explicit_pair():
-    # the level record of every level |k| <= 8, both symbols, read-only and
-    # rewriting, against the explicit pairs over the first and the last
-    # block of the level: its boxes, moved to the last block, are that
-    # pair's boxes; centred on their block they are the Fraction oracle's
-    # (_mirror_boxes); and each wall's float region is the box from the
-    # first block's wall box to the last one's, each corner correctly rounded
-    for rule in (lambda k, s: s, lambda k, s: 1 - s):
-        mirrors, _ = build_split_gadget(8, rewrite_rule=rule).mirrors
+    # the level record of every level |k| <= 8, both symbols, for each of
+    # the four writes pairs, against the explicit pairs over the first and
+    # the last block of the level: its boxes, moved to the last block, are
+    # that pair's boxes; centred on their block they are the Fraction
+    # oracle's (_mirror_boxes); and each wall's float region is the box
+    # from the first block's wall box to the last one's, each corner
+    # correctly rounded
+    for writes in WRITES:
+        mirrors, _ = build_split_gadget(8, writes).mirrors
         levels = mirrors._level_data()
         assert [lv.k for lv in levels] == list(range(-8, 9))
         for lv in levels:
@@ -399,15 +405,15 @@ def test_mirror_boxes_match_explicit_pair():
                 ends = []
                 for index in (0, last):
                     blk, = cantor_walk(k, digit_pos, s, (index, index))
-                    pair = _block_walls("", blk, rule(k, s), Fraction(0))
+                    pair = _block_walls("", blk, writes[s], Fraction(0))
                     ends.append([((w.p0[0] + w.p1[0]) / 2, (w.p0[1] + w.p1[1]) / 2,
                                   abs(w.p1[0] - w.p0[0]) / 2, abs(w.p1[1] - w.p0[1]) / 2)
                                  for w in pair])
                 c, c0 = blk.centre, cantor_walk(k, digit_pos, s, (0, 0))[0].centre
                 boxes = ends[1]
-                assert _mirror_boxes(k, digit_pos, s, rule(k, s)) == tuple(
+                assert _mirror_boxes(k, digit_pos, s, writes[s]) == tuple(
                     (ax - c, ay - 8 * c, rx, ry) for ax, ay, rx, ry in boxes)
-                record = _pair_template(k, digit_pos, s, rule(k, s))
+                record = _pair_template(k, digit_pos, s, writes[s])
                 assert lv.boxes[s] == record.boxes and lv.regions[s] == record.regions
                 assert [tuple(Fraction(v, den) for v in (x + last * step, y + 8 * last * step,
                                                          rx, ry))
@@ -415,7 +421,7 @@ def test_mirror_boxes_match_explicit_pair():
                 centred = tuple((Fraction(x, den) - c0, Fraction(y, den) - 8 * c0,
                                  Fraction(rx, den), Fraction(ry, den))
                                 for den, _, x, y, rx, ry in record.boxes)
-                assert centred == _mirror_boxes(k, digit_pos, s, rule(k, s))
+                assert centred == _mirror_boxes(k, digit_pos, s, writes[s])
                 assert record.regions == tuple(
                     tuple(map(float, (ax - rx, ay - ry, bx + qx, by + qy)))
                     for (ax, ay, rx, ry), (bx, by, qx, qy) in zip(*ends))
@@ -431,7 +437,7 @@ def _level_data_oracle(mirrors):
         digit_pos = digit_position(k + mirrors.cell_offset)
         # the last block index reads every free digit as 2 (block_indices)
         last = int("2" * (digit_pos - 1) or "0", 3)
-        boxes = tuple(_pair_template(k, digit_pos, s, mirrors.rewrite_rule(k, s)).boxes
+        boxes = tuple(_pair_template(k, digit_pos, s, mirrors.writes[s]).boxes
                       for s in (0, 1))
         regions = tuple(tuple(tuple(float(Fraction(v, den)) for v in (
             x - rx, y - ry, x + last * step + rx, y + 8 * last * step + ry))
@@ -466,6 +472,36 @@ def test_level_records_match_the_per_family_oracle(K):
     assert frames == {1, -1}
 
 
+def _scene_families(table):
+    """The _Family records of ``table``'s trace scene, in scene order."""
+    return [entry[4] for entry in table.trace_scene.index.entries
+            if entry[4].kind == "family"]
+
+
+def test_family_index_is_cached_by_the_family_key():
+    # two fresh tables of one machine at K=8: the second table's scene adds
+    # no miss to the family-index cache, and families of one key, in either
+    # table, read one _RayIndex object, though they are other _BlockMirrors;
+    # a split of writes (1, 0) gets another index than one of (0, 1)
+    machine = get_machine("pacer")
+    first = _scene_families(compile_table(machine, 8))
+    misses = numeric._family_index.cache_info().misses
+    second = _scene_families(compile_table(machine, 8))
+    assert numeric._family_index.cache_info().misses == misses
+    assert len(first) == len(second) >= 4
+    by_key = {}
+    for family, twin in zip(first, second):
+        assert family.mirrors.key == twin.mirrors.key and family.mirrors is not twin.mirrors
+        for f in (family, twin):
+            assert by_key.setdefault(f.mirrors.key, f.index) is f.index
+    assert len(by_key) < len(first)
+    read, flipped = (numeric._Family(*build_split_gadget(8, writes).mirrors)
+                     for writes in ((0, 1), (1, 0)))
+    assert read.mirrors.key != flipped.mirrors.key
+    assert read.index is not flipped.index
+    assert [e[:4] for e in read.index.entries] != [e[:4] for e in flipped.index.entries]
+
+
 def _verdict(check, levels):
     try:
         check(levels)
@@ -484,8 +520,9 @@ def _both_verdicts(transfer, levels=range(-3, 4)):
 def test_injectivity_lemma_matches_the_enumerated_check():
     # every demo machine's premerge splits; read-only splits at K=8 that
     # classify the head cell or a neighbour, as premerge splits do; and
-    # rewriting splits at K=8, which classify the head cell, as compiled
-    # splits do
+    # splits of every writes pair at K=8, which classify the head cell, as
+    # compiled splits do: (0, 0) and (1, 1) move one lane rigidly and
+    # rewrite in the other, so one split holds both kinds of lane
     transfers = {}
     for table in _demo_tables(8):
         for corridor in table.corridors.values():
@@ -495,9 +532,8 @@ def test_injectivity_lemma_matches_the_enumerated_check():
     for offset in (0, 1, -1):
         split = build_split_gadget(8, cell_offset=offset)
         transfers[id(split)] = split.transfer
-    for rule in (lambda k, s: 1 - s, lambda k, s: 1, lambda k, s: 0,
-                 lambda k, s: (k + s) % 2):
-        split = build_split_gadget(8, rewrite_rule=rule)
+    for writes in WRITES:
+        split = build_split_gadget(8, writes)
         transfers[id(split)] = split.transfer
     for transfer in transfers.values():
         assert _both_verdicts(transfer) == (None, None), transfer.label

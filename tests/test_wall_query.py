@@ -26,6 +26,8 @@ import pytest
 from carom.encoding import block_indices, cantor_blocks_at, digit_position, head_interval
 from carom.gadgets import (
     _BAND_GAIN,
+    _exact_leg,
+    _window,
     build_merge_gadget,
     build_split_gadget,
 )
@@ -58,8 +60,8 @@ class _Ray(NamedTuple):
 
 
 def _split():
-    # rewriting (tilted) walls on odd levels, plain ones on even levels
-    return build_split_gadget(3, rewrite_rule=lambda k, s: 1 - s if k % 2 else s)
+    # rewriting (tilted) read-0 walls and plain read-1 walls on every level
+    return build_split_gadget(3, writes=(1, 1))
 
 
 def _merge():
@@ -274,8 +276,8 @@ WINDOW_LEVELS = range(-4, 5)
 
 
 def _window_split():
-    split = build_split_gadget(4, rewrite_rule=lambda k, s: 1 - s if k % 2 else s,
-                               base_x=Fraction(3, 2))
+    # plain read-0 walls and rewriting (tilted) read-1 walls on every level
+    split = build_split_gadget(4, writes=(0, 0), base_x=Fraction(3, 2))
     return split, split
 
 
@@ -345,15 +347,16 @@ def test_window_blocks_equal_exact_oracle(build):
             blks = cantor_blocks_at(k, digit_pos, s)
             blocks[k, s] = (blks, [blk.centre for blk in blks])
             for w, (ax, ay, rx, ry) in enumerate(
-                    _mirror_boxes(k, digit_pos, s, mirrors.rewrite_rule(k, s))):
+                    _mirror_boxes(k, digit_pos, s, mirrors.writes[s])):
                 boxes[k, s, w] = (ax + mirrors.base_x, ay, rx, ry)
     hull = {k: (head_interval(k).lo.as_fraction(), head_interval(k).hi.as_fraction())
             for k in levels}
     met = 0
     for leg in legs:
-        got = {}
-        for lv, s, w, _, bits in mirrors._blocks(Leg.of(*leg), frame):
-            got.setdefault((lv.k, s, w), []).append(bits)
+        exact = _exact_leg(Leg.of(*leg), mirrors.base_x, frame)
+        got = {(lv.k, s, w): [bits for _, bits in block_indices(
+                   lv.digit_pos - 1, _window(lv, s, w, exact))]
+               for lv in mirrors._level_data() for s in (0, 1) for w in (0, 1)}
         # the oracle reads the leg in the split's frame, as the merge's walls
         # are the split's mirrored across y = 5
         local = leg if gadget is split else _mirrored(leg, Fraction(5))
