@@ -29,6 +29,10 @@ SVG_MAX_WALLS = 100_000
 #: tapes exceed it exits 2 before any tape is listed.
 VERIFY_MAX_TAPES = 2 ** 20
 
+#: The most Cantor blocks ``carom audit`` sweeps; a --K with more (K >= 10:
+#: K = 9 has 1,048,574) exits 2 before the sweep.
+AUDIT_MAX_BLOCKS = 2 ** 20
+
 
 @dataclass
 class Config:
@@ -174,6 +178,11 @@ def cmd_verify(args, cfg):
 
 
 def cmd_audit(args, cfg):
+    # level k has 2**(digit_position(k) - 1) blocks of each symbol
+    blocks = sum(2 ** digit_position(k) for k in range(-cfg.K, cfg.K + 1))
+    if blocks > AUDIT_MAX_BLOCKS:
+        raise ValueError(f"--K {cfg.K} would sweep {blocks} blocks, "
+                         f"more than the {AUDIT_MAX_BLOCKS} audit sweeps")
     reports = check_separation(cfg.K)
     bad = [r for r in reports if not r.passed]
     tightest = min((r for r in reports if r.min_slack is not None),
@@ -182,8 +191,7 @@ def cmd_audit(args, cfg):
         "pairs": sum(r.pair_count for r in reports),
         "passed": not bad,
         "min_slack": tightest and str(tightest.min_slack),
-        # level k has 2**(digit_position(k) - 1) blocks of each symbol
-        "blocks": sum(2 ** digit_position(k) for k in range(-cfg.K, cfg.K + 1)),
+        "blocks": blocks,
         "tightest": tightest and [tightest.k, tightest.k_other],
     }
     if bad:

@@ -35,8 +35,8 @@ walls (numeric.run_numeric) certifies that the geometry implements them.
 
 from __future__ import annotations
 
+import bisect
 import functools
-import heapq
 import itertools
 import math
 import operator
@@ -47,7 +47,6 @@ from typing import NamedTuple, Optional
 from .encoding import (
     KRangeExceeded,
     NotACode,
-    block_indices,
     block_of,
     cantor_blocks_at,
     cantor_walk,
@@ -209,6 +208,47 @@ _ID_ENDS = (":W", ":Wt")
 _segment = functools.partial(tuple.__new__, Segment)
 
 
+#: The 32 numbers of five base-3 digits, each 0 or 2, ascending: the b-th
+#: has a 2 where b has a 1 bit.  Per r < 3^5, the least of them >= r and b.
+_CANTOR5 = [sum(2 * 3 ** i for i in range(5) if b >> i & 1) for b in range(32)]
+_CANTOR_CEIL5 = [(_CANTOR5[b], b) for b in (bisect.bisect_left(_CANTOR5, r) for r in range(243))]
+
+
+def _cantor_ceil(f):
+    """(c, bits): the least c >= f >= 0 whose base-3 digits are all 0 or 2,
+    and those digits halved as binary.  Five digits at a time from the
+    top: the first five not all 0 or 2 round up, the rest go to 0."""
+    chunks = []
+    while f:
+        f, r = divmod(f, 243)
+        chunks.append(r)
+    c = bits = 0
+    while chunks:
+        r = chunks.pop()
+        up, b = _CANTOR_CEIL5[r]
+        c, bits = c * 243 + up, bits << 5 | b
+        if up != r:
+            return c * 243 ** len(chunks), bits << 5 * len(chunks)
+    return c, bits
+
+
+def _blocks_in(n_free, window=None):
+    """``encoding.block_indices(n_free, window)``, its (F, bits) found
+    without a descent: the first by ``_cantor_ceil``, then bits + 1, which
+    turns t trailing 1 bits to 0 and the next bit to 1, so F + 3^t + 1."""
+    lo, hi = 0, 3 ** n_free - 1
+    if window is not None:
+        lo, hi = max(lo, window[0]), min(hi, window[1])
+    if lo > hi:
+        return []
+    f, bits = _cantor_ceil(lo)
+    out = []
+    while f <= hi:
+        out.append((f, bits))
+        f, bits = f + 3 ** ((bits ^ (bits + 1)).bit_length() - 1) + 1, bits + 1
+    return out
+
+
 def _id_prefix(name, k, digit_pos, symbol):
     """What the ids of the mirror pairs over the (k, digit_pos, symbol)
     CantorBlocks begin with: the pair over the block of free digits
@@ -330,19 +370,18 @@ def _family_levels(levels, cell_offset, writes):
     return tuple(out)
 
 
-def _exact_leg(leg, base_x, frame):
+def _exact_leg(leg, origin):
     """The leg for _window in integers, in the local frame of a family
-    placed by ``frame`` (oy, sy) with x counted from base_x: its x- and
+    placed with its ``origin`` (_BlockMirrors.origin): its x- and
     y-extents as (numerator, denominator) pairs, None where unbounded, and
     its line n . p = n0 / h, with n . (1, 8) >= 0 and h > 0.  Read off the
-    Leg's integers and the numerators and denominators of base_x and oy,
-    with no Fraction arithmetic: the pairs are exact, not reduced."""
-    (x, y, w), (dx, dy), t = leg.origin, leg.direction, leg.t_max
-    (fy, sy), bd = frame, base_x.denominator
+    integers of ``leg``, a Leg or its (origin, direction, t_max), with no
+    Fraction arithmetic: the pairs are exact, not reduced."""
+    (x, y, w), (dx, dy), t = leg
+    bn, bd, on, od, sy = origin
     # the origin in the local frame, (xn / xd, yn / yd), and the direction
-    xd, yd = w * bd, w * fy.denominator
-    xn = x * bd - base_x.numerator * w
-    yn = sy * (y * fy.denominator - fy.numerator * w)
+    xd, yd = w * bd, w * od
+    xn, yn = x * bd - bn * w, sy * (y * od - on * w)
     dy *= sy
     extents = []
     for a, b, dn in ((xn, xd, dx), (yn, yd, dy)):
@@ -359,7 +398,8 @@ def _window(lv, s, w, exact):
     """The range (F_lo, F_hi) of the blocks F of level ``lv`` and symbol s
     whose wall w's box (_pair_template) meets the leg ``exact`` (_exact_leg).
     Each separating axis, x, y and the leg's normal n (|n . (box centre -
-    origin)| <= the box's reach along n), bounds F by a floor or ceiling."""
+    origin)| <= the box's reach along n), bounds F by a floor or ceiling.
+    An axis-parallel leg's normal is its x or y axis: skipped."""
     xs, ys, nx, ny, h, n0 = exact
     den, step, x, y, rx, ry = lv.boxes[s][w]
     lo, hi = 0, math.inf
@@ -370,13 +410,14 @@ def _window(lv, s, w, exact):
         if end_hi is not None:
             a, b = end_hi
             hi = min(hi, (a * den - b * (c - r)) // (gain * step * b))
-    slope = h * step * (nx + 8 * ny)
-    m = h * (nx * x + ny * y) - den * n0
-    reach = h * (abs(nx) * rx + abs(ny) * ry)
-    if slope:
-        lo, hi = max(lo, -((reach + m) // slope)), min(hi, (reach - m) // slope)
-    elif abs(m) > reach:
-        hi = -1
+    if nx and ny:
+        slope = h * step * (nx + 8 * ny)
+        m = h * (nx * x + ny * y) - den * n0
+        reach = h * (abs(nx) * rx + abs(ny) * ry)
+        if slope:
+            lo, hi = max(lo, -((reach + m) // slope)), min(hi, (reach - m) // slope)
+        elif abs(m) > reach:
+            hi = -1
     return lo, hi
 
 
@@ -401,7 +442,7 @@ class _BlockMirrors:
     symbol over the blocks a leg meets, which the numeric tracer reads as
     they are, for the regions its index walks into (``numeric.TraceScene``);
     and ``walls_in`` scans every level for a leg.  ``_window`` bounds the
-    blocks F a leg meets exactly, in integers, and ``block_indices`` lists
+    blocks F a leg meets exactly, in integers, and ``_blocks_in`` lists
     exactly those blocks.
 
     Everything read per level and symbol (the integer boxes and the float
@@ -423,35 +464,38 @@ class _BlockMirrors:
         self.levels = range(max(-K, -K - cell_offset), min(K, K - cell_offset) + 1)
         self.key = (self.levels, cell_offset, writes)
 
+    def origin(self, frame):
+        """(bn, bd, on, od, sy), base_x = bn / bd and ``frame`` = (on / od,
+        sy): the placement as _exact_leg reads it."""
+        (oy, sy), bx = frame, self.base_x
+        return bx.numerator, bx.denominator, oy.numerator, oy.denominator, sy
+
     def _placed(self, k, digit_pos, s, frame):
         """_pair_template of level k and symbol s placed by ``frame``, x
-        counted from base_x: per wall (den, step_x, step_y, x0, y0, x1,
-        y1), the wall over block F having the endpoints ((x + F*step_x) /
-        den, (y + F*step_y) / den)."""
+        counted from base_x: (_id_prefix, walls), per wall (den, step_x,
+        step_y, x0, y0, x1, y1), the wall over block F having the
+        endpoints ((x + F*step_x) / den, (y + F*step_y) / den)."""
         (oy, sy), bx = frame, self.base_x
-        placed = []
+        walls = []
         for den, step, x0, y0, x1, y1 in _pair_template(k, digit_pos, s, self.writes[s]).walls:
             d = math.lcm(den, bx.denominator, oy.denominator)
             m = d // den
             dx, dy = bx.numerator * (d // bx.denominator), oy.numerator * (d // oy.denominator)
-            placed.append((d, m * step, 8 * sy * m * step,
-                           m * x0 + dx, sy * m * y0 + dy, m * x1 + dx, sy * m * y1 + dy))
-        return placed
+            walls.append((d, m * step, 8 * sy * m * step,
+                          m * x0 + dx, sy * m * y0 + dy, m * x1 + dx, sy * m * y1 + dy))
+        return _id_prefix(self.name, k, digit_pos, s), walls
 
-    def _segments(self, k, digit_pos, s, placed, walls=(0, 1), window=None):
-        """Per block F of level k and symbol s in ``window`` (F_lo, F_hi;
-        None: every block), ascending: F and the Segments (den, x0 + F*sx,
-        y0 + F*sy, x1 + F*sx, y1 + F*sy, id) over it of the ``walls`` w (0
-        primary, 1 return), read off ``placed[w]``, the _placed (den, sx,
-        sy, x0, y0, x1, y1); each block's ids are formatted once."""
-        prefix = _id_prefix(self.name, k, digit_pos, s)
-        records = [(_ID_ENDS[w], *placed[w]) for w in walls]
-        for index, bits in block_indices(digit_pos - 1, window):
-            wid, segments = f"{prefix}{bits * 2 + s}", []
-            for end, d, sx, sy, x0, y0, x1, y1 in records:
-                dx, dy = index * sx, index * sy
-                segments.append(_segment((d, x0 + dx, y0 + dy, x1 + dx, y1 + dy, wid + end)))
-            yield index, segments
+    @staticmethod
+    def _segments(s, placed, w, blocks):
+        """The Segments (den, x0 + F*sx, y0 + F*sy, x1 + F*sx, y1 + F*sy,
+        id) of wall w (0 primary, 1 return) of symbol s over the blocks (F,
+        bits) of ``blocks``, read off ``placed``, the level and symbol's
+        _placed record."""
+        (prefix, walls), end = placed, _ID_ENDS[w]
+        d, sx, sy, x0, y0, x1, y1 = walls[w]
+        return [_segment((d, x0 + index * sx, y0 + index * sy, x1 + index * sx,
+                          y1 + index * sy, f"{prefix}{bits * 2 + s}{end}"))
+                for index, bits in blocks]
 
     def rows(self, levels, frame):
         """Every mirror of ``levels`` placed by ``frame`` as a Segment (see
@@ -463,9 +507,9 @@ class _BlockMirrors:
                 continue
             digit_pos = digit_position(k + self.cell_offset)
             for s in (0, 1):
-                for _, pair in self._segments(k, digit_pos, s,
-                                              self._placed(k, digit_pos, s, frame)):
-                    rows += pair
+                placed, blocks = self._placed(k, digit_pos, s, frame), _blocks_in(digit_pos - 1)
+                rows += itertools.chain.from_iterable(zip(
+                    self._segments(s, placed, 0, blocks), self._segments(s, placed, 1, blocks)))
         return rows
 
     def _level_data(self):
@@ -477,8 +521,8 @@ class _BlockMirrors:
         every block whose box meets the leg ``exact`` (_exact_leg), as
         Segments (see ``_segments``), ``placed`` the level and symbol's
         _placed record."""
-        return [row for _, (row,) in self._segments(lv.k, lv.digit_pos, s, placed, (w,),
-                                                    _window(lv, s, w, exact))]
+        return self._segments(s, placed, w, _blocks_in(lv.digit_pos - 1,
+                                                       _window(lv, s, w, exact)))
 
     def walls_in(self, leg, frame):
         """The mirrors whose boxes the Leg ``leg`` meets, placed by
@@ -488,17 +532,17 @@ class _BlockMirrors:
 
         Sound, not tight: no wall the leg meets is left out, and a wall is
         returned only if the leg meets its bounding box."""
-        exact = _exact_leg(leg, self.base_x, frame)
+        exact = _exact_leg(leg, self.origin(frame))
         rows = []
         for lv in self._level_data():
             for s in (0, 1):
-                placed = self._placed(lv.k, lv.digit_pos, s, frame)
+                placed, found = self._placed(lv.k, lv.digit_pos, s, frame), []
+                for w in (0, 1):
+                    blocks = _blocks_in(lv.digit_pos - 1, _window(lv, s, w, exact))
+                    found += zip([index for index, _ in blocks], itertools.repeat(w),
+                                 self._segments(s, placed, w, blocks))
                 # each wall's blocks ascending, merged by F, primary first
-                for _, walls in heapq.merge(
-                        *(self._segments(lv.k, lv.digit_pos, s, placed, (w,),
-                                         _window(lv, s, w, exact)) for w in (0, 1)),
-                        key=operator.itemgetter(0)):
-                    rows += walls
+                rows += [row for _, _, row in sorted(found, key=lambda e: e[:2])]
         return rows
 
 

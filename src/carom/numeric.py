@@ -12,6 +12,16 @@ stops once the next box lies past its nearest hit; they drop only walls
 the leg cannot reach before it.  An arc met at an irrational point is
 compared with the rational hits exactly, in Q(sqrt D); a trace whose next
 hit is irrational raises TracingError.
+
+A leg costs little besides its hits: a walk of one strip keeps no set of
+the boxes it met, a leg parallel to the strips tests a box at its one
+coordinate across them, each record is offered on its own, and a
+region's blocks are listed from the Cantor indices in its window
+(``gadgets._blocks_in``).
+``demos/05_machine_size.py`` reads 45 / 56 / 51 / 59 us of CPU per traced
+leg, its symbolic run included, on 4- / 16- / 64- / 128-state tables
+(57 / 68 / 66 / 67 us before these cuts; medians of five alternating runs
+on one core of a shared 2-core host).
 """
 
 from __future__ import annotations
@@ -24,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gadgets import _exact_leg, _family_levels
-from .geometry import Leg
 from .simulate import (
     Periodic,
     RunOutcome,
@@ -217,27 +226,32 @@ class _Nearest:
     runner-up's t.  A chart's hit is a crossing, kept in ``crossings``;
     irrational hits wait for ``result``."""
 
+    __slots__ = ("xyw", "direction", "t", "wall", "second", "irrational", "crossings")
+
     def __init__(self, xyw, d):
         self.xyw, self.direction = xyw, d
         self.t = self.wall = self.second = None
         self.irrational = []      # (surd, wall)
         self.crossings = []       # (t, chart)
 
-    def offer(self, walls, exclude):
-        """Weigh the records ``walls``, all but those equal to ``exclude``."""
-        xyw, d = self.xyw, self.direction
-        for w in walls:
-            t = _HITS[w.kind](w, xyw, d)
-            if t is None or w == exclude:
-                continue
-            if w.kind == "chart":
-                self.crossings.append((t, w))
-            elif len(t) > 3:
-                self.irrational.append((t, w))
-            elif self.t is None or _before(t, self.t):
-                self.t, self.wall, self.second = t, w, self.t
-            elif self.second is None or _before(t, self.second):
-                self.second = t
+    def offer(self, w, exclude):
+        """Weigh the record ``w`` unless it equals ``exclude``: whether it
+        is the nearest hit now."""
+        kind = w.kind
+        t = _HITS[kind](w, self.xyw, self.direction)
+        if t is None or w == exclude:
+            return False
+        if kind == "chart":
+            self.crossings.append((t, w))
+        elif len(t) > 3:
+            self.irrational.append((t, w))
+        # _before(t, self.t) and _before(t, self.second), inline
+        elif self.t is None or t[0] * self.t[1] < self.t[0] * t[1]:
+            self.t, self.wall, self.second = t, w, self.t
+            return True
+        elif self.second is None or t[0] * self.second[1] < self.second[0] * t[1]:
+            self.second = t
+        return False
 
     def result(self):
         """(t, wall, runner-up t) of the nearest hit, all None when there
@@ -246,13 +260,15 @@ class _Nearest:
         for (a, b, d, m), w in self.irrational:
             if t is None or _surd_sign(a * t[1] - t[0] * m, b * t[1], d) < 0:
                 raise TracingError(f"trajectory left the rationals at {w.wall_id}")
-        return self.t, self.wall, self.second
+        return t, self.wall, self.second
 
     def crossed(self):
         """(t, chart) of every crossing before the nearest hit, in flight
         order."""
-        return sorted((c for c in self.crossings if self.t is None or _before(c[0], self.t)),
-                      key=_FLIGHT_ORDER)
+        crossings, t = self.crossings, self.t
+        if t is not None and crossings:
+            crossings = [c for c in crossings if _before(c[0], t)]
+        return sorted(crossings, key=_FLIGHT_ORDER) if len(crossings) > 1 else crossings
 
 
 #: Crossings (t, chart) ordered by t, compared by cross-multiplication.
@@ -276,7 +292,9 @@ class _RayIndex:
 
     def __init__(self, entries):
         self.entries = entries        # (x0, y0, x1, y1, payload)
-        self.lanes = {}               # (strip axis, sense, strip) -> (prefix max, items)
+        # per strip axis and sense (0 backwards, 1 forwards): strip ->
+        # (prefix max, items)
+        self.lanes = (({}, {}), ({}, {}))
         self.box = None
         if not entries:
             return
@@ -297,17 +315,17 @@ class _RayIndex:
         self.span = tuple((min(strips), max(strips)) for strips in self.strips)
 
     def lane(self, c, sense, j):
-        """(prefix max of u1, items (u0, u1, v0, v1, n)) of strip j across
-        axis c for a ray of this sense along the other axis: each box's
-        extent [u0, u1] along the ray, u counted in its sense, and [v0, v1]
-        across it, sorted by u0."""
+        """(prefix max of u1, items (u0, u1, v0, v1, n, payload)) of strip
+        j across axis c for a ray of this sense along the other axis: each
+        box's extent [u0, u1] along the ray, u counted in its sense, and
+        [v0, v1] across it, sorted by u0."""
         a, items = 1 - c, []
         for n in self.strips[c].get(j, ()):
             e = self.entries[n]
             u0, u1 = (e[a], e[a + 2]) if sense > 0 else (-e[a + 2], -e[a])
-            items.append((u0, u1, e[c], e[c + 2], n))
-        items.sort()
-        lane = self.lanes[c, sense, j] = (list(itertools.accumulate(
+            items.append((u0, u1, e[c], e[c + 2], n, e[4]))
+        items.sort()        # by n at the latest, which is unique
+        lane = self.lanes[c][sense > 0][j] = (list(itertools.accumulate(
             (item[1] for item in items), max)), items)
         return lane
 
@@ -321,49 +339,57 @@ class _RayIndex:
         c = 1 - a
         sense = 1 if d[a] > 0 else -1
         du, uo, vo = sense * d[a], sense * o[a], o[c]
-        r, size, lanes = d[c] / du, self.size, self.lanes     # r = dv / du, |r| <= 1
+        r, size = d[c] / du, self.size      # r = dv / du, |r| <= 1
         lo, hi = self.span[c]
+        # the far side of the index along the ray
+        umax = (self.box[a + 2] if sense > 0 else -self.box[a]) + eps
         # the strips within eps of the ray's line, in the order it passes them
         first, last = math.floor((vo - eps) / size), math.floor((vo + eps) / size)
-        seen = set()
-        # the far side of the index along the ray
-        umax = self.box[a + 2] if sense > 0 else -self.box[a]
         if r > 0:
             js = range(max(first, lo), hi + 1)
         elif r < 0:
             js = range(min(last, hi), lo - 1, -1)
         else:
             js = range(max(first, lo), min(last, hi) + 1)
+        # a box is filed in each strip it spans: a walk of one strip meets
+        # it at most once, one of more keeps the boxes it met
+        seen = set() if len(js) > 1 else None
+        lanes, back = self.lanes[c][sense > 0], uo - eps
         for j in js:
             if r:   # the u range in which the ray is within eps of strip j
                 near, far = (j * size - eps, (j + 1) * size + eps) if r > 0 else (
                     (j + 1) * size + eps, j * size - eps)
-                ua, ub = uo + (near - vo) / r, uo + (far - vo) / r
+                ua, ub = uo + (near - vo) / r, uo + (far - vo) / r + eps
                 ua = ua if ua > uo else uo
             else:
                 ua, ub = uo, math.inf
             stop = uo + bound[0] * du + eps
-            if ua > stop or ua > umax + eps:
+            if ua > stop or ua > umax:
                 return
-            pmax, items = lanes.get((c, sense, j)) or self.lane(c, sense, j)
-            for i in range(bisect.bisect_left(pmax, ua - eps), len(items)):
-                u0, u1, v0, v1, n = items[i]
-                if u0 > stop or u0 > ub + eps:
+            pmax, items = lanes.get(j) or self.lane(c, sense, j)
+            end = stop if stop < ub else ub     # no box starts past it
+            for u0, u1, v0, v1, n, payload in items[bisect.bisect_left(pmax, ua - eps):]:
+                if u0 > end:
                     break
-                if u1 < uo - eps or n in seen:
+                if u1 < back or seen is not None and n in seen:
                     continue
-                # the ray across the box's extent along it, from va to vb
-                # (conditional expressions: min and max cost more here)
-                ulo = u0 if u0 > uo else uo
-                uhi = u1 if u1 < stop else stop
-                va, vb = vo + (ulo - uo) * r, vo + ((uhi if uhi > ulo else ulo) - uo) * r
-                if va > vb:
-                    va, vb = vb, va
-                if va > v1 + eps or vb < v0 - eps:
+                if r:
+                    # the ray across the box's extent along it, from va to
+                    # vb (conditional expressions: min and max cost more)
+                    ulo = u0 if u0 > uo else uo
+                    uhi = u1 if u1 < stop else stop
+                    va, vb = vo + (ulo - uo) * r, vo + ((uhi if uhi > ulo else ulo) - uo) * r
+                    if va > vb:
+                        va, vb = vb, va
+                    if va > v1 + eps or vb < v0 - eps:
+                        continue
+                elif vo > v1 + eps or vo < v0 - eps:      # va = vb = vo
                     continue
-                seen.add(n)
-                yield self.entries[n][4]
+                if seen is not None:
+                    seen.add(n)
+                yield payload
                 stop = uo + bound[0] * du + eps
+                end = stop if stop < ub else ub
 
 
 class _Family:
@@ -376,7 +402,7 @@ class _Family:
     kind = "family"
 
     def __init__(self, mirrors, frame):
-        self.mirrors, self.frame = mirrors, frame
+        self.mirrors, self.frame, self.origin = mirrors, frame, mirrors.origin(frame)
         self.index = _family_index(*mirrors.key)
         self.base, self.oy, self.sy = float(mirrors.base_x), float(frame[0]), frame[1]
         self.placed, self.box = {}, None     # box: None for a family of no levels
@@ -489,7 +515,9 @@ class _Walls:
         stops once the next box's near side lies past the nearest hit
         found, read in floats from its exact t; a box at that hit, a tie or
         a corner on it, or a nearer irrational arc root is still met."""
-        self.denominator_bits = max(self.denominator_bits, xyw[2].bit_length())
+        bits = xyw[2].bit_length()
+        if bits > self.denominator_bits:
+            self.denominator_bits = bits
         scene, found = self.scene, _Nearest(xyw, d)
         start = scene.box and scene.enter(xyw, d)
         if not start:
@@ -500,31 +528,27 @@ class _Walls:
         # unit direction, read into the same floats as a unit d would be
         scale = math.isqrt(d[0] * d[0] + d[1] * d[1])
         fd = (d[0] / scale, d[1] / scale)
-        bound, weighed = [math.inf], 0
+        bound, weighed, offer = [math.inf], 0, found.offer
         for entry in scene.index.walk(fo, fd, bound, eps):
-            if entry.kind == "family":
-                exact = None
-                for lv, s, w in entry.index.walk(*entry.local(fo, fd), bound, eps):
-                    exact = exact or _exact_leg(Leg(xyw, d, found.t and found.t[:2]),
-                                                entry.mirrors.base_x, entry.frame)
-                    rows = entry.rows(lv, s, w, exact)
-                    weighed += len(rows)
-                    self.mirror_ids.update([row.wall_id for row in rows])
-                    if self._weigh(found, rows, exclude):
-                        bound[0] = _float_t(found.t, t0, scale)
-            else:
+            if entry.kind != "family":
                 weighed += entry.kind != "chart"
-                if self._weigh(found, (entry,), exclude):
+                if offer(entry, exclude):
                     bound[0] = _float_t(found.t, t0, scale)
-        self.max_candidates = max(self.max_candidates, weighed)
+                continue
+            exact, read = None, self.mirror_ids.add
+            for lv, s, w in entry.index.walk(*entry.local(fo, fd), bound, eps):
+                if exact is None:
+                    exact = _exact_leg((xyw, d, found.t and found.t[:2]), entry.origin)
+                rows, moved = entry.rows(lv, s, w, exact), False
+                weighed += len(rows)
+                for row in rows:
+                    read(row.wall_id)
+                    moved = offer(row, exclude) or moved
+                if moved:
+                    bound[0] = _float_t(found.t, t0, scale)
+        if weighed > self.max_candidates:
+            self.max_candidates = weighed
         return found
-
-    @staticmethod
-    def _weigh(found, walls, exclude):
-        """Offer ``walls`` to ``found``: whether its nearest hit moved."""
-        t = found.t
-        found.offer(walls, exclude)
-        return found.t is not t
 
 
 def _float_t(t, t0, scale):
@@ -636,39 +660,41 @@ def run_numeric(table, tape, budget, precision=None):
     pos = mark0.point(value.num, 3 ** value.exp)
     direction = (0, 1)
 
-    points, idx = [pos], 0
+    # ``ev`` is expected[idx], the next event to check, read in order off
+    # ``events``; None once every event is checked
+    points, idx, events = [pos], 0, iter(expected)
+    ev = next(events, None)
 
     def fail(msg):
         raise TraceMismatch(f"{msg} (event {idx}/{len(expected)})")
 
-    def check_event(kind, **attrs):
-        nonlocal idx
-        if idx >= len(expected):
+    def check_event(kind, key=None, got=None):
+        """Check ``ev`` against a traced event of this kind, whose field
+        ``key``, if any, reads ``got``, and move on: returns it."""
+        nonlocal idx, ev
+        if ev is None:
             fail(f"extra event {kind}")
-        ev = expected[idx]
         if ev.kind != kind:
             fail(f"expected {ev.kind}, traced {kind}")
-        for key, got in attrs.items():
-            want = getattr(ev, key)
-            if want != got:
-                fail(f"{kind}.{key}: expected {want}, traced {got}")
-        idx += 1
-        return ev
+        if key is not None and getattr(ev, key) != got:
+            fail(f"{kind}.{key}: expected {getattr(ev, key)}, traced {got}")
+        checked, idx, ev = ev, idx + 1, next(events, None)
+        return checked
 
     def note_crossing(mark, d, u):
         # checkpoints are crossed orthogonally: no tangential drift
         if d[0] * mark.tangent[0] + d[1] * mark.tangent[1]:
             fail(f"non-orthogonal crossing of {mark.name}")
-        ev = check_event("checkpoint", state=mark.name.split(":", 1)[1])
-        (n, m), value = u, ev.value     # n / m against num / 3^exp
+        value = check_event("checkpoint", "state", mark.name.split(":", 1)[1]).value
+        n, m = u    # n / m against num / 3^exp
         if n * 3 ** value.exp != value.num * m:
             fail(f"checkpoint {mark.name} read {Fraction(n, m)}, not its value {value}")
 
     def flight_over():
         """Budget spent or the head left the range: nothing more to trace."""
-        if idx < len(expected) and expected[idx].kind == "out-of-range":
+        if ev is not None and ev.kind == "out-of-range":
             check_event("out-of-range")
-        return idx == len(expected)
+        return ev is None
 
     def count_out(record):
         """Account for the rest of a closed orbit as the loop below would,
@@ -722,8 +748,8 @@ def run_numeric(table, tape, budget, precision=None):
                 if kind == "cross":
                     note_crossing(obj, d, u)
                     continue
-                if flight_over():
-                    break  # the run ended mid-flight
+                if (ev is None or ev.kind == "out-of-range") and flight_over():
+                    break  # the run ended mid-flight (flight_over's test, inline)
                 points.append(point)
                 mark = halts.get(obj.wall_id)
                 if mark is not None:
@@ -732,7 +758,7 @@ def run_numeric(table, tape, budget, precision=None):
                     note_crossing(mark, d, mark.u_at(point))
                     check_event("halt-bounce")
                     break
-                check_event("reflection", wall_id=obj.wall_id)
+                check_event("reflection", "wall_id", obj.wall_id)
             else:   # only a closed orbit's items run out
                 period_bounces, tail_hits = count_out(closing.record)
         except (TracingDegeneracy, TraceMismatch):

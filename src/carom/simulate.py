@@ -309,8 +309,15 @@ def verify_equivalence(machine, table, tapes, budget):
 
 
 def write_trace(outcome, stream):
-    """Line-per-event text log with a machine-readable verdict block."""
-    for ev in outcome.trace:
+    """Line-per-event text log with a machine-readable verdict block.  A
+    closed orbit's log holds its first period's events, then one line,
+    ``repeat: period_steps=P until_step=B``: from there on those events
+    repeat, each copy P steps after the one before, up to the checkpoint
+    of step B, so the log is one period long whatever the budget."""
+    trace = outcome.trace
+    if outcome.period_steps is not None:
+        trace = trace[:len(trace.head) + len(trace.cycle)]
+    for ev in trace:
         fields = [str(ev.step), ev.kind]
         if ev.wall_id:
             fields.append(ev.wall_id)
@@ -323,6 +330,8 @@ def write_trace(outcome, stream):
         if ev.position is not None:
             fields.append(f"pos={float(ev.position[0]):.12g},{float(ev.position[1]):.12g}")
         stream.write(" ".join(fields) + "\n")
+    if outcome.period_steps is not None:
+        stream.write(f"repeat: period_steps={outcome.period_steps} until_step={outcome.steps}\n")
     stream.write(f"verdict: {outcome.verdict}\n")
     stream.write(f"steps: {outcome.steps}\n")
     if outcome.verdict == "halted":

@@ -167,6 +167,29 @@ def test_run_trace_file(rev_move_file, tmp_path, capsys):
     assert "reflection" in text
 
 
+def test_run_trace_of_a_closed_orbit_is_one_period(tmp_path, capsys):
+    # pacer @1 closes after 2 steps: its log is the first period's events
+    # and one repeat line, whatever the budget
+    path = tmp_path / "pacer.tm"
+    path.write_text(MACHINE_TEXTS["pacer"])
+    logs = {}
+    for budget in (100, 10 ** 12):
+        trace = tmp_path / f"trace-{budget}.log"
+        t0 = time.perf_counter()
+        assert main(["run", str(path), "--tape", "@1", "--budget", str(budget),
+                     "--trace", str(trace)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        logs[budget] = trace.read_text().splitlines()
+    events, tail = logs[100][:-3], logs[100][-3:]
+    assert tail == ["repeat: period_steps=2 until_step=100", "verdict: budget-exhausted",
+                    "steps: 100"]
+    assert logs[10 ** 12] == events + ["repeat: period_steps=2 until_step=1000000000000",
+                                       "verdict: budget-exhausted", "steps: 1000000000000"]
+    # the period: the launch checkpoint of step 0 up to the events of step 1
+    assert events[0].startswith("0 checkpoint ") and events[-1].startswith("1 reflection ")
+    assert sum(" checkpoint " in line for line in events) == 2
+
+
 def test_verify_cli(rev_move_file, capsys):
     assert main(["verify", rev_move_file, "--K", "6", "--support", "1",
                  "--budget", "50", "--json"]) == 0
@@ -199,6 +222,20 @@ def test_audit_cli(capsys):
 
 def test_audit_cli_K6(capsys):
     check_audit_json(6, 67_084_290, 16_382, capsys)
+
+
+def test_audit_past_the_block_cap_fails_before_the_sweep(capsys, monkeypatch):
+    # K = 10 has 4,194,302 blocks, past AUDIT_MAX_BLOCKS = 2^20: refused on
+    # the count, before any block is swept; K = 9's 1,048,574 reach the sweep
+    from carom import cli
+    swept = []
+    monkeypatch.setattr(cli, "check_separation", lambda K: swept.append(K) or [])
+    for K in (10, 64):
+        assert main(["audit", "--K", str(K)]) == 2
+        assert f"--K {K} would sweep {2 ** (2 * K + 2) - 2} blocks" in capsys.readouterr().err
+    assert swept == []
+    assert main(["audit", "--K", "9", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["blocks"] == 1_048_574 and swept == [9]
 
 
 def test_svg_cli(rev_move_file, tmp_path, capsys):

@@ -298,6 +298,31 @@ def test_max_candidates_counts_the_walls_weighed(name, literal):
     assert 0 < res.max_candidates < len(table.static_walls)
 
 
+#: What the tracer reports of these K=8 runs: walls_built, max_candidates,
+#: denominator_bits and period_bounces.  A leg weighs the walls its walk
+#: meets before its nearest hit, whatever the walk costs; these figures
+#: pin what the legs weigh and read.
+TRACE_COUNTERS = [
+    ("pacer", "@1", 100, (42, 2, 12, 20)),
+    ("counter", "@1111111", 100, (34, 2, 111, None)),
+    ("walker", "@111", 100, (58, 2, 31, None)),
+    ((1, 4), "1@01", 30, (99, 2, 92, None)),
+    ((4, 8), "@1", 30, (150, 2, 40, None)),
+]
+
+
+@pytest.mark.parametrize("machine, literal, budget, counters", TRACE_COUNTERS)
+def test_trace_counters_are_pinned(machine, literal, budget, counters):
+    # a machine is a zoo name or the (seed, states) of zoo.random_reversible
+    import random
+    from carom.zoo import random_reversible
+    machine = (get_machine(machine) if isinstance(machine, str)
+               else random_reversible(random.Random(machine[0]), machine[1]))
+    res = run_numeric(compile_table(machine, 8), parse_tape(literal), budget)
+    assert (res.walls_built, res.max_candidates, res.denominator_bits,
+            res.period_bounces) == counters
+
+
 def test_trace_without_static_walls():
     # a bare split gadget has mirrors and no static walls: its scene's
     # index holds the family alone, and the walk still finds the mirror

@@ -26,6 +26,7 @@ import pytest
 from carom.encoding import block_indices, cantor_blocks_at, digit_position, head_interval
 from carom.gadgets import (
     _BAND_GAIN,
+    _blocks_in,
     _exact_leg,
     _window,
     build_merge_gadget,
@@ -353,7 +354,7 @@ def test_window_blocks_equal_exact_oracle(build):
             for k in levels}
     met = 0
     for leg in legs:
-        exact = _exact_leg(Leg.of(*leg), mirrors.base_x, frame)
+        exact = _exact_leg(Leg.of(*leg), mirrors.origin(frame))
         got = {(lv.k, s, w): [bits for _, bits in block_indices(
                    lv.digit_pos - 1, _window(lv, s, w, exact))]
                for lv in mirrors._level_data() for s in (0, 1) for w in (0, 1)}
@@ -368,6 +369,23 @@ def test_window_blocks_equal_exact_oracle(build):
             assert got.get((k, s, w), []) == [blk.bits for blk in want], (k, s, w)
             met += len(want)
     assert met >= len(legs) // 2     # the legs do meet walls
+
+
+def test_blocks_in_lists_the_windows_block_indices():
+    # the trace's block lister against the encoding's descent, on seeded
+    # windows of every kind: empty, one index (a block or not), a few,
+    # many, everything, and windows reaching out of range on either side
+    rng = random.Random(17)
+    for n in range(18):
+        top = 3 ** n - 1
+        assert _blocks_in(n) == block_indices(n) == _blocks_in(n, (-5, top + 5))
+        some = [index for index, _ in block_indices(n)]
+        windows = [(1, 0), (top + 1, top + 9), (-9, -1)]
+        for _ in range(40):
+            lo = rng.choice([rng.choice(some), rng.randrange(-3, top + 4)])
+            windows.append((lo, lo + rng.choice([-1, 0, 0, 1, 2, 9, 100, top // 3, top])))
+        for window in windows:
+            assert _blocks_in(n, window) == block_indices(n, window), (n, window)
 
 
 # --- the index walk of numeric._Walls, against the full pass --------------
@@ -409,7 +427,8 @@ def _full_pass(walls, xyw, direction, exclude, full_rows):
     (one list of rows for all the families), else those ``walls_in``
     returns for the whole exact ray, uncut."""
     found = _Nearest(xyw, direction)
-    found.offer(walls.scene.static, exclude)
+    for w in walls.scene.static:
+        found.offer(w, exclude)
     if full_rows is None:
         ray = Leg(xyw, direction, None)
         rows = [row for mirrors, frame in walls.scene.families
@@ -418,7 +437,9 @@ def _full_pass(walls, xyw, direction, exclude, full_rows):
         rows = full_rows
     # the wall the leg leaves, by its id
     gone = None if exclude is None else exclude.wall_id
-    found.offer([w for w in rows if w.wall_id != gone], None)
+    for w in rows:
+        if w.wall_id != gone:
+            found.offer(w, None)
     return found
 
 
@@ -498,15 +519,15 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     # uncut ray
     seen = {"legs": 0, "static_left_out": 0, "families_left_out": 0, "charts_left_out": 0,
             "parallel_charts_left_out": 0}
-    nearest, weigh, full_rows, full_levels = _Walls.nearest, _Walls._weigh, {}, False
+    nearest, offer, full_rows, full_levels = _Walls.nearest, _Nearest.offer, {}, False
     weighed = []    # what the walk offered on the last leg
-    monkeypatch.setattr(_Walls, "_weigh", staticmethod(
-        lambda found, walls, exclude: weighed.extend(walls) or weigh(found, walls, exclude)))
+    monkeypatch.setattr(_Nearest, "offer",
+                        lambda found, w, exclude: weighed.append(w) or offer(found, w, exclude))
 
     def checked_nearest(walls, xyw, direction, exclude):
         weighed.clear()
         found = nearest(walls, xyw, direction, exclude)
-        met = weighed
+        met = list(weighed)     # before the full pass offers its own
         if walls not in full_rows:
             full_rows[walls] = [
                 row for mirrors, frame in walls.scene.families
