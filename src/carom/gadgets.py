@@ -152,7 +152,7 @@ class Gadget:
 SIGMA = {0: -2, 1: 2}
 
 #: Local frame height of a split cell; walls live in bands around y = 5.
-SPLIT_HEIGHT = F(10)
+SPLIT_HEIGHT = 10
 _H_MID = F(5)
 _BAND_GAIN = F(8)
 
@@ -475,13 +475,13 @@ class _BlockMirrors:
         counted from base_x: (_id_prefix, walls), per wall (den, step_x,
         step_y, x0, y0, x1, y1), the wall over block F having the
         endpoints ((x + F*step_x) / den, (y + F*step_y) / den)."""
-        (oy, sy), bx = frame, self.base_x
+        bn, bd, on, od, sy = self.origin(frame)
         walls = []
         for den, step, x0, y0, x1, y1 in _pair_template(k, digit_pos, s, self.writes[s]).walls:
-            d = math.lcm(den, bx.denominator, oy.denominator)
+            d = math.lcm(den, bd, od)     # den, for an integer base_x and frame
             m = d // den
-            dx, dy = bx.numerator * (d // bx.denominator), oy.numerator * (d // oy.denominator)
-            walls.append((d, m * step, 8 * sy * m * step,
+            dx, dy, step = bn * (d // bd), on * (d // od), m * step
+            walls.append((d, step, 8 * sy * step,
                           m * x0 + dx, sy * m * y0 + dy, m * x1 + dx, sy * m * y1 + dy))
         return _id_prefix(self.name, k, digit_pos, s), walls
 
@@ -602,8 +602,7 @@ class _TranslationTransfer(PiecewiseTransfer):
             raise ValueError(f"transfer {self.label}: images of branch0 and branch1 overlap")
 
 
-def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=F(0),
-                       name="split"):
+def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=0, name="split"):
     """A separating wall family for head levels |k| <= K.
 
     ``writes`` = (w0, w1) are the symbols the split writes over its read-0
@@ -620,7 +619,7 @@ def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=F(0),
     """
     if K > k_max_cap():
         raise KRangeExceeded(f"split K={K} beyond cap {k_max_cap()}")
-    writes, base_x = tuple(writes), F(base_x)
+    writes = tuple(writes)
     mirrors = _BlockMirrors(name, K, cell_offset, writes, base_x)
     levels = mirrors.levels
 
@@ -652,16 +651,14 @@ def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=F(0),
         return pieces
 
     transfer = _TranslationTransfer(locate, enumerate_pieces, name, mirrors)
-    ports_out = {
-        "b0": Chart.of((base_x, SPLIT_HEIGHT), (1, 0), (0, 1), -2, -1),
-        "b1": Chart.of((base_x, SPLIT_HEIGHT), (1, 0), (0, 1), 2, 3),
-    }
+    ports_out = {"b0": Chart.upward(base_x, SPLIT_HEIGHT, -2, -1),
+                 "b1": Chart.upward(base_x, SPLIT_HEIGHT, 2, 3)}
     return Gadget(
         kind="split", name=name,
-        in_ports={"in": Chart.of((base_x, F(0)), (1, 0), (0, 1))},
+        in_ports={"in": Chart.upward(base_x, 0)},
         out_ports=ports_out,
         transfer=transfer,
-        mirrors=(mirrors, (F(0), 1)),
+        mirrors=(mirrors, (0, 1)),
     )
 
 
@@ -678,7 +675,6 @@ def build_merge_gadget(split, *, name=None):
     name = name or split.name + ":merged"
     mirrors, (oy, sy) = split.mirrors
     split.transfer.check_injective(mirrors.levels)
-    axis = SPLIT_HEIGHT / 2
 
     def locate(u):
         # the lane by its integer ends, compared with u exactly
@@ -703,21 +699,21 @@ def build_merge_gadget(split, *, name=None):
         return out
 
     def flip_port(p):
-        # mirrored across y = axis, y -> 2 axis - y, in the port's integers
-        # (2 axis = SPLIT_HEIGHT, an integer); mirroring flips the beam and
-        # time reversal flips it back, so it keeps its +y beam
-        return p._replace(oy=int(SPLIT_HEIGHT) * p.den - p.oy,
+        # mirrored across the midline y = SPLIT_HEIGHT / 2, y ->
+        # SPLIT_HEIGHT - y, in the port's integers; mirroring flips the
+        # beam and time reversal flips it back, so it keeps its +y beam
+        return p._replace(oy=SPLIT_HEIGHT * p.den - p.oy,
                           tangent=(p.tangent[0], -p.tangent[1]))
 
     in_ports = {key: flip_port(port) for key, port in split.out_ports.items()}
     out_port = flip_port(split.in_ports["in"])
-    # the split's mirrors, reflected across y = axis: y -> 2*axis - (oy + sy*y)
+    # the split's mirrors, reflected: y -> SPLIT_HEIGHT - (oy + sy*y)
     return Gadget(
         kind="merge", name=name,
         in_ports=in_ports,
         out_ports={"out": out_port},
         transfer=PiecewiseTransfer(locate, enumerate_pieces, label=name),
-        mirrors=(mirrors, (2 * axis - oy, -sy)),
+        mirrors=(mirrors, (SPLIT_HEIGHT - oy, -sy)),
     )
 
 
@@ -727,7 +723,7 @@ def build_merge_gadget(split, *, name=None):
 
 #: Stage frame height; ports at y=0 and y=STAGE_HEIGHT, out window shifted
 #: +2 in x relative to the in window.
-STAGE_HEIGHT = F(12)
+STAGE_HEIGHT = 12
 _FOCUS_EXPAND = F(10)  # focus height of the upward (expanding) pair
 _FOCUS_FUNNEL = F(1)   # focus height of the downward (contracting) pair
 _P_SMALL = F(1)
@@ -790,20 +786,21 @@ _REGIMES = {
 }
 
 
-def build_shift_stage(eps, *, base_x=F(0), sigma=0, K=None, name="shift"):
-    """Both head-sign regimes of a head move, side by side in one frame.
+def build_shift_stage(eps, *, base_x=0, base_y=0, sigma=0, K=None, name="shift"):
+    """Both head-sign regimes of a head move, side by side in one frame,
+    its in-port at (base_x, base_y): where a table places it.
 
     In-port window [sigma, sigma+1] (lane coordinate = value + sigma,
     sigma an integer lane offset), out-port window identical but two
     units to the right; transfer u -> sigma + shift(u - sigma) piecewise
     over the head intervals.  The walls are the ``_REGIMES[eps]`` pairs
-    moved right by base_x + sigma, each id prefixed with ``name``.
+    moved by (base_x + sigma, base_y) in one step, each id prefixed with
+    ``name``: for an int base_x and base_y, by integer adds alone.
     """
-    base_x = F(base_x)
     sigma = int(sigma)
     regimes = _REGIMES[eps]
     dx = base_x + sigma
-    walls = tuple(w.translated(dx, 0)._replace(wall_id=f"{name}:{w.wall_id}")
+    walls = tuple(ParabolaArc(*w.translated(dx, base_y)[:7], f"{name}:{w.wall_id}")
                   for regime in regimes for w in regime.arcs)
     k_cap = K if K is not None else k_max_cap()
 
@@ -826,9 +823,8 @@ def build_shift_stage(eps, *, base_x=F(0), sigma=0, K=None, name="shift"):
 
     return Gadget(
         kind=f"shift({eps:+d})", name=name,
-        in_ports={"in": Chart.of((base_x, F(0)), (1, 0), (0, 1), sigma, sigma + 1)},
-        out_ports={"out": Chart.of((base_x + 2, STAGE_HEIGHT), (1, 0), (0, 1),
-                                   sigma, sigma + 1)},
+        in_ports={"in": Chart.upward(base_x, base_y, sigma, sigma + 1)},
+        out_ports={"out": Chart.upward(base_x + 2, base_y + STAGE_HEIGHT, sigma, sigma + 1)},
         transfer=PiecewiseTransfer(locate, enumerate_pieces, label=name),
         static_walls=walls,
     )

@@ -18,10 +18,9 @@ the boxes it met, a leg parallel to the strips tests a box at its one
 coordinate across them, each record is offered on its own, and a
 region's blocks are listed from the Cantor indices in its window
 (``gadgets._blocks_in``).
-``demos/05_machine_size.py`` reads 45 / 56 / 51 / 59 us of CPU per traced
+``demos/05_machine_size.py`` reads 44 / 49 / 48 / 49 us of CPU per traced
 leg, its symbolic run included, on 4- / 16- / 64- / 128-state tables
-(57 / 68 / 66 / 67 us before these cuts; medians of five alternating runs
-on one core of a shared 2-core host).
+(medians of three runs on one core of a shared 2-core host, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -180,33 +179,35 @@ def _reflect(d, n):
 _BOX_SLACK = 1e-9
 
 
-def _widened(x0, y0, x1, y1):
-    s = _BOX_SLACK
-    return (x0 - s * (1 + abs(x0)), y0 - s * (1 + abs(y0)),
-            x1 + s * (1 + abs(x1)), y1 + s * (1 + abs(y1)))
-
-
 def _float_box(wall):
     """(x0, y0, x1, y1), a float box holding the wall or chart: its ends
     and an arc's heights in floats, each a quotient of its integers,
-    widened by _BOX_SLACK, which is far more than their rounding.  A
-    chart's crossing counts within 1/2 of its window [lo, hi], so its box
-    holds the window [lo - 1/2, hi + 1/2]."""
-    if wall.kind == "parabola_arc":
-        q, a, b, p, sign, lo, hi, _ = wall
-        axis_x, apex_y, p, x_lo, x_hi = a / q, b / q, p / q, lo / q, hi / q
-        ys = [apex_y + sign * (x - axis_x) ** 2 / (4 * p) for x in (x_lo, x_hi)]
-        if x_lo < axis_x < x_hi:
-            ys.append(apex_y)
-        return _widened(x_lo, min(ys), x_hi, max(ys))
-    if wall.kind == "segment":
+    widened on each side by _BOX_SLACK times (1 + the magnitude of the
+    coordinate), which is far more than their rounding.  A chart's
+    crossing counts within 1/2 of its window [lo, hi], so its box holds
+    the window [lo - 1/2, hi + 1/2]: its ends over 2 den."""
+    kind = wall.kind
+    if kind == "segment":
         den, x0, y0, x1, y1, _ = wall
-    else:       # a chart, over its window widened by 1/2 at each end
-        c = wall.den
-        (x0, y0, den), (x1, y1, _) = (wall.point(2 * wall.u0 - c, 2 * c),
-                                      wall.point(2 * wall.u1 + c, 2 * c))
-    x0, y0, x1, y1 = x0 / den, y0 / den, x1 / den, y1 / den
-    return _widened(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+        x0, y0, x1, y1 = x0 / den, y0 / den, x1 / den, y1 / den
+    elif kind == "chart":
+        c, ox, oy, u0, u1, (tx, ty), _, _, _ = wall
+        den, lo, hi = 2 * c, 2 * u0 - c, 2 * u1 + c
+        x0, y0 = (2 * ox + lo * tx) / den, (2 * oy + lo * ty) / den
+        x1, y1 = (2 * ox + hi * tx) / den, (2 * oy + hi * ty) / den
+    else:
+        q, a, b, p, sign, lo, hi, _ = wall
+        axis_x, apex_y, p, x0, x1 = a / q, b / q, p / q, lo / q, hi / q
+        y0, y1 = (apex_y + sign * (x - axis_x) ** 2 / (4 * p) for x in (x0, x1))
+        if x0 < axis_x < x1:
+            y0, y1 = min(y0, y1, apex_y), max(y0, y1, apex_y)
+    if x0 > x1:
+        x0, x1 = x1, x0
+    if y0 > y1:
+        y0, y1 = y1, y0
+    s = _BOX_SLACK
+    return (x0 - s * (1 + abs(x0)), y0 - s * (1 + abs(y0)),
+            x1 + s * (1 + abs(x1)), y1 + s * (1 + abs(y1)))
 
 
 def _normal(wall, xyw):
@@ -319,14 +320,13 @@ class _RayIndex:
         j across axis c for a ray of this sense along the other axis: each
         box's extent [u0, u1] along the ray, u counted in its sense, and
         [v0, v1] across it, sorted by u0."""
-        a, items = 1 - c, []
-        for n in self.strips[c].get(j, ()):
-            e = self.entries[n]
-            u0, u1 = (e[a], e[a + 2]) if sense > 0 else (-e[a + 2], -e[a])
-            items.append((u0, u1, e[c], e[c + 2], n, e[4]))
+        a, entries, strip = 1 - c, self.entries, self.strips[c].get(j, ())
+        items = ([(e[a], e[a + 2], e[c], e[c + 2], n, e[4]) for n in strip for e in [entries[n]]]
+                 if sense > 0 else
+                 [(-e[a + 2], -e[a], e[c], e[c + 2], n, e[4]) for n in strip for e in [entries[n]]])
         items.sort()        # by n at the latest, which is unique
-        lane = self.lanes[c][sense > 0][j] = (list(itertools.accumulate(
-            (item[1] for item in items), max)), items)
+        lane = self.lanes[c][sense > 0][j] = (
+            list(itertools.accumulate([item[1] for item in items], max)), items)
         return lane
 
     def walk(self, o, d, bound, eps):

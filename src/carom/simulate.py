@@ -87,10 +87,9 @@ class Periodic(Sequence):
         yield from self.head[:self.length]
         left, q = self.length - len(self.head), 0
         while left > 0:
-            part = self.cycle[:left]
-            if q and self.repeat is not None:
-                part = [self.repeat(item, q) for item in part]
-            yield from part
+            copy = q and self.repeat     # each copy made as it is read
+            for item in self.cycle[:left]:
+                yield copy(item, q) if copy else item
             left, q = left - len(self.cycle), q + 1
 
     def __eq__(self, other):

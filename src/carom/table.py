@@ -1,6 +1,7 @@
 """Compile a reversible machine's graph into a placed billiard table.
 
-Layout scheme (all coordinates exact Fractions):
+Layout scheme (all coordinates exact integer records, each over its one
+denominator; every wall and chart is placed once, where it stays):
 
 * one station per state along the x axis, pitch 16.  A station stacks,
   bottom to top: the launch pad (initial state only, y=-16), the merge
@@ -50,14 +51,13 @@ from .geometry import Chart, ParabolaArc, Segment, integers, walls_clash
 from .machine import build_graph, check_reversible
 from .ternary import T
 
-F = Fraction
-
-STATION_PITCH = F(16)
-SPLIT_DY = F(1)
-STAGE_DY = F(13)
-MERGE_DY = F(-12)
-PAD_Y = F(-16)
-# the corridors' routes, in integers: their corners place the turn mirrors
+# the stations and the gadgets' heights, and the corridors' routes, whose
+# corners place the turn mirrors: all integers
+STATION_PITCH = 16
+SPLIT_DY = 1
+STAGE_DY = 13
+MERGE_DY = -12
+PAD_Y = -16
 ROW0 = 28
 ROW_PITCH = 3
 BROW0 = -24
@@ -91,7 +91,7 @@ class OutOfRange(Exception):
 @dataclass
 class Station:
     state: str
-    x: Fraction
+    x: int
     checkpoint: Chart
     split: Optional[Gadget] = None     # placed at SPLIT_DY
     merge: Optional[Gadget] = None     # placed at MERGE_DY
@@ -108,7 +108,7 @@ class Corridor:
     sigma_in: int        # lane offset after the split (-2 or +2)
     sigma_out: int       # lane offset expected by the target (0 if merge-free)
     split: Gadget
-    stage: Gadget        # placed at STAGE_DY
+    stage: Gadget        # built at STAGE_DY
     turns: tuple         # four turn mirrors (Segments), at the route's corners
     merge: Optional[Gadget]
     K: int = 8
@@ -153,8 +153,8 @@ class Corridor:
     def turn_pieces(self):
         """The turns' transfer: the identity on the lane window, one piece
         per mirror."""
-        lo, hi = T(self.sigma_in), T(self.sigma_in + 1)
-        return tuple(Piece(lo, hi, T(1), T(0), (w.wall_id,), "turn") for w in self.turns)
+        lo, hi, one, zero = T(self.sigma_in), T(self.sigma_in + 1), T(1), T(0)
+        return tuple(Piece(lo, hi, one, zero, (w.wall_id,), "turn") for w in self.turns)
 
     def apply_inverse(self, value_after):
         """Run the corridor's transfer chain backwards, piece by piece.
@@ -212,27 +212,21 @@ class BilliardTable:
         """The scene as one flat tuple in scene_walls order: the launch pad,
         the stations, then the corridors.  Each static wall (pad, hard
         checkpoint, stage arc, turn mirror) is an entry, a Segment or a
-        ParabolaArc, and so is each split and merge: its gadget's (mirrors,
-        frame), the frame moved up by dy."""
+        ParabolaArc, as compile_table placed it, and so is each split and
+        merge: its gadget's (mirrors, frame), the frame moved up by dy."""
         scene = [self.initial_pad.wall]
-
-        def place(gadget, dy):
-            scene.extend(w.translated(0, dy) for w in gadget.static_walls)
-            if gadget.mirrors is not None:
-                mirrors, (oy, sy) = gadget.mirrors
-                scene.append((mirrors, (oy + dy, sy)))
-
         for q in self.machine.states:
             st = self.stations[q]
             if st.checkpoint.hard:
                 scene.append(st.checkpoint.wall)
             for gadget, dy in ((st.split, SPLIT_DY), (st.merge, MERGE_DY)):
                 if gadget is not None:
-                    place(gadget, dy)
+                    mirrors, (oy, sy) = gadget.mirrors
+                    scene.append((mirrors, (oy + dy, sy)))
         for key in sorted(self.corridors):
             corridor = self.corridors[key]
-            place(corridor.stage, STAGE_DY)
-            scene.extend(corridor.turns)
+            scene += corridor.stage.static_walls
+            scene += corridor.turns
         return tuple(scene)
 
     @cached_property
@@ -471,10 +465,6 @@ def machine_hash(machine):
     return hashlib.sha256(machine.canonical_text().encode()).hexdigest()
 
 
-def station_x(index):
-    return STATION_PITCH * index
-
-
 def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
     """Build the computational billiard for ``machine`` with |head| <= K."""
     witness = check_reversible(machine)
@@ -488,9 +478,9 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
 
     stations = {}
     for i, q in enumerate(machine.states):
-        x = station_x(i)
+        x = STATION_PITCH * i
         halting = machine.is_halting(q)
-        checkpoint = Chart.of((x, F(0)), (1, 0), (0, 1), name=f"chk:{q}", hard=halting)
+        checkpoint = Chart.upward(x, 0, name=f"chk:{q}", hard=halting)
         stations[q] = Station(state=q, x=x, checkpoint=checkpoint)
 
     # splits: one per non-halting state, writing what its two out-edges write
@@ -523,7 +513,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
     # corridors
     edges = list(graph.edges)
     n_states = len(machine.states)
-    lane0 = int(station_x(n_states - 1) + STATION_PITCH / 2) + LANE_MARGIN
+    lane0 = STATION_PITCH * (n_states - 1) + STATION_PITCH // 2 + LANE_MARGIN
     corridors = {}
     for idx, edge in enumerate(edges):
         src, tgt = stations[edge.state], stations[edge.target]
@@ -531,7 +521,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         sigma_in = SIGMA[a]
         merged = tgt.merge is not None
         sigma_out = SIGMA[edge.write] if merged else 0
-        stage = build_shift_stage(edge.shift, base_x=src.x, sigma=sigma_in,
+        stage = build_shift_stage(edge.shift, base_x=src.x, base_y=STAGE_DY, sigma=sigma_in,
                                   K=K, name=f"stage:{edge.state}.r{a}")
 
         # the beam window [sigma_in, sigma_in + 1] leaves the stage going
@@ -542,8 +532,8 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         row = ROW0 + ROW_PITCH * idx
         brow = BROW0 - ROW_PITCH * idx
         lane = lane0 + LANE_PITCH * idx
-        corners = (((int(src.x) + 2 + sigma_in, row), (1, 1)), ((lane, row), (-1, 1)),
-                   ((lane, brow), (-1, -1)), ((int(tgt.x) + sigma_out, brow), (1, -1)))
+        corners = (((src.x + 2 + sigma_in, row), (1, 1)), ((lane, row), (-1, 1)),
+                   ((lane, brow), (-1, -1)), ((tgt.x + sigma_out, brow), (1, -1)))
         turns = tuple(turn_mirror(corner, v, 1, f"c{idx}:t{i}")
                       for i, (corner, v) in enumerate(corners, 1))
         corridors[(edge.state, a)] = Corridor(
@@ -553,7 +543,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
 
     q0 = machine.initial
     pad_x = stations[q0].x if graph.in_degree(q0) == 0 else stations[q0].x - 4
-    initial_pad = Chart.of((pad_x, PAD_Y), (1, 0), (0, 1), name="launch", hard=True)
+    initial_pad = Chart.upward(pad_x, PAD_Y, name="launch", hard=True)
 
     return BilliardTable(
         machine=machine, K=K, graph=graph, stations=stations,

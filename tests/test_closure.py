@@ -11,6 +11,7 @@ and the numeric one every leg through ``_trace``.
 """
 
 import dataclasses
+import itertools
 import json
 import random
 import time
@@ -174,6 +175,20 @@ def test_a_closed_trace_reads_as_the_stepwise_list(table, literal):
 def test_a_closed_pacer4_trace_reads_as_the_stepwise_list(pacer4, literal):
     for budget in _budgets(2 * PERIOD):
         _reads_as_the_stepwise_list(pacer4, literal, budget)
+
+
+@pytest.mark.parametrize("literal", TAPES)
+def test_a_closed_trace_copies_only_what_is_read(table, literal):
+    # iterating a closed orbit's trace makes each later event's copy as it
+    # is read: the first P + 2 events, P those before the second period,
+    # cost at most two repeat calls, not a whole period of them
+    trace = run_symbolic(table, parse_tape(literal), 10 ** 6).trace
+    calls, repeat = [], trace.repeat
+    trace.repeat = lambda item, q: calls.append(q) or repeat(item, q)
+    period = len(trace.head) + len(trace.cycle)
+    read = list(itertools.islice(trace, period + 2))
+    assert len(read) == period + 2 and len(calls) <= 2, calls
+    assert read == trace[:period + 2]
 
 
 def test_a_closed_orbit_costs_its_period_not_its_budget(table, tmp_path, capsys):

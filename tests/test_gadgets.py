@@ -34,7 +34,7 @@ from carom.gadgets import (
 )
 from carom.geometry import Leg, Segment, walls_clash
 from carom.machine import enumerate_tapes
-from carom.table import MERGE_DY, SPLIT_DY, compile_table
+from carom.table import MERGE_DY, SPLIT_DY, STAGE_DY, compile_table
 from carom.ternary import T
 from carom.zoo import MACHINE_TEXTS, get_machine
 
@@ -133,13 +133,14 @@ def _demo_tables(K):
 
 
 def test_stage_arcs_are_translated_regime_pairs():
-    # each stage's four arcs are its head move's regime pairs moved right
-    # by base_x + sigma_in, ids prefixed with the stage's name
+    # each stage's four arcs are its head move's regime pairs moved by
+    # (base_x + sigma_in, STAGE_DY), where the table places them, ids
+    # prefixed with the stage's name
     for table in _demo_tables(8):
         for corridor in table.corridors.values():
             stage, edge = corridor.stage, corridor.edge
             dx = table.stations[edge.state].x + corridor.sigma_in
-            want = [arc.translated(dx, 0)._replace(wall_id=f"{stage.name}:{arc.wall_id}")
+            want = [arc.translated(dx, STAGE_DY)._replace(wall_id=f"{stage.name}:{arc.wall_id}")
                     for regime in gadgets._REGIMES[edge.shift] for arc in regime.arcs]
             assert list(stage.static_walls) == want, stage.name
 

@@ -187,6 +187,51 @@ def test_compile_builds_only_placed_walls(monkeypatch):
         assert set(ids) <= {w.wall_id for w in table.static_walls}, name
 
 
+#: SHA-256 of every fixture's K=8 placed records, as ``_records_text``
+#: writes them, computed on the tables placed through Fractions: the
+#: integer placement changed no record
+RECORDS_SHA256 = "b9ef62edb8cdb37b1fb6492f57608add645c8c3d1fc920930d38eab5c288b1be"
+
+
+def _records_text(table):
+    """The table's static walls and charts, one str per record, then each
+    mirror family's key, base_x and frame, each number as str writes it."""
+    lines = [str(w) for w in table.static_walls] + [str(c) for c in table.marked_segments()]
+    lines += [f"{mirrors.key} {mirrors.base_x} {oy} {sy}"
+              for mirrors, (oy, sy) in table.mirror_families]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_placed_records_pinned():
+    digest = hashlib.sha256()
+    for _, m in sorted(fixture_machines().items()):
+        table = compile_table(m, 8)
+        for w in table.static_walls:
+            assert all(type(v) is int for v in w[:-1]), w
+        digest.update(_records_text(table).encode())
+    assert digest.hexdigest() == RECORDS_SHA256
+
+
+def test_fresh_table_makes_no_fraction(monkeypatch):
+    # compile_table and a fresh table's trace scene place every wall and
+    # chart in integers.  The per-key level records a trace scene reads
+    # (gadgets._pair_template, the explicit formula) are made once per key
+    # and process, shared by every table: warmed first
+    for m in fixture_machines().values():
+        compile_table(m, 8).trace_scene
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for name, m in fixture_machines().items():
+        compile_table(m, 8).trace_scene
+        assert made == [], name
+
+
 def test_wall_sequence_reports_all_bounces():
     m = get_machine("walker")  # has a merge on Q
     table = compile_table(m, 3)
@@ -607,8 +652,8 @@ def _reflect_off(mirror, pos, d):
 def test_corridor_route_carries_beams(K):
     # beams across the lane window leave the shift stage going up and
     # reflect exactly off the corridor's four turn mirrors in order; they
-    # leave the last one going up in the target's lane, at the same offset
-    from carom.table import STAGE_DY
+    # leave the last one going up in the target's lane, at the same offset;
+    # the stage is built where the table places it, at STAGE_DY
     for name, m in fixture_machines().items():
         table = compile_table(m, K)
         for key, corridor in table.corridors.items():
@@ -618,7 +663,7 @@ def test_corridor_route_carries_beams(K):
             for du in (Fraction(0), Fraction(1, 2), Fraction(1)):
                 x, y = port.chart(corridor.sigma_in + du)
                 assert x == src.x + 2 + corridor.sigma_in + du
-                pos, d = (x, y + STAGE_DY), (Fraction(0), Fraction(1))
+                pos, d = (x, y), (Fraction(0), Fraction(1))
                 for mirror in corridor.turns:
                     pos, d = _reflect_off(mirror, pos, d)
                 assert d == (0, 1), (name, key)
