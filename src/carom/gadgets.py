@@ -121,7 +121,11 @@ class Gadget:
     Walls come in two kinds: ``static_walls`` (arcs, turn mirrors), and
     the per-head-level Cantor-block mirrors of split and merge gadgets,
     2**(2k)-ish per level: ``mirrors``, a (_BlockMirrors, frame) pair,
-    the frame (oy, sy) placing them at y -> oy + sy*y.  Every wall is a
+    the frame (oy, sy) placing them at y -> oy + sy*y.  A shift stage is
+    built where a table places it (its base_y), so its walls and ports
+    hold final coordinates; a split or merge is built at y = 0 and a table
+    places it by moving its family's frame (table.SPLIT_DY, MERGE_DY), its
+    ports staying in the local frame.  Every wall is a
     Segment or ParabolaArc record.  A tracer files ``static_walls`` and
     the family's level regions in one index, once, and asks the family
     only for the blocks of the regions a leg walks into, as for a table.
@@ -651,11 +655,13 @@ def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=0, name="split
         return pieces
 
     transfer = _TranslationTransfer(locate, enumerate_pieces, name, mirrors)
-    ports_out = {"b0": Chart.upward(base_x, SPLIT_HEIGHT, -2, -1),
-                 "b1": Chart.upward(base_x, SPLIT_HEIGHT, 2, 3)}
+    ports_out = {
+        "b0": Chart.of((base_x, SPLIT_HEIGHT), (1, 0), (0, 1), -2, -1),
+        "b1": Chart.of((base_x, SPLIT_HEIGHT), (1, 0), (0, 1), 2, 3),
+    }
     return Gadget(
         kind="split", name=name,
-        in_ports={"in": Chart.upward(base_x, 0)},
+        in_ports={"in": Chart.of((base_x, 0), (1, 0), (0, 1))},
         out_ports=ports_out,
         transfer=transfer,
         mirrors=(mirrors, (0, 1)),
@@ -823,8 +829,9 @@ def build_shift_stage(eps, *, base_x=0, base_y=0, sigma=0, K=None, name="shift")
 
     return Gadget(
         kind=f"shift({eps:+d})", name=name,
-        in_ports={"in": Chart.upward(base_x, base_y, sigma, sigma + 1)},
-        out_ports={"out": Chart.upward(base_x + 2, base_y + STAGE_HEIGHT, sigma, sigma + 1)},
+        in_ports={"in": Chart.of((base_x, base_y), (1, 0), (0, 1), sigma, sigma + 1)},
+        out_ports={"out": Chart.of((base_x + 2, base_y + STAGE_HEIGHT), (1, 0), (0, 1),
+                                   sigma, sigma + 1)},
         transfer=PiecewiseTransfer(locate, enumerate_pieces, label=name),
         static_walls=walls,
     )

@@ -66,7 +66,7 @@ class Segment(NamedTuple):
     def translated(self, dx, dy):
         """The segment moved by (dx, dy), over den times the least common
         denominator of dx and dy: the same den for an integer move."""
-        e, ex, ey = (1, dx, dy) if type(dx) is type(dy) is int else integers(dx, dy)
+        e, ex, ey = integers(dx, dy)
         ex, ey = ex * self.den, ey * self.den
         return Segment(self.den * e, self.x0 * e + ex, self.y0 * e + ey,
                        self.x1 * e + ex, self.y1 * e + ey, self.wall_id)
@@ -113,7 +113,7 @@ class ParabolaArc(NamedTuple):
 
     def translated(self, dx, dy):
         """The arc moved by (dx, dy), as ``Segment.translated``."""
-        e, ex, ey = (1, dx, dy) if type(dx) is type(dy) is int else integers(dx, dy)
+        e, ex, ey = integers(dx, dy)
         ex, ey = ex * self.den, ey * self.den
         return ParabolaArc(self.den * e, self.axis * e + ex, self.apex * e + ey,
                            self.focal * e, self.sign, self.lo * e + ex, self.hi * e + ex,
@@ -122,7 +122,7 @@ class ParabolaArc(NamedTuple):
 
 class Chart(NamedTuple):
     """A transverse chart: where gadgets join, checkpoints are read and the
-    launch pad sits.  Built by ``of``, or by ``upward`` in integers.
+    launch pad sits.  Built by ``of``.
 
     chart(u) = origin + u * tangent, the origin (ox, oy) / den; the window
     [u0, u1] / den, den > 0, is the coordinate range beams may occupy, and
@@ -151,14 +151,6 @@ class Chart(NamedTuple):
         """The chart of these rationals, over their least common denominator."""
         return cls(*integers(*origin, lo, hi), tuple(map(int, tangent)), tuple(map(int, beam)),
                    name, hard)
-
-    @classmethod
-    def upward(cls, x, y, lo=0, hi=1, name="", hard=False):
-        """``of``'s chart crossed upwards along +x from (x, y) over [lo,
-        hi], x an int or Fraction and the rest ints: over x's denominator,
-        with no Fraction arithmetic."""
-        d = x.denominator
-        return cls(d, x.numerator, y * d, lo * d, hi * d, (1, 0), (0, 1), name, hard)
 
     origin = property(lambda c: (Fraction(c.ox, c.den), Fraction(c.oy, c.den)))
     lo, hi = _ratio(3), _ratio(4)

@@ -480,7 +480,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
     for i, q in enumerate(machine.states):
         x = STATION_PITCH * i
         halting = machine.is_halting(q)
-        checkpoint = Chart.upward(x, 0, name=f"chk:{q}", hard=halting)
+        checkpoint = Chart.of((x, 0), (1, 0), (0, 1), name=f"chk:{q}", hard=halting)
         stations[q] = Station(state=q, x=x, checkpoint=checkpoint)
 
     # splits: one per non-halting state, writing what its two out-edges write
@@ -543,7 +543,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
 
     q0 = machine.initial
     pad_x = stations[q0].x if graph.in_degree(q0) == 0 else stations[q0].x - 4
-    initial_pad = Chart.upward(pad_x, PAD_Y, name="launch", hard=True)
+    initial_pad = Chart.of((pad_x, PAD_Y), (1, 0), (0, 1), name="launch", hard=True)
 
     return BilliardTable(
         machine=machine, K=K, graph=graph, stations=stations,

@@ -208,6 +208,16 @@ def test_placed_records_pinned():
         table = compile_table(m, 8)
         for w in table.static_walls:
             assert all(type(v) is int for v in w[:-1]), w
+        charts = [*table.marked_segments()]
+        for st in table.stations.values():
+            charts += [port for gadget in (st.split, st.merge) if gadget is not None
+                       for port in (*gadget.in_ports.values(), *gadget.out_ports.values())]
+        for corridor in table.corridors.values():
+            charts += [*corridor.stage.in_ports.values(), *corridor.stage.out_ports.values()]
+        for chart in charts:
+            assert all(type(v) is int for v in chart[:5] + chart.tangent + chart.beam), chart
+        for mirrors, frame in table.mirror_families:
+            assert all(type(v) is int for v in (mirrors.base_x, *frame)), mirrors.name
         digest.update(_records_text(table).encode())
     assert digest.hexdigest() == RECORDS_SHA256
 
@@ -227,6 +237,14 @@ def test_fresh_table_makes_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
+    # from CPython 3.12 on, Fraction arithmetic makes its results through
+    # _from_coprime_ints, which skips __new__: count those too
+    coprime = getattr(Fraction, "_from_coprime_ints", None)
+    if coprime is not None:
+        def counted_coprime(cls, *args):
+            made.append(args)
+            return coprime.__func__(cls, *args)
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
     for name, m in fixture_machines().items():
         compile_table(m, 8).trace_scene
         assert made == [], name
