@@ -9,16 +9,20 @@ half-tape into even ones.  Head position k is then recorded by the affine
 embedding tau_k of [0,1] onto a sub-interval I_k: the encoded computation
 state is x_{t,k} = tau_k(x_t).
 
-All arithmetic is exact TernaryRational; at head position k the relevant
-scales shrink like 3**-(3k+2), which no float survives.
+All arithmetic is exact: at head position k the relevant scales shrink
+like 3**-(3k+2), which no float survives.  Values are TernaryRationals at
+every boundary; encode_tape, tau, tau_inverse, decode and block_of compute
+on their integers (num, exp), value = num / 3**exp, and build one
+TernaryRational per result.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 from dataclasses import dataclass
 
-from .ternary import T, TernaryRational
+from .ternary import T, TernaryRational, digits_of
 
 #: Enumeration guard: block counts grow as 2**(2k).  Point-wise operations
 #: (encode/decode/shift/rewrite) work for any k regardless.
@@ -48,35 +52,56 @@ def cell_of_digit(pos):
 
 
 def encode_tape(tape):
-    """Exact x_t of a finite-support tape (frozenset of 1-cells)."""
-    total = T(0)
-    for cell in tape:
-        total = total + T(2, digit_position(cell))
-    return total
+    """Exact x_t of a finite-support tape (frozenset of 1-cells): digit 2
+    at each 1-cell's position, over 3**(the deepest position)."""
+    positions = [digit_position(cell) for cell in tape]
+    if not positions:
+        return T(0)
+    e = max(positions)
+    return TernaryRational(sum(2 * 3 ** (e - p) for p in positions), e)
+
+
+def head_hull(k):
+    """I_k in closed form, as integers (lo, hi, e): I_k = [lo, hi] / 3^e,
+    [1, 2] / 3^(1-k) for k < 0 and [3^(1+k) - 2, 3^(1+k) - 1] / 3^(1+k)
+    for k >= 0 (tau_k of 0 and 1)."""
+    if k < 0:
+        return 1, 2, 1 - k
+    top = 3 ** (1 + k)
+    return top - 2, top - 1, 1 + k
 
 
 def tau(k, x):
     """The affine embedding of [0,1] onto I_k.
 
     tau_k(x) = 3**-(1-k) * (1+x)        for k < 0,
-             = 1 + 3**-(1+k) * (x - 2)  for k >= 0.
+             = 1 + 3**-(1+k) * (x - 2)  for k >= 0,
+    both lo + x / 3**e for I_k = [lo, lo + 1] / 3**e (head_hull).
     """
-    if not (T(0) <= x <= T(1)):
+    n, e = x.num, x.exp
+    if not 0 <= n <= 3 ** e:
         raise ValueError(f"tau argument {x} outside [0, 1]")
-    if k < 0:
-        return (x + 1).div3(1 - k)
-    return (x - 2).div3(1 + k) + 1
+    lo, _, scale = head_hull(k)
+    return TernaryRational(lo * 3 ** e + n, e + scale)
+
+
+def _preimage(k, n, e):
+    """tau_k^-1(n / 3**e) = n / 3**(e - scale) - lo as integers (m, f),
+    the pre-image m / 3**f."""
+    lo, _, scale = head_hull(k)
+    if e >= scale:
+        return n - lo * 3 ** (e - scale), e - scale
+    return n * 3 ** (scale - e) - lo, 0
 
 
 def tau_inverse(k, x):
-    if k < 0:
-        return x.mul3(1 - k) - 1
-    return (x - 1).mul3(1 + k) + 2
+    return TernaryRational(*_preimage(k, x.num, x.exp))
 
 
 def head_interval(k):
     """I_k = tau_k([0,1]) as a HeadInterval."""
-    return HeadInterval(k, tau(k, T(0)), tau(k, T(1)))
+    lo, hi, e = head_hull(k)
+    return HeadInterval(k, TernaryRational(lo, e), TernaryRational(hi, e))
 
 
 @dataclass(frozen=True)
@@ -155,17 +180,21 @@ def decode(x):
     k = head_of(x)
     if k is None:
         raise NotACode(f"{x} lies in no head interval")
-    y = tau_inverse(k, x)
-    if y < T(0) or y >= T(1):
+    n, e = _preimage(k, x.num, x.exp)
+    if not 0 <= n < 3 ** e:
         # tau_k(1) is the interval's right endpoint; x_t = 1 needs an
         # infinite all-twos tape, which Lambda excludes.
-        raise NotACode(f"{x} decodes to tape value {y} outside [0, 1)")
+        raise NotACode(f"{x} decodes to tape value {TernaryRational(n, e)} outside [0, 1)")
+    bits = _cantor_bits(n)
+    if bits is None:
+        pos = digits_of(n, e).index(1) + 1
+        raise NotACode(f"{x} has ternary digit 1 at tape position {pos}")
+    # bit e - pos of bits is the halved digit at position pos
     ones = set()
-    for pos, digit in enumerate(y.ternary_digits(), start=1):
-        if digit == 1:
-            raise NotACode(f"{x} has ternary digit 1 at tape position {pos}")
-        if digit == 2:
-            ones.add(cell_of_digit(pos))
+    while bits:
+        low = bits & -bits
+        ones.add(cell_of_digit(e + 1 - low.bit_length()))
+        bits ^= low
     return frozenset(ones), k
 
 
@@ -256,6 +285,73 @@ class CantorBlock:
         return (self.lo + self.hi).as_fraction() / 2
 
 
+#: The 32 numbers of five base-3 digits, each 0 or 2, ascending: the b-th
+#: has a 2 where b has a 1 bit.  Per r < 3^5, the least of them >= r and b;
+#: and b if r is the b-th, else None.
+_CANTOR5 = [sum(2 * 3 ** i for i in range(5) if b >> i & 1) for b in range(32)]
+_CANTOR_CEIL5 = [(_CANTOR5[b], b) for b in (bisect.bisect_left(_CANTOR5, r) for r in range(243))]
+_CANTOR_BITS5 = [b if c == r else None for r, (c, b) in enumerate(_CANTOR_CEIL5)]
+
+
+def _cantor_bits(n):
+    """The base-3 digits of n >= 0 halved, as the bits of an integer (the
+    last digit the lowest bit), or None if a digit is 1: five digits per
+    division, from the bottom."""
+    bits = shift = 0
+    while n:
+        n, r = divmod(n, 243)
+        b = _CANTOR_BITS5[r]
+        if b is None:
+            return None
+        bits |= b << shift
+        shift += 5
+    return bits
+
+
+def _cantor_ceil(f):
+    """(c, bits): the least c >= f >= 0 whose base-3 digits are all 0 or 2,
+    and those digits halved as binary.  Five digits at a time from the
+    top: the first five not all 0 or 2 round up, the rest go to 0."""
+    chunks = []
+    while f:
+        f, r = divmod(f, 243)
+        chunks.append(r)
+    c = bits = 0
+    while chunks:
+        r = chunks.pop()
+        up, b = _CANTOR_CEIL5[r]
+        c, bits = c * 243 + up, bits << 5 | b
+        if up != r:
+            return c * 243 ** len(chunks), bits << 5 * len(chunks)
+    return c, bits
+
+
+def blocks_in(n_free, window=None):
+    """(F, bits) of every block index F in ``window``, an integer range
+    (F_lo, F_hi) (None: all of them), ascending: F reads ``n_free`` free
+    digits, each 0 or 2, in base 3, and ``bits`` holds them as the bits of
+    an integer, first digit most significant.  The first is found by
+    ``_cantor_ceil``, then bits + 1, which turns t trailing 1 bits to 0 and
+    the next bit to 1, so F + 3^t + 1: O(1) steps per block."""
+    lo, hi = 0, 3 ** n_free - 1
+    if window is not None:
+        lo, hi = max(lo, window[0]), min(hi, window[1])
+    if lo > hi:
+        return []
+    f, bits = _cantor_ceil(lo)
+    out = []
+    while f <= hi:
+        out.append((f, bits))
+        f, bits = f + 3 ** ((bits ^ (bits + 1)).bit_length() - 1) + 1, bits + 1
+    return out
+
+
+def _block_frame(k, digit_pos):
+    """(shift, exp): tau_k(B / 3**digit_pos) = (B + shift) / 3**exp, exactly."""
+    lo, _, scale = head_hull(k)
+    return lo * 3 ** digit_pos, digit_pos + scale
+
+
 def cantor_walk(k, digit_pos, symbol, window=None):
     """The blocks of ``cantor_blocks_at`` with index F in ``window``, an
     integer range (F_lo, F_hi) (None: all of them), left to right.
@@ -263,45 +359,17 @@ def cantor_walk(k, digit_pos, symbol, window=None):
     Block F has free digits (the digit_pos - 1 before the pinned one, each
     0 or 2) reading F in base 3, so its centre lies 3F block lengths right
     of block 0's; its lower end is tau_k(B / 3**digit_pos), B = 3F + 2*symbol.
-    A descent over the free digits prunes every prefix whose blocks all miss
-    the window: O(digit_pos) steps per block found, plus O(digit_pos).
     """
     cap = k_max_cap()
     if abs(k) > cap or digit_pos - 1 > 2 * cap + 1:
         raise KRangeExceeded(f"level {k}/digit {digit_pos} beyond K_max {cap}")
     if digit_pos < 1:
         raise ValueError("digit positions are 1-based")
-    n_free = digit_pos - 1
-    # tau_k(B / 3**digit_pos) = (B + shift) / 3**exp, exactly
-    exp = digit_pos + 1 + abs(k)
-    shift = 3 ** digit_pos if k < 0 else 3 ** exp - 2 * 3 ** digit_pos
+    shift, exp = _block_frame(k, digit_pos)
     base = 2 * symbol + shift
     return [CantorBlock(k, digit_pos, bits, symbol, TernaryRational(3 * value + base, exp),
                         TernaryRational(3 * value + base + 1, exp))
-            for value, bits in block_indices(n_free, window)]
-
-
-def block_indices(n_free, window=None):
-    """(F, bits) of every block index F in ``window`` (None: all of them),
-    ascending: F reads ``n_free`` free digits, each 0 or 2, in base 3, and
-    ``bits`` holds them as the bits of an integer, first digit most
-    significant.  A descent over the digits prunes every prefix whose
-    blocks all miss the window."""
-    span = 3 ** n_free
-    lo, hi = 0, span - 1
-    if window is not None:
-        lo, hi = max(lo, window[0]), min(hi, window[1])
-    if lo > hi:
-        return []
-    # (free digits chosen so far, their bits), refined one digit at a time;
-    # a prefix is dropped once every block under it misses [lo, hi]
-    found = [(0, 0)]
-    for _ in range(n_free):
-        span //= 3
-        found = [(v, 2 * bits + bit) for value, bits in found
-                 for v, bit in ((3 * value, 0), (3 * value + 2, 1))
-                 if v * span <= hi and (v + 1) * span > lo]
-    return found
+            for value, bits in blocks_in(digit_pos - 1, window)]
 
 
 def cantor_blocks_at(k, digit_pos, symbol):
@@ -323,19 +391,17 @@ def cantor_blocks(k, symbol):
 def block_of(x, k, digit_pos):
     """The CantorBlock of I_k pinning digit ``digit_pos`` that holds x.
 
-    Cheaper than enumerating 2**(digit_pos-1) blocks: read the digits of
-    the pre-image directly.
+    Cheaper than enumerating 2**(digit_pos-1) blocks: read the first
+    ``digit_pos`` digits of the pre-image directly.
     """
-    y = tau_inverse(k, x)
-    if y < T(0) or y >= T(1):
+    n, e = _preimage(k, x.num, x.exp)
+    if not 0 <= n < 3 ** e:
         raise NotACode(f"{x} not interior to I_{k}")
-    digits = y.ternary_digits()[:digit_pos]
-    digits += [0] * (digit_pos - len(digits))
-    if 1 in digits:
+    # B = the pre-image's first digit_pos digits, read as an integer
+    value = n // 3 ** (e - digit_pos) if e > digit_pos else n * 3 ** (digit_pos - e)
+    bits = _cantor_bits(value)
+    if bits is None:
         raise NotACode(f"{x} has a 1-digit in its pinned prefix")
-    value = bits = 0
-    for d in digits:
-        value, bits = 3 * value + d, 2 * bits + d // 2
-    base = T(value, digit_pos)
-    return CantorBlock(k, digit_pos, bits >> 1, bits & 1, tau(k, base),
-                       tau(k, base + T(1, digit_pos)))
+    shift, exp = _block_frame(k, digit_pos)
+    return CantorBlock(k, digit_pos, bits >> 1, bits & 1, TernaryRational(value + shift, exp),
+                       TernaryRational(value + shift + 1, exp))

@@ -35,7 +35,6 @@ walls (numeric.run_numeric) certifies that the geometry implements them.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -48,10 +47,11 @@ from .encoding import (
     KRangeExceeded,
     NotACode,
     block_of,
+    blocks_in,
     cantor_blocks_at,
     cantor_walk,
     digit_position,
-    head_interval,
+    head_hull,
     head_of,
     k_max_cap,
 )
@@ -76,7 +76,12 @@ class Piece(NamedTuple):
     tag: str
 
     def apply(self, u):
-        return self.a * u + self.b
+        """a*u + b, over one power of three."""
+        a, b = self.a, self.b
+        n, e = a.num * u.num, a.exp + u.exp
+        if e < b.exp:
+            n, e = n * 3 ** (b.exp - e), b.exp
+        return TernaryRational(n + b.num * 3 ** (e - b.exp), e)
 
 
 class PiecewiseTransfer:
@@ -171,16 +176,6 @@ def _band_center(lo, hi):
     return _H_MID + _BAND_GAIN * (c - F(1, 2))
 
 
-def _hull(k):
-    """I_k in closed form, as integers (lo, hi, e): I_k = [lo, hi] / 3^e,
-    [1, 2] / 3^(1-k) for k < 0 and [3^(1+k) - 2, 3^(1+k) - 1] / 3^(1+k)
-    for k >= 0 (tau_k of 0 and 1)."""
-    if k < 0:
-        return 1, 2, 1 - k
-    top = 3 ** (1 + k)
-    return top - 2, top - 1, 1 + k
-
-
 def _displacement(k, read_s, write_s):
     """The displacement d_s(k) = sigma_s + 2 (w - s) u_k by which the split
     moves every (k, read_s) block whose edge writes w = write_s, u_k =
@@ -210,47 +205,6 @@ _ID_ENDS = (":W", ":Wt")
 #: lister makes one per mirror listed, three times per table written,
 #: reloaded and checked, and NamedTuple's own constructor is Python code.
 _segment = functools.partial(tuple.__new__, Segment)
-
-
-#: The 32 numbers of five base-3 digits, each 0 or 2, ascending: the b-th
-#: has a 2 where b has a 1 bit.  Per r < 3^5, the least of them >= r and b.
-_CANTOR5 = [sum(2 * 3 ** i for i in range(5) if b >> i & 1) for b in range(32)]
-_CANTOR_CEIL5 = [(_CANTOR5[b], b) for b in (bisect.bisect_left(_CANTOR5, r) for r in range(243))]
-
-
-def _cantor_ceil(f):
-    """(c, bits): the least c >= f >= 0 whose base-3 digits are all 0 or 2,
-    and those digits halved as binary.  Five digits at a time from the
-    top: the first five not all 0 or 2 round up, the rest go to 0."""
-    chunks = []
-    while f:
-        f, r = divmod(f, 243)
-        chunks.append(r)
-    c = bits = 0
-    while chunks:
-        r = chunks.pop()
-        up, b = _CANTOR_CEIL5[r]
-        c, bits = c * 243 + up, bits << 5 | b
-        if up != r:
-            return c * 243 ** len(chunks), bits << 5 * len(chunks)
-    return c, bits
-
-
-def _blocks_in(n_free, window=None):
-    """``encoding.block_indices(n_free, window)``, its (F, bits) found
-    without a descent: the first by ``_cantor_ceil``, then bits + 1, which
-    turns t trailing 1 bits to 0 and the next bit to 1, so F + 3^t + 1."""
-    lo, hi = 0, 3 ** n_free - 1
-    if window is not None:
-        lo, hi = max(lo, window[0]), min(hi, window[1])
-    if lo > hi:
-        return []
-    f, bits = _cantor_ceil(lo)
-    out = []
-    while f <= hi:
-        out.append((f, bits))
-        f, bits = f + 3 ** ((bits ^ (bits + 1)).bit_length() - 1) + 1, bits + 1
-    return out
 
 
 def _id_prefix(name, k, digit_pos, symbol):
@@ -446,7 +400,7 @@ class _BlockMirrors:
     symbol over the blocks a leg meets, which the numeric tracer reads as
     they are, for the regions its index walks into (``numeric.TraceScene``);
     and ``walls_in`` scans every level for a leg.  ``_window`` bounds the
-    blocks F a leg meets exactly, in integers, and ``_blocks_in`` lists
+    blocks F a leg meets exactly, in integers, and ``blocks_in`` lists
     exactly those blocks.
 
     Everything read per level and symbol (the integer boxes and the float
@@ -511,7 +465,7 @@ class _BlockMirrors:
                 continue
             digit_pos = digit_position(k + self.cell_offset)
             for s in (0, 1):
-                placed, blocks = self._placed(k, digit_pos, s, frame), _blocks_in(digit_pos - 1)
+                placed, blocks = self._placed(k, digit_pos, s, frame), blocks_in(digit_pos - 1)
                 rows += itertools.chain.from_iterable(zip(
                     self._segments(s, placed, 0, blocks), self._segments(s, placed, 1, blocks)))
         return rows
@@ -525,7 +479,7 @@ class _BlockMirrors:
         every block whose box meets the leg ``exact`` (_exact_leg), as
         Segments (see ``_segments``), ``placed`` the level and symbol's
         _placed record."""
-        return self._segments(s, placed, w, _blocks_in(lv.digit_pos - 1,
+        return self._segments(s, placed, w, blocks_in(lv.digit_pos - 1,
                                                        _window(lv, s, w, exact)))
 
     def walls_in(self, leg, frame):
@@ -542,7 +496,7 @@ class _BlockMirrors:
             for s in (0, 1):
                 placed, found = self._placed(lv.k, lv.digit_pos, s, frame), []
                 for w in (0, 1):
-                    blocks = _blocks_in(lv.digit_pos - 1, _window(lv, s, w, exact))
+                    blocks = blocks_in(lv.digit_pos - 1, _window(lv, s, w, exact))
                     found += zip([index for index, _ in blocks], itertools.repeat(w),
                                  self._segments(s, placed, w, blocks))
                 # each wall's blocks ascending, merged by F, primary first
@@ -585,7 +539,7 @@ class _TranslationTransfer(PiecewiseTransfer):
             return
         (w0, w1), offset = mirrors.writes, mirrors.cell_offset
         # per level: I_k = [lo, hi] / 3^e, its blocks 3^-(e + digit_pos) long
-        ends = [(_hull(k), digit_position(k + offset),
+        ends = [(head_hull(k), digit_position(k + offset),
                  _displacement(k, 0, w0), _displacement(k, 1, w1)) for k in chosen]
         top = max(max(e + digit_pos, e0, e1)
                   for (_, _, e), digit_pos, (_, e0), (_, e1) in ends)
@@ -683,16 +637,20 @@ def build_merge_gadget(split, *, name=None):
     split.transfer.check_injective(mirrors.levels)
 
     def locate(u):
-        # the lane by its integer ends, compared with u exactly
-        if -2 <= u <= -1:
-            v = u + 2
-        elif 2 <= u <= 3:
-            v = u - 2
+        # the lane by its integer ends, compared with u's
+        n, e = u.num, u.exp
+        one = 3 ** e
+        if -2 * one <= n <= -one:
+            v = TernaryRational(n + 2 * one, e)
+        elif 2 * one <= n <= 3 * one:
+            v = TernaryRational(n - 2 * one, e)
         else:
             raise DomainError(f"{name}: {u} outside branch lanes")
         piece = split.transfer.locate(v)
         img_lo, img_hi = piece.apply(piece.lo), piece.apply(piece.hi)
-        if not (img_lo <= u <= img_hi):
+        top = max(e, img_lo.exp, img_hi.exp)
+        n *= 3 ** (top - e)
+        if not (img_lo.num * 3 ** (top - img_lo.exp) <= n <= img_hi.num * 3 ** (top - img_hi.exp)):
             raise DomainError(f"{name}: {u} not in the image of block {piece.tag}")
         return Piece(img_lo, img_hi, T(1), -piece.b,
                      tuple(reversed(piece.wall_ids)), piece.tag)
@@ -809,17 +767,19 @@ def build_shift_stage(eps, *, base_x=0, base_y=0, sigma=0, K=None, name="shift")
     walls = tuple(ParabolaArc(*w.translated(dx, base_y)[:7], f"{name}:{w.wall_id}")
                   for regime in regimes for w in regime.arcs)
     k_cap = K if K is not None else k_max_cap()
+    # per regime: u -> a*u + b moved to lane sigma, a*u + b + sigma*(1 - a)
+    lane_b = [r.b + sigma * (1 - r.a) for r in regimes]
 
     def piece_for_level(k):
         i = next(i for i, r in enumerate(regimes) if r.k_lo <= k <= r.k_hi)
-        regime, iv = regimes[i], head_interval(k)
-        return Piece(iv.lo + sigma, iv.hi + sigma, regime.a,
-                     regime.b + sigma * (1 - regime.a),
-                     (walls[2 * i].wall_id, walls[2 * i + 1].wall_id),
-                     f"{regime.tag}:k{k}")
+        lo, hi, e = head_hull(k)
+        lane = sigma * 3 ** e
+        return Piece(TernaryRational(lo + lane, e), TernaryRational(hi + lane, e),
+                     regimes[i].a, lane_b[i], (walls[2 * i].wall_id, walls[2 * i + 1].wall_id),
+                     f"{regimes[i].tag}:k{k}")
 
     def locate(u):
-        k = head_of(u - sigma)
+        k = head_of(TernaryRational(u.num - sigma * 3 ** u.exp, u.exp))
         if k is None or abs(k) > k_cap:
             raise DomainError(f"{name}: {u} outside supported head intervals")
         return piece_for_level(k)

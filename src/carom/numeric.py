@@ -17,7 +17,7 @@ A leg costs little besides its hits: a walk of one strip keeps no set of
 the boxes it met, a leg parallel to the strips tests a box at its one
 coordinate across them, each record is offered on its own, and a
 region's blocks are listed from the Cantor indices in its window
-(``gadgets._blocks_in``).
+(``encoding.blocks_in``).
 ``demos/05_machine_size.py`` reads 44 / 49 / 48 / 49 us of CPU per traced
 leg, its symbolic run included, on 4- / 16- / 64- / 128-state tables
 (medians of three runs on one core of a shared 2-core host, CPython 3.11).

@@ -137,13 +137,12 @@ class Corridor:
         pieces.append(piece)
         v, piece = self.stage.transfer.apply(v)
         pieces.append(piece)
-        if not (T(self.sigma_in) <= v <= T(self.sigma_in + 1)):
+        one = 3 ** v.exp
+        if not self.sigma_in * one <= v.num <= (self.sigma_in + 1) * one:
             raise DomainError(f"corridor {self.edge}: {v} outside its lane window")
         pieces += self.turn_pieces
-        rebase = self.sigma_out - self.sigma_in
-        if rebase:
-            v = v + rebase
-        pieces.append(Piece(T(0), T(0), T(1), T(rebase), (), "rebase"))
+        v = self.rebase_piece.apply(v)
+        pieces.append(self.rebase_piece)
         if self.merge is not None:
             v, piece = self.merge.transfer.apply(v)
             pieces.append(piece)
@@ -155,6 +154,11 @@ class Corridor:
         per mirror."""
         lo, hi, one, zero = T(self.sigma_in), T(self.sigma_in + 1), T(1), T(0)
         return tuple(Piece(lo, hi, one, zero, (w.wall_id,), "turn") for w in self.turns)
+
+    @cached_property
+    def rebase_piece(self):
+        """The move from the stage's lane to the target's, u -> u + rebase."""
+        return Piece(T(0), T(0), T(1), T(self.sigma_out - self.sigma_in), (), "rebase")
 
     def apply_inverse(self, value_after):
         """Run the corridor's transfer chain backwards, piece by piece.

@@ -8,6 +8,8 @@ it ever rounds.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 
 
@@ -87,7 +89,10 @@ class TernaryRational:
         return TernaryRational(a - b, e)
 
     def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other.__sub__(self)
 
     def __neg__(self):
         return TernaryRational(-self.num, self.exp)
@@ -112,9 +117,12 @@ class TernaryRational:
 
     # --- comparison -----------------------------------------------------
 
-    def _cmp_key(self, other):
+    def _compare(self, other, op):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         a, b, _ = self._align(other)
-        return a, b
+        return op(a, b)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -123,23 +131,20 @@ class TernaryRational:
         return self.num == other.num and self.exp == other.exp
 
     def __lt__(self, other):
-        a, b = self._cmp_key(_coerce(other))
-        return a < b
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        a, b = self._cmp_key(_coerce(other))
-        return a <= b
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        a, b = self._cmp_key(_coerce(other))
-        return a > b
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        a, b = self._cmp_key(_coerce(other))
-        return a >= b
+        return self._compare(other, operator.ge)
 
     def __hash__(self):
-        return hash((self.num, self.exp))
+        # an integer hashes as the int it equals
+        return hash(self.num) if self.exp == 0 else hash((self.num, self.exp))
 
     def __bool__(self):
         return self.num != 0
@@ -158,14 +163,9 @@ class TernaryRational:
         Returns the exact terminating digit list [d1, d2, ..., d_exp];
         value == sum(d_i * 3**-i).
         """
-        if self.num < 0 or self >= 1:
+        if not 0 <= self.num < 3 ** self.exp:
             raise ValueError("digits defined for values in [0, 1) only")
-        digits = []
-        n = self.num
-        for i in range(self.exp - 1, -1, -1):
-            d, n = divmod(n, 3 ** i)
-            digits.append(d)
-        return digits
+        return digits_of(self.num, self.exp)
 
     def ternary_str(self):
         """Debug rendering like '.12' for 5/9."""
@@ -178,6 +178,21 @@ class TernaryRational:
 
     def __repr__(self):
         return f"TernaryRational({self.num}, {self.exp})"
+
+
+#: The five base-3 digits of each r < 3^5, most significant first.
+_DIGITS5 = list(itertools.product(range(3), repeat=5))
+
+
+def digits_of(n, e):
+    """The ``e`` base-3 digits of an integer 0 <= n < 3**e, most significant
+    first: one pass from the bottom, five digits per division."""
+    chunks = []
+    for _ in range(-(-e // 5)):
+        n, r = divmod(n, 243)
+        chunks.append(_DIGITS5[r])
+    digits = [d for chunk in reversed(chunks) for d in chunk]
+    return digits[len(digits) - e:]
 
 
 def _coerce(value):

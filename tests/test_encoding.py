@@ -3,12 +3,14 @@ import random
 import pytest
 
 from carom.encoding import (
+    CantorBlock,
     EncodedPoint,
     KRangeExceeded,
     NotACode,
     block_of,
     cantor_blocks,
     cantor_blocks_at,
+    cell_of_digit,
     decode,
     digit_position,
     encode_state,
@@ -20,6 +22,7 @@ from carom.encoding import (
     rewrite_scale,
     shift_point,
     tau,
+    tau_inverse,
 )
 from carom.machine import enumerate_tapes
 from carom.ternary import T
@@ -230,3 +233,126 @@ def test_k_range_guard(monkeypatch):
     monkeypatch.setenv("BILLIARD_KMAX", "4")
     with pytest.raises(KRangeExceeded):
         cantor_blocks(5, 0)
+
+
+# --- the TernaryRational forms, as oracles of the integer ones -------------
+
+def _digits(y):
+    """y's ternary digits, a divmod by 3**i for each."""
+    digits, n = [], y.num
+    for i in range(y.exp - 1, -1, -1):
+        d, n = divmod(n, 3 ** i)
+        digits.append(d)
+    return digits
+
+
+def oracle_encode_tape(tape):
+    total = T(0)
+    for cell in tape:
+        total = total + T(2, digit_position(cell))
+    return total
+
+
+def oracle_tau(k, x):
+    if not (T(0) <= x <= T(1)):
+        raise ValueError(f"tau argument {x} outside [0, 1]")
+    if k < 0:
+        return (x + 1).div3(1 - k)
+    return (x - 2).div3(1 + k) + 1
+
+
+def oracle_tau_inverse(k, x):
+    if k < 0:
+        return x.mul3(1 - k) - 1
+    return (x - 1).mul3(1 + k) + 2
+
+
+def oracle_head_interval(k):
+    return oracle_tau(k, T(0)), oracle_tau(k, T(1))
+
+
+def oracle_decode(x):
+    k = head_of(x)
+    if k is None:
+        raise NotACode(f"{x} lies in no head interval")
+    y = oracle_tau_inverse(k, x)
+    if y < T(0) or y >= T(1):
+        raise NotACode(f"{x} decodes to tape value {y} outside [0, 1)")
+    ones = set()
+    for pos, digit in enumerate(_digits(y), start=1):
+        if digit == 1:
+            raise NotACode(f"{x} has ternary digit 1 at tape position {pos}")
+        if digit == 2:
+            ones.add(cell_of_digit(pos))
+    return frozenset(ones), k
+
+
+def oracle_block_of(x, k, digit_pos):
+    y = oracle_tau_inverse(k, x)
+    if y < T(0) or y >= T(1):
+        raise NotACode(f"{x} not interior to I_{k}")
+    digits = _digits(y)[:digit_pos]
+    digits += [0] * (digit_pos - len(digits))
+    if 1 in digits:
+        raise NotACode(f"{x} has a 1-digit in its pinned prefix")
+    value = bits = 0
+    for d in digits:
+        value, bits = 3 * value + d, 2 * bits + d // 2
+    base = T(value, digit_pos)
+    return CantorBlock(k, digit_pos, bits >> 1, bits & 1, oracle_tau(k, base),
+                       oracle_tau(k, base + T(1, digit_pos)))
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _non_codes(k):
+    """Points of the plane near I_k that encode nothing: I_k's right end, a
+    point of the gap past it, one with a 1 digit, one off both."""
+    lo, hi = oracle_head_interval(k)
+    nxt, _ = oracle_head_interval(k + 1)
+    return [hi, (hi * 3 + nxt * 6).div3(2), oracle_tau(k, T(1, 1)),
+            oracle_tau(k, T(5, 3)), lo - T(1, hi.exp + 1), T(0), T(1)]
+
+
+def test_integer_forms_match_the_ternary_rational_oracles():
+    rng = random.Random(2024)
+    for k in list(range(-64, 65)) + [rng.randint(-64, 64) for _ in range(200)]:
+        iv = head_interval(k)
+        assert (iv.lo, iv.hi) == oracle_head_interval(k), k
+        reach = abs(k) + 3
+        tape = frozenset(c for c in range(-reach, reach + 1) if rng.random() < 0.3)
+        x_t = encode_tape(tape)
+        assert x_t == oracle_encode_tape(tape), tape
+        x = tau(k, x_t)
+        assert x == oracle_tau(k, x_t)
+        assert tau_inverse(k, x) == oracle_tau_inverse(k, x) == x_t
+        points = [x, rng.choice((iv.lo, iv.hi)), *_non_codes(k),
+                  T(rng.randrange(3 ** 40), 40), T(rng.randrange(-9, 9), rng.randrange(4))]
+        for p in points:
+            assert _outcome(decode, p) == _outcome(oracle_decode, p), (k, p)
+            assert tau_inverse(k, p) == oracle_tau_inverse(k, p), (k, p)
+            for digit_pos in {1, digit_position(k), digit_position(k - 1),
+                              rng.randint(1, 2 * reach + 2), 200}:
+                assert _outcome(block_of, p, k, digit_pos) == \
+                    _outcome(oracle_block_of, p, k, digit_pos), (k, p, digit_pos)
+        for p in (T(-1, 3), T(4, 1), T(rng.randrange(3 ** 9), 9)):
+            assert _outcome(tau, k, p) == _outcome(oracle_tau, k, p), (k, p)
+
+
+def test_non_codes_raise_what_the_oracles_raise():
+    for k in (-64, -9, -1, 0, 1, 9, 64):
+        hi, gap, one_digit = _non_codes(k)[:3]
+        assert head_of(gap) is None
+        for p in (hi, gap, one_digit):
+            got = _outcome(decode, p)
+            assert got == _outcome(oracle_decode, p) and got[0] is NotACode, (k, p)
+        for p in (hi, gap):
+            got = _outcome(block_of, p, k, digit_position(k))
+            assert got == _outcome(oracle_block_of, p, k, digit_position(k))
+            assert got[0] is NotACode, (k, p)

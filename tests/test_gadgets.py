@@ -259,6 +259,34 @@ def test_merge_inverts_split():
         assert piece.a == T(1)
 
 
+def test_piece_apply_matches_the_ternary_rational_form():
+    # Piece.apply computes a*u + b on integers; the oracle is the
+    # TernaryRational form, on the pieces a step meets at |k| <= 64 (a
+    # rewriting split, a read-only one and its merge, both shift stages in
+    # a lane) and on seeded affine maps
+    rng = random.Random(64)
+    rewrite, split = build_split_gadget(64, (1, 0)), build_split_gadget(64)
+    merge = build_merge_gadget(split)
+    stages = [(sigma, build_shift_stage(eps, sigma=sigma, K=64))
+              for eps in (-1, 1) for sigma in (-2, 2)]
+    for _ in range(150):
+        k = rng.randint(-63, 63)
+        tape = frozenset(c for c in range(-abs(k) - 2, abs(k) + 3) if rng.random() < 0.3)
+        u = encode_state(tape, k).value
+        uses = [(rewrite.transfer.locate(u), u)]
+        v, piece = split.transfer.apply(u)
+        uses += [(piece, u), (piece, piece.lo), (piece, piece.hi)]
+        back, piece = merge.transfer.apply(v)
+        assert back == u
+        uses.append((piece, v))
+        for sigma, stage in stages:
+            uses.append((stage.transfer.locate(u + sigma), u + sigma))
+        a, b = (T(rng.randint(-40, 40), rng.randrange(6)) for _ in range(2))
+        uses.append((gadgets.Piece(T(0), T(1), a, b, (), ""), T(rng.randint(-99, 99), rng.randrange(70))))
+        for piece, x in uses:
+            assert piece.apply(x) == piece.a * x + piece.b, (piece.tag, x)
+
+
 def test_merge_rejects_noninjective():
     # a split whose two branches land on overlapping lanes cannot be reversed
     split = build_split_gadget(1)
@@ -436,7 +464,7 @@ def _level_data_oracle(mirrors):
     levels = []
     for k in mirrors.levels:
         digit_pos = digit_position(k + mirrors.cell_offset)
-        # the last block index reads every free digit as 2 (block_indices)
+        # the last block index reads every free digit as 2 (blocks_in)
         last = int("2" * (digit_pos - 1) or "0", 3)
         boxes = tuple(_pair_template(k, digit_pos, s, mirrors.writes[s]).boxes
                       for s in (0, 1))

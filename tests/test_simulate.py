@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from carom import encoding, gadgets, table as table_module
 from carom.encoding import encode_state
 from carom.gadgets import _BlockMirrors
 from carom.machine import enumerate_tapes, parse_tape, run_machine
@@ -13,6 +14,7 @@ from carom.simulate import (
     TraceMismatch,
     TracingDegeneracy,
     TracingError,
+    _diverges,
     replay_reverse,
     run_numeric,
     run_symbolic,
@@ -20,8 +22,8 @@ from carom.simulate import (
     write_trace,
 )
 from carom.table import compile_table
-from carom.ternary import T
-from carom.zoo import get_machine
+from carom.ternary import T, TernaryRational
+from carom.zoo import fixture_machines, get_machine
 
 
 def test_rev_move_halts_like_the_machine():
@@ -34,6 +36,40 @@ def test_rev_move_halts_like_the_machine():
     assert out.periodic
     states = [e.state for e in out.crossings]
     assert states == ["A", "A", "A", "H"]
+
+
+def test_symbolic_step_makes_no_align(monkeypatch):
+    # decode, block_of, tau, the transfer pieces and the corridor's lane
+    # test compute on integers: with head_of stubbed (its level walk runs
+    # on TernaryRational's comparisons), run_symbolic steps and _diverges
+    # crossings make no TernaryRational._align call.  The stub answers
+    # from a first pass's real calls
+    runs = [(m, compile_table(m, 8), tape) for m in fixture_machines().values()
+            for tape in (frozenset(), frozenset({0}), frozenset({-1, 1}))]
+
+    def run_all():
+        for m, table, tape in runs:
+            for budget in (1, 3):
+                outcome = run_symbolic(table, tape, budget)
+                assert _diverges(m, table, tape, budget, outcome) is None
+
+    real, levels = encoding.head_of, {}
+
+    def recording(x):
+        levels[x] = real(x)
+        return levels[x]
+
+    modules = (encoding, gadgets, table_module)
+    for module in modules:
+        monkeypatch.setattr(module, "head_of", recording)
+    run_all()
+    for module in modules:
+        monkeypatch.setattr(module, "head_of", levels.__getitem__)
+    aligns, align = [], TernaryRational._align
+    monkeypatch.setattr(TernaryRational, "_align",
+                        lambda a, b: aligns.append((a, b)) or align(a, b))
+    run_all()
+    assert aligns == []
 
 
 def test_trace_events_are_records():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from carom.ternary import T, TernaryRational
+from carom.ternary import T, TernaryRational, digits_of
 
 
 def test_canonical_form():
@@ -64,3 +64,34 @@ def test_ternary_digits():
 def test_ordering_and_hash():
     assert T(1, 1) < T(2, 1) < T(1) < T(4, 1)
     assert len({T(1, 1), T(3, 2), T(2, 1)}) == 2
+
+
+def test_foreign_types_are_not_implemented():
+    # a float or Fraction operand is refused with Python's TypeError, not
+    # an AttributeError from a NotImplemented used as a value
+    for compare in (lambda: T(1) < 0.5, lambda: T(1) <= Fraction(1, 2),
+                    lambda: T(1) > 0.5, lambda: T(1) >= Fraction(1, 2),
+                    lambda: 0.5 - T(1), lambda: Fraction(1, 2) < T(1)):
+        with pytest.raises(TypeError):
+            compare()
+    assert (T(1) == 0.5) is False and T(1) != Fraction(1, 2)
+
+
+def test_hash_agrees_with_int():
+    for n in (-9, -1, 0, 1, 3, 27, 3 ** 70 + 1):
+        assert T(n) == n and hash(T(n)) == hash(n)
+        assert T(n) in {n} and n in {T(n)}
+    assert T(9, 2) in {1} and hash(T(6, 1)) == hash(2)
+    assert hash(T(1, 1)) == hash(T(3, 2))
+
+
+def test_ternary_digits_match_the_per_digit_division():
+    # one pass from the bottom, against a divmod by 3**i for each digit
+    rng = random.Random(29)
+    for e in [0, 1, 4, 5, 6, 10, 11] + [rng.randrange(200) for _ in range(60)]:
+        n = rng.randrange(3 ** e)
+        want, rest = [], n
+        for i in range(e - 1, -1, -1):
+            d, rest = divmod(rest, 3 ** i)
+            want.append(d)
+        assert digits_of(n, e) == want, (n, e)

@@ -23,10 +23,9 @@ from typing import NamedTuple
 
 import pytest
 
-from carom.encoding import block_indices, cantor_blocks_at, digit_position, head_interval
+from carom.encoding import blocks_in, cantor_blocks_at, digit_position, head_interval
 from carom.gadgets import (
     _BAND_GAIN,
-    _blocks_in,
     _exact_leg,
     _window,
     build_merge_gadget,
@@ -317,7 +316,7 @@ def _edge_legs(mirrors, frame, levels, rng, count):
         lv = rng.choice([lv for lv in data if lv.k in levels])
         s, w = rng.choice((0, 1)), rng.choice((0, 1))
         den, step, x, y, rx, ry = lv.boxes[s][w]
-        index, _ = rng.choice(block_indices(lv.digit_pos - 1))
+        index, _ = rng.choice(blocks_in(lv.digit_pos - 1))
         cx = mirrors.base_x + Fraction(x + index * step, den)
         cy = Fraction(y + 8 * index * step, den)
         if rng.random() < 0.5:
@@ -355,7 +354,7 @@ def test_window_blocks_equal_exact_oracle(build):
     met = 0
     for leg in legs:
         exact = _exact_leg(Leg.of(*leg), mirrors.origin(frame))
-        got = {(lv.k, s, w): [bits for _, bits in block_indices(
+        got = {(lv.k, s, w): [bits for _, bits in blocks_in(
                    lv.digit_pos - 1, _window(lv, s, w, exact))]
                for lv in mirrors._level_data() for s in (0, 1) for w in (0, 1)}
         # the oracle reads the leg in the split's frame, as the merge's walls
@@ -371,21 +370,40 @@ def test_window_blocks_equal_exact_oracle(build):
     assert met >= len(legs) // 2     # the legs do meet walls
 
 
+def block_indices(n_free, window=None):
+    """The oracle of ``blocks_in``: (F, bits) of every block index F in
+    ``window`` (None: all of them), ascending, found by a descent over the
+    free digits that drops every prefix whose blocks all miss the window."""
+    span = 3 ** n_free
+    lo, hi = 0, span - 1
+    if window is not None:
+        lo, hi = max(lo, window[0]), min(hi, window[1])
+    if lo > hi:
+        return []
+    found = [(0, 0)]
+    for _ in range(n_free):
+        span //= 3
+        found = [(v, 2 * bits + bit) for value, bits in found
+                 for v, bit in ((3 * value, 0), (3 * value + 2, 1))
+                 if v * span <= hi and (v + 1) * span > lo]
+    return found
+
+
 def test_blocks_in_lists_the_windows_block_indices():
-    # the trace's block lister against the encoding's descent, on seeded
-    # windows of every kind: empty, one index (a block or not), a few,
-    # many, everything, and windows reaching out of range on either side
+    # the encoding's block lister against a descent, on seeded windows of
+    # every kind: empty, one index (a block or not), a few, many,
+    # everything, and windows reaching out of range on either side
     rng = random.Random(17)
     for n in range(18):
         top = 3 ** n - 1
-        assert _blocks_in(n) == block_indices(n) == _blocks_in(n, (-5, top + 5))
+        assert blocks_in(n) == block_indices(n) == blocks_in(n, (-5, top + 5))
         some = [index for index, _ in block_indices(n)]
         windows = [(1, 0), (top + 1, top + 9), (-9, -1)]
         for _ in range(40):
             lo = rng.choice([rng.choice(some), rng.randrange(-3, top + 4)])
             windows.append((lo, lo + rng.choice([-1, 0, 0, 1, 2, 9, 100, top // 3, top])))
         for window in windows:
-            assert _blocks_in(n, window) == block_indices(n, window), (n, window)
+            assert blocks_in(n, window) == block_indices(n, window), (n, window)
 
 
 # --- the index walk of numeric._Walls, against the full pass --------------
