@@ -121,16 +121,13 @@ class PiecewiseTransfer:
 
 @dataclass(frozen=True)
 class Gadget:
-    """Walls in a local frame plus the exact transfer between its ports.
+    """Walls plus the exact transfer between its ports, built where a
+    table places it: its walls, its mirror family and its ports all hold
+    final coordinates.
 
     Walls come in two kinds: ``static_walls`` (arcs, turn mirrors), and
-    the per-head-level Cantor-block mirrors of split and merge gadgets,
-    2**(2k)-ish per level: ``mirrors``, a (_BlockMirrors, frame) pair,
-    the frame (oy, sy) placing them at y -> oy + sy*y.  A shift stage is
-    built where a table places it (its base_y), so its walls and ports
-    hold final coordinates; a split or merge is built at y = 0 and a table
-    places it by moving its family's frame (table.SPLIT_DY, MERGE_DY), its
-    ports staying in the local frame.  Every wall is a
+    ``mirrors``, the per-head-level Cantor-block mirrors of a split or
+    merge (a _BlockMirrors, 2**(2k)-ish per level).  Every wall is a
     Segment or ParabolaArc record.  A tracer files ``static_walls`` and
     the family's level regions in one index, once, and asks the family
     only for the blocks of the regions a leg walks into, as for a table.
@@ -142,14 +139,13 @@ class Gadget:
     out_ports: dict
     transfer: PiecewiseTransfer
     static_walls: tuple = ()
-    mirrors: Optional[tuple] = None    # (_BlockMirrors, frame)
+    mirrors: Optional[_BlockMirrors] = None
 
     def walls(self, levels=()):
         """The static walls, then every mirror of ``levels``."""
         walls = list(self.static_walls)
         if self.mirrors is not None:
-            mirrors, frame = self.mirrors
-            walls += mirrors.rows(levels, frame)
+            walls += self.mirrors.rows(levels)
         return walls
 
 
@@ -380,14 +376,18 @@ def _window(lv, s, w, exact):
 
 
 class _BlockMirrors:
-    """The mirror pairs of a split gadget, one per Cantor block, found by
-    position and built in the frame they are placed in.
+    """The mirror pairs of a split or merge gadget, one per Cantor block,
+    found by position and listed where the gadget is placed.
 
     A family is named by its ``key``, (levels, cell_offset, writes):
     ``writes`` = (w0, w1) are written over its read-0 and read-1 blocks,
     and ``levels``, the one level set the walls and the split's transfer
     read, are the head levels |k| <= K whose classified cell k +
-    cell_offset also has |k + cell_offset| <= K.
+    cell_offset also has |k + cell_offset| <= K.  Its ``frame`` (oy, sy)
+    places the local frame at y -> oy + sy*y, x counted from ``base_x``
+    (sy = -1 for a merge's mirror image, ``mirrored``); every listing is
+    in that placed frame, and ``_exact_leg`` takes a leg back to the local
+    frame by ``origin``.
 
     A level's pairs are one template pair translated by c * (1, 8) for the
     block centres c, and block F of ``cantor_walk`` has its centre at c_0 +
@@ -409,31 +409,31 @@ class _BlockMirrors:
     family or table asks.  ``_level_data`` only looks up the family's
     records by its key (``_family_levels``), on first need (never at
     compile time).
-
-    ``rows``, ``block_rows`` and ``walls_in`` take a frame (oy, sy), the
-    placement y -> oy + sy*y of the gadget's local frame (sy = -1 for a
-    merge's mirror image), and list the walls there.  The leg is given in
-    that placed frame; ``_exact_leg`` takes it back to the local frame.
     """
 
-    def __init__(self, name, K, cell_offset, writes, base_x):
-        self.name, self.cell_offset, self.writes = name, cell_offset, writes
-        self.base_x = base_x
-        self.levels = range(max(-K, -K - cell_offset), min(K, K - cell_offset) + 1)
-        self.key = (self.levels, cell_offset, writes)
+    def __init__(self, name, levels, cell_offset, writes, base_x, frame):
+        self.name, self.levels, self.cell_offset, self.writes = name, levels, cell_offset, writes
+        self.base_x, self.frame, self.key = base_x, frame, (levels, cell_offset, writes)
+        oy, sy = frame
+        # the placement as _exact_leg reads it: base_x = bn / bd, oy = on / od
+        self.origin = (base_x.numerator, base_x.denominator, oy.numerator, oy.denominator, sy)
+        self._records = {}     # (k, s) -> _placed record
 
-    def origin(self, frame):
-        """(bn, bd, on, od, sy), base_x = bn / bd and ``frame`` = (on / od,
-        sy): the placement as _exact_leg reads it."""
-        (oy, sy), bx = frame, self.base_x
-        return bx.numerator, bx.denominator, oy.numerator, oy.denominator, sy
+    def mirrored(self, frame):
+        """The family placed by ``frame`` instead: a merge's copy of its
+        split's family, of the same key."""
+        return _BlockMirrors(self.name, *self.key, self.base_x, frame)
 
-    def _placed(self, k, digit_pos, s, frame):
-        """_pair_template of level k and symbol s placed by ``frame``, x
-        counted from base_x: (_id_prefix, walls), per wall (den, step_x,
-        step_y, x0, y0, x1, y1), the wall over block F having the
-        endpoints ((x + F*step_x) / den, (y + F*step_y) / den)."""
-        bn, bd, on, od, sy = self.origin(frame)
+    def _placed(self, k, digit_pos, s):
+        """_pair_template of level k and symbol s placed by the family's
+        frame, x counted from base_x: (_id_prefix, walls), per wall (den,
+        step_x, step_y, x0, y0, x1, y1), the wall over block F having the
+        endpoints ((x + F*step_x) / den, (y + F*step_y) / den).  Made once
+        per (k, s), on first need."""
+        record = self._records.get((k, s))
+        if record is not None:
+            return record
+        bn, bd, on, od, sy = self.origin
         walls = []
         for den, step, x0, y0, x1, y1 in _pair_template(k, digit_pos, s, self.writes[s]).walls:
             d = math.lcm(den, bd, od)     # den, for an integer base_x and frame
@@ -441,7 +441,8 @@ class _BlockMirrors:
             dx, dy, step = bn * (d // bd), on * (d // od), m * step
             walls.append((d, step, 8 * sy * step,
                           m * x0 + dx, sy * m * y0 + dy, m * x1 + dx, sy * m * y1 + dy))
-        return _id_prefix(self.name, k, digit_pos, s), walls
+        record = self._records[k, s] = _id_prefix(self.name, k, digit_pos, s), walls
+        return record
 
     @staticmethod
     def _segments(s, placed, w, blocks):
@@ -455,17 +456,17 @@ class _BlockMirrors:
                           y1 + index * sy, f"{prefix}{bits * 2 + s}{end}"))
                 for index, bits in blocks]
 
-    def rows(self, levels, frame):
-        """Every mirror of ``levels`` placed by ``frame`` as a Segment (see
-        ``_segments``), ordered by level as given, symbol and block, the
-        primary before the return mirror."""
+    def rows(self, levels):
+        """Every mirror of ``levels`` as a Segment (see ``_segments``),
+        ordered by level as given, symbol and block, the primary before the
+        return mirror."""
         rows = []
         for k in levels:
             if k not in self.levels:
                 continue
             digit_pos = digit_position(k + self.cell_offset)
             for s in (0, 1):
-                placed, blocks = self._placed(k, digit_pos, s, frame), blocks_in(digit_pos - 1)
+                placed, blocks = self._placed(k, digit_pos, s), blocks_in(digit_pos - 1)
                 rows += itertools.chain.from_iterable(zip(
                     self._segments(s, placed, 0, blocks), self._segments(s, placed, 1, blocks)))
         return rows
@@ -474,27 +475,26 @@ class _BlockMirrors:
         """The family's levels, sorted by k: ``_family_levels`` of its key."""
         return _family_levels(*self.key)
 
-    def block_rows(self, lv, s, w, exact, placed):
+    def block_rows(self, lv, s, w, exact):
         """Wall w (0 primary, 1 return) of level ``lv`` and symbol s over
         every block whose box meets the leg ``exact`` (_exact_leg), as
-        Segments (see ``_segments``), ``placed`` the level and symbol's
-        _placed record."""
-        return self._segments(s, placed, w, blocks_in(lv.digit_pos - 1,
-                                                       _window(lv, s, w, exact)))
+        Segments (see ``_segments``)."""
+        return self._segments(s, self._placed(lv.k, lv.digit_pos, s), w,
+                              blocks_in(lv.digit_pos - 1, _window(lv, s, w, exact)))
 
-    def walls_in(self, leg, frame):
-        """The mirrors whose boxes the Leg ``leg`` meets, placed by
-        ``frame``, as Segments (see ``_segments``), in ``rows`` order over
-        the levels ascending, every level scanned: each wall's blocks
-        decided exactly by ``_window``, on the exact leg.
+    def walls_in(self, leg):
+        """The mirrors whose boxes the Leg ``leg`` meets as Segments (see
+        ``_segments``), in ``rows`` order over the levels ascending, every
+        level scanned: each wall's blocks decided exactly by ``_window``,
+        on the exact leg.
 
         Sound, not tight: no wall the leg meets is left out, and a wall is
         returned only if the leg meets its bounding box."""
-        exact = _exact_leg(leg, self.origin(frame))
+        exact = _exact_leg(leg, self.origin)
         rows = []
         for lv in self._level_data():
             for s in (0, 1):
-                placed, found = self._placed(lv.k, lv.digit_pos, s, frame), []
+                placed, found = self._placed(lv.k, lv.digit_pos, s), []
                 for w in (0, 1):
                     blocks = blocks_in(lv.digit_pos - 1, _window(lv, s, w, exact))
                     found += zip([index for index, _ in blocks], itertools.repeat(w),
@@ -560,8 +560,9 @@ class _TranslationTransfer(PiecewiseTransfer):
             raise ValueError(f"transfer {self.label}: images of branch0 and branch1 overlap")
 
 
-def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=0, name="split"):
-    """A separating wall family for head levels |k| <= K.
+def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=0, base_y=0, name="split"):
+    """A separating wall family for head levels |k| <= K, its in-port at
+    (base_x, base_y): where a table places it.
 
     ``writes`` = (w0, w1) are the symbols the split writes over its read-0
     and read-1 blocks, as a machine edge writes by (state, read) alone;
@@ -569,7 +570,7 @@ def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=0, name="split
     cell the walls classify on, relative to the head: 0 is the ordinary
     read split; merges use the cell behind the head.  Walls and transfer
     cover the mirror family's levels: those |k| <= K whose classified cell
-    also lies within K (``_BlockMirrors``).
+    also lies within K (``_BlockMirrors``), placed at y -> base_y + y.
 
     Transfer: u -> u + sigma_s (+ rewrite displacement) where s is the
     classified symbol, on every Cantor block; in-port window [0, 1],
@@ -578,8 +579,8 @@ def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=0, name="split
     if K > k_max_cap():
         raise KRangeExceeded(f"split K={K} beyond cap {k_max_cap()}")
     writes = tuple(writes)
-    mirrors = _BlockMirrors(name, K, cell_offset, writes, base_x)
-    levels = mirrors.levels
+    levels = range(max(-K, -K - cell_offset), min(K, K - cell_offset) + 1)
+    mirrors = _BlockMirrors(name, levels, cell_offset, writes, base_x, (base_y, 1))
 
     def locate(u):
         v = u  # in-port coordinate equals the encoded value
@@ -610,31 +611,37 @@ def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=0, name="split
 
     transfer = _TranslationTransfer(locate, enumerate_pieces, name, mirrors)
     ports_out = {
-        "b0": Chart.of((base_x, SPLIT_HEIGHT), (1, 0), (0, 1), -2, -1),
-        "b1": Chart.of((base_x, SPLIT_HEIGHT), (1, 0), (0, 1), 2, 3),
+        "b0": Chart.of((base_x, base_y + SPLIT_HEIGHT), (1, 0), (0, 1), -2, -1),
+        "b1": Chart.of((base_x, base_y + SPLIT_HEIGHT), (1, 0), (0, 1), 2, 3),
     }
     return Gadget(
         kind="split", name=name,
-        in_ports={"in": Chart.of((base_x, 0), (1, 0), (0, 1))},
+        in_ports={"in": Chart.of((base_x, base_y), (1, 0), (0, 1))},
         out_ports=ports_out,
         transfer=transfer,
-        mirrors=(mirrors, (0, 1)),
+        mirrors=mirrors,
     )
 
 
 def build_merge_gadget(split, *, name=None):
-    """Time reversal of a split: mirrored walls, inverted transfer.
+    """Time reversal of a read-only split: its walls mirrored across its
+    own midline, y = base_y + SPLIT_HEIGHT / 2, and its transfer inverted.
 
     The two incoming beams (windows [-2,-1] and [2,3]) are funnelled onto
-    the single [0,1] window.  Requires the split's transfer to be
-    injective; overlapping images mean the machine was not reversible and
-    merging would glue distinct histories.  It is checked on every level
-    of the split's mirror family, by the per-key lemma of
-    _TranslationTransfer.check_injective: no piece is enumerated.
+    the single [0,1] window.  A split that writes is refused: the inverse
+    takes u -/+ 2 as the pre-image, with no rewrite displacement.  Requires
+    the split's transfer to be injective; overlapping images mean the
+    machine was not reversible and merging would glue distinct histories.
+    It is checked on every level of the split's mirror family, by the
+    per-key lemma of _TranslationTransfer.check_injective.
     """
     name = name or split.name + ":merged"
-    mirrors, (oy, sy) = split.mirrors
+    mirrors = split.mirrors
+    if mirrors.writes != (0, 1):
+        raise ValueError(f"merge {name}: split {split.name} writes {mirrors.writes}; "
+                         f"a merge inverts only a read-only split")
     split.transfer.check_injective(mirrors.levels)
+    base_y = mirrors.frame[0]     # a split's family is placed at (base_y, 1)
 
     def locate(u):
         # the lane by its integer ends, compared with u's
@@ -663,21 +670,22 @@ def build_merge_gadget(split, *, name=None):
         return out
 
     def flip_port(p):
-        # mirrored across the midline y = SPLIT_HEIGHT / 2, y ->
-        # SPLIT_HEIGHT - y, in the port's integers; mirroring flips the
-        # beam and time reversal flips it back, so it keeps its +y beam
-        return p._replace(oy=SPLIT_HEIGHT * p.den - p.oy,
+        # mirrored across the midline, y -> 2*base_y + SPLIT_HEIGHT - y,
+        # in the port's integers; mirroring flips the beam and time
+        # reversal flips it back, so it keeps its +y beam
+        return p._replace(oy=(2 * base_y + SPLIT_HEIGHT) * p.den - p.oy,
                           tangent=(p.tangent[0], -p.tangent[1]))
 
     in_ports = {key: flip_port(port) for key, port in split.out_ports.items()}
     out_port = flip_port(split.in_ports["in"])
-    # the split's mirrors, reflected: y -> SPLIT_HEIGHT - (oy + sy*y)
+    # the split's mirrors, reflected: y -> 2*base_y + SPLIT_HEIGHT - (base_y + y)
+    # = base_y + SPLIT_HEIGHT - y
     return Gadget(
         kind="merge", name=name,
         in_ports=in_ports,
         out_ports={"out": out_port},
         transfer=PiecewiseTransfer(locate, enumerate_pieces, label=name),
-        mirrors=(mirrors, (SPLIT_HEIGHT - oy, -sy)),
+        mirrors=mirrors.mirrored((base_y + SPLIT_HEIGHT, -1)),
     )
 
 

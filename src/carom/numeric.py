@@ -393,19 +393,18 @@ class _RayIndex:
 
 
 class _Family:
-    """A mirror family placed in a scene, as its TraceScene's index files
-    it: the family's levels' regions in an index of their own, in the
+    """A placed mirror family (_BlockMirrors) as its TraceScene's index
+    files it: the family's levels' regions in an index of their own, in the
     family's local frame (``_family_index``), filed in the scene's index
-    by their float box placed by the family's frame; and each level and
-    symbol's ``_placed`` record, placed once, on first need."""
+    by their float box placed by the family's frame."""
 
     kind = "family"
 
-    def __init__(self, mirrors, frame):
-        self.mirrors, self.frame, self.origin = mirrors, frame, mirrors.origin(frame)
+    def __init__(self, mirrors):
+        self.mirrors, (oy, sy) = mirrors, mirrors.frame
         self.index = _family_index(*mirrors.key)
-        self.base, self.oy, self.sy = float(mirrors.base_x), float(frame[0]), frame[1]
-        self.placed, self.box = {}, None     # box: None for a family of no levels
+        self.base, self.oy, self.sy = float(mirrors.base_x), float(oy), sy
+        self.box = None     # None for a family of no levels
         if self.index.box is not None:
             x0, y0, x1, y1 = self.index.box
             y0, y1 = sorted((self.oy + self.sy * y0, self.oy + self.sy * y1))
@@ -414,15 +413,6 @@ class _Family:
     def local(self, o, d):
         """The float ray from ``o`` along ``d`` in the family's local frame."""
         return (o[0] - self.base, self.sy * (o[1] - self.oy)), (d[0], self.sy * d[1])
-
-    def rows(self, lv, s, w, exact):
-        """block_rows of wall w of level ``lv`` and symbol s on the exact
-        leg ``exact``."""
-        placed = self.placed.get((lv.k, s))
-        if placed is None:
-            placed = self.placed[lv.k, s] = self.mirrors._placed(lv.k, lv.digit_pos, s,
-                                                                 self.frame)
-        return self.mirrors.block_rows(lv, s, w, exact, placed)
 
 
 @functools.lru_cache(maxsize=None)
@@ -441,7 +431,7 @@ class TraceScene:
     trace over it: a table's (``BilliardTable.trace_scene``, on its first
     run_numeric) or a gadget's, per out port (GadgetTracer).  It holds the
     ``static`` records, the walls, then the ``charts`` the ray passes
-    through; the mirror ``families``, (mirrors, frame) pairs; the
+    through; the placed mirror ``families`` (_BlockMirrors); the
     ``halts``, each hard checkpoint by its wall's id; and one ``index``
     (_RayIndex) of the static records' float boxes and each family's box
     (_Family), with ``box``, the least integer box around it all, None
@@ -453,7 +443,7 @@ class TraceScene:
         self.halts = halts or {}     # wall id -> the hard checkpoint's Chart
         self.static = list(static_walls) + list(charts)
         self.built = len({w.wall_id for w in static_walls})
-        placed = [_Family(mirrors, frame) for mirrors, frame in self.families]
+        placed = [_Family(mirrors) for mirrors in self.families]
         self.index = _RayIndex([(*_float_box(w), w) for w in self.static]
                                + [(*f.box, f) for f in placed if f.box is not None])
         self.box = None
@@ -535,11 +525,11 @@ class _Walls:
                 if offer(entry, exclude):
                     bound[0] = _float_t(found.t, t0, scale)
                 continue
-            exact, read = None, self.mirror_ids.add
+            exact, read, mirrors = None, self.mirror_ids.add, entry.mirrors
             for lv, s, w in entry.index.walk(*entry.local(fo, fd), bound, eps):
                 if exact is None:
-                    exact = _exact_leg((xyw, d, found.t and found.t[:2]), entry.origin)
-                rows, moved = entry.rows(lv, s, w, exact), False
+                    exact = _exact_leg((xyw, d, found.t and found.t[:2]), mirrors.origin)
+                rows, moved = mirrors.block_rows(lv, s, w, exact), False
                 weighed += len(rows)
                 for row in rows:
                     read(row.wall_id)

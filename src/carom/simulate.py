@@ -108,6 +108,9 @@ class RunOutcome:
     trace: list                    # of TraceEvents; a Periodic once the launch recurs
     final_tape: Optional[frozenset] = None
     final_head: Optional[int] = None
+    # halted: replay_reverse leads back to the launch value and the traced
+    # halt bounce retraces every hit; the orbit closes only when the
+    # initial state has no incoming edge (its launch pad then on the beam)
     periodic: bool = False
     out_of_range_k: Optional[int] = None
     period_steps: Optional[int] = None   # steps until the launch recurs, if it did
@@ -143,10 +146,11 @@ def run_symbolic(table, tape, budget):
     recurs, at step P = ``period_steps``, every later step repeats the
     step P before it: the trace is then the first P steps' events as a
     Periodic, each later event made on access from the one P steps
-    before it, sharing its value and position, not recomputed.  As
-    compile certifies every corridor's transfer injective, the first pair
-    to recur can only be the launch pair, so comparing with it alone finds
-    every cycle.
+    before it, sharing its value and position, not recomputed.  Only the
+    launch pair can recur first, so comparing with it finds every cycle:
+    compile refuses a machine ``check_reversible`` rejects and each
+    corridor realizes its machine edge on codes, so a (state, value) has
+    one predecessor at most, and a later pair that recurred first has two.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")

@@ -1,7 +1,8 @@
 """Compile a reversible machine's graph into a placed billiard table.
 
 Layout scheme (all coordinates exact integer records, each over its one
-denominator; every wall and chart is placed once, where it stays):
+denominator; every gadget is built where it stays, so each wall, mirror
+family and chart is placed once, by the builder):
 
 * one station per state along the x axis, pitch 16.  A station stacks,
   bottom to top: the launch pad (initial state only, y=-16), the merge
@@ -65,8 +66,7 @@ LANE_MARGIN = 8
 LANE_PITCH = 3
 DEFAULT_SCENE_LEVELS = 3
 
-#: The types of a scene entry that is a wall, not a mirror family's
-#: (mirrors, frame): both are tuples.
+#: The types of a scene entry that is a wall, not a mirror family.
 _WALLS = (Segment, ParabolaArc)
 
 
@@ -93,8 +93,8 @@ class Station:
     state: str
     x: int
     checkpoint: Chart
-    split: Optional[Gadget] = None     # placed at SPLIT_DY
-    merge: Optional[Gadget] = None     # placed at MERGE_DY
+    split: Optional[Gadget] = None
+    merge: Optional[Gadget] = None
 
 
 @dataclass
@@ -217,16 +217,13 @@ class BilliardTable:
         the stations, then the corridors.  Each static wall (pad, hard
         checkpoint, stage arc, turn mirror) is an entry, a Segment or a
         ParabolaArc, as compile_table placed it, and so is each split and
-        merge: its gadget's (mirrors, frame), the frame moved up by dy."""
+        merge's mirror family (a _BlockMirrors), as its gadget holds it."""
         scene = [self.initial_pad.wall]
         for q in self.machine.states:
             st = self.stations[q]
             if st.checkpoint.hard:
                 scene.append(st.checkpoint.wall)
-            for gadget, dy in ((st.split, SPLIT_DY), (st.merge, MERGE_DY)):
-                if gadget is not None:
-                    mirrors, (oy, sy) = gadget.mirrors
-                    scene.append((mirrors, (oy + dy, sy)))
+            scene += [g.mirrors for g in (st.split, st.merge) if g is not None]
         for key in sorted(self.corridors):
             corridor = self.corridors[key]
             scene += corridor.stage.static_walls
@@ -262,8 +259,8 @@ class BilliardTable:
             levels = range(-self.scene_levels, self.scene_levels + 1)
         levels = list(levels)
         walls = []
-        for entry in self.scene:   # a wall, or a family's (mirrors, frame)
-            walls += [entry] if isinstance(entry, _WALLS) else entry[0].rows(levels, entry[1])
+        for entry in self.scene:   # a wall, or a mirror family
+            walls += [entry] if isinstance(entry, _WALLS) else entry.rows(levels)
         return walls
 
     def wall_count(self, levels):
@@ -272,7 +269,7 @@ class BilliardTable:
         level k holds 2^(digit_pos + 1) mirrors."""
         return len(self.static_walls) + sum(
             2 ** (digit_position(k + mirrors.cell_offset) + 1)
-            for mirrors, _ in self.mirror_families for k in mirrors.levels
+            for mirrors in self.mirror_families for k in mirrors.levels
             if abs(k) <= levels)
 
     def marked_segments(self):
@@ -352,8 +349,8 @@ class BilliardTable:
         # It always holds the launch pad, so the list is never empty
         yield parts[-1][:-2] + ',\n "scene": [\n'
         sep = ""
-        for entry in self.scene:   # a wall, or a family's (mirrors, frame)
-            walls = (entry,) if isinstance(entry, _WALLS) else entry[0].rows(levels, entry[1])
+        for entry in self.scene:   # a wall, or a mirror family
+            walls = (entry,) if isinstance(entry, _WALLS) else entry.rows(levels)
             if walls:
                 yield sep + ",\n".join(map(_wall_text, walls))
                 sep = ",\n"
@@ -496,7 +493,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
             continue
         st = stations[q]
         st.split = build_split_gadget(K, (writes[(q, 0)], writes[(q, 1)]), base_x=st.x,
-                                      name=f"split:{q}")
+                                      base_y=SPLIT_DY, name=f"split:{q}")
 
     # merges: states entered by two edges; the walls classify on the tape
     # cell behind the head, which reversibility makes branch-disjoint.
@@ -509,7 +506,7 @@ def compile_table(machine, K, scene_levels=DEFAULT_SCENE_LEVELS):
         st = stations[q]
         eps = incoming[0].shift
         assert all(e.shift == eps for e in incoming), "reversibility broken"
-        virtual = build_split_gadget(K, cell_offset=-eps, base_x=st.x,
+        virtual = build_split_gadget(K, cell_offset=-eps, base_x=st.x, base_y=MERGE_DY,
                                      name=f"premerge:{q}")
         st.merge = build_merge_gadget(virtual, name=f"merge:{q}")
         premerge[q] = virtual.transfer

@@ -8,6 +8,10 @@ hit after the return crossing with the launch leg's first hit exactly,
 and counts the rest of the run out from the recorded period.  The oracles here are the
 runs done the long way: the symbolic run one ``Corridor.apply`` per step,
 and the numeric one every leg through ``_trace``.
+
+A halted run's ray, traced on past its orthogonal halt bounce, retraces
+every forward hit back through the launch checkpoint; its orbit closes
+only if the launch pad lies on that beam, which no fixture's does.
 """
 
 import dataclasses
@@ -31,12 +35,13 @@ from carom.simulate import (
     NumericResult,
     TraceEvent,
     TraceMismatch,
+    TracingError,
     run_numeric,
     run_symbolic,
     verify_equivalence,
 )
 from carom.table import compile_table
-from carom.zoo import MACHINE_TEXTS, get_machine
+from carom.zoo import MACHINE_TEXTS, fixture_machines, get_machine
 
 PERIOD = 2            # pacer's steps per period, on every tape
 BOUNCES = 20          # its hits per period at K=8
@@ -463,3 +468,43 @@ def test_verify_cli_on_closed_orbits_costs_one_period(capsys):
     assert main(["verify", str(path), "--support", "1", "--budget", str(10 ** 12)]) == 0
     assert time.perf_counter() - start < 2
     assert "equivalence verified on 8 tapes" in capsys.readouterr().out
+
+
+def test_a_halted_orbit_retraces_its_hits_but_misses_the_launch_pad():
+    # the exact trace carried on past the halt bounce, on every halted run
+    # of the six fixtures over the tapes of support -2..2: the hits after
+    # the bounce begin with the forward hits in reverse, each on the same
+    # wall at the same exact point, down to the launch leg's first hit, so
+    # the ray passes back through the launch checkpoint.  Every fixture's
+    # initial state has an incoming edge, which puts its launch pad off
+    # the beam, at x - 4: the ray runs on into the machine's past and
+    # escapes the scene without meeting the pad
+    halted = 0
+    for name, machine in sorted(fixture_machines().items()):
+        table = compile_table(machine, 8)
+        assert table.graph.in_degree(machine.initial) > 0, name
+        launch, pad = table.stations[machine.initial].checkpoint, table.initial_pad.wall
+        for tape in enumerate_tapes(range(-2, 3)):
+            outcome = run_symbolic(table, tape, 100)
+            if outcome.verdict != "halted":
+                continue
+            halted += 1
+            value = outcome.trace[0].value
+            items = _trace(_Walls(table.trace_scene), launch.point(value.num, 3 ** value.exp),
+                           (0, 1))
+            forward, back = [], None
+            with pytest.raises(TracingError, match="trajectory escaped the scene"):
+                for kind, wall, point, _, _ in items:
+                    if kind != "hit":
+                        continue
+                    assert wall.wall_id != pad.wall_id, (name, sorted(tape))
+                    if back is not None:
+                        back.append((wall.wall_id, point))
+                        continue
+                    forward.append((wall.wall_id, point))
+                    if wall.wall_id in table.trace_scene.halts:
+                        back = []
+            assert forward[-1][0] == outcome.trace[-1].wall_id
+            retrace = forward[-2::-1]
+            assert back[:len(retrace)] == retrace, (name, sorted(tape))
+    assert halted == 120

@@ -312,6 +312,17 @@ def test_merge_rejects_noninjective():
     build_merge_gadget(split)
 
 
+@pytest.mark.parametrize("writes", WRITES[1:], ids=WRITES_IDS[1:])
+def test_merge_refuses_a_rewriting_split(writes):
+    # a merge's inverse takes u -/+ 2 as the pre-image, which leaves out a
+    # rewrite displacement: a split that writes is refused when the merge
+    # is built, naming the split, not by a DomainError on its first use
+    split = build_split_gadget(4, writes, name="split:R")
+    with pytest.raises(ValueError, match="split split:R writes") as err:
+        build_merge_gadget(split)
+    assert not isinstance(err.value, DomainError)
+
+
 def test_merge_walls_mirror_split():
     split = build_split_gadget(1)
     merge = build_merge_gadget(split)
@@ -320,6 +331,28 @@ def test_merge_walls_mirror_split():
         twin = sw[w.wall_id]
         assert w.p0[0] == twin.p0[0]
         assert w.p0[1] == 10 - twin.p0[1]
+
+
+@pytest.mark.parametrize("base_y", [7, -12])
+def test_merge_mirrors_a_placed_split_across_its_midline(base_y):
+    # a split built at base_y, its merge mirrored across the split's own
+    # midline, y = base_y + 5: walls and ports alike, the ports keeping the
+    # +y beam, and the merge's family a copy of the split's, of one key
+    split = build_split_gadget(1, base_y=base_y)
+    merge = build_merge_gadget(split)
+    sw = {w.wall_id: w for w in split.walls([0])}
+    for w in merge.walls([0]):
+        twin = sw[w.wall_id]
+        assert w.p0[0] == twin.p0[0]
+        assert w.p0[1] == 2 * base_y + 10 - twin.p0[1]
+    assert split.in_ports["in"].origin == (0, base_y)
+    assert merge.out_ports["out"].origin == (0, base_y + 10)
+    for key, port in split.out_ports.items():
+        assert port.origin == (0, base_y + 10)
+        assert merge.in_ports[key].origin == (0, base_y)
+        assert merge.in_ports[key].beam == port.beam == (0, 1)
+    assert merge.mirrors.key == split.mirrors.key
+    assert merge.mirrors.frame == (base_y + 10, -1) and split.mirrors.frame == (base_y, 1)
 
 
 # --- mirror templates ----------------------------------------------------
@@ -352,34 +385,34 @@ def _values(walls):
 @pytest.mark.parametrize("base_x", [Fraction(0), Fraction(48)], ids=["x0", "x48"])
 def test_template_pairs_equal_explicit_formula(writes, base_x):
     # every block of levels -4..4 of a K=8 split, both symbols, for each of
-    # the four writes pairs: the split, its mirror image as a merge, and
-    # both placed in the global frame the way a table places them, each
-    # frame moved up by the placement's dy.  The full listing equals the
-    # explicit formula pair for pair, and so does every wall a positional
-    # query returns (both list pairs with _segments)
+    # the four writes pairs: the split built at y = 0 and where a table
+    # builds it, at SPLIT_DY, and for the read-only pair its mirror image
+    # as a merge, of a split built at 0 and at MERGE_DY; a merge refuses
+    # the three splits that write.  The full listing equals the explicit
+    # formula pair for pair, and so does every wall a positional query
+    # returns (both list pairs with _segments)
     levels = range(-4, 5)
-    split = build_split_gadget(8, writes, base_x=base_x, name="split:A")
-    merge = build_merge_gadget(split, name="merge:A")
     want = explicit_pairs("split:A", levels, writes, base_x)
     mirrored = placed(want, 10, -1)
-
-    def placed_at(gadget, dy):
-        mirrors, (oy, sy) = gadget.mirrors
-        return dataclasses.replace(gadget, mirrors=(mirrors, (oy + dy, sy)))
+    place = functools.partial(build_split_gadget, 8, writes, base_x=base_x, name="split:A")
+    sources = [(place(), want), (place(base_y=SPLIT_DY), placed(want, SPLIT_DY, 1))]
+    if writes == (0, 1):
+        sources += [(build_merge_gadget(place(base_y=dy), name="merge:A"), placed(mirrored, dy, 1))
+                    for dy in (0, MERGE_DY)]
+    else:
+        with pytest.raises(ValueError, match="split split:A writes"):
+            build_merge_gadget(place(), name="merge:A")
 
     rng = random.Random(7)
-    for source, walls in ((split, want), (merge, mirrored),
-                          (placed_at(split, SPLIT_DY), placed(want, SPLIT_DY, 1)),
-                          (placed_at(merge, MERGE_DY), placed(mirrored, MERGE_DY, 1))):
+    for source, walls in sources:
         assert _values(source.walls(levels)) == _values(walls)
-        mirrors, frame = source.mirrors
         by_id = {w.wall_id: w for w in walls}
         for wall in rng.sample(walls, 40):
             # a short vertical leg through the wall's midpoint
             x, y = ((a + b) / 2 for a, b in zip(wall.p0, wall.p1))
             leg = Leg.of((x, y - Fraction(1, 3 ** 12)), (Fraction(0), Fraction(1)),
                          Fraction(2, 3 ** 12))
-            got = _values(mirrors.walls_in(leg, frame))
+            got = _values(source.mirrors.walls_in(leg))
             assert _values([wall])[0] in got
             assert got == _values(by_id[wid] for _, _, wid in got)
 
@@ -424,7 +457,7 @@ def test_mirror_boxes_match_explicit_pair():
     # from the first block's wall box to the last one's, each corner
     # correctly rounded
     for writes in WRITES:
-        mirrors, _ = build_split_gadget(8, writes).mirrors
+        mirrors = build_split_gadget(8, writes).mirrors
         levels = mirrors._level_data()
         assert [lv.k for lv in levels] == list(range(-8, 9))
         for lv in levels:
@@ -484,14 +517,14 @@ def test_level_records_match_the_per_family_oracle(K):
     # reads boxes with
     frames = set()
     for table in _demo_tables(K):
-        for mirrors, frame in table.mirror_families:
-            frames.add(frame[1])
+        for mirrors in table.mirror_families:
+            frames.add(mirrors.frame[1])
             levels = mirrors._level_data()
             assert levels == _level_data_oracle(mirrors)
-            box = numeric._Family(mirrors, frame).box
+            box = numeric._Family(mirrors).box
             x0, y0, x1, y1 = map(Fraction, box)
             tol = Fraction(4 * math.ulp(max(map(abs, box))))
-            (oy, sy), base = frame, mirrors.base_x
+            (oy, sy), base = mirrors.frame, mirrors.base_x
             for lv in levels:
                 for rx0, ry0, rx1, ry1 in itertools.chain(*lv.regions):
                     ys = sorted(oy + sy * Fraction(y) for y in (ry0, ry1))
@@ -524,7 +557,7 @@ def test_family_index_is_cached_by_the_family_key():
         for f in (family, twin):
             assert by_key.setdefault(f.mirrors.key, f.index) is f.index
     assert len(by_key) < len(first)
-    read, flipped = (numeric._Family(*build_split_gadget(8, writes).mirrors)
+    read, flipped = (numeric._Family(build_split_gadget(8, writes).mirrors)
                      for writes in ((0, 1), (1, 0)))
     assert read.mirrors.key != flipped.mirrors.key
     assert read.index is not flipped.index

@@ -315,7 +315,7 @@ def test_gadget_tracer_lands_a_beam_below_float_resolution():
     x = T(3 ** 33 - 2 * 3 ** 22 + 1, 33)    # 1 - 2/3^11 + 1/3^33, in I_10's first block
     split = build_split_gadget(12)
     beam = Leg.of((x.as_fraction(), Fraction(0)), (Fraction(0), Fraction(1)), Fraction(11))
-    row, = split.mirrors[0].walls_in(beam, split.mirrors[1])
+    row, = split.mirrors.walls_in(beam)
     assert ":k10:" in row.wall_id
     assert row.p0[1] != row.p1[1] and float(row.p0[1]) == float(row.p1[1])
     want, piece = split.transfer.apply(x)

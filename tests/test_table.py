@@ -71,18 +71,37 @@ def test_mirror_families_own_their_levels():
         seen = set()
         for q, st in table.stations.items():
             if st.split is not None:
-                assert set(st.split.mirrors[0].levels) == full, (name, q)
-                seen.add(id(st.split.mirrors[0]))
+                assert set(st.split.mirrors.levels) == full, (name, q)
+                seen.add(id(st.split.mirrors))
             if st.merge is not None:
                 eps = table.graph.in_edges(q)[0].shift
-                mirrors = st.merge.mirrors[0]
+                mirrors = st.merge.mirrors
                 assert set(mirrors.levels) == {k for k in full if abs(k - eps) <= K}, (name, q)
                 seen.add(id(mirrors))
                 premerge = next(c.premerge for c in table.corridors.values()
                                 if c.edge.target == q)
                 with pytest.raises(DomainError):
                     premerge.locate(encode_state(frozenset(), -K * eps).value)
-        assert seen == {id(mirrors) for mirrors, _ in table.mirror_families}, name
+        assert seen == {id(mirrors) for mirrors in table.mirror_families}, name
+
+
+@pytest.mark.parametrize("name", sorted(MACHINE_TEXTS))
+def test_station_gadgets_are_built_where_the_scene_lists_them(name):
+    # every split and merge is built at its table height: its own walls
+    # are the rows scene_walls lists for its family, mirror for mirror,
+    # and each family of the scene is the very object a station gadget
+    # holds, so no placement is added between gadget and scene
+    table = compile_table(get_machine(name), 8)
+    levels = range(-4, 5)
+    scene = table.scene_walls(levels)
+    built = [g for q in table.machine.states
+             for g in (table.stations[q].split, table.stations[q].merge) if g is not None]
+    assert len(built) == len(table.mirror_families) > 0
+    assert all(g.mirrors is mirrors for g, mirrors in zip(built, table.mirror_families))
+    for g in built:
+        rows = [w for w in scene if w.wall_id.startswith(g.mirrors.name + ":k")]
+        assert g.static_walls == () and rows
+        assert g.walls(levels) == rows, g.name
 
 
 @pytest.mark.parametrize("scene_levels", [0, 3])
@@ -197,8 +216,8 @@ def _records_text(table):
     """The table's static walls and charts, one str per record, then each
     mirror family's key, base_x and frame, each number as str writes it."""
     lines = [str(w) for w in table.static_walls] + [str(c) for c in table.marked_segments()]
-    lines += [f"{mirrors.key} {mirrors.base_x} {oy} {sy}"
-              for mirrors, (oy, sy) in table.mirror_families]
+    lines += [f"{mirrors.key} {mirrors.base_x} {mirrors.frame[0]} {mirrors.frame[1]}"
+              for mirrors in table.mirror_families]
     return "".join(line + "\n" for line in lines)
 
 
@@ -216,8 +235,8 @@ def test_placed_records_pinned():
             charts += [*corridor.stage.in_ports.values(), *corridor.stage.out_ports.values()]
         for chart in charts:
             assert all(type(v) is int for v in chart[:5] + chart.tangent + chart.beam), chart
-        for mirrors, frame in table.mirror_families:
-            assert all(type(v) is int for v in (mirrors.base_x, *frame)), mirrors.name
+        for mirrors in table.mirror_families:
+            assert all(type(v) is int for v in (mirrors.base_x, *mirrors.frame)), mirrors.name
         digest.update(_records_text(table).encode())
     assert digest.hexdigest() == RECORDS_SHA256
 

@@ -1,4 +1,4 @@
-"""Soundness of the positional wall query, ``_BlockMirrors.walls_in(leg, frame)``.
+"""Soundness of the positional wall query, ``_BlockMirrors.walls_in(leg)``.
 
 Every wall of the full wall list that a leg meets must come back from the
 query: checked exactly with ``segments_intersect`` for segments and
@@ -81,8 +81,7 @@ def _full(source):
 def _listing(source, query):
     """A table's flat scene, or a gadget's static walls then its mirrors,
     in order, each mirror family's entry given as the Segments
-    ``query(mirrors, frame)`` returns.  A family's entry is a (mirrors,
-    frame) tuple and a wall is a tuple too, so they are told apart by type."""
+    ``query(mirrors)`` returns.  A wall is told from a family by its type."""
     scene = source.scene if hasattr(source, "scene") else (
         source.static_walls + ((source.mirrors,) if source.mirrors else ()))
     walls = []
@@ -90,14 +89,14 @@ def _listing(source, query):
         if isinstance(entry, (Segment, ParabolaArc)):
             walls.append(entry)
         else:
-            walls += query(*entry)
+            walls += query(entry)
     return walls
 
 
 def _walls_in(source, leg):
     """The static walls and the mirrors ``walls_in`` returns for the leg,
     in ``_full`` order."""
-    return _listing(source, lambda mirrors, frame: mirrors.walls_in(Leg.of(*leg), frame))
+    return _listing(source, lambda mirrors: mirrors.walls_in(Leg.of(*leg)))
 
 
 def _segment(leg):
@@ -193,9 +192,9 @@ def test_unbounded_query_lists_every_wall(build):
     # wall list; levels past a family's own list nothing more
     source = build()
 
-    def rows(mirrors, frame):
-        assert mirrors.rows(range(-9, 10), frame) == mirrors.rows(mirrors.levels, frame)
-        return mirrors.rows(LEVELS, frame)
+    def rows(mirrors):
+        assert mirrors.rows(range(-9, 10)) == mirrors.rows(mirrors.levels)
+        return mirrors.rows(LEVELS)
 
     assert _listing(source, rows) == _full(source)
 
@@ -205,7 +204,7 @@ def test_scene_entries_list_the_scene(name):
     # the flat scene, walked in order with every mirror family listed in
     # full, is scene_walls; the per-leg query never returns a static wall
     table = compile_table(get_machine(name), 4)
-    walls = _listing(table, lambda mirrors, frame: mirrors.rows(LEVELS, frame))
+    walls = _listing(table, lambda mirrors: mirrors.rows(LEVELS))
     full = table.scene_walls(LEVELS)
     assert [w.wall_id for w in walls] == [w.wall_id for w in full]
     assert walls == full
@@ -213,8 +212,8 @@ def test_scene_entries_list_the_scene(name):
     assert len(table.mirror_families) == sum(
         not isinstance(e, (Segment, ParabolaArc)) for e in table.scene) > 0
     for leg in _seeded_legs(full, random.Random(5), 60):
-        assert not static & {row[5] for mirrors, frame in table.mirror_families
-                             for row in mirrors.walls_in(Leg.of(*leg), frame)}
+        assert not static & {row[5] for mirrors in table.mirror_families
+                             for row in mirrors.walls_in(Leg.of(*leg))}
 
 
 def test_query_is_narrow():
@@ -305,12 +304,12 @@ def _dyadic_legs(walls, rng, count):
     return legs
 
 
-def _edge_legs(mirrors, frame, levels, rng, count):
-    """Legs, placed by ``frame``, that end exactly on an edge of a block's
-    wall box: vertical ones on its bottom edge, horizontal ones on its
-    left edge, each one unit long."""
+def _edge_legs(mirrors, levels, rng, count):
+    """Legs, placed by the family's frame, that end exactly on an edge of a
+    block's wall box: vertical ones on its bottom edge, horizontal ones on
+    its left edge, each one unit long."""
     data = mirrors._level_data()
-    oy, sy = frame
+    oy, sy = mirrors.frame
     legs = []
     for _ in range(count):
         lv = rng.choice([lv for lv in data if lv.k in levels])
@@ -335,10 +334,10 @@ def test_window_blocks_equal_exact_oracle(build):
     # those whose exact centre lies in the oracle's window, on legs at walls
     # and on legs ending exactly on a box edge, where a bound is an integer
     gadget, split = build()
-    mirrors, frame = gadget.mirrors
+    mirrors = gadget.mirrors
     rng = random.Random(11)
     legs = _dyadic_legs(gadget.walls(WINDOW_LEVELS), rng, 300)
-    legs += _edge_legs(mirrors, frame, WINDOW_LEVELS, rng, 100)
+    legs += _edge_legs(mirrors, WINDOW_LEVELS, rng, 100)
     levels = [k for k in WINDOW_LEVELS if k in mirrors.levels]
     blocks, boxes = {}, {}
     for k in levels:
@@ -353,7 +352,7 @@ def test_window_blocks_equal_exact_oracle(build):
             for k in levels}
     met = 0
     for leg in legs:
-        exact = _exact_leg(Leg.of(*leg), mirrors.origin(frame))
+        exact = _exact_leg(Leg.of(*leg), mirrors.origin)
         got = {(lv.k, s, w): [bits for _, bits in blocks_in(
                    lv.digit_pos - 1, _window(lv, s, w, exact))]
                for lv in mirrors._level_data() for s in (0, 1) for w in (0, 1)}
@@ -441,7 +440,7 @@ def _exact_t(t):
 def _full_pass(walls, xyw, direction, exclude, full_rows):
     """The _Nearest of the leg with every position filter left out: every
     static wall and chart weighed exactly, then each family's mirrors,
-    its full ``rows(mirrors.levels, frame)`` when ``full_rows`` is given
+    its full ``rows(mirrors.levels)`` when ``full_rows`` is given
     (one list of rows for all the families), else those ``walls_in``
     returns for the whole exact ray, uncut."""
     found = _Nearest(xyw, direction)
@@ -449,8 +448,7 @@ def _full_pass(walls, xyw, direction, exclude, full_rows):
         found.offer(w, exclude)
     if full_rows is None:
         ray = Leg(xyw, direction, None)
-        rows = [row for mirrors, frame in walls.scene.families
-                for row in mirrors.walls_in(ray, frame)]
+        rows = [row for mirrors in walls.scene.families for row in mirrors.walls_in(ray)]
     else:
         rows = full_rows
     # the wall the leg leaves, by its id
@@ -548,8 +546,8 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
         met = list(weighed)     # before the full pass offers its own
         if walls not in full_rows:
             full_rows[walls] = [
-                row for mirrors, frame in walls.scene.families
-                for row in mirrors.rows(mirrors.levels, frame)] if full_levels else None
+                row for mirrors in walls.scene.families
+                for row in mirrors.rows(mirrors.levels)] if full_levels else None
         full = _full_pass(walls, xyw, direction, exclude, full_rows[walls])
         assert ((_exact_t(found.t), found.wall and found.wall.wall_id)
                 == (_exact_t(full.t), full.wall and full.wall.wall_id))
@@ -569,7 +567,7 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
         seen["families_left_out"] += sum(
             not any(w.kind == "segment" and w.wall_id.startswith(mirrors.name + ":k")
                     for w in met)
-            for mirrors, _ in walls.scene.families)
+            for mirrors in walls.scene.families)
         charts = [w for w in walls.scene.static if w.kind == "chart" and id(w) not in met_ids]
         seen["charts_left_out"] += sum(_far_from_window(_float_line(w), fo, fd) for w in charts)
         seen["parallel_charts_left_out"] += sum(
