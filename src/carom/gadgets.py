@@ -46,6 +46,7 @@ from typing import NamedTuple, Optional
 from .encoding import (
     KRangeExceeded,
     NotACode,
+    _cantor_ceil,
     block_of,
     blocks_in,
     cantor_blocks_at,
@@ -337,33 +338,45 @@ def _exact_leg(leg, origin):
     xd, yd = w * bd, w * od
     xn, yn = x * bd - bn * w, sy * (y * od - on * w)
     dy *= sy
-    extents = []
-    for a, b, dn in ((xn, xd, dx), (yn, yd, dy)):
-        end = (a, b) if not dn else None if t is None else (
-            a * t[1] + b * t[0] * dn, b * t[1])
-        extents.append(((a, b), end) if dn >= 0 else (end, (a, b)))
+    # each extent from the origin to its end at t, ordered along its axis
+    x_end = (xn, xd) if not dx else None if t is None else (xn * t[1] + xd * t[0] * dx, xd * t[1])
+    y_end = (yn, yd) if not dy else None if t is None else (yn * t[1] + yd * t[0] * dy, yd * t[1])
+    xs = ((xn, xd), x_end) if dx >= 0 else (x_end, (xn, xd))
+    ys = ((yn, yd), y_end) if dy >= 0 else (y_end, (yn, yd))
     nx, ny = -dy, dx
     if nx + 8 * ny < 0:
         nx, ny = -nx, -ny
-    return extents[0], extents[1], nx, ny, xd * yd, nx * xn * yd + ny * yn * xd
+    return xs, ys, nx, ny, xd * yd, nx * xn * yd + ny * yn * xd
 
 
 def _window(lv, s, w, exact):
     """The range (F_lo, F_hi) of the blocks F of level ``lv`` and symbol s
     whose wall w's box (_pair_template) meets the leg ``exact`` (_exact_leg).
     Each separating axis, x, y and the leg's normal n (|n . (box centre -
-    origin)| <= the box's reach along n), bounds F by a floor or ceiling.
+    origin)| <= the box's reach along n), bounds F by a floor or ceiling;
+    block F's box has its centre at (x + F step, y + 8 F step) / den.
     An axis-parallel leg's normal is its x or y axis: skipped."""
-    xs, ys, nx, ny, h, n0 = exact
+    (x_lo, x_hi), (y_lo, y_hi), nx, ny, h, n0 = exact
     den, step, x, y, rx, ry = lv.boxes[s][w]
     lo, hi = 0, math.inf
-    for (end_lo, end_hi), c, r, gain in ((xs, x, rx, 1), (ys, y, ry, 8)):
-        if end_lo is not None:
-            a, b = end_lo
-            lo = max(lo, -((b * (c + r) - a * den) // (gain * step * b)))
-        if end_hi is not None:
-            a, b = end_hi
-            hi = min(hi, (a * den - b * (c - r)) // (gain * step * b))
+    if x_lo is not None:
+        a, b = x_lo
+        lo = -((b * (x + rx) - a * den) // (step * b))
+    if x_hi is not None:
+        a, b = x_hi
+        hi = (a * den - b * (x - rx)) // (step * b)
+    if y_lo is not None:
+        a, b = y_lo
+        f = -((b * (y + ry) - a * den) // (8 * step * b))
+        if f > lo:
+            lo = f
+    if y_hi is not None:
+        a, b = y_hi
+        f = (a * den - b * (y - ry)) // (8 * step * b)
+        if f < hi:
+            hi = f
+    if lo < 0:
+        lo = 0
     if nx and ny:
         slope = h * step * (nx + 8 * ny)
         m = h * (nx * x + ny * y) - den * n0
@@ -478,9 +491,23 @@ class _BlockMirrors:
     def block_rows(self, lv, s, w, exact):
         """Wall w (0 primary, 1 return) of level ``lv`` and symbol s over
         every block whose box meets the leg ``exact`` (_exact_leg), as
-        Segments (see ``_segments``)."""
-        return self._segments(s, self._placed(lv.k, lv.digit_pos, s), w,
-                              blocks_in(lv.digit_pos - 1, _window(lv, s, w, exact)))
+        Segments (see ``_segments``), ascending: the tracer's per-region
+        query.  It steps through the window's block indices as
+        ``blocks_in`` does and makes each row as it reaches its block, with
+        no list of the blocks in between."""
+        lo, hi = _window(lv, s, w, exact)
+        hi = min(hi, 3 ** (lv.digit_pos - 1) - 1)
+        if lo > hi:
+            return []
+        prefix, walls = self._placed(lv.k, lv.digit_pos, s)
+        d, sx, sy, x0, y0, x1, y1 = walls[w]
+        end, rows = _ID_ENDS[w], []
+        f, bits = _cantor_ceil(lo)
+        while f <= hi:
+            rows.append(_segment((d, x0 + f * sx, y0 + f * sy, x1 + f * sx, y1 + f * sy,
+                                  f"{prefix}{bits * 2 + s}{end}")))
+            f, bits = f + 3 ** ((bits ^ (bits + 1)).bit_length() - 1) + 1, bits + 1
+        return rows
 
     def walls_in(self, leg):
         """The mirrors whose boxes the Leg ``leg`` meets as Segments (see

@@ -13,14 +13,16 @@ the leg cannot reach before it.  An arc met at an irrational point is
 compared with the rational hits exactly, in Q(sqrt D); a trace whose next
 hit is irrational raises TracingError.
 
-A leg costs little besides its hits: a walk of one strip keeps no set of
-the boxes it met, a leg parallel to the strips tests a box at its one
-coordinate across them, each record is offered on its own, and a
-region's blocks are listed from the Cantor indices in its window
-(``encoding.blocks_in``).
-``demos/05_machine_size.py`` reads 44 / 49 / 48 / 49 us of CPU per traced
-leg, its symbolic run included, on 4- / 16- / 64- / 128-state tables
-(medians of three runs on one core of a shared 2-core host, CPython 3.11).
+A leg pays for its hit tests and little else: ``_Walls.nearest`` keeps
+the nearest hit, the runner-up and the walk's bound as locals of one loop
+over the walk; a leg along one strip, as most are, walks it with no set
+of the boxes met; the wall the leg leaves is counted but not tested again;
+an arc's rational root is read off integer signs; and a region's mirror
+rows are made straight from the Cantor indices of its integer window.
+``demos/05_machine_size.py`` reads 17.5 / 19.5 / 20 / 21 us of CPU per
+traced leg without its symbolic run, against 23.5 / 27 / 27 / 29.5 before
+this loop, on 4- / 16- / 64- / 128-state tables (medians of four
+alternating runs on a shared 2-core host, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -125,10 +127,15 @@ def _arc_hit(wall, xyw, d):
     else:       # dx = 0 and dy != 0: the ray runs along x = x / w
         disc, m, roots = 0, abs(qb), ((-qc if qb > 0 else qc, 0),)
     for n, s in roots:      # tau = (n + s sqrt(disc)) / m, ascending
+        if not s:       # a rational root: signs of integers
+            ends = (lo * m + n * dx, hi * m - n * dx)
+            if n > 0 and min(ends) >= 0:
+                return n, m * q * w, 0 in ends
+            continue
         ends = (_surd_sign(lo * m + n * dx, s * dx, disc),
                 _surd_sign(hi * m - n * dx, -s * dx, disc))
         if _surd_sign(n, s, disc) > 0 and min(ends) >= 0:
-            return (n, s, disc, m * q * w) if s else (n, m * q * w, 0 in ends)
+            return n, s, disc, m * q * w
     return None
 
 
@@ -221,61 +228,6 @@ def _normal(wall, xyw):
     return (-sign * (xyw[0] * q - a * xyw[2]), 2 * p * xyw[2])
 
 
-class _Nearest:
-    """The nearest exact hit of the leg from ``xyw`` along d among the
-    walls ``offer``ed to it, each weighed exactly.  ``second`` is the
-    runner-up's t.  A chart's hit is a crossing, kept in ``crossings``;
-    irrational hits wait for ``result``."""
-
-    __slots__ = ("xyw", "direction", "t", "wall", "second", "irrational", "crossings")
-
-    def __init__(self, xyw, d):
-        self.xyw, self.direction = xyw, d
-        self.t = self.wall = self.second = None
-        self.irrational = []      # (surd, wall)
-        self.crossings = []       # (t, chart)
-
-    def offer(self, w, exclude):
-        """Weigh the record ``w`` unless it equals ``exclude``: whether it
-        is the nearest hit now."""
-        kind = w.kind
-        t = _HITS[kind](w, self.xyw, self.direction)
-        if t is None or w == exclude:
-            return False
-        if kind == "chart":
-            self.crossings.append((t, w))
-        elif len(t) > 3:
-            self.irrational.append((t, w))
-        # _before(t, self.t) and _before(t, self.second), inline
-        elif self.t is None or t[0] * self.t[1] < self.t[0] * t[1]:
-            self.t, self.wall, self.second = t, w, self.t
-            return True
-        elif self.second is None or t[0] * self.second[1] < self.second[0] * t[1]:
-            self.second = t
-        return False
-
-    def result(self):
-        """(t, wall, runner-up t) of the nearest hit, all None when there
-        is none; raises TracingError when an irrational hit is nearest."""
-        t = self.t
-        for (a, b, d, m), w in self.irrational:
-            if t is None or _surd_sign(a * t[1] - t[0] * m, b * t[1], d) < 0:
-                raise TracingError(f"trajectory left the rationals at {w.wall_id}")
-        return t, self.wall, self.second
-
-    def crossed(self):
-        """(t, chart) of every crossing before the nearest hit, in flight
-        order."""
-        crossings, t = self.crossings, self.t
-        if t is not None and crossings:
-            crossings = [c for c in crossings if _before(c[0], t)]
-        return sorted(crossings, key=_FLIGHT_ORDER) if len(crossings) > 1 else crossings
-
-
-#: Crossings (t, chart) ordered by t, compared by cross-multiplication.
-_FLIGHT_ORDER = functools.cmp_to_key(lambda a, b: a[0][0] * b[0][1] - b[0][0] * a[0][1])
-
-
 #: A _RayIndex spans at most this many strips across each axis.
 _STRIPS = 4096
 
@@ -345,6 +297,21 @@ class _RayIndex:
         umax = (self.box[a + 2] if sense > 0 else -self.box[a]) + eps
         # the strips within eps of the ray's line, in the order it passes them
         first, last = math.floor((vo - eps) / size), math.floor((vo + eps) / size)
+        lanes, back = self.lanes[c][sense > 0], uo - eps
+        if not r and first == last:
+            # a ray along one strip (most legs): the loop below for one
+            # strip j, ua = uo and ub = inf, with no set of the boxes met
+            stop = uo + bound[0] * du + eps
+            if not lo <= first <= hi or uo > stop or uo > umax:
+                return
+            pmax, items = lanes.get(first) or self.lane(c, sense, first)
+            for u0, u1, v0, v1, _, payload in items[bisect.bisect_left(pmax, back):]:
+                if u0 > stop:
+                    return
+                if u1 >= back and v0 - eps <= vo <= v1 + eps:
+                    yield payload
+                    stop = uo + bound[0] * du + eps
+            return
         if r > 0:
             js = range(max(first, lo), hi + 1)
         elif r < 0:
@@ -354,7 +321,6 @@ class _RayIndex:
         # a box is filed in each strip it spans: a walk of one strip meets
         # it at most once, one of more keeps the boxes it met
         seen = set() if len(js) > 1 else None
-        lanes, back = self.lanes[c][sense > 0], uo - eps
         for j in js:
             if r:   # the u range in which the ray is within eps of strip j
                 near, far = (j * size - eps, (j + 1) * size + eps) if r > 0 else (
@@ -410,10 +376,6 @@ class _Family:
             y0, y1 = sorted((self.oy + self.sy * y0, self.oy + self.sy * y1))
             self.box = (self.base + x0, y0, self.base + x1, y1)
 
-    def local(self, o, d):
-        """The float ray from ``o`` along ``d`` in the family's local frame."""
-        return (o[0] - self.base, self.sy * (o[1] - self.oy)), (d[0], self.sy * d[1])
-
 
 @functools.lru_cache(maxsize=None)
 def _family_index(levels, cell_offset, writes):
@@ -454,13 +416,11 @@ class TraceScene:
             self.eps = _BOX_SLACK * (1 + max(map(abs, self.box)))
 
     def enter(self, xyw, d):
-        """Where the ray from ``xyw`` along d starts its walk: (its origin
-        in floats, None) when it lies in ``box``, else (the point where it
-        enters the box in floats, that point's exact t (n, m)), clipped
-        exactly in integers; None when the ray misses the box."""
+        """Where the ray from ``xyw``, a point outside ``box``, along d
+        starts its walk: (the point where it enters the box in floats, that
+        point's exact t (n, m)), clipped exactly in integers; None when the
+        ray misses the box."""
         (x, y, w), (x0, y0, x1, y1) = xyw, self.box
-        if x0 * w <= x <= x1 * w and y0 * w <= y <= y1 * w:
-            return (x / w, y / w), None
         lo, hi = (0, 1), None
         for p, dp, a, b in ((x, d[0], x0, x1), (y, d[1], y0, y1)):
             if not dp:
@@ -500,45 +460,102 @@ class _Walls:
         self.max_candidates = self.denominator_bits = 0
 
     def nearest(self, xyw, d, exclude):
-        """The _Nearest of the leg from ``xyw`` along d, ``exclude`` left
-        out.  The walk reads the leg in floats along d / isqrt(d.d) and
-        stops once the next box's near side lies past the nearest hit
-        found, read in floats from its exact t; a box at that hit, a tie or
-        a corner on it, or a nearer irrational arc root is still met."""
+        """The nearest exact hit of the leg from ``xyw`` along d among the
+        walls its walk meets, ``exclude`` left out, each weighed by its
+        exact test (``_HITS``): (t, wall, second, irrational, crossings).
+        t and ``wall`` are the nearest rational hit's, t = (n, m, corner)
+        for n / m (see _seg_hit), both None when there is none; ``second``
+        is the runner-up's t; ``irrational`` lists every irrational hit as
+        (surd, wall), the surd (a, b, D, m) for (a + b sqrt(D)) / m, which
+        _trace compares with t; ``crossings`` lists (t, chart) for every
+        chart crossed before the nearest hit, in flight order.
+
+        The walk reads the leg in floats along d / isqrt(d.d) and stops
+        once the next box's near side lies past the nearest hit found, read
+        in floats from its exact t; a box at that hit, a tie or a corner on
+        it, or a nearer irrational arc root is still met.  A family's
+        regions are walked as the walk meets the family, and its mirrors
+        are weighed in the walk's order, as the static walls are."""
         bits = xyw[2].bit_length()
         if bits > self.denominator_bits:
             self.denominator_bits = bits
-        scene, found = self.scene, _Nearest(xyw, d)
-        start = scene.box and scene.enter(xyw, d)
-        if not start:
-            return found
-        (fo, t0), eps = start, scene.eps
+        scene, (x, y, w) = self.scene, xyw
+        box = scene.box
+        if box is None:
+            return None, None, None, [], []
+        if box[0] * w <= x <= box[2] * w and box[1] * w <= y <= box[3] * w:
+            fo, t0 = (x / w, y / w), None
+        else:       # the walk starts where the ray enters the box
+            start = scene.enter(xyw, d)
+            if start is None:
+                return None, None, None, [], []
+            fo, t0 = start
+        eps = scene.eps
         # d / isqrt(d.d) never overflows, and where d.d is a square, as it
         # is on every leg of a trace launched along a unit beam, it is the
         # unit direction, read into the same floats as a unit d would be
         scale = math.isqrt(d[0] * d[0] + d[1] * d[1])
         fd = (d[0] / scale, d[1] / scale)
-        bound, weighed, offer = [math.inf], 0, found.offer
+        t = wall = second = None
+        irrational, crossings, weighed, bound = [], [], 0, [math.inf]
         for entry in scene.index.walk(fo, fd, bound, eps):
-            if entry.kind != "family":
-                weighed += entry.kind != "chart"
-                if offer(entry, exclude):
-                    bound[0] = _float_t(found.t, t0, scale)
+            kind = entry.kind
+            if kind == "family":
+                # its regions in its local frame, x from base, y -> sy (y - oy)
+                mirrors, leg, sy, hit_of = entry.mirrors, None, entry.sy, _HITS["segment"]
+                for lv, s, side in entry.index.walk(
+                        (fo[0] - entry.base, sy * (fo[1] - entry.oy)), (fd[0], sy * fd[1]),
+                        bound, eps):
+                    if leg is None:
+                        leg = _exact_leg((xyw, d, t and t[:2]), mirrors.origin)
+                    rows = mirrors.block_rows(lv, s, side, leg)
+                    weighed += len(rows)
+                    for row in rows:
+                        self.mirror_ids.add(row.wall_id)
+                        if row == exclude:
+                            continue
+                        hit = hit_of(row, xyw, d)
+                        if hit is None:
+                            continue
+                        # a segment's hit is rational: as below
+                        if t is None or hit[0] * t[1] < t[0] * hit[1]:
+                            t, wall, second = hit, row, t
+                            bound[0] = _float_t(t, t0, scale)
+                        elif second is None or hit[0] * second[1] < second[0] * hit[1]:
+                            second = hit
                 continue
-            exact, read, mirrors = None, self.mirror_ids.add, entry.mirrors
-            for lv, s, w in entry.index.walk(*entry.local(fo, fd), bound, eps):
-                if exact is None:
-                    exact = _exact_leg((xyw, d, found.t and found.t[:2]), mirrors.origin)
-                rows, moved = mirrors.block_rows(lv, s, w, exact), False
-                weighed += len(rows)
-                for row in rows:
-                    read(row.wall_id)
-                    moved = offer(row, exclude) or moved
-                if moved:
-                    bound[0] = _float_t(found.t, t0, scale)
+            if kind == "chart":     # crossed, never hit, nor weighed
+                hit = _HITS[kind](entry, xyw, d)
+                if hit is not None:
+                    crossings.append((hit, entry))
+                continue
+            # the wall the leg leaves is weighed, but its hit left out
+            weighed += 1
+            if entry == exclude:
+                continue
+            hit = _HITS[kind](entry, xyw, d)
+            if hit is None:
+                continue
+            if len(hit) > 3:
+                irrational.append((hit, entry))
+            # _before(hit, t) and _before(hit, second), inline
+            elif t is None or hit[0] * t[1] < t[0] * hit[1]:
+                t, wall, second = hit, entry, t
+                bound[0] = _float_t(t, t0, scale)
+            elif second is None or hit[0] * second[1] < second[0] * hit[1]:
+                second = hit
         if weighed > self.max_candidates:
             self.max_candidates = weighed
-        return found
+        if crossings:
+            if t is not None:
+                crossings = [c for c in crossings if _before(c[0], t)]
+            if len(crossings) > 1:
+                crossings.sort(key=_FLIGHT_ORDER)
+        return t, wall, second, irrational, crossings
+
+
+#: Crossings (t, chart) ordered by t, compared by cross-multiplication.
+_FLIGHT_ORDER = functools.cmp_to_key(lambda a, b: a[0][0] * b[0][1] - b[0][0] * a[0][1])
 
 
 def _float_t(t, t0, scale):
@@ -573,18 +590,21 @@ def _trace(walls, xyw, direction):
     g, last = math.gcd(*xyw), None
     xyw = tuple(v // g for v in xyw)
     while True:
-        found = walls.nearest(xyw, direction, last)
-        best_t, wall, second_t = found.result()
+        best_t, wall, second_t, irrational, crossings = walls.nearest(xyw, direction, last)
+        for (a, b, d, m), w in irrational:
+            if best_t is None or _surd_sign(a * best_t[1] - best_t[0] * m, b * best_t[1], d) < 0:
+                raise TracingError(f"trajectory left the rationals at {w.wall_id}")
         if second_t is not None and not _before(best_t, second_t):
             raise TracingDegeneracy(
                 f"two walls hit at once with {wall.wall_id}: geometry bug")
-        for (_, _, u), chart in found.crossed():
+        for (_, _, u), chart in crossings:
             yield "cross", chart, None, u, direction
         if best_t is None:
             raise TracingError("trajectory escaped the scene")
-        if best_t[2]:
+        n, m, corner = best_t
+        if corner:
             raise TracingDegeneracy(f"corner hit on {wall.wall_id}")
-        (n, m, _), (x, y, w), (dx, dy) = best_t, xyw, direction
+        (x, y, w), (dx, dy) = xyw, direction
         x, y, w = x * m + n * dx * w, y * m + n * dy * w, w * m
         g = math.gcd(x, y, w)
         xyw = x // g, y // g, w // g

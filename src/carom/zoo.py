@@ -102,3 +102,36 @@ def random_reversible(rng, n_states):
                  ((q, a) for q in states[:-1] for a in (0, 1)), slots)}
     return Machine(states, "q0", frozenset({"H"}), delta,
                    name=f"random-{n_states}").validate()
+
+
+def counter_ring(w):
+    """A reversible w-bit binary counter that never halts, w >= 2: cells
+    0..w-1 hold the count, least significant bit first, and the run
+    starts in C0 on cell 0.  C_i carries right over ones, writing 0; on a
+    0 it writes 1 and moves left into Z_(i-1).  Z_j walks left over the
+    zeros the carry left, and Z_-1, on cell -1, steps right into C0 again.
+    C_(w-1) moves left into Z_(w-2) on either symbol, writing the other
+    one, so the count wraps at 2^w.  A Z_j never reads 1; those w
+    transitions go, two by two, to ceil(w/2) halting states.  Into every
+    state the transitions share one shift and write distinct symbols, so
+    the machine is reversible by construction, with 2w + ceil(w/2) states.
+    From the empty tape the head stays in -1..w-1, and the launch recurs
+    after 4 (2^w - 1) steps."""
+    if w < 2:
+        raise ValueError(f"counter ring of {w} bits: at least 2 needed")
+    carry = [f"C{i}" for i in range(w)]
+    back = {j: f"Z{j}" for j in range(-1, w - 1)}
+    halts = [f"H{i}" for i in range((w + 1) // 2)]
+    delta = {}
+    for i in range(w - 1):
+        delta[carry[i], 1] = (carry[i + 1], 0, RIGHT)
+        delta[carry[i], 0] = (back[i - 1], 1, LEFT)
+    delta[carry[-1], 0] = (back[w - 2], 1, LEFT)
+    delta[carry[-1], 1] = (back[w - 2], 0, LEFT)
+    for j in range(w - 1):
+        delta[back[j], 0] = (back[j - 1], 0, LEFT)
+    delta[back[-1], 0] = (carry[0], 0, RIGHT)
+    for j, q in back.items():
+        delta[q, 1] = (halts[(j + 1) // 2], (j + 1) % 2, RIGHT)
+    return Machine((*carry, *back.values(), *halts), carry[0], frozenset(halts), delta,
+                   name=f"counter-ring-{w}").validate()

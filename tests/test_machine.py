@@ -16,6 +16,7 @@ from carom.machine import (
     run_machine,
     step,
 )
+from carom.zoo import counter_ring
 
 REV_MOVE = """\
 # scan right over zeros, halt on the first one
@@ -236,3 +237,21 @@ def test_checker_agrees_with_brute_force():
 def test_brute_force_exhaustive_injectivity_of_rev_move():
     m = parse_machine(REV_MOVE)
     assert brute_force_reversible(m, bound=3) is None
+
+
+@pytest.mark.parametrize("w", range(2, 11))
+def test_counter_ring_is_reversible_and_cycles_through_every_count(w):
+    # 2w + ceil(w/2) states, reversible by construction, and from the empty
+    # tape the launch first recurs after 4 (2^w - 1) steps, never halting,
+    # the head within -1..w-1; run_machine lands on it after that many
+    machine = counter_ring(w)
+    assert check_reversible(machine) is None
+    assert len(machine.states) == 2 * w + (w + 1) // 2
+    launch = ComputationState(frozenset(), machine.initial, 0)
+    conf, steps = step(machine, launch), 1
+    while conf != launch:
+        assert not machine.is_halting(conf.state) and -1 <= conf.head < w
+        conf, steps = step(machine, conf), steps + 1
+    period = 4 * (2 ** w - 1)
+    assert steps == period
+    assert run_machine(machine, frozenset(), period) == (False, launch, period)

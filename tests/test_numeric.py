@@ -370,7 +370,7 @@ def test_a_far_float_t_does_not_shut_out_the_nearest_wall():
     b = Segment.of((c[0] - perp[0] / 1000, c[1] - perp[1] / 1000),
                    (c[0] + perp[0] / 1000, c[1] + perp[1] / 1000), "B")
     xyw, di = _integer_leg(o, d)
-    t, wall, _ = _Walls(TraceScene([a, b], ())).nearest(xyw, di, None).result()
+    t, wall, *_ = _Walls(TraceScene([a, b], ())).nearest(xyw, di, None)
     # di is d times di[0] / d[0]
     assert wall.wall_id == "A" and _t(t) * di[0] / d[0] == t0
 

@@ -372,7 +372,7 @@ def test_trace_without_static_walls():
     assert [entry[4].kind for entry in walls.scene.index.entries] == ["family"]
     x = encode_state(frozenset(), 0).value.as_fraction()
     xyw = (x.numerator, 0, x.denominator)
-    t, wall, second = walls.nearest(xyw, (0, 1), None).result()
+    t, wall, second, _, _ = walls.nearest(xyw, (0, 1), None)
     assert walls.max_candidates == 1 and wall.wall_id.endswith(":W") and second is None
 
 

@@ -12,7 +12,10 @@ integer records the full list holds.  The numeric tracer's index walk
 (static walls and charts by box, families by level region, each stopped
 at the nearest hit) is checked against weighing every wall and chart
 exactly, kept here as the oracle, on the fixtures and on seeded random
-reversible machines.
+reversible machines.  The tracer's per-leg query, ``_Walls.nearest``, is
+also checked leg by leg against its earlier form (``query_oracle``) on the
+fixtures' traces, on seeded tilted legs through mirror families, on gadget
+beams and on a period of ``zoo.counter_ring(4)``.
 """
 
 import bisect
@@ -23,21 +26,38 @@ from typing import NamedTuple
 
 import pytest
 
-from carom.encoding import blocks_in, cantor_blocks_at, digit_position, head_interval
+from carom.encoding import (
+    blocks_in,
+    cantor_blocks_at,
+    digit_position,
+    encode_state,
+    head_interval,
+    read_digit,
+)
 from carom.gadgets import (
     _BAND_GAIN,
     _exact_leg,
     _window,
     build_merge_gadget,
+    build_shift_stage,
     build_split_gadget,
+    build_turn_gadget,
 )
 from carom.geometry import Leg, ParabolaArc, Segment, integers, segments_intersect
-from carom.machine import parse_machine, parse_tape
+from carom.machine import enumerate_tapes, parse_machine, parse_tape
 from carom import numeric
-from carom.numeric import TraceScene, _Nearest, _Walls
-from carom.simulate import run_numeric
+from carom.numeric import TraceScene, _Walls
+from carom.simulate import GadgetTracer, run_numeric
 from carom.table import compile_table
-from carom.zoo import MACHINE_TEXTS, get_machine, random_reversible
+from carom.zoo import (
+    MACHINE_TEXTS,
+    counter_ring,
+    fixture_machines,
+    get_machine,
+    random_reversible,
+)
+import query_oracle
+from query_oracle import Nearest
 from test_gadgets import _mirror_boxes
 from test_trace_identity import NUMERIC_TAPES
 
@@ -438,12 +458,12 @@ def _exact_t(t):
 
 
 def _full_pass(walls, xyw, direction, exclude, full_rows):
-    """The _Nearest of the leg with every position filter left out: every
+    """The Nearest of the leg with every position filter left out: every
     static wall and chart weighed exactly, then each family's mirrors,
     its full ``rows(mirrors.levels)`` when ``full_rows`` is given
     (one list of rows for all the families), else those ``walls_in``
     returns for the whole exact ray, uncut."""
-    found = _Nearest(xyw, direction)
+    found = Nearest(xyw, direction)
     for w in walls.scene.static:
         found.offer(w, exclude)
     if full_rows is None:
@@ -459,12 +479,11 @@ def _full_pass(walls, xyw, direction, exclude, full_rows):
     return found
 
 
-def _irrational_before(found):
-    """The ids of the walls of ``found``'s irrational hits that come before
-    its nearest rational hit, all of them when it has none: those that fail
-    a trace."""
-    t = found.t
-    return [w.wall_id for (a, b, d, m), w in found.irrational
+def _irrational_before(t, irrational):
+    """The ids of the walls of the ``irrational`` hits that come before the
+    nearest rational hit t, all of them when it is None: those that fail a
+    trace."""
+    return [w.wall_id for (a, b, d, m), w in irrational
             if t is None or numeric._surd_sign(a * t[1] - t[0] * m, b * t[1], d) < 0]
 
 
@@ -535,30 +554,34 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     # uncut ray
     seen = {"legs": 0, "static_left_out": 0, "families_left_out": 0, "charts_left_out": 0,
             "parallel_charts_left_out": 0}
-    nearest, offer, full_rows, full_levels = _Walls.nearest, _Nearest.offer, {}, False
-    weighed = []    # what the walk offered on the last leg
-    monkeypatch.setattr(_Nearest, "offer",
-                        lambda found, w, exclude: weighed.append(w) or offer(found, w, exclude))
+    nearest, full_rows, full_levels = _Walls.nearest, {}, False
+    # what the walk tested exactly on the last leg: what it met, but the
+    # wall the leg leaves
+    weighed = []
+    for kind, hit in list(numeric._HITS.items()):
+        monkeypatch.setitem(numeric._HITS, kind,
+                            lambda w, *args, hit=hit: weighed.append(w) or hit(w, *args))
 
     def checked_nearest(walls, xyw, direction, exclude):
         weighed.clear()
         found = nearest(walls, xyw, direction, exclude)
-        met = list(weighed)     # before the full pass offers its own
+        t, wall, second, irrational, crossings = found
+        met = list(weighed)     # before the full pass tests its own
         if walls not in full_rows:
             full_rows[walls] = [
                 row for mirrors in walls.scene.families
                 for row in mirrors.rows(mirrors.levels)] if full_levels else None
         full = _full_pass(walls, xyw, direction, exclude, full_rows[walls])
-        assert ((_exact_t(found.t), found.wall and found.wall.wall_id)
+        assert ((_exact_t(t), wall and wall.wall_id)
                 == (_exact_t(full.t), full.wall and full.wall.wall_id))
-        if _exact_t(found.second) != _exact_t(full.second):
+        if _exact_t(second) != _exact_t(full.second):
             # the full pass's runner-up lies past the nearest hit: it ties
             # nothing
-            assert found.t is not None and _exact_t(full.second) > _exact_t(found.t)
-            assert found.second is None or _exact_t(found.second) > _exact_t(full.second)
-        assert _irrational_before(found) == _irrational_before(full)
-        assert ([(_exact_t(t), w) for t, w in found.crossed()]
-                == [(_exact_t(t), w) for t, w in full.crossed()])
+            assert t is not None and _exact_t(full.second) > _exact_t(t)
+            assert second is None or _exact_t(second) > _exact_t(full.second)
+        assert _irrational_before(t, irrational) == _irrational_before(full.t, full.irrational)
+        assert ([(_exact_t(u), w) for u, w in crossings]
+                == [(_exact_t(u), w) for u, w in full.crossed()])
         fo, fd = _leg_floats(xyw, direction)
         seen["legs"] += 1
         met_ids = {id(w) for w in met}
@@ -614,7 +637,103 @@ def test_only_a_leg_along_a_chart_line_weighs_it_at_working_precision(monkeypatc
         den, x, y = integers(*pos)
         direction = integers(*(t + tilt * b for t, b in zip(ct, cb)))[1:]
         weighings.clear()
-        got = walls.nearest((x, y, den), direction, None).crossed()
+        *_, got = walls.nearest((x, y, den), direction, None)
         assert [(_exact_t(t), w) for t, w in got] == _unfiltered_crossings(
             [chart], pos, direction, None)
         assert len(got) == crossed and bool(weighings) == weighed, offset
+
+
+# --- the query against its earlier form (query_oracle) --------------------
+
+def _same_as_oracle(nearest, scene, xyw, d, exclude):
+    """Check ``nearest``, _Walls.nearest, on one leg against
+    query_oracle.Walls, each with counters of its own: the same nearest
+    wall and t, runner-up, irrational roots, crossings in flight order,
+    walls weighed, mirrors read and denominator bits.  Returns the leg's
+    nearest wall and the count of mirrors it read."""
+    walls, oracle = _Walls(scene), query_oracle.Walls(scene)
+    got = nearest(walls, xyw, d, exclude)
+    assert got == oracle.nearest(xyw, d, exclude).settled(), (xyw, d, exclude)
+    assert ((walls.max_candidates, walls.mirror_ids, walls.denominator_bits)
+            == (oracle.max_candidates, oracle.mirror_ids, oracle.denominator_bits)), (xyw, d)
+    return got[1], len(walls.mirror_ids)
+
+
+@pytest.fixture
+def oracle_checked(monkeypatch):
+    """From here on, check every leg a trace asks _Walls.nearest for
+    against the oracle (_same_as_oracle); returns the count of legs
+    checked, in a list."""
+    count, nearest = [0], _Walls.nearest
+
+    def checked(walls, xyw, d, exclude):
+        _same_as_oracle(nearest, walls.scene, xyw, d, exclude)
+        count[0] += 1
+        return nearest(walls, xyw, d, exclude)
+
+    monkeypatch.setattr(_Walls, "nearest", checked)
+    return count
+
+
+def test_query_equals_its_oracle_on_the_fixture_traces(oracle_checked):
+    # every leg of the six fixtures' K=8 traces on the tapes of support
+    # -2..2
+    for name, machine in sorted(fixture_machines().items()):
+        table = compile_table(machine, 8)
+        for tape in enumerate_tapes(range(-2, 3)):
+            run_numeric(table, tape, 40)
+    assert oracle_checked[0] > 5000
+
+
+def test_query_equals_its_oracle_on_tilted_legs():
+    # seeded legs in every direction but the axes, aimed from up to three
+    # units away at points of random mirrors of levels -2..2 in a table's
+    # families, a rewriting split's and a merge's, each also with the wall
+    # it found left out, as the next leg from there would have it
+    rng = random.Random(34)
+    scenes = [compile_table(get_machine("walker"), 8).trace_scene]
+    scenes += [TraceScene(g.static_walls, (g.mirrors,)) for g in (
+        build_split_gadget(3, writes=(1, 1)), _merge())]
+    legs = read = mirrors = 0
+    for scene in scenes:
+        rows = [row for family in scene.families for row in family.rows(range(-2, 3))]
+        for _ in range(300):
+            row, a = rng.choice(rows), Fraction(rng.randrange(1, 1000), 1000)
+            (x0, y0), (x1, y1) = row.p0, row.p1
+            d = (rng.choice((-1, 1)) * rng.randint(1, 12), rng.choice((-1, 1)) * rng.randint(1, 12))
+            back = Fraction(rng.randrange(1, 3000), 1000 * max(map(abs, d)))
+            den, x, y = integers(x0 + a * (x1 - x0) - back * d[0], y0 + a * (y1 - y0) - back * d[1])
+            wall, count = _same_as_oracle(_Walls.nearest, scene, (x, y, den), d, None)
+            legs, read = legs + 1, read + (count > 0)
+            if wall is not None:
+                _same_as_oracle(_Walls.nearest, scene, (x, y, den), d, wall)
+                mirrors += ":k" in wall.wall_id
+    assert legs == 900 and read > 800 and mirrors > 600, (read, mirrors)
+
+
+def test_query_equals_its_oracle_on_gadget_beams(oracle_checked):
+    # GadgetTracer beams through K=3 gadgets, every tape of support -2..2
+    # at every level: a read-only and a rewriting split, a merge, a shift
+    # stage and a quarter turn
+    splits = (build_split_gadget(3), build_split_gadget(3, writes=(1, 1)))
+    merge = build_merge_gadget(build_split_gadget(3, name="m"), name="merge")
+    tracers = [GadgetTracer(g) for g in (*splits, merge)]
+    others = [GadgetTracer(build_shift_stage(+1, K=3)), GadgetTracer(build_turn_gadget(+90))]
+    for tape in enumerate_tapes(range(-2, 3)):
+        for k in range(-3, 4):
+            value = encode_state(tape, k).value
+            branch = read_digit(encode_state(tape, k))
+            for split, tracer in zip(splits, tracers):
+                tracer.trace(value, out_port=f"b{branch}")
+            tracers[2].trace(splits[0].transfer.apply(value)[0], in_port=f"b{branch}")
+            for tracer in others:
+                tracer.trace(value)
+    assert oracle_checked[0] > 1000
+
+
+def test_counter_ring_period_is_traced_as_its_oracle_traces_it(oracle_checked):
+    # one period of the 4-bit counter ring, 60 steps and 540 bounces, its
+    # every leg checked against the oracle
+    res = run_numeric(compile_table(counter_ring(4), 4), frozenset(), 60)
+    assert (res.outcome.period_steps, res.period_bounces) == (60, 540)
+    assert oracle_checked[0] == 541
