@@ -46,7 +46,6 @@ from typing import NamedTuple, Optional
 from .encoding import (
     KRangeExceeded,
     NotACode,
-    _cantor_ceil,
     block_of,
     blocks_in,
     cantor_blocks_at,
@@ -491,23 +490,9 @@ class _BlockMirrors:
     def block_rows(self, lv, s, w, exact):
         """Wall w (0 primary, 1 return) of level ``lv`` and symbol s over
         every block whose box meets the leg ``exact`` (_exact_leg), as
-        Segments (see ``_segments``), ascending: the tracer's per-region
-        query.  It steps through the window's block indices as
-        ``blocks_in`` does and makes each row as it reaches its block, with
-        no list of the blocks in between."""
-        lo, hi = _window(lv, s, w, exact)
-        hi = min(hi, 3 ** (lv.digit_pos - 1) - 1)
-        if lo > hi:
-            return []
-        prefix, walls = self._placed(lv.k, lv.digit_pos, s)
-        d, sx, sy, x0, y0, x1, y1 = walls[w]
-        end, rows = _ID_ENDS[w], []
-        f, bits = _cantor_ceil(lo)
-        while f <= hi:
-            rows.append(_segment((d, x0 + f * sx, y0 + f * sy, x1 + f * sx, y1 + f * sy,
-                                  f"{prefix}{bits * 2 + s}{end}")))
-            f, bits = f + 3 ** ((bits ^ (bits + 1)).bit_length() - 1) + 1, bits + 1
-        return rows
+        Segments (see ``_segments``)."""
+        return self._segments(s, self._placed(lv.k, lv.digit_pos, s), w,
+                              blocks_in(lv.digit_pos - 1, _window(lv, s, w, exact)))
 
     def walls_in(self, leg):
         """The mirrors whose boxes the Leg ``leg`` meets as Segments (see

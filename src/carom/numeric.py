@@ -17,11 +17,12 @@ A leg pays for its hit tests and little else: ``_Walls.nearest`` keeps
 the nearest hit, the runner-up and the walk's bound as locals of one loop
 over the walk; a leg along one strip, as most are, walks it with no set
 of the boxes met; the wall the leg leaves is counted but not tested again;
-an arc's rational root is read off integer signs; and a region's mirror
-rows are made straight from the Cantor indices of its integer window.
-``demos/05_machine_size.py`` reads 17.5 / 19.5 / 20 / 21 us of CPU per
-traced leg without its symbolic run, against 23.5 / 27 / 27 / 29.5 before
-this loop, on 4- / 16- / 64- / 128-state tables (medians of four
+an arc's rational root is read off integer signs; and a region's blocks
+are listed from the Cantor indices in its integer window
+(``encoding.blocks_in``).
+``demos/05_machine_size.py`` reads 20 / 23 / 23 / 24.5 us of CPU per
+traced leg without its symbolic run, against 27 / 28.5 / 30 / 31 before
+this loop, on 4- / 16- / 64- / 128-state tables (medians of 16
 alternating runs on a shared 2-core host, CPython 3.11).
 """
 
@@ -299,8 +300,11 @@ class _RayIndex:
         first, last = math.floor((vo - eps) / size), math.floor((vo + eps) / size)
         lanes, back = self.lanes[c][sense > 0], uo - eps
         if not r and first == last:
-            # a ray along one strip (most legs): the loop below for one
-            # strip j, ua = uo and ub = inf, with no set of the boxes met
+            # a ray along one strip (88% of numeric-long's legs): the loop
+            # below for one strip j, ua = uo and ub = inf, with no set of
+            # the boxes met; it is worth +5.7% of numeric-long's throughput
+            # (ten alternating pairs with and without it, 2-core VM,
+            # CPython 3.11)
             stop = uo + bound[0] * du + eps
             if not lo <= first <= hi or uo > stop or uo > umax:
                 return

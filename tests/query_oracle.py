@@ -3,13 +3,14 @@ the oracle ``numeric._Walls.nearest`` is checked against.
 
 Here a leg's hits go into a ``Nearest`` that is offered every wall the
 walk meets and tests each one, the wall the leg leaves included; each
-index is walked by one generator with no special case for a leg along one
-strip; an arc's hit is found by sign tests of surds alone; and a region's
-mirrors are listed through ``encoding.blocks_in`` and
+index is walked by one generator with no special case for a leg along
+one strip; an arc's hit is found by sign tests of surds alone; and a
+region's mirrors are listed through ``encoding.blocks_in`` and
 ``_BlockMirrors._segments``, from a window computed axis by axis in a
-loop.  It reads the same TraceScene, ray indexes and placed mirror records
-as the tracer, and must weigh the same walls, read the same mirrors and
-find the same hits, runner-up, irrational roots and crossings.
+loop on the leg's extents, also made in a loop.  It reads the same
+TraceScene, ray indexes and placed mirror records as the tracer, and
+must weigh the same walls, read the same mirrors and find the same hits,
+runner-up, irrational roots and crossings.
 """
 
 import bisect
@@ -17,7 +18,6 @@ import functools
 import math
 
 from carom.encoding import blocks_in
-from carom.gadgets import _exact_leg
 from carom.numeric import (
     _before,
     _chart_hit,
@@ -164,6 +164,28 @@ def walk(index, o, d, bound, eps):
             end = stop if stop < ub else ub
 
 
+def exact_leg(leg, origin):
+    """The leg ``leg`` in integers in the local frame of a family placed
+    with its ``origin``, as gadgets._exact_leg returns it: its x- and
+    y-extents, each a pair of (numerator, denominator) ends, None where
+    unbounded, and its line n . p = n0 / h, as (x-extent, y-extent, nx,
+    ny, h, n0)."""
+    (x, y, w), (dx, dy), t = leg
+    bn, bd, on, od, sy = origin
+    xd, yd = w * bd, w * od
+    xn, yn = x * bd - bn * w, sy * (y * od - on * w)
+    dy *= sy
+    extents = []
+    for a, b, dn in ((xn, xd, dx), (yn, yd, dy)):
+        end = (a, b) if not dn else None if t is None else (
+            a * t[1] + b * t[0] * dn, b * t[1])
+        extents.append(((a, b), end) if dn >= 0 else (end, (a, b)))
+    nx, ny = -dy, dx
+    if nx + 8 * ny < 0:
+        nx, ny = -nx, -ny
+    return extents[0], extents[1], nx, ny, xd * yd, nx * xn * yd + ny * yn * xd
+
+
 def window(lv, s, w, exact):
     """The blocks (F_lo, F_hi) of level ``lv``, symbol s and wall w whose
     boxes meet the leg ``exact``, as gadgets._window returns them."""
@@ -238,7 +260,7 @@ class Walls:
                      (fd[0], entry.sy * fd[1]))
             for lv, s, w in walk(entry.index, *local, bound, eps):
                 if exact is None:
-                    exact = _exact_leg((xyw, d, found.t and found.t[:2]), mirrors.origin)
+                    exact = exact_leg((xyw, d, found.t and found.t[:2]), mirrors.origin)
                 rows, moved = block_rows(mirrors, lv, s, w, exact), False
                 weighed += len(rows)
                 for row in rows:

@@ -36,6 +36,7 @@ from carom.encoding import (
 )
 from carom.gadgets import (
     _BAND_GAIN,
+    _BlockMirrors,
     _exact_leg,
     _window,
     build_merge_gadget,
@@ -555,18 +556,31 @@ def test_pre_rejects_keep_every_hit_and_crossing(monkeypatch):
     seen = {"legs": 0, "static_left_out": 0, "families_left_out": 0, "charts_left_out": 0,
             "parallel_charts_left_out": 0}
     nearest, full_rows, full_levels = _Walls.nearest, {}, False
-    # what the walk tested exactly on the last leg: what it met, but the
-    # wall the leg leaves
-    weighed = []
-    for kind, hit in list(numeric._HITS.items()):
-        monkeypatch.setitem(numeric._HITS, kind,
-                            lambda w, *args, hit=hit: weighed.append(w) or hit(w, *args))
+    # what the walk offered on the last leg: each wall and chart the
+    # scene's walk yields, the wall the leg leaves included though it is
+    # not tested, and each row of the family regions it meets (a family's
+    # own walk yields its regions, which have no kind)
+    weighed, walk, block_rows = [], numeric._RayIndex.walk, _BlockMirrors.block_rows
+
+    def recorded_walk(index, *args):
+        for entry in walk(index, *args):
+            if getattr(entry, "kind", "family") != "family":
+                weighed.append(entry)
+            yield entry
+
+    def recorded_rows(mirrors, *args):
+        rows = block_rows(mirrors, *args)
+        weighed.extend(rows)
+        return rows
+
+    monkeypatch.setattr(numeric._RayIndex, "walk", recorded_walk)
+    monkeypatch.setattr(_BlockMirrors, "block_rows", recorded_rows)
 
     def checked_nearest(walls, xyw, direction, exclude):
         weighed.clear()
         found = nearest(walls, xyw, direction, exclude)
         t, wall, second, irrational, crossings = found
-        met = list(weighed)     # before the full pass tests its own
+        met = list(weighed)
         if walls not in full_rows:
             full_rows[walls] = [
                 row for mirrors in walls.scene.families
