@@ -14,7 +14,11 @@ index's lazily sorted strips), the same less the least CPU of three
 layer alone) and ``max_candidates``,
 the most walls one leg weighed exactly.  None of the last three should
 grow with the table: a leg walks the scene's ray index only up to its
-nearest hit.
+nearest hit.  ``fresh ms`` is what one traced tape costs on a table of its
+own: the least CPU of three passes that each compile a fresh table, build
+its trace scene and run ``run_numeric`` on the first tape, the cost a
+``carom run``, ``verify`` or ``svg`` pays before and while its first leg is
+traced.
 """
 
 import random
@@ -43,8 +47,21 @@ def least_cpu(run, table):
     return min(times)
 
 
+def fresh_cpu(machine):
+    """The least process time of PASSES fresh tables of ``machine``, each
+    compiled, its trace scene built and the first tape traced."""
+    times = []
+    for _ in range(PASSES):
+        start = time.process_time()
+        table = compile_table(machine, 8)
+        table.trace_scene
+        run_numeric(table, tapes[0], BUDGET)
+        times.append(time.process_time() - start)
+    return min(times)
+
+
 print(f"{'states':>6} {'walls':>6} {'compile ms':>10} {'index ms':>8} {'legs':>5} "
-      f"{'us/leg':>7} {'trace us/leg':>12} {'max_candidates':>14}")
+      f"{'us/leg':>7} {'trace us/leg':>12} {'max_candidates':>14} {'fresh ms':>8}")
 for n in (4, 16, 64, 128):
     machine = random_reversible(random.Random(n), n)
     start = time.process_time()
@@ -61,4 +78,5 @@ for n in (4, 16, 64, 128):
         most = max(most, res.max_candidates)
     cpu, symbolic = least_cpu(run_numeric, table), least_cpu(run_symbolic, table)
     print(f"{n:>6} {len(table.static_walls):>6} {1e3 * compiled:>10.1f} {1e3 * build:>8.1f} {legs:>5} "
-          f"{1e6 * cpu / legs:>7.0f} {1e6 * (cpu - symbolic) / legs:>12.0f} {most:>14}")
+          f"{1e6 * cpu / legs:>7.0f} {1e6 * (cpu - symbolic) / legs:>12.0f} {most:>14} "
+          f"{1e3 * fresh_cpu(machine):>8.1f}")

@@ -544,32 +544,45 @@ class _TranslationTransfer(PiecewiseTransfer):
         """Verify, by the lemma, that the images of the pieces of ``levels``
         (those in the family's) are pairwise disjoint, raising the
         ValueError PiecewiseTransfer.check_injective raises (touching ends
-        do not overlap)."""
+        do not overlap).  The lemma is decided once per level set and
+        family key (``_overlap``)."""
         mirrors = self.mirrors
-        chosen = sorted(set(levels).intersection(mirrors.levels))
-        if not chosen:
-            return
-        (w0, w1), offset = mirrors.writes, mirrors.cell_offset
-        # per level: I_k = [lo, hi] / 3^e, its blocks 3^-(e + digit_pos) long
-        ends = [(head_hull(k), digit_position(k + offset),
-                 _displacement(k, 0, w0), _displacement(k, 1, w1)) for k in chosen]
-        top = max(max(e + digit_pos, e0, e1)
-                  for (_, _, e), digit_pos, (_, e0), (_, e1) in ends)
-        pow3 = list(itertools.accumulate(itertools.repeat(3, top), operator.mul, initial=1))
-        lanes = ([], [])    # per symbol, H_s(k) + d_s(k) over 3^top
-        for (lo, hi, e), digit_pos, (n0, e0), (n1, e1) in ends:
-            scale, two = pow3[top - e], 2 * pow3[top - e - digit_pos]
-            lo, hi, d0, d1 = lo * scale, hi * scale, n0 * pow3[top - e0], n1 * pow3[top - e1]
-            lanes[0].append((lo + d0, hi - two + d0))
-            lanes[1].append((lo + two + d1, hi + d1))
-        for s, lane in enumerate(lanes):
-            for (_, hi), (lo, _) in zip(lane, lane[1:]):
-                if hi > lo:
-                    raise ValueError(
-                        f"transfer {self.label}: images of branch{s} and branch{s} overlap")
-        (lo0, hi0), (lo1, hi1) = ((lane[0][0], lane[-1][1]) for lane in lanes)
-        if hi0 > lo1 and hi1 > lo0:
-            raise ValueError(f"transfer {self.label}: images of branch0 and branch1 overlap")
+        chosen = tuple(sorted(set(levels).intersection(mirrors.levels)))
+        overlap = _overlap(chosen, mirrors.cell_offset, mirrors.writes) if chosen else None
+        if overlap is not None:
+            raise ValueError(f"transfer {self.label}: images of branch{overlap[0]} and "
+                             f"branch{overlap[1]} overlap")
+
+
+# one entry per level set and family key; compile_table asks for whole
+# families only: bounded, as _family_levels is
+@functools.lru_cache(maxsize=None)
+def _overlap(levels, cell_offset, writes):
+    """The lemma of _TranslationTransfer.check_injective on the split that
+    classifies cell k + ``cell_offset`` and writes ``writes`` over the head
+    levels ``levels``, a sorted tuple: None where the images are disjoint,
+    else the symbols (s, s') of the first two lanes found to overlap."""
+    w0, w1 = writes
+    # per level: I_k = [lo, hi] / 3^e, its blocks 3^-(e + digit_pos) long
+    ends = [(head_hull(k), digit_position(k + cell_offset),
+             _displacement(k, 0, w0), _displacement(k, 1, w1)) for k in levels]
+    top = max(max(e + digit_pos, e0, e1)
+              for (_, _, e), digit_pos, (_, e0), (_, e1) in ends)
+    pow3 = list(itertools.accumulate(itertools.repeat(3, top), operator.mul, initial=1))
+    lanes = ([], [])    # per symbol, H_s(k) + d_s(k) over 3^top
+    for (lo, hi, e), digit_pos, (n0, e0), (n1, e1) in ends:
+        scale, two = pow3[top - e], 2 * pow3[top - e - digit_pos]
+        lo, hi, d0, d1 = lo * scale, hi * scale, n0 * pow3[top - e0], n1 * pow3[top - e1]
+        lanes[0].append((lo + d0, hi - two + d0))
+        lanes[1].append((lo + two + d1, hi + d1))
+    for s, lane in enumerate(lanes):
+        for (_, hi), (lo, _) in zip(lane, lane[1:]):
+            if hi > lo:
+                return s, s
+    (lo0, hi0), (lo1, hi1) = ((lane[0][0], lane[-1][1]) for lane in lanes)
+    if hi0 > lo1 and hi1 > lo0:
+        return 0, 1
+    return None
 
 
 def build_split_gadget(K, writes=(0, 1), *, cell_offset=0, base_x=0, base_y=0, name="split"):
@@ -645,7 +658,8 @@ def build_merge_gadget(split, *, name=None):
     the split's transfer to be injective; overlapping images mean the
     machine was not reversible and merging would glue distinct histories.
     It is checked on every level of the split's mirror family, by the
-    per-key lemma of _TranslationTransfer.check_injective.
+    lemma of _TranslationTransfer.check_injective, decided once per family
+    key.
     """
     name = name or split.name + ":merged"
     mirrors = split.mirrors
@@ -770,6 +784,29 @@ _REGIMES = {
 }
 
 
+class _Stage(NamedTuple):
+    """A shift stage of one head move eps in lane sigma, at base (0, 0):
+    the ``_REGIMES[eps]`` arcs moved by (sigma, 0), ids unprefixed; per
+    regime, ``maps``, (tag, a, b + sigma (1 - a), k_lo, k_hi), its map u
+    -> a*u + b moved to the lane; and the ports' ``offsets``, the in- and
+    out-port origins, both windows [sigma, sigma + 1]."""
+
+    arcs: tuple
+    maps: tuple
+    offsets: tuple = ((0, 0), (2, STAGE_HEIGHT))
+
+
+# one entry per (eps, sigma): a table's stages sit in the lanes SIGMA
+@functools.lru_cache(maxsize=64)
+def _stage(eps, sigma):
+    """The _Stage record of head move ``eps`` in lane ``sigma``, made once
+    per key, whatever table or stage asks: a stage is this record placed
+    at its in-port (build_shift_stage)."""
+    regimes = _REGIMES[eps]
+    return _Stage(tuple(w.translated(sigma, 0) for r in regimes for w in r.arcs),
+                  tuple((r.tag, r.a, r.b + sigma * (1 - r.a), r.k_lo, r.k_hi) for r in regimes))
+
+
 def build_shift_stage(eps, *, base_x=0, base_y=0, sigma=0, K=None, name="shift"):
     """Both head-sign regimes of a head move, side by side in one frame,
     its in-port at (base_x, base_y): where a table places it.
@@ -777,26 +814,26 @@ def build_shift_stage(eps, *, base_x=0, base_y=0, sigma=0, K=None, name="shift")
     In-port window [sigma, sigma+1] (lane coordinate = value + sigma,
     sigma an integer lane offset), out-port window identical but two
     units to the right; transfer u -> sigma + shift(u - sigma) piecewise
-    over the head intervals.  The walls are the ``_REGIMES[eps]`` pairs
-    moved by (base_x + sigma, base_y) in one step, each id prefixed with
-    ``name``: for an int base_x and base_y, by integer adds alone.
+    over the head intervals.  The stage is its (eps, sigma) record
+    (``_stage``) moved by (base_x, base_y): its arcs, each id prefixed with
+    ``name``, and its ports, by integer adds alone for an int base_x and
+    base_y.
     """
     sigma = int(sigma)
-    regimes = _REGIMES[eps]
-    dx = base_x + sigma
-    walls = tuple(ParabolaArc(*w.translated(dx, base_y)[:7], f"{name}:{w.wall_id}")
-                  for regime in regimes for w in regime.arcs)
+    record = _stage(eps, sigma)
+    walls = tuple(ParabolaArc(*w.translated(base_x, base_y)[:7], f"{name}:{w.wall_id}")
+                  for w in record.arcs)
+    ports = [Chart.of((base_x + x, base_y + y), (1, 0), (0, 1), sigma, sigma + 1)
+             for x, y in record.offsets]
     k_cap = K if K is not None else k_max_cap()
-    # per regime: u -> a*u + b moved to lane sigma, a*u + b + sigma*(1 - a)
-    lane_b = [r.b + sigma * (1 - r.a) for r in regimes]
 
     def piece_for_level(k):
-        i = next(i for i, r in enumerate(regimes) if r.k_lo <= k <= r.k_hi)
+        i = 0 if record.maps[0][3] <= k <= record.maps[0][4] else 1
+        tag, a, b, _, _ = record.maps[i]
         lo, hi, e = head_hull(k)
         lane = sigma * 3 ** e
-        return Piece(TernaryRational(lo + lane, e), TernaryRational(hi + lane, e),
-                     regimes[i].a, lane_b[i], (walls[2 * i].wall_id, walls[2 * i + 1].wall_id),
-                     f"{regimes[i].tag}:k{k}")
+        return Piece(TernaryRational(lo + lane, e), TernaryRational(hi + lane, e), a, b,
+                     (walls[2 * i].wall_id, walls[2 * i + 1].wall_id), f"{tag}:k{k}")
 
     def locate(u):
         k = head_of(TernaryRational(u.num - sigma * 3 ** u.exp, u.exp))
@@ -809,9 +846,8 @@ def build_shift_stage(eps, *, base_x=0, base_y=0, sigma=0, K=None, name="shift")
 
     return Gadget(
         kind=f"shift({eps:+d})", name=name,
-        in_ports={"in": Chart.of((base_x, base_y), (1, 0), (0, 1), sigma, sigma + 1)},
-        out_ports={"out": Chart.of((base_x + 2, base_y + STAGE_HEIGHT), (1, 0), (0, 1),
-                                   sigma, sigma + 1)},
+        in_ports={"in": ports[0]},
+        out_ports={"out": ports[1]},
         transfer=PiecewiseTransfer(locate, enumerate_pieces, label=name),
         static_walls=walls,
     )

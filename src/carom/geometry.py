@@ -18,14 +18,23 @@ exact transfer maps.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
+
+_numerator, _denominator = operator.attrgetter("numerator"), operator.attrgetter("denominator")
+
+#: A record of a tuple of its fields, made by tuple.__new__ in C, where the
+#: NamedTuple's own constructor is Python code.
+_new = tuple.__new__
 
 
 def integers(*values):
     """(den, n_0, n_1, ...): the rationals ``values`` over their least
-    common denominator."""
-    den = math.lcm(*[v.denominator for v in values])
+    common denominator; ints, and Fractions over 1, as they are."""
+    den = math.lcm(*map(_denominator, values))
+    if den == 1:
+        return (1, *map(_numerator, values))
     return (den, *[v.numerator * (den // v.denominator) for v in values])
 
 
@@ -67,9 +76,10 @@ class Segment(NamedTuple):
         """The segment moved by (dx, dy), over den times the least common
         denominator of dx and dy: the same den for an integer move."""
         e, ex, ey = integers(dx, dy)
-        ex, ey = ex * self.den, ey * self.den
-        return Segment(self.den * e, self.x0 * e + ex, self.y0 * e + ey,
-                       self.x1 * e + ex, self.y1 * e + ey, self.wall_id)
+        den, x0, y0, x1, y1, wall_id = self
+        ex, ey = ex * den, ey * den
+        return _new(Segment, (den * e, x0 * e + ex, y0 * e + ey, x1 * e + ex, y1 * e + ey,
+                              wall_id))
 
 
 class ParabolaArc(NamedTuple):
@@ -114,10 +124,10 @@ class ParabolaArc(NamedTuple):
     def translated(self, dx, dy):
         """The arc moved by (dx, dy), as ``Segment.translated``."""
         e, ex, ey = integers(dx, dy)
-        ex, ey = ex * self.den, ey * self.den
-        return ParabolaArc(self.den * e, self.axis * e + ex, self.apex * e + ey,
-                           self.focal * e, self.sign, self.lo * e + ex, self.hi * e + ex,
-                           self.wall_id)
+        den, axis, apex, focal, sign, lo, hi, wall_id = self
+        ex, ey = ex * den, ey * den
+        return _new(ParabolaArc, (den * e, axis * e + ex, apex * e + ey, focal * e, sign,
+                                  lo * e + ex, hi * e + ex, wall_id))
 
 
 class Chart(NamedTuple):
@@ -149,8 +159,8 @@ class Chart(NamedTuple):
     @classmethod
     def of(cls, origin, tangent, beam, lo=0, hi=1, name="", hard=False):
         """The chart of these rationals, over their least common denominator."""
-        return cls(*integers(*origin, lo, hi), tuple(map(int, tangent)), tuple(map(int, beam)),
-                   name, hard)
+        return _new(cls, (*integers(*origin, lo, hi), tuple(map(int, tangent)),
+                          tuple(map(int, beam)), name, hard))
 
     origin = property(lambda c: (Fraction(c.ox, c.den), Fraction(c.oy, c.den)))
     lo, hi = _ratio(3), _ratio(4)

@@ -24,13 +24,18 @@ are listed from the Cantor indices in its integer window
 traced leg without its symbolic run, against 27 / 28.5 / 30 / 31 before
 this loop, on 4- / 16- / 64- / 128-state tables (medians of 16
 alternating runs on a shared 2-core host, CPython 3.11).
+
+What a trace reads is per key or per table.  A mirror family's index
+(``_family_index``) is one per family key, shared across tables; a
+table's ``TraceScene`` is its own: one float box per static wall and
+chart and one per family, filed in one ray index on its first
+run_numeric, each strip's lane sorted the first time a leg walks it.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,8 +257,8 @@ class _RayIndex:
         self.box = None
         if not entries:
             return
-        self.box = (min(e[0] for e in entries), min(e[1] for e in entries),
-                    max(e[2] for e in entries), max(e[3] for e in entries))
+        x0, y0, x1, y1, _ = zip(*entries)
+        self.box = (min(x0), min(y0), max(x1), max(y1))
         extent, size = max(self.box[2] - self.box[0], self.box[3] - self.box[1]), 1.0
         while extent > _STRIPS * size:
             size *= 2
@@ -274,12 +279,20 @@ class _RayIndex:
         box's extent [u0, u1] along the ray, u counted in its sense, and
         [v0, v1] across it, sorted by u0."""
         a, entries, strip = 1 - c, self.entries, self.strips[c].get(j, ())
-        items = ([(e[a], e[a + 2], e[c], e[c + 2], n, e[4]) for n in strip for e in [entries[n]]]
-                 if sense > 0 else
-                 [(-e[a + 2], -e[a], e[c], e[c + 2], n, e[4]) for n in strip for e in [entries[n]]])
-        items.sort()        # by n at the latest, which is unique
-        lane = self.lanes[c][sense > 0][j] = (
-            list(itertools.accumulate([item[1] for item in items], max)), items)
+        if sense > 0:
+            items = [(e[a], e[a + 2], e[c], e[c + 2], n, e[4])
+                     for n in strip for e in (entries[n],)]
+        else:
+            items = [(-e[a + 2], -e[a], e[c], e[c + 2], n, e[4])
+                     for n in strip for e in (entries[n],)]
+        if len(items) > 1:
+            items.sort()        # by n at the latest, which is unique
+        pmax, top = [], -math.inf
+        for item in items:
+            if item[1] > top:
+                top = item[1]
+            pmax.append(top)
+        lane = self.lanes[c][sense > 0][j] = (pmax, items)
         return lane
 
     def walk(self, o, d, bound, eps):

@@ -22,6 +22,16 @@ The four turn mirrors of a corridor sit at the corners of its route and
 keep the transverse coordinate rigid, so a corridor's transfer is split o
 shift o rebase o merge, which per head level reduces to the machine edge
 acting on the encoded value.
+
+What is the same on every table is one record per key, made once per
+process and moved by integer offsets: a shift stage's (eps, sigma) record
+(arcs, lane constants, port offsets), a mirror family's (levels, cell
+offset, writes) level records and index, a merge's injectivity verdict
+per family key, and the turns' and rebases' lane pieces.  Per table are
+what the layout places: the checkpoints, the launch pad, the split ports
+and the turn mirrors, each by its one constructor, and each gadget's
+placed walls and ports; and, on the first run_numeric, the trace scene
+that files them (``trace_scene``).
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -151,14 +161,15 @@ class Corridor:
     @cached_property
     def turn_pieces(self):
         """The turns' transfer: the identity on the lane window, one piece
-        per mirror."""
-        lo, hi, one, zero = T(self.sigma_in), T(self.sigma_in + 1), T(1), T(0)
+        per mirror, over the lane's values (``_lane_identity``)."""
+        lo, hi, one, zero = _lane_identity(self.sigma_in)
         return tuple(Piece(lo, hi, one, zero, (w.wall_id,), "turn") for w in self.turns)
 
     @cached_property
     def rebase_piece(self):
-        """The move from the stage's lane to the target's, u -> u + rebase."""
-        return Piece(T(0), T(0), T(1), T(self.sigma_out - self.sigma_in), (), "rebase")
+        """The move from the stage's lane to the target's, u -> u + rebase
+        (``_rebase``)."""
+        return _rebase(self.sigma_out - self.sigma_in)
 
     def apply_inverse(self, value_after):
         """Run the corridor's transfer chain backwards, piece by piece.
@@ -188,6 +199,21 @@ class Corridor:
         if forward != u or piece.tag != f"branch{self.branch}":
             raise DomainError(f"inverse corridor {self.edge}: not in image")
         return x
+
+
+# one entry per lane offset: a table's lanes are SIGMA's and 0
+@lru_cache(maxsize=16)
+def _lane_identity(sigma):
+    """(lo, hi, 1, 0): the window [sigma, sigma + 1] and the identity's
+    coefficients, the values of a turn's piece in lane ``sigma``."""
+    return T(sigma), T(sigma + 1), T(1), T(0)
+
+
+# one entry per move between lanes: at most the differences of SIGMA and 0
+@lru_cache(maxsize=16)
+def _rebase(rebase):
+    """The piece u -> u + ``rebase`` that moves a beam between lanes."""
+    return Piece(T(0), T(0), T(1), T(rebase), (), "rebase")
 
 
 @dataclass

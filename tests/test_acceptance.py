@@ -6,11 +6,13 @@ pytest -s); the stated runtime ceilings are asserted.
 """
 
 import io
+import json
 import random
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+from carom.cli import main
 from carom.encoding import (
     decode,
     encode_state,
@@ -43,7 +45,8 @@ from carom.simulate import (
 )
 from carom.table import compile_table, load_table, to_svg
 from carom.ternary import T
-from carom.zoo import fixture_machines, get_machine
+from carom.zoo import MACHINE_TEXTS, fixture_machines, get_machine
+from test_cli import MANGLES
 
 
 def _report(name, t0, limit):
@@ -236,7 +239,7 @@ def test_criterion_7_determinism_and_serialization():
     _report("criterion 7 (determinism and serialization)", t0, 60)
 
 
-def test_envelope():
+def test_envelope(tmp_path, capsys):
     # the guarantees at the advertised envelope, K = k_max_cap() (64)
     t0 = time.time()
     K = k_max_cap()
@@ -255,4 +258,21 @@ def test_envelope():
         out = res.outcome
         assert (out.verdict, out.steps, res.denominator_bits) == (verdict, steps, bits), name
         assert out.out_of_range_k == (K + 1 if verdict == "out-of-range" else None)
-    _report("envelope (K=64 compiles, exact deep-head certificates)", t0, 10)
+    # the failure paths, each an input error at once: a K past the cap, and
+    # each doctored table file of test_cli
+    machine_file, table_file = tmp_path / "rev-move.tm", tmp_path / "table.json"
+    machine_file.write_text(MACHINE_TEXTS["rev-move"])
+    t1 = time.perf_counter()
+    assert main(["compile", str(machine_file), "-o", str(table_file), "--K", str(K + 1)]) == 2
+    assert time.perf_counter() - t1 < 1 and not table_file.exists()
+    assert f"error: K must be in [1, {K}]" in capsys.readouterr().err
+    for name, (table_K, mangle, message) in MANGLES.items():
+        assert main(["compile", str(machine_file), "-o", str(table_file),
+                     "--K", str(table_K)]) == 0
+        table_file.write_text(json.dumps(mangle(json.loads(table_file.read_text()))))
+        capsys.readouterr()
+        t1 = time.perf_counter()
+        assert main(["run", str(table_file), "--tape", "@"]) == 2, name
+        assert time.perf_counter() - t1 < 1, name
+        assert f"error: {message}" in capsys.readouterr().err, name
+    _report("envelope (K=64 compiles, exact deep-head certificates, failure paths)", t0, 10)

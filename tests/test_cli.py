@@ -304,19 +304,25 @@ def test_bad_config_rejected(rev_move_file):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("K, mangle, message", [
-    (2, lambda doc: doc["meta"].pop("scene_levels") and doc, "not a carom table file"),
-    (2, lambda doc: [], "not a carom table file"),
-    (2, lambda doc: {**doc, "meta": None}, "not a carom table file"),
-    (2, lambda doc: {**doc, "meta": {**doc["meta"], "K": 0}}, "K must be >= 1"),
-    (2, lambda doc: {**doc, "meta": {**doc["meta"], "scene_levels": -1}},
-     "scene_levels must be >= 0"),
+#: (K, mangle, message): a table file compiled at K, doctored by mangle,
+#: and the error its run must exit 2 with at once; also read by
+#: test_acceptance.test_envelope
+MANGLES = {
+    "no-scene-levels": (2, lambda doc: doc["meta"].pop("scene_levels") and doc,
+                        "not a carom table file"),
+    "top-level-list": (2, lambda doc: [], "not a carom table file"),
+    "null-meta": (2, lambda doc: {**doc, "meta": None}, "not a carom table file"),
+    "zero-K": (2, lambda doc: {**doc, "meta": {**doc["meta"], "K": 0}}, "K must be >= 1"),
+    "negative-scene-levels": (2, lambda doc: {**doc, "meta": {**doc["meta"], "scene_levels": -1}},
+                              "scene_levels must be >= 0"),
     # a recompile would list about 4^10 walls a mirror family: refused on
     # the count of walls before any is listed
-    (10, lambda doc: {**doc, "meta": {**doc["meta"], "scene_levels": 10}},
-     "stored scene lists"),
-], ids=["no-scene-levels", "top-level-list", "null-meta", "zero-K",
-        "negative-scene-levels", "deep-scene-levels"])
+    "deep-scene-levels": (10, lambda doc: {**doc, "meta": {**doc["meta"], "scene_levels": 10}},
+                          "stored scene lists"),
+}
+
+
+@pytest.mark.parametrize("K, mangle, message", list(MANGLES.values()), ids=list(MANGLES))
 def test_malformed_table_file_is_input_error(rev_move_file, tmp_path, capsys, K, mangle,
                                              message):
     # a wrong-shaped table document is an input error (exit 2), not a crash

@@ -602,12 +602,17 @@ def test_injectivity_lemma_matches_the_enumerated_check():
 
 
 @pytest.mark.parametrize("mutation", ["clashing", "dragged"])
-def test_injectivity_lemma_rejects_what_the_enumeration_rejects(monkeypatch, mutation):
+def test_injectivity_lemma_rejects_what_the_enumeration_rejects(monkeypatch, request, mutation):
     # clashing: the branch-1 displacement of test_merge_rejects_noninjective,
     # -20/9 at every level, lays the branch-1 lane over the branch-0 lane;
     # dragged: branch 1 moved by sigma_0 less two block lengths, which lays
-    # every read-1 block's image exactly on its read-0 neighbour's
+    # every read-1 block's image exactly on its read-0 neighbour's.  The
+    # lemma is decided once per family key, and this key's honest verdict
+    # may be cached: the cache is cleared before, and after, as the mutated
+    # verdict is cached under the honest key
     displacement = gadgets._displacement
+    gadgets._overlap.cache_clear()
+    request.addfinalizer(gadgets._overlap.cache_clear)
 
     def mutated(k, read_s, write_s):
         n, e = displacement(k, read_s, write_s)
